@@ -101,30 +101,24 @@ func TestBenchExtractSnapshot(t *testing.T) {
 		entries[len(entries)-1].Speedup = refNs / entries[len(entries)-1].NsPerOp
 	}
 
-	defer func() {
-		extract.SetKernelCache(true)
-		extract.ResetKernelCache()
-	}()
-
 	// 1. The 64-line bus: full dense partial-inductance matrix with
 	// numeric cross-section GMD (the accurate near-field setting a
 	// minimum-pitch bus requires). Every pair is a translate of one of a
 	// few hundred relative geometries, the cache's home turf.
 	bus, busSegs := benchBus64()
 	gmd := extract.GMDOptions{Numeric: true}
-	extract.SetKernelCache(false)
 	busOff := measure("bus64_inductance_nocache", func() {
 		bruteForceWindowed(bus, busSegs, math.Inf(1), gmd)
 	})
-	extract.SetKernelCache(true)
+	busCache := extract.PrivateCache()
 	measure("bus64_inductance_cache_cold", func() {
-		extract.ResetKernelCache()
-		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, extract.DefaultCacheRef())
+		busCache.Reset()
+		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, busCache)
 	})
 	speedupVs(busOff)
-	coldStats := extract.KernelCacheStats()
+	coldStats := busCache.Stats()
 	measure("bus64_inductance_cache_warm", func() {
-		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, extract.DefaultCacheRef())
+		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, busCache)
 	})
 	speedupVs(busOff)
 
@@ -177,18 +171,17 @@ func TestBenchExtractSnapshot(t *testing.T) {
 	})
 	speedupVs(bruteScan)
 
-	extract.SetKernelCache(false)
 	gridBrute := measure("grid2400_windowed_bruteforce", func() {
 		bruteForceWindowed(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{})
 	})
 	measure("grid2400_windowed_indexed", func() {
-		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, extract.DefaultCacheRef())
+		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, extract.NoCache())
 	})
 	speedupVs(gridBrute)
-	extract.SetKernelCache(true)
+	gridCache := extract.PrivateCache()
 	measure("grid2400_windowed_indexed_cache", func() {
-		extract.ResetKernelCache()
-		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, extract.DefaultCacheRef())
+		gridCache.Reset()
+		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, gridCache)
 	})
 	speedupVs(gridBrute)
 

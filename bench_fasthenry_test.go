@@ -75,23 +75,23 @@ func benchMicrostripPlane() (*geom.Layout, []int, fasthenry.Port, [][2]string) {
 
 // benchRow is one (size, solver mode, worker count) measurement.
 type benchRow struct {
-	Wires        int     `json:"wires,omitempty"`
-	PlaneNW      int     `json:"plane_nw,omitempty"`
-	Filaments    int     `json:"filaments"`
-	Mode         string  `json:"mode"`
-	Workers      int     `json:"workers"`
-	SweepPoints  int     `json:"sweep_points"`
-	BuildSec     float64 `json:"operator_build_sec"`
-	SweepSec     float64 `json:"sweep_sec"`
-	TotalSec     float64 `json:"total_sec"`
-	GMRESIters   []int   `json:"gmres_iters_per_point,omitempty"`
-	MaxRelErr    float64 `json:"max_rel_err_vs_dense,omitempty"`
-	FarBlocks    int     `json:"far_blocks,omitempty"`
-	MaxRank      int     `json:"max_rank,omitempty"`
-	CompressionX float64 `json:"storage_compression_x,omitempty"`
-	KernelFrac   float64 `json:"kernel_eval_fraction,omitempty"`
-	NearEvals    int     `json:"near_kernel_evals,omitempty"`
-	FarEvals     int     `json:"far_kernel_evals,omitempty"`
+	Wires          int     `json:"wires,omitempty"`
+	PlaneNW        int     `json:"plane_nw,omitempty"`
+	Filaments      int     `json:"filaments"`
+	Mode           string  `json:"mode"`
+	Workers        int     `json:"workers"`
+	SweepPoints    int     `json:"sweep_points"`
+	BuildSec       float64 `json:"operator_build_sec"`
+	SweepSec       float64 `json:"sweep_sec"`
+	TotalSec       float64 `json:"total_sec"`
+	GMRESIters     []int   `json:"gmres_iters_per_point,omitempty"`
+	MaxRelErr      float64 `json:"max_rel_err_vs_dense,omitempty"`
+	FarBlocks      int     `json:"far_blocks,omitempty"`
+	MaxRank        int     `json:"max_rank,omitempty"`
+	CompressionX   float64 `json:"storage_compression_x,omitempty"`
+	KernelPerEntry float64 `json:"kernel_evals_per_dense_entry,omitempty"`
+	NearEvals      int     `json:"near_kernel_evals,omitempty"`
+	FarEvals       int     `json:"far_kernel_evals,omitempty"`
 }
 
 // maxRelErrPts is the worst pointwise relative impedance deviation
@@ -195,7 +195,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 				row.FarBlocks = st.FarBlocks
 				row.MaxRank = st.MaxRank
 				row.CompressionX = st.CompressionRatio()
-				row.KernelFrac = float64(st.KernelEvals) / float64(st.DenseKernelEntries)
+				row.KernelPerEntry = float64(st.KernelEvals) / float64(st.DenseKernelEntries)
 				row.NearEvals = st.NearKernelEvals
 				row.FarEvals = st.FarKernelEvals
 				for _, p := range pts {

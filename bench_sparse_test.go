@@ -117,14 +117,14 @@ func benchSynthRow(t *testing.T, target int) synthRow {
 		}
 	}
 	if g.N <= benchCGCeiling {
-		var cst matrix.CGStats
+		var cst matrix.IterResult
 		row.CGSec = benchBest(1, func() {
-			_, cst, err = g.SolveCG(matrix.CGOptions{Tol: benchMGTol})
+			_, cst, err = g.SolveCG(matrix.PCGOptions{Tol: benchMGTol})
 			if err != nil {
 				t.Fatal(err)
 			}
 		})
-		row.CGIters, row.CGTol = cst.Iterations, cst.Tol
+		row.CGIters, row.CGTol = cst.Iters, benchMGTol
 	}
 	t.Logf("synth %8d nodes: mg %.3fs+%.3fs (%d iters, %d levels, opcx %.2f), chol %.3fs (fill %d), cg %.3fs (%d iters)",
 		row.Nodes, row.MGSetupSec, row.MGSolveSec, row.MGIters, row.MGLevels, row.MGOpCx,
@@ -215,24 +215,18 @@ func TestBenchSparseSnapshot(t *testing.T) {
 		circuit.Pulse{V1: 0, V2: 0.02, Delay: 10e-12, Rise: 20e-12, Width: 200e-12, Fall: 20e-12})
 	tranOpt := sim.TranOptions{TStop: 0.5e-9, TStep: 10e-12}
 	var sparseTran, denseTran float64
-	func() {
-		old := sim.SetSparseThreshold(1)
-		defer sim.SetSparseThreshold(old)
-		sparseTran = benchBest(3, func() {
-			if _, err := sim.Tran(n, tranOpt); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}()
-	func() {
-		old := sim.SetSparseThreshold(1 << 30)
-		defer sim.SetSparseThreshold(old)
-		denseTran = benchBest(1, func() {
-			if _, err := sim.Tran(n, tranOpt); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}()
+	tranOpt.Policy.SparseThreshold = 1
+	sparseTran = benchBest(3, func() {
+		if _, err := sim.Tran(n, tranOpt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tranOpt.Policy.SparseThreshold = -1
+	denseTran = benchBest(1, func() {
+		if _, err := sim.Tran(n, tranOpt); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Logf("tran: dense %.3fs, sparse %.5fs (%.0fx)", denseTran, sparseTran, denseTran/sparseTran)
 
 	// Part 2: the scaling curve — streaming-assembled synthetic grids

@@ -7,6 +7,20 @@ import (
 	"inductance101/internal/matrix"
 )
 
+// solveJacobiCG solves the sparse DC system with Jacobi-preconditioned CG.
+func solveJacobiCG(t *testing.T, a *matrix.CSR, b []float64) []float64 {
+	t.Helper()
+	pre, err := matrix.JacobiPrecond(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, res, err := matrix.PCG(matrix.CSROp{M: a}, b, matrix.PCGOptions{Tol: 1e-13, Precond: pre})
+	if err != nil || !res.Converged {
+		t.Fatalf("CG: %+v, %v", res, err)
+	}
+	return x
+}
+
 func TestBuildSparseDCDivider(t *testing.T) {
 	n := New()
 	n.AddV("v", "in", "0", DC(2))
@@ -16,10 +30,7 @@ func TestBuildSparseDCDivider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := g.ToCSR().SolveCG(b, matrix.CGOptions{Tol: 1e-13})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := solveJacobiCG(t, g.ToCSR(), b)
 	mid, _ := n.NodeIndex("mid")
 	if math.Abs(x[mid]-1) > 1e-4 {
 		t.Errorf("divider mid = %g, want ~1 (penalty method)", x[mid])
@@ -39,10 +50,7 @@ func TestBuildSparseDCInductorShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := g.ToCSR().SolveCG(b, matrix.CGOptions{Tol: 1e-13})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := solveJacobiCG(t, g.ToCSR(), b)
 	mid, _ := n.NodeIndex("mid")
 	if math.Abs(x[mid]-1) > 1e-3 {
 		t.Errorf("inductor DC short broken in sparse path: mid = %g", x[mid])

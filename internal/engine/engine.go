@@ -5,12 +5,12 @@
 // order); a Session owns the run's kernel cache and translates the
 // Config into the option structs of the lower layers (extract,
 // fasthenry, sim). Two Sessions with conflicting configs can run
-// concurrently in one process without touching each other — the
-// property the deprecated package-level Set* switches could never
-// provide.
+// concurrently in one process without touching each other: no layer
+// keeps process-global tuning state.
 //
-// The zero Config inherits every process default, so a Session built
-// from it reproduces the legacy behavior bit-identically.
+// Every zero Config field means the built-in default (GOMAXPROCS
+// workers, the 256-unknown sparse switch-over, auto solve mode, the
+// shared kernel cache).
 package engine
 
 import (
@@ -29,8 +29,7 @@ import (
 type CachePolicy int
 
 const (
-	// CacheDefault uses the process-wide shared cache (and honors the
-	// deprecated extract.SetKernelCache switch).
+	// CacheDefault uses the process-wide shared cache.
 	CacheDefault CachePolicy = iota
 	// CachePrivate gives the session its own cache: full memoization
 	// within the session, no sharing or interference across sessions.
@@ -159,17 +158,16 @@ func ParseGridSolver(s string) (GridSolver, error) {
 	return 0, fmt.Errorf("engine: unknown grid solver %q (want auto, dense, cg, chol or mg)", s)
 }
 
-// Config is one run's immutable tuning. Zero values inherit the
-// process defaults (each field documents its own convention), so
-// Config{} reproduces today's behavior exactly.
+// Config is one run's immutable tuning. Zero values select the
+// built-in defaults (each field documents its own convention).
 type Config struct {
 	// Workers caps goroutine fan-out everywhere the run parallelizes:
 	// extraction rows, factorization strips, sweep points, AC points.
 	// 0 = process default (matrix.Workers), 1 = fully serial.
 	Workers int
 	// SparseThreshold is the MNA size at which transient/AC analyses
-	// switch to the sparse direct solver: > 0 explicit, 0 = process
-	// default, < 0 = dense at every size.
+	// switch to the sparse direct solver: > 0 explicit, 0 = built-in
+	// default (256), < 0 = dense at every size.
 	SparseThreshold int
 	// SolveMode picks the fasthenry solve path
 	// (auto/dense/iterative/nested).
@@ -220,7 +218,7 @@ type Config struct {
 }
 
 // Validate rejects configs no layer can interpret. Zero values are
-// always valid (they mean "inherit").
+// always valid (they mean "built-in default").
 func (c Config) Validate() error {
 	if c.ACATol < 0 {
 		return fmt.Errorf("engine: negative ACA tolerance %g", c.ACATol)

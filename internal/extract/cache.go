@@ -285,31 +285,9 @@ func (c *KernelCache) residentBytes() int64 {
 	return n
 }
 
-// The process-wide cache the deprecated package-level extraction paths
-// consult. On by default; the CLIs once exposed -kernelcache=off through
-// SetKernelCache, and the equivalence tests still flip it to prove
-// bit-identity. New code selects a cache per run with a CacheRef.
-var (
-	defaultCache  KernelCache
-	cacheDisabled atomic.Bool // zero value = enabled
-)
-
-// SetKernelCache enables or disables the process-wide kernel cache.
-// Disabling does not drop stored entries (re-enabling resumes hits);
-// use ResetKernelCache to free them.
-//
-// Deprecated: SetKernelCache mutates process-wide state, so two analyses
-// with different cache settings cannot coexist. New code should thread a
-// CacheRef (NoCache, PrivateCache, or the default) through
-// extract.Options / the *InductanceMatrix* entry points instead — see
-// internal/engine for the config that builds one per run. The shim
-// remains so existing call sites keep their exact behavior.
-func SetKernelCache(on bool) {
-	cacheDisabled.Store(!on)
-}
-
-// KernelCacheEnabled reports whether the process-wide cache is active.
-func KernelCacheEnabled() bool { return !cacheDisabled.Load() }
+// defaultCache is the process-wide cache a zero CacheRef resolves to.
+// Runs that need isolation or no memoization carry their own CacheRef.
+var defaultCache KernelCache
 
 // ResetKernelCache drops every memoized kernel value and zeroes the
 // hit/miss counters. Useful between benchmark runs and after processing
@@ -349,11 +327,7 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // KernelCacheStats snapshots the process-wide cache counters.
-func KernelCacheStats() CacheStats {
-	st := defaultCache.Stats()
-	st.Enabled = KernelCacheEnabled()
-	return st
-}
+func KernelCacheStats() CacheStats { return defaultCache.Stats() }
 
 // Stats snapshots this cache's counters. A nil receiver (the disabled
 // cache a NoCache ref resolves to) reports Enabled=false.
@@ -384,25 +358,22 @@ func (c *KernelCache) Reset() {
 type cacheRefKind uint8
 
 const (
-	cacheRefDefault cacheRefKind = iota // process default, honoring SetKernelCache
+	cacheRefDefault cacheRefKind = iota // the process-wide cache
 	cacheRefOff                         // no memoization
 	cacheRefOwned                       // an explicit cache instance
 )
 
 // CacheRef names which kernel cache an extraction run consults. It is a
 // small value meant to be embedded in option structs and threaded down
-// call chains. The zero value resolves to the process-default cache at
-// each use, honoring the deprecated SetKernelCache switch — so an unset
-// config reproduces the legacy behavior exactly. Sessions that need
-// isolation hold a PrivateCache ref; runs that must not memoize use
-// NoCache.
+// call chains. The zero value is the built-in default: the process-wide
+// shared cache. Sessions that need isolation hold a PrivateCache ref;
+// runs that must not memoize use NoCache.
 type CacheRef struct {
 	kind cacheRefKind
 	c    *KernelCache
 }
 
-// DefaultCacheRef returns the zero CacheRef: the process-default cache,
-// subject to the deprecated SetKernelCache switch.
+// DefaultCacheRef returns the zero CacheRef: the process-wide cache.
 func DefaultCacheRef() CacheRef { return CacheRef{} }
 
 // NoCache returns a ref that disables kernel memoization for the runs
@@ -431,8 +402,7 @@ func CacheRefOf(c *KernelCache) CacheRef {
 
 // Cache resolves the ref to a concrete cache: nil means "compute
 // directly" (every kernel method on *KernelCache accepts a nil receiver
-// and falls through to the uncached kernel). The default ref re-reads
-// the SetKernelCache switch on every call, preserving shim semantics.
+// and falls through to the uncached kernel).
 func (r CacheRef) Cache() *KernelCache {
 	switch r.kind {
 	case cacheRefOff:
@@ -440,9 +410,6 @@ func (r CacheRef) Cache() *KernelCache {
 	case cacheRefOwned:
 		return r.c
 	default:
-		if cacheDisabled.Load() {
-			return nil
-		}
 		return &defaultCache
 	}
 }
@@ -523,25 +490,25 @@ func (c *KernelCache) couplingCapPerLength(w, t, h, s float64) float64 {
 }
 
 // SelfInductanceBarCached is SelfInductanceBar through the
-// process-default kernel cache (subject to SetKernelCache).
+// process-wide kernel cache.
 func SelfInductanceBarCached(l, w, t float64) float64 {
 	return DefaultCacheRef().Cache().SelfInductanceBar(l, w, t)
 }
 
-// MutualFilamentsCached is MutualFilaments through the process-default
-// kernel cache (subject to SetKernelCache).
+// MutualFilamentsCached is MutualFilaments through the process-wide
+// kernel cache.
 func MutualFilamentsCached(la, lb, s, d float64) float64 {
 	return DefaultCacheRef().Cache().MutualFilaments(la, lb, s, d)
 }
 
-// MutualBarsCached is MutualBars through the process-default kernel
-// cache (subject to SetKernelCache).
+// MutualBarsCached is MutualBars through the process-wide kernel
+// cache.
 func MutualBarsCached(pg geom.ParallelGeometry, wa, ta, wb, tb float64, opt GMDOptions) float64 {
 	return DefaultCacheRef().Cache().MutualBars(pg, wa, ta, wb, tb, opt)
 }
 
 // couplingCapPerLengthCached is couplingCapPerLength through the
-// process-default kernel cache (subject to SetKernelCache).
+// process-wide kernel cache.
 func couplingCapPerLengthCached(w, t, h, s float64) float64 {
 	return DefaultCacheRef().Cache().couplingCapPerLength(w, t, h, s)
 }

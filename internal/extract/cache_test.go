@@ -10,20 +10,6 @@ import (
 	"inductance101/internal/matrix"
 )
 
-// withCache runs f with the kernel cache forced to the given state and
-// restores the default (enabled, empty) afterwards, so tests cannot
-// leak warm entries into each other.
-func withCache(t *testing.T, on bool, f func()) {
-	t.Helper()
-	ResetKernelCache()
-	SetKernelCache(on)
-	defer func() {
-		SetKernelCache(true)
-		ResetKernelCache()
-	}()
-	f()
-}
-
 // randomLayout builds an irregular two-layer layout with both routing
 // directions, random sizes and random offsets — the adversarial case
 // for the cache (few repeated geometries) and for the spatial index
@@ -104,14 +90,10 @@ func TestCachedInductanceBitIdentical(t *testing.T) {
 	for _, lc := range layouts {
 		for _, w := range windows {
 			for _, g := range gmds {
-				var off, on, par *matrix.Dense
-				withCache(t, false, func() {
-					off = InductanceMatrix(lc.l, lc.segs, w, g, DefaultCacheRef())
-				})
-				withCache(t, true, func() {
-					on = InductanceMatrix(lc.l, lc.segs, w, g, DefaultCacheRef())
-					par = InductanceMatrixParallel(lc.l, lc.segs, w, g, 4, DefaultCacheRef())
-				})
+				cache := PrivateCache()
+				off := InductanceMatrix(lc.l, lc.segs, w, g, NoCache())
+				on := InductanceMatrix(lc.l, lc.segs, w, g, cache)
+				par := InductanceMatrixParallel(lc.l, lc.segs, w, g, 4, cache)
 				requireBitIdentical(t, off, on, lc.name+" serial")
 				requireBitIdentical(t, off, par, lc.name+" parallel")
 			}
@@ -149,10 +131,8 @@ func TestWindowedIndexMatchesBruteForce(t *testing.T) {
 		l, segs := randomLayout(rng, 30)
 		window := []float64{1e-6, 10e-6, 50e-6, 400e-6}[trial%4]
 		ref := bruteForce(l, segs, window, GMDOptions{})
-		withCache(t, false, func() {
-			got := InductanceMatrix(l, segs, window, GMDOptions{}, DefaultCacheRef())
-			requireBitIdentical(t, ref, got, "indexed windowed")
-		})
+		got := InductanceMatrix(l, segs, window, GMDOptions{}, NoCache())
+		requireBitIdentical(t, ref, got, "indexed windowed")
 	}
 	// Collinear far-apart segments: perpendicular distance is zero even
 	// though the bounding boxes are a millimetre apart — the stretched
@@ -165,9 +145,7 @@ func TestWindowedIndexMatchesBruteForce(t *testing.T) {
 	if ref.At(0, 1) == 0 {
 		t.Fatal("test geometry broken: collinear pair should couple")
 	}
-	withCache(t, false, func() {
-		requireBitIdentical(t, ref, InductanceMatrix(l, segs, 5e-6, GMDOptions{}, DefaultCacheRef()), "collinear pair")
-	})
+	requireBitIdentical(t, ref, InductanceMatrix(l, segs, 5e-6, GMDOptions{}, NoCache()), "collinear pair")
 }
 
 // TestCachedCouplingCapBitIdentical runs the full extraction (which
@@ -175,9 +153,9 @@ func TestWindowedIndexMatchesBruteForce(t *testing.T) {
 // with the cache on and off.
 func TestCachedCouplingCapBitIdentical(t *testing.T) {
 	l := makeBusLayout(12, 600e-6, 1e-6, 2.5e-6)
-	var off, on *Parasitics
-	withCache(t, false, func() { off = Extract(l, DefaultOptions()) })
-	withCache(t, true, func() { on = Extract(l, DefaultOptions()) })
+	optOff, optOn := DefaultOptions(), DefaultOptions()
+	optOff.Cache, optOn.Cache = NoCache(), PrivateCache()
+	off, on := Extract(l, optOff), Extract(l, optOn)
 	if len(off.CCoupling) == 0 || len(off.CCoupling) != len(on.CCoupling) {
 		t.Fatalf("coupling cap count: %d vs %d", len(off.CCoupling), len(on.CCoupling))
 	}
@@ -198,34 +176,32 @@ func TestCacheStatsCounters(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	withCache(t, true, func() {
-		InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
-		st := KernelCacheStats()
-		if !st.Enabled {
-			t.Fatal("cache should report enabled")
-		}
-		if st.Misses == 0 || st.Entries == 0 {
-			t.Fatalf("expected misses and entries after a cold run: %+v", st)
-		}
-		if st.Hits == 0 {
-			t.Fatalf("a 16-line regular bus must hit the cache: %+v", st)
-		}
-		// A second identical assembly must be all hits.
-		before := st
-		InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
-		st = KernelCacheStats()
-		if st.Misses != before.Misses {
-			t.Fatalf("warm rerun missed: %d -> %d misses", before.Misses, st.Misses)
-		}
-		if st.Hits <= before.Hits {
-			t.Fatalf("warm rerun did not hit: %+v", st)
-		}
-	})
-	withCache(t, false, func() {
-		if st := KernelCacheStats(); st.Enabled {
-			t.Fatal("cache should report disabled")
-		}
-	})
+	ResetKernelCache()
+	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+	st := KernelCacheStats()
+	if !st.Enabled {
+		t.Fatal("cache should report enabled")
+	}
+	if st.Misses == 0 || st.Entries == 0 {
+		t.Fatalf("expected misses and entries after a cold run: %+v", st)
+	}
+	if st.Hits == 0 {
+		t.Fatalf("a 16-line regular bus must hit the cache: %+v", st)
+	}
+	// A second identical assembly must be all hits.
+	before := st
+	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+	st = KernelCacheStats()
+	if st.Misses != before.Misses {
+		t.Fatalf("warm rerun missed: %d -> %d misses", before.Misses, st.Misses)
+	}
+	if st.Hits <= before.Hits {
+		t.Fatalf("warm rerun did not hit: %+v", st)
+	}
+	if st := NoCache().Stats(); st.Enabled {
+		t.Fatal("NoCache should report disabled")
+	}
+	ResetKernelCache()
 	if st := KernelCacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("reset did not clear counters: %+v", st)
 	}
@@ -257,24 +233,21 @@ func TestConcurrentAssemblySharedCache(t *testing.T) {
 		}
 		jobs[k] = job{l: l, segs: segs}
 	}
-	withCache(t, false, func() {
-		for k := range jobs {
-			jobs[k].ref = InductanceMatrix(jobs[k].l, jobs[k].segs, math.Inf(1), GMDOptions{Numeric: true}, DefaultCacheRef())
-		}
-	})
-	withCache(t, true, func() {
-		var wg sync.WaitGroup
-		results := make([]*matrix.Dense, len(jobs))
-		for k := range jobs {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				results[k] = InductanceMatrixParallel(jobs[k].l, jobs[k].segs, math.Inf(1), GMDOptions{Numeric: true}, 3, DefaultCacheRef())
-			}(k)
-		}
-		wg.Wait()
-		for k := range jobs {
-			requireBitIdentical(t, jobs[k].ref, results[k], "concurrent job")
-		}
-	})
+	for k := range jobs {
+		jobs[k].ref = InductanceMatrix(jobs[k].l, jobs[k].segs, math.Inf(1), GMDOptions{Numeric: true}, NoCache())
+	}
+	shared := PrivateCache()
+	var wg sync.WaitGroup
+	results := make([]*matrix.Dense, len(jobs))
+	for k := range jobs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			results[k] = InductanceMatrixParallel(jobs[k].l, jobs[k].segs, math.Inf(1), GMDOptions{Numeric: true}, 3, shared)
+		}(k)
+	}
+	wg.Wait()
+	for k := range jobs {
+		requireBitIdentical(t, jobs[k].ref, results[k], "concurrent job")
+	}
 }

@@ -26,8 +26,8 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
 	// Cache names the kernel cache the run consults. The zero value is
-	// the process-default cache (subject to the deprecated
-	// SetKernelCache switch); sessions pass their own ref for isolation.
+	// the built-in default, the process-wide cache; sessions pass their
+	// own ref for isolation.
 	Cache CacheRef
 	// SkipInductance leaves Parasitics.L nil. Used by callers that
 	// represent the partial-inductance coupling some other way (e.g.

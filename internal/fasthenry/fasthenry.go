@@ -62,9 +62,9 @@ type Options struct {
 	// value is PrecondBlockJacobi.
 	Precond Precond
 	// Cache names the kernel cache the solver's partial-inductance
-	// entries go through. The zero value is the process-default shared
-	// cache (honoring the deprecated extract.SetKernelCache switch);
-	// sessions pass their own extract.PrivateCache() or extract.NoCache().
+	// entries go through. The zero value is the built-in default, the
+	// process-wide shared cache; sessions pass their own
+	// extract.PrivateCache() or extract.NoCache().
 	Cache extract.CacheRef
 	// Workers caps the sweep fan-out and dense-kernel goroutines.
 	// 0 = process default (matrix.Workers), 1 = fully serial.
@@ -196,7 +196,7 @@ func (s *Solver) nodeRow(n int) int {
 }
 
 // Impedance returns the complex port impedance at frequency f (Hz),
-// using the configured solve mode (see SetSolveMode): the dense complex
+// using the configured solve mode (Options.Mode): the dense complex
 // LU oracle, or matrix-free GMRES through the hierarchically
 // compressed partial-inductance operator.
 func (s *Solver) Impedance(f float64) (complex128, error) {
@@ -318,7 +318,7 @@ type Point struct {
 
 // Sweep extracts the port impedance at each frequency. Points are
 // independent complex solves, so the sweep fans out across workers
-// (Options.Workers, or matrix.SetWorkers when unset); results are
+// (Options.Workers, or GOMAXPROCS when unset); results are
 // identical to a serial loop, in ascending frequency order.
 func (s *Solver) Sweep(freqs []float64) ([]Point, error) {
 	w := s.workers

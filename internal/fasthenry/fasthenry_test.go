@@ -223,22 +223,15 @@ func TestSkinEffectResistanceRatio(t *testing.T) {
 // last bit (the cache memoizes exact kernel outputs only).
 func TestFilamentAssemblyCacheBitIdentical(t *testing.T) {
 	l, segs, port, shorts := signalOverReturn(1500e-6, 6e-6, 15e-6)
-	build := func(on bool) *Solver {
-		extract.ResetKernelCache()
-		extract.SetKernelCache(on)
-		defer func() {
-			extract.SetKernelCache(true)
-			extract.ResetKernelCache()
-		}()
-		s, err := NewSolver(l, segs, port, shorts, 10e9, Options{MaxPerSide: 4})
+	build := func(cache extract.CacheRef) *Solver {
+		s, err := NewSolver(l, segs, port, shorts, 10e9, Options{MaxPerSide: 4, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.denseLP() // materialize while this cache setting is in effect
 		return s
 	}
-	off := build(false)
-	on := build(true)
+	off := build(extract.NoCache())
+	on := build(extract.PrivateCache())
 	nf := off.NumFilaments()
 	if on.NumFilaments() != nf {
 		t.Fatalf("filament counts differ: %d vs %d", on.NumFilaments(), nf)

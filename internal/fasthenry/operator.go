@@ -121,26 +121,9 @@ func ParsePrecond(s string) (Precond, error) {
 	return PrecondBlockJacobi, fmt.Errorf("fasthenry: unknown preconditioner %q (want bjacobi or sai)", s)
 }
 
-// SetSolveMode selects the solve path. Call before the first solve:
-// the dense matrix and the compressed operator are each built once, on
-// first use by their respective paths.
-//
-// Deprecated: set Options.Mode when constructing the solver (or build
-// it through an engine.Session); mutating a shared solver races with
-// concurrent sweeps.
-func (s *Solver) SetSolveMode(m SolveMode) { s.mode = m }
-
 // SolveModeInUse reports the mode Impedance will actually run
 // (ModeAuto resolved against the filament count).
 func (s *Solver) SolveModeInUse() SolveMode { return s.effectiveMode() }
-
-// SetACATol sets the relative tolerance of the ACA low-rank far-field
-// blocks (default 1e-8). It must be called before the first iterative
-// solve; the compressed operator is built once and cached.
-//
-// Deprecated: set Options.ACATol when constructing the solver (or
-// build it through an engine.Session).
-func (s *Solver) SetACATol(tol float64) { s.acaTol = tol }
 
 func (s *Solver) effectiveMode() SolveMode {
 	switch s.mode {
@@ -389,7 +372,7 @@ func (s *Solver) impedanceIterative(f float64, warm [][]complex128, rs *matrix.R
 		if warm != nil && warm[k] != nil {
 			opt.X0 = warm[k]
 		}
-		w, res, err := matrix.GMRESRecycled(zop, col, opt, rs)
+		w, res, err := matrix.GMRES(zop, col, opt, rs)
 		if err != nil {
 			return 0, iters, fmt.Errorf("fasthenry: GMRES at %g Hz: %w", f, err)
 		}

@@ -86,16 +86,16 @@ func TestIterativeMatchesDense(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l, segs, port, shorts := tc.build()
-			dense, err := NewSolver(l, segs, port, shorts, tc.fRef, tc.opt)
+			denseOpt, iterOpt := tc.opt, tc.opt
+			denseOpt.Mode, iterOpt.Mode = ModeDense, ModeIterative
+			dense, err := NewSolver(l, segs, port, shorts, tc.fRef, denseOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense.SetSolveMode(ModeDense)
-			iter, err := NewSolver(l, segs, port, shorts, tc.fRef, tc.opt)
+			iter, err := NewSolver(l, segs, port, shorts, tc.fRef, iterOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			iter.SetSolveMode(ModeIterative)
 			for _, f := range freqs {
 				zd, err := dense.Impedance(f)
 				if err != nil {
@@ -124,11 +124,10 @@ func TestIterativeMatchesDense(t *testing.T) {
 func TestIterativeSweepWarmStarts(t *testing.T) {
 	l, segs, port, shorts := busLayout(6, 600e-6, 2e-6, 6e-6)
 	mk := func(mode SolveMode) *Solver {
-		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 3, NT: 2})
+		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 3, NT: 2, Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSolveMode(mode)
 		return s
 	}
 	freqs := LogSpace(1e8, 2e10, 9)
@@ -165,11 +164,10 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 // sync.Once build must be safe to share across sweep workers.
 func TestIterativeSweepSharedOperatorParallel(t *testing.T) {
 	l, segs, port, shorts := busLayout(5, 500e-6, 2e-6, 6e-6)
-	s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2})
+	s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2, Mode: ModeIterative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSolveMode(ModeIterative)
 	pts, err := s.SweepParallel(LogSpace(1e8, 1e10, 8), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +263,10 @@ func TestAutoModeThreshold(t *testing.T) {
 	if got := s.SolveModeInUse(); got != ModeDense {
 		t.Errorf("auto mode on %d filaments resolved to %v, want dense", s.NumFilaments(), got)
 	}
-	s.SetSolveMode(ModeIterative)
+	s, err = NewSolver(l, segs, port, shorts, 1e9, Options{NW: 1, NT: 1, Mode: ModeIterative})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := s.SolveModeInUse(); got != ModeIterative {
 		t.Errorf("explicit iterative resolved to %v", got)
 	}

@@ -308,11 +308,26 @@ func IRDropDCSparse(m *Model, n *circuit.Netlist, vdd float64) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	x, err := g.ToCSR().SolveCG(b, matrix.CGOptions{Tol: 1e-12})
+	x, _, err := solveJacobiCG(g.ToCSR(), b, matrix.PCGOptions{Tol: 1e-12})
 	if err != nil {
 		return 0, fmt.Errorf("grid: sparse IR solve: %w", err)
 	}
 	return worstVddDrop(m, n, x, vdd), nil
+}
+
+// solveJacobiCG solves the SPD system a x = b with Jacobi-preconditioned
+// CG; a stalled solve is an error.
+func solveJacobiCG(a *matrix.CSR, b []float64, opt matrix.PCGOptions) ([]float64, matrix.IterResult, error) {
+	pre, err := matrix.JacobiPrecond(a)
+	if err != nil {
+		return nil, matrix.IterResult{}, err
+	}
+	opt.Precond = pre
+	x, res, err := matrix.PCG(matrix.CSROp{M: a}, b, opt)
+	if err == nil && !res.Converged {
+		err = fmt.Errorf("CG did not converge in %d iterations (residual %g)", res.Iters, res.Residual)
+	}
+	return x, res, err
 }
 
 // IRDropDCSparseChol is IRDropDC on the sparse direct path: the same

@@ -578,9 +578,9 @@ func (g *SynthGrid) SolveChol() ([]float64, int, error) {
 }
 
 // SolveCG solves the static system with Jacobi-preconditioned CG,
-// reporting the iteration count and tolerance actually used.
-func (g *SynthGrid) SolveCG(opt matrix.CGOptions) ([]float64, matrix.CGStats, error) {
-	return g.Sys.SolveCGStats(g.B, opt)
+// reporting the iteration count and final residual.
+func (g *SynthGrid) SolveCG(opt matrix.PCGOptions) ([]float64, matrix.IterResult, error) {
+	return solveJacobiCG(g.Sys, g.B, opt)
 }
 
 // TranRHS returns the transient right-hand-side closure the MG time

@@ -111,15 +111,15 @@ func TestSynthMGMatchesCholesky(t *testing.T) {
 				t.Errorf("standalone V-cycles off by %g from sparse Cholesky", d)
 			}
 			// Jacobi-CG closes the triangle where it is still feasible.
-			xc, cst, err := g.SolveCG(matrix.CGOptions{Tol: 1e-12})
+			xc, cst, err := g.SolveCG(matrix.PCGOptions{Tol: 1e-12})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := synthMaxDiff(xc, want); d > 1e-7 {
 				t.Errorf("Jacobi-CG off by %g from sparse Cholesky", d)
 			}
-			if cst.Iterations <= st.Iterations {
-				t.Errorf("Jacobi-CG took %d iterations, MG-PCG %d — preconditioner buys nothing", cst.Iterations, st.Iterations)
+			if cst.Iters <= st.Iterations {
+				t.Errorf("Jacobi-CG took %d iterations, MG-PCG %d — preconditioner buys nothing", cst.Iters, st.Iterations)
 			}
 			if drop := g.WorstDrop(x); drop <= 0 || drop >= tc.spec.Vdd {
 				t.Errorf("implausible worst drop %g", drop)

@@ -49,15 +49,11 @@ func (m *CSR) MulVecToWorkers(y, x []float64, workers int) {
 	if len(x) != m.cols || len(y) != m.rows {
 		panic("matrix: CSR MulVecToWorkers dimension mismatch")
 	}
-	ParallelRangeWorkers(workers, m.rows, 2048, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-				s += m.val[p] * x[m.colIdx[p]]
-			}
-			y[i] = s
-		}
-	})
+	if rangeWorkers(workers, m.rows, 2048) <= 1 {
+		m.mulRows(y, x, 0, m.rows)
+		return
+	}
+	ParallelRangeWorkers(workers, m.rows, 2048, func(lo, hi int) { m.mulRows(y, x, lo, hi) })
 }
 
 // AsSymmetricCSC reinterprets a square symmetric CSR matrix (both

@@ -252,8 +252,8 @@ func factorCholeskyBlocked(ld, ad []float64, n int, workers int) error {
 
 // mulBlocked computes out = a*b (out pre-zeroed) with the tiled add
 // kernel, parallel over row strips of out.
-func mulBlocked(a, b, out *Dense) {
-	ParallelRange(a.rows, 2*blockSize, func(lo, hi int) {
+func mulBlocked(a, b, out *Dense, workers int) {
+	ParallelRangeWorkers(workers, a.rows, 2*blockSize, func(lo, hi int) {
 		mulRowsBlocked(a, b, out, lo, hi)
 	})
 }

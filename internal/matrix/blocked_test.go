@@ -26,13 +26,6 @@ func bitsEqual(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-func withWorkers(t *testing.T, w int, fn func()) {
-	t.Helper()
-	SetWorkers(w)
-	defer SetWorkers(0)
-	fn()
-}
-
 func TestFactorLUBlockedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range equivSizes {
@@ -42,24 +35,22 @@ func TestFactorLUBlockedBitIdentical(t *testing.T) {
 			t.Fatalf("n=%d: reference LU failed: %v", n, err)
 		}
 		for _, w := range workerCounts {
-			withWorkers(t, w, func() {
-				got, err := FactorLU(a)
-				if err != nil {
-					t.Fatalf("n=%d workers=%d: blocked LU failed: %v", n, w, err)
+			got, err := FactorLUWorkers(a, w)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: blocked LU failed: %v", n, w, err)
+			}
+			if i, ok := bitsEqual(ref.lu.data, got.lu.data); !ok {
+				t.Errorf("n=%d workers=%d: factor differs at flat index %d: %x vs %x",
+					n, w, i, math.Float64bits(ref.lu.data[i]), math.Float64bits(got.lu.data[i]))
+			}
+			if got.sign != ref.sign {
+				t.Errorf("n=%d workers=%d: sign %d, want %d", n, w, got.sign, ref.sign)
+			}
+			for i := range ref.piv {
+				if got.piv[i] != ref.piv[i] {
+					t.Fatalf("n=%d workers=%d: piv[%d]=%d, want %d", n, w, i, got.piv[i], ref.piv[i])
 				}
-				if i, ok := bitsEqual(ref.lu.data, got.lu.data); !ok {
-					t.Errorf("n=%d workers=%d: factor differs at flat index %d: %x vs %x",
-						n, w, i, math.Float64bits(ref.lu.data[i]), math.Float64bits(got.lu.data[i]))
-				}
-				if got.sign != ref.sign {
-					t.Errorf("n=%d workers=%d: sign %d, want %d", n, w, got.sign, ref.sign)
-				}
-				for i := range ref.piv {
-					if got.piv[i] != ref.piv[i] {
-						t.Fatalf("n=%d workers=%d: piv[%d]=%d, want %d", n, w, i, got.piv[i], ref.piv[i])
-					}
-				}
-			})
+			}
 		}
 	}
 }
@@ -86,15 +77,13 @@ func TestFactorCholeskyBlockedBitIdentical(t *testing.T) {
 			t.Fatalf("n=%d: reference Cholesky failed: %v", n, err)
 		}
 		for _, w := range workerCounts {
-			withWorkers(t, w, func() {
-				got, err := FactorCholesky(a)
-				if err != nil {
-					t.Fatalf("n=%d workers=%d: blocked Cholesky failed: %v", n, w, err)
-				}
-				if i, ok := bitsEqual(ref.l.data, got.l.data); !ok {
-					t.Errorf("n=%d workers=%d: factor differs at flat index %d", n, w, i)
-				}
-			})
+			got, err := FactorCholeskyWorkers(a, w)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: blocked Cholesky failed: %v", n, w, err)
+			}
+			if i, ok := bitsEqual(ref.l.data, got.l.data); !ok {
+				t.Errorf("n=%d workers=%d: factor differs at flat index %d", n, w, i)
+			}
 		}
 		// The strictly upper triangle must stay exactly zero: L() exposes
 		// the full matrix and solvers read it.
@@ -137,20 +126,18 @@ func TestMulBlockedBitIdentical(t *testing.T) {
 		b := randDense(rng, tc.k, tc.c)
 		ref := a.MulUnblocked(b)
 		for _, w := range workerCounts {
-			withWorkers(t, w, func() {
-				// Call the blocked kernel directly so small cases exercise
-				// it too (the public Mul dispatches by size).
-				got := NewDense(tc.r, tc.c)
-				mulBlocked(a, b, got)
-				if i, ok := bitsEqual(ref.data, got.data); !ok {
-					t.Errorf("%dx%dx%d workers=%d: blocked product differs at %d", tc.r, tc.k, tc.c, w, i)
-				}
-				if pub := a.Mul(b); pub.rows != tc.r || pub.cols != tc.c {
-					t.Fatalf("Mul returned %dx%d", pub.rows, pub.cols)
-				} else if i, ok := bitsEqual(ref.data, pub.data); !ok {
-					t.Errorf("%dx%dx%d workers=%d: Mul differs at %d", tc.r, tc.k, tc.c, w, i)
-				}
-			})
+			// Call the blocked kernel directly so small cases exercise it
+			// too (the public Mul dispatches by size).
+			got := NewDense(tc.r, tc.c)
+			mulBlocked(a, b, got, w)
+			if i, ok := bitsEqual(ref.data, got.data); !ok {
+				t.Errorf("%dx%dx%d workers=%d: blocked product differs at %d", tc.r, tc.k, tc.c, w, i)
+			}
+			if pub := a.mulWorkers(b, w); pub.rows != tc.r || pub.cols != tc.c {
+				t.Fatalf("Mul returned %dx%d", pub.rows, pub.cols)
+			} else if i, ok := bitsEqual(ref.data, pub.data); !ok {
+				t.Errorf("%dx%dx%d workers=%d: Mul differs at %d", tc.r, tc.k, tc.c, w, i)
+			}
 		}
 	}
 }
@@ -169,24 +156,22 @@ func TestMulTransBitIdentical(t *testing.T) {
 		b := randDense(rng, tc.r, tc.c)
 		ref := a.T().MulUnblocked(b)
 		for _, w := range workerCounts {
-			withWorkers(t, w, func() {
-				got := a.MulTrans(b)
-				if got.rows != tc.k || got.cols != tc.c {
-					t.Fatalf("MulTrans returned %dx%d", got.rows, got.cols)
-				}
-				// MulTrans accumulates dot products in the same k order as
-				// the transpose-then-multiply reference, but the reference
-				// skips exact zeros; with continuous random data both see
-				// the same operations, so demand bit equality.
-				if i, ok := bitsEqual(ref.data, got.data); !ok {
-					t.Errorf("%dx%dx%d workers=%d: MulTrans differs at %d", tc.r, tc.k, tc.c, w, i)
-				}
-				direct := NewDense(tc.k, tc.c)
-				mulTransRows(a, b, direct, 0, tc.k)
-				if i, ok := bitsEqual(ref.data, direct.data); !ok {
-					t.Errorf("%dx%dx%d: mulTransRows differs at %d", tc.r, tc.k, tc.c, i)
-				}
-			})
+			got := a.mulTransWorkers(b, w)
+			if got.rows != tc.k || got.cols != tc.c {
+				t.Fatalf("MulTrans returned %dx%d", got.rows, got.cols)
+			}
+			// MulTrans accumulates dot products in the same k order as the
+			// transpose-then-multiply reference, but the reference skips
+			// exact zeros; with continuous random data both see the same
+			// operations, so demand bit equality.
+			if i, ok := bitsEqual(ref.data, got.data); !ok {
+				t.Errorf("%dx%dx%d workers=%d: MulTrans differs at %d", tc.r, tc.k, tc.c, w, i)
+			}
+			direct := NewDense(tc.k, tc.c)
+			mulTransRows(a, b, direct, 0, tc.k)
+			if i, ok := bitsEqual(ref.data, direct.data); !ok {
+				t.Errorf("%dx%dx%d: mulTransRows differs at %d", tc.r, tc.k, tc.c, i)
+			}
 		}
 	}
 }
@@ -207,17 +192,14 @@ func TestMulVecToBitIdentical(t *testing.T) {
 			}
 			ref[i] = s
 		}
+		if i, ok := bitsEqual(ref, m.MulVec(x)); !ok {
+			t.Errorf("n=%d: MulVec differs at %d", n, i)
+		}
 		for _, w := range workerCounts {
-			withWorkers(t, w, func() {
-				got := m.MulVecTo(make([]float64, n), x)
-				if i, ok := bitsEqual(ref, got); !ok {
-					t.Errorf("n=%d workers=%d: MulVecTo differs at %d", n, w, i)
-				}
-				got2 := m.MulVec(x)
-				if i, ok := bitsEqual(ref, got2); !ok {
-					t.Errorf("n=%d workers=%d: MulVec differs at %d", n, w, i)
-				}
-			})
+			got := m.MulVecToWorkers(make([]float64, n), x, w)
+			if i, ok := bitsEqual(ref, got); !ok {
+				t.Errorf("n=%d workers=%d: MulVecTo differs at %d", n, w, i)
+			}
 		}
 	}
 }
@@ -260,22 +242,28 @@ func TestSolveMatParallelBitIdentical(t *testing.T) {
 		}
 	}
 	for _, w := range workerCounts {
-		withWorkers(t, w, func() {
-			got, err := lu.SolveMat(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i, ok := bitsEqual(luRef.data, got.data); !ok {
-				t.Errorf("workers=%d: LU SolveMat differs at %d", w, i)
-			}
-			gotc, err := ch.SolveMat(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i, ok := bitsEqual(chRef.data, gotc.data); !ok {
-				t.Errorf("workers=%d: Cholesky SolveMat differs at %d", w, i)
-			}
-		})
+		luw, err := FactorLUWorkers(a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := luw.SolveMat(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := bitsEqual(luRef.data, got.data); !ok {
+			t.Errorf("workers=%d: LU SolveMat differs at %d", w, i)
+		}
+		chw, err := FactorCholeskyWorkers(spd, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotc, err := chw.SolveMat(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := bitsEqual(chRef.data, gotc.data); !ok {
+			t.Errorf("workers=%d: Cholesky SolveMat differs at %d", w, i)
+		}
 	}
 }
 
@@ -302,19 +290,17 @@ func TestBlockedWithinTolerance(t *testing.T) {
 func TestParallelRange(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100} {
 		for _, w := range []int{1, 2, 4, 33} {
-			withWorkers(t, w, func() {
-				seen := make([]int, n)
-				ParallelRange(n, 1, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						seen[i]++
-					}
-				})
-				for i, c := range seen {
-					if c != 1 {
-						t.Fatalf("n=%d workers=%d: index %d covered %d times", n, w, i, c)
-					}
+			seen := make([]int, n)
+			ParallelRangeWorkers(w, n, 1, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					seen[i]++
 				}
 			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, w, i, c)
+				}
+			}
 		}
 	}
 }

@@ -93,9 +93,17 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("matrix: Cholesky solve rhs length %d, want %d", len(b), n)
 	}
-	ld := c.l.data
 	x := make([]float64, n)
 	copy(x, b)
+	c.solveInPlace(x)
+	return x, nil
+}
+
+// solveInPlace overwrites x (length n) with A^-1 x — Solve without the
+// allocation, for the multigrid coarse level.
+func (c *Cholesky) solveInPlace(x []float64) {
+	n := c.l.rows
+	ld := c.l.data
 	// Forward: L y = b.
 	for i := 0; i < n; i++ {
 		s := x[i]
@@ -112,7 +120,6 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 		}
 		x[i] = s / ld[i*n+i]
 	}
-	return x, nil
 }
 
 // SolveMat solves A*X = B column by column. Columns are independent

@@ -6,9 +6,10 @@
 // the substrates this repository builds from scratch: dense LU with
 // partial pivoting, Cholesky factorization, modified Gram-Schmidt
 // orthonormalization (for PRIMA's block Arnoldi), a complex LU solver
-// (for AC analysis and FastHenry-style extraction), and a compressed
-// sparse row format with conjugate-gradient and BiCGStab iterative
-// solvers for the large power-grid cases.
+// (for AC analysis and FastHenry-style extraction), a compressed sparse
+// row format, and the Krylov solvers: one preconditioned CG (Jacobi or
+// multigrid) for the SPD power-grid systems and one restarted GMRES for
+// the complex R + jωL extraction systems.
 //
 // Matrices are row-major with float64 entries. Dimensions are checked
 // and violations panic: dimension mismatch is a programming error, not a
@@ -148,14 +149,18 @@ func (m *Dense) AddScaled(s float64, a *Dense) *Dense {
 // the tiling overhead go through the blocked, parallel kernel; small
 // ones use the reference loop. Both accumulate each output entry in
 // increasing-k order, so results agree bit-for-bit on finite data.
-func (m *Dense) Mul(b *Dense) *Dense {
+func (m *Dense) Mul(b *Dense) *Dense { return m.mulWorkers(b, 0) }
+
+// mulWorkers is Mul with an explicit worker count for the blocked
+// kernel (0 = process default).
+func (m *Dense) mulWorkers(b *Dense, workers int) *Dense {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d * %dx%d",
 			m.rows, m.cols, b.rows, b.cols))
 	}
 	out := NewDense(m.rows, b.cols)
 	if m.rows*m.cols*b.cols >= mulBlockedMin && b.cols >= 4 {
-		mulBlocked(m, b, out)
+		mulBlocked(m, b, out, workers)
 		return out
 	}
 	m.mulInto(b, out)
@@ -194,14 +199,18 @@ func (m *Dense) mulInto(b, out *Dense) {
 // the projection product of PRIMA (V^T G V etc.); both operands are
 // packed into contiguous tiles so the blocked kernel applies, parallel
 // over rows of the result.
-func (m *Dense) MulTrans(b *Dense) *Dense {
+func (m *Dense) MulTrans(b *Dense) *Dense { return m.mulTransWorkers(b, 0) }
+
+// mulTransWorkers is MulTrans with an explicit worker count for the
+// blocked kernel (0 = process default).
+func (m *Dense) mulTransWorkers(b *Dense, workers int) *Dense {
 	if m.rows != b.rows {
 		panic(fmt.Sprintf("matrix: MulTrans dimension mismatch %dx%d ^T * %dx%d",
 			m.rows, m.cols, b.rows, b.cols))
 	}
 	out := NewDense(m.cols, b.cols)
 	if m.rows*m.cols*b.cols >= mulBlockedMin {
-		ParallelRange(m.cols, 8, func(lo, hi int) {
+		ParallelRangeWorkers(workers, m.cols, 8, func(lo, hi int) {
 			mulTransRows(m, b, out, lo, hi)
 		})
 		return out

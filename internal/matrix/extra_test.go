@@ -260,23 +260,17 @@ func TestCSRDiagAndDims(t *testing.T) {
 
 func TestSolversRejectBadShapes(t *testing.T) {
 	tr := NewTriplet(2, 3)
-	m := tr.ToCSR()
-	if _, err := m.SolveCG(make([]float64, 2), CGOptions{}); err == nil {
-		t.Errorf("CG on non-square accepted")
-	}
-	if _, err := m.SolveBiCGStab(make([]float64, 2), CGOptions{}); err == nil {
-		t.Errorf("BiCGStab on non-square accepted")
+	if _, err := JacobiPrecond(tr.ToCSR()); err == nil {
+		t.Errorf("Jacobi preconditioner on non-square accepted")
 	}
 	sq := NewTriplet(2, 2)
 	sq.Add(0, 0, 1)
 	sq.Add(1, 1, 1)
-	if _, err := sq.ToCSR().SolveCG(make([]float64, 3), CGOptions{}); err == nil {
+	if _, _, err := PCG(CSROp{M: sq.ToCSR()}, make([]float64, 3), PCGOptions{}); err == nil {
 		t.Errorf("CG rhs mismatch accepted")
 	}
-	// BiCGStab zero rhs short-circuits.
-	x, err := sq.ToCSR().SolveBiCGStab(make([]float64, 2), CGOptions{})
-	if err != nil || NormInf(x) != 0 {
-		t.Errorf("BiCGStab zero rhs: %v %v", x, err)
+	if _, _, err := PCG(CSROp{M: sq.ToCSR()}, make([]float64, 2), PCGOptions{X0: make([]float64, 3)}); err == nil {
+		t.Errorf("CG x0 mismatch accepted")
 	}
 }
 

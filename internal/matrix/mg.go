@@ -157,7 +157,7 @@ type MG struct {
 // PCG vectors on the fine level.
 type mgWork struct {
 	x, b, r, tmp [][]float64
-	p, z, ap     []float64
+	pcg          *pcgWork
 }
 
 // NewMG builds the multigrid hierarchy for the symmetric positive
@@ -279,10 +279,7 @@ func (m *MG) newWork() *mgWork {
 		w.r[l] = make([]float64, n)
 		w.tmp[l] = make([]float64, n)
 	}
-	n := m.levels[0].a.rows
-	w.p = make([]float64, n)
-	w.z = make([]float64, n)
-	w.ap = make([]float64, n)
+	w.pcg = newPCGWork(m.levels[0].a.rows)
 	return w
 }
 
@@ -363,11 +360,46 @@ func (m *MG) smooth(lv *mgLevel, x, b, tmp []float64, sweeps, workers int, post 
 	omega := m.opt.Omega
 	for s := 0; s < sweeps; s++ {
 		lv.a.MulVecToWorkers(tmp, x, workers)
+		if rangeWorkers(workers, len(x), 4096) <= 1 {
+			jacobiRows(x, b, tmp, lv.invDiag, omega, 0, len(x))
+			continue
+		}
 		ParallelRangeWorkers(workers, len(x), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] += omega * lv.invDiag[i] * (b[i] - tmp[i])
-			}
+			jacobiRows(x, b, tmp, lv.invDiag, omega, lo, hi)
 		})
+	}
+}
+
+// jacobiRows is one damped-Jacobi update of rows [lo, hi), with
+// tmp = A x precomputed.
+func jacobiRows(x, b, tmp, invDiag []float64, omega float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		x[i] += omega * invDiag[i] * (b[i] - tmp[i])
+	}
+}
+
+// vecRange applies op to [0, len(dst)) split like ParallelRangeWorkers,
+// inline when one goroutine suffices (see rangeWorkers).
+func vecRange(workers int, dst, src []float64, op func(dst, src []float64, lo, hi int)) {
+	const minChunk = 8192
+	if rangeWorkers(workers, len(dst), minChunk) <= 1 {
+		op(dst, src, 0, len(dst))
+		return
+	}
+	ParallelRangeWorkers(workers, len(dst), minChunk, func(lo, hi int) { op(dst, src, lo, hi) })
+}
+
+// subFromRows sets r = b - r on [lo, hi).
+func subFromRows(r, b []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r[i] = b[i] - r[i]
+	}
+}
+
+// addRows sets x += d on [lo, hi).
+func addRows(x, d []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		x[i] += d[i]
 	}
 }
 
@@ -407,24 +439,16 @@ func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 		for i := range b {
 			sb[i] = b[i] * m.coarseScale[i]
 		}
-		y, err := m.coarse.Solve(sb)
-		if err != nil {
-			// Dimensions are fixed at build time; Solve cannot fail here.
-			panic(err)
-		}
-		for i := range y {
-			x[i] = m.coarseScale[i] * y[i]
+		m.coarse.solveInPlace(sb)
+		for i, y := range sb {
+			x[i] = m.coarseScale[i] * y
 		}
 		return
 	}
 	m.smooth(lv, x, b, w.tmp[level], m.opt.PreSweeps, workers, false)
 	r := w.r[level]
 	lv.a.MulVecToWorkers(r, x, workers)
-	ParallelRangeWorkers(workers, len(r), 8192, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = b[i] - r[i]
-		}
-	})
+	vecRange(workers, r, b, subFromRows)
 	rc, xc := w.b[level+1], w.x[level+1]
 	lv.pt.MulVecToWorkers(rc, r, workers)
 	for i := range xc {
@@ -432,11 +456,7 @@ func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 	}
 	m.cycle(level+1, xc, rc, w, workers)
 	lv.p.MulVecToWorkers(r, xc, workers) // r now holds the prolonged correction
-	ParallelRangeWorkers(workers, len(x), 8192, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] += r[i]
-		}
-	})
+	vecRange(workers, x, r, addRows)
 	m.smooth(lv, x, b, w.tmp[level], m.opt.PostSweeps, workers, true)
 }
 
@@ -481,10 +501,11 @@ func (m *MG) Solve(b []float64, opt MGSolveOptions) ([]float64, MGStats, error) 
 	return nil, st, fmt.Errorf("matrix: multigrid did not converge in %d V-cycles (residual %g)", opt.MaxIter, st.Residual)
 }
 
-// SolvePCG runs conjugate gradients preconditioned by one V-cycle per
-// iteration — the robust route when the grid carries stiff stitches
-// (penalty-stamped sources, via shorts) the smoother alone handles
-// poorly. Safe for concurrent use.
+// SolvePCG runs PCG preconditioned by one V-cycle per iteration — the
+// robust route when the grid carries stiff stitches (penalty-stamped
+// sources, via shorts) the smoother alone handles poorly. Every work
+// vector comes from the pool, so a solve allocates only its result.
+// Safe for concurrent use.
 func (m *MG) SolvePCG(b []float64, opt MGSolveOptions) ([]float64, MGStats, error) {
 	opt.setDefaults()
 	st := m.Stats()
@@ -493,58 +514,26 @@ func (m *MG) SolvePCG(b []float64, opt MGSolveOptions) ([]float64, MGStats, erro
 		return nil, st, fmt.Errorf("matrix: multigrid rhs length %d, want %d", len(b), n)
 	}
 	workers := m.workersFor(opt)
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	bn := Norm2(b)
-	if bn == 0 {
-		return x, st, nil
-	}
 	w := m.pool.Get().(*mgWork)
 	defer m.pool.Put(w)
-	r := w.r[0]
-	rn := m.residualNorm(x, b, r, workers)
-	if rn <= opt.Tol*bn {
-		st.Residual = rn / bn
-		return x, st, nil
-	}
-	// z = M^-1 r via one V-cycle from zero; r is consumed by the cycle's
-	// own residual scratch, so PCG keeps its residual in a dedicated
-	// vector.
-	res := make([]float64, n)
-	copy(res, r)
-	z, p, ap := w.z, w.p, w.ap
-	applyPrec := func(dst, src []float64) {
+	// The V-cycle uses w.r[0] as its own residual scratch, so CG keeps
+	// its residual in the separate w.pcg vectors.
+	vcycle := func(dst, src []float64) {
 		for i := range dst {
 			dst[i] = 0
 		}
 		m.cycle(0, dst, src, w, workers)
 	}
-	applyPrec(z, res)
-	copy(p, z)
-	rz := Dot(res, z)
-	for it := 1; it <= opt.MaxIter; it++ {
-		m.levels[0].a.MulVecToWorkers(ap, p, workers)
-		pap := Dot(p, ap)
-		if pap <= 0 {
-			return nil, st, fmt.Errorf("matrix: multigrid PCG breakdown, p'Ap = %g (matrix not SPD?)", pap)
-		}
-		alpha := rz / pap
-		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, res)
-		rn = Norm2(res)
-		st.Iterations, st.Residual = it, rn/bn
-		if rn <= opt.Tol*bn {
-			return x, st, nil
-		}
-		applyPrec(z, res)
-		rzNew := Dot(res, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+	x := make([]float64, n)
+	res, err := pcg(CSROp{M: m.levels[0].a, Workers: workers}, b, x, PCGOptions{
+		Tol: opt.Tol, MaxIters: opt.MaxIter, X0: opt.X0, Precond: vcycle,
+	}, w.pcg)
+	st.Iterations, st.Residual = res.Iters, res.Residual
+	if err != nil {
+		return nil, st, fmt.Errorf("matrix: multigrid PCG: %w", err)
 	}
-	return nil, st, fmt.Errorf("matrix: multigrid PCG did not converge in %d iterations (residual %g)", opt.MaxIter, st.Residual)
+	if !res.Converged {
+		return nil, st, fmt.Errorf("matrix: multigrid PCG did not converge in %d iterations (residual %g)", opt.MaxIter, st.Residual)
+	}
+	return x, st, nil
 }

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -33,7 +32,7 @@ const recycleHarvest = 6
 
 // RecycleSpace carries the deflation basis between related GMRES
 // solves. The zero value is ready to use; pass the same instance to a
-// sequence of GMRESRecycled calls whose operators are related (e.g.
+// sequence of GMRES calls whose operators are related (e.g.
 // adjacent frequency points). It is NOT safe for concurrent use — give
 // each sweep worker its own space.
 type RecycleSpace struct {
@@ -283,280 +282,4 @@ func harmonicRitzSmallest(h *CDense, j int, hj1 float64, k int) [][]complex128 {
 		}
 	}
 	return z
-}
-
-// GMRESRecycled is GMRES with GCRO-DR-style subspace recycling: the
-// recycle space rs (may be nil, reducing to plain GMRES) is deflated
-// out of every Krylov cycle, and refreshed from the final cycle's
-// harmonic-Ritz estimates before returning. For a sequence of related
-// solves (a frequency sweep's anchors), pass one RecycleSpace per
-// sequence and call rs.Invalidate() whenever the operator changes; the
-// solver re-projects the basis through the new operator (the
-// IterResult.RecycleApplies operator applications) and each subsequent
-// solve starts with the slow modes already deflated.
-func GMRESRecycled(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpace) ([]complex128, IterResult, error) {
-	if rs == nil {
-		return GMRES(op, b, opt)
-	}
-	n := op.Dim()
-	if len(b) != n {
-		return nil, IterResult{}, fmt.Errorf("matrix: GMRES rhs length %d, want %d", len(b), n)
-	}
-	m := opt.Restart
-	if m <= 0 {
-		m = 30
-	}
-	if m > n {
-		m = n
-	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	maxIt := opt.MaxIters
-	if maxIt <= 0 {
-		maxIt = 10 * n
-		if maxIt < 100 {
-			maxIt = 100
-		}
-	}
-	x := make([]complex128, n)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, IterResult{}, fmt.Errorf("matrix: GMRES x0 length %d, want %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-	}
-	res := IterResult{}
-	bnorm := cnorm(b)
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		res.Converged = true
-		return x, res, nil
-	}
-
-	z := make([]complex128, n)
-	// applyP computes dst = A M^{-1} x, the operator the Krylov cycles
-	// iterate on. The recycled basis U lives in solution space (the
-	// preconditioner is folded in at harvest time), so its projection
-	// C = A U goes through the raw operator — C depends on A only, and
-	// stays valid across preconditioner rebuilds at a fixed frequency.
-	applyP := func(dst, src []complex128) {
-		av := src
-		if opt.Precond != nil {
-			opt.Precond(z, src)
-			av = z
-		}
-		op.ApplyTo(dst, av)
-	}
-	if !rs.cValid || rs.n != n {
-		res.RecycleApplies = rs.project(op.ApplyTo, n)
-	}
-	// Deflate with the projected pairs only; a freshly harvested tail
-	// (len(u) > len(c)) waits for the next Invalidate-triggered
-	// projection, so same-operator follow-up solves pay zero applies.
-	kd := len(rs.c)
-	res.RecycledDim = kd
-
-	v := make([][]complex128, m+1)
-	hc := make([][]complex128, m) // rotated Hessenberg columns (R factor)
-	// Pristine (pre-Givens) Hessenberg for the harvest, including the
-	// subdiagonal — (m+1) x m like the Arnoldi relation.
-	hraw := NewCDense(m+1, m)
-	bmat := make([][]complex128, m) // B = C^H Â V coupling columns
-	cs := make([]complex128, m)
-	sn := make([]complex128, m)
-	g := make([]complex128, m+1)
-	w := make([]complex128, n)
-	d := make([]complex128, kd)
-
-	var pre func(dst, src []complex128)
-	if opt.Precond != nil {
-		pre = opt.Precond
-	}
-	var lastJ int
-	var lastHj1 float64
-	harvested := false
-	for {
-		// True residual r0 = b - A x, split into the C component (zeroed
-		// exactly through U) and the deflated remainder the Krylov cycle
-		// works on.
-		op.ApplyTo(w, x)
-		if v[0] == nil {
-			v[0] = make([]complex128, n)
-		}
-		for i := range w {
-			v[0][i] = b[i] - w[i]
-		}
-		trueRes := cnorm(v[0]) / bnorm
-		res.Residual = trueRes
-		if trueRes <= tol {
-			res.Converged = true
-			break
-		}
-		if res.Iters >= maxIt {
-			break
-		}
-		for i := 0; i < kd; i++ {
-			d[i] = cdotc(rs.c[i], v[0])
-			for t := range v[0] {
-				v[0][t] -= d[i] * rs.c[i][t]
-			}
-		}
-		beta := cnorm(v[0])
-		if beta/bnorm <= tol {
-			// The residual lives entirely in the recycled space: close it
-			// with the U correction alone and re-verify the true residual.
-			for i := 0; i < kd; i++ {
-				if d[i] == 0 {
-					continue
-				}
-				for t := range x {
-					x[t] += d[i] * rs.u[i][t]
-				}
-			}
-			res.Restarts++
-			continue
-		}
-		inv := complex(1/beta, 0)
-		for i := range v[0] {
-			v[0][i] *= inv
-		}
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = complex(beta, 0)
-
-		j := 0
-		hj1 := 0.0
-		for ; j < m && res.Iters < maxIt; j++ {
-			res.Iters++
-			applyP(w, v[j])
-			// Deflate: record the C coupling, then orthogonalize against
-			// the Krylov basis.
-			if len(bmat[j]) < kd {
-				bmat[j] = make([]complex128, kd)
-			}
-			for i := 0; i < kd; i++ {
-				bij := cdotc(rs.c[i], w)
-				bmat[j][i] = bij
-				for t := range w {
-					w[t] -= bij * rs.c[i][t]
-				}
-			}
-			if hc[j] == nil {
-				hc[j] = make([]complex128, m+1)
-			}
-			col := hc[j]
-			for i := 0; i <= j; i++ {
-				hcoef := cdotc(v[i], w)
-				col[i] = hcoef
-				hraw.Set(i, j, hcoef)
-				for t := range w {
-					w[t] -= hcoef * v[i][t]
-				}
-			}
-			hj1 = cnorm(w)
-			col[j+1] = complex(hj1, 0)
-			hraw.Set(j+1, j, complex(hj1, 0))
-			for i := 0; i < j; i++ {
-				t := cmplx.Conj(cs[i])*col[i] + cmplx.Conj(sn[i])*col[i+1]
-				col[i+1] = -sn[i]*col[i] + cs[i]*col[i+1]
-				col[i] = t
-			}
-			r2 := math.Hypot(cmplx.Abs(col[j]), cmplx.Abs(col[j+1]))
-			if r2 == 0 {
-				cs[j], sn[j] = 1, 0
-			} else {
-				cs[j] = col[j] / complex(r2, 0)
-				sn[j] = col[j+1] / complex(r2, 0)
-			}
-			col[j] = complex(r2, 0)
-			col[j+1] = 0
-			t := cmplx.Conj(cs[j])*g[j] + cmplx.Conj(sn[j])*g[j+1]
-			g[j+1] = -sn[j]*g[j] + cs[j]*g[j+1]
-			g[j] = t
-			res.Residual = cmplx.Abs(g[j+1]) / bnorm
-			if hj1 == 0 {
-				j++
-				break
-			}
-			if res.Residual <= tol {
-				j++
-				break
-			}
-			if v[j+1] == nil {
-				v[j+1] = make([]complex128, n)
-			}
-			inv := complex(1/hj1, 0)
-			for t := range w {
-				v[j+1][t] = w[t] * inv
-			}
-		}
-		// Back-substitute R yv = g.
-		yv := make([]complex128, j)
-		for i := j - 1; i >= 0; i-- {
-			s := g[i]
-			for k := i + 1; k < j; k++ {
-				s -= hc[k][i] * yv[k]
-			}
-			if hc[i][i] == 0 {
-				return x, res, ErrSingular
-			}
-			yv[i] = s / hc[i][i]
-		}
-		// x += M^{-1}(V yv) + U (d - B yv): the Krylov update plus the
-		// recycled-space correction that zeroes the C residual component.
-		for t := range w {
-			w[t] = 0
-		}
-		for i := 0; i < j; i++ {
-			yi := yv[i]
-			for t := range w {
-				w[t] += yi * v[i][t]
-			}
-		}
-		if opt.Precond != nil {
-			opt.Precond(z, w)
-			for t := range x {
-				x[t] += z[t]
-			}
-		} else {
-			for t := range x {
-				x[t] += w[t]
-			}
-		}
-		yu := make([]complex128, kd)
-		for i := 0; i < kd; i++ {
-			s := d[i]
-			for c := 0; c < j; c++ {
-				s -= bmat[c][i] * yv[c]
-			}
-			yu[i] = s
-		}
-		for i := 0; i < kd; i++ {
-			if yu[i] == 0 {
-				continue
-			}
-			for t := range x {
-				x[t] += yu[i] * rs.u[i][t]
-			}
-		}
-		lastJ, lastHj1 = j, hj1
-		res.Restarts++
-		// Harvest from every full-length cycle, not just the final one:
-		// after a restart the last cycle is often 2-3 iterations, far too
-		// short to resolve the slow modes worth carrying. harvest replaces
-		// the pending tail, so the most recent full cycle wins.
-		if j >= recycleHarvest {
-			rs.harvest(v, hraw, j, hj1, pre)
-			harvested = true
-		}
-	}
-	if !harvested && lastJ >= 2 {
-		rs.harvest(v, hraw, lastJ, lastHj1, pre)
-	}
-	return x, res, nil
 }

@@ -77,51 +77,6 @@ func outlierL(rng *rand.Rand, n int) ([][]float64, []float64) {
 	return l, r
 }
 
-// TestGMRESRecycledMatchesPlain: with a nil recycle space the recycled
-// entry point must be the plain solver, and with a live space the
-// solution must still satisfy the system to tolerance.
-func TestGMRESRecycledMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 60
-	l, r := randomSPDLike(rng, n)
-	a := sweepOperator(rng, n, 2.0, l, r)
-	b := make([]complex128, n)
-	for i := range b {
-		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	opt := GMRESOptions{Tol: 1e-10, Restart: 20}
-
-	xp, rp, err := GMRESRecycled(CDenseOp{a}, b, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xg, rg, err := GMRES(CDenseOp{a}, b, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Iters != rg.Iters || rp.Residual != rg.Residual {
-		t.Fatalf("nil recycle space diverged from plain GMRES: %+v vs %+v", rp, rg)
-	}
-	for i := range xp {
-		if xp[i] != xg[i] {
-			t.Fatalf("nil recycle space: solution differs at %d", i)
-		}
-	}
-
-	rs := &RecycleSpace{}
-	xr, rr, err := GMRESRecycled(CDenseOp{a}, b, opt, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Converged {
-		t.Fatalf("recycled solve did not converge: %+v", rr)
-	}
-	checkResidual(t, a, xr, b, 1e-9)
-	if rs.Dim() == 0 {
-		t.Fatal("first solve harvested nothing")
-	}
-}
-
 func checkResidual(t *testing.T, a *CDense, x, b []complex128, tol float64) {
 	t.Helper()
 	n := a.Rows()
@@ -159,7 +114,7 @@ func TestGMRESRecycledSavesIterations(t *testing.T) {
 	plain := 0
 	for _, om := range omegas {
 		a := sweepOperator(rng, n, om, l, r)
-		_, res, err := GMRES(CDenseOp{a}, b, opt)
+		_, res, err := GMRES(CDenseOp{a}, b, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +129,7 @@ func TestGMRESRecycledSavesIterations(t *testing.T) {
 	for _, om := range omegas {
 		a := sweepOperator(rng, n, om, l, r)
 		rs.Invalidate()
-		x, res, err := GMRESRecycled(CDenseOp{a}, b, opt, rs)
+		x, res, err := GMRES(CDenseOp{a}, b, opt, rs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +160,7 @@ func TestGMRESRecycledSharedOperator(t *testing.T) {
 	// Seed the space with one solve, then switch "frequency".
 	b := make([]complex128, n)
 	b[0] = 1
-	if _, _, err := GMRESRecycled(CDenseOp{a}, b, opt, rs); err != nil {
+	if _, _, err := GMRES(CDenseOp{a}, b, opt, rs); err != nil {
 		t.Fatal(err)
 	}
 	a2 := sweepOperator(rng, n, 1.9, l, r)
@@ -214,7 +169,7 @@ func TestGMRESRecycledSharedOperator(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		rhs := make([]complex128, n)
 		rhs[k] = 1
-		x, res, err := GMRESRecycled(CDenseOp{a2}, rhs, opt, rs)
+		x, res, err := GMRES(CDenseOp{a2}, rhs, opt, rs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +212,7 @@ func TestGMRESRecycledPreconditioned(t *testing.T) {
 			}
 		}
 		rs.Invalidate()
-		x, res, err := GMRESRecycled(CDenseOp{a}, b, GMRESOptions{Tol: 1e-10, Restart: 20, Precond: pre}, rs)
+		x, res, err := GMRES(CDenseOp{a}, b, GMRESOptions{Tol: 1e-10, Restart: 20, Precond: pre}, rs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +233,7 @@ func TestRecycleSpaceDimensionChange(t *testing.T) {
 	b1 := make([]complex128, 40)
 	b1[0] = 1
 	rs := &RecycleSpace{}
-	if _, _, err := GMRESRecycled(CDenseOp{a1}, b1, GMRESOptions{Tol: 1e-10}, rs); err != nil {
+	if _, _, err := GMRES(CDenseOp{a1}, b1, GMRESOptions{Tol: 1e-10}, rs); err != nil {
 		t.Fatal(err)
 	}
 	if rs.Dim() == 0 {
@@ -289,7 +244,7 @@ func TestRecycleSpaceDimensionChange(t *testing.T) {
 	b2 := make([]complex128, 25)
 	b2[3] = 1
 	rs.Invalidate()
-	x, res, err := GMRESRecycled(CDenseOp{a2}, b2, GMRESOptions{Tol: 1e-10}, rs)
+	x, res, err := GMRES(CDenseOp{a2}, b2, GMRESOptions{Tol: 1e-10}, rs)
 	if err != nil {
 		t.Fatal(err)
 	}

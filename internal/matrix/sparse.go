@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -114,8 +113,11 @@ func (m *CSR) MulVec(x []float64) []float64 {
 }
 
 // MulVecTo writes m*x into y (must have length m.Rows()).
-func (m *CSR) MulVecTo(y, x []float64) {
-	for i := 0; i < m.rows; i++ {
+func (m *CSR) MulVecTo(y, x []float64) { m.mulRows(y, x, 0, m.rows) }
+
+// mulRows writes rows [lo, hi) of m*x into y.
+func (m *CSR) mulRows(y, x []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		s := 0.0
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			s += m.val[p] * x[m.colIdx[p]]
@@ -148,184 +150,41 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
-// CGOptions configures the conjugate-gradient solver.
-type CGOptions struct {
-	Tol     float64 // relative residual target; default 1e-10
-	MaxIter int     // default 10*n
+// CSROp adapts a square CSR matrix to LinearOperator. Workers caps the
+// goroutines of each product (0 = process default); every row is
+// accumulated in the same order at any count, so results are
+// bit-identical.
+type CSROp struct {
+	M       *CSR
+	Workers int
 }
 
-// CGStats reports what a conjugate-gradient solve actually did — the
-// iteration count and the tolerance in force — so benchmark snapshots
-// can expose preconditioning regressions instead of timing alone.
-type CGStats struct {
-	// Iterations is the CG iteration count at convergence.
-	Iterations int
-	// Tol is the relative residual target the solve ran with (after
-	// defaulting); Residual the final relative residual achieved.
-	Tol, Residual float64
-}
+// Dim returns the matrix dimension.
+func (o CSROp) Dim() int { return o.M.Rows() }
 
-// SolveCG solves a*x = b for symmetric positive definite a using
-// Jacobi-preconditioned conjugate gradients. Power/ground grid
+// ApplyTo computes dst = M*x.
+func (o CSROp) ApplyTo(dst, x []float64) { o.M.MulVecToWorkers(dst, x, o.Workers) }
+
+// JacobiPrecond returns the Jacobi (diagonal) preconditioner of a
+// square SPD matrix for PCG: dst = D^-1 src. Power/ground grid
 // conductance systems are SPD, which is why the paper's combined
-// technique can use Cholesky; CG is the iterative analogue used here for
-// the large sparse path.
-func (m *CSR) SolveCG(b []float64, opt CGOptions) ([]float64, error) {
-	x, _, err := m.SolveCGStats(b, opt)
-	return x, err
-}
-
-// SolveCGStats is SolveCG with the iteration/tolerance statistics
-// returned alongside the solution.
-func (m *CSR) SolveCGStats(b []float64, opt CGOptions) ([]float64, CGStats, error) {
+// technique can use Cholesky; Jacobi-preconditioned CG is the
+// iterative analogue for the large sparse path. A non-positive
+// diagonal entry, which no SPD matrix has, is an error.
+func JacobiPrecond(m *CSR) (func(dst, src []float64), error) {
 	if m.rows != m.cols {
-		return nil, CGStats{}, fmt.Errorf("matrix: CG needs a square matrix, got %dx%d", m.rows, m.cols)
+		return nil, fmt.Errorf("matrix: Jacobi preconditioner needs a square matrix, got %dx%d", m.rows, m.cols)
 	}
-	n := m.rows
-	if len(b) != n {
-		return nil, CGStats{}, fmt.Errorf("matrix: CG rhs length %d, want %d", len(b), n)
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-10
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 10*n + 50
-	}
-	st := CGStats{Tol: opt.Tol}
-	diag := m.Diag()
-	invD := make([]float64, n)
-	for i, d := range diag {
+	invD := m.Diag()
+	for i, d := range invD {
 		if d <= 0 {
-			return nil, st, fmt.Errorf("matrix: CG diagonal %d = %g not positive", i, d)
+			return nil, fmt.Errorf("matrix: CG diagonal %d = %g not positive", i, d)
 		}
 		invD[i] = 1 / d
 	}
-	x := make([]float64, n)
-	r := CloneVec(b)
-	bn := Norm2(b)
-	if bn == 0 {
-		return x, st, nil
-	}
-	z := make([]float64, n)
-	for i := range z {
-		z[i] = invD[i] * r[i]
-	}
-	p := CloneVec(z)
-	rz := Dot(r, z)
-	ap := make([]float64, n)
-	for it := 0; it < opt.MaxIter; it++ {
-		m.MulVecTo(ap, p)
-		pap := Dot(p, ap)
-		if pap <= 0 {
-			return nil, st, fmt.Errorf("matrix: CG breakdown, p'Ap = %g (matrix not SPD?)", pap)
+	return func(dst, src []float64) {
+		for i := range dst {
+			dst[i] = invD[i] * src[i]
 		}
-		alpha := rz / pap
-		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, r)
-		rn := Norm2(r)
-		st.Iterations, st.Residual = it+1, rn/bn
-		if rn <= opt.Tol*bn {
-			return x, st, nil
-		}
-		for i := range z {
-			z[i] = invD[i] * r[i]
-		}
-		rzNew := Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return nil, st, fmt.Errorf("matrix: CG did not converge in %d iterations (residual %g)",
-		opt.MaxIter, Norm2(r)/bn)
-}
-
-// SolveBiCGStab solves a*x = b for general (nonsymmetric) a using
-// Jacobi-preconditioned BiCGStab. Used for sparse MNA systems that
-// include inductor branch rows and are therefore not SPD.
-func (m *CSR) SolveBiCGStab(b []float64, opt CGOptions) ([]float64, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("matrix: BiCGStab needs a square matrix, got %dx%d", m.rows, m.cols)
-	}
-	n := m.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: BiCGStab rhs length %d, want %d", len(b), n)
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-10
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 20*n + 100
-	}
-	diag := m.Diag()
-	invD := make([]float64, n)
-	for i, d := range diag {
-		if d == 0 {
-			invD[i] = 1
-		} else {
-			invD[i] = 1 / d
-		}
-	}
-	prec := func(v []float64) []float64 {
-		out := make([]float64, n)
-		for i := range v {
-			out[i] = invD[i] * v[i]
-		}
-		return out
-	}
-	x := make([]float64, n)
-	r := CloneVec(b)
-	bn := Norm2(b)
-	if bn == 0 {
-		return x, nil
-	}
-	rHat := CloneVec(r)
-	var rho, alpha, omega float64 = 1, 1, 1
-	v := make([]float64, n)
-	p := make([]float64, n)
-	t := make([]float64, n)
-	for it := 0; it < opt.MaxIter; it++ {
-		rhoNew := Dot(rHat, r)
-		if math.Abs(rhoNew) < 1e-300 {
-			return nil, fmt.Errorf("matrix: BiCGStab breakdown (rho=0)")
-		}
-		beta := (rhoNew / rho) * (alpha / omega)
-		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		ph := prec(p)
-		m.MulVecTo(v, ph)
-		denom := Dot(rHat, v)
-		if math.Abs(denom) < 1e-300 {
-			return nil, fmt.Errorf("matrix: BiCGStab breakdown (rHat'v=0)")
-		}
-		alpha = rho / denom
-		s := CloneVec(r)
-		Axpy(-alpha, v, s)
-		if Norm2(s) <= opt.Tol*bn {
-			Axpy(alpha, ph, x)
-			return x, nil
-		}
-		sh := prec(s)
-		m.MulVecTo(t, sh)
-		tt := Dot(t, t)
-		if tt == 0 {
-			return nil, fmt.Errorf("matrix: BiCGStab breakdown (t=0)")
-		}
-		omega = Dot(t, s) / tt
-		Axpy(alpha, ph, x)
-		Axpy(omega, sh, x)
-		r = s
-		Axpy(-omega, t, r)
-		if Norm2(r) <= opt.Tol*bn {
-			return x, nil
-		}
-		if omega == 0 {
-			return nil, fmt.Errorf("matrix: BiCGStab breakdown (omega=0)")
-		}
-	}
-	return nil, fmt.Errorf("matrix: BiCGStab did not converge in %d iterations (residual %g)",
-		opt.MaxIter, Norm2(r)/bn)
+	}, nil
 }

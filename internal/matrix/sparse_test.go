@@ -58,6 +58,16 @@ func TestCSRMulVecAgainstDense(t *testing.T) {
 	}
 }
 
+// solveJacobiCG runs PCG with the Jacobi preconditioner, the sparse IR
+// path's solver.
+func solveJacobiCG(m *CSR, b []float64, tol float64) ([]float64, IterResult, error) {
+	pre, err := JacobiPrecond(m)
+	if err != nil {
+		return nil, IterResult{}, err
+	}
+	return PCG(CSROp{M: m}, b, PCGOptions{Tol: tol, Precond: pre})
+}
+
 func TestSolveCG(t *testing.T) {
 	n := 50
 	m := laplacian1D(n).ToCSR()
@@ -67,9 +77,9 @@ func TestSolveCG(t *testing.T) {
 		xTrue[i] = rng.NormFloat64()
 	}
 	b := m.MulVec(xTrue)
-	x, err := m.SolveCG(b, CGOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
+	x, res, err := solveJacobiCG(m, b, 1e-12)
+	if err != nil || !res.Converged {
+		t.Fatalf("CG: %+v, %v", res, err)
 	}
 	for i := range x {
 		if !almostEq(x[i], xTrue[i], 1e-7) {
@@ -80,7 +90,7 @@ func TestSolveCG(t *testing.T) {
 
 func TestSolveCGZeroRHS(t *testing.T) {
 	m := laplacian1D(5).ToCSR()
-	x, err := m.SolveCG(make([]float64, 5), CGOptions{})
+	x, _, err := solveJacobiCG(m, make([]float64, 5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,42 +99,11 @@ func TestSolveCGZeroRHS(t *testing.T) {
 	}
 }
 
-func TestSolveBiCGStab(t *testing.T) {
-	// Nonsymmetric but diagonally dominant.
-	n := 30
-	tr := NewTriplet(n, n)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < n; i++ {
-		tr.Add(i, i, 5)
-		if i > 0 {
-			tr.Add(i, i-1, rng.Float64())
-		}
-		if i < n-1 {
-			tr.Add(i, i+1, -2*rng.Float64())
-		}
-	}
-	m := tr.ToCSR()
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := m.MulVec(xTrue)
-	x, err := m.SolveBiCGStab(b, CGOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if !almostEq(x[i], xTrue[i], 1e-6) {
-			t.Fatalf("BiCGStab x[%d]=%g want %g", i, x[i], xTrue[i])
-		}
-	}
-}
-
 func TestCGRejectsNonSPDDiag(t *testing.T) {
 	tr := NewTriplet(2, 2)
 	tr.Add(0, 0, -1)
 	tr.Add(1, 1, 1)
-	if _, err := tr.ToCSR().SolveCG([]float64{1, 1}, CGOptions{}); err == nil {
+	if _, err := JacobiPrecond(tr.ToCSR()); err == nil {
 		t.Errorf("CG should reject negative diagonal")
 	}
 }
@@ -142,8 +121,8 @@ func TestCGMatchesDenseSolveProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xs, err := tr.ToCSR().SolveCG(b, CGOptions{Tol: 1e-13})
-		if err != nil {
+		xs, res, err := solveJacobiCG(tr.ToCSR(), b, 1e-13)
+		if err != nil || !res.Converged {
 			return false
 		}
 		xd, err := SolveDense(tr.ToDense(), b)

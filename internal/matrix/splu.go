@@ -19,7 +19,8 @@ import (
 // refactorizations reuse: when only the matrix values change (a new
 // transient step size, a new AC frequency), Refactor re-runs the O(flops)
 // numeric sweep with no graph traversal, no sorting and no allocation,
-// optionally in parallel across independent columns (SetWorkers).
+// optionally in parallel across independent columns
+// (FactorSparseLUWorkers).
 
 // ErrPivotDrift is returned by Refactor when a pivot that was acceptable
 // at analysis time has become negligible relative to its column — the

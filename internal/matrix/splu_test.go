@@ -191,20 +191,19 @@ func TestSparseLURefactorParallelDeterministic(t *testing.T) {
 	n := 300
 	trip := randSparse(rng, n, 2*n)
 	a := trip.ToCSC()
-	f, err := FactorSparseLU(a)
+	f1, err := FactorSparseLUWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := Workers()
-	defer SetWorkers(old)
-
-	SetWorkers(1)
-	g1 := f.NewNumeric()
+	f4, err := FactorSparseLUWorkers(a, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1 := f1.NewNumeric()
 	if err := g1.Refactor(a); err != nil {
 		t.Fatal(err)
 	}
-	SetWorkers(4)
-	g4 := f.NewNumeric()
+	g4 := f4.NewNumeric()
 	if err := g4.Refactor(a); err != nil {
 		t.Fatal(err)
 	}

@@ -3,46 +3,15 @@ package matrix
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// workerCount holds the configured kernel parallelism. Zero means "use
-// GOMAXPROCS". It is read on every kernel dispatch, so access is atomic
-// to keep concurrent SetWorkers calls (and the race detector) happy.
-var workerCount int64
-
-// SetWorkers sets the number of goroutines the dense kernels (FactorLU,
-// FactorCholesky, Mul, MulVecTo, the multi-RHS triangular solves) may
-// use. n <= 0 restores the default, GOMAXPROCS. SetWorkers(1) forces
-// the fully serial path.
-//
-// Every parallel kernel in this package partitions work so that each
-// output element is computed by exactly one goroutine with the same
-// per-element operation order as the serial reference kernel, so results
-// are bit-identical at every worker count; SetWorkers only trades wall
-// clock for cores.
-//
-// Deprecated: SetWorkers mutates process-wide state, so two analyses
-// with different settings cannot coexist. New code should pass an
-// explicit worker count instead — build an engine.Config (see
-// internal/engine) and use the *Workers factor variants (FactorLUWorkers,
-// FactorCholeskyWorkers, FactorSparseLUWorkers) or ParallelRangeWorkers.
-// The shim remains so existing call sites keep their exact behavior.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	atomic.StoreInt64(&workerCount, int64(n))
-}
-
-// Workers reports the current kernel parallelism: the value set by
-// SetWorkers, or GOMAXPROCS when unset.
-func Workers() int {
-	if w := atomic.LoadInt64(&workerCount); w > 0 {
-		return int(w)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Workers reports the default kernel parallelism, GOMAXPROCS: the
+// worker count every *Workers entry point and option struct resolves a
+// zero to. Every parallel kernel in this package partitions work so
+// that each output element is computed by exactly one goroutine with
+// the same per-element operation order as the serial reference kernel,
+// so results are bit-identical at every worker count.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // ParallelRange splits [0, n) into one contiguous chunk per worker and
 // runs fn on each chunk, blocking until all complete. Chunks smaller
@@ -52,6 +21,24 @@ func Workers() int {
 // process default (Workers); use ParallelRangeWorkers to pin it per run.
 func ParallelRange(n, minChunk int, fn func(lo, hi int)) {
 	ParallelRangeWorkers(0, n, minChunk, fn)
+}
+
+// rangeWorkers is the goroutine count ParallelRangeWorkers splits n
+// items into. Hot kernels test it for <= 1 and run their loop inline:
+// a closure handed to ParallelRangeWorkers is heap-allocated, so the
+// check keeps serial solves allocation-free.
+func rangeWorkers(workers, n, minChunk int) int {
+	w := workers
+	if w <= 0 {
+		w = Workers()
+	}
+	if minChunk > 0 && w > n/minChunk {
+		w = n / minChunk
+	}
+	if w > n {
+		w = n
+	}
+	return w
 }
 
 // ParallelRangeWorkers is ParallelRange with an explicit worker count.
@@ -64,16 +51,7 @@ func ParallelRangeWorkers(workers, n, minChunk int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := workers
-	if w <= 0 {
-		w = Workers()
-	}
-	if minChunk > 0 && w > n/minChunk {
-		w = n / minChunk
-	}
-	if w > n {
-		w = n
-	}
+	w := rangeWorkers(workers, n, minChunk)
 	if w <= 1 {
 		fn(0, n)
 		return

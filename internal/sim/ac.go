@@ -235,7 +235,7 @@ func ACSweep(n *circuit.Netlist, probe string, stim ACStimulus, fStart, fStop fl
 // ACSweepPolicy is ACSweep under an explicit solver policy. The G/C
 // sparsity pattern is extracted once and the frequency points —
 // independent complex solves — run in parallel (the policy's worker
-// count, or matrix.SetWorkers when unset, controls the fan-out).
+// count, or GOMAXPROCS when unset, controls the fan-out).
 // Under pol.SweepMode exact (and auto below sweep.AutoThreshold
 // points) results are bit-identical to the serial sweep: each point is
 // one self-contained solve. Under adaptive (or auto at enough points)

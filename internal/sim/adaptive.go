@@ -25,7 +25,7 @@ type AdaptiveOptions struct {
 	NewtonTol float64
 	Gmin      float64
 	// Policy pins the run's solver resources (worker count, dense/sparse
-	// switch-over). The zero value inherits the process defaults.
+	// switch-over). The zero value is the built-in default.
 	Policy Policy
 }
 

@@ -12,21 +12,19 @@ import (
 // policy-taking AC sweep, so two concurrently running analyses can use
 // conflicting settings without touching process state.
 //
-// The zero value inherits the deprecated process defaults
-// (matrix.SetWorkers / SetSparseThreshold), so an unset policy
-// reproduces the legacy behavior bit-identically. Every solver path is
-// deterministic in the worker count's presence — parallel kernels
-// partition work without changing any per-element operation order — so
-// Policy only trades wall clock for cores, never results.
+// The zero value is the built-in default: GOMAXPROCS workers and the
+// 256-unknown switch-over. Every solver path is deterministic in the
+// worker count's presence — parallel kernels partition work without
+// changing any per-element operation order — so Policy only trades wall
+// clock for cores, never results.
 type Policy struct {
 	// Workers caps the solver goroutines (factorization strips, multi-RHS
-	// solves, the history matvec, AC sweep fan-out). 0 = process default
-	// (matrix.Workers), 1 = fully serial.
+	// solves, the history matvec, AC sweep fan-out). 0 = built-in
+	// default (GOMAXPROCS), 1 = fully serial.
 	Workers int
 	// SparseThreshold is the MNA size at which linear analyses switch to
-	// the sparse direct solver: > 0 is an explicit switch-over size, 0
-	// inherits the process default (SetSparseThreshold), < 0 forces the
-	// dense path at every size.
+	// the sparse direct solver: > 0 is an explicit switch-over size, 0 =
+	// built-in default (256), < 0 forces the dense path at every size.
 	SparseThreshold int
 	// SweepMode selects exact per-point AC sweeps, the adaptive
 	// rational-interpolation engine, or automatic selection by point
@@ -46,7 +44,7 @@ func (p Policy) sparseAt(size int) bool {
 	case p.SparseThreshold < 0:
 		return false
 	default:
-		return size >= sparseThreshold
+		return size >= defaultSparseThreshold
 	}
 }
 

@@ -48,16 +48,10 @@ func randRLC(rng *rand.Rand, nodes int) *circuit.Netlist {
 	return n
 }
 
-// forceThreshold runs fn once with the sparse path forced on and once
-// forced off, returning both results.
-func bothPaths[T any](t *testing.T, fn func() T) (sparse, dense T) {
-	t.Helper()
-	old := SetSparseThreshold(1)
-	sparse = fn()
-	SetSparseThreshold(1 << 30)
-	dense = fn()
-	SetSparseThreshold(old)
-	return sparse, dense
+// bothPaths runs fn once under a policy forcing the sparse path and
+// once under one forcing the dense path, returning both results.
+func bothPaths[T any](fn func(pol Policy) T) (sparse, dense T) {
+	return fn(Policy{SparseThreshold: 1}), fn(Policy{SparseThreshold: -1})
 }
 
 func TestPropertyTranSparseMatchesDense(t *testing.T) {
@@ -73,7 +67,8 @@ func TestPropertyTranSparseMatchesDense(t *testing.T) {
 			res *TranResult
 			err error
 		}
-		sp, de := bothPaths(t, func() out {
+		sp, de := bothPaths(func(pol Policy) out {
+			opt.Policy = pol
 			r, err := Tran(n, opt)
 			return out{r, err}
 		})
@@ -105,8 +100,8 @@ func TestPropertyACSparseMatchesDense(t *testing.T) {
 			pts []ACPoint
 			err error
 		}
-		sp, de := bothPaths(t, func() out {
-			p, err := ACSweep(n, probe, stim, 1e6, 1e11, 6)
+		sp, de := bothPaths(func(pol Policy) out {
+			p, err := ACSweepPolicy(n, probe, stim, 1e6, 1e11, 6, pol)
 			return out{p, err}
 		})
 		if sp.err != nil || de.err != nil {
@@ -131,16 +126,15 @@ func TestPropertyACSparseMatchesDense(t *testing.T) {
 func TestPropertyAdaptiveSparseTracksFixedStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	n := randRLC(rng, 10)
-	old := SetSparseThreshold(1)
-	defer SetSparseThreshold(old)
-	adapt, err := TranAdaptive(n, AdaptiveOptions{TStop: 2e-9, Tol: 1e-6})
+	sparse := Policy{SparseThreshold: 1}
+	adapt, err := TranAdaptive(n, AdaptiveOptions{TStop: 2e-9, Tol: 1e-6, Policy: sparse})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adapt.Steps == nil || adapt.Steps.Accepted == 0 {
 		t.Fatal("adaptive run reported no accepted steps")
 	}
-	fixed, err := Tran(n, TranOptions{TStop: 2e-9, TStep: 1e-12})
+	fixed, err := Tran(n, TranOptions{TStop: 2e-9, TStep: 1e-12, Policy: sparse})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type TranOptions struct {
 	// SaveEvery keeps every k-th point (default 1 = all).
 	SaveEvery int
 	// Policy pins the run's solver resources (worker count, dense/sparse
-	// switch-over). The zero value inherits the process defaults.
+	// switch-over). The zero value is the built-in default.
 	Policy Policy
 }
 

@@ -8,29 +8,13 @@ import (
 	"inductance101/internal/matrix"
 )
 
-// sparseThreshold is the MNA system size at which the simulator's
-// linear paths switch from the dense kernels to the sparse direct
-// solver. Below it the dense LU is faster (no graph overhead) and
-// serves as the testing oracle; above it the sparse factorization wins
-// asymptotically on the grid/interconnect matrices this repository
-// assembles.
-var sparseThreshold = 256
-
-// SetSparseThreshold sets the dense/sparse switch-over size and returns
-// the previous value. Tests and benchmarks use it to force one path or
-// the other; production code should leave the default alone.
-//
-// Deprecated: SetSparseThreshold mutates process-wide state, so two
-// analyses with different switch-over sizes cannot coexist. New code
-// should set Policy.SparseThreshold on the run's
-// TranOptions/AdaptiveOptions (or the ACSweepPolicy argument) instead —
-// see internal/engine for the config that builds one per run. The shim
-// remains so existing call sites keep their exact behavior.
-func SetSparseThreshold(n int) int {
-	old := sparseThreshold
-	sparseThreshold = n
-	return old
-}
+// defaultSparseThreshold is the MNA system size at which the
+// simulator's linear paths switch from the dense kernels to the sparse
+// direct solver when Policy.SparseThreshold is zero. Below it the dense
+// LU is faster (no graph overhead) and serves as the testing oracle;
+// above it the sparse factorization wins asymptotically on the
+// grid/interconnect matrices this repository assembles.
+const defaultSparseThreshold = 256
 
 // useSparsePath reports whether the netlist's linear analyses should
 // run on the sparse direct solver under the given policy. Nonlinear

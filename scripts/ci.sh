@@ -38,18 +38,26 @@ fi
 echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh)"
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh
 
-# No new mutable package-level tuning state: process-wide Set* switches
-# are frozen to the three deprecated shims. Run configuration belongs in
-# engine.Config / the per-layer option structs, not globals.
-echo "== no new package-level Set* tuning switches"
+# No mutable package-level tuning state: run configuration belongs in
+# engine.Config / the per-layer option structs, not process-wide Set*
+# switches. No exemptions.
+echo "== no package-level Set* tuning switches"
 setters=$(grep -rnE '^func Set[A-Z]' internal cmd --include='*.go' \
-	| grep -v '_test\.go' \
-	| grep -v 'internal/matrix/workers\.go' \
-	| grep -v 'internal/sim/sparse\.go' \
-	| grep -v 'internal/extract/cache\.go' || true)
+	| grep -v '_test\.go' || true)
 if [ -n "$setters" ]; then
-	echo "new package-level setter(s) found (use engine.Config instead):" >&2
+	echo "package-level setter(s) found (use engine.Config instead):" >&2
 	echo "$setters" >&2
+	exit 1
+fi
+
+# No deprecated shims: an API that is superseded is deleted and its
+# callers moved, so compatibility layers cannot build up again.
+echo "== no Deprecated: markers in non-test code"
+deprecated=$(grep -rn '// Deprecated:' internal cmd --include='*.go' \
+	| grep -v '_test\.go' || true)
+if [ -n "$deprecated" ]; then
+	echo "deprecated API(s) found (delete them and move the callers):" >&2
+	echo "$deprecated" >&2
 	exit 1
 fi
 
