@@ -349,12 +349,13 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 	}()
 
 	// Microstrip-over-plane benchmark: the shared mesh lowers the plane
-	// into ~2*nw^2 grid filaments and all three solve paths consume the
-	// same filament set. The dense oracle stays feasible at every size
-	// because the nodal reduction solves one system per reduced node —
-	// a plane carries ~nw^2 nodes, so node count (not filament count)
-	// caps how far the iterative paths can be pushed here; flat and
-	// nested also cross-check each other at the largest size.
+	// into ~2*nw^2 grid filaments and ~nw^2 nodes, and all three solve
+	// paths consume the same filament set. The dense oracle still builds
+	// the full nodal admittance (one LU solve per reduced node); the
+	// iterative paths drive the port with one augmented GMRES per
+	// point, so their cost follows filaments and iterations, not nodes.
+	// The dense oracle's O(nf^3) LU caps the sizes here; flat and nested
+	// also cross-check each other at every size.
 	planeRows := func() []benchRow {
 		lay, segs, port, shorts := benchMicrostripPlane()
 		w := workerCols[len(workerCols)-1]

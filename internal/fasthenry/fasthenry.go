@@ -3,17 +3,24 @@
 //
 // Conductor segments and planes are lowered by internal/mesh into a
 // uniform filament set (segments split across their cross-section,
-// planes into overlapping X/Y filament grids); the dense complex branch
-// impedance matrix Zb = R + jω Lp (partial inductances between every
-// filament pair) is assembled and the port impedance solved by nodal
-// analysis: Y = A Zb^{-1} A^T. Skin and proximity effects emerge from
-// the current redistribution among filaments, exactly as in FastHenry.
+// planes into overlapping X/Y filament grids) with branch impedance
+// Zb = R + jω Lp (partial inductances between every filament pair).
+// Skin and proximity effects emerge from the current redistribution
+// among filaments, exactly as in FastHenry.
 //
-// Substitution note (see DESIGN.md §5): FastHenry accelerates the dense
-// solve with a multipole expansion; at the scales this repository
-// simulates, a direct dense complex LU is exact and fast enough, so the
-// multipole stage is intentionally omitted — it changes run time, never
-// extracted values.
+// Two solve paths share that model. The dense oracle assembles Zb,
+// LU-factors it and solves the port by nodal analysis,
+// Y = A Zb^{-1} A^T. The iterative paths (flat ACA or nested H²
+// compressed Lp, see operator.go) drive the port instead: one
+// preconditioned GMRES per frequency on the augmented system
+// [Zb −A^T; A 0][i; v] = [0; e_plus], so their cost follows the
+// filament count and the Krylov iterations, not the node count.
+//
+// Substitution note (see DESIGN.md §5): FastHenry accelerates the
+// solve with a multipole expansion; here hierarchical (ACA/H²)
+// compression plays that role at scale, and below the auto threshold
+// a direct dense complex LU is exact and fast enough. The choice
+// changes run time, never extracted values.
 package fasthenry
 
 import (
@@ -102,6 +109,9 @@ type Solver struct {
 	nNodes int
 	plus   int // node index of port plus (minus is the reference)
 	minus  int
+	// inc holds each filament's reduced nodal rows, nodeRow(NodeA) and
+	// nodeRow(NodeB): the columns of the sparse reduced incidence A.
+	inc [][2]int
 
 	lpOnce sync.Once
 	lp     *matrix.Dense // dense partial inductance over filaments (lazy)
@@ -118,6 +128,10 @@ type Solver struct {
 
 	opOnce sync.Once
 	op     extract.LOperator // compressed partial inductance (lazy)
+
+	schurOnce sync.Once
+	schurP    *schurPlan // Schur-complement pattern and symbolic LU (lazy)
+	schurErr  error
 }
 
 // NewSolver lowers the given segments of the layout — plus every
@@ -134,7 +148,7 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		return nil, fmt.Errorf("fasthenry: port terminals are shorted together")
 	}
 
-	return &Solver{
+	s := &Solver{
 		fils:   m.Filaments,
 		entry:  extract.FilamentEntry(m.Filaments, opt.Cache),
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
@@ -142,7 +156,9 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		cache: opt.Cache, workers: opt.Workers,
 		sweepMode: opt.SweepMode, sweepTol: opt.SweepTol,
 		recycleDim: opt.RecycleDim,
-	}, nil
+	}
+	s.incidence()
+	return s, nil
 }
 
 // lpEntry returns the partial inductance between filaments i and j
@@ -195,10 +211,23 @@ func (s *Solver) nodeRow(n int) int {
 	return n
 }
 
+// incidence returns each filament's reduced nodal rows (see Solver.inc).
+// NewSolver builds them; solvers assembled literally in tests get them
+// on first use.
+func (s *Solver) incidence() [][2]int {
+	if s.inc == nil {
+		s.inc = make([][2]int, len(s.fils))
+		for fi := range s.fils {
+			s.inc[fi] = [2]int{s.nodeRow(s.fils[fi].NodeA), s.nodeRow(s.fils[fi].NodeB)}
+		}
+	}
+	return s.inc
+}
+
 // Impedance returns the complex port impedance at frequency f (Hz),
 // using the configured solve mode (Options.Mode): the dense complex
-// LU oracle, or matrix-free GMRES through the hierarchically
-// compressed partial-inductance operator.
+// LU oracle, or one port-driven matrix-free GMRES through the
+// hierarchically compressed partial-inductance operator.
 func (s *Solver) Impedance(f float64) (complex128, error) {
 	if s.iterativeMode() {
 		z, _, err := s.impedanceIterative(f, nil, nil)
@@ -251,16 +280,13 @@ func (s *Solver) impedanceDense(f float64) (complex128, error) {
 // incidenceColumn fills col with the A^T e_k column: +1/-1 at the
 // filaments whose end nodes map to reduced index k.
 func (s *Solver) incidenceColumn(col []complex128, k int) {
-	for i := range col {
-		col[i] = 0
-	}
-	for fi := range s.fils {
-		f := &s.fils[fi]
-		if s.nodeRow(f.NodeA) == k {
-			col[fi] += 1
+	for fi, r := range s.incidence() {
+		col[fi] = 0
+		if r[0] == k {
+			col[fi]++
 		}
-		if s.nodeRow(f.NodeB) == k {
-			col[fi] -= 1
+		if r[1] == k {
+			col[fi]--
 		}
 	}
 }
@@ -268,13 +294,12 @@ func (s *Solver) incidenceColumn(col []complex128, k int) {
 // scatterAdmittance accumulates column k of Y = A W from the branch
 // current solution w.
 func (s *Solver) scatterAdmittance(y *matrix.CDense, k int, w []complex128) {
-	for fi := range s.fils {
-		f := &s.fils[fi]
-		if ra := s.nodeRow(f.NodeA); ra >= 0 {
-			y.Add(ra, k, w[fi])
+	for fi, r := range s.incidence() {
+		if r[0] >= 0 {
+			y.Add(r[0], k, w[fi])
 		}
-		if rb := s.nodeRow(f.NodeB); rb >= 0 {
-			y.Add(rb, k, -w[fi])
+		if r[1] >= 0 {
+			y.Add(r[1], k, -w[fi])
 		}
 	}
 }
@@ -308,8 +333,8 @@ type Point struct {
 	Z    complex128
 	R    float64
 	L    float64
-	// Iters is the total GMRES iteration count across the point's nodal
-	// solves (zero on the dense path and on interpolated points).
+	// Iters is the GMRES iteration count of the point's port solve
+	// (zero on the dense path and on interpolated points).
 	Iters int
 	// Interp marks a point filled by the adaptive sweep's rational
 	// interpolant instead of an exact solve.

@@ -3,6 +3,7 @@ package fasthenry
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"inductance101/internal/extract"
 	"inductance101/internal/matrix"
@@ -19,10 +20,25 @@ import (
 // (extract.CompressedL): filaments are clustered through
 // mesh.ClusterFilaments, near blocks stay exact through the kernel
 // cache, and well-separated blocks are ACA low-rank factors, so one
-// matvec is near-linear in nf. Each nodal solve then runs restarted
-// GMRES with a block-Jacobi preconditioner built from the per-cluster
-// R + jω L_self diagonal blocks, and frequency sweeps warm-start every
-// point with the previous point's branch currents.
+// matvec is near-linear in nf.
+//
+// The port is driven, not the nodes: instead of the full nodal
+// admittance (one solve per reduced node, hopeless on a plane with
+// ~PlaneNW² nodes), each frequency runs one restarted GMRES on the
+// augmented branch/node system
+//
+//	[Zb  −Aᵀ] [i]   [0     ]
+//	[A    0 ] [v] = [e_plus]
+//
+// (1 A injected at the port plus node, minus as the reference), whose
+// v[plus] is the port impedance. The KCL rows are scaled by a
+// resistance (kclScale) so both residual blocks read in volts. The
+// system is right-preconditioned by the block upper-triangular
+// P = [D −Aᵀ; 0 Ŝ]: D the per-cluster
+// R + jω L_self diagonal blocks (block-Jacobi, or SAI on top), Ŝ =
+// A D⁻¹ Aᵀ the Schur complement those blocks imply, factored sparse
+// over a pattern and symbolic analysis cached per solver. Frequency
+// sweeps warm-start every point with the previous point's [i; v].
 
 // SolveMode selects how Solver.Impedance solves the branch system.
 type SolveMode int
@@ -156,8 +172,11 @@ func (s *Solver) iterativeMode() bool {
 // 1e-6 relative).
 const gmresTol = 1e-10
 
-// gmresRestart is the Krylov dimension per GMRES cycle.
-const gmresRestart = 60
+// gmresRestart is the Krylov dimension per GMRES cycle. Port solves at
+// the top of the band take 50–140 iterations (63 on the 8,192-filament
+// bus at 20 GHz, 69 there at restart 60); a restart inside that range
+// throws away the Krylov space the slow modes live in.
+const gmresRestart = 80
 
 // compressedOp builds (once) the hierarchically compressed
 // partial-inductance operator over the solver's filaments — flat ACA
@@ -219,9 +238,12 @@ func (z *zbOp) ApplyTo(dst, x []complex128) {
 
 // blockPrecond is the block-Jacobi preconditioner: the per-cluster
 // diagonal blocks of Zb (per-conductor R + L_self coupling), complex-LU
-// factored once per frequency point.
+// factored once per frequency point. rhs and x are its own solve
+// scratch (sized to the largest block), so applying it allocates
+// nothing; it is therefore not safe for concurrent use.
 type blockPrecond struct {
 	blocks []precondBlock
+	rhs, x []complex128
 }
 
 type precondBlock struct {
@@ -241,8 +263,10 @@ type precondBlock struct {
 func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64) *blockPrecond {
 	diags := op.DiagBlocks()
 	p := &blockPrecond{blocks: make([]precondBlock, 0, len(diags))}
+	maxN := 0
 	for _, d := range diags {
 		n := len(d.Idx)
+		maxN = max(maxN, n)
 		zb := matrix.NewCDense(n, n)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
@@ -268,6 +292,7 @@ func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64) *blockPr
 		}
 		p.blocks = append(p.blocks, precondBlock{idx: d.Idx, lu: lu})
 	}
+	p.rhs, p.x = make([]complex128, maxN), make([]complex128, maxN)
 	return p
 }
 
@@ -280,13 +305,12 @@ func (p *blockPrecond) apply(dst, src []complex128) {
 			}
 			continue
 		}
-		rhs := make([]complex128, len(b.idx))
+		rhs, x := p.rhs[:len(b.idx)], p.x[:len(b.idx)]
 		for a, i := range b.idx {
 			rhs[a] = src[i]
 		}
-		x, err := b.lu.Solve(rhs)
-		if err != nil {
-			// The factorization succeeded, so Solve cannot fail; fall
+		if err := b.lu.SolveTo(x, rhs); err != nil {
+			// The factorization succeeded, so the solve cannot fail; fall
 			// back to the identity on this block out of caution.
 			copy(x, rhs)
 		}
@@ -327,10 +351,9 @@ func (p *saiPrecond) apply(dst, src []complex128) {
 	}
 }
 
-// precondApply builds the configured preconditioner for one frequency
-// point and returns its application closure.
-func (s *Solver) precondApply(op extract.LOperator, omega float64) func(dst, src []complex128) {
-	bj := s.buildBlockPrecond(op, omega)
+// branchPrecond returns the configured branch-block preconditioner
+// D⁻¹ for one frequency point: bj itself, or the SAI correction on top.
+func (s *Solver) branchPrecond(bj *blockPrecond, op extract.LOperator, omega float64) func(dst, src []complex128) {
 	if s.precond != PrecondSAI {
 		return bj.apply
 	}
@@ -342,51 +365,332 @@ func (s *Solver) precondApply(op extract.LOperator, omega float64) func(dst, src
 	return sp.apply
 }
 
-// impedanceIterative solves the port impedance at frequency f with
-// restarted, right-preconditioned GMRES through the compressed
-// operator. warm, when non-nil, holds one previous branch-current
-// solution per reduced node (a frequency sweep's warm starts); entries
-// are updated in place. rs, when non-nil, is a Krylov recycling space
-// carried across an adaptive sweep's anchor solves: it is invalidated
-// once for this frequency's operator and then shared by all the nodal
-// solves, which re-project it exactly once. It returns the impedance
-// and the total GMRES iterations across the nodal solves.
-func (s *Solver) impedanceIterative(f float64, warm [][]complex128, rs *matrix.RecycleSpace) (complex128, int, error) {
-	op := s.compressedOp()
-	omega := 2 * math.Pi * f
-	pre := s.precondApply(op, omega)
-	nf := len(s.fils)
-	zop := &zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}
+// schurPlan is the frequency-independent half of the Schur complement
+// Ŝ = A D⁻¹ Aᵀ: D is block diagonal over the operator's leaf clusters,
+// so Ŝ is a sum of dense couplings among the reduced nodes each cluster
+// touches. The sparse pattern of that sum, every block's value slots
+// in it, and a symbolic sparse LU depend only on the cluster→node
+// incidence; one plan per solver serves every frequency.
+type schurPlan struct {
+	n      int               // reduced node count
+	tmpl   *matrix.CCSC      // pattern of Ŝ (values unused)
+	blocks []schurBlock      // parallel to the operator's DiagBlocks
+	sym    *matrix.SparseCLU // analyzed on the DC conductance matrix
+}
+
+type schurBlock struct {
+	nodes []int    // reduced rows the cluster's filaments touch, ascending
+	ends  [][2]int // per filament: local node index of NodeA, NodeB (-1 = reference)
+	pos   []int    // value slot of (nodes[a], nodes[b]) at a*len(nodes)+b
+}
+
+// schur returns the solver's cached Schur plan, building it once
+// after the compressed operator. Safe for concurrent callers.
+func (s *Solver) schur() (*schurPlan, error) {
+	s.schurOnce.Do(func() {
+		s.schurP, s.schurErr = s.buildSchurPlan(s.compressedOp())
+	})
+	return s.schurP, s.schurErr
+}
+
+func (s *Solver) buildSchurPlan(op extract.LOperator) (*schurPlan, error) {
+	inc := s.incidence()
 	nn := s.nNodes - 1
-	y := matrix.NewCDense(nn, nn)
-	col := make([]complex128, nf)
-	iters := 0
-	rs.Invalidate()
-	for k := 0; k < nn; k++ {
-		s.incidenceColumn(col, k)
-		opt := matrix.GMRESOptions{
-			Restart: gmresRestart,
-			Tol:     gmresTol,
-			Precond: pre,
-		}
-		if warm != nil && warm[k] != nil {
-			opt.X0 = warm[k]
-		}
-		w, res, err := matrix.GMRES(zop, col, opt, rs)
-		if err != nil {
-			return 0, iters, fmt.Errorf("fasthenry: GMRES at %g Hz: %w", f, err)
-		}
-		iters += res.Iters
-		if !res.Converged {
-			return 0, iters, fmt.Errorf(
-				"fasthenry: GMRES stalled at %g Hz (residual %.2e after %d iterations); use the dense solve mode",
-				f, res.Residual, res.Iters)
-		}
-		if warm != nil {
-			warm[k] = w
-		}
-		s.scatterAdmittance(y, k, w)
+	diags := op.DiagBlocks()
+	p := &schurPlan{n: nn, blocks: make([]schurBlock, len(diags))}
+	local := make([]int, nn)
+	for i := range local {
+		local[i] = -1
 	}
-	z, err := s.portSolve(y)
-	return z, iters, err
+	colRows := make([][]int, nn)
+	for bi, d := range diags {
+		b := &p.blocks[bi]
+		for _, fi := range d.Idx {
+			for _, r := range inc[fi] {
+				if r >= 0 && local[r] < 0 {
+					local[r] = 0 // seen; numbered after the sort
+					b.nodes = append(b.nodes, r)
+				}
+			}
+		}
+		sort.Ints(b.nodes)
+		for a, r := range b.nodes {
+			local[r] = a
+		}
+		b.ends = make([][2]int, len(d.Idx))
+		for a, fi := range d.Idx {
+			for e, r := range inc[fi] {
+				b.ends[a][e] = -1
+				if r >= 0 {
+					b.ends[a][e] = local[r]
+				}
+			}
+		}
+		for _, r := range b.nodes {
+			local[r] = -1
+			colRows[r] = append(colRows[r], b.nodes...)
+		}
+	}
+	colPtr := make([]int, nn+1)
+	var rowIdx []int
+	for j, rows := range colRows {
+		sort.Ints(rows)
+		for k, r := range rows {
+			if k == 0 || r != rows[k-1] {
+				rowIdx = append(rowIdx, r)
+			}
+		}
+		colPtr[j+1] = len(rowIdx)
+	}
+	p.tmpl = matrix.CSCFromParts(nn, nn, colPtr, rowIdx, make([]complex128, len(rowIdx)))
+	for bi := range p.blocks {
+		b := &p.blocks[bi]
+		m := len(b.nodes)
+		b.pos = make([]int, m*m)
+		for a, r := range b.nodes {
+			for c, col := range b.nodes {
+				rows := rowIdx[colPtr[col]:colPtr[col+1]]
+				b.pos[a*m+c] = colPtr[col] + sort.SearchInts(rows, r)
+			}
+		}
+	}
+	// Analyze on the DC limit of Ŝ, the nodal conductance matrix
+	// A R⁻¹ Aᵀ: deterministic, independent of which frequency a sweep
+	// happens to solve first, and nonsingular exactly when every node
+	// reaches the reference. Ŝ(ω) keeps a positive-definite Hermitian
+	// part, so its diagonal pivots stay usable across the band.
+	val := make([]complex128, len(rowIdx))
+	for bi, d := range diags {
+		b := &p.blocks[bi]
+		for a, e := range b.ends {
+			b.addBranch(val, e, complex(1/s.fils[d.Idx[a]].R, 0))
+		}
+	}
+	sym, err := matrix.FactorSparseCLUWorkers(p.tmpl.WithValues(val), 1)
+	if err != nil {
+		return nil, fmt.Errorf("fasthenry: port network disconnected: %w", err)
+	}
+	p.sym = sym
+	return p, nil
+}
+
+// addBranch adds one branch of admittance y between the block's local
+// nodes e[0] and e[1] into the values of Ŝ.
+func (b *schurBlock) addBranch(val []complex128, e [2]int, y complex128) {
+	m := len(b.nodes)
+	ra, rb := e[0], e[1]
+	if ra >= 0 {
+		val[b.pos[ra*m+ra]] += y
+	}
+	if rb >= 0 {
+		val[b.pos[rb*m+rb]] += y
+	}
+	if ra >= 0 && rb >= 0 {
+		val[b.pos[ra*m+rb]] -= y
+		val[b.pos[rb*m+ra]] -= y
+	}
+}
+
+// factor assembles Ŝ = A D⁻¹ Aᵀ from this frequency's block-Jacobi
+// factors and LU-factors it over the cached symbolic analysis, with
+// fresh pivoting when the frozen pivots drift. A factored block adds
+// A_c D_c⁻¹ A_cᵀ (one block solve per touched node); a fallback block
+// adds its diagonal inverse as independent branch admittances.
+func (p *schurPlan) factor(bj *blockPrecond) (*matrix.SparseCLU, error) {
+	val := make([]complex128, p.tmpl.NNZ())
+	for bi := range p.blocks {
+		b, pb := &p.blocks[bi], &bj.blocks[bi]
+		if pb.lu == nil {
+			for a, e := range b.ends {
+				b.addBranch(val, e, pb.dinv[a])
+			}
+			continue
+		}
+		m := len(b.nodes)
+		rhs, x := bj.rhs[:len(b.ends)], bj.x[:len(b.ends)]
+		for k := 0; k < m; k++ {
+			for a, e := range b.ends {
+				var v complex128
+				if e[0] == k {
+					v++
+				}
+				if e[1] == k {
+					v--
+				}
+				rhs[a] = v
+			}
+			if err := pb.lu.SolveTo(x, rhs); err != nil {
+				return nil, err
+			}
+			for a, e := range b.ends {
+				if e[0] >= 0 {
+					val[b.pos[e[0]*m+k]] += x[a]
+				}
+				if e[1] >= 0 {
+					val[b.pos[e[1]*m+k]] -= x[a]
+				}
+			}
+		}
+	}
+	a := p.tmpl.WithValues(val)
+	lu := p.sym.NewNumeric()
+	if err := lu.Refactor(a); err != nil {
+		return matrix.FactorSparseCLUWorkers(a, 1)
+	}
+	return lu, nil
+}
+
+// augOp is the augmented branch/node operator over x = [i; v/ρ] (nf
+// branch currents, then the reduced node voltages in units of ρ):
+//
+//	[Zb   −ρAᵀ] [i  ]   [0       ]
+//	[ρA    0  ] [v/ρ] = [ρ e_plus]
+//
+// The resistance ρ (kclScale) turns the KCL rows from amperes into
+// volts at the branches' own scale, so GMRES weighs both residual
+// blocks alike.
+type augOp struct {
+	zb  zbOp
+	inc [][2]int
+	rho complex128
+}
+
+func (o *augOp) Dim() int { return len(o.inc) + o.zb.s.nNodes - 1 }
+
+func (o *augOp) ApplyTo(dst, x []complex128) {
+	nf := len(o.inc)
+	xi, xv := x[:nf], x[nf:]
+	di, dv := dst[:nf], dst[nf:]
+	o.zb.ApplyTo(di, xi)
+	for k := range dv {
+		dv[k] = 0
+	}
+	for f, r := range o.inc {
+		if r[0] >= 0 {
+			di[f] -= o.rho * xv[r[0]]
+			dv[r[0]] += o.rho * xi[f]
+		}
+		if r[1] >= 0 {
+			di[f] += o.rho * xv[r[1]]
+			dv[r[1]] -= o.rho * xi[f]
+		}
+	}
+}
+
+// kclScale is the resistance ρ that scales augOp's KCL rows and node
+// voltages: the filaments' mean resistance. Unscaled, the 1 A port
+// drive asks the branch equations for a far tighter absolute residual
+// than the nodal solves' right-hand sides A^T e_k did, tighter than a
+// compressed matvec's rounding can deliver, and GMRES spends short
+// restart cycles at that floor (100–130 iterations instead of 65 on the
+// 8,192-filament bus at 20 GHz, at the same answer).
+func (s *Solver) kclScale() float64 {
+	sum := 0.0
+	for i := range s.fils {
+		sum += s.fils[i].R
+	}
+	if sum <= 0 {
+		return 1
+	}
+	return sum / float64(len(s.fils))
+}
+
+// augPrecond applies the block upper-triangular preconditioner of the
+// scaled system, P = [D −ρAᵀ; 0 ρ²Ŝ]: y_v = Ŝ⁻¹ r_v / ρ², then
+// y_i = D⁻¹ (r_i + ρAᵀ y_v). t and sc are its scratch, so an apply
+// allocates nothing.
+type augPrecond struct {
+	d     func(dst, src []complex128) // D⁻¹ over the branch block
+	schur *matrix.SparseCLU
+	inc   [][2]int
+	rho   complex128
+	t, sc []complex128
+}
+
+func (p *augPrecond) apply(dst, src []complex128) {
+	nf := len(p.inc)
+	yv := dst[nf:]
+	// Ŝ factored without error, so its pivots are nonzero and the solve
+	// cannot fail.
+	_ = p.schur.SolveTo(yv, src[nf:], p.sc)
+	inv := 1 / (p.rho * p.rho)
+	for k := range yv {
+		yv[k] *= inv
+	}
+	copy(p.t, src[:nf])
+	for f, r := range p.inc {
+		if r[0] >= 0 {
+			p.t[f] += p.rho * yv[r[0]]
+		}
+		if r[1] >= 0 {
+			p.t[f] -= p.rho * yv[r[1]]
+		}
+	}
+	p.d(dst[:nf], p.t)
+}
+
+// portSystem assembles the augmented operator at angular frequency
+// omega and its preconditioner: this point's block-Jacobi factors, the
+// configured branch preconditioner over them, and Ŝ factored on the
+// solver's cached Schur plan.
+func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
+	op := s.compressedOp()
+	plan, err := s.schur()
+	if err != nil {
+		return nil, nil, err
+	}
+	bj := s.buildBlockPrecond(op, omega)
+	sc, err := plan.factor(bj)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fasthenry: port network disconnected: %w", err)
+	}
+	inc := s.incidence()
+	nf := len(s.fils)
+	rho := complex(s.kclScale(), 0)
+	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}, inc: inc, rho: rho}
+	pre := &augPrecond{
+		d: s.branchPrecond(bj, op, omega), schur: sc, inc: inc, rho: rho,
+		t: make([]complex128, nf), sc: make([]complex128, plan.n),
+	}
+	return aop, pre, nil
+}
+
+// impedanceIterative solves the port impedance at frequency f with one
+// right-preconditioned restarted GMRES on the augmented system through
+// the compressed operator. warm, when non-nil, carries a sweep
+// worker's previous [i; v/ρ] solution: a non-nil *warm seeds the solve
+// and is replaced by this point's solution. rs, when non-nil, is a
+// Krylov recycling space carried across an adaptive sweep's anchor
+// solves, invalidated here for this frequency's operator. It returns
+// the impedance and the GMRES iteration count.
+func (s *Solver) impedanceIterative(f float64, warm *[]complex128, rs *matrix.RecycleSpace) (complex128, int, error) {
+	pr := s.nodeRow(s.plus)
+	if pr < 0 {
+		return 0, 0, fmt.Errorf("fasthenry: port plus equals reference")
+	}
+	aop, pre, err := s.portSystem(2 * math.Pi * f)
+	if err != nil {
+		return 0, 0, err
+	}
+	nf := len(s.fils)
+	b := make([]complex128, aop.Dim())
+	b[nf+pr] = aop.rho
+	opt := matrix.GMRESOptions{Restart: gmresRestart, Tol: gmresTol, Precond: pre.apply}
+	if warm != nil && *warm != nil {
+		opt.X0 = *warm
+	}
+	rs.Invalidate()
+	x, res, err := matrix.GMRES(aop, b, opt, rs)
+	if err != nil {
+		return 0, res.Iters, fmt.Errorf("fasthenry: GMRES at %g Hz: %w", f, err)
+	}
+	if !res.Converged {
+		return 0, res.Iters, fmt.Errorf(
+			"fasthenry: GMRES stalled at %g Hz (residual %.2e after %d iterations); use the dense solve mode",
+			f, res.Residual, res.Iters)
+	}
+	if warm != nil {
+		*warm = x
+	}
+	return aop.rho * x[nf+pr], res.Iters, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"inductance101/internal/extract"
 	"inductance101/internal/geom"
 )
 
@@ -119,12 +120,14 @@ func TestIterativeMatchesDense(t *testing.T) {
 
 // TestIterativeSweepWarmStarts checks the chunked warm-started parallel
 // sweep end to end: values match the dense sweep, iteration counts are
-// recorded, and warm-started points converge in no more iterations than
-// a cold solve needs.
+// recorded, and the single warm vector a worker carries holds the whole
+// port solution [i; v].
 func TestIterativeSweepWarmStarts(t *testing.T) {
 	l, segs, port, shorts := busLayout(6, 600e-6, 2e-6, 6e-6)
 	mk := func(mode SolveMode) *Solver {
-		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 3, NT: 2, Mode: mode})
+		// NW=4, NT=3: two leaf clusters, so the preconditioner is not
+		// the exact inverse and the solves take real iterations.
+		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 4, NT: 3, Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,35 +151,94 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 			t.Errorf("point %d (%g Hz): iterative/dense mismatch %.3g", i, freqs[i], d)
 		}
 	}
-	// A warm-started second point must not be harder than its own cold
-	// solve (chunk of 9 points over 3 workers => points 1,2 warm-started).
-	_, cold, err := iter.impedanceIterative(freqs[1], nil, nil)
+	// 9 points over 3 workers => chunks of 3; points 1 and 2 of each
+	// chunk start from the worker's one warm vector, the previous
+	// point's [i; v]. Re-seeded with its own solution a point needs no
+	// iterations at all, and updates the vector in place.
+	var warm []complex128
+	if _, cold, err := iter.impedanceIterative(freqs[1], &warm, nil); err != nil || cold <= 0 {
+		t.Fatalf("cold solve: %d iterations, %v", cold, err)
+	}
+	if len(warm) != iter.NumFilaments()+iter.nNodes-1 {
+		t.Fatalf("warm vector has %d entries, want nf+nn = %d", len(warm), iter.NumFilaments()+iter.nNodes-1)
+	}
+	z, again, err := iter.impedanceIterative(freqs[1], &warm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iterPts[1].Iters > cold {
-		t.Errorf("warm-started point used %d iterations, cold solve %d", iterPts[1].Iters, cold)
+	if again != 0 {
+		t.Errorf("re-seeded solve used %d iterations, want 0", again)
+	}
+	if d := relDiff(z, densePts[1].Z); d > iterDenseTol {
+		t.Errorf("re-seeded solve mismatch %.3g", d)
 	}
 }
 
 // TestIterativeSweepSharedOperatorParallel hammers one solver from many
-// goroutines (the -race target): the compressed operator and its
-// sync.Once build must be safe to share across sweep workers.
+// goroutines (the -race target): the compressed operator, the cached
+// Schur pattern with its symbolic factorization, and their sync.Once
+// builds must be safe to share across sweep workers — on a bus and on
+// a plane, whose Schur complement is a real sparse matrix.
 func TestIterativeSweepSharedOperatorParallel(t *testing.T) {
 	l, segs, port, shorts := busLayout(5, 500e-6, 2e-6, 6e-6)
-	s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2, Mode: ModeIterative})
+	bus, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2, Mode: ModeIterative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := s.SweepParallel(LogSpace(1e8, 1e10, 8), 4)
+	l, segs, port, shorts = microstripOverPlane(t)
+	plane, err := NewSolver(l, segs, port, shorts, 1e10, Options{
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Cache: extract.PrivateCache(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].R < pts[i-1].R*(1-1e-9) || pts[i].L > pts[i-1].L*(1+1e-9) {
-			t.Errorf("non-monotone R/L at point %d: R %g->%g, L %g->%g",
-				i, pts[i-1].R, pts[i].R, pts[i-1].L, pts[i].L)
+	for _, s := range []*Solver{bus, plane} {
+		pts, err := s.SweepParallel(LogSpace(1e8, 1e10, 8), 4)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 1; i < len(pts); i++ {
+			if pts[i].R < pts[i-1].R*(1-1e-9) || pts[i].L > pts[i-1].L*(1+1e-9) {
+				t.Errorf("nf=%d: non-monotone R/L at point %d: R %g->%g, L %g->%g",
+					s.NumFilaments(), i, pts[i-1].R, pts[i].R, pts[i-1].L, pts[i].L)
+			}
+		}
+	}
+}
+
+// TestPrecondApplyAllocs pins the per-iteration preconditioner applies
+// allocation-free: block-Jacobi solves into its own scratch, and the
+// augmented apply adds only the Schur solve and the Aᵀ scatter on
+// scratch of its own.
+func TestPrecondApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	l, segs, port, shorts := busLayout(6, 600e-6, 2e-6, 6e-6)
+	s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 4, NT: 3, Mode: ModeIterative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	omega := 2 * math.Pi * 1e9
+	bj := s.buildBlockPrecond(s.compressedOp(), omega)
+	nf := s.NumFilaments()
+	src, dst := make([]complex128, nf), make([]complex128, nf)
+	for i := range src {
+		src[i] = complex(float64(i), 1)
+	}
+	if a := testing.AllocsPerRun(20, func() { bj.apply(dst, src) }); a != 0 {
+		t.Errorf("block-Jacobi apply allocates %v times", a)
+	}
+	aop, pre, err := s.portSystem(omega)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asrc, adst := make([]complex128, aop.Dim()), make([]complex128, aop.Dim())
+	for i := range asrc {
+		asrc[i] = complex(1, float64(i))
+	}
+	if a := testing.AllocsPerRun(20, func() { pre.apply(adst, asrc) }); a != 0 {
+		t.Errorf("augmented preconditioner apply allocates %v times", a)
 	}
 }
 

@@ -23,10 +23,10 @@ import (
 // costs the same LU, so fine-grained stealing balances best). The
 // iterative path splits the ascending frequencies into one contiguous
 // chunk per worker: within a chunk each point warm-starts GMRES from
-// the previous point's branch currents, which cuts iteration counts
-// sharply because R(f), L(f) vary smoothly. All workers share the one
-// immutable compressed operator; per-point state (preconditioner,
-// Krylov basis) is worker-local.
+// the previous point's branch currents and node voltages, which trims
+// iteration counts because R(f), L(f) vary smoothly. All workers share
+// the one immutable compressed operator and Schur plan; per-point state
+// (preconditioner, Krylov basis) is worker-local.
 //
 // Under Options.SweepMode adaptive (or auto at sweep.AutoThreshold
 // requested points) only a few adaptively chosen anchor frequencies are
@@ -56,7 +56,7 @@ func (s *Solver) SweepParallelCtx(ctx context.Context, freqs []float64, workers 
 	errs := make([]error, len(fs))
 	if s.iterativeMode() {
 		s.compressedOp()
-		sweepIterativeRun(ctx, fs, workers, s.nNodes-1, out, errs, func(f float64, warm [][]complex128) (complex128, int, error) {
+		sweepIterativeRun(ctx, fs, workers, out, errs, func(f float64, warm *[]complex128) (complex128, int, error) {
 			return s.impedanceIterative(f, warm, nil)
 		})
 	} else {
@@ -128,32 +128,29 @@ func chunkRanges(n, workers int) [][2]int {
 
 // sweepIterativeRun is the chunked warm-started executor of the
 // iterative sweep: each worker owns one contiguous ascending-frequency
-// chunk and a private warm-start state (nWarm slots — one previous
-// solution per reduced node) that carries across the chunk. solve is
-// the per-point solver — injected so tests can drive the scheduling
-// with failures and order probes the real physics cannot produce on
-// demand. On a failed point the worker's warm state is cleared (it may
-// be mid-update) and the chunk continues cold.
-func sweepIterativeRun(ctx context.Context, fs []float64, workers, nWarm int, out []Point, errs []error,
-	solve func(f float64, warm [][]complex128) (complex128, int, error)) {
+// chunk and a private warm-start vector (nil until the first solve
+// fills it with its [i; v] solution) that carries across the chunk.
+// solve is the per-point solver — injected so tests can drive the
+// scheduling with failures and order probes the real physics cannot
+// produce on demand. On a failed point the worker's warm vector is
+// dropped and the chunk continues cold.
+func sweepIterativeRun(ctx context.Context, fs []float64, workers int, out []Point, errs []error,
+	solve func(f float64, warm *[]complex128) (complex128, int, error)) {
 	var wg sync.WaitGroup
 	for _, r := range chunkRanges(len(fs), workers) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			warm := make([][]complex128, nWarm)
+			var warm []complex128
 			for i := lo; i < hi; i++ {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					return
 				}
-				z, iters, err := solve(fs[i], warm)
+				z, iters, err := solve(fs[i], &warm)
 				if err != nil {
 					errs[i] = err
-					// Warm state may be mid-update; restart cold.
-					for k := range warm {
-						warm[k] = nil
-					}
+					warm = nil // restart cold
 					continue
 				}
 				r, l := RL(z, fs[i])
@@ -180,12 +177,12 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 		// refine loop mostly adds one anchor at a time, and those solves
 		// keep worker 0's warm vector and recycled basis.
 		type anchorState struct {
-			warm [][]complex128
+			warm []complex128
 			rs   *matrix.RecycleSpace
 		}
 		states := make([]*anchorState, workers)
 		for w := range states {
-			st := &anchorState{warm: make([][]complex128, s.nNodes-1)}
+			st := &anchorState{}
 			if s.recycleDim >= 0 {
 				st.rs = &matrix.RecycleSpace{MaxDim: s.recycleDim}
 			}
@@ -206,13 +203,11 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 							failed.Store(true)
 							return
 						}
-						z, it, err := s.impedanceIterative(fs[i], st.warm, st.rs)
+						z, it, err := s.impedanceIterative(fs[i], &st.warm, st.rs)
 						if err != nil {
 							errs[i] = err
 							failed.Store(true)
-							for n := range st.warm {
-								st.warm[n] = nil
-							}
+							st.warm = nil
 							return
 						}
 						vals[k] = z

@@ -66,8 +66,8 @@ func TestChunkRanges(t *testing.T) {
 
 // TestSweepIterativeRunWarmStart drives the chunked executor with a
 // probe solver: within one chunk every point must see the same warm
-// state, in ascending frequency order, and a mid-chunk failure must be
-// recorded at its own index, clear the warm state, and leave the rest
+// vector, in ascending frequency order, and a mid-chunk failure must be
+// recorded at its own index, drop the warm vector, and leave the rest
 // of the chunk solving cold.
 func TestSweepIterativeRunWarmStart(t *testing.T) {
 	fs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -76,18 +76,22 @@ func TestSweepIterativeRunWarmStart(t *testing.T) {
 
 	var mu sync.Mutex
 	orders := map[*[]complex128][]float64{} // warm identity -> visit order
-	sweepIterativeRun(context.Background(), fs, 2, 3, out, errs,
-		func(f float64, warm [][]complex128) (complex128, int, error) {
+	sweepIterativeRun(context.Background(), fs, 2, out, errs,
+		func(f float64, warm *[]complex128) (complex128, int, error) {
 			mu.Lock()
-			orders[&warm[0]] = append(orders[&warm[0]], f)
+			orders[warm] = append(orders[warm], f)
 			mu.Unlock()
 			if f == 3 {
+				*warm = []complex128{complex(-1, 0)} // half-updated state
 				return 0, 0, fmt.Errorf("solver blew up")
 			}
-			if warm[1] != nil && real(warm[1][0]) >= f {
+			if f == 4 && *warm != nil {
+				return 0, 0, fmt.Errorf("point after the failure started warm from %v", *warm)
+			}
+			if *warm != nil && real((*warm)[0]) >= f {
 				return 0, 0, fmt.Errorf("warm state from the future at f=%g", f)
 			}
-			warm[1] = []complex128{complex(f, 0)}
+			*warm = []complex128{complex(f, 0)}
 			return complex(f, f), 7, nil
 		})
 
@@ -127,8 +131,8 @@ func TestSweepIterativeRunCancel(t *testing.T) {
 	errs := make([]error, len(fs))
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	sweepIterativeRun(ctx, fs, 1, 1, out, errs,
-		func(f float64, warm [][]complex128) (complex128, int, error) {
+	sweepIterativeRun(ctx, fs, 1, out, errs,
+		func(f float64, warm *[]complex128) (complex128, int, error) {
 			calls++
 			cancel()
 			return complex(f, 0), 1, nil

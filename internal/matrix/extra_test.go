@@ -213,9 +213,22 @@ func TestComplexLUReuse(t *testing.T) {
 			t.Fatalf("CLU and SolveComplex disagree at %d", i)
 		}
 	}
+	// SolveTo runs the same arithmetic into caller storage: bit-identical.
+	x3 := make([]complex128, n)
+	if err := lu.SolveTo(x3, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x1 {
+		if x3[i] != x1[i] {
+			t.Fatalf("SolveTo x[%d] = %v, Solve %v", i, x3[i], x1[i])
+		}
+	}
 	// Errors.
 	if _, err := lu.Solve(make([]complex128, 3)); err == nil {
 		t.Errorf("bad rhs length accepted")
+	}
+	if err := lu.SolveTo(make([]complex128, 3), b); err == nil {
+		t.Errorf("bad dst length accepted")
 	}
 	if _, err := FactorComplexLU(NewCDense(2, 3)); err == nil {
 		t.Errorf("non-square accepted")

@@ -29,8 +29,9 @@ func (m *Mesh) lowerPlane(l *geom.Layout, pi int, opt Options) error {
 	w, h := p.X1-p.X0, p.Y1-p.Y0
 	// PlaneNW cells along each axis regardless of aspect ratio
 	// (FastHenry's seg1/seg2 plane parameters collapsed to one knob):
-	// the nodal solve costs one solve per node, so the grid must stay
-	// bounded by the user's density choice, not by the plane's shape.
+	// every solve path's cost grows with the filament and node counts,
+	// so the grid must stay bounded by the user's density choice, not
+	// by the plane's shape.
 	nx := opt.planeNW() + 1
 	ny := opt.planeNW() + 1
 	if nx*ny > maxPlaneNodes {

@@ -493,10 +493,12 @@ func TestSchedulerTenantBudget(t *testing.T) {
 	got := make(chan bool, 1)
 	go func() {
 		ok, err := s.acquire(context.Background(), "big", 0)
-		got <- ok && err == nil
+		// Release before reporting, so the leak check below cannot run
+		// ahead of this slot's release.
 		if ok && err == nil {
 			s.release("big")
 		}
+		got <- ok && err == nil
 	}()
 	waitForDepth(t, s, 1)
 	if s.runningTotal() != 2 {
