@@ -112,6 +112,8 @@ type Solver struct {
 	// inc holds each filament's reduced nodal rows, nodeRow(NodeA) and
 	// nodeRow(NodeB): the columns of the sparse reduced incidence A.
 	inc [][2]int
+	// planes reports whether the mesh lowered any conductor plane.
+	planes bool
 
 	lpOnce sync.Once
 	lp     *matrix.Dense // dense partial inductance over filaments (lazy)
@@ -152,12 +154,16 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		fils:   m.Filaments,
 		entry:  extract.FilamentEntry(m.Filaments, opt.Cache),
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
-		mode: opt.Mode, acaTol: opt.ACATol, precond: opt.Precond,
+		planes: m.PlaneFilaments > 0,
+		mode:   opt.Mode, acaTol: opt.ACATol, precond: opt.Precond,
 		cache: opt.Cache, workers: opt.Workers,
 		sweepMode: opt.SweepMode, sweepTol: opt.SweepTol,
 		recycleDim: opt.RecycleDim,
 	}
-	s.incidence()
+	s.inc = make([][2]int, len(s.fils))
+	for fi, f := range s.fils {
+		s.inc[fi] = [2]int{s.nodeRow(f.NodeA), s.nodeRow(f.NodeB)}
+	}
 	return s, nil
 }
 
@@ -209,19 +215,6 @@ func (s *Solver) nodeRow(n int) int {
 		return n - 1
 	}
 	return n
-}
-
-// incidence returns each filament's reduced nodal rows (see Solver.inc).
-// NewSolver builds them; solvers assembled literally in tests get them
-// on first use.
-func (s *Solver) incidence() [][2]int {
-	if s.inc == nil {
-		s.inc = make([][2]int, len(s.fils))
-		for fi := range s.fils {
-			s.inc[fi] = [2]int{s.nodeRow(s.fils[fi].NodeA), s.nodeRow(s.fils[fi].NodeB)}
-		}
-	}
-	return s.inc
 }
 
 // Impedance returns the complex port impedance at frequency f (Hz),
@@ -280,7 +273,7 @@ func (s *Solver) impedanceDense(f float64) (complex128, error) {
 // incidenceColumn fills col with the A^T e_k column: +1/-1 at the
 // filaments whose end nodes map to reduced index k.
 func (s *Solver) incidenceColumn(col []complex128, k int) {
-	for fi, r := range s.incidence() {
+	for fi, r := range s.inc {
 		col[fi] = 0
 		if r[0] == k {
 			col[fi]++
@@ -294,7 +287,7 @@ func (s *Solver) incidenceColumn(col []complex128, k int) {
 // scatterAdmittance accumulates column k of Y = A W from the branch
 // current solution w.
 func (s *Solver) scatterAdmittance(y *matrix.CDense, k int, w []complex128) {
-	for fi, r := range s.incidence() {
+	for fi, r := range s.inc {
 		if r[0] >= 0 {
 			y.Add(r[0], k, w[fi])
 		}

@@ -33,19 +33,21 @@ import (
 // (1 A injected at the port plus node, minus as the reference), whose
 // v[plus] is the port impedance. The KCL rows are scaled by a
 // resistance (kclScale) so both residual blocks read in volts. The
-// system is right-preconditioned by the block upper-triangular
-// P = [D −Aᵀ; 0 Ŝ]: D the per-cluster
-// R + jω L_self diagonal blocks (block-Jacobi, or SAI on top), Ŝ =
-// A D⁻¹ Aᵀ the Schur complement those blocks imply, factored sparse
-// over a pattern and symbolic analysis cached per solver. Frequency
-// sweeps warm-start every point with the previous point's [i; v].
+// system is right-preconditioned by the constraint preconditioner
+// [D −Aᵀ; A 0] (augPrecond), applied through its block LU: D the
+// per-cluster R + jω L_self diagonal blocks (block-Jacobi, or SAI on
+// top), Ŝ = A D⁻¹ Aᵀ the Schur complement those blocks imply, factored
+// sparse over a pattern and symbolic analysis cached per solver.
+// Frequency sweeps warm-start every point with the previous point's
+// [i; v].
 
 // SolveMode selects how Solver.Impedance solves the branch system.
 type SolveMode int
 
 const (
 	// ModeAuto picks the dense oracle below AutoIterativeThreshold
-	// filaments and the iterative path at or above it.
+	// filaments, flat-ACA GMRES at or above it, and the nested-basis
+	// operator from AutoNestedThreshold on unless the layout has planes.
 	ModeAuto SolveMode = iota
 	// ModeDense forces the dense complex-LU oracle.
 	ModeDense
@@ -67,7 +69,10 @@ const AutoIterativeThreshold = 512
 // from the flat-ACA operator to the nested-basis one. Between the two
 // thresholds the flat build is cheaper (the nested scheme's per-node
 // far-field sampling is a fixed cost); beyond it the pairwise factors
-// grow superlinearly and shared bases win.
+// grow superlinearly and shared bases win. Layouts with planes stay on
+// flat ACA: on a PlaneNW=64 microstrip (8,200 filaments) the nested
+// operator's port solve stalls (residual 2e-6 after 1,200 iterations at
+// 20 GHz), while flat ACA converges in 46.
 const AutoNestedThreshold = 8192
 
 // String returns the CLI spelling of the mode.
@@ -151,7 +156,7 @@ func (s *Solver) effectiveMode() SolveMode {
 		return ModeNested
 	}
 	switch {
-	case len(s.fils) >= AutoNestedThreshold:
+	case len(s.fils) >= AutoNestedThreshold && !s.planes:
 		return ModeNested
 	case len(s.fils) >= AutoIterativeThreshold:
 		return ModeIterative
@@ -173,9 +178,11 @@ func (s *Solver) iterativeMode() bool {
 const gmresTol = 1e-10
 
 // gmresRestart is the Krylov dimension per GMRES cycle. Port solves at
-// the top of the band take 50–140 iterations (63 on the 8,192-filament
-// bus at 20 GHz, 69 there at restart 60); a restart inside that range
-// throws away the Krylov space the slow modes live in.
+// the top of the band take 20–60 iterations (57 on the 8,192-filament
+// bus at 20 GHz, 46 on a PlaneNW=64 plane), so one cycle holds them; a
+// restart inside a solve throws away the Krylov space the slow modes
+// live in. Basis vectors are allocated as a cycle grows, so the
+// headroom costs shorter solves nothing.
 const gmresRestart = 80
 
 // compressedOp builds (once) the hierarchically compressed
@@ -370,7 +377,11 @@ func (s *Solver) branchPrecond(bj *blockPrecond, op extract.LOperator, omega flo
 // so Ŝ is a sum of dense couplings among the reduced nodes each cluster
 // touches. The sparse pattern of that sum, every block's value slots
 // in it, and a symbolic sparse LU depend only on the cluster→node
-// incidence; one plan per solver serves every frequency.
+// incidence; one plan per solver serves every frequency. On the
+// PlaneNW=16 plane (257 nodes) a point refactors over the plan in 5 ms;
+// assembling through a sort and factoring afresh took 17 ms, which put
+// the `plane` benchmark's op at 81 instead of 66 ms and its peak RSS at
+// 34–36 instead of 27 MB (2-core Xeon).
 type schurPlan struct {
 	n      int               // reduced node count
 	tmpl   *matrix.CCSC      // pattern of Ŝ (values unused)
@@ -394,7 +405,6 @@ func (s *Solver) schur() (*schurPlan, error) {
 }
 
 func (s *Solver) buildSchurPlan(op extract.LOperator) (*schurPlan, error) {
-	inc := s.incidence()
 	nn := s.nNodes - 1
 	diags := op.DiagBlocks()
 	p := &schurPlan{n: nn, blocks: make([]schurBlock, len(diags))}
@@ -406,7 +416,7 @@ func (s *Solver) buildSchurPlan(op extract.LOperator) (*schurPlan, error) {
 	for bi, d := range diags {
 		b := &p.blocks[bi]
 		for _, fi := range d.Idx {
-			for _, r := range inc[fi] {
+			for _, r := range s.inc[fi] {
 				if r >= 0 && local[r] < 0 {
 					local[r] = 0 // seen; numbered after the sort
 					b.nodes = append(b.nodes, r)
@@ -419,7 +429,7 @@ func (s *Solver) buildSchurPlan(op extract.LOperator) (*schurPlan, error) {
 		}
 		b.ends = make([][2]int, len(d.Idx))
 		for a, fi := range d.Idx {
-			for e, r := range inc[fi] {
+			for e, r := range s.inc[fi] {
 				b.ends[a][e] = -1
 				if r >= 0 {
 					b.ends[a][e] = local[r]
@@ -581,9 +591,9 @@ func (o *augOp) ApplyTo(dst, x []complex128) {
 // voltages: the filaments' mean resistance. Unscaled, the 1 A port
 // drive asks the branch equations for a far tighter absolute residual
 // than the nodal solves' right-hand sides A^T e_k did, tighter than a
-// compressed matvec's rounding can deliver, and GMRES spends short
-// restart cycles at that floor (100–130 iterations instead of 65 on the
-// 8,192-filament bus at 20 GHz, at the same answer).
+// compressed matvec's rounding can deliver, and GMRES spends iterations
+// at that floor (104 instead of 57 on the 8,192-filament bus at 20 GHz,
+// at the same answer).
 func (s *Solver) kclScale() float64 {
 	sum := 0.0
 	for i := range s.fils {
@@ -595,24 +605,47 @@ func (s *Solver) kclScale() float64 {
 	return sum / float64(len(s.fils))
 }
 
-// augPrecond applies the block upper-triangular preconditioner of the
-// scaled system, P = [D −ρAᵀ; 0 ρ²Ŝ]: y_v = Ŝ⁻¹ r_v / ρ², then
-// y_i = D⁻¹ (r_i + ρAᵀ y_v). t and sc are its scratch, so an apply
-// allocates nothing.
+// augPrecond applies the constraint preconditioner of the scaled
+// system: the augmented matrix with Zb replaced by its block diagonal D,
+// through its block LU factors
+//
+//	[D  −ρAᵀ]   [I      0] [D  −ρAᵀ]
+//	[ρA   0 ] = [ρAD⁻¹  I] [0  ρ²Ŝ ],
+//
+// so r_v' = r_v − ρA D⁻¹ r_i, y_v = Ŝ⁻¹ r_v' / ρ² and
+// y_i = D⁻¹ (r_i + ρAᵀ y_v). The preconditioned operator then departs
+// from the identity only through the off-block coupling Zb − D, for a
+// residual in the branch rows (a warm start's) as much as in the node
+// rows (the port drive's). The upper factor alone would treat node
+// residuals exactly but turn a branch residual into an O(1) node one: a
+// warm-started point would take an extra iteration, and the plane at
+// 20 GHz 52 iterations instead of 22. t, rv and sc are its scratch, so
+// an apply allocates nothing.
 type augPrecond struct {
-	d     func(dst, src []complex128) // D⁻¹ over the branch block
-	schur *matrix.SparseCLU
-	inc   [][2]int
-	rho   complex128
-	t, sc []complex128
+	d      func(dst, src []complex128) // D⁻¹ over the branch block
+	schur  *matrix.SparseCLU
+	inc    [][2]int
+	rho    complex128
+	t      []complex128
+	rv, sc []complex128
 }
 
 func (p *augPrecond) apply(dst, src []complex128) {
 	nf := len(p.inc)
+	p.d(p.t, src[:nf])
+	copy(p.rv, src[nf:])
+	for f, r := range p.inc {
+		if r[0] >= 0 {
+			p.rv[r[0]] -= p.rho * p.t[f]
+		}
+		if r[1] >= 0 {
+			p.rv[r[1]] += p.rho * p.t[f]
+		}
+	}
 	yv := dst[nf:]
 	// Ŝ factored without error, so its pivots are nonzero and the solve
 	// cannot fail.
-	_ = p.schur.SolveTo(yv, src[nf:], p.sc)
+	_ = p.schur.SolveTo(yv, p.rv, p.sc)
 	inv := 1 / (p.rho * p.rho)
 	for k := range yv {
 		yv[k] *= inv
@@ -644,13 +677,12 @@ func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("fasthenry: port network disconnected: %w", err)
 	}
-	inc := s.incidence()
-	nf := len(s.fils)
+	nf, nn := len(s.fils), s.nNodes-1
 	rho := complex(s.kclScale(), 0)
-	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}, inc: inc, rho: rho}
+	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}, inc: s.inc, rho: rho}
 	pre := &augPrecond{
-		d: s.branchPrecond(bj, op, omega), schur: sc, inc: inc, rho: rho,
-		t: make([]complex128, nf), sc: make([]complex128, plan.n),
+		d: s.branchPrecond(bj, op, omega), schur: sc, inc: s.inc, rho: rho,
+		t: make([]complex128, nf), rv: make([]complex128, nn), sc: make([]complex128, nn),
 	}
 	return aop, pre, nil
 }

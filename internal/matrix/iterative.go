@@ -407,6 +407,9 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 		if rs != nil && j >= recycleHarvest {
 			rs.harvest(v, hraw, j, hj1, opt.Precond)
 			harvested = true
+			// A harvest that overflows MaxDim drops the oldest projected
+			// columns; the next cycle deflates only what is left.
+			kd = len(rs.c)
 		}
 	}
 	if rs != nil && !harvested && lastJ >= 2 {

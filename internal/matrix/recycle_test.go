@@ -253,3 +253,31 @@ func TestRecycleSpaceDimensionChange(t *testing.T) {
 	}
 	checkResidual(t, a2, x, b2, 1e-9)
 }
+
+// TestGMRESRecycledHarvestOverflowMidSolve: a solve that restarts after
+// a harvest has overflowed MaxDim (dropping the projected columns the
+// solve started with) deflates only the columns that are left.
+func TestGMRESRecycledHarvestOverflowMidSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 120
+	l, r := outlierL(rng, n)
+	b := make([]complex128, n)
+	for i := range b {
+		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	opt := GMRESOptions{Tol: 1e-10, Restart: 10}
+	rs := &RecycleSpace{MaxDim: recycleHarvest}
+	for _, om := range []float64{2, 2.1} {
+		a := sweepOperator(rng, n, om, l, r)
+		rs.Invalidate()
+		x, res, err := GMRES(CDenseOp{a}, b, opt, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Restarts < 2 {
+			t.Fatalf("omega=%g: converged %v after %d restarts, want convergence over several cycles",
+				om, res.Converged, res.Restarts)
+		}
+		checkResidual(t, a, x, b, 1e-9)
+	}
+}
