@@ -158,6 +158,14 @@ func TestGoldenClocksim(t *testing.T) {
 	checkGolden(t, "clocksim", runTool(t, filepath.Join(dir, "clocksim")))
 }
 
+func TestGoldenClocksimScaled(t *testing.T) {
+	dir := buildTools(t)
+	// The 6x6-grid, 3-level tree: 8 sinks, so the loop flow shorts
+	// eight different receivers against one shared extraction.
+	checkGolden(t, "clocksim_scaled", runTool(t, filepath.Join(dir, "clocksim"),
+		"-nx", "6", "-ny", "6", "-levels", "3"))
+}
+
 func TestGoldenGridnoise(t *testing.T) {
 	dir := buildTools(t)
 	checkGolden(t, "gridnoise", runTool(t, filepath.Join(dir, "gridnoise")))
