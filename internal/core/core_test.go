@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"inductance101/internal/engine"
 	"inductance101/internal/grid"
 )
 
@@ -11,7 +12,14 @@ import (
 // fast under `go test`.
 func testCase(t *testing.T) *ClockCase {
 	t.Helper()
+	return testCaseWith(t, engine.Config{})
+}
+
+// testCaseWith is testCase under the given engine configuration.
+func testCaseWith(t *testing.T, cfg engine.Config) *ClockCase {
+	t.Helper()
 	opt := DefaultCaseOptions()
+	opt.Engine = cfg
 	opt.Grid = grid.Spec{
 		NX: 3, NY: 3, Pitch: 100e-6, Width: 4e-6,
 		LayerX: 0, LayerY: 1, ViaR: 0.4,

@@ -67,38 +67,43 @@ func (c *ClockCase) RunLoopCtx(ctx context.Context, opt LoopOptions) (*FlowResul
 	segs := append([]int(nil), c.Clock.Segs...)
 	segs = append(segs, c.gndSegs()...)
 
-	// Per-sink ladder extraction.
+	// Per-sink ladder extraction: one solver over the unshorted mesh,
+	// each sink's receiver-to-ground short applied per solve.
 	ladders := make([]loopmodel.Ladder, len(c.Clock.Sinks))
 	if err := pipe.Run(ctx, "extract", func(context.Context) (string, error) {
-		fhOpt := c.session().SolverOptions()
-		fhOpt.MaxPerSide = 2
+		shorts := make([][2]string, len(c.Clock.Sinks))
 		for k, sink := range c.Clock.Sinks {
 			x, y, err := c.sinkPosition(sink)
 			if err != nil {
 				return "", err
 			}
-			shorts := [][2]string{{sink, c.nearestGndNode(x, y)}}
-			solver, err := fasthenry.NewSolver(lay, segs,
-				fasthenry.Port{Plus: c.Clock.Root, Minus: c.DriverGnd},
-				shorts, opt.FHigh, fhOpt)
-			if err != nil {
-				return "", fmt.Errorf("core: loop extraction for sink %d: %w", k, err)
-			}
-			zLo, err := solver.Impedance(opt.FLow)
-			if err != nil {
-				return "", err
-			}
-			if !opt.Ladder {
-				r, l := loopmodel.SingleFrequencyRL(zLo, opt.FLow)
+			shorts[k] = [2]string{sink, c.nearestGndNode(x, y)}
+		}
+		fhOpt := c.session().SolverOptions()
+		fhOpt.MaxPerSide = 2
+		solver, err := fasthenry.NewSolver(lay, segs,
+			fasthenry.Port{Plus: c.Clock.Root, Minus: c.DriverGnd},
+			nil, opt.FHigh, fhOpt)
+		if err != nil {
+			return "", fmt.Errorf("core: loop extraction: %w", err)
+		}
+		zLo, err := solver.ImpedanceEachShort(opt.FLow, shorts)
+		if err != nil {
+			return "", fmt.Errorf("core: loop extraction: %w", err)
+		}
+		if !opt.Ladder {
+			for k, z := range zLo {
+				r, l := loopmodel.SingleFrequencyRL(z, opt.FLow)
 				ladders[k] = loopmodel.Ladder{R0: r, L0: l}
-				continue
 			}
-			zHi, err := solver.Impedance(opt.FHigh)
-			if err != nil {
-				return "", err
-			}
-			ladders[k], err = loopmodel.FitTwoPoint(zLo, opt.FLow, zHi, opt.FHigh)
-			if err != nil {
+			return fmt.Sprintf("%d sink loops", len(ladders)), nil
+		}
+		zHi, err := solver.ImpedanceEachShort(opt.FHigh, shorts)
+		if err != nil {
+			return "", fmt.Errorf("core: loop extraction: %w", err)
+		}
+		for k := range ladders {
+			if ladders[k], err = loopmodel.FitTwoPoint(zLo[k], opt.FLow, zHi[k], opt.FHigh); err != nil {
 				return "", err
 			}
 		}

@@ -3,6 +3,9 @@ package core
 import (
 	"math"
 	"testing"
+
+	"inductance101/internal/engine"
+	"inductance101/internal/fasthenry"
 )
 
 func TestLoopFlowMultiSegmentAndSingleFrequency(t *testing.T) {
@@ -44,5 +47,43 @@ func TestLoopFlowMultiSegmentAndSingleFrequency(t *testing.T) {
 	bad.FLow, bad.FHigh = 1e10, 1e9
 	if _, err := c.RunLoop(bad); err == nil {
 		t.Errorf("inverted band accepted")
+	}
+}
+
+// TestLoopFlowIterativeModes runs the loop flow end to end with the
+// solve mode forced onto the compressed-operator paths, so every sink's
+// short goes through a port GMRES over the one shared operator: the
+// per-sink delays must match the dense flow's, with the two-point
+// ladder and with the single-frequency model.
+func TestLoopFlowIterativeModes(t *testing.T) {
+	dense := testCase(t)
+	for _, mode := range []fasthenry.SolveMode{fasthenry.ModeIterative, fasthenry.ModeNested} {
+		c := testCaseWith(t, engine.Config{SolveMode: mode})
+		if got := c.session().SolverOptions().Mode; got != mode {
+			t.Fatalf("session solve mode %v, want %v", got, mode)
+		}
+		for _, ladder := range []bool{true, false} {
+			opt := DefaultLoopOptions()
+			opt.TStop, opt.TStep = 2.0e-9, 4e-12
+			opt.Ladder = ladder
+			want, err := dense.RunLoop(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.RunLoop(opt)
+			if err != nil {
+				t.Fatalf("%v ladder=%v: %v", mode, ladder, err)
+			}
+			if len(got.Delays) != len(want.Delays) || len(got.Delays) != len(c.Clock.Sinks) {
+				t.Fatalf("%v ladder=%v: %d delays, dense %d, %d sinks",
+					mode, ladder, len(got.Delays), len(want.Delays), len(c.Clock.Sinks))
+			}
+			for k := range got.Delays {
+				if d := math.Abs(got.Delays[k]-want.Delays[k]) / want.Delays[k]; d > 1e-6 {
+					t.Errorf("%v ladder=%v sink %d: delay %g, dense %g (rel %.2g)",
+						mode, ladder, k, got.Delays[k], want.Delays[k], d)
+				}
+			}
+		}
 	}
 }

@@ -15,6 +15,9 @@
 // preconditioned GMRES per frequency on the augmented system
 // [Zb −A^T; A 0][i; v] = [0; e_plus], so their cost follows the
 // filament count and the Krylov iterations, not the node count.
+// ImpedanceEachShort extracts the port under several alternative
+// shorts from one factorization or one compressed operator (see
+// shorts.go).
 //
 // Substitution note (see DESIGN.md §5): FastHenry accelerates the
 // solve with a multipole expansion; here hierarchical (ACA/H²)
@@ -106,6 +109,7 @@ func (o Options) meshOptions() mesh.Options {
 type Solver struct {
 	fils   []mesh.Filament
 	entry  func(i, j int) float64 // filament partial-inductance kernel
+	mesh   *mesh.Mesh             // node names, for ImpedanceEachShort
 	nNodes int
 	plus   int // node index of port plus (minus is the reference)
 	minus  int
@@ -153,6 +157,7 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 	s := &Solver{
 		fils:   m.Filaments,
 		entry:  extract.FilamentEntry(m.Filaments, opt.Cache),
+		mesh:   m,
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
 		planes: m.PlaneFilaments > 0,
 		mode:   opt.Mode, acaTol: opt.ACATol, precond: opt.Precond,
@@ -167,18 +172,6 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 	return s, nil
 }
 
-// lpEntry returns the partial inductance between filaments i and j
-// (symmetric in its arguments): extract.FilamentEntry over the lowered
-// mesh, routed through the solver's kernel cache.
-func (s *Solver) lpEntry(i, j int) float64 {
-	if s.entry == nil {
-		// Solvers assembled literally in tests bypass NewSolver; build
-		// the entry function over the bare filament slice on first use.
-		s.entry = extract.FilamentEntry(s.fils, s.cache)
-	}
-	return s.entry(i, j)
-}
-
 // denseLP materializes (once) the dense partial-inductance matrix over
 // filaments — the exact oracle the dense solve path factorizes and the
 // compressed operator is verified against.
@@ -187,12 +180,12 @@ func (s *Solver) denseLP() *matrix.Dense {
 		nf := len(s.fils)
 		lp := matrix.NewDense(nf, nf)
 		for i := 0; i < nf; i++ {
-			lp.Set(i, i, s.lpEntry(i, i))
+			lp.Set(i, i, s.entry(i, i))
 			for j := i + 1; j < nf; j++ {
 				if s.fils[i].Dir != s.fils[j].Dir {
 					continue
 				}
-				m := s.lpEntry(i, j)
+				m := s.entry(i, j)
 				lp.Set(i, j, m)
 				lp.Set(j, i, m)
 			}
@@ -232,6 +225,17 @@ func (s *Solver) Impedance(f float64) (complex128, error) {
 // impedanceDense is the exact direct path: dense complex LU of the
 // branch impedance matrix at this frequency.
 func (s *Solver) impedanceDense(f float64) (complex128, error) {
+	y, err := s.admittance(f)
+	if err != nil {
+		return 0, err
+	}
+	return s.portSolve(y)
+}
+
+// admittance LU-factors the branch impedance matrix Zb at frequency f
+// and assembles the nodal admittance with the port minus node as
+// reference, Y = A Zb^{-1} A^T with A the reduced incidence matrix.
+func (s *Solver) admittance(f float64) (*matrix.CDense, error) {
 	omega := 2 * math.Pi * f
 	nf := len(s.fils)
 	lp := s.denseLP()
@@ -247,11 +251,9 @@ func (s *Solver) impedanceDense(f float64) (complex128, error) {
 	}
 	lu, err := matrix.FactorComplexLU(zb)
 	if err != nil {
-		return 0, fmt.Errorf("fasthenry: branch impedance singular: %w", err)
+		return nil, fmt.Errorf("fasthenry: branch impedance singular: %w", err)
 	}
 
-	// Nodal admittance with the port minus node as reference:
-	// Y = A Zb^{-1} A^T with A the reduced incidence matrix.
 	nn := s.nNodes - 1
 	// X[:, k] = Zb^{-1} * (A^T e_k) would need nn solves; instead solve
 	// Zb^{-1} once per filament-incidence column: W = Zb^{-1} A^T is
@@ -259,15 +261,15 @@ func (s *Solver) impedanceDense(f float64) (complex128, error) {
 	// nodes), then Y = A W.
 	y := matrix.NewCDense(nn, nn)
 	col := make([]complex128, nf)
+	w := make([]complex128, nf)
 	for k := 0; k < nn; k++ {
 		s.incidenceColumn(col, k)
-		w, err := lu.Solve(col)
-		if err != nil {
-			return 0, err
+		if err := lu.SolveTo(w, col); err != nil {
+			return nil, err
 		}
 		s.scatterAdmittance(y, k, w)
 	}
-	return s.portSolve(y)
+	return y, nil
 }
 
 // incidenceColumn fills col with the A^T e_k column: +1/-1 at the

@@ -206,10 +206,10 @@ func (s *Solver) compressedOp() extract.LOperator {
 			tol = 1e-8
 		}
 		if s.effectiveMode() == ModeNested {
-			s.op = extract.CompressLH2(elems, trees, s.lpEntry,
+			s.op = extract.CompressLH2(elems, trees, s.entry,
 				extract.H2Options{Tol: tol, Workers: s.workers})
 		} else {
-			s.op = extract.CompressL(elems, trees, s.lpEntry,
+			s.op = extract.CompressL(elems, trees, s.entry,
 				extract.ACAOptions{Tol: tol, Workers: s.workers})
 		}
 	})

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // CDense is a dense, row-major complex matrix, used by AC analysis
 // (internal/sim) and frequency-domain extraction (internal/fasthenry).
@@ -81,57 +78,17 @@ func (m *CDense) MulVec(x []complex128) []complex128 {
 	return y
 }
 
-// SolveComplex solves a*x = b with complex LU and partial pivoting.
-// a is not modified.
+// SolveComplex solves a*x = b with complex LU and partial pivoting
+// (FactorComplexLU, then one SolveTo). a is not modified.
 func SolveComplex(a *CDense, b []complex128) ([]complex128, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("matrix: complex solve of non-square %dx%d", a.rows, a.cols)
+	if len(b) != a.rows {
+		return nil, fmt.Errorf("matrix: complex solve rhs length %d, want %d", len(b), a.rows)
 	}
-	n := a.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: complex solve rhs length %d, want %d", len(b), n)
+	lu, err := FactorComplexLU(a)
+	if err != nil {
+		return nil, err
 	}
-	lu := a.Clone()
-	d := lu.data
-	x := make([]complex128, n)
-	copy(x, b)
-	for k := 0; k < n; k++ {
-		p, mx := k, cmplx.Abs(d[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(d[i*n+k]); a > mx {
-				p, mx = i, a
-			}
-		}
-		if mx == 0 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for j := k; j < n; j++ {
-				d[k*n+j], d[p*n+j] = d[p*n+j], d[k*n+j]
-			}
-			x[k], x[p] = x[p], x[k]
-		}
-		piv := d[k*n+k]
-		for i := k + 1; i < n; i++ {
-			f := d[i*n+k] / piv
-			if f == 0 {
-				continue
-			}
-			d[i*n+k] = f
-			for j := k + 1; j < n; j++ {
-				d[i*n+j] -= f * d[k*n+j]
-			}
-			x[i] -= f * x[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= d[i*n+j] * x[j]
-		}
-		x[i] = s / d[i*n+i]
-	}
-	return x, nil
+	return lu.Solve(b)
 }
 
 // CFromReal builds a complex matrix re + 1i*im. im may be nil (treated

@@ -188,3 +188,88 @@ func TestMGSolvePCGAllocations(t *testing.T) {
 		t.Errorf("SolvePCG allocates %.0f B per solve, want < %.0f (1.5x the %d-node solution)", perSolve, limit, g.N)
 	}
 }
+
+// pinSolveComplexSystems is the SolveComplex pin set: random systems of
+// every order up to 60 with ~30% exact zeros (so the elimination meets
+// zero multipliers and pivots out of place), then near-singular ones
+// whose last row repeats the first up to a 1e-12 perturbation.
+func pinSolveComplexSystems() (as []*matrix.CDense, bs [][]complex128) {
+	rng := rand.New(rand.NewSource(7))
+	entry := func() complex128 {
+		if rng.Float64() < 0.3 {
+			return 0
+		}
+		return complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	for n := 1; n <= 60; n++ {
+		a := matrix.NewCDense(n, n)
+		b := make([]complex128, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, entry())
+			}
+			b[i] = entry()
+		}
+		as, bs = append(as, a), append(bs, b)
+	}
+	for _, n := range []int{2, 5, 17, 40} {
+		a := matrix.NewCDense(n, n)
+		b := make([]complex128, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, entry())
+			}
+			b[i] = complex(rng.NormFloat64(), 0)
+		}
+		for j := 0; j < n; j++ {
+			a.Set(n-1, j, a.At(0, j)*complex(1+1e-12*rng.NormFloat64(), 0))
+		}
+		as, bs = append(as, a), append(bs, b)
+	}
+	return as, bs
+}
+
+// TestSolveComplexBitIdentityPin pins SolveComplex's solutions to the
+// values of its former inline elimination loop (recorded before it
+// became FactorComplexLU followed by SolveTo): the AC sweep, PRIMA's
+// transfer function and the FastHenry port solve all go through it, and
+// their goldens are bit-identical only as long as this hash holds.
+// Systems that are singular to the last bit must keep failing with
+// ErrSingular.
+func TestSolveComplexBitIdentityPin(t *testing.T) {
+	as, bs := pinSolveComplexSystems()
+	h := fnv.New64a()
+	singular := 0
+	for k, a := range as {
+		x, err := matrix.SolveComplex(a, bs[k])
+		if err == matrix.ErrSingular {
+			singular++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("system %d: %v", k, err)
+		}
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], hashComplex(x))
+		h.Write(buf[:])
+	}
+	const want = 0xbb4d844a751d540f
+	if got := h.Sum64(); got != want || singular != 0 {
+		t.Errorf("SolveComplex pin: hash %#016x, %d singular; want %#016x, 0", got, singular, uint64(want))
+	}
+
+	// A zero column is singular at its elimination step.
+	z := matrix.NewCDense(3, 3)
+	z.Set(0, 0, 1)
+	z.Set(1, 2, 2)
+	z.Set(2, 2, 3)
+	if _, err := matrix.SolveComplex(z, make([]complex128, 3)); err != matrix.ErrSingular {
+		t.Errorf("zero column: err = %v, want ErrSingular", err)
+	}
+	if _, err := matrix.SolveComplex(matrix.NewCDense(2, 3), make([]complex128, 2)); err == nil {
+		t.Error("non-square system solved without error")
+	}
+	if _, err := matrix.SolveComplex(matrix.NewCDense(2, 2), make([]complex128, 3)); err == nil {
+		t.Error("mismatched right-hand side solved without error")
+	}
+}

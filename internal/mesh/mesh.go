@@ -124,7 +124,7 @@ func ValidatePlaneNW(nw int) error {
 
 // Mesh is the lowered filament set plus the electrical node space the
 // filaments connect. It is immutable except for Node, which may mint
-// ids for names (ports) that appear on no conductor.
+// ids for names (ports) that appear on no conductor; Lookup never does.
 type Mesh struct {
 	Filaments []Filament
 	// SegFilaments and PlaneFilaments count the filaments by source.
@@ -165,6 +165,22 @@ func (m *Mesh) Node(name string) int {
 	m.nodeID[r] = id
 	m.nNodes++
 	return id
+}
+
+// Lookup resolves a node name through the shorts/via merges to its id
+// without minting one: ok is false for a name on no conductor (and
+// never named a port through Node). It does not modify the mesh, so
+// concurrent Lookups are safe.
+func (m *Mesh) Lookup(name string) (id int, ok bool) {
+	for {
+		p, seen := m.parent[name]
+		if !seen || p == name {
+			break
+		}
+		name = p
+	}
+	id, ok = m.nodeID[name]
+	return id, ok
 }
 
 // anonNode mints an id with no name — a plane-interior grid node,

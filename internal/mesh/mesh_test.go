@@ -299,23 +299,34 @@ func TestBuildErrors(t *testing.T) {
 }
 
 // TestNodeMinting checks Node's contract for names no conductor
-// carries: a fresh id, stable on repeat, counted by NumNodes.
+// carries: a fresh id, stable on repeat, counted by NumNodes; Lookup
+// reports them missing instead.
 func TestNodeMinting(t *testing.T) {
 	lay := geom.NewLayout(twoLayers())
 	si := lay.AddSegment(geom.Segment{
 		Layer: 1, Dir: geom.DirX, X0: 0, Y0: 0,
 		Length: 10e-6, Width: 2e-6, Net: "sig", NodeA: "a", NodeB: "b",
 	})
-	m, err := Build(lay, []int{si}, nil, 1e9, Options{})
+	m, err := Build(lay, []int{si}, [][2]string{{"b", "b_alias"}}, 1e9, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := m.NumNodes()
+	// Lookup resolves merged names and never mints.
+	if id, ok := m.Lookup("b_alias"); !ok || id != m.Node("b") {
+		t.Errorf("Lookup(b_alias) = %d, %v; want Node(b) = %d", id, ok, m.Node("b"))
+	}
+	if id, ok := m.Lookup("ghost"); ok || m.NumNodes() != before {
+		t.Errorf("Lookup(ghost) = %d, %v with NumNodes %d -> %d; want not found, no new node", id, ok, before, m.NumNodes())
+	}
 	g := m.Node("ghost")
 	if g < before || m.NumNodes() != before+1 {
 		t.Errorf("minted node %d, NumNodes %d -> %d", g, before, m.NumNodes())
 	}
 	if m.Node("ghost") != g {
 		t.Error("repeat Node lookup minted a second id")
+	}
+	if id, ok := m.Lookup("ghost"); !ok || id != g {
+		t.Errorf("Lookup(ghost) after Node = %d, %v; want %d", id, ok, g)
 	}
 }

@@ -168,7 +168,8 @@ func Reduce(m *circuit.MNA, activePorts []Port, observeNodes []int, opt Options)
 }
 
 // TransferAt evaluates the reduced transfer matrix
-// H(jω) = Lr^T (Gr + jω Cr)^{-1} Br  (observations x ports).
+// H(jω) = Lr^T (Gr + jω Cr)^{-1} Br  (observations x ports), factoring
+// Gr + jω Cr once and solving each port column over that factor.
 func (rm *ReducedModel) TransferAt(omega float64) (*matrix.CDense, error) {
 	q := rm.Order()
 	a := matrix.NewCDense(q, q)
@@ -177,16 +178,20 @@ func (rm *ReducedModel) TransferAt(omega float64) (*matrix.CDense, error) {
 			a.Set(i, j, complex(rm.Gr.At(i, j), omega*rm.Cr.At(i, j)))
 		}
 	}
+	lu, err := matrix.FactorComplexLU(a)
+	if err != nil {
+		return nil, err
+	}
 	p := rm.Br.Cols()
 	o := rm.Lr.Cols()
 	h := matrix.NewCDense(o, p)
 	col := make([]complex128, q)
+	x := make([]complex128, q)
 	for pj := 0; pj < p; pj++ {
 		for i := 0; i < q; i++ {
 			col[i] = complex(rm.Br.At(i, pj), 0)
 		}
-		x, err := matrix.SolveComplex(a, col)
-		if err != nil {
+		if err := lu.SolveTo(x, col); err != nil {
 			return nil, err
 		}
 		for oi := 0; oi < o; oi++ {
