@@ -1,7 +1,5 @@
 package matrix
 
-import "container/heap"
-
 // Fill-reducing ordering for the sparse direct solvers: a greedy
 // minimum-degree elimination on the symmetrized pattern of A + A^T, the
 // same family as the approximate-minimum-degree (AMD) orderings used by
@@ -11,35 +9,57 @@ import "container/heap"
 // targets; ties break on the smallest node index so the ordering — and
 // therefore every downstream factorization — is deterministic.
 
-// degHeap is a lazy min-heap of (degree, node) pairs: stale entries are
-// skipped at pop time instead of being re-keyed.
-type degHeap struct {
-	deg  []int
-	node []int
+// degItem is one (degree, node) entry of the elimination heap.
+type degItem struct{ deg, node int }
+
+// degHeap is a lazy min-heap of (degree, node) pairs ordered by degree,
+// then node index: stale entries are skipped at pop time instead of
+// being re-keyed. The pair order is total, so the pop sequence depends
+// only on which entries were pushed, never on the push order.
+type degHeap []degItem
+
+func (h degHeap) less(a, b int) bool {
+	if h[a].deg != h[b].deg {
+		return h[a].deg < h[b].deg
+	}
+	return h[a].node < h[b].node
 }
 
-func (h *degHeap) Len() int { return len(h.node) }
-func (h *degHeap) Less(a, b int) bool {
-	if h.deg[a] != h.deg[b] {
-		return h.deg[a] < h.deg[b]
+func (h *degHeap) push(it degItem) {
+	*h = append(*h, it)
+	s := *h
+	for k := len(s) - 1; k > 0; {
+		p := (k - 1) / 2
+		if !s.less(k, p) {
+			break
+		}
+		s[k], s[p] = s[p], s[k]
+		k = p
 	}
-	return h.node[a] < h.node[b]
 }
-func (h *degHeap) Swap(a, b int) {
-	h.deg[a], h.deg[b] = h.deg[b], h.deg[a]
-	h.node[a], h.node[b] = h.node[b], h.node[a]
-}
-func (h *degHeap) Push(x any) {
-	p := x.([2]int)
-	h.deg = append(h.deg, p[0])
-	h.node = append(h.node, p[1])
-}
-func (h *degHeap) Pop() any {
-	n := len(h.node) - 1
-	p := [2]int{h.deg[n], h.node[n]}
-	h.deg = h.deg[:n]
-	h.node = h.node[:n]
-	return p
+
+func (h *degHeap) pop() degItem {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for k := 0; ; {
+		c := 2*k + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s.less(c+1, c) {
+			c++
+		}
+		if !s.less(c, k) {
+			break
+		}
+		s[k], s[c] = s[c], s[k]
+		k = c
+	}
+	*h = s
+	return top
 }
 
 // MinDegreeOrdering returns an elimination order q for the n x n pattern
@@ -49,60 +69,73 @@ func (h *degHeap) Pop() any {
 // close to what AMD achieves on the grid/interconnect matrices this
 // repository assembles.
 func MinDegreeOrdering(n int, colPtr, rowIdx []int) []int {
-	// Symmetrized adjacency as per-node sets. Maps keep the clique
-	// unions simple; determinism comes from degree counts and index
-	// tie-breaks, never from map iteration order.
-	adj := make([]map[int]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int]struct{}, 8)
-	}
+	// Symmetrized adjacency as duplicate-free per-node lists. A stamp
+	// array marks set membership for the deduplication and the clique
+	// unions; determinism comes from degree counts and index
+	// tie-breaks, never from list order.
+	adj := make([][]int, n)
 	for j := 0; j < n; j++ {
 		for p := colPtr[j]; p < colPtr[j+1]; p++ {
 			i := rowIdx[p]
 			if i == j || i < 0 || i >= n {
 				continue
 			}
-			adj[i][j] = struct{}{}
-			adj[j][i] = struct{}{}
+			adj[i] = append(adj[i], j)
+			adj[j] = append(adj[j], i)
 		}
 	}
-	h := &degHeap{}
-	for i := 0; i < n; i++ {
-		h.deg = append(h.deg, len(adj[i]))
-		h.node = append(h.node, i)
+	mark := make([]int, n)
+	stamp := 0
+	h := make(degHeap, 0, 2*n)
+	for i, ai := range adj {
+		stamp++
+		k := 0
+		for _, u := range ai {
+			if mark[u] != stamp {
+				mark[u] = stamp
+				ai[k] = u
+				k++
+			}
+		}
+		adj[i] = ai[:k]
+		h.push(degItem{k, i})
 	}
-	heap.Init(h)
 
 	order := make([]int, 0, n)
 	eliminated := make([]bool, n)
-	nbrs := make([]int, 0, 64)
 	for len(order) < n {
-		p := heap.Pop(h).([2]int)
-		v := p[1]
-		if eliminated[v] || p[0] != len(adj[v]) {
+		it := h.pop()
+		v := it.node
+		if eliminated[v] || it.deg != len(adj[v]) {
 			continue // stale heap entry
 		}
 		eliminated[v] = true
 		order = append(order, v)
 
-		// Form the elimination clique: v's surviving neighbours become
-		// pairwise adjacent, and each drops v.
-		nbrs = nbrs[:0]
-		for u := range adj[v] {
-			nbrs = append(nbrs, u)
-		}
+		// Form the elimination clique: each of v's surviving neighbours
+		// drops v and gains the others.
+		nbrs := adj[v]
 		adj[v] = nil
 		for _, u := range nbrs {
-			delete(adj[u], v)
-		}
-		for _, u := range nbrs {
+			stamp++
+			mark[u] = stamp
 			au := adj[u]
-			for _, w := range nbrs {
-				if w != u {
-					au[w] = struct{}{}
+			k := 0
+			for _, w := range au {
+				if w != v {
+					mark[w] = stamp
+					au[k] = w
+					k++
 				}
 			}
-			heap.Push(h, [2]int{len(au), u})
+			au = au[:k]
+			for _, w := range nbrs {
+				if mark[w] != stamp {
+					au = append(au, w)
+				}
+			}
+			adj[u] = au
+			h.push(degItem{len(au), u})
 		}
 	}
 	return order
