@@ -209,21 +209,24 @@ func TestBenchSparseSnapshot(t *testing.T) {
 		t.Fatalf("sparse Cholesky speedup %.1fx below the 5x requirement", denseIR/cholIR)
 	}
 
-	// Transient: sparse LU path against the dense stepper on the same
-	// grid, short horizon (the factorization dominates both).
+	// Transient: sparse LU path (sim.Tran) against the dense-LU oracle
+	// (sim.TranFrom on the dense MNA) on the same grid, short horizon
+	// (the factorization dominates both).
 	n.AddI("bench_load", m.VddX[spec.NY/2][spec.NX/2], "0",
 		circuit.Pulse{V1: 0, V2: 0.02, Delay: 10e-12, Rise: 20e-12, Width: 200e-12, Fall: 20e-12})
 	tranOpt := sim.TranOptions{TStop: 0.5e-9, TStep: 10e-12}
-	var sparseTran, denseTran float64
-	tranOpt.Policy.SparseThreshold = 1
-	sparseTran = benchBest(3, func() {
+	sparseTran := benchBest(3, func() {
 		if _, err := sim.Tran(n, tranOpt); err != nil {
 			t.Fatal(err)
 		}
 	})
-	tranOpt.Policy.SparseThreshold = -1
-	denseTran = benchBest(1, func() {
-		if _, err := sim.Tran(n, tranOpt); err != nil {
+	denseTran := benchBest(1, func() {
+		dm := circuit.Build(n)
+		x0, err := sim.OP(dm, 0, tranOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.TranFrom(dm, x0, tranOpt); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -61,9 +61,8 @@ func MeasureBlock(gm GateModel, nGates int, widthPerGate, freq float64) (Represe
 		n.AddR(fmt.Sprintf("rg%d", i), "vdd", mid, gm.ResPerWidth/widthPerGate)
 		n.AddC(fmt.Sprintf("cg%d", i), mid, "0", gm.CapPerWidth*widthPerGate)
 	}
-	m := circuit.Build(n)
 	omega := 2 * math.Pi * freq
-	x, err := sim.AC(m, omega, sim.ACStimulus{VSourceAmps: map[int]complex128{vi: 1}})
+	x, err := sim.AC(n, omega, sim.ACStimulus{VSourceAmps: map[int]complex128{vi: 1}})
 	if err != nil {
 		return RepresentativeBlock{}, err
 	}

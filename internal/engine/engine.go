@@ -165,10 +165,6 @@ type Config struct {
 	// extraction rows, factorization strips, sweep points, AC points.
 	// 0 = process default (matrix.Workers), 1 = fully serial.
 	Workers int
-	// SparseThreshold is the MNA size at which transient/AC analyses
-	// switch to the sparse direct solver: > 0 explicit, 0 = built-in
-	// default (256), < 0 = dense at every size.
-	SparseThreshold int
 	// SolveMode picks the fasthenry solve path
 	// (auto/dense/iterative/nested).
 	SolveMode fasthenry.SolveMode
@@ -348,8 +344,7 @@ func (s *Session) ResetCache() { s.cache.Reset() }
 // SimPolicy mints the sim-layer solver policy for this run.
 func (s *Session) SimPolicy() sim.Policy {
 	return sim.Policy{
-		Workers: s.cfg.Workers, SparseThreshold: s.cfg.SparseThreshold,
-		SweepMode: s.cfg.SweepMode, SweepTol: s.cfg.SweepTol,
+		Workers: s.cfg.Workers, SweepMode: s.cfg.SweepMode, SweepTol: s.cfg.SweepTol,
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 func TestZeroConfigInheritsDefaults(t *testing.T) {
 	s := New(Config{})
-	if pol := s.SimPolicy(); pol.Workers != 0 || pol.SparseThreshold != 0 {
+	if pol := s.SimPolicy(); pol.Workers != 0 || pol.SweepMode != sweep.ModeAuto || pol.SweepTol != 0 {
 		t.Errorf("zero config minted non-inheriting policy %+v", pol)
 	}
 	opt := s.SolverOptions()

@@ -45,24 +45,21 @@ func raceNetlist() *circuit.Netlist {
 
 // TestConcurrentSessionsConflictingConfigs runs two sessions with
 // deliberately opposed configs — dense vs iterative solve, private
-// cache vs no cache, serial vs parallel, dense-forced vs
-// sparse-forced transient — concurrently through the fasthenry sweep
-// and transient paths. Under -race this proves per-run config threads
+// cache vs no cache, serial vs parallel sparse transient — concurrently
+// through the fasthenry sweep and transient paths. Under -race this proves per-run config threads
 // through the stack without shared mutable tuning state; the result
 // checks prove neither session perturbs the other's answers.
 func TestConcurrentSessionsConflictingConfigs(t *testing.T) {
 	sessA := New(Config{
-		Workers:         1,
-		SolveMode:       fasthenry.ModeDense,
-		Cache:           CachePrivate,
-		SparseThreshold: -1, // dense transient at every size
+		Workers:   1,
+		SolveMode: fasthenry.ModeDense,
+		Cache:     CachePrivate,
 	})
 	sessB := New(Config{
-		Workers:         4,
-		SolveMode:       fasthenry.ModeIterative,
-		ACATol:          1e-9,
-		Cache:           CacheOff,
-		SparseThreshold: 1, // sparse transient at every size
+		Workers:   4,
+		SolveMode: fasthenry.ModeIterative,
+		ACATol:    1e-9,
+		Cache:     CacheOff,
 	})
 
 	freqs := fasthenry.LogSpace(1e8, 1e10, 5)
@@ -97,7 +94,7 @@ func TestConcurrentSessionsConflictingConfigs(t *testing.T) {
 	vA, vB := trRefA.MustV("out"), trRefB.MustV("out")
 	for i := range vA {
 		if math.Abs(vA[i]-vB[i]) > 1e-6 {
-			t.Fatalf("dense and sparse transient disagree at step %d: %g vs %g", i, vA[i], vB[i])
+			t.Fatalf("serial and parallel transients disagree at step %d: %g vs %g", i, vA[i], vB[i])
 		}
 	}
 

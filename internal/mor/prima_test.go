@@ -40,8 +40,7 @@ func fullTransfer(nl *circuit.Netlist, inNode string, outNode string, f float64,
 	defer func() {
 		nl.ISources = nl.ISources[:len(nl.ISources)-1]
 	}()
-	m := circuit.Build(nl)
-	x, err := sim.AC(m, 2*math.Pi*f, sim.ACStimulus{ISourceAmps: map[int]complex128{ii: 1}})
+	x, err := sim.AC(nl, 2*math.Pi*f, sim.ACStimulus{ISourceAmps: map[int]complex128{ii: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

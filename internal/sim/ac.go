@@ -24,27 +24,17 @@ type ACStimulus struct {
 // diagonal in AC analysis.
 const acGmin = 1e-12
 
-// acEntry is one structurally nonzero position of the MNA pencil
-// (G, C); the complex system matrix at any frequency is assembled from
-// these without rescanning any matrix.
-type acEntry struct {
-	i, j int
-	g, c float64
-}
-
 // acPattern caches the union sparsity structure of an MNA pencil so a
 // frequency sweep pays the pattern extraction once instead of once per
-// point. The build walks the netlist stamps (O(nnz log nnz)); the old
-// dense G/C scan, O(size^2) per sweep, is gone. Large systems carry the
-// CSC skeleton of the same entries plus a symbolic factorization shared
-// by every frequency point; small systems keep the dense complex solve.
+// point. The build walks the netlist stamps (O(nnz log nnz)) into a
+// CSC skeleton with per-position G and C values, and a primed sweep
+// refactors every point numerically over one symbolic factorization.
 type acPattern struct {
-	size    int
-	nn      int       // number of nodes (gmin targets)
-	entries []acEntry // row-major; gmin not folded in (dense path adds it)
-	// Sparse skeleton: the same entries column-major as a CCSC pattern
-	// with per-position G and C values; gv has acGmin folded into the
-	// node diagonals.
+	size int
+	nn   int // number of nodes (gmin targets)
+	// cpat is the union pattern of G, C and the node diagonals; gv and
+	// cv hold G and C per position, with acGmin folded into gv's node
+	// diagonals.
 	cpat   *matrix.CCSC
 	gv, cv []float64
 	// base is the symbolic-donor factorization shared across a sweep;
@@ -53,8 +43,6 @@ type acPattern struct {
 	// pol pins the solver resources of the analysis the pattern serves.
 	pol Policy
 }
-
-func buildACPattern(m *circuit.MNA) *acPattern { return acPatternFromNetlist(m.N) }
 
 func acPatternFromNetlist(n *circuit.Netlist) *acPattern {
 	sm := circuit.BuildSparse(n)
@@ -72,46 +60,35 @@ func acPatternFromNetlist(n *circuit.Netlist) *acPattern {
 		e.c = v
 		uni[[2]int{i, j}] = e
 	})
-	// The gmin diagonals must exist structurally for the sparse path.
+	// The gmin diagonals must exist structurally.
 	for i := 0; i < nn; i++ {
 		if _, ok := uni[[2]int{i, i}]; !ok {
 			uni[[2]int{i, i}] = gc{}
 		}
 	}
+	keys := make([][2]int, 0, len(uni))
+	for k := range uni {
+		keys = append(keys, k)
+	}
+	// Column-major, rows ascending within a column.
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a][1] != keys[b][1] {
+			return keys[a][1] < keys[b][1]
+		}
+		return keys[a][0] < keys[b][0]
+	})
 	p := &acPattern{size: size, nn: nn}
-	p.entries = make([]acEntry, 0, len(uni))
-	for k, e := range uni {
-		p.entries = append(p.entries, acEntry{i: k[0], j: k[1], g: e.g, c: e.c})
-	}
-	sort.Slice(p.entries, func(a, b int) bool {
-		if p.entries[a].i != p.entries[b].i {
-			return p.entries[a].i < p.entries[b].i
-		}
-		return p.entries[a].j < p.entries[b].j
-	})
-
-	// Column-major copy as the CSC skeleton for the sparse path.
-	idx := make([]int, len(p.entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := p.entries[idx[a]], p.entries[idx[b]]
-		if ea.j != eb.j {
-			return ea.j < eb.j
-		}
-		return ea.i < eb.i
-	})
 	colPtr := make([]int, size+1)
-	rowIdx := make([]int, len(idx))
-	p.gv = make([]float64, len(idx))
-	p.cv = make([]float64, len(idx))
-	for pos, id := range idx {
-		e := p.entries[id]
-		colPtr[e.j+1]++
-		rowIdx[pos] = e.i
+	rowIdx := make([]int, len(keys))
+	p.gv = make([]float64, len(keys))
+	p.cv = make([]float64, len(keys))
+	for pos, k := range keys {
+		i, j := k[0], k[1]
+		e := uni[k]
+		colPtr[j+1]++
+		rowIdx[pos] = i
 		g := e.g
-		if e.i == e.j && e.i < nn {
+		if i == j && i < nn {
 			g += acGmin
 		}
 		p.gv[pos] = g
@@ -120,7 +97,7 @@ func acPatternFromNetlist(n *circuit.Netlist) *acPattern {
 	for j := 0; j < size; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	p.cpat = matrix.CSCFromParts(size, size, colPtr, rowIdx, make([]complex128, len(idx)))
+	p.cpat = matrix.CSCFromParts(size, size, colPtr, rowIdx, make([]complex128, len(keys)))
 	return p
 }
 
@@ -156,7 +133,7 @@ func (p *acPattern) assemble(omega float64) *matrix.CCSC {
 // point refactors numerically over this pattern, so results do not
 // depend on which point happens to run first.
 func (p *acPattern) prime(omega float64) error {
-	if !p.pol.sparseAt(p.size) || p.base != nil {
+	if p.base != nil {
 		return nil
 	}
 	f, err := matrix.FactorSparseCLUWorkers(p.assemble(omega), p.pol.Workers)
@@ -167,28 +144,9 @@ func (p *acPattern) prime(omega float64) error {
 	return nil
 }
 
-// solve assembles (G + jωC) and solves for the given stimulus. Systems
-// at or above the sparse threshold go through the sparse LU, reusing
-// the primed symbolic pattern when present; smaller systems assemble a
-// CDense — entries in the same accumulation order as the dense MNA
-// build, so the matrix and the solution are identical to the historical
-// dense scan.
+// solve assembles (G + jωC) and solves for the given stimulus with the
+// sparse LU, refactoring over the primed symbolic pattern when present.
 func (p *acPattern) solve(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
-	if p.pol.sparseAt(p.size) {
-		return p.solveSparse(n, omega, stim)
-	}
-	a := matrix.NewCDense(p.size, p.size)
-	for _, e := range p.entries {
-		a.Set(e.i, e.j, complex(e.g, omega*e.c))
-	}
-	// gmin for floating nodes.
-	for i := 0; i < p.nn; i++ {
-		a.Add(i, i, acGmin)
-	}
-	return matrix.SolveComplex(a, p.rhs(n, stim))
-}
-
-func (p *acPattern) solveSparse(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
 	a := p.assemble(omega)
 	var f *matrix.SparseCLU
 	if p.base != nil {
@@ -207,13 +165,13 @@ func (p *acPattern) solveSparse(n *circuit.Netlist, omega float64, stim ACStimul
 	return f.Solve(p.rhs(n, stim))
 }
 
-// AC solves the complex MNA system (G + jωC) X = B at angular frequency
-// omega and returns the full complex state vector.
-func AC(m *circuit.MNA, omega float64, stim ACStimulus) ([]complex128, error) {
-	if len(m.N.MOSFETs) != 0 {
+// AC solves the complex MNA system (G + jωC) X = B of the netlist at
+// angular frequency omega and returns the full complex state vector.
+func AC(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
+	if len(n.MOSFETs) != 0 {
 		return nil, fmt.Errorf("sim: AC analysis of nonlinear netlists is not supported (linearize first)")
 	}
-	return buildACPattern(m).solve(m.N, omega, stim)
+	return acPatternFromNetlist(n).solve(n, omega, stim)
 }
 
 // ACPoint is one row of a frequency sweep. Interp marks points filled
@@ -342,8 +300,7 @@ func acSweepAdaptive(fs []float64, pol Policy, solveAt func(k int) (complex128, 
 // A->B inside the source, so the current delivered to the circuit is
 // -I_branch).
 func InputImpedance(n *circuit.Netlist, vi int, freq float64) (complex128, error) {
-	m := circuit.Build(n)
-	x, err := AC(m, 2*math.Pi*freq, ACStimulus{VSourceAmps: map[int]complex128{vi: 1}})
+	x, err := AC(n, 2*math.Pi*freq, ACStimulus{VSourceAmps: map[int]complex128{vi: 1}})
 	if err != nil {
 		return 0, err
 	}

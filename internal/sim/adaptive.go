@@ -24,8 +24,8 @@ type AdaptiveOptions struct {
 	MaxNewton int
 	NewtonTol float64
 	Gmin      float64
-	// Policy pins the run's solver resources (worker count, dense/sparse
-	// switch-over). The zero value is the built-in default.
+	// Policy pins the run's solver resources (worker count). The zero
+	// value is the built-in default.
 	Policy Policy
 }
 
@@ -57,21 +57,20 @@ func (o *AdaptiveOptions) setDefaults() error {
 	return nil
 }
 
-// stepper advances the trapezoidal companion system by one step of a
-// given size, caching LU factors per step size for linear circuits.
+// stepper advances the trapezoidal companion system of a netlist with
+// MOSFETs by one step of a given size, caching the linear part of the
+// companion matrix per step size; Newton restamps the devices on top.
 type stepper struct {
-	m      *circuit.MNA
-	opt    AdaptiveOptions
-	linear bool
-	gmin   *matrix.Dense
-	// factor cache: h -> (A = 2C/h + G factorized, Hist = 2C/h - G)
+	m    *circuit.MNA
+	opt  AdaptiveOptions
+	gmin *matrix.Dense
+	// factor cache: h -> (A = 2C/h + G, Hist = 2C/h - G)
 	cache map[float64]*stepFactor
 	// Accepted/rejected step counters (cost accounting).
 	accepted, rejected int
 }
 
 type stepFactor struct {
-	lu   *matrix.LU
 	aLin *matrix.Dense
 	hist *matrix.Dense
 }
@@ -79,26 +78,19 @@ type stepFactor struct {
 func newStepper(m *circuit.MNA, opt AdaptiveOptions) *stepper {
 	return &stepper{
 		m: m, opt: opt,
-		linear: len(m.N.MOSFETs) == 0,
-		gmin:   applyGmin(m.G, m.N.NumNodes(), opt.Gmin),
-		cache:  make(map[float64]*stepFactor),
+		gmin:  applyGmin(m.G, m.N.NumNodes(), opt.Gmin),
+		cache: make(map[float64]*stepFactor),
 	}
 }
 
-func (s *stepper) factors(h float64) (*stepFactor, error) {
+func (s *stepper) factors(h float64) *stepFactor {
 	if f, ok := s.cache[h]; ok {
-		return f, nil
+		return f
 	}
 	alpha := 2 / h
-	aLin := s.m.C.Clone().Scale(alpha).AddMat(s.gmin)
-	hist := s.m.C.Clone().Scale(alpha).AddScaled(-1, s.m.G)
-	f := &stepFactor{aLin: aLin, hist: hist}
-	if s.linear {
-		lu, err := matrix.FactorLUWorkers(aLin, s.opt.Policy.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("sim: singular adaptive system at h=%g: %w", h, err)
-		}
-		f.lu = lu
+	f := &stepFactor{
+		aLin: s.m.C.Clone().Scale(alpha).AddMat(s.gmin),
+		hist: s.m.C.Clone().Scale(alpha).AddScaled(-1, s.m.G),
 	}
 	// Bound the cache: step sizes are halved/doubled so only a few
 	// distinct values occur; evict wholesale if something pathological
@@ -107,16 +99,13 @@ func (s *stepper) factors(h float64) (*stepFactor, error) {
 		s.cache = make(map[float64]*stepFactor)
 	}
 	s.cache[h] = f
-	return f, nil
+	return f
 }
 
 // advance computes the state at t+h from (x, t) with trapezoidal
 // integration (bPrev/fPrev are source and device currents at t).
 func (s *stepper) advance(x, bPrev, fPrev []float64, t, h float64) ([]float64, error) {
-	f, err := s.factors(h)
-	if err != nil {
-		return nil, err
-	}
+	f := s.factors(h)
 	size := s.m.Size()
 	bNow := make([]float64, size)
 	s.m.RHS(t+h, bNow)
@@ -124,9 +113,6 @@ func (s *stepper) advance(x, bPrev, fPrev []float64, t, h float64) ([]float64, e
 	matrix.Axpy(1, bPrev, rhs)
 	matrix.Axpy(1, fPrev, rhs)
 	matrix.Axpy(1, bNow, rhs)
-	if s.linear {
-		return f.lu.Solve(rhs)
-	}
 	topt := TranOptions{MaxNewton: s.opt.MaxNewton, NewtonTol: s.opt.NewtonTol, Policy: s.opt.Policy}
 	xn, _, err := newtonStep(s.m.N, f.aLin, rhs, x, topt)
 	return xn, err
@@ -138,9 +124,7 @@ func (s *stepper) sources(t float64, x []float64) (b, fv []float64) {
 	b = make([]float64, size)
 	s.m.RHS(t, b)
 	fv = make([]float64, size)
-	if !s.linear {
-		deviceCurrents(s.m.N, x, fv)
-	}
+	deviceCurrents(s.m.N, x, fv)
 	return b, fv
 }
 
@@ -148,12 +132,13 @@ func (s *stepper) sources(t float64, x []float64) (b, fv []float64) {
 // once at h and once as two half steps; their difference estimates the
 // local error (step doubling). Rejected steps halve h, comfortable
 // steps grow it. The accepted solution is the more accurate two-half-
-// step result.
+// step result. As in Tran, linear netlists run on the sparse direct
+// solver and netlists with MOSFETs on the dense Newton stepper.
 func TranAdaptive(n *circuit.Netlist, opt AdaptiveOptions) (*TranResult, error) {
 	if err := opt.setDefaults(); err != nil {
 		return nil, err
 	}
-	if useSparsePath(n, opt.Policy) {
+	if len(n.MOSFETs) == 0 {
 		return tranAdaptiveSparse(n, opt)
 	}
 	m := circuit.Build(n)

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"inductance101/internal/circuit"
+	"inductance101/internal/matrix"
+	"inductance101/internal/sweep"
 )
 
 // randRLC builds a random RLC ladder driven by a pulse source: series
@@ -48,10 +50,46 @@ func randRLC(rng *rand.Rand, nodes int) *circuit.Netlist {
 	return n
 }
 
-// bothPaths runs fn once under a policy forcing the sparse path and
-// once under one forcing the dense path, returning both results.
-func bothPaths[T any](fn func(pol Policy) T) (sparse, dense T) {
-	return fn(Policy{SparseThreshold: 1}), fn(Policy{SparseThreshold: -1})
+// denseTran is the dense oracle of Tran: the dense MNA, its operating
+// point and TranFrom's dense-LU companion integration.
+func denseTran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
+	m := circuit.Build(n)
+	x0, err := OP(m, 0, opt)
+	if err != nil {
+		return nil, err
+	}
+	return TranFrom(m, x0, opt)
+}
+
+// denseAC is the dense oracle of the AC solve: G + jωC, with acGmin on
+// the node diagonals, assembled from the dense MNA and solved by the
+// dense complex LU.
+func denseAC(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
+	m := circuit.Build(n)
+	size := m.Size()
+	a := matrix.NewCDense(size, size)
+	for i := 0; i < size; i++ {
+		for j := 0; j < size; j++ {
+			a.Set(i, j, complex(m.G.At(i, j), omega*m.C.At(i, j)))
+		}
+	}
+	for i := 0; i < n.NumNodes(); i++ {
+		a.Add(i, i, acGmin)
+	}
+	b := make([]complex128, size)
+	for vi, amp := range stim.VSourceAmps {
+		b[n.BranchOfVSource(vi)] += amp
+	}
+	for ii, amp := range stim.ISourceAmps {
+		s := n.ISources[ii]
+		if s.A >= 0 {
+			b[s.A] -= amp
+		}
+		if s.B >= 0 {
+			b[s.B] += amp
+		}
+	}
+	return matrix.SolveComplex(a, b)
 }
 
 func TestPropertyTranSparseMatchesDense(t *testing.T) {
@@ -63,26 +101,19 @@ func TestPropertyTranSparseMatchesDense(t *testing.T) {
 		if trial%2 == 1 {
 			opt.Method = BackwardEuler
 		}
-		type out struct {
-			res *TranResult
-			err error
+		sp, spErr := Tran(n, opt)
+		de, deErr := denseTran(n, opt)
+		if spErr != nil || deErr != nil {
+			t.Fatalf("trial %d: sparse err %v, dense err %v", trial, spErr, deErr)
 		}
-		sp, de := bothPaths(func(pol Policy) out {
-			opt.Policy = pol
-			r, err := Tran(n, opt)
-			return out{r, err}
-		})
-		if sp.err != nil || de.err != nil {
-			t.Fatalf("trial %d: sparse err %v, dense err %v", trial, sp.err, de.err)
-		}
-		if len(sp.res.Times) != len(de.res.Times) {
+		if len(sp.Times) != len(de.Times) {
 			t.Fatalf("trial %d: time grids differ", trial)
 		}
-		for k := range sp.res.States {
-			for i := range sp.res.States[k] {
-				if d := math.Abs(sp.res.States[k][i] - de.res.States[k][i]); d > 1e-9 {
+		for k := range sp.States {
+			for i := range sp.States[k] {
+				if d := math.Abs(sp.States[k][i] - de.States[k][i]); d > 1e-9 {
 					t.Fatalf("trial %d: state[%d][%d] sparse %g dense %g (diff %g)",
-						trial, k, i, sp.res.States[k][i], de.res.States[k][i], d)
+						trial, k, i, sp.States[k][i], de.States[k][i], d)
 				}
 			}
 		}
@@ -95,29 +126,101 @@ func TestPropertyACSparseMatchesDense(t *testing.T) {
 		nodes := 4 + rng.Intn(16)
 		n := randRLC(rng, nodes)
 		probe := fmt.Sprintf("n%d", nodes)
+		idx, err := n.NodeIndex(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
 		stim := ACStimulus{VSourceAmps: map[int]complex128{0: 1}}
-		type out struct {
-			pts []ACPoint
-			err error
+		pts, err := ACSweepPolicy(n, probe, stim, 1e6, 1e11, 6, Policy{SweepMode: sweep.ModeExact})
+		if err != nil {
+			t.Fatalf("trial %d: sparse sweep: %v", trial, err)
 		}
-		sp, de := bothPaths(func(pol Policy) out {
-			p, err := ACSweepPolicy(n, probe, stim, 1e6, 1e11, 6, pol)
-			return out{p, err}
-		})
-		if sp.err != nil || de.err != nil {
-			t.Fatalf("trial %d: sparse err %v, dense err %v", trial, sp.err, de.err)
-		}
-		if len(sp.pts) != len(de.pts) {
-			t.Fatalf("trial %d: point counts differ", trial)
-		}
-		for k := range sp.pts {
-			scale := cmplx.Abs(de.pts[k].V)
+		for k, pt := range pts {
+			x, err := denseAC(n, 2*math.Pi*pt.Freq, stim)
+			if err != nil {
+				t.Fatalf("trial %d: dense solve at %g Hz: %v", trial, pt.Freq, err)
+			}
+			want := x[idx]
+			scale := cmplx.Abs(want)
 			if scale < 1 {
 				scale = 1
 			}
-			if d := cmplx.Abs(sp.pts[k].V - de.pts[k].V); d > 1e-9*scale {
+			if d := cmplx.Abs(pt.V - want); d > 1e-9*scale {
 				t.Fatalf("trial %d: point %d (%g Hz) sparse %v dense %v",
-					trial, k, sp.pts[k].Freq, sp.pts[k].V, de.pts[k].V)
+					trial, k, pt.Freq, pt.V, want)
+			}
+		}
+	}
+}
+
+// TestTranRoutesOnLinearity pins the solver routing: a linear netlist
+// of any size runs the sparse transient (bit for bit, fixed-step and
+// adaptive), and a netlist with MOSFETs still runs Newton.
+func TestTranRoutesOnLinearity(t *testing.T) {
+	rc := circuit.New()
+	rc.AddV("vin", "n0", "0", circuit.Pulse{V1: 0, V2: 1, Delay: 0.1e-9, Rise: 0.1e-9, Width: 1e-9, Fall: 0.1e-9})
+	for i := 0; i < 4; i++ {
+		a, b := fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)
+		rc.AddR("r"+a, a, b, 100)
+		rc.AddC("c"+b, b, "0", 10e-15)
+	}
+	opt := TranOptions{TStop: 2e-9, TStep: 10e-12}
+	got, err := Tran(rc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tranSparse(rc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStates(t, "Tran", got, want)
+
+	aopt := AdaptiveOptions{TStop: 2e-9, Tol: 1e-6}
+	gotA, err := TranAdaptive(rc, aopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := aopt.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	wantA, err := tranAdaptiveSparse(rc, aopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStates(t, "TranAdaptive", gotA, wantA)
+
+	inv := circuit.New()
+	inv.AddV("vdd", "vdd", "0", circuit.DC(1.8))
+	inv.AddV("vin", "in", "0", circuit.Pulse{V1: 0, V2: 1.8, Delay: 0.2e-9, Rise: 50e-12, Width: 2e-9, Fall: 50e-12})
+	inv.AddInverter("inv", "in", "out", "vdd", "0",
+		circuit.TypicalNMOS(4), circuit.TypicalPMOS(4), 2e-15, 4e-15)
+	inv.AddC("cl", "out", "0", 20e-15)
+	res, err := Tran(inv, TranOptions{TStop: 1e-9, TStep: 5e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NewtonIters == 0 {
+		t.Error("MOSFET netlist ran no Newton iterations")
+	}
+}
+
+// sameStates fails unless two transient results carry bit-identical
+// time grids and states.
+func sameStates(t *testing.T, name string, got, want *TranResult) {
+	t.Helper()
+	if len(got.Times) != len(want.Times) {
+		t.Fatalf("%s: %d time points, sparse path %d", name, len(got.Times), len(want.Times))
+	}
+	for k := range got.States {
+		if got.Times[k] != want.Times[k] {
+			t.Fatalf("%s: time %d is %g, sparse path %g", name, k, got.Times[k], want.Times[k])
+		}
+		for i := range got.States[k] {
+			if got.States[k][i] != want.States[k][i] {
+				t.Fatalf("%s: state[%d][%d] %g, sparse path %g", name, k, i, got.States[k][i], want.States[k][i])
 			}
 		}
 	}
@@ -126,15 +229,14 @@ func TestPropertyACSparseMatchesDense(t *testing.T) {
 func TestPropertyAdaptiveSparseTracksFixedStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	n := randRLC(rng, 10)
-	sparse := Policy{SparseThreshold: 1}
-	adapt, err := TranAdaptive(n, AdaptiveOptions{TStop: 2e-9, Tol: 1e-6, Policy: sparse})
+	adapt, err := TranAdaptive(n, AdaptiveOptions{TStop: 2e-9, Tol: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adapt.Steps == nil || adapt.Steps.Accepted == 0 {
 		t.Fatal("adaptive run reported no accepted steps")
 	}
-	fixed, err := Tran(n, TranOptions{TStop: 2e-9, TStep: 1e-12, Policy: sparse})
+	fixed, err := Tran(n, TranOptions{TStop: 2e-9, TStep: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

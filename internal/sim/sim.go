@@ -42,8 +42,8 @@ type TranOptions struct {
 	Gmin float64
 	// SaveEvery keeps every k-th point (default 1 = all).
 	SaveEvery int
-	// Policy pins the run's solver resources (worker count, dense/sparse
-	// switch-over). The zero value is the built-in default.
+	// Policy pins the run's solver resources (worker count). The zero
+	// value is the built-in default.
 	Policy Policy
 }
 

@@ -8,22 +8,6 @@ import (
 	"inductance101/internal/matrix"
 )
 
-// defaultSparseThreshold is the MNA system size at which the
-// simulator's linear paths switch from the dense kernels to the sparse
-// direct solver when Policy.SparseThreshold is zero. Below it the dense
-// LU is faster (no graph overhead) and serves as the testing oracle;
-// above it the sparse factorization wins asymptotically on the
-// grid/interconnect matrices this repository assembles.
-const defaultSparseThreshold = 256
-
-// useSparsePath reports whether the netlist's linear analyses should
-// run on the sparse direct solver under the given policy. Nonlinear
-// netlists stay dense: the Newton loop restamps the MOSFET Jacobian
-// into a dense copy each iteration.
-func useSparsePath(n *circuit.Netlist, pol Policy) bool {
-	return len(n.MOSFETs) == 0 && pol.sparseAt(n.Size())
-}
-
 // sparseGmin returns G + gmin*I(nodes) as a fresh triplet — the sparse
 // twin of applyGmin.
 func sparseGmin(sm *circuit.SparseMNA, gmin float64) *matrix.Triplet {
@@ -119,10 +103,10 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	return res, nil
 }
 
-// sparseStepper is the sparse twin of the adaptive stepper for linear
-// netlists: per-step-size numeric factorizations share the symbolic
-// pattern of the first factored step size and refactor numerically;
-// only a pattern change or pivot drift falls back to a fresh analysis.
+// sparseStepper is the adaptive stepper for linear netlists: per-step-
+// size numeric factorizations share the symbolic pattern of the first
+// factored step size and refactor numerically; only a pattern change or
+// pivot drift falls back to a fresh analysis.
 type sparseStepper struct {
 	sm      *circuit.SparseMNA
 	gminG   *matrix.Triplet // G + gmin

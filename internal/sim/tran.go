@@ -8,12 +8,15 @@ import (
 )
 
 // Tran runs a fixed-step transient analysis of the netlist from a DC
-// operating point at t = 0.
+// operating point at t = 0. Linear netlists run on the sparse direct
+// solver at every size; netlists with MOSFETs take the dense Newton
+// engine of TranFrom, which restamps the device Jacobian each
+// iteration.
 func Tran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	if err := opt.setDefaults(); err != nil {
 		return nil, err
 	}
-	if useSparsePath(n, opt.Policy) {
+	if len(n.MOSFETs) == 0 {
 		return tranSparse(n, opt)
 	}
 	m := circuit.Build(n)
@@ -25,7 +28,10 @@ func Tran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 }
 
 // TranFrom runs a transient from a given initial state x0 (e.g. a
-// previously computed operating point), using the already-assembled MNA.
+// previously computed operating point), using the already-assembled
+// dense MNA. It is the Newton engine for netlists with MOSFETs; on a
+// linear netlist it is the dense-LU reference the sparse path is
+// tested against.
 func TranFrom(m *circuit.MNA, x0 []float64, opt TranOptions) (*TranResult, error) {
 	if err := opt.setDefaults(); err != nil {
 		return nil, err
