@@ -46,9 +46,10 @@ func raceNetlist() *circuit.Netlist {
 // TestConcurrentSessionsConflictingConfigs runs two sessions with
 // deliberately opposed configs — dense vs iterative solve, private
 // cache vs no cache, serial vs parallel sparse transient — concurrently
-// through the fasthenry sweep and transient paths. Under -race this proves per-run config threads
-// through the stack without shared mutable tuning state; the result
-// checks prove neither session perturbs the other's answers.
+// through the fasthenry sweep and transient paths. Under -race this
+// proves per-run config threads through the stack without shared
+// mutable tuning state; the result checks prove neither session
+// perturbs the other's answers.
 func TestConcurrentSessionsConflictingConfigs(t *testing.T) {
 	sessA := New(Config{
 		Workers:   1,

@@ -1,5 +1,7 @@
 package matrix
 
+import "container/heap"
+
 // Fill-reducing ordering for the sparse direct solvers: a greedy
 // minimum-degree elimination on the symmetrized pattern of A + A^T, the
 // same family as the approximate-minimum-degree (AMD) orderings used by
@@ -9,57 +11,35 @@ package matrix
 // targets; ties break on the smallest node index so the ordering — and
 // therefore every downstream factorization — is deterministic.
 
-// degItem is one (degree, node) entry of the elimination heap.
-type degItem struct{ deg, node int }
-
-// degHeap is a lazy min-heap of (degree, node) pairs ordered by degree,
-// then node index: stale entries are skipped at pop time instead of
-// being re-keyed. The pair order is total, so the pop sequence depends
-// only on which entries were pushed, never on the push order.
-type degHeap []degItem
-
-func (h degHeap) less(a, b int) bool {
-	if h[a].deg != h[b].deg {
-		return h[a].deg < h[b].deg
-	}
-	return h[a].node < h[b].node
+// degHeap is a lazy min-heap of (degree, node) pairs: stale entries are
+// skipped at pop time instead of being re-keyed.
+type degHeap struct {
+	deg  []int
+	node []int
 }
 
-func (h *degHeap) push(it degItem) {
-	*h = append(*h, it)
-	s := *h
-	for k := len(s) - 1; k > 0; {
-		p := (k - 1) / 2
-		if !s.less(k, p) {
-			break
-		}
-		s[k], s[p] = s[p], s[k]
-		k = p
+func (h *degHeap) Len() int { return len(h.node) }
+func (h *degHeap) Less(a, b int) bool {
+	if h.deg[a] != h.deg[b] {
+		return h.deg[a] < h.deg[b]
 	}
+	return h.node[a] < h.node[b]
 }
-
-func (h *degHeap) pop() degItem {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	for k := 0; ; {
-		c := 2*k + 1
-		if c >= len(s) {
-			break
-		}
-		if c+1 < len(s) && s.less(c+1, c) {
-			c++
-		}
-		if !s.less(c, k) {
-			break
-		}
-		s[k], s[c] = s[c], s[k]
-		k = c
-	}
-	*h = s
-	return top
+func (h *degHeap) Swap(a, b int) {
+	h.deg[a], h.deg[b] = h.deg[b], h.deg[a]
+	h.node[a], h.node[b] = h.node[b], h.node[a]
+}
+func (h *degHeap) Push(x any) {
+	p := x.([2]int)
+	h.deg = append(h.deg, p[0])
+	h.node = append(h.node, p[1])
+}
+func (h *degHeap) Pop() any {
+	n := len(h.node) - 1
+	p := [2]int{h.deg[n], h.node[n]}
+	h.deg = h.deg[:n]
+	h.node = h.node[:n]
+	return p
 }
 
 // MinDegreeOrdering returns an elimination order q for the n x n pattern
@@ -86,7 +66,7 @@ func MinDegreeOrdering(n int, colPtr, rowIdx []int) []int {
 	}
 	mark := make([]int, n)
 	stamp := 0
-	h := make(degHeap, 0, 2*n)
+	h := &degHeap{}
 	for i, ai := range adj {
 		stamp++
 		k := 0
@@ -98,15 +78,17 @@ func MinDegreeOrdering(n int, colPtr, rowIdx []int) []int {
 			}
 		}
 		adj[i] = ai[:k]
-		h.push(degItem{k, i})
+		h.deg = append(h.deg, k)
+		h.node = append(h.node, i)
 	}
+	heap.Init(h)
 
 	order := make([]int, 0, n)
 	eliminated := make([]bool, n)
 	for len(order) < n {
-		it := h.pop()
-		v := it.node
-		if eliminated[v] || it.deg != len(adj[v]) {
+		p := heap.Pop(h).([2]int)
+		v := p[1]
+		if eliminated[v] || p[0] != len(adj[v]) {
 			continue // stale heap entry
 		}
 		eliminated[v] = true
@@ -135,7 +117,7 @@ func MinDegreeOrdering(n int, colPtr, rowIdx []int) []int {
 				}
 			}
 			adj[u] = au
-			h.push(degItem{len(au), u})
+			heap.Push(h, [2]int{len(au), u})
 		}
 	}
 	return order

@@ -64,7 +64,7 @@ type stepper struct {
 	m    *circuit.MNA
 	opt  AdaptiveOptions
 	gmin *matrix.Dense
-	// factor cache: h -> (A = 2C/h + G, Hist = 2C/h - G)
+	// per-step-size cache: h -> (A = 2C/h + G, Hist = 2C/h - G)
 	cache map[float64]*stepFactor
 	// Accepted/rejected step counters (cost accounting).
 	accepted, rejected int

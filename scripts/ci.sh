@@ -34,9 +34,10 @@ fi
 # assembly feeding worker-parallel MG solves; sweep stresses the
 # adaptive refine loop under parallel batch solvers; mesh pins the
 # lowering's determinism contract under parallel cluster-tree builds
-# over plane filament grids.
-echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh)"
-go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh
+# over plane filament grids; core runs the Table 1 flows, whose linear
+# transients factor on the worker-parallel sparse LU at every size.
+echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh, core)"
+go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh ./internal/core
 
 # No mutable package-level tuning state: run configuration belongs in
 # engine.Config / the per-layer option structs, not process-wide Set*
