@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +43,22 @@ func TestTable1RLCDelaysPinned(t *testing.T) {
 	}
 	if rel := math.Abs(r.WorstDelay-worst) / worst; rel > 1e-12 {
 		t.Errorf("worst delay %.17g, want %.17g (%.2g relative)", r.WorstDelay, worst, rel)
+	}
+}
+
+// TestMeasureRejectsNonFiniteWaveforms checks that a sink waveform
+// holding NaN or Inf fails the measure stage with the sink's index
+// instead of becoming a delay.
+func TestMeasureRejectsNonFiniteWaveforms(t *testing.T) {
+	c := testCase(t)
+	times := []float64{0, 1e-10, 2e-10, 3e-10, 4e-10}
+	vdd := c.Opt.Vdd
+	good := []float64{0, 0.2 * vdd, 0.6 * vdd, vdd, vdd}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		res := &FlowResult{Times: times, SinkV: [][]float64{good, {0, 0.2 * vdd, bad, vdd, vdd}}}
+		err := c.measure(res)
+		if err == nil || !strings.Contains(err.Error(), "sink 1") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%g sample: measure error %v, want a not-finite error naming sink 1", bad, err)
+		}
 	}
 }

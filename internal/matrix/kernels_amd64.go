@@ -2,7 +2,8 @@
 
 package matrix
 
-// AVX2 micro-kernels for the blocked dense routines. The kernels use
+// AVX2 micro-kernels for the blocked dense routines and the sparse
+// triangular solves' dense runs. The kernels use
 // separate VMULPD/VSUBPD (or VADDPD) instructions — never FMA — so each
 // multiply and each subtract rounds exactly like the scalar reference
 // code, and the blocked kernels stay bit-identical to the unblocked
@@ -22,6 +23,13 @@ func gemmSubAVX2(c, l, u *float64, cn, ln, kb int)
 //
 //go:noescape
 func gemmAddAVX2(c, l, u *float64, cn, ln, kb int)
+
+// axpySubAVX2 computes y[i] -= x[i]*a for i < n, four lanes at a time
+// with a scalar tail; y and x need no alignment. Each entry gets one
+// multiply and one subtract, rounded separately as in the scalar loop.
+//
+//go:noescape
+func axpySubAVX2(y, x *float64, a float64, n int)
 
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -112,6 +112,63 @@ adddone:
 	VZEROUPPER
 	RET
 
+// func axpySubAVX2(y, x *float64, a float64, n int)
+//
+// y[i] -= x[i]*a for i < n: VMULPD then VSUBPD, never FMA, so every
+// entry rounds exactly like the scalar loop. Eight entries per
+// iteration, then one block of four, then a scalar tail.
+TEXT ·axpySubAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	VBROADCASTSD a+16(FP), Y0
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX         // entries covered by the 8-wide loop
+	JZ   axpy4
+
+axpy8:
+	VMOVUPD (SI)(AX*8), Y1
+	VMOVUPD 32(SI)(AX*8), Y2
+	VMULPD Y0, Y1, Y1
+	VMULPD Y0, Y2, Y2
+	VMOVUPD (DI)(AX*8), Y3
+	VMOVUPD 32(DI)(AX*8), Y4
+	VSUBPD Y1, Y3, Y3
+	VSUBPD Y2, Y4, Y4
+	VMOVUPD Y3, (DI)(AX*8)
+	VMOVUPD Y4, 32(DI)(AX*8)
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JLT  axpy8
+
+axpy4:
+	MOVQ CX, BX
+	SUBQ AX, BX
+	CMPQ BX, $4
+	JLT  axpy1
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD Y0, Y1, Y1
+	VMOVUPD (DI)(AX*8), Y3
+	VSUBPD Y1, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ $4, AX
+
+axpy1:
+	CMPQ AX, CX
+	JGE  axpydone
+	VMOVSD (SI)(AX*8), X1
+	VMULSD X0, X1, X1
+	VMOVSD (DI)(AX*8), X3
+	VSUBSD X1, X3, X3
+	VMOVSD X3, (DI)(AX*8)
+	INCQ AX
+	JMP  axpy1
+
+axpydone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -13,3 +13,7 @@ func gemmSubAVX2(c, l, u *float64, cn, ln, kb int) {
 func gemmAddAVX2(c, l, u *float64, cn, ln, kb int) {
 	panic("matrix: AVX2 kernel called without AVX2 support")
 }
+
+func axpySubAVX2(y, x *float64, a float64, n int) {
+	panic("matrix: AVX2 kernel called without AVX2 support")
+}

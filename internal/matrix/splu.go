@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 	"sync"
 )
 
@@ -20,7 +19,10 @@ import (
 // transient step size, a new AC frequency), Refactor re-runs the O(flops)
 // numeric sweep with no graph traversal, no sorting and no allocation,
 // optionally in parallel across independent columns
-// (FactorSparseLUWorkers).
+// (FactorSparseLUWorkers). The triangular solves follow the factor's
+// structure: each column's trailing run of consecutive pivot rows (the
+// dense block that mutual inductors leave at the end of the ordering)
+// is applied as one contiguous update instead of an indexed scatter.
 
 // ErrPivotDrift is returned by Refactor when a pivot that was acceptable
 // at analysis time has become negligible relative to its column — the
@@ -58,6 +60,10 @@ type spSymbolic struct {
 	rowPerm []int // pivot position -> original row
 	lp, li  []int // L pattern: strictly lower, pivot-space rows, ascending
 	up, ui  []int // U pattern: upper incl. diagonal (row k last), ascending
+	// lRun[k] (uRun[k]) is where column k's trailing run of consecutive
+	// rows starts in li (ui, diagonal excluded); runs shorter than
+	// minDenseRun are not recorded, so the run is empty.
+	lRun, uRun []int
 	// Level schedule: column k depends on the columns named by rows of
 	// U(:,k); levelCol[levelPtr[l]:levelPtr[l+1]] lists the columns of
 	// level l, every one computable once levels < l are done.
@@ -286,31 +292,83 @@ func FactorSparseOrdered[T Scalar](a *CSCOf[T], q []int) (*SparseLUOf[T], error)
 	}
 	sortColumns(lp, li, lx, n)
 	sortColumns(up, ui, ux, n)
+	sym.lRun = runStarts(lp, li, n, 0)
+	sym.uRun = runStarts(up, ui, n, 1)
 	sym.buildLevels()
 	return &SparseLUOf[T]{sym: sym, lx: lx, ux: ux}, nil
 }
 
-// sortColumns sorts each CSC column's (row, value) pairs ascending.
+// sortColumns sorts each CSC column's (row, value) pairs ascending in
+// O(nnz): a transpose lists every row's columns in ascending order, and
+// transposing back lists every column's rows in ascending order. Rows
+// lie in [0, n).
 func sortColumns[T Scalar](cp, ri []int, v []T, n int) {
+	rp := make([]int, n+1)
+	for _, r := range ri {
+		rp[r+1]++
+	}
+	for r := 0; r < n; r++ {
+		rp[r+1] += rp[r]
+	}
+	ci := make([]int, len(ri))
+	tv := make([]T, len(ri))
+	next := append([]int(nil), rp[:n]...)
 	for k := 0; k < n; k++ {
-		lo, hi := cp[k], cp[k+1]
-		seg := ri[lo:hi]
-		if sort.IntsAreSorted(seg) {
-			continue
+		for p := cp[k]; p < cp[k+1]; p++ {
+			q := next[ri[p]]
+			next[ri[p]]++
+			ci[q], tv[q] = k, v[p]
 		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = i
+	}
+	copy(next, cp[:n])
+	for r := 0; r < n; r++ {
+		for q := rp[r]; q < rp[r+1]; q++ {
+			p := next[ci[q]]
+			next[ci[q]]++
+			ri[p], v[p] = r, tv[q]
 		}
-		sort.Slice(idx, func(a, b int) bool { return seg[idx[a]] < seg[idx[b]] })
-		sr := make([]int, len(idx))
-		sv := make([]T, len(idx))
-		for i, id := range idx {
-			sr[i] = seg[id]
-			sv[i] = v[lo+id]
+	}
+}
+
+// minDenseRun is the shortest trailing run the triangular solves apply
+// as a contiguous update; shorter tails stay in the indexed loop, where
+// they cost no call.
+const minDenseRun = 4
+
+// runStarts returns, for each column of the ascending CSC pattern
+// (cp, ri), where its trailing run of consecutive rows begins, leaving
+// out the last skip entries of the column. A run shorter than
+// minDenseRun is reported as empty (its start is the column end).
+func runStarts(cp, ri []int, n, skip int) []int {
+	rs := make([]int, n)
+	for k := 0; k < n; k++ {
+		lo, end := cp[k], cp[k+1]-skip
+		p := end - 1
+		for p > lo && ri[p-1] == ri[p]-1 {
+			p--
 		}
-		copy(seg, sr)
-		copy(v[lo:hi], sv)
+		if end-p < minDenseRun {
+			p = end
+		}
+		rs[k] = p
+	}
+	return rs
+}
+
+// subScaled computes y[i] -= x[i]*a over len(y) entries: the contiguous
+// run update of the triangular solves. Real runs use the AVX2 kernel,
+// which rounds every multiply and subtract separately, exactly like the
+// scalar loop.
+func subScaled[T Scalar](y, x []T, a T) {
+	if hasAVX2 {
+		if yp, ok := any(&y[0]).(*float64); ok {
+			axpySubAVX2(yp, any(&x[0]).(*float64), any(a).(float64), len(y))
+			return
+		}
+	}
+	x = x[:len(y)]
+	for i := range y {
+		y[i] -= x[i] * a
 	}
 }
 
@@ -473,44 +531,13 @@ func (f *SparseLUOf[T]) refactorCols(a *CSCOf[T], w []T, cols []int) error {
 
 // Solve solves A*x = b for one right-hand side. b is not modified.
 func (f *SparseLUOf[T]) Solve(b []T) ([]T, error) {
-	s := f.sym
-	n := s.n
+	n := f.sym.n
 	if len(b) != n {
 		return nil, fmt.Errorf("matrix: sparse LU solve rhs length %d, want %d", len(b), n)
 	}
-	y := make([]T, n)
-	for k := 0; k < n; k++ {
-		y[k] = b[s.rowPerm[k]]
-	}
-	// Forward substitution with unit L (columns, pivot space).
-	for k := 0; k < n; k++ {
-		yk := y[k]
-		if yk == 0 {
-			continue
-		}
-		for p := s.lp[k]; p < s.lp[k+1]; p++ {
-			y[s.li[p]] -= f.lx[p] * yk
-		}
-	}
-	// Back substitution with U (columns, diagonal last per column).
-	for k := n - 1; k >= 0; k-- {
-		dp := s.up[k+1] - 1
-		d := f.ux[dp]
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		yk := y[k] / d
-		y[k] = yk
-		if yk == 0 {
-			continue
-		}
-		for p := s.up[k]; p < dp; p++ {
-			y[s.ui[p]] -= f.ux[p] * yk
-		}
-	}
 	x := make([]T, n)
-	for k := 0; k < n; k++ {
-		x[s.q[k]] = y[k]
+	if err := f.SolveTo(x, b, make([]T, n)); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -528,15 +555,22 @@ func (f *SparseLUOf[T]) SolveTo(dst, b, scratch []T) error {
 	for k := 0; k < n; k++ {
 		y[k] = b[s.rowPerm[k]]
 	}
+	// Forward substitution with unit L (columns, pivot space).
 	for k := 0; k < n; k++ {
 		yk := y[k]
 		if yk == 0 {
 			continue
 		}
-		for p := s.lp[k]; p < s.lp[k+1]; p++ {
+		run, end := s.lRun[k], s.lp[k+1]
+		for p := s.lp[k]; p < run; p++ {
 			y[s.li[p]] -= f.lx[p] * yk
 		}
+		if run < end {
+			r0 := s.li[run]
+			subScaled(y[r0:r0+end-run], f.lx[run:end], yk)
+		}
 	}
+	// Back substitution with U (columns, diagonal last per column).
 	for k := n - 1; k >= 0; k-- {
 		dp := s.up[k+1] - 1
 		d := f.ux[dp]
@@ -548,8 +582,13 @@ func (f *SparseLUOf[T]) SolveTo(dst, b, scratch []T) error {
 		if yk == 0 {
 			continue
 		}
-		for p := s.up[k]; p < dp; p++ {
+		run := s.uRun[k]
+		for p := s.up[k]; p < run; p++ {
 			y[s.ui[p]] -= f.ux[p] * yk
+		}
+		if run < dp {
+			r0 := s.ui[run]
+			subScaled(y[r0:r0+dp-run], f.ux[run:dp], yk)
 		}
 	}
 	for k := 0; k < n; k++ {

@@ -10,10 +10,18 @@ import (
 
 // CrossTime returns the first time the waveform crosses the threshold in
 // the given direction (rising: from below to at-or-above), linearly
-// interpolating between samples. Returns an error if it never crosses.
+// interpolating between samples. Returns an error if it never crosses,
+// or if any sample is NaN or infinite: a diverged transient has no
+// delay, and must not yield one from whichever samples happen to
+// compare as a crossing.
 func CrossTime(times, v []float64, threshold float64, rising bool) (float64, error) {
 	if len(times) != len(v) || len(times) < 2 {
 		return 0, fmt.Errorf("sim: bad waveform (%d points)", len(times))
+	}
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, fmt.Errorf("sim: waveform is not finite (%g at t=%g)", x, times[i])
+		}
 	}
 	for i := 1; i < len(v); i++ {
 		var crossed bool

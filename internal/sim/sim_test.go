@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"inductance101/internal/circuit"
@@ -328,6 +329,14 @@ func TestMeasurements(t *testing.T) {
 	}
 	if _, err := CrossTime(times, v, 0.5, false); err == nil {
 		t.Errorf("falling crossing should not exist")
+	}
+	// A diverged waveform has no delay, even where its finite samples
+	// would bracket a crossing.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := []float64{0, 0.25, 0.75, bad, 1.0}
+		if ct, err := CrossTime(times, w, 0.5, true); err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("CrossTime over a %g sample = %g, %v; want a not-finite error", bad, ct, err)
+		}
 	}
 	if s := Skew([]float64{3, 7, 5}); s != 4 {
 		t.Errorf("Skew = %g", s)

@@ -34,10 +34,46 @@ func opSparse(sm *circuit.SparseMNA, t0, gmin float64, workers int) ([]float64, 
 	return f.Solve(b)
 }
 
-// tranSparse is the sparse fixed-step transient: identical companion
-// integration to TranFrom's linear path, but the system is assembled as
-// triplets, factored by the sparse LU, and the history matvec runs on a
-// CSR — nothing O(size^2) is ever built.
+// deltaWork is the scratch of the delta-form companion step.
+//
+// The trapezoidal step A x' = H x + b + b' has A = G + gmin + αC and
+// H = αC − G, so H = A − D with D = 2G + gmin; backward Euler has
+// H = αC and D = G + gmin. Either way x' = x + A⁻¹(b + b' − D x) (b
+// dropped for backward Euler): the per-step product runs on D, which
+// holds no αC block and does not depend on the step size. On a PEEC(RLC)
+// netlist that block is the dense αL of the mutual inductors.
+type deltaWork struct {
+	r, dx, scratch []float64
+}
+
+func newDeltaWork(size int) *deltaWork {
+	return &deltaWork{r: make([]float64, size), dx: make([]float64, size), scratch: make([]float64, size)}
+}
+
+// step writes x + A⁻¹(bPrev + bNow − D x) into dst, f being the LU of A.
+// bPrev is nil for backward Euler. dst may alias x.
+func (w *deltaWork) step(dst []float64, f *matrix.SparseLU, d *matrix.CSR, x, bPrev, bNow []float64) error {
+	d.MulVecTo(w.r, x)
+	for i, dx := range w.r {
+		b := bNow[i]
+		if bPrev != nil {
+			b = bPrev[i] + b
+		}
+		w.r[i] = b - dx
+	}
+	if err := f.SolveTo(w.dx, w.r, w.scratch); err != nil {
+		return err
+	}
+	for i, v := range w.dx {
+		dst[i] = x[i] + v
+	}
+	return nil
+}
+
+// tranSparse is the sparse fixed-step transient: the companion
+// integration of TranFrom's linear path, assembled as triplets, factored
+// by the sparse LU once and stepped in delta form (deltaWork) — nothing
+// O(size^2) is ever built.
 func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	sm := circuit.BuildSparse(n)
 	x0, err := opSparse(sm, 0, opt.Gmin, opt.Policy.Workers)
@@ -56,17 +92,16 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 		return nil, fmt.Errorf("sim: unknown method %d", opt.Method)
 	}
 
-	// A_lin = alpha*C + G (+gmin); Hist = alpha*C - G (trap) or alpha*C (BE).
 	aLin := sparseGmin(sm, opt.Gmin).AddScaled(alpha, sm.C)
 	f, err := matrix.FactorSparseLUWorkers(aLin.ToCSC(), opt.Policy.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular transient system: %w", err)
 	}
-	histT := matrix.NewTriplet(size, size).AddScaled(alpha, sm.C)
+	dT := sparseGmin(sm, opt.Gmin)
 	if opt.Method == Trapezoidal {
-		histT.AddScaled(-1, sm.G)
+		dT.AddScaled(1, sm.G)
 	}
-	hist := histT.ToCSR()
+	d := dT.ToCSR()
 
 	steps := int(opt.TStop/h + 0.5)
 	res := &TranResult{Netlist: n}
@@ -74,26 +109,21 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	res.Times = append(res.Times, 0)
 	res.States = append(res.States, matrix.CloneVec(x))
 
-	bPrev := make([]float64, size)
-	sm.RHS(0, bPrev)
+	var bPrev []float64
+	if opt.Method == Trapezoidal {
+		bPrev = make([]float64, size)
+		sm.RHS(0, bPrev)
+	}
 	bNow := make([]float64, size)
-	rhsBase := make([]float64, size)
-	scratch := make([]float64, size)
-	xNew := make([]float64, size)
+	w := newDeltaWork(size)
 	for k := 1; k <= steps; k++ {
 		t := float64(k) * h
 		sm.RHS(t, bNow)
-		hist.MulVecTo(rhsBase, x)
-		if opt.Method == Trapezoidal {
-			matrix.Axpy(1, bPrev, rhsBase)
-		}
-		matrix.Axpy(1, bNow, rhsBase)
-		if err := f.SolveTo(xNew, rhsBase, scratch); err != nil {
+		if err := w.step(x, f, d, x, bPrev, bNow); err != nil {
 			return nil, err
 		}
-		x, xNew = xNew, x
-		if opt.Method == Trapezoidal {
-			copy(bPrev, bNow)
+		if bPrev != nil {
+			bPrev, bNow = bNow, bPrev
 		}
 		if k%opt.SaveEvery == 0 || k == steps {
 			res.Times = append(res.Times, t)
@@ -103,41 +133,43 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	return res, nil
 }
 
-// sparseStepper is the adaptive stepper for linear netlists: per-step-
-// size numeric factorizations share the symbolic pattern of the first
-// factored step size and refactor numerically; only a pattern change or
-// pivot drift falls back to a fresh analysis.
+// sparseStepper is the adaptive trapezoidal stepper for linear
+// netlists, in delta form: D = 2G + gmin is shared by every step size,
+// and per-step-size factorizations of A share the symbolic pattern of
+// the first factored step size and refactor numerically; only a pattern
+// change or pivot drift falls back to a fresh analysis.
 type sparseStepper struct {
 	sm      *circuit.SparseMNA
 	gminG   *matrix.Triplet // G + gmin
-	cache   map[float64]*sparseStepFactor
+	d       *matrix.CSR     // 2G + gmin
+	cache   map[float64]*matrix.SparseLU
 	sym     *matrix.SparseLU // symbolic donor from the first factorization
 	workers int              // Refactor/factor worker count; 0 = process default
+	bNow    []float64
+	work    *deltaWork
 	// refreshed counts fresh re-analyses forced by drift/pattern change.
 	refreshed int
 }
 
-type sparseStepFactor struct {
-	lu   *matrix.SparseLU
-	hist *matrix.CSR
-}
-
 func newSparseStepper(sm *circuit.SparseMNA, gmin float64, workers int) *sparseStepper {
+	size := sm.Size()
 	return &sparseStepper{
 		sm:      sm,
 		gminG:   sparseGmin(sm, gmin),
-		cache:   make(map[float64]*sparseStepFactor),
+		d:       sparseGmin(sm, gmin).AddScaled(1, sm.G).ToCSR(),
+		cache:   make(map[float64]*matrix.SparseLU),
 		workers: workers,
+		bNow:    make([]float64, size),
+		work:    newDeltaWork(size),
 	}
 }
 
-func (s *sparseStepper) factors(h float64) (*sparseStepFactor, error) {
+func (s *sparseStepper) factors(h float64) (*matrix.SparseLU, error) {
 	if f, ok := s.cache[h]; ok {
 		return f, nil
 	}
-	alpha := 2 / h
 	size := s.sm.Size()
-	a := matrix.NewTriplet(size, size).AddScaled(1, s.gminG).AddScaled(alpha, s.sm.C).ToCSC()
+	a := matrix.NewTriplet(size, size).AddScaled(1, s.gminG).AddScaled(2/h, s.sm.C).ToCSC()
 	var lu *matrix.SparseLU
 	if s.sym != nil {
 		cand := s.sym.NewNumeric()
@@ -156,28 +188,22 @@ func (s *sparseStepper) factors(h float64) (*sparseStepFactor, error) {
 		s.sym = fresh
 		lu = fresh
 	}
-	hist := matrix.NewTriplet(size, size).AddScaled(alpha, s.sm.C).AddScaled(-1, s.sm.G).ToCSR()
-	f := &sparseStepFactor{lu: lu, hist: hist}
 	if len(s.cache) > 64 {
-		s.cache = make(map[float64]*sparseStepFactor)
+		s.cache = make(map[float64]*matrix.SparseLU)
 	}
-	s.cache[h] = f
-	return f, nil
+	s.cache[h] = lu
+	return lu, nil
 }
 
-func (s *sparseStepper) advance(x, bPrev []float64, t, h float64) ([]float64, error) {
+// advance writes into dst the state at t+h from x at t (bPrev = b(t)).
+// dst must not alias bPrev.
+func (s *sparseStepper) advance(dst, x, bPrev []float64, t, h float64) error {
 	f, err := s.factors(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	size := s.sm.Size()
-	bNow := make([]float64, size)
-	s.sm.RHS(t+h, bNow)
-	rhs := make([]float64, size)
-	f.hist.MulVecTo(rhs, x)
-	matrix.Axpy(1, bPrev, rhs)
-	matrix.Axpy(1, bNow, rhs)
-	return f.lu.Solve(rhs)
+	s.sm.RHS(t+h, s.bNow)
+	return s.work.step(dst, f, s.d, x, bPrev, s.bNow)
 }
 
 // tranAdaptiveSparse mirrors TranAdaptive's step-doubling control loop
@@ -199,6 +225,9 @@ func tranAdaptiveSparse(n *circuit.Netlist, opt AdaptiveOptions) (*TranResult, e
 	size := sm.Size()
 	b0 := make([]float64, size)
 	b1 := make([]float64, size)
+	xFull := make([]float64, size)
+	xHalf := make([]float64, size)
+	xHalf2 := make([]float64, size)
 	accepted, rejected := 0, 0
 	h := opt.HInit
 	for t < opt.TStop {
@@ -206,20 +235,22 @@ func tranAdaptiveSparse(n *circuit.Netlist, opt AdaptiveOptions) (*TranResult, e
 			h = opt.TStop - t
 		}
 		sm.RHS(t, b0)
-		xFull, err := s.advance(x, b0, t, h)
-		if err != nil {
+		if err := s.advance(xFull, x, b0, t, h); err != nil {
 			return nil, err
 		}
-		xHalf, err := s.advance(x, b0, t, h/2)
-		if err != nil {
+		if err := s.advance(xHalf, x, b0, t, h/2); err != nil {
 			return nil, err
 		}
 		sm.RHS(t+h/2, b1)
-		xHalf2, err := s.advance(xHalf, b1, t+h/2, h/2)
-		if err != nil {
+		if err := s.advance(xHalf2, xHalf, b1, t+h/2, h/2); err != nil {
 			return nil, err
 		}
-		errEst := matrix.NormInf(matrix.Sub(xFull, xHalf2))
+		errEst := 0.0
+		for i, v := range xFull {
+			if e := math.Abs(v - xHalf2[i]); e > errEst {
+				errEst = e
+			}
+		}
 		if errEst > opt.Tol && h > opt.HMin*(1+1e-12) {
 			rejected++
 			h = math.Max(h/2, opt.HMin)
@@ -227,7 +258,7 @@ func tranAdaptiveSparse(n *circuit.Netlist, opt AdaptiveOptions) (*TranResult, e
 		}
 		accepted++
 		t += h
-		x = xHalf2
+		x, xHalf2 = xHalf2, x
 		res.Times = append(res.Times, t)
 		res.States = append(res.States, matrix.CloneVec(x))
 		if errEst < opt.Tol/8 && h < opt.HMax {

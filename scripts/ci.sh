@@ -39,6 +39,13 @@ fi
 echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh, core)"
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh ./internal/core
 
+# The AVX2 kernels have scalar-only stubs in kernels_noasm.go; a
+# cross-vet and cross-build for arm64 keeps the two in step. Offline,
+# about 18 s.
+echo "== arm64 cross-vet and cross-build"
+GOARCH=arm64 go vet ./internal/matrix
+GOARCH=arm64 go build ./...
+
 # No mutable package-level tuning state: run configuration belongs in
 # engine.Config / the per-layer option structs, not process-wide Set*
 # switches. No exemptions.
