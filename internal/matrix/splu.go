@@ -343,9 +343,12 @@ func runStarts(cp, ri []int, n, skip int) []int {
 	rs := make([]int, n)
 	for k := 0; k < n; k++ {
 		lo, end := cp[k], cp[k+1]-skip
-		p := end - 1
-		for p > lo && ri[p-1] == ri[p]-1 {
+		p := end
+		if p > lo {
 			p--
+			for p > lo && ri[p-1] == ri[p]-1 {
+				p--
+			}
 		}
 		if end-p < minDenseRun {
 			p = end

@@ -54,12 +54,12 @@ func newDeltaWork(size int) *deltaWork {
 // bPrev is nil for backward Euler. dst may alias x.
 func (w *deltaWork) step(dst []float64, f *matrix.SparseLU, d *matrix.CSR, x, bPrev, bNow []float64) error {
 	d.MulVecTo(w.r, x)
-	for i, dx := range w.r {
+	for i, dxi := range w.r {
 		b := bNow[i]
 		if bPrev != nil {
 			b = bPrev[i] + b
 		}
-		w.r[i] = b - dx
+		w.r[i] = b - dxi
 	}
 	if err := f.SolveTo(w.dx, w.r, w.scratch); err != nil {
 		return err
