@@ -13,7 +13,7 @@ import (
 // for the compressed operators to be meaningful: a signal and its far
 // return over a PlaneNW=16 plane lower to ~550 filaments, past the
 // dense/iterative auto threshold. holes perforate the plane.
-func microstripOverPlane(t *testing.T, holes ...geom.Hole) (*geom.Layout, []int, Port, [][2]string) {
+func microstripOverPlane(t testing.TB, holes ...geom.Hole) (*geom.Layout, []int, Port, [][2]string) {
 	t.Helper()
 	lay := geom.NewLayout(grid.StandardLayers())
 	segs := []int{
