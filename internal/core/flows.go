@@ -184,8 +184,17 @@ func (c *ClockCase) RunPEECCtx(ctx context.Context, opt FlowOptions) (*FlowResul
 	lay := c.Grid.Layout
 	if err := pipe.Run(ctx, "sparsify", func(context.Context) (string, error) {
 		switch opt.Strategy {
-		case StrategyRC, StrategyFull:
+		case StrategyRC:
 			return "", nil
+		case StrategyFull:
+			// The full model keeps every mutual, so its L is the
+			// extracted partial L itself: a transient on a non-PD L is
+			// unstable, so the flow stops here instead.
+			res.PositiveDefinite = matrix.IsPositiveDefinite(c.Par.L)
+			if !res.PositiveDefinite {
+				return "", fmt.Errorf("core: %s: partial L is not positive definite", res.Name)
+			}
+			return "partial L positive definite", nil
 		case StrategyBlockDiag:
 			sec := sparsify.SectionsByCrossCoordinate(lay, c.Par.Segs, opt.Sections)
 			r := sparsify.BlockDiagonal(c.Par.L, sec)

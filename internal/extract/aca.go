@@ -170,6 +170,7 @@ func (o ACAOptions) eta() float64 {
 // blocks rows and cols are the same slice.
 type denseBlock struct {
 	rows, cols []int
+	r0, c0     int       // tree-order starts of rows and cols
 	v          []float64 // len(rows) x len(cols), row-major
 }
 
@@ -178,6 +179,7 @@ type denseBlock struct {
 // term.
 type lowRankBlock struct {
 	rows, cols []int
+	r0, c0     int // tree-order starts of rows and cols
 	u, v       []float64
 	k          int
 	level      int // cluster-tree depth the block was created at
@@ -232,22 +234,13 @@ func (s CompressStats) CompressionRatio() float64 {
 // for concurrent ApplyTo/ApplyCTo/Diag/EachUpper calls — a frequency
 // sweep shares one operator across all worker goroutines.
 type CompressedL struct {
-	n     int
-	diag  []denseBlock
-	near  []denseBlock
+	nearField
 	far   []lowRankBlock
 	stats CompressStats
-	// elemBlock/elemPos locate each element's diagonal block for O(1)
-	// Diag lookups and the block-Jacobi preconditioner.
-	elemBlock []int32
-	elemPos   []int32
-	maxK      int
+	maxK  int
 }
 
 var _ LOperator = (*CompressedL)(nil)
-
-// Dim returns the operator dimension.
-func (c *CompressedL) Dim() int { return c.n }
 
 // Stats returns the compression summary.
 func (c *CompressedL) Stats() CompressStats { return c.stats }
@@ -260,207 +253,33 @@ type DiagBlock struct {
 	V   []float64
 }
 
-// DiagBlocks returns the diagonal leaf blocks, the basis of the
-// block-Jacobi preconditioner in internal/fasthenry.
-func (c *CompressedL) DiagBlocks() []DiagBlock {
-	return diagBlockViews(c.diag)
-}
+// ApplyTo computes dst = L*x over real vectors of length Dim.
+func (c *CompressedL) ApplyTo(dst, x []float64) { c.applyR(dst, x, c) }
 
-func diagBlockViews(diag []denseBlock) []DiagBlock {
-	out := make([]DiagBlock, len(diag))
-	for i, b := range diag {
-		out[i] = DiagBlock{Idx: b.rows, V: b.v}
-	}
-	return out
-}
+// ApplyCTo computes dst = L*x over complex vectors of length Dim (the
+// factors are real; the FastHenry branch-impedance operator applies
+// jωL to complex currents).
+func (c *CompressedL) ApplyCTo(dst, x []complex128) { c.applyC(dst, x, c) }
 
-// Diag returns the exact diagonal entry L[i][i].
-func (c *CompressedL) Diag(i int) float64 {
-	b := &c.diag[c.elemBlock[i]]
-	p := int(c.elemPos[i])
-	return b.v[p*len(b.cols)+p]
-}
-
-// applyDiagDense accumulates the symmetric dense diagonal blocks.
-func applyDiagDense(diag []denseBlock, dst, x []float64) {
-	for bi := range diag {
-		b := &diag[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			s := 0.0
-			for bidx, v := range row {
-				s += v * x[b.cols[bidx]]
-			}
-			dst[i] += s
-		}
-	}
-}
-
-// applyNearDense accumulates the off-diagonal dense blocks both ways.
-func applyNearDense(near []denseBlock, dst, x []float64) {
-	for bi := range near {
-		b := &near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			s := 0.0
-			for bidx, v := range row {
-				s += v * x[b.cols[bidx]]
-			}
-			dst[i] += s
-			// Transpose side: dst[cols] += row * x[i].
-			xi := x[i]
-			for bidx, v := range row {
-				dst[b.cols[bidx]] += v * xi
-			}
-		}
-	}
-}
-
-func applyDiagDenseC(diag []denseBlock, dst, x []complex128) {
-	for bi := range diag {
-		b := &diag[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			var s complex128
-			for bidx, v := range row {
-				s += complex(v, 0) * x[b.cols[bidx]]
-			}
-			dst[i] += s
-		}
-	}
-}
-
-func applyNearDenseC(near []denseBlock, dst, x []complex128) {
-	for bi := range near {
-		b := &near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			var s complex128
-			xi := x[i]
-			for bidx, v := range row {
-				cv := complex(v, 0)
-				s += cv * x[b.cols[bidx]]
-				dst[b.cols[bidx]] += cv * xi
-			}
-			dst[i] += s
-		}
-	}
-}
-
-// ApplyTo computes dst = L*x over real vectors. dst and x must not
-// alias and have length Dim.
-func (c *CompressedL) ApplyTo(dst, x []float64) {
-	if len(dst) != c.n || len(x) != c.n {
-		panic("extract: CompressedL ApplyTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDense(c.diag, dst, x)
-	applyNearDense(c.near, dst, x)
-	t := make([]float64, c.maxK)
+// applyFar applies every low-rank block both ways on the planes:
+// dst[rows] += U (Vᵀ x[cols]), then dst[cols] += V (Uᵀ x[rows]), with
+// the rank coefficients in w.cx[0].
+func (c *CompressedL) applyFar(w *workspace, np int) {
 	for bi := range c.far {
 		b := &c.far[bi]
-		m, n := len(b.rows), len(b.cols)
-		// dst[rows] += U (Vᵀ x[cols]); dst[cols] += V (Uᵀ x[rows]).
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			s := 0.0
-			for j, cj := range b.cols {
-				s += vk[j] * x[cj]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			tk := t[k]
-			for a, ri := range b.rows {
-				dst[ri] += uk[a] * tk
-			}
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			s := 0.0
-			for a, ri := range b.rows {
-				s += uk[a] * x[ri]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			tk := t[k]
-			for j, cj := range b.cols {
-				dst[cj] += vk[j] * tk
-			}
+		r0, r1 := b.r0, b.r0+len(b.rows)
+		c0, c1 := b.c0, b.c0+len(b.cols)
+		t := w.cx[0][:b.k]
+		for p := 0; p < np; p++ {
+			x, y := w.x[p], w.y[p]
+			clear(t)
+			rowSums(b.v, x[c0:c1], t)
+			colAxpys(b.u, t, y[r0:r1])
+			clear(t)
+			rowSums(b.u, x[r0:r1], t)
+			colAxpys(b.v, t, y[c0:c1])
 		}
 	}
-}
-
-// ApplyCTo computes dst = L*x over complex vectors (the factors are
-// real; the FastHenry branch-impedance operator applies jωL to complex
-// currents). dst and x must not alias and have length Dim.
-func (c *CompressedL) ApplyCTo(dst, x []complex128) {
-	if len(dst) != c.n || len(x) != c.n {
-		panic("extract: CompressedL ApplyCTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDenseC(c.diag, dst, x)
-	applyNearDenseC(c.near, dst, x)
-	t := make([]complex128, c.maxK)
-	for bi := range c.far {
-		b := &c.far[bi]
-		m, n := len(b.rows), len(b.cols)
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			var s complex128
-			for j, cj := range b.cols {
-				s += complex(vk[j], 0) * x[cj]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			tk := t[k]
-			for a, ri := range b.rows {
-				dst[ri] += complex(uk[a], 0) * tk
-			}
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			var s complex128
-			for a, ri := range b.rows {
-				s += complex(uk[a], 0) * x[ri]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			tk := t[k]
-			for j, cj := range b.cols {
-				dst[cj] += complex(vk[j], 0) * tk
-			}
-		}
-	}
-}
-
-// ApplyNearCTo computes dst = N*x over the exact off-diagonal near
-// blocks only — the sparse near-field pattern the approximate-inverse
-// preconditioner in internal/fasthenry corrects over. dst and x must
-// not alias and have length Dim.
-func (c *CompressedL) ApplyNearCTo(dst, x []complex128) {
-	if len(dst) != c.n || len(x) != c.n {
-		panic("extract: CompressedL ApplyNearCTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyNearDenseC(c.near, dst, x)
 }
 
 // EachUpper visits every strictly-upper-triangle entry (i < j, value
@@ -636,7 +455,7 @@ func CompressL(elems []HElement, trees []*ElemTree, entry func(i, j int) float64
 		entry:   entry,
 		opt:     opt,
 		bounds:  make(map[*ElemTree]nodeBounds),
-		op:      &CompressedL{n: len(elems)},
+		op:      &CompressedL{nearField: nearField{n: len(elems)}},
 		workers: opt.Workers,
 	}
 	for _, t := range trees {
@@ -645,13 +464,10 @@ func CompressL(elems []HElement, trees []*ElemTree, entry func(i, j int) float64
 	// Cross-direction tree pairs couple nothing (zero blocks) and are
 	// skipped entirely; within-direction roots are each a single tree.
 	c.fillBlocks()
-	c.op.elemBlock = make([]int32, len(elems))
-	c.op.elemPos = make([]int32, len(elems))
-	for bi, b := range c.op.diag {
-		for p, i := range b.rows {
-			c.op.elemBlock[i] = int32(bi)
-			c.op.elemPos[i] = int32(p)
-		}
+	pos := c.op.indexTreeOrder(trees, c.op.maxK)
+	for bi := range c.op.far {
+		b := &c.op.far[bi]
+		b.r0, b.c0 = treeSpan(pos, b.rows), treeSpan(pos, b.cols)
 	}
 	c.finishStats()
 	return c.op

@@ -116,8 +116,8 @@ type h2node struct {
 	u []float64
 	k int
 	// off is the node's offset into the matvec workspace (-1 without a
-	// basis).
-	off int
+	// basis); e0 is the tree-order start of t.Elems.
+	off, e0 int
 }
 
 func (nd *h2node) hasBasis() bool { return nd.need && !nd.failed }
@@ -135,231 +135,82 @@ type h2coupling struct {
 // the same products in different orders, so ⟨e_i, L e_j⟩ and
 // ⟨e_j, L e_i⟩ agree to rounding, not bit-exactly.
 type H2L struct {
-	n     int
-	diag  []denseBlock
-	near  []denseBlock
+	nearField
 	nodes []*h2node // post-order: children before parents
 	coups []h2coupling
 	wsize int // Σ k over nodes with bases
 	stats CompressStats
-
-	elemBlock []int32
-	elemPos   []int32
 }
 
 var _ LOperator = (*H2L)(nil)
 
-// Dim returns the operator dimension.
-func (h *H2L) Dim() int { return h.n }
-
 // Stats returns the compression summary.
 func (h *H2L) Stats() CompressStats { return h.stats }
 
-// DiagBlocks returns the dense diagonal leaf blocks.
-func (h *H2L) DiagBlocks() []DiagBlock { return diagBlockViews(h.diag) }
+// ApplyTo computes dst = L*x over real vectors of length Dim.
+func (h *H2L) ApplyTo(dst, x []float64) { h.applyR(dst, x, h) }
 
-// Diag returns the exact diagonal entry L[i][i].
-func (h *H2L) Diag(i int) float64 {
-	b := &h.diag[h.elemBlock[i]]
-	p := int(h.elemPos[i])
-	return b.v[p*len(b.cols)+p]
-}
+// ApplyCTo computes dst = L*x over complex vectors of length Dim.
+func (h *H2L) ApplyCTo(dst, x []complex128) { h.applyC(dst, x, h) }
 
-// ApplyTo computes dst = L*x over real vectors (no aliasing).
-func (h *H2L) ApplyTo(dst, x []float64) {
-	if len(dst) != h.n || len(x) != h.n {
-		panic("extract: H2L ApplyTo dimension mismatch")
+// applyFar runs the three nested-basis passes on the planes, with the
+// skeleton coefficients x̂ and ŷ in w.cx and w.cy.
+func (h *H2L) applyFar(w *workspace, np int) {
+	for p := 0; p < np; p++ {
+		clear(w.cx[p][:h.wsize])
+		clear(w.cy[p][:h.wsize])
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDense(h.diag, dst, x)
-	applyNearDense(h.near, dst, x)
-	xhat := make([]float64, h.wsize)
-	yhat := make([]float64, h.wsize)
-	// Upward: children before parents, so a transfer reads finished
-	// child coefficients.
+	// Upward, children before parents so a transfer reads finished
+	// child coefficients: x̂_t = U_tᵀ x over a leaf's elements, or the
+	// transfer rows times the children's x̂ (left first).
 	for _, nd := range h.nodes {
 		if nd.off < 0 || nd.k == 0 {
 			continue
 		}
-		out := xhat[nd.off : nd.off+nd.k]
-		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				xi := x[ei]
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				for c, uv := range row {
-					out[c] += uv * xi
-				}
+		k := nd.k
+		for p := 0; p < np; p++ {
+			xh := w.cx[p]
+			out := xh[nd.off : nd.off+k]
+			if nd.left == nil {
+				colAxpys(nd.u, w.x[p][nd.e0:nd.e0+len(nd.t.Elems)], out)
+				continue
 			}
-			continue
-		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cx := xhat[ch.off : ch.off+ch.k]
-			for _, xv := range cx {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				for c, uv := range row {
-					out[c] += uv * xv
-				}
-				r++
-			}
+			l, r := nd.left, nd.right
+			colAxpys(nd.u[:l.k*k], xh[l.off:l.off+l.k], out)
+			colAxpys(nd.u[l.k*k:], xh[r.off:r.off+r.k], out)
 		}
 	}
 	// Interaction: each coupling applied both ways.
 	for ci := range h.coups {
 		cp := &h.coups[ci]
-		ka, kb := cp.a.k, cp.b.k
-		xa := xhat[cp.a.off : cp.a.off+ka]
-		xb := xhat[cp.b.off : cp.b.off+kb]
-		ya := yhat[cp.a.off : cp.a.off+ka]
-		yb := yhat[cp.b.off : cp.b.off+kb]
-		for p := 0; p < ka; p++ {
-			row := cp.s[p*kb : (p+1)*kb]
-			s := 0.0
-			xp := xa[p]
-			for q, sv := range row {
-				s += sv * xb[q]
-				yb[q] += sv * xp
-			}
-			ya[p] += s
+		a, b := cp.a, cp.b
+		for p := 0; p < np; p++ {
+			xh, yh := w.cx[p], w.cy[p]
+			symPair(cp.s, xh[a.off:a.off+a.k], xh[b.off:b.off+b.k],
+				yh[a.off:a.off+a.k], yh[b.off:b.off+b.k])
 		}
 	}
-	// Downward: parents before children.
+	// Downward, parents before children: ŷ prolongates through the
+	// transfer rows into the children's ŷ, and through a leaf basis
+	// into the elements.
 	for i := len(h.nodes) - 1; i >= 0; i-- {
 		nd := h.nodes[i]
 		if nd.off < 0 || nd.k == 0 {
 			continue
 		}
-		in := yhat[nd.off : nd.off+nd.k]
-		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				s := 0.0
-				for c, uv := range row {
-					s += uv * in[c]
-				}
-				dst[ei] += s
+		k := nd.k
+		for p := 0; p < np; p++ {
+			yh := w.cy[p]
+			in := yh[nd.off : nd.off+k]
+			if nd.left == nil {
+				rowSums(nd.u, in, w.y[p][nd.e0:nd.e0+len(nd.t.Elems)])
+				continue
 			}
-			continue
-		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cy := yhat[ch.off : ch.off+ch.k]
-			for j := range cy {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				s := 0.0
-				for c, uv := range row {
-					s += uv * in[c]
-				}
-				cy[j] += s
-				r++
-			}
+			l, r := nd.left, nd.right
+			rowSums(nd.u[:l.k*k], in, yh[l.off:l.off+l.k])
+			rowSums(nd.u[l.k*k:], in, yh[r.off:r.off+r.k])
 		}
 	}
-}
-
-// ApplyCTo computes dst = L*x over complex vectors (no aliasing).
-func (h *H2L) ApplyCTo(dst, x []complex128) {
-	if len(dst) != h.n || len(x) != h.n {
-		panic("extract: H2L ApplyCTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDenseC(h.diag, dst, x)
-	applyNearDenseC(h.near, dst, x)
-	xhat := make([]complex128, h.wsize)
-	yhat := make([]complex128, h.wsize)
-	for _, nd := range h.nodes {
-		if nd.off < 0 || nd.k == 0 {
-			continue
-		}
-		out := xhat[nd.off : nd.off+nd.k]
-		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				xi := x[ei]
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				for c, uv := range row {
-					out[c] += complex(uv, 0) * xi
-				}
-			}
-			continue
-		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cx := xhat[ch.off : ch.off+ch.k]
-			for _, xv := range cx {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				for c, uv := range row {
-					out[c] += complex(uv, 0) * xv
-				}
-				r++
-			}
-		}
-	}
-	for ci := range h.coups {
-		cp := &h.coups[ci]
-		ka, kb := cp.a.k, cp.b.k
-		xa := xhat[cp.a.off : cp.a.off+ka]
-		xb := xhat[cp.b.off : cp.b.off+kb]
-		ya := yhat[cp.a.off : cp.a.off+ka]
-		yb := yhat[cp.b.off : cp.b.off+kb]
-		for p := 0; p < ka; p++ {
-			row := cp.s[p*kb : (p+1)*kb]
-			var s complex128
-			xp := xa[p]
-			for q, sv := range row {
-				cv := complex(sv, 0)
-				s += cv * xb[q]
-				yb[q] += cv * xp
-			}
-			ya[p] += s
-		}
-	}
-	for i := len(h.nodes) - 1; i >= 0; i-- {
-		nd := h.nodes[i]
-		if nd.off < 0 || nd.k == 0 {
-			continue
-		}
-		in := yhat[nd.off : nd.off+nd.k]
-		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				var s complex128
-				for c, uv := range row {
-					s += complex(uv, 0) * in[c]
-				}
-				dst[ei] += s
-			}
-			continue
-		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cy := yhat[ch.off : ch.off+ch.k]
-			for j := range cy {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				var s complex128
-				for c, uv := range row {
-					s += complex(uv, 0) * in[c]
-				}
-				cy[j] += s
-				r++
-			}
-		}
-	}
-}
-
-// ApplyNearCTo computes dst = N*x over the exact off-diagonal near
-// blocks only (no aliasing).
-func (h *H2L) ApplyNearCTo(dst, x []complex128) {
-	if len(dst) != h.n || len(x) != h.n {
-		panic("extract: H2L ApplyNearCTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyNearDenseC(h.near, dst, x)
 }
 
 // EachUpper visits every strictly-upper-triangle entry once (coupling
@@ -492,7 +343,7 @@ func CompressLH2(elems []HElement, trees []*ElemTree, entry func(i, j int) float
 		bounds:  make(map[*ElemTree]nodeBounds),
 		workers: opt.Workers,
 		byTree:  make(map[*ElemTree]*h2node),
-		op:      &H2L{n: len(elems)},
+		op:      &H2L{nearField: nearField{n: len(elems)}},
 	}
 	for _, t := range trees {
 		b.wrap(t, nil)
@@ -504,7 +355,10 @@ func CompressLH2(elems []HElement, trees []*ElemTree, entry func(i, j int) float
 	b.resolveCouplings()
 	b.fillDense()
 	b.assignOffsets()
-	b.op.elemBlock, b.op.elemPos = buildElemIndex(len(elems), b.op.diag)
+	pos := b.op.indexTreeOrder(trees, b.op.wsize)
+	for _, nd := range b.nodes {
+		nd.e0 = treeSpan(pos, nd.t.Elems)
+	}
 	b.finishStats()
 	return b.op
 }
@@ -922,20 +776,6 @@ func (b *h2builder) assignOffsets() {
 	}
 	b.op.wsize = off
 	b.op.nodes = b.nodes
-}
-
-// buildElemIndex maps each element to its diagonal block and position,
-// shared by both compressed operators for O(1) Diag lookups.
-func buildElemIndex(n int, diag []denseBlock) (blk, pos []int32) {
-	blk = make([]int32, n)
-	pos = make([]int32, n)
-	for bi, db := range diag {
-		for p, i := range db.rows {
-			blk[i] = int32(bi)
-			pos[i] = int32(p)
-		}
-	}
-	return blk, pos
 }
 
 func (b *h2builder) finishStats() {

@@ -143,3 +143,31 @@ func BenchmarkCompressedApplyCTo(b *testing.B) {
 		})
 	}
 }
+
+// TestCompressedApplyAllocs pins the compressed matvecs allocation-free
+// once warm: each apply takes its tree-ordered planes from the
+// operator's scratch pool.
+func TestCompressedApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, c := range applyPinCases() {
+		t.Run(c.name, func(t *testing.T) {
+			op := pinOperator(t, c)
+			n := op.Dim()
+			x, xc := pinVectors(n)
+			dst := make([]float64, n)
+			dstc := make([]complex128, n)
+			for name, apply := range map[string]func(){
+				"ApplyTo":      func() { op.ApplyTo(dst, x) },
+				"ApplyCTo":     func() { op.ApplyCTo(dstc, xc) },
+				"ApplyNearCTo": func() { op.ApplyNearCTo(dstc, xc) },
+			} {
+				apply() // warm the scratch pool
+				if a := testing.AllocsPerRun(10, apply); a != 0 {
+					t.Errorf("%s allocates %v times per call", name, a)
+				}
+			}
+		})
+	}
+}
