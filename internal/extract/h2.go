@@ -157,8 +157,8 @@ func (h *H2L) ApplyCTo(dst, x []complex128) { h.applyC(dst, x, h) }
 // skeleton coefficients x̂ and ŷ in w.cx and w.cy.
 func (h *H2L) applyFar(w *workspace, np int) {
 	for p := 0; p < np; p++ {
-		clear(w.cx[p][:h.wsize])
-		clear(w.cy[p][:h.wsize])
+		clear(w.cx[p])
+		clear(w.cy[p])
 	}
 	// Upward, children before parents so a transfer reads finished
 	// child coefficients: x̂_t = U_tᵀ x over a leaf's elements, or the
