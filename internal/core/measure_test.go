@@ -6,13 +6,37 @@ import (
 	"testing"
 )
 
-// TestTable1RLCDelaysPinned pins the PEEC(RLC) sink delays of the
-// scaled `clocksim -nx 6 -ny 6 -levels 3` case (seed 1) to 1e-12
-// relative. The values were recorded from the sparse transient that
-// stepped x_{k+1} = A⁻¹((αC − G)x_k + b_k + b_{k+1}); the delta form
-// x_{k+1} = x_k + A⁻¹(b_k + b_{k+1} − (2G + gmin)x_k) is the same
-// integration rule and only rounds differently.
+// TestTable1RLCDelaysPinned pins the sink delays of the scaled
+// `clocksim -nx 6 -ny 6 -levels 3` case (seed 1) to 1e-12 relative,
+// for the PEEC(RLC) flow and the block-diagonal + PRIMA flow of
+// Table 1. The PEEC(RLC) values were recorded from the sparse
+// transient that stepped x_{k+1} = A⁻¹((αC − G)x_k + b_k + b_{k+1});
+// the delta form x_{k+1} = x_k + A⁻¹(b_k + b_{k+1} − (2G + gmin)x_k) is
+// the same integration rule and only rounds differently. The PRIMA
+// values were recorded from the reduction on the dense MNA pencil; the
+// reduced order is pinned exactly.
 func TestTable1RLCDelaysPinned(t *testing.T) {
+	prima := DefaultFlowOptions(StrategyBlockDiag)
+	prima.UsePRIMA = true
+	cases := []struct {
+		name  string
+		opt   FlowOptions
+		order int
+		want  []float64
+	}{
+		{"rlc", DefaultFlowOptions(StrategyFull), 0, []float64{
+			1.0468712527199442e-10, 1.0100769095178815e-10,
+			1.0641766103892352e-10, 9.8112143337229814e-11,
+			1.1982195134430853e-10, 1.1582133363337748e-10,
+			1.1996442783369445e-10, 1.1234713724362351e-10,
+		}},
+		{"blockdiag+prima", prima, 16, []float64{
+			1.0032213552196337e-10, 1.0046958832373061e-10,
+			1.0089433289944882e-10, 1.0134368412759617e-10,
+			1.1862974392043594e-10, 1.1839753809432414e-10,
+			1.1904335368515424e-10, 1.1971388818432561e-10,
+		}},
+	}
 	opt := DefaultCaseOptions()
 	opt.Grid.NX, opt.Grid.NY = 6, 6
 	opt.ClockLevels = 3
@@ -21,28 +45,29 @@ func TestTable1RLCDelaysPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.RunPEEC(DefaultFlowOptions(StrategyFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{
-		1.0468712527199442e-10, 1.0100769095178815e-10,
-		1.0641766103892352e-10, 9.8112143337229814e-11,
-		1.1982195134430853e-10, 1.1582133363337748e-10,
-		1.1996442783369445e-10, 1.1234713724362351e-10,
-	}
-	if len(r.Delays) != len(want) {
-		t.Fatalf("%d sink delays, want %d", len(r.Delays), len(want))
-	}
-	worst := 0.0
-	for k, d := range r.Delays {
-		if rel := math.Abs(d-want[k]) / want[k]; rel > 1e-12 {
-			t.Errorf("sink %d: delay %.17g, want %.17g (%.2g relative)", k, d, want[k], rel)
-		}
-		worst = math.Max(worst, want[k])
-	}
-	if rel := math.Abs(r.WorstDelay-worst) / worst; rel > 1e-12 {
-		t.Errorf("worst delay %.17g, want %.17g (%.2g relative)", r.WorstDelay, worst, rel)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := c.RunPEEC(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.ReducedOrder != tc.order {
+				t.Errorf("reduced order %d, want %d", r.ReducedOrder, tc.order)
+			}
+			if len(r.Delays) != len(tc.want) {
+				t.Fatalf("%d sink delays, want %d", len(r.Delays), len(tc.want))
+			}
+			worst := 0.0
+			for k, d := range r.Delays {
+				if rel := math.Abs(d-tc.want[k]) / tc.want[k]; rel > 1e-12 {
+					t.Errorf("sink %d: delay %.17g, want %.17g (%.2g relative)", k, d, tc.want[k], rel)
+				}
+				worst = math.Max(worst, tc.want[k])
+			}
+			if rel := math.Abs(r.WorstDelay-worst) / worst; rel > 1e-12 {
+				t.Errorf("worst delay %.17g, want %.17g (%.2g relative)", r.WorstDelay, worst, rel)
+			}
+		})
 	}
 }
 
