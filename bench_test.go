@@ -564,7 +564,7 @@ func BenchmarkPRIMAReduceOnly(b *testing.B) {
 	}
 	n := p.Netlist
 	n.AddR("rdrv", c.Clock.Root, c.DriverGnd, c.Opt.DriverR)
-	m := circuit.Build(n)
+	m := circuit.BuildSparse(n)
 	root, _ := n.NodeIndex(c.Clock.Root)
 	gnd, _ := n.NodeIndex(c.DriverGnd)
 	b.ResetTimer()

@@ -26,6 +26,8 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"clocksim", []string{"-solver", "hierarchical"}},
 		{"gridnoise", []string{"-irsolver", "quantum"}},
 		{"gridnoise", []string{"-irsolver", "multigrid"}},
+		// The dense full-MNA static-IR mode is gone from the menu.
+		{"gridnoise", []string{"-irsolver", "dense"}},
 		// A negative kernel-cache byte cap is rejected by the shared
 		// engine.Config validation in every tool that carries the cache,
 		// daemon included — fail-fast, before any input file is opened.

@@ -12,7 +12,7 @@
 //
 //	gridnoise [-nx 4] [-ny 4] [-pitch 150e-6] [-burst 25e-3]
 //	          [-decap 2e4] [-sweep] [-packages]
-//	          [-irsolver dense|cg|chol|mg] [-workers N]
+//	          [-irsolver auto|cg|chol|mg] [-workers N]
 //	          [-synth N] [-synthtran]
 package main
 
@@ -22,7 +22,6 @@ import (
 	"os"
 	"sort"
 
-	"inductance101/internal/engine"
 	"inductance101/internal/grid"
 	"inductance101/internal/matrix"
 	"inductance101/internal/pkgmodel"
@@ -40,23 +39,15 @@ func main() {
 		dcap    = flag.Float64("decap", 2e4, "decap budget, total transistor width (um)")
 		sweep   = flag.Bool("sweep", false, "sweep the decap budget")
 		pkgs    = flag.Bool("packages", false, "compare package models")
-		irsolv  = flag.String("irsolver", "dense", "static IR solver: auto, dense, cg, chol or mg")
+		irsolv  = flag.String("irsolver", "auto", "static IR solver: auto (= chol), cg, chol or mg")
 		workers = flag.Int("workers", 0, "solver worker cap (0 = all cores)")
 		synthN  = flag.Int("synth", 0, "run the synthetic-grid MG path at ~N nodes instead of the PEEC analyzer")
 		synthTr = flag.Bool("synthtran", false, "with -synth: run the cached-hierarchy transient too")
 	)
 	flag.Parse()
-	// A bad -irsolver or worker count fails here, before the grid is
-	// built or the transient runs.
-	gs, err := engine.ParseGridSolver(*irsolv)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := engine.Config{Workers: *workers, GridSolver: gs}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := supply.ValidateIRSolver(gs.IRSolverName()); err != nil {
+	// A bad -irsolver fails here, before the grid is built or the
+	// transient runs.
+	if err := supply.ValidateIRSolver(*irsolv); err != nil {
 		fatal(err)
 	}
 
@@ -71,8 +62,8 @@ func main() {
 	spec.Bursts[0].X = float64(*nx-1) / 2 * *pitch
 	spec.Bursts[0].Y = float64(*ny-1) / 2 * *pitch
 	spec.DecapWidth = *dcap
-	spec.IRSolver = gs.IRSolverName()
-	spec.Workers = cfg.Workers
+	spec.IRSolver = *irsolv
+	spec.Workers = *workers
 
 	rep, err := supply.Analyze(spec)
 	if err != nil {

@@ -38,7 +38,7 @@ func main() {
 			n.AddI(fmt.Sprintf("load%d_%d", i, j), m.VddX[i][j], m.GndX[i][j], circuit.DC(2e-3))
 		}
 	}
-	drop, err := grid.IRDropDC(m, n, vdd)
+	drop, err := grid.IRDropDCSparseChol(m, n, vdd)
 	check(err)
 	fmt.Printf("== static IR drop ==\nworst VDD drop at 2mA/crossing: %s (%.2f%% of Vdd)\n\n",
 		units.FormatSI(drop, "V"), 100*drop/vdd)

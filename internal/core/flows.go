@@ -95,44 +95,6 @@ func DefaultFlowOptions(s Strategy) FlowOptions {
 	}
 }
 
-// StrategyFromConfig maps the engine's core-free sparsification enum
-// onto the §4 strategy menu.
-func StrategyFromConfig(s engine.Sparsification) (Strategy, error) {
-	switch s {
-	case engine.SparsifyNone:
-		return StrategyFull, nil
-	case engine.SparsifyRC:
-		return StrategyRC, nil
-	case engine.SparsifyBlockDiag:
-		return StrategyBlockDiag, nil
-	case engine.SparsifyShell:
-		return StrategyShell, nil
-	case engine.SparsifyHalo:
-		return StrategyHalo, nil
-	case engine.SparsifyTruncate:
-		return StrategyTruncate, nil
-	case engine.SparsifyKMatrix:
-		return StrategyKMatrix, nil
-	}
-	return StrategyFull, fmt.Errorf("core: unknown sparsification %d", int(s))
-}
-
-// FlowOptionsFromConfig translates a run config into flow options: the
-// sparsification strategy and, when MOROrder is positive, a PRIMA
-// reduction of that block order. Everything else keeps the defaults.
-func FlowOptionsFromConfig(cfg engine.Config) (FlowOptions, error) {
-	s, err := StrategyFromConfig(cfg.Sparsification)
-	if err != nil {
-		return FlowOptions{}, err
-	}
-	opt := DefaultFlowOptions(s)
-	if cfg.MOROrder > 0 {
-		opt.UsePRIMA = true
-		opt.PrimaBlocks = cfg.MOROrder
-	}
-	return opt, nil
-}
-
 // FlowResult carries the waveforms, metrics and costs of one flow.
 type FlowResult struct {
 	Name  string
@@ -321,7 +283,7 @@ func (c *ClockCase) runPRIMA(ctx context.Context, pipe *engine.Pipeline, n *circ
 		// increments — a stiff anchor resistor on vdd_ext models it.
 		n.AddR("rext", "vdd_ext", circuit.Ground, 1e-3)
 
-		m := circuit.Build(n)
+		m := circuit.BuildSparse(n)
 		rootIdx, err := n.NodeIndex(c.Clock.Root)
 		if err != nil {
 			return "", err

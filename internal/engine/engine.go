@@ -1,16 +1,15 @@
 // Package engine is the run-scoped configuration layer of the
 // extraction/simulation stack. A Config is an immutable description of
-// one run's tuning (worker fan-out, dense/sparse switch-over, solve
-// mode, ACA tolerance, kernel-cache policy, §4 sparsification, MOR
-// order); a Session owns the run's kernel cache and translates the
-// Config into the option structs of the lower layers (extract,
-// fasthenry, sim). Two Sessions with conflicting configs can run
-// concurrently in one process without touching each other: no layer
-// keeps process-global tuning state.
+// one run's tuning (worker fan-out, solve mode, ACA tolerance,
+// preconditioner, kernel-cache policy, sweep mode, plane mesh density);
+// a Session owns the run's kernel cache and translates the Config into
+// the option structs of the lower layers (extract, fasthenry, sim).
+// Two Sessions with conflicting configs can run concurrently in one
+// process without touching each other: no layer keeps process-global
+// tuning state.
 //
 // Every zero Config field means the built-in default (GOMAXPROCS
-// workers, the 256-unknown sparse switch-over, auto solve mode, the
-// shared kernel cache).
+// workers, auto solve mode, the shared kernel cache, auto sweep mode).
 package engine
 
 import (
@@ -50,114 +49,6 @@ func (p CachePolicy) String() string {
 	}
 }
 
-// Sparsification mirrors the §4 menu of core's PEEC strategies without
-// importing core (core builds on engine, not the reverse). The zero
-// value keeps the full dense partial-inductance matrix.
-type Sparsification int
-
-const (
-	// SparsifyNone keeps the full dense matrix — "PEEC (RLC)".
-	SparsifyNone Sparsification = iota
-	// SparsifyRC drops inductance entirely — "PEEC (RC)".
-	SparsifyRC
-	// SparsifyBlockDiag applies block-diagonal sparsification.
-	SparsifyBlockDiag
-	// SparsifyShell applies the shell shift-truncate method.
-	SparsifyShell
-	// SparsifyHalo applies the return-limited halo method.
-	SparsifyHalo
-	// SparsifyTruncate applies naive truncation (instability ablation).
-	SparsifyTruncate
-	// SparsifyKMatrix uses the windowed inverse-inductance K element.
-	SparsifyKMatrix
-)
-
-// String names the strategy as the CLIs spell it.
-func (s Sparsification) String() string {
-	switch s {
-	case SparsifyNone:
-		return "full"
-	case SparsifyRC:
-		return "rc"
-	case SparsifyBlockDiag:
-		return "blockdiag"
-	case SparsifyShell:
-		return "shell"
-	case SparsifyHalo:
-		return "halo"
-	case SparsifyTruncate:
-		return "truncate"
-	case SparsifyKMatrix:
-		return "kmatrix"
-	default:
-		return fmt.Sprintf("Sparsification(%d)", int(s))
-	}
-}
-
-// GridSolver selects the power-grid static-IR solve path of a run's
-// supply analyses.
-type GridSolver int
-
-const (
-	// GridSolverAuto defers to the analyzer default (dense today).
-	GridSolverAuto GridSolver = iota
-	// GridSolverDense solves the full MNA system densely.
-	GridSolverDense
-	// GridSolverCG solves the SPD sparse system with Jacobi-
-	// preconditioned conjugate gradients.
-	GridSolverCG
-	// GridSolverChol solves the sparse system with the direct
-	// fill-reducing Cholesky factorization.
-	GridSolverChol
-	// GridSolverMG solves with multigrid-preconditioned conjugate
-	// gradients — the O(N) path that reaches million-node grids.
-	GridSolverMG
-)
-
-// String returns the CLI spelling of the solver.
-func (g GridSolver) String() string {
-	switch g {
-	case GridSolverDense:
-		return "dense"
-	case GridSolverCG:
-		return "cg"
-	case GridSolverChol:
-		return "chol"
-	case GridSolverMG:
-		return "mg"
-	default:
-		return "auto"
-	}
-}
-
-// IRSolverName returns the spelling the supply analyzer's Spec.IRSolver
-// field accepts: "" for auto (inherit the analyzer default), the CLI
-// spelling otherwise.
-func (g GridSolver) IRSolverName() string {
-	if g == GridSolverAuto {
-		return ""
-	}
-	return g.String()
-}
-
-// ParseGridSolver parses the CLI spelling of a grid solver, rejecting
-// unknown values with a one-line error.
-func ParseGridSolver(s string) (GridSolver, error) {
-	switch s {
-	case "", "auto":
-		return GridSolverAuto, nil
-	case "dense":
-		return GridSolverDense, nil
-	case "cg":
-		return GridSolverCG, nil
-	case "chol":
-		return GridSolverChol, nil
-	case "mg":
-		return GridSolverMG, nil
-	}
-	return 0, fmt.Errorf("engine: unknown grid solver %q (want auto, dense, cg, chol or mg)", s)
-}
-
 // Config is one run's immutable tuning. Zero values select the
 // built-in defaults (each field documents its own convention).
 type Config struct {
@@ -186,14 +77,6 @@ type Config struct {
 	// applied to the process-wide shared cache (a process-level
 	// setting: the last session built wins); CacheOff ignores it.
 	CacheBytes int64
-	// Sparsification selects the §4 strategy for PEEC flows.
-	Sparsification Sparsification
-	// GridSolver selects the power-grid static-IR solve path
-	// (auto/dense/cg/chol/mg).
-	GridSolver GridSolver
-	// MOROrder, when positive, reduces PEEC flows with PRIMA using this
-	// many block moments. 0 = no model-order reduction.
-	MOROrder int
 	// SweepMode selects how frequency sweeps (loop extraction and AC)
 	// are solved: exact per-point solves, the adaptive rational-
 	// interpolation engine, or automatic selection by point count (the
@@ -219,9 +102,6 @@ func (c Config) Validate() error {
 	if c.ACATol < 0 {
 		return fmt.Errorf("engine: negative ACA tolerance %g", c.ACATol)
 	}
-	if c.MOROrder < 0 {
-		return fmt.Errorf("engine: negative MOR order %d", c.MOROrder)
-	}
 	if c.CacheBytes < 0 {
 		return fmt.Errorf("engine: negative kernel-cache byte cap %d", c.CacheBytes)
 	}
@@ -239,12 +119,6 @@ func (c Config) Validate() error {
 	case fasthenry.PrecondBlockJacobi, fasthenry.PrecondSAI:
 	default:
 		return fmt.Errorf("engine: unknown preconditioner %d", int(c.Precond))
-	}
-	if c.Sparsification < SparsifyNone || c.Sparsification > SparsifyKMatrix {
-		return fmt.Errorf("engine: unknown sparsification %d", int(c.Sparsification))
-	}
-	if c.GridSolver < GridSolverAuto || c.GridSolver > GridSolverMG {
-		return fmt.Errorf("engine: unknown grid solver %d", int(c.GridSolver))
 	}
 	switch c.SweepMode {
 	case sweep.ModeAuto, sweep.ModeExact, sweep.ModeAdaptive:

@@ -32,16 +32,11 @@ func TestZeroConfigInheritsDefaults(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{ACATol: -1},
-		{MOROrder: -2},
 		{Cache: CachePolicy(99)},
 		{SolveMode: fasthenry.SolveMode(42)},
 		{Precond: fasthenry.Precond(7)},
-		{Sparsification: Sparsification(-1)},
-		{Sparsification: SparsifyKMatrix + 1},
 		{CacheBytes: -1},
 		{Cache: CachePrivate, CacheBytes: -4096},
-		{GridSolver: GridSolver(-1)},
-		{GridSolver: GridSolverMG + 1},
 		{SweepMode: sweep.Mode(9)},
 		{SweepTol: -1e-6},
 		{SweepTol: math.NaN()},
@@ -164,42 +159,6 @@ func TestCachePolicies(t *testing.T) {
 func TestEnumStrings(t *testing.T) {
 	if CacheDefault.String() != "default" || CachePrivate.String() != "private" || CacheOff.String() != "off" {
 		t.Error("CachePolicy strings drifted")
-	}
-	want := map[Sparsification]string{
-		SparsifyNone: "full", SparsifyRC: "rc", SparsifyBlockDiag: "blockdiag",
-		SparsifyShell: "shell", SparsifyHalo: "halo",
-		SparsifyTruncate: "truncate", SparsifyKMatrix: "kmatrix",
-	}
-	for s, str := range want {
-		if s.String() != str {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), str)
-		}
-	}
-}
-
-func TestParseGridSolver(t *testing.T) {
-	good := map[string]GridSolver{
-		"": GridSolverAuto, "auto": GridSolverAuto, "dense": GridSolverDense,
-		"cg": GridSolverCG, "chol": GridSolverChol, "mg": GridSolverMG,
-	}
-	for in, want := range good {
-		gs, err := ParseGridSolver(in)
-		if err != nil || gs != want {
-			t.Errorf("ParseGridSolver(%q) = %v, %v; want %v", in, gs, err, want)
-		}
-		if err := (Config{GridSolver: gs}).Validate(); err != nil {
-			t.Errorf("Validate rejected GridSolver %v: %v", gs, err)
-		}
-	}
-	for _, in := range []string{"multigrid", "lu", "CG", "amg"} {
-		if _, err := ParseGridSolver(in); err == nil {
-			t.Errorf("ParseGridSolver accepted %q", in)
-		}
-	}
-	// IRSolverName round-trips into the supply layer: auto maps to the
-	// empty string (let the grid size pick), everything else verbatim.
-	if GridSolverAuto.IRSolverName() != "" || GridSolverMG.IRSolverName() != "mg" {
-		t.Error("IRSolverName drifted")
 	}
 }
 

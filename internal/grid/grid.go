@@ -264,9 +264,10 @@ func (m *Model) AddBackgroundActivity(n *circuit.Netlist, rng *rand.Rand, nSourc
 }
 
 // IRDropDC computes the worst static IR drop of the grid for a uniform
-// DC current draw per crossing, using a resistive solve. It is the
-// quick sanity metric power-grid designers look at before any inductance
-// analysis.
+// DC current draw per crossing by a dense LU of the full MNA G. It is
+// the dense oracle the sparse paths (IRDropDCSparseChol, the default
+// of supply.Analyze; IRDropDCSparse; IRDropDCMG) are checked against;
+// no production flow calls it.
 func IRDropDC(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	// The caller is expected to have attached the package and loads;
 	// here we just find the minimum VDD node voltage from a DC solve.
@@ -277,19 +278,7 @@ func IRDropDC(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	worst := 0.0
-	for i := 0; i < m.Spec.NY; i++ {
-		for j := 0; j < m.Spec.NX; j++ {
-			idx, err := n.NodeIndex(m.VddX[i][j])
-			if err != nil {
-				continue
-			}
-			if drop := vdd - x[idx]; drop > worst {
-				worst = drop
-			}
-		}
-	}
-	return worst, nil
+	return worstVddDrop(m, n, x, vdd), nil
 }
 
 func solveG(m *circuit.MNA, b []float64) ([]float64, error) {

@@ -126,6 +126,22 @@ func (m *CSR) mulRows(y, x []float64, lo, hi int) {
 	}
 }
 
+// MulDense returns m*b for a dense b. Row i of the product accumulates
+// the rows of b that row i of m selects, so both stay row-major.
+func (m *CSR) MulDense(b *Dense) *Dense {
+	if m.cols != b.rows {
+		panic("matrix: CSR MulDense dimension mismatch")
+	}
+	out := NewDense(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		dst := out.Row(i)
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			Axpy(m.val[p], b.Row(m.colIdx[p]), dst)
+		}
+	}
+	return out
+}
+
 // Diag returns the diagonal as a slice (zeros where absent).
 func (m *CSR) Diag() []float64 {
 	d := make([]float64, m.rows)

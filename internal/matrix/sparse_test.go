@@ -58,6 +58,31 @@ func TestCSRMulVecAgainstDense(t *testing.T) {
 	}
 }
 
+func TestCSRMulDenseAgainstDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tr := NewTriplet(9, 7)
+	for k := 0; k < 25; k++ {
+		tr.Add(rng.Intn(9), rng.Intn(7), rng.NormFloat64())
+	}
+	b := NewDense(7, 4)
+	for i := 0; i < 7; i++ {
+		for j := 0; j < 4; j++ {
+			b.Set(i, j, rng.NormFloat64())
+		}
+	}
+	ys, yd := tr.ToCSR().MulDense(b), tr.ToDense().Mul(b)
+	if ys.Rows() != 9 || ys.Cols() != 4 {
+		t.Fatalf("product is %dx%d, want 9x4", ys.Rows(), ys.Cols())
+	}
+	for i := 0; i < 9; i++ {
+		for j := 0; j < 4; j++ {
+			if !almostEq(ys.At(i, j), yd.At(i, j), 1e-12) {
+				t.Fatalf("sparse/dense mismatch at (%d,%d): %g vs %g", i, j, ys.At(i, j), yd.At(i, j))
+			}
+		}
+	}
+}
+
 // solveJacobiCG runs PCG with the Jacobi preconditioner, the sparse IR
 // path's solver.
 func solveJacobiCG(m *CSR, b []float64, tol float64) ([]float64, IterResult, error) {

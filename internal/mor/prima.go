@@ -75,46 +75,63 @@ func GroundedPorts(nodes []int) []Port {
 	return out
 }
 
-// Reduce runs block-Arnoldi PRIMA on the linear MNA system. activePorts
-// are current-injection terminal pairs; observeNodes are MNA node
-// indices (from Netlist.NodeIndex) whose voltages the reduced model
-// reports.
+// Reduce runs block-Arnoldi PRIMA on the sparse linear MNA system.
+// activePorts are current-injection terminal pairs; observeNodes are
+// MNA node indices (from Netlist.NodeIndex) whose voltages the reduced
+// model reports. Both are checked before any factorization.
 //
 // The MNA is used in its PRIMA-compatible symmetrized form: branch-
 // current rows are negated so that C becomes symmetric positive
 // semidefinite (node caps and the inductance matrix on the diagonal
 // blocks) and G + G^T is positive semidefinite — the structural
-// precondition for PRIMA's passivity guarantee.
-func Reduce(m *circuit.MNA, activePorts []Port, observeNodes []int, opt Options) (*ReducedModel, error) {
+// precondition for PRIMA's passivity guarantee. G is factored once by
+// the sparse LU; the Arnoldi products and the projections Gr = V^T G V,
+// Cr = V^T C V run on CSR forms of the pencil, so nothing of size n x n
+// is ever dense.
+func Reduce(m *circuit.SparseMNA, activePorts []Port, observeNodes []int, opt Options) (*ReducedModel, error) {
 	opt.setDefaults()
 	if len(activePorts) == 0 {
 		return nil, fmt.Errorf("mor: no active ports")
 	}
 	n := m.Size()
 	nodes := m.N.NumNodes()
-	// Symmetrized pencil: flip branch rows.
-	g := m.G.Clone()
-	c := m.C.Clone()
-	for r := nodes; r < n; r++ {
-		for j := 0; j < n; j++ {
-			g.Set(r, j, -g.At(r, j))
-			c.Set(r, j, -c.At(r, j))
+	isNode := func(i int) bool { return i >= 0 && i < nodes }
+	for _, p := range activePorts {
+		if (!isNode(p.Plus) && p.Plus != -1) || (!isNode(p.Minus) && p.Minus != -1) || (p.Plus < 0 && p.Minus < 0) {
+			return nil, fmt.Errorf("mor: active port %+v not a node pair", p)
 		}
 	}
-	for i := 0; i < nodes; i++ {
-		g.Add(i, i, opt.Gmin)
+	for _, p := range observeNodes {
+		if !isNode(p) {
+			return nil, fmt.Errorf("mor: observation node %d not a node index", p)
+		}
 	}
-	lu, err := matrix.FactorLU(g)
+
+	// Symmetrized pencil: flip branch rows, gmin on the node diagonal.
+	gt := matrix.NewTriplet(n, n)
+	ct := matrix.NewTriplet(n, n)
+	flip := func(dst *matrix.Triplet) func(i, j int, v float64) {
+		return func(i, j int, v float64) {
+			if i >= nodes {
+				v = -v
+			}
+			dst.Add(i, j, v)
+		}
+	}
+	m.G.Each(flip(gt))
+	m.C.Each(flip(ct))
+	for i := 0; i < nodes; i++ {
+		gt.Add(i, i, opt.Gmin)
+	}
+	lu, err := matrix.FactorSparseLU(gt.ToCSC())
 	if err != nil {
 		return nil, fmt.Errorf("mor: G singular even with gmin: %w", err)
 	}
+	g, c := gt.ToCSR(), ct.ToCSR()
 
 	// B: one column per active port.
 	b := matrix.NewDense(n, len(activePorts))
 	for k, p := range activePorts {
-		if p.Plus >= nodes || p.Minus >= nodes || (p.Plus < 0 && p.Minus < 0) {
-			return nil, fmt.Errorf("mor: active port %+v not a node pair", p)
-		}
 		if p.Plus >= 0 {
 			b.Set(p.Plus, k, 1)
 		}
@@ -124,7 +141,7 @@ func Reduce(m *circuit.MNA, activePorts []Port, observeNodes []int, opt Options)
 	}
 
 	// Block Arnoldi: V0 = orth(G^-1 B); V_{k+1} = orth(G^-1 C V_k ⊥ V).
-	x, err := lu.SolveMat(b)
+	x, err := solveCols(lu, b)
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +151,7 @@ func Reduce(m *circuit.MNA, activePorts []Port, observeNodes []int, opt Options)
 	}
 	prev := v
 	for k := 1; k < opt.Blocks; k++ {
-		cx := c.Mul(prev)
-		x, err = lu.SolveMat(cx)
+		x, err = solveCols(lu, c.MulDense(prev))
 		if err != nil {
 			return nil, err
 		}
@@ -147,24 +163,37 @@ func Reduce(m *circuit.MNA, activePorts []Port, observeNodes []int, opt Options)
 		prev = nv
 	}
 
-	// Projections via MulTrans: V^T * X without materializing V^T, with
-	// the blocked parallel product doing the heavy n x q work.
-	rm := &ReducedModel{
-		Gr: v.MulTrans(g.Mul(v)),
-		Cr: v.MulTrans(c.Mul(v)),
-		Br: v.MulTrans(b),
-		V:  v,
-	}
-	// Observation matrix over requested nodes.
+	// Projections via MulTrans: V^T * X without materializing V^T.
 	l := matrix.NewDense(n, len(observeNodes))
 	for k, p := range observeNodes {
-		if p < 0 || p >= nodes {
-			return nil, fmt.Errorf("mor: observation node %d not a node index", p)
-		}
 		l.Set(p, k, 1)
 	}
-	rm.Lr = v.MulTrans(l)
-	return rm, nil
+	return &ReducedModel{
+		Gr: v.MulTrans(g.MulDense(v)),
+		Cr: v.MulTrans(c.MulDense(v)),
+		Br: v.MulTrans(b),
+		Lr: v.MulTrans(l),
+		V:  v,
+	}, nil
+}
+
+// solveCols returns G^-1 R, one sparse triangular solve pair per column.
+func solveCols(lu *matrix.SparseLU, r *matrix.Dense) (*matrix.Dense, error) {
+	n, k := r.Rows(), r.Cols()
+	x := matrix.NewDense(n, k)
+	col, sol, scratch := make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := 0; j < k; j++ {
+		for i := range col {
+			col[i] = r.At(i, j)
+		}
+		if err := lu.SolveTo(sol, col, scratch); err != nil {
+			return nil, err
+		}
+		for i, s := range sol {
+			x.Set(i, j, s)
+		}
+	}
+	return x, nil
 }
 
 // TransferAt evaluates the reduced transfer matrix

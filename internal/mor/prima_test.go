@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"inductance101/internal/circuit"
@@ -50,7 +51,7 @@ func fullTransfer(nl *circuit.Netlist, inNode string, outNode string, f float64,
 
 func TestReduceMatchesFullTransfer(t *testing.T) {
 	nl, in, out := rlcLine(12)
-	m := circuit.Build(nl)
+	m := circuit.BuildSparse(nl)
 	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{in, out}, Options{Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestReduceMomentMatchingAtDC(t *testing.T) {
 	// input voltage equals the driving-point resistance (series R chain
 	// in parallel with rload... here series path to rload then ground).
 	nl, in, out := rlcLine(6)
-	m := circuit.Build(nl)
+	m := circuit.BuildSparse(nl)
 	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{in, out}, Options{Blocks: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestReduceMomentMatchingAtDC(t *testing.T) {
 
 func TestReducedTranMatchesFullSim(t *testing.T) {
 	nl, in, out := rlcLine(10)
-	m := circuit.Build(nl)
+	m := circuit.BuildSparse(nl)
 	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{out}, Options{Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestReducedTranMatchesFullSim(t *testing.T) {
 
 func TestReducedStability(t *testing.T) {
 	nl, in, out := rlcLine(15)
-	m := circuit.Build(nl)
+	m := circuit.BuildSparse(nl)
 	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{out}, Options{Blocks: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestReduceWithMutualInductance(t *testing.T) {
 	nl.AddM("m", la, lb, 0.5e-9)
 	in, _ := nl.NodeIndex("in")
 	victim, _ := nl.NodeIndex("b2")
-	m := circuit.Build(nl)
+	m := circuit.BuildSparse(nl)
 	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{victim}, Options{Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +195,7 @@ func TestReduceWithMutualInductance(t *testing.T) {
 
 func TestReduceErrors(t *testing.T) {
 	nl, in, _ := rlcLine(3)
-	m := circuit.Build(nl)
+	m := circuit.BuildSparse(nl)
 	if _, err := Reduce(m, nil, nil, Options{}); err == nil {
 		t.Errorf("no ports accepted")
 	}
@@ -204,11 +205,48 @@ func TestReduceErrors(t *testing.T) {
 	if _, err := Reduce(m, []Port{{Plus: -1, Minus: -1}}, nil, Options{}); err == nil {
 		t.Errorf("fully grounded port accepted")
 	}
+	if _, err := Reduce(m, []Port{{Plus: -5, Minus: in}}, nil, Options{}); err == nil {
+		t.Errorf("port index below -1 accepted")
+	}
+	if _, err := Reduce(m, GroundedPorts([]int{in}), []int{m.Size() + 5}, Options{}); err == nil {
+		t.Errorf("out-of-range observation node accepted")
+	}
 	rm, err := Reduce(m, GroundedPorts([]int{in}), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rm.Tran(func(float64) []float64 { return []float64{0} }, 0, 1e-12); err == nil {
 		t.Errorf("bad tran range accepted")
+	}
+}
+
+// TestReduceChecksInputsBeforeFactoring gives Reduce a pencil whose G
+// is singular even with gmin (two inductors in parallel make two equal
+// branch rows): bad ports and observation nodes must be reported as
+// such, which they can only be if they are checked before G is
+// factored.
+func TestReduceChecksInputsBeforeFactoring(t *testing.T) {
+	nl := circuit.New()
+	nl.AddR("r", "in", "a", 1)
+	nl.AddL("l1", "a", "0", 1e-9)
+	nl.AddL("l2", "a", "0", 1e-9)
+	in, _ := nl.NodeIndex("in")
+	m := circuit.BuildSparse(nl)
+	if _, err := Reduce(m, GroundedPorts([]int{in}), []int{in}, Options{}); err == nil || !strings.Contains(err.Error(), "singular") {
+		t.Fatalf("valid inputs on a singular G: error %v, want a singular-G error", err)
+	}
+	for _, tc := range []struct {
+		ports   []Port
+		observe []int
+		want    string
+	}{
+		{[]Port{{Plus: -5, Minus: in}}, []int{in}, "active port"},
+		{GroundedPorts([]int{in}), []int{m.Size()}, "observation node"},
+		{GroundedPorts([]int{in}), []int{-1}, "observation node"},
+	} {
+		_, err := Reduce(m, tc.ports, tc.observe, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ports %+v observe %v: error %v, want one naming the %s", tc.ports, tc.observe, err, tc.want)
+		}
 	}
 }

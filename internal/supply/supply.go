@@ -41,13 +41,11 @@ type Spec struct {
 	Bursts     []Burst
 	TStop      float64
 	TStep      float64
-	// IRSolver picks the static-reference solve: "dense" (default, the
-	// dense LU on the full MNA), "cg" (sparse conjugate gradients),
-	// "chol" (sparse direct Cholesky), or "mg" (multigrid-preconditioned
-	// conjugate gradients). The sparse choices route through
-	// circuit.BuildSparseDC and scale to grids far beyond dense reach;
-	// "mg" is the O(N) path of the million-node flows. "auto" and ""
-	// both mean the dense default.
+	// IRSolver picks the static-reference solve on the sparse DC system
+	// circuit.BuildSparseDC assembles: "chol" (sparse direct Cholesky,
+	// the default), "cg" (Jacobi-preconditioned conjugate gradients) or
+	// "mg" (multigrid-preconditioned conjugate gradients, the O(N) path
+	// of the million-node flows). "auto" and "" both mean "chol".
 	IRSolver string
 	// Workers caps the iterative solvers' parallelism (0 = process
 	// default); only "mg" currently fans out.
@@ -86,17 +84,18 @@ type Report struct {
 }
 
 // ValidateIRSolver rejects unknown Spec.IRSolver spellings. "" is the
-// dense default. CLIs call this before doing any work so a typo fails
-// in milliseconds, not after the transient.
+// sparse Cholesky default. CLIs call this before doing any work so a
+// typo fails in milliseconds, not after the transient.
 func ValidateIRSolver(s string) error {
 	switch s {
-	case "", "auto", "dense", "cg", "chol", "mg":
+	case "", "auto", "cg", "chol", "mg":
 		return nil
 	}
-	return fmt.Errorf("supply: unknown IR solver %q (want auto, dense, cg, chol or mg)", s)
+	return fmt.Errorf("supply: unknown IR solver %q (want auto, cg, chol or mg)", s)
 }
 
-// Analyze runs the transient and the static reference solve.
+// Analyze runs the static reference solve and the transient on one
+// build of the grid model.
 func Analyze(spec Spec) (*Report, error) {
 	if len(spec.Bursts) == 0 {
 		return nil, fmt.Errorf("supply: no bursts")
@@ -111,6 +110,27 @@ func Analyze(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Static reference: the same peak current drawn steadily — pure IR.
+	// The DC sources come off again before the bursts go on.
+	base := len(n.ISources)
+	for k, bu := range spec.Bursts {
+		vddN, gndN := m.NearestGridNodes(bu.X, bu.Y)
+		n.AddI(fmt.Sprintf("dc%d", k), vddN, gndN, circuit.DC(bu.Peak))
+	}
+	var staticIR float64
+	switch spec.IRSolver {
+	case "", "auto", "chol":
+		staticIR, err = grid.IRDropDCSparseChol(m, n, spec.Vdd)
+	case "cg":
+		staticIR, err = grid.IRDropDCSparse(m, n, spec.Vdd)
+	case "mg":
+		staticIR, err = grid.IRDropDCMG(m, n, spec.Vdd, spec.Workers)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("supply: static reference: %w", err)
+	}
+	n.ISources = n.ISources[:base]
+
 	// Transient with the burst waveforms.
 	for k, bu := range spec.Bursts {
 		vddN, gndN := m.NearestGridNodes(bu.X, bu.Y)
@@ -123,7 +143,7 @@ func Analyze(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supply: transient: %w", err)
 	}
-	rep := &Report{NodeDroop: make(map[string]float64)}
+	rep := &Report{NodeDroop: make(map[string]float64), StaticIR: staticIR}
 	for i := 0; i < spec.Grid.NY; i++ {
 		for j := 0; j < spec.Grid.NX; j++ {
 			node := m.VddX[i][j]
@@ -150,31 +170,6 @@ func Analyze(spec Spec) (*Report, error) {
 				rep.WorstBounce = b
 			}
 		}
-	}
-
-	// Static reference: the same peak current drawn steadily — pure IR.
-	mS, nS, err := build(spec)
-	if err != nil {
-		return nil, err
-	}
-	for k, bu := range spec.Bursts {
-		vddN, gndN := mS.NearestGridNodes(bu.X, bu.Y)
-		nS.AddI(fmt.Sprintf("dc%d", k), vddN, gndN, circuit.DC(bu.Peak))
-	}
-	switch spec.IRSolver {
-	case "", "auto", "dense":
-		rep.StaticIR, err = grid.IRDropDC(mS, nS, spec.Vdd)
-	case "cg":
-		rep.StaticIR, err = grid.IRDropDCSparse(mS, nS, spec.Vdd)
-	case "chol":
-		rep.StaticIR, err = grid.IRDropDCSparseChol(mS, nS, spec.Vdd)
-	case "mg":
-		rep.StaticIR, err = grid.IRDropDCMG(mS, nS, spec.Vdd, spec.Workers)
-	default:
-		return nil, fmt.Errorf("supply: unknown IR solver %q (want auto, dense, cg, chol or mg)", spec.IRSolver)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("supply: static reference: %w", err)
 	}
 	rep.Dynamic = math.Max(rep.WorstDroop-rep.StaticIR, 0)
 	return rep, nil
