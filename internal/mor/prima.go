@@ -95,14 +95,14 @@ func Reduce(m *circuit.SparseMNA, activePorts []Port, observeNodes []int, opt Op
 	}
 	n := m.Size()
 	nodes := m.N.NumNodes()
-	isNode := func(i int) bool { return i >= 0 && i < nodes }
+	terminal := func(i int) bool { return i >= -1 && i < nodes } // -1 is ground
 	for _, p := range activePorts {
-		if (!isNode(p.Plus) && p.Plus != -1) || (!isNode(p.Minus) && p.Minus != -1) || (p.Plus < 0 && p.Minus < 0) {
+		if !terminal(p.Plus) || !terminal(p.Minus) || (p.Plus < 0 && p.Minus < 0) {
 			return nil, fmt.Errorf("mor: active port %+v not a node pair", p)
 		}
 	}
 	for _, p := range observeNodes {
-		if !isNode(p) {
+		if p < 0 || p >= nodes {
 			return nil, fmt.Errorf("mor: observation node %d not a node index", p)
 		}
 	}
