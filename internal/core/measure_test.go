@@ -14,27 +14,38 @@ import (
 // the delta form x_{k+1} = x_k + A⁻¹(b_k + b_{k+1} − (2G + gmin)x_k) is
 // the same integration rule and only rounds differently. The PRIMA
 // values were recorded from the reduction on the dense MNA pencil; the
-// reduced order is pinned exactly.
+// reduced order is pinned exactly. The LOOP(RLC) values were recorded
+// from the dense loop extraction that factored the whole branch matrix
+// and extracted the two ladder frequencies one after the other.
 func TestTable1RLCDelaysPinned(t *testing.T) {
+	peec := func(opt FlowOptions) func(*ClockCase) (*FlowResult, error) {
+		return func(c *ClockCase) (*FlowResult, error) { return c.RunPEEC(opt) }
+	}
 	prima := DefaultFlowOptions(StrategyBlockDiag)
 	prima.UsePRIMA = true
 	cases := []struct {
 		name  string
-		opt   FlowOptions
+		run   func(*ClockCase) (*FlowResult, error)
 		order int
 		want  []float64
 	}{
-		{"rlc", DefaultFlowOptions(StrategyFull), 0, []float64{
+		{"rlc", peec(DefaultFlowOptions(StrategyFull)), 0, []float64{
 			1.0468712527199442e-10, 1.0100769095178815e-10,
 			1.0641766103892352e-10, 9.8112143337229814e-11,
 			1.1982195134430853e-10, 1.1582133363337748e-10,
 			1.1996442783369445e-10, 1.1234713724362351e-10,
 		}},
-		{"blockdiag+prima", prima, 16, []float64{
+		{"blockdiag+prima", peec(prima), 16, []float64{
 			1.0032213552196337e-10, 1.0046958832373061e-10,
 			1.0089433289944882e-10, 1.0134368412759617e-10,
 			1.1862974392043594e-10, 1.1839753809432414e-10,
 			1.1904335368515424e-10, 1.1971388818432561e-10,
+		}},
+		{"loop", func(c *ClockCase) (*FlowResult, error) { return c.RunLoop(DefaultLoopOptions()) }, 0, []float64{
+			9.3059410066627145e-11, 9.4733512840237481e-11,
+			9.3720731190812656e-11, 9.6565971244647833e-11,
+			9.3036131413496181e-11, 1.0126238053227221e-10,
+			9.4024148161684463e-11, 1.0390571959867465e-10,
 		}},
 	}
 	opt := DefaultCaseOptions()
@@ -47,7 +58,7 @@ func TestTable1RLCDelaysPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := c.RunPEEC(tc.opt)
+			r, err := tc.run(c)
 			if err != nil {
 				t.Fatal(err)
 			}
