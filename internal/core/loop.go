@@ -17,7 +17,8 @@ type LoopOptions struct {
 	// fit (Fig. 3(d)).
 	FLow, FHigh float64
 	// Ladder selects the frequency-dependent ladder model; false uses
-	// the single-frequency R+L of Fig. 3(c), extracted at FHigh.
+	// the single-frequency R+L of Fig. 3(c), extracted at FLow (FHigh
+	// then only sets the mesh's reference frequency).
 	Ladder bool
 	// RCSegments splits the per-sink loop R/L into this many RLC-π
 	// sections ("the lumped representation can be improved by
@@ -68,7 +69,8 @@ func (c *ClockCase) RunLoopCtx(ctx context.Context, opt LoopOptions) (*FlowResul
 	segs = append(segs, c.gndSegs()...)
 
 	// Per-sink ladder extraction: one solver over the unshorted mesh,
-	// each sink's receiver-to-ground short applied per solve.
+	// each sink's receiver-to-ground short applied per solve, both
+	// ladder frequencies in one call.
 	ladders := make([]loopmodel.Ladder, len(c.Clock.Sinks))
 	if err := pipe.Run(ctx, "extract", func(context.Context) (string, error) {
 		shorts := make([][2]string, len(c.Clock.Sinks))
@@ -87,23 +89,19 @@ func (c *ClockCase) RunLoopCtx(ctx context.Context, opt LoopOptions) (*FlowResul
 		if err != nil {
 			return "", fmt.Errorf("core: loop extraction: %w", err)
 		}
-		zLo, err := solver.ImpedanceEachShort(opt.FLow, shorts)
-		if err != nil {
-			return "", fmt.Errorf("core: loop extraction: %w", err)
+		freqs := []float64{opt.FLow}
+		if opt.Ladder {
+			freqs = append(freqs, opt.FHigh)
 		}
-		if !opt.Ladder {
-			for k, z := range zLo {
-				r, l := loopmodel.SingleFrequencyRL(z, opt.FLow)
-				ladders[k] = loopmodel.Ladder{R0: r, L0: l}
-			}
-			return fmt.Sprintf("%d sink loops", len(ladders)), nil
-		}
-		zHi, err := solver.ImpedanceEachShort(opt.FHigh, shorts)
+		z, err := solver.ImpedanceEachShort(freqs, shorts)
 		if err != nil {
 			return "", fmt.Errorf("core: loop extraction: %w", err)
 		}
 		for k := range ladders {
-			if ladders[k], err = loopmodel.FitTwoPoint(zLo[k], opt.FLow, zHi[k], opt.FHigh); err != nil {
+			if !opt.Ladder {
+				r, l := loopmodel.SingleFrequencyRL(z[0][k], opt.FLow)
+				ladders[k] = loopmodel.Ladder{R0: r, L0: l}
+			} else if ladders[k], err = loopmodel.FitTwoPoint(z[0][k], opt.FLow, z[1][k], opt.FHigh); err != nil {
 				return "", err
 			}
 		}

@@ -87,3 +87,39 @@ func TestLoopFlowIterativeModes(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopSingleFrequencyUsesFLow: without the ladder the flow fits the
+// single-frequency R+L at FLow and solves no other frequency, so moving
+// FHigh leaves every sink delay bit-identical. (FHigh still sizes the
+// mesh; at both values the filament count sits at the flow's
+// MaxPerSide cap.) With the ladder on, the same move changes the
+// delays, which shows the move reaches the flow.
+func TestLoopSingleFrequencyUsesFLow(t *testing.T) {
+	c := testCase(t)
+	delays := func(ladder bool, fHigh float64) []float64 {
+		opt := DefaultLoopOptions()
+		opt.TStop, opt.TStep = 2.0e-9, 4e-12
+		opt.Ladder = ladder
+		opt.FHigh = fHigh
+		r, err := c.RunLoop(opt)
+		if err != nil {
+			t.Fatalf("ladder=%v FHigh=%g: %v", ladder, fHigh, err)
+		}
+		return r.Delays
+	}
+	for _, ladder := range []bool{false, true} {
+		a, b := delays(ladder, 1e10), delays(ladder, 3e10)
+		moved := 0
+		for k := range a {
+			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+				moved++
+			}
+		}
+		if !ladder && moved > 0 {
+			t.Errorf("single-frequency model: %d of %d sink delays moved with FHigh", moved, len(a))
+		}
+		if ladder && moved == 0 {
+			t.Error("ladder model: no sink delay moved with FHigh; the test no longer reaches the flow")
+		}
+	}
+}

@@ -29,6 +29,7 @@ package fasthenry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"inductance101/internal/extract"
@@ -116,6 +117,9 @@ type Solver struct {
 	// inc holds each filament's reduced nodal rows, nodeRow(NodeA) and
 	// nodeRow(NodeB): the columns of the sparse reduced incidence A.
 	inc [][2]int
+	// blocks partitions the filaments by direction for the dense path
+	// (see admittance).
+	blocks []dirBlock
 	// planes reports whether the mesh lowered any conductor plane.
 	planes bool
 
@@ -169,7 +173,50 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 	for fi, f := range s.fils {
 		s.inc[fi] = [2]int{s.nodeRow(f.NodeA), s.nodeRow(f.NodeB)}
 	}
+	s.blocks = dirBlocks(s.fils, s.inc, s.nNodes-1)
 	return s, nil
+}
+
+// dirBlock is one filament direction's share of the dense branch
+// problem: its filaments in ascending order and the sorted reduced
+// nodal rows their ends touch.
+type dirBlock struct {
+	fils []int
+	rows []int
+}
+
+// dirBlocks partitions the filaments by direction, in order of first
+// appearance. Partial inductance couples only parallel filaments, so
+// Zb is block diagonal over these blocks up to a symmetric permutation.
+func dirBlocks(fils []mesh.Filament, inc [][2]int, nn int) []dirBlock {
+	var blocks []dirBlock
+	var dirs []geom.Direction
+	for fi, f := range fils {
+		b := slices.Index(dirs, f.Dir)
+		if b < 0 {
+			b = len(blocks)
+			dirs = append(dirs, f.Dir)
+			blocks = append(blocks, dirBlock{})
+		}
+		blocks[b].fils = append(blocks[b].fils, fi)
+	}
+	touched := make([]bool, nn)
+	for b := range blocks {
+		clear(touched)
+		for _, fi := range blocks[b].fils {
+			for _, r := range inc[fi] {
+				if r >= 0 {
+					touched[r] = true
+				}
+			}
+		}
+		for r, t := range touched {
+			if t {
+				blocks[b].rows = append(blocks[b].rows, r)
+			}
+		}
+	}
+	return blocks
 }
 
 // denseLP materializes (once) the dense partial-inductance matrix over
@@ -235,53 +282,84 @@ func (s *Solver) impedanceDense(f float64) (complex128, error) {
 // admittance LU-factors the branch impedance matrix Zb at frequency f
 // and assembles the nodal admittance with the port minus node as
 // reference, Y = A Zb^{-1} A^T with A the reduced incidence matrix.
+//
+// Zb couples only filaments of one direction, so each direction block
+// is factored on its own and solves only the node columns its
+// filaments touch; its share of W = Zb^{-1} A^T is zero in the others.
+// This is bit-identical to factoring the whole Zb: the cross-block
+// entries are exact zeros, so partial pivoting only ever swaps rows
+// within a block and no elimination step updates another block's
+// entries, and every nonzero of the factors and of W comes from the
+// same operations in the same order. Y = A W is then accumulated in
+// the original filament order, which keeps each entry's summation
+// order.
 func (s *Solver) admittance(f float64) (*matrix.CDense, error) {
 	omega := 2 * math.Pi * f
-	nf := len(s.fils)
 	lp := s.denseLP()
-	zb := matrix.NewCDense(nf, nf)
-	for i := 0; i < nf; i++ {
-		for j := 0; j < nf; j++ {
-			re := 0.0
-			if i == j {
-				re = s.fils[i].R
+	lus := make([]*matrix.CLU, len(s.blocks))
+	nmax := 0
+	for b, blk := range s.blocks {
+		n := len(blk.fils)
+		nmax = max(nmax, n)
+		zb := matrix.NewCDense(n, n)
+		for i, fi := range blk.fils {
+			for j, fj := range blk.fils {
+				re := 0.0
+				if i == j {
+					re = s.fils[fi].R
+				}
+				zb.Set(i, j, complex(re, omega*lp.At(fi, fj)))
 			}
-			zb.Set(i, j, complex(re, omega*lp.At(i, j)))
 		}
-	}
-	lu, err := matrix.FactorComplexLU(zb)
-	if err != nil {
-		return nil, fmt.Errorf("fasthenry: branch impedance singular: %w", err)
+		lu, err := matrix.FactorComplexLU(zb)
+		if err != nil {
+			return nil, fmt.Errorf("fasthenry: branch impedance singular: %w", err)
+		}
+		lus[b] = lu
 	}
 
+	// Column k of W is Zb^{-1} (A^T e_k); each filament touches two
+	// nodes, so a block's A^T e_k is zero unless k is in its rows.
 	nn := s.nNodes - 1
-	// X[:, k] = Zb^{-1} * (A^T e_k) would need nn solves; instead solve
-	// Zb^{-1} once per filament-incidence column: W = Zb^{-1} A^T is
-	// nf x nn. Assemble A^T columns (sparse: each filament touches two
-	// nodes), then Y = A W.
 	y := matrix.NewCDense(nn, nn)
-	col := make([]complex128, nf)
-	w := make([]complex128, nf)
+	w := make([]complex128, len(s.fils))
+	col := make([]complex128, nmax)
+	wb := make([]complex128, nmax)
+	next := make([]int, len(s.blocks)) // each block's cursor into its rows
 	for k := 0; k < nn; k++ {
-		s.incidenceColumn(col, k)
-		if err := lu.SolveTo(w, col); err != nil {
-			return nil, err
+		for b, blk := range s.blocks {
+			if next[b] == len(blk.rows) || blk.rows[next[b]] != k {
+				for _, fi := range blk.fils {
+					w[fi] = 0
+				}
+				continue
+			}
+			next[b]++
+			n := len(blk.fils)
+			s.incidenceColumn(col[:n], blk.fils, k)
+			if err := lus[b].SolveTo(wb[:n], col[:n]); err != nil {
+				return nil, err
+			}
+			for i, fi := range blk.fils {
+				w[fi] = wb[i]
+			}
 		}
 		s.scatterAdmittance(y, k, w)
 	}
 	return y, nil
 }
 
-// incidenceColumn fills col with the A^T e_k column: +1/-1 at the
-// filaments whose end nodes map to reduced index k.
-func (s *Solver) incidenceColumn(col []complex128, k int) {
-	for fi, r := range s.inc {
-		col[fi] = 0
+// incidenceColumn fills col with the A^T e_k column restricted to the
+// filaments fils: +1/-1 at those whose end nodes map to reduced index k.
+func (s *Solver) incidenceColumn(col []complex128, fils []int, k int) {
+	for i, fi := range fils {
+		r := s.inc[fi]
+		col[i] = 0
 		if r[0] == k {
-			col[fi]++
+			col[i]++
 		}
 		if r[1] == k {
-			col[fi]--
+			col[i]--
 		}
 	}
 }

@@ -37,14 +37,17 @@ func (m nodeMerge) node(n int) int {
 	return n
 }
 
-// ImpedanceEachShort returns the port impedance at frequency f under
-// each alternative short: element k is what a solver built by
-// NewSolver with shorts[k] added to its own shorts would return from
-// Impedance. The node names must lie on the solver's conductors (a name
-// on none is an error, not a fresh node). The dense path factors the
-// branch matrix once for all shorts; the iterative paths share one
-// compressed operator and solve one port GMRES per short.
-func (s *Solver) ImpedanceEachShort(f float64, shorts [][2]string) ([]complex128, error) {
+// ImpedanceEachShort returns the port impedance at each frequency
+// under each alternative short: element [i][k] is what a solver built
+// by NewSolver with shorts[k] added to its own shorts would return from
+// Impedance(freqs[i]). The node names must lie on the solver's
+// conductors (a name on none is an error, not a fresh node). The dense
+// path factors the branch matrix once per frequency for all shorts;
+// the iterative paths share one compressed operator and solve one port
+// GMRES per short. The frequencies are independent solves, handed out
+// over Options.Workers goroutines (0 = matrix.Workers, 1 = serial); the
+// result does not depend on the worker count.
+func (s *Solver) ImpedanceEachShort(freqs []float64, shorts [][2]string) ([][]complex128, error) {
 	sibs := make([]*Solver, len(shorts))
 	rows := make([][]int, len(shorts))
 	for k, sh := range shorts {
@@ -53,7 +56,26 @@ func (s *Solver) ImpedanceEachShort(f float64, shorts [][2]string) ([]complex128
 			return nil, fmt.Errorf("fasthenry: short %d (%s=%s): %w", k, sh[0], sh[1], err)
 		}
 	}
-	z := make([]complex128, len(shorts))
+	workers := s.workers
+	if workers <= 0 {
+		workers = matrix.Workers()
+	}
+	z := make([][]complex128, len(freqs))
+	errs := make([]error, len(freqs))
+	handOut(len(freqs), workers, func(i int) bool {
+		z[i], errs[i] = s.impedanceEachShortAt(freqs[i], sibs, rows)
+		return true
+	})
+	if err := firstSweepError(freqs, errs); err != nil {
+		return nil, err
+	}
+	return z, nil
+}
+
+// impedanceEachShortAt is ImpedanceEachShort at one frequency over the
+// shorted siblings sibs and their node merges rows.
+func (s *Solver) impedanceEachShortAt(f float64, sibs []*Solver, rows [][]int) ([]complex128, error) {
+	z := make([]complex128, len(sibs))
 	if s.iterativeMode() {
 		for k, sib := range sibs {
 			var err error
@@ -80,7 +102,9 @@ func (s *Solver) ImpedanceEachShort(f float64, shorts [][2]string) ([]complex128
 // new solver's (-1 where a node merged into the reference). The new
 // solver shares the filaments, the kernel and (on the iterative paths)
 // the compressed operator, and owns its node space, incidence and Schur
-// plan. A short the mesh already implies returns s and a nil map.
+// plan. It only runs port solves: the dense path folds the short into
+// s's admittance, so the new solver has no direction blocks. A short
+// the mesh already implies returns s and a nil map.
 func (s *Solver) shorted(sh [2]string) (*Solver, []int, error) {
 	var ids [2]int
 	for e, name := range sh {

@@ -1,6 +1,7 @@
 package fasthenry
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -96,11 +97,15 @@ func TestImpedanceEachShortMatchesPerShortSolvers(t *testing.T) {
 					t.Fatal(err)
 				}
 				worst := 0.0
-				for _, f := range freqs {
-					got, err := shared.ImpedanceEachShort(f, alts)
-					if err != nil {
-						t.Fatalf("at %g Hz: %v", f, err)
-					}
+				zs, err := shared.ImpedanceEachShort(freqs, alts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(zs) != len(freqs) {
+					t.Fatalf("%d frequencies of impedances for %d frequencies", len(zs), len(freqs))
+				}
+				for i, f := range freqs {
+					got := zs[i]
 					if len(got) != len(alts) {
 						t.Fatalf("%d impedances for %d shorts", len(got), len(alts))
 					}
@@ -139,7 +144,7 @@ func TestImpedanceEachShortErrors(t *testing.T) {
 	}
 	nodes := s.nNodes
 	for _, sh := range [][2]string{{"sig1", "nowhere"}, {"nowhere", "gb1"}} {
-		_, err := s.ImpedanceEachShort(1e9, [][2]string{{"sig1", "gb1"}, sh})
+		_, err := s.ImpedanceEachShort([]float64{1e9}, [][2]string{{"sig1", "gb1"}, sh})
 		if err == nil || !strings.Contains(err.Error(), "on no conductor") {
 			t.Errorf("short %v: err = %v, want a no-conductor error", sh, err)
 		}
@@ -148,7 +153,7 @@ func TestImpedanceEachShortErrors(t *testing.T) {
 		t.Errorf("lookup minted nodes: solver %d, mesh %d, want %d", s.nNodes, s.mesh.NumNodes(), nodes)
 	}
 	for _, sh := range [][2]string{{"sig0", port.Minus}, {"sig0", "sig1"}} {
-		if _, err := s.ImpedanceEachShort(1e9, [][2]string{sh}); err == nil {
+		if _, err := s.ImpedanceEachShort([]float64{1e9}, [][2]string{sh}); err == nil {
 			t.Errorf("short %v accepted", sh)
 		}
 		if _, err := NewSolver(l, segs, port, append(append([][2]string(nil), base...), sh), 1e10, Options{NW: 1, NT: 1}); err == nil {
@@ -164,49 +169,91 @@ func TestImpedanceEachShortErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.ImpedanceEachShort(1e9, [][2]string{{"gb0", "gc0"}})
+	got, err := s2.ImpedanceEachShort([]float64{1e9}, [][2]string{{"gb0", "gc0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != want {
-		t.Errorf("implied short: %v, want Impedance's %v", got[0], want)
+	if got[0][0] != want {
+		t.Errorf("implied short: %v, want Impedance's %v", got[0][0], want)
 	}
 }
 
-// TestImpedanceEachShortConcurrent calls one iterative solver from
-// several goroutines at once: they share the lazily built compressed
-// operator and the mesh's name lookup, and every call must return the
-// serial answer bit for bit.
+// TestImpedanceEachShortConcurrent calls one solver from several
+// goroutines at once, on the dense and the iterative path, each call
+// fanning its two frequencies out over two workers: they share the
+// lazily built dense partial inductance or compressed operator, the
+// direction blocks and the mesh's name lookup, and every call must
+// return the serial answer bit for bit.
 func TestImpedanceEachShortConcurrent(t *testing.T) {
-	l, segs, port, base, alts := openBus(6)
-	s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 2, Mode: ModeIterative})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const callers = 4
-	got := make([][]complex128, callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g], errs[g] = s.ImpedanceEachShort(5e9, alts)
-		}(g)
-	}
-	wg.Wait()
-	want, err := s.ImpedanceEachShort(5e9, alts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := range got {
-		if errs[g] != nil {
-			t.Fatalf("caller %d: %v", g, errs[g])
-		}
-		for k := range want {
-			if got[g][k] != want[k] {
-				t.Errorf("caller %d short %d: %v, serial %v", g, k, got[g][k], want[k])
+	freqs := []float64{2e8, 5e9}
+	for _, mode := range []SolveMode{ModeDense, ModeIterative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			l, segs, port, base, alts := openBus(6)
+			s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 2, Mode: mode, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			const callers = 4
+			got := make([][][]complex128, callers)
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					got[g], errs[g] = s.ImpedanceEachShort(freqs, alts)
+				}(g)
+			}
+			wg.Wait()
+			s.workers = 1
+			want, err := s.ImpedanceEachShort(freqs, alts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := range got {
+				if errs[g] != nil {
+					t.Fatalf("caller %d: %v", g, errs[g])
+				}
+				for i := range want {
+					for k := range want[i] {
+						if got[g][i][k] != want[i][k] {
+							t.Errorf("caller %d at %g Hz short %d: %v, serial %v", g, freqs[i], k, got[g][i][k], want[i][k])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestImpedanceEachShortWorkerIndependent extracts the clock fixture's
+// shorts at three frequencies with one and with two workers, in every
+// solve mode: each frequency is its own solve, so the worker count
+// must not move a bit.
+func TestImpedanceEachShortWorkerIndependent(t *testing.T) {
+	freqs := []float64{2e8, 1e9, 1e10}
+	for _, mode := range []SolveMode{ModeDense, ModeIterative, ModeNested} {
+		t.Run(mode.String(), func(t *testing.T) {
+			l, segs, port, base, alts := clockTree()
+			var z [2][][]complex128
+			for w := range z {
+				s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 3, Mode: mode, Workers: w + 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if z[w], err = s.ImpedanceEachShort(freqs, alts); err != nil {
+					t.Fatalf("%d workers: %v", w+1, err)
+				}
+			}
+			for i := range freqs {
+				for k := range alts {
+					a, b := z[0][i][k], z[1][i][k]
+					if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
+						math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+						t.Errorf("at %g Hz short %d: 1 worker %v, 2 workers %v", freqs[i], k, a, b)
+					}
+				}
+			}
+		})
 	}
 }

@@ -74,31 +74,42 @@ func firstSweepError(fs []float64, errs []error) error {
 	return nil
 }
 
-// sweepDense claims single frequencies with an atomic counter; results
-// are identical to a serial dense sweep.
+// sweepDense claims single frequencies with handOut; results are
+// identical to a serial dense sweep.
 func (s *Solver) sweepDense(ctx context.Context, fs []float64, workers int, out []Point, errs []error) {
+	handOut(len(fs), workers, func(i int) bool {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			return false
+		}
+		z, err := s.impedanceDense(fs[i])
+		if err != nil {
+			errs[i] = err
+			return true
+		}
+		r, l := RL(z, fs[i])
+		out[i] = Point{Freq: fs[i], Z: z, R: r, L: l}
+		return true
+	})
+}
+
+// handOut runs fn on every index of [0, n) over up to workers
+// goroutines that claim single indices with a lock-free atomic counter,
+// which balances best when the indices cost about the same (every dense
+// point is the same LU). A goroutine stops claiming once fn returns
+// false.
+func handOut(n, workers int, fn func(i int) bool) {
 	var next int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(fs) {
+				if i >= n || !fn(i) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				z, err := s.impedanceDense(fs[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				r, l := RL(z, fs[i])
-				out[i] = Point{Freq: fs[i], Z: z, R: r, L: l}
 			}
 		}()
 	}
@@ -224,35 +235,20 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 	} else {
 		batch = func(idxs []int) ([]complex128, error) {
 			vals := make([]complex128, len(idxs))
-			var next int64
-			var wg sync.WaitGroup
 			var failed atomic.Bool
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						k := int(atomic.AddInt64(&next, 1)) - 1
-						if k >= len(idxs) {
-							return
-						}
-						i := idxs[k]
-						if err := ctx.Err(); err != nil {
-							errs[i] = err
-							failed.Store(true)
-							return
-						}
-						z, err := s.impedanceDense(fs[i])
-						if err != nil {
-							errs[i] = err
-							failed.Store(true)
-							return
-						}
-						vals[k] = z
-					}
-				}()
-			}
-			wg.Wait()
+			handOut(len(idxs), workers, func(k int) bool {
+				i := idxs[k]
+				err := ctx.Err()
+				if err == nil {
+					vals[k], err = s.impedanceDense(fs[i])
+				}
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return false
+				}
+				return true
+			})
 			if failed.Load() {
 				return nil, firstSweepError(fs, errs)
 			}

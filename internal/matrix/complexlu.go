@@ -14,11 +14,19 @@ type CLU struct {
 }
 
 // FactorComplexLU factors the square complex matrix a (not modified).
+// A NaN or infinite entry is an error naming the first one in row-major
+// order: elimination would otherwise carry it into a solution that
+// looks finite, or is all NaN, with no error.
 func FactorComplexLU(a *CDense) (*CLU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: complex LU of non-square %dx%d", a.rows, a.cols)
 	}
 	n := a.rows
+	for idx, v := range a.data {
+		if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+			return nil, fmt.Errorf("matrix: complex LU: non-finite entry (%d,%d) = %v", idx/n, idx%n, v)
+		}
+	}
 	lu := a.Clone()
 	d := lu.data
 	piv := make([]int, n)

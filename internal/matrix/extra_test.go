@@ -243,6 +243,38 @@ func TestComplexLUReuse(t *testing.T) {
 	}
 }
 
+// TestComplexLURejectsNonFinite: a NaN or infinite entry, in either
+// part, is an error naming the first such entry in row-major order
+// instead of an all-NaN or finite-looking solution; [[Inf,1],[1,1]]
+// used to "solve" to [0, 1].
+func TestComplexLURejectsNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		a    [4]complex128 // row-major 2x2
+		want string
+	}{
+		{"NaN", [4]complex128{1, complex(0, nan), complex(inf, 0), 1}, "(0,1)"},
+		{"+Inf", [4]complex128{complex(inf, 0), 1, 1, 1}, "(0,0)"},
+		{"-Inf", [4]complex128{1, 1, 1, complex(2, -inf)}, "(1,1)"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := NewCDense(2, 2)
+			for k, v := range c.a {
+				a.Set(k/2, k%2, v)
+			}
+			_, err := FactorComplexLU(a)
+			if err == nil || !strings.Contains(err.Error(), "non-finite entry "+c.want) {
+				t.Errorf("err = %v, want a non-finite error naming %s", err, c.want)
+			}
+			if x, err := SolveComplex(a, []complex128{1, 1}); err == nil {
+				t.Errorf("SolveComplex solved to %v with no error", x)
+			}
+		})
+	}
+}
+
 func TestTripletBounds(t *testing.T) {
 	tr := NewTriplet(2, 2)
 	defer func() {
