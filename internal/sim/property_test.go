@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"inductance101/internal/circuit"
-	"inductance101/internal/matrix"
 	"inductance101/internal/sweep"
 )
 
@@ -48,48 +47,6 @@ func randRLC(rng *rand.Rand, nodes int) *circuit.Netlist {
 	}
 	n.AddR("rload", name(nodes), "0", 50)
 	return n
-}
-
-// denseTran is the dense oracle of Tran: the dense MNA, its operating
-// point and TranFrom's dense-LU companion integration.
-func denseTran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
-	m := circuit.Build(n)
-	x0, err := OP(m, 0, opt)
-	if err != nil {
-		return nil, err
-	}
-	return TranFrom(m, x0, opt)
-}
-
-// denseAC is the dense oracle of the AC solve: G + jωC, with acGmin on
-// the node diagonals, assembled from the dense MNA and solved by the
-// dense complex LU.
-func denseAC(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
-	m := circuit.Build(n)
-	size := m.Size()
-	a := matrix.NewCDense(size, size)
-	for i := 0; i < size; i++ {
-		for j := 0; j < size; j++ {
-			a.Set(i, j, complex(m.G.At(i, j), omega*m.C.At(i, j)))
-		}
-	}
-	for i := 0; i < n.NumNodes(); i++ {
-		a.Add(i, i, acGmin)
-	}
-	b := make([]complex128, size)
-	for vi, amp := range stim.VSourceAmps {
-		b[n.BranchOfVSource(vi)] += amp
-	}
-	for ii, amp := range stim.ISourceAmps {
-		s := n.ISources[ii]
-		if s.A >= 0 {
-			b[s.A] -= amp
-		}
-		if s.B >= 0 {
-			b[s.B] += amp
-		}
-	}
-	return matrix.SolveComplex(a, b)
 }
 
 func TestPropertyTranSparseMatchesDense(t *testing.T) {

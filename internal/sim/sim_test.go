@@ -122,14 +122,33 @@ func TestTranMutualInductorsEquivalentKGroup(t *testing.T) {
 	}
 }
 
-func TestTranInverterSwitches(t *testing.T) {
+// switchingInverter is a 1.8 V inverter whose input rises in 50 ps,
+// driving 20 fF.
+func switchingInverter() *circuit.Netlist {
 	n := circuit.New()
-	vdd := 1.8
-	n.AddV("vdd", "vdd", "0", circuit.DC(vdd))
-	n.AddV("vin", "in", "0", circuit.Pulse{V1: 0, V2: vdd, Delay: 0.2e-9, Rise: 50e-12, Width: 2e-9, Fall: 50e-12})
+	n.AddV("vdd", "vdd", "0", circuit.DC(1.8))
+	n.AddV("vin", "in", "0", circuit.Pulse{V1: 0, V2: 1.8, Delay: 0.2e-9, Rise: 50e-12, Width: 2e-9, Fall: 50e-12})
 	n.AddInverter("inv", "in", "out", "vdd", "0",
 		circuit.TypicalNMOS(4), circuit.TypicalPMOS(4), 2e-15, 4e-15)
 	n.AddC("cl", "out", "0", 20e-15)
+	return n
+}
+
+// crowbarInverter is a 1.8 V inverter whose input falls slowly (300 ps)
+// enough that both devices conduct mid-ramp; its supply is source 0.
+func crowbarInverter() *circuit.Netlist {
+	n := circuit.New()
+	n.AddV("vdd", "vdd", "0", circuit.DC(1.8))
+	n.AddV("vin", "in", "0", circuit.Pulse{V1: 1.8, V2: 0, Delay: 0.2e-9, Rise: 0.3e-9, Width: 2e-9, Fall: 0.1e-9})
+	n.AddInverter("inv", "in", "out", "vdd", "0",
+		circuit.TypicalNMOS(8), circuit.TypicalPMOS(8), 2e-15, 4e-15)
+	n.AddC("cl", "out", "0", 10e-15)
+	return n
+}
+
+func TestTranInverterSwitches(t *testing.T) {
+	n := switchingInverter()
+	vdd := 1.8
 	res, err := Tran(n, TranOptions{TStop: 2e-9, TStep: 2e-12})
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +185,8 @@ func TestShortCircuitCurrentExists(t *testing.T) {
 	// During the input ramp both devices conduct: the paper's I1. The
 	// vdd source current during the transition must exceed the pure
 	// charging current needed afterwards.
-	n := circuit.New()
-	vddIdx := n.AddV("vdd", "vdd", "0", circuit.DC(1.8))
-	n.AddV("vin", "in", "0", circuit.Pulse{V1: 1.8, V2: 0, Delay: 0.2e-9, Rise: 0.3e-9, Width: 2e-9, Fall: 0.1e-9})
-	n.AddInverter("inv", "in", "out", "vdd", "0",
-		circuit.TypicalNMOS(8), circuit.TypicalPMOS(8), 2e-15, 4e-15)
-	n.AddC("cl", "out", "0", 10e-15)
+	n := crowbarInverter()
+	const vddIdx = 0
 	res, err := Tran(n, TranOptions{TStop: 1.5e-9, TStep: 1e-12})
 	if err != nil {
 		t.Fatal(err)
