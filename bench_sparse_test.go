@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"inductance101/internal/circuit"
 	"inductance101/internal/extract"
 	"inductance101/internal/grid"
 	"inductance101/internal/matrix"
@@ -209,29 +208,6 @@ func TestBenchSparseSnapshot(t *testing.T) {
 		t.Fatalf("sparse Cholesky speedup %.1fx below the 5x requirement", denseIR/cholIR)
 	}
 
-	// Transient: sparse LU path (sim.Tran) against the dense-LU oracle
-	// (sim.TranFrom on the dense MNA) on the same grid, short horizon
-	// (the factorization dominates both).
-	n.AddI("bench_load", m.VddX[spec.NY/2][spec.NX/2], "0",
-		circuit.Pulse{V1: 0, V2: 0.02, Delay: 10e-12, Rise: 20e-12, Width: 200e-12, Fall: 20e-12})
-	tranOpt := sim.TranOptions{TStop: 0.5e-9, TStep: 10e-12}
-	sparseTran := benchBest(3, func() {
-		if _, err := sim.Tran(n, tranOpt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	denseTran := benchBest(1, func() {
-		dm := circuit.Build(n)
-		x0, err := sim.OP(dm, 0, tranOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.TranFrom(dm, x0, tranOpt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("tran: dense %.3fs, sparse %.5fs (%.0fx)", denseTran, sparseTran, denseTran/sparseTran)
-
 	// Part 2: the scaling curve — streaming-assembled synthetic grids
 	// from 2.3k to 1M+ unknowns through the direct/CG/MG menu.
 	rows := make([]synthRow, 0, len(benchSynthSizes))
@@ -293,9 +269,6 @@ func TestBenchSparseSnapshot(t *testing.T) {
 			CGIRSec     float64 `json:"static_ir_cg_sec"`
 			MGIRSec     float64 `json:"static_ir_mg_sec"`
 			CholSpeedup float64 `json:"static_ir_chol_speedup"`
-			DenseTran   float64 `json:"tran_dense_sec"`
-			SparseTran  float64 `json:"tran_sparse_sec"`
-			TranSpeedup float64 `json:"tran_sparse_speedup"`
 		} `json:"peec_grid"`
 		Scaling []synthRow `json:"synth_scaling"`
 		Tran    struct {
@@ -315,14 +288,10 @@ func TestBenchSparseSnapshot(t *testing.T) {
 			CGIRSec     float64 `json:"static_ir_cg_sec"`
 			MGIRSec     float64 `json:"static_ir_mg_sec"`
 			CholSpeedup float64 `json:"static_ir_chol_speedup"`
-			DenseTran   float64 `json:"tran_dense_sec"`
-			SparseTran  float64 `json:"tran_sparse_sec"`
-			TranSpeedup float64 `json:"tran_sparse_speedup"`
 		}{
 			Unknowns: n.Size(), Nodes: n.NumNodes(),
 			DenseIRSec: denseIR, CholIRSec: cholIR, CGIRSec: cgIR, MGIRSec: mgIR,
 			CholSpeedup: denseIR / cholIR,
-			DenseTran:   denseTran, SparseTran: sparseTran, TranSpeedup: denseTran / sparseTran,
 		},
 		Scaling: rows,
 		Tran: struct {

@@ -25,7 +25,6 @@ import (
 	"inductance101/internal/fasthenry"
 	"inductance101/internal/geom"
 	"inductance101/internal/grid"
-	"inductance101/internal/hier"
 	"inductance101/internal/loopmodel"
 	"inductance101/internal/matrix"
 	"inductance101/internal/mor"
@@ -655,97 +654,6 @@ func BenchmarkCrosstalkBus(b *testing.B) {
 		regime,
 		units.FormatSI(bare.DelayOpposing, "s"), units.FormatSI(bare.DelaySame, "s"),
 		units.FormatSI(bare.DelayNominal, "s"))
-}
-
-// --- extension: hierarchical grid analysis (§4's hierarchical models) --
-
-func BenchmarkHierarchicalIRSolve(b *testing.B) {
-	// Flat dense solve vs hierarchical Schur solve of the same grid
-	// conductance system.
-	nx, ny := 20, 20
-	g, xs, ys := hierGrid(nx, ny)
-	bvec := make([]float64, g.Rows())
-	rng := rand.New(rand.NewSource(9))
-	for i := range bvec {
-		bvec[i] = rng.NormFloat64() * 1e-3
-	}
-	p := hier.AutoPartition(g, hier.TileAssign(xs, ys, 4, 4))
-	var sol *hier.Solution
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		sol, err = hier.Solve(g, bvec, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	flat, err := matrix.SolveDense(g, bvec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	worst := 0.0
-	for i := range flat {
-		worst = math.Max(worst, math.Abs(flat[i]-sol.X[i]))
-	}
-	b.Logf("hierarchical solve: %d unknowns -> global %d, largest block %d; max dev from flat %.2g",
-		g.Rows(), sol.GlobalSize, sol.LargestBlock, worst)
-}
-
-func hierGrid(nx, ny int) (*matrix.Dense, []float64, []float64) {
-	n := nx * ny
-	g := matrix.NewDense(n, n)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	idx := func(x, y int) int { return y*nx + x }
-	stamp := func(a, c int) {
-		g.Add(a, a, 1)
-		g.Add(c, c, 1)
-		g.Add(a, c, -1)
-		g.Add(c, a, -1)
-	}
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			i := idx(x, y)
-			xs[i], ys[i] = float64(x), float64(y)
-			g.Add(i, i, 0.01)
-			if x+1 < nx {
-				stamp(i, idx(x+1, y))
-			}
-			if y+1 < ny {
-				stamp(i, idx(x, y+1))
-			}
-		}
-	}
-	return g, xs, ys
-}
-
-// --- extension: adaptive vs fixed-step transient ------------------------
-
-func BenchmarkAdaptiveTransient(b *testing.B) {
-	mk := func() *circuit.Netlist {
-		n := circuit.New()
-		n.AddV("v", "in", "0", circuit.Pulse{V1: 0, V2: 1, Delay: 0.2e-9, Rise: 20e-12, Width: 1, Fall: 20e-12})
-		n.AddR("r", "in", "m", 3)
-		n.AddL("l", "m", "out", 1.5e-9)
-		n.AddC("c", "out", "0", 0.4e-12)
-		n.AddR("rl", "out", "0", 2000)
-		return n
-	}
-	var ad *sim.TranResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		ad, err = sim.TranAdaptive(mk(), sim.AdaptiveOptions{TStop: 30e-9, Tol: 1e-4})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fixedPoints := int(30e-9 / 0.5e-12)
-	b.Logf("adaptive: %d accepted + %d rejected steps vs %d fixed steps at the edge-resolving rate (%.0fx fewer)",
-		ad.Steps.Accepted, ad.Steps.Rejected, fixedPoints,
-		float64(fixedPoints)/float64(ad.Steps.Accepted))
 }
 
 // --- extension: sparse CG power-grid IR drop ----------------------------

@@ -84,7 +84,7 @@ func TestMNAResistorDivider(t *testing.T) {
 	n.AddV("v", "in", "0", DC(2))
 	n.AddR("r1", "in", "mid", 1000)
 	n.AddR("r2", "mid", "0", 1000)
-	m := Build(n)
+	m := BuildSparse(n)
 	b := make([]float64, m.Size())
 	m.RHS(0, b)
 	x := solveDense(t, m, b)
@@ -101,16 +101,17 @@ func TestMNAResistorDivider(t *testing.T) {
 	}
 }
 
-func solveDense(t *testing.T, m *MNA, b []float64) []float64 {
+func solveDense(t *testing.T, m *SparseMNA, b []float64) []float64 {
 	t.Helper()
 	// Tiny Gaussian elimination to keep this package free of solver
 	// dependencies in tests.
 	n := m.Size()
+	g := m.G.ToDense()
 	a := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		a[i] = make([]float64, n+1)
 		for j := 0; j < n; j++ {
-			a[i][j] = m.G.At(i, j)
+			a[i][j] = g.At(i, j)
 		}
 		a[i][n] = b[i]
 	}
@@ -150,7 +151,7 @@ func TestMNAInductorDCShort(t *testing.T) {
 	n.AddV("v", "in", "0", DC(1))
 	n.AddL("l", "in", "mid", 5e-9)
 	n.AddR("r", "mid", "0", 50)
-	m := Build(n)
+	m := BuildSparse(n)
 	b := make([]float64, m.Size())
 	m.RHS(0, b)
 	x := solveDense(t, m, b)
@@ -164,8 +165,8 @@ func TestMNAInductorDCShort(t *testing.T) {
 	}
 	// C matrix carries -L on the branch diagonal.
 	br := n.BranchOfInductor(0)
-	if m.C.At(br, br) != -5e-9 {
-		t.Errorf("C branch stamp = %g", m.C.At(br, br))
+	if c := m.C.ToDense(); c.At(br, br) != -5e-9 {
+		t.Errorf("C branch stamp = %g", c.At(br, br))
 	}
 }
 
@@ -174,10 +175,11 @@ func TestMNAMutualStamp(t *testing.T) {
 	la := n.AddL("la", "a", "0", 2e-9)
 	lb := n.AddL("lb", "b", "0", 3e-9)
 	n.AddM("m", la, lb, 1e-9)
-	m := Build(n)
+	m := BuildSparse(n)
 	ba, bb := n.BranchOfInductor(la), n.BranchOfInductor(lb)
-	if m.C.At(ba, bb) != -1e-9 || m.C.At(bb, ba) != -1e-9 {
-		t.Errorf("mutual stamps wrong: %g %g", m.C.At(ba, bb), m.C.At(bb, ba))
+	c := m.C.ToDense()
+	if c.At(ba, bb) != -1e-9 || c.At(bb, ba) != -1e-9 {
+		t.Errorf("mutual stamps wrong: %g %g", c.At(ba, bb), c.At(bb, ba))
 	}
 }
 
@@ -187,17 +189,18 @@ func TestMNAKGroupStamp(t *testing.T) {
 	n := New()
 	li := n.AddL("l", "a", "0", 0)
 	n.AddKGroup("k", []int{li}, [][]float64{{2e8}}) // K = 1/5nH
-	m := Build(n)
+	m := BuildSparse(n)
 	br := n.BranchOfInductor(li)
 	a, _ := n.NodeIndex("a")
-	if m.C.At(br, br) != -1 {
-		t.Errorf("K branch C stamp = %g, want -1", m.C.At(br, br))
+	g, c := m.G.ToDense(), m.C.ToDense()
+	if c.At(br, br) != -1 {
+		t.Errorf("K branch C stamp = %g, want -1", c.At(br, br))
 	}
-	if m.G.At(br, a) != 2e8 {
-		t.Errorf("K branch G stamp = %g, want 2e8", m.G.At(br, a))
+	if g.At(br, a) != 2e8 {
+		t.Errorf("K branch G stamp = %g, want 2e8", g.At(br, a))
 	}
 	// KCL column stamp still present.
-	if m.G.At(a, br) != 1 {
+	if g.At(a, br) != 1 {
 		t.Errorf("KCL stamp missing")
 	}
 }
@@ -206,7 +209,7 @@ func TestRHSSources(t *testing.T) {
 	n := New()
 	n.AddI("i", "a", "b", DC(1e-3))
 	n.AddV("v", "c", "0", DC(5))
-	m := Build(n)
+	m := BuildSparse(n)
 	b := make([]float64, m.Size())
 	m.RHS(0, b)
 	a, _ := n.NodeIndex("a")

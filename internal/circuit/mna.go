@@ -1,42 +1,5 @@
 package circuit
 
-import (
-	"inductance101/internal/matrix"
-)
-
-// MNA is the assembled modified-nodal-analysis description of the linear
-// part of a netlist:
-//
-//	C dx/dt + G x = b(t) + (nonlinear device currents)
-//
-// with x = [node voltages; branch currents]. Branch currents exist for
-// inductors and voltage sources.
-type MNA struct {
-	N    *Netlist
-	G    *matrix.Dense
-	C    *matrix.Dense
-	size int
-	// kMember[i] is true when inductor i's branch row is governed by a
-	// KGroup instead of its own L.
-	kMember map[int]bool
-}
-
-// Build assembles the dense MNA matrices for the netlist's linear
-// elements. MOSFETs are not stamped here — the simulator linearizes
-// them per Newton iteration.
-func Build(n *Netlist) *MNA {
-	size := n.Size()
-	m := &MNA{
-		N:       n,
-		G:       matrix.NewDense(size, size),
-		C:       matrix.NewDense(size, size),
-		size:    size,
-		kMember: kMembers(n),
-	}
-	stampLinear(n, m.G.Add, m.C.Add, m.kMember)
-	return m
-}
-
 // kMembers marks inductors whose branch row is governed by a KGroup
 // instead of their own L.
 func kMembers(n *Netlist) map[int]bool {
@@ -50,10 +13,10 @@ func kMembers(n *Netlist) map[int]bool {
 }
 
 // stampLinear walks the linear elements once, stamping conductances via
-// addG and capacitances/inductances via addC. The two sinks see the
-// exact same sequence of (i, j, v) stamps, so the dense Build and the
-// sparse BuildSparse accumulate bit-identical values entry for entry.
-// Ground rows/columns are filtered here.
+// addG and capacitances/inductances via addC. Any sink that sums the
+// stamps in call order accumulates the same values, so BuildSparse's
+// triplets and their ToDense views agree bit for bit with a dense
+// assembly. Ground rows/columns are filtered here.
 func stampLinear(n *Netlist, addGRaw, addCRaw func(i, j int, v float64), kMember map[int]bool) {
 	addG := func(i, j int, v float64) {
 		if i == groundIndex || j == groundIndex {
@@ -127,50 +90,5 @@ func stampLinear(n *Netlist, addGRaw, addCRaw func(i, j int, v float64), kMember
 		addG(v.B, br, -1)
 		addG(br, v.A, 1)
 		addG(br, v.B, -1)
-	}
-}
-
-// Size returns the MNA system dimension.
-func (m *MNA) Size() int { return m.size }
-
-// RHS fills b with the independent-source vector at time t. b must have
-// length Size().
-func (m *MNA) RHS(t float64, b []float64) {
-	for i := range b {
-		b[i] = 0
-	}
-	m.AddRHS(t, b)
-}
-
-// AddRHS accumulates the independent-source vector at time t into b.
-func (m *MNA) AddRHS(t float64, b []float64) {
-	n := m.N
-	nn := n.NumNodes()
-	for i := range n.ISources {
-		s := &n.ISources[i]
-		v := s.Wave.At(t)
-		if s.A != groundIndex {
-			b[s.A] -= v
-		}
-		if s.B != groundIndex {
-			b[s.B] += v
-		}
-	}
-	for i := range n.VSources {
-		s := &n.VSources[i]
-		b[nn+s.Branch] += s.Wave.At(t)
-	}
-}
-
-// SourceDerivRHS fills db with d/dt of the source vector at time t,
-// computed by central difference with step h. Needed by AC-accurate
-// integration schemes; the trapezoidal integrator does not use it.
-func (m *MNA) SourceDerivRHS(t, h float64, db []float64) {
-	b1 := make([]float64, m.size)
-	b2 := make([]float64, m.size)
-	m.RHS(t-h/2, b1)
-	m.RHS(t+h/2, b2)
-	for i := range db {
-		db[i] = (b2[i] - b1[i]) / h
 	}
 }

@@ -5,28 +5,10 @@ import (
 	"testing"
 )
 
-func TestSourceDerivRHS(t *testing.T) {
-	n := New()
-	n.AddV("v", "a", "0", Pulse{V1: 0, V2: 1, Delay: 0, Rise: 1e-9, Width: 1, Fall: 1e-9})
-	m := Build(n)
-	db := make([]float64, m.Size())
-	// Mid-ramp: dV/dt = 1 V/ns = 1e9 V/s on the source branch row.
-	m.SourceDerivRHS(0.5e-9, 1e-12, db)
-	br := n.BranchOfVSource(0)
-	if math.Abs(db[br]-1e9)/1e9 > 1e-6 {
-		t.Errorf("source derivative = %g, want 1e9", db[br])
-	}
-	// Flat region: zero derivative.
-	m.SourceDerivRHS(5e-9, 1e-12, db)
-	if db[br] != 0 {
-		t.Errorf("flat-region derivative = %g", db[br])
-	}
-}
-
 func TestAddRHSAccumulates(t *testing.T) {
 	n := New()
 	n.AddI("i", "0", "a", DC(2e-3))
-	m := Build(n)
+	m := BuildSparse(n)
 	b := make([]float64, m.Size())
 	m.AddRHS(0, b)
 	m.AddRHS(0, b)

@@ -18,13 +18,13 @@ import (
 //   - current sources evaluate at t0 into the RHS;
 //   - voltage sources are enforced by the penalty method (a stiff
 //     conductance to the source value), which keeps the system SPD;
-//   - MOSFETs are rejected — linearize or use the dense OP solver.
+//   - MOSFETs are rejected — linearize them or run sim.Tran.
 //
 // gmin grounds every node; stiff is the penalty conductance (defaults
 // 1e-12 and 1e6 when zero).
 func BuildSparseDC(n *Netlist, t0, gmin, stiff float64) (*matrix.Triplet, []float64, error) {
 	if len(n.MOSFETs) > 0 {
-		return nil, nil, fmt.Errorf("circuit: sparse DC build does not support MOSFETs (use sim.OP)")
+		return nil, nil, fmt.Errorf("circuit: sparse DC build does not support MOSFETs (use sim.Tran)")
 	}
 	if gmin <= 0 {
 		gmin = 1e-12
@@ -83,21 +83,23 @@ func BuildSparseDC(n *Netlist, t0, gmin, stiff float64) (*matrix.Triplet, []floa
 	return g, b, nil
 }
 
-// SparseMNA is the sparse twin of MNA: the same C dx/dt + G x = b(t)
-// system held as triplet builders instead of dense matrices, assembled
-// by the same stamping walk so every accumulated value is bit-identical
-// to the dense build.
+// SparseMNA is the assembled modified-nodal-analysis description of the
+// linear part of a netlist,
+//
+//	C dx/dt + G x = b(t) + (nonlinear device currents),
+//
+// with x = [node voltages; branch currents] (branch currents exist for
+// inductors and voltage sources), G and C held as triplet builders.
 type SparseMNA struct {
 	N    *Netlist
 	G    *matrix.Triplet
 	C    *matrix.Triplet
 	size int
-	// dense shim reused for the RHS helpers, which only read N and size.
-	rhs *MNA
 }
 
 // BuildSparse assembles the sparse MNA matrices for the netlist's
-// linear elements. MOSFETs are not stamped here, same as Build.
+// linear elements. MOSFETs are not stamped here — the simulator
+// linearizes them per Newton iteration.
 func BuildSparse(n *Netlist) *SparseMNA {
 	size := n.Size()
 	m := &SparseMNA{
@@ -105,7 +107,6 @@ func BuildSparse(n *Netlist) *SparseMNA {
 		G:    matrix.NewTriplet(size, size),
 		C:    matrix.NewTriplet(size, size),
 		size: size,
-		rhs:  &MNA{N: n, size: size},
 	}
 	stampLinear(n, m.G.Add, m.C.Add, kMembers(n))
 	return m
@@ -114,8 +115,31 @@ func BuildSparse(n *Netlist) *SparseMNA {
 // Size returns the MNA system dimension.
 func (m *SparseMNA) Size() int { return m.size }
 
-// RHS fills b with the independent-source vector at time t.
-func (m *SparseMNA) RHS(t float64, b []float64) { m.rhs.RHS(t, b) }
+// RHS fills b with the independent-source vector at time t. b must have
+// length Size().
+func (m *SparseMNA) RHS(t float64, b []float64) {
+	for i := range b {
+		b[i] = 0
+	}
+	m.AddRHS(t, b)
+}
 
 // AddRHS accumulates the independent-source vector at time t into b.
-func (m *SparseMNA) AddRHS(t float64, b []float64) { m.rhs.AddRHS(t, b) }
+func (m *SparseMNA) AddRHS(t float64, b []float64) {
+	n := m.N
+	nn := n.NumNodes()
+	for i := range n.ISources {
+		s := &n.ISources[i]
+		v := s.Wave.At(t)
+		if s.A != groundIndex {
+			b[s.A] -= v
+		}
+		if s.B != groundIndex {
+			b[s.B] += v
+		}
+	}
+	for i := range n.VSources {
+		s := &n.VSources[i]
+		b[nn+s.Branch] += s.Wave.At(t)
+	}
+}

@@ -271,22 +271,18 @@ func (m *Model) AddBackgroundActivity(n *circuit.Netlist, rng *rand.Rand, nSourc
 func IRDropDC(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	// The caller is expected to have attached the package and loads;
 	// here we just find the minimum VDD node voltage from a DC solve.
-	mna := circuit.Build(n)
+	mna := circuit.BuildSparse(n)
 	b := make([]float64, mna.Size())
 	mna.RHS(0, b)
-	x, err := solveG(mna, b)
+	g := mna.G.ToDense()
+	for i := 0; i < n.NumNodes(); i++ {
+		g.Add(i, i, 1e-12)
+	}
+	x, err := matrix.SolveDense(g, b)
 	if err != nil {
 		return 0, err
 	}
 	return worstVddDrop(m, n, x, vdd), nil
-}
-
-func solveG(m *circuit.MNA, b []float64) ([]float64, error) {
-	g := m.G.Clone()
-	for i := 0; i < m.N.NumNodes(); i++ {
-		g.Add(i, i, 1e-12)
-	}
-	return matrix.SolveDense(g, b)
 }
 
 // IRDropDCSparse is IRDropDC on the sparse CG path: the route to grids

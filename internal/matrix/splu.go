@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync"
 )
 
@@ -69,7 +70,9 @@ type spSymbolic struct {
 	// level l, every one computable once levels < l are done.
 	levelPtr []int
 	levelCol []int
-	nnzA     int
+	// colPtr, rowIdx are the analyzed matrix's pattern (shared with it,
+	// not copied), which Refactor checks every matrix against.
+	colPtr, rowIdx []int
 }
 
 // SparseLUOf is a sparse LU factorization P*A*Q = L*U with values of
@@ -279,7 +282,7 @@ func FactorSparseOrdered[T Scalar](a *CSCOf[T], q []int) (*SparseLUOf[T], error)
 		n: n, q: append([]int(nil), q...), pinv: pinv,
 		rowPerm: make([]int, n),
 		lp:      lp, li: li, up: up, ui: ui,
-		nnzA: a.NNZ(),
+		colPtr: a.colPtr, rowIdx: a.rowIdx,
 	}
 	for i, k := range pinv {
 		sym.rowPerm[k] = i
@@ -423,11 +426,11 @@ func (f *SparseLUOf[T]) N() int { return f.sym.n }
 func (f *SparseLUOf[T]) FactorNNZ() int { return len(f.lx) + len(f.ux) }
 
 // Refactor recomputes the numeric factorization of a, which must have
-// exactly the sparsity pattern the factorization was analyzed on, using
-// the frozen pivot order. No allocation or graph work happens; columns
-// on the same dependency level run in parallel, using the worker count
-// the factorization was created with (the *Workers constructors) or the
-// process default. Returns ErrSingular on a zero pivot and ErrPivotDrift
+// exactly the sparsity pattern the factorization was analyzed on (any
+// other pattern is an error), using the frozen pivot order. No
+// allocation or graph work happens; columns on the same dependency
+// level run in parallel, using the worker count the factorization was
+// created with (the *Workers constructors) or the process default. Returns ErrSingular on a zero pivot and ErrPivotDrift
 // when a pivot lost too much magnitude relative to its column — in both
 // cases the caller should fall back to a fresh FactorSparseLU.
 func (f *SparseLUOf[T]) Refactor(a *CSCOf[T]) error {
@@ -435,8 +438,8 @@ func (f *SparseLUOf[T]) Refactor(a *CSCOf[T]) error {
 	if a.rows != s.n || a.cols != s.n {
 		return fmt.Errorf("matrix: Refactor dimension %dx%d, want %d", a.rows, a.cols, s.n)
 	}
-	if a.NNZ() != s.nnzA {
-		return fmt.Errorf("matrix: Refactor pattern changed (%d nonzeros, analyzed %d)", a.NNZ(), s.nnzA)
+	if !s.samePattern(a.colPtr, a.rowIdx) {
+		return fmt.Errorf("matrix: Refactor pattern differs from the analyzed one (%d nonzeros, analyzed %d)", a.NNZ(), len(s.rowIdx))
 	}
 	workers := f.workers
 	if workers <= 0 {
@@ -467,6 +470,19 @@ func (f *SparseLUOf[T]) Refactor(a *CSCOf[T]) error {
 		}
 	}
 	return nil
+}
+
+// samePattern reports whether (colPtr, rowIdx) is the analyzed
+// pattern. Slices that are the analyzed ones, as WithValues passes them
+// on, skip the O(nnz) compare.
+func (s *spSymbolic) samePattern(colPtr, rowIdx []int) bool {
+	if len(colPtr) != len(s.colPtr) || len(rowIdx) != len(s.rowIdx) {
+		return false
+	}
+	if &colPtr[0] == &s.colPtr[0] && (len(rowIdx) == 0 || &rowIdx[0] == &s.rowIdx[0]) {
+		return true
+	}
+	return slices.Equal(colPtr, s.colPtr) && slices.Equal(rowIdx, s.rowIdx)
 }
 
 // refactorCols replays the numeric sweep for the given factor columns.

@@ -186,6 +186,49 @@ func TestSparseLURefactorMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSparseLURefactorRejectsOtherPattern moves a 4×4 matrix's (0,1)
+// and (1,0) entries to (0,3) and (3,0): the nonzero count stays, the
+// pattern does not, and Refactor must refuse it rather than solve with
+// the analyzed structure (x₀ = 0.25 where the true solution has 0). A
+// copy of the analyzed pattern in fresh slices still refactors.
+func TestSparseLURefactorRejectsOtherPattern(t *testing.T) {
+	build := func(i, j int) *CSC {
+		tr := NewTriplet(4, 4)
+		for k := 0; k < 4; k++ {
+			tr.Add(k, k, 2)
+		}
+		tr.Add(i, j, 1)
+		tr.Add(j, i, 1)
+		return tr.ToCSC()
+	}
+	f, err := FactorSparseLU(build(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := build(0, 3)
+	if moved.NNZ() != 6 {
+		t.Fatalf("moved matrix has %d nonzeros, want 6", moved.NNZ())
+	}
+	if err := f.NewNumeric().Refactor(moved); err == nil {
+		t.Fatal("Refactor accepted a different pattern with the same nonzero count")
+	}
+	fresh, err := FactorSparseLU(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := fresh.Solve([]float64{0, 1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x[0] != 0 || x[3] != 0 {
+		t.Errorf("fresh solve x = %v, want x0 = x3 = 0", x)
+	}
+	g := f.NewNumeric()
+	if err := g.Refactor(build(0, 1)); err != nil {
+		t.Fatalf("Refactor of the analyzed pattern in fresh slices: %v", err)
+	}
+}
+
 func TestSparseLURefactorParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 300

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"inductance101/internal/circuit"
-	"inductance101/internal/matrix"
 )
 
 // coupledBus is a bus of lines×segs RLC segments whose inductors are
@@ -45,8 +44,7 @@ func coupledBus(lines, segs int) *circuit.Netlist {
 
 // TestDeltaFormTranMatchesDense runs the fixed-step sparse transient,
 // trapezoidal and backward Euler, on a bus whose 36 inductors are all
-// mutually coupled and checks every state against the dense TranFrom
-// oracle.
+// mutually coupled and checks every state against the dense oracle.
 func TestDeltaFormTranMatchesDense(t *testing.T) {
 	n := coupledBus(6, 6)
 	if len(n.Inductors) < 32 || len(n.Mutuals) != len(n.Inductors)*(len(n.Inductors)-1)/2 {
@@ -73,50 +71,5 @@ func TestDeltaFormTranMatchesDense(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDeltaFormAdaptiveMatchesDense replays the sparse adaptive run's
-// accepted time grid on the dense stepper: every accepted step is two
-// trapezoidal half steps, so the dense replay from the dense operating
-// point must land on the same states at every accepted time.
-func TestDeltaFormAdaptiveMatchesDense(t *testing.T) {
-	n := coupledBus(6, 6)
-	opt := AdaptiveOptions{TStop: 1.5e-9, Tol: 1e-3}
-	sp, err := TranAdaptive(n, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Steps == nil || sp.Steps.Accepted < 10 || sp.Steps.Rejected == 0 {
-		t.Fatalf("adaptive run too tame to exercise several step sizes: %+v", sp.Steps)
-	}
-	if err := opt.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	m := circuit.Build(n)
-	x, err := OP(m, 0, TranOptions{Gmin: opt.Gmin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newStepper(m, opt)
-	sizes := map[float64]bool{}
-	for k := 1; k < len(sp.Times); k++ {
-		t0, h := sp.Times[k-1], sp.Times[k]-sp.Times[k-1]
-		sizes[h] = true
-		b0, f0 := s.sources(t0, x)
-		xh, err := s.advance(x, b0, f0, t0, h/2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b1, f1 := s.sources(t0+h/2, xh)
-		if x, err = s.advance(xh, b1, f1, t0+h/2, h/2); err != nil {
-			t.Fatal(err)
-		}
-		if d := matrix.NormInf(matrix.Sub(x, sp.States[k])); d > 1e-9 {
-			t.Fatalf("t=%g (step %d, h=%g): sparse and dense states differ by %g", sp.Times[k], k, h, d)
-		}
-	}
-	if len(sizes) < 3 {
-		t.Errorf("adaptive run used %d step sizes, want several", len(sizes))
 	}
 }

@@ -2,24 +2,26 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"inductance101/internal/circuit"
 	"inductance101/internal/matrix"
 )
 
-// stampDevices linearizes every MOSFET around state x and stamps the
-// Jacobian into a (a copy of the base conductance matrix) and the
-// Norton equivalent currents into rhs.
-func stampDevices(n *circuit.Netlist, x []float64, a *matrix.Dense, rhs []float64) {
+// stampDevices linearizes every MOSFET around state x, stamping the
+// Jacobian through add and the Norton equivalent currents into rhs.
+// add sees every non-ground stamp position of every device, whatever
+// the bias, so one walk at any x lists the device pattern.
+func stampDevices(n *circuit.Netlist, x []float64, add func(i, j int, v float64), rhs []float64) {
 	vAt := func(node int) float64 {
 		if node < 0 {
 			return 0
 		}
 		return x[node]
 	}
-	add := func(i, j int, v float64) {
+	addJ := func(i, j int, v float64) {
 		if i >= 0 && j >= 0 {
-			a.Add(i, j, v)
+			add(i, j, v)
 		}
 	}
 	addB := func(i int, v float64) {
@@ -33,12 +35,12 @@ func stampDevices(n *circuit.Netlist, x []float64, a *matrix.Dense, rhs []float6
 		id, gm, gds := m.Eval(vd, vg, vs)
 		// Linearization: id ≈ Ieq + gm*vgs + gds*vds.
 		ieq := id - gm*(vg-vs) - gds*(vd-vs)
-		add(m.D, m.D, gds)
-		add(m.D, m.G, gm)
-		add(m.D, m.S, -(gm + gds))
-		add(m.S, m.D, -gds)
-		add(m.S, m.G, -gm)
-		add(m.S, m.S, gm+gds)
+		addJ(m.D, m.D, gds)
+		addJ(m.D, m.G, gm)
+		addJ(m.D, m.S, -(gm + gds))
+		addJ(m.S, m.D, -gds)
+		addJ(m.S, m.G, -gm)
+		addJ(m.S, m.S, gm+gds)
 		// Current id leaves node D and enters node S.
 		addB(m.D, -ieq)
 		addB(m.S, ieq)
@@ -66,47 +68,82 @@ func deviceCurrents(n *circuit.Netlist, x []float64, b []float64) {
 	}
 }
 
-// OP computes the DC operating point at time t0: capacitors open,
-// inductors short, sources at their t0 values. Newton iteration handles
-// the MOSFETs; gmin keeps floating nodes bounded.
-func OP(m *circuit.MNA, t0 float64, opt TranOptions) ([]float64, error) {
-	if opt.MaxNewton <= 0 {
-		opt.MaxNewton = 100
-	}
-	if opt.NewtonTol <= 0 {
-		opt.NewtonTol = 1e-9
-	}
-	if opt.Gmin <= 0 {
-		opt.Gmin = 1e-12
-	}
-	n := m.N
-	size := m.Size()
-	base := applyGmin(m.G, n.NumNodes(), opt.Gmin)
-	b0 := make([]float64, size)
-	m.RHS(t0, b0)
+// newtonSystem is the Newton matrix of a netlist with MOSFETs on one
+// fixed sparse pattern: the linear part plus a slot at every position a
+// device stamps. Each iteration copies the linear values, stamps the
+// devices into their slots and refactors over the one symbolic
+// analysis; an error or pivot drift falls back to a fresh factor.
+type newtonSystem struct {
+	n       *circuit.Netlist
+	a       *matrix.CSC // the pattern over vals
+	base    []float64   // the linear part's values
+	vals    []float64
+	lu      *matrix.SparseLU
+	workers int
+	rhs     []float64
+	next    []float64 // the iteration's solution
+	scratch []float64
+}
 
-	x := make([]float64, size)
-	if len(n.MOSFETs) == 0 {
-		sol, err := solveDensePolicy(base, b0, opt.Policy)
-		if err != nil {
-			return nil, fmt.Errorf("sim: singular DC system: %w", err)
-		}
-		return sol, nil
+// newNewtonSystem builds the fixed pattern of lin (the linear part)
+// plus the device slots of n.
+func newNewtonSystem(n *circuit.Netlist, lin *matrix.Triplet, workers int) *newtonSystem {
+	size := lin.Rows()
+	linCSC := lin.ToCSC()
+	pt := matrix.NewTriplet(size, size)
+	mark := func(i, j int, _ float64) { pt.Add(i, j, 1) }
+	linCSC.Each(mark)
+	stampDevices(n, make([]float64, size), mark, make([]float64, size))
+	pat := pt.ToCSC()
+	s := &newtonSystem{
+		n:       n,
+		base:    make([]float64, pat.NNZ()),
+		vals:    make([]float64, pat.NNZ()),
+		workers: workers,
+		rhs:     make([]float64, size),
+		next:    make([]float64, size),
+		scratch: make([]float64, size),
 	}
-	for it := 0; it < opt.MaxNewton; it++ {
-		a := base.Clone()
-		rhs := matrix.CloneVec(b0)
-		stampDevices(n, x, a, rhs)
-		xNew, err := solveDensePolicy(a, rhs, opt.Policy)
+	s.a = pat.WithValues(s.vals)
+	linCSC.Each(func(i, j int, v float64) { s.base[s.slot(i, j)] = v })
+	return s
+}
+
+// slot returns the index of pattern position (i, j) in vals.
+func (s *newtonSystem) slot(i, j int) int {
+	colPtr, rowIdx := s.a.Pattern()
+	lo := colPtr[j]
+	return lo + sort.SearchInts(rowIdx[lo:colPtr[j+1]], i)
+}
+
+// solve solves the system linearized at x — the linear part plus the
+// device Jacobian, against rhs plus the devices' Norton currents —
+// into dst.
+func (s *newtonSystem) solve(dst, x, rhs []float64) error {
+	copy(s.vals, s.base)
+	copy(s.rhs, rhs)
+	stampDevices(s.n, x, func(i, j int, v float64) { s.vals[s.slot(i, j)] += v }, s.rhs)
+	if s.lu == nil || s.lu.Refactor(s.a) != nil {
+		lu, err := matrix.FactorSparseLUWorkers(s.a, s.workers)
 		if err != nil {
-			return nil, fmt.Errorf("sim: singular Newton system at iteration %d: %w", it, err)
+			return err
 		}
-		// Damped update: limit per-iteration voltage change to 1V to
-		// keep the quadratic model honest far from the solution.
-		const maxStep = 1.0
+		s.lu = lu
+	}
+	return s.lu.SolveTo(dst, s.rhs, s.scratch)
+}
+
+// newton runs Newton from x in place until the largest update is below
+// opt.NewtonTol, limiting each unknown's update to maxStep, and returns
+// the iterations taken.
+func (s *newtonSystem) newton(x, rhs []float64, maxStep float64, opt TranOptions) (int, error) {
+	for it := 1; it <= opt.MaxNewton; it++ {
+		if err := s.solve(s.next, x, rhs); err != nil {
+			return it, fmt.Errorf("singular Newton system: %w", err)
+		}
 		worst := 0.0
-		for i := range x {
-			d := xNew[i] - x[i]
+		for i, v := range s.next {
+			d := v - x[i]
 			if d > maxStep {
 				d = maxStep
 			} else if d < -maxStep {
@@ -118,10 +155,25 @@ func OP(m *circuit.MNA, t0 float64, opt TranOptions) ([]float64, error) {
 			}
 		}
 		if worst < opt.NewtonTol {
-			return x, nil
+			return it, nil
 		}
 	}
-	return nil, fmt.Errorf("sim: DC operating point did not converge in %d iterations", opt.MaxNewton)
+	return opt.MaxNewton, fmt.Errorf("Newton did not converge in %d iterations", opt.MaxNewton)
+}
+
+// opNewton computes the DC operating point of a netlist with MOSFETs
+// (capacitors open, inductors short, sources at t = 0). Newton limits
+// every update to 1 V, which keeps the quadratic device model honest
+// far from the solution; gmin keeps floating nodes bounded.
+func opNewton(sm *circuit.SparseMNA, opt TranOptions) ([]float64, error) {
+	s := newNewtonSystem(sm.N, sparseGmin(sm, opt.Gmin), opt.Policy.Workers)
+	b := make([]float64, sm.Size())
+	sm.RHS(0, b)
+	x := make([]float64, sm.Size())
+	if _, err := s.newton(x, b, 1, opt); err != nil {
+		return nil, fmt.Errorf("sim: DC operating point: %w", err)
+	}
+	return x, nil
 }
 
 func abs(v float64) float64 {

@@ -56,7 +56,7 @@ func denseOP(m *denseMNA, opt TranOptions) ([]float64, error) {
 	for it := 0; it < opt.MaxNewton; it++ {
 		a := base.Clone()
 		rhs := matrix.CloneVec(b0)
-		stampDevices(n, x, a, rhs)
+		stampDevices(n, x, a.Add, rhs)
 		xNew, err := denseSolve(a, rhs, opt.Policy.Workers)
 		if err != nil {
 			return nil, err
@@ -87,7 +87,7 @@ func denseNewton(n *circuit.Netlist, aLin *matrix.Dense, rhsBase, x0 []float64, 
 	for it := 1; it <= opt.MaxNewton; it++ {
 		a := aLin.Clone()
 		rhs := matrix.CloneVec(rhsBase)
-		stampDevices(n, x, a, rhs)
+		stampDevices(n, x, a.Add, rhs)
 		xNew, err := denseSolve(a, rhs, opt.Policy.Workers)
 		if err != nil {
 			return nil, it, err
@@ -115,10 +115,7 @@ func denseTran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 		return nil, err
 	}
 	h := opt.TStep
-	alpha := 2 / h
-	if opt.Method == BackwardEuler {
-		alpha = 1 / h
-	}
+	alpha := opt.alpha()
 	aLin := m.c.Clone().Scale(alpha).AddMat(m.gGmin(opt.Gmin))
 	hist := m.c.Clone().Scale(alpha)
 	if opt.Method == Trapezoidal {

@@ -1,16 +1,12 @@
 package sim
 
-import (
-	"inductance101/internal/matrix"
-	"inductance101/internal/sweep"
-)
+import "inductance101/internal/sweep"
 
 // Policy pins the linear-solver resources of one analysis run: how many
-// goroutines the dense/sparse kernels may use and how AC sweeps pick
-// their frequency points. It is a small value carried inside
-// TranOptions/AdaptiveOptions and by the policy-taking AC sweep, so two
-// concurrently running analyses can use conflicting settings without
-// touching process state.
+// goroutines the sparse kernels may use and how AC sweeps pick their
+// frequency points. It is a small value carried inside TranOptions and
+// by the policy-taking AC sweep, so two concurrently running analyses
+// can use conflicting settings without touching process state.
 //
 // The zero value is the built-in default: GOMAXPROCS workers and the
 // automatic sweep mode. Every solver path is deterministic in the
@@ -18,9 +14,9 @@ import (
 // changing any per-element operation order — so Policy only trades wall
 // clock for cores, never results.
 type Policy struct {
-	// Workers caps the solver goroutines (factorization strips, multi-RHS
-	// solves, the history matvec, AC sweep fan-out). 0 = built-in
-	// default (GOMAXPROCS), 1 = fully serial.
+	// Workers caps the solver goroutines (the sparse LU's parallel
+	// refactorization, AC sweep fan-out). 0 = built-in default
+	// (GOMAXPROCS), 1 = fully serial.
 	Workers int
 	// SweepMode selects exact per-point AC sweeps, the adaptive
 	// rational-interpolation engine, or automatic selection by point
@@ -29,13 +25,4 @@ type Policy struct {
 	// SweepTol is the adaptive engine's relative interpolation
 	// tolerance (0 = sweep.DefaultTol).
 	SweepTol float64
-}
-
-// solveDensePolicy is matrix.SolveDense with the policy's worker count.
-func solveDensePolicy(a *matrix.Dense, b []float64, pol Policy) ([]float64, error) {
-	f, err := matrix.FactorLUWorkers(a, pol.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
 }

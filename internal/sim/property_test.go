@@ -111,8 +111,8 @@ func TestPropertyACSparseMatchesDense(t *testing.T) {
 }
 
 // TestTranRoutesOnLinearity pins the solver routing: a linear netlist
-// of any size runs the sparse transient (bit for bit, fixed-step and
-// adaptive), and a netlist with MOSFETs still runs Newton.
+// of any size runs the factor-once sparse transient, and a netlist with
+// MOSFETs runs the sparse Newton transient, each bit for bit.
 func TestTranRoutesOnLinearity(t *testing.T) {
 	rc := circuit.New()
 	rc.AddV("vin", "n0", "0", circuit.Pulse{V1: 0, V2: 1, Delay: 0.1e-9, Rise: 0.1e-9, Width: 1e-9, Fall: 0.1e-9})
@@ -135,33 +135,23 @@ func TestTranRoutesOnLinearity(t *testing.T) {
 	}
 	sameStates(t, "Tran", got, want)
 
-	aopt := AdaptiveOptions{TStop: 2e-9, Tol: 1e-6}
-	gotA, err := TranAdaptive(rc, aopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := aopt.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := tranAdaptiveSparse(rc, aopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStates(t, "TranAdaptive", gotA, wantA)
-
-	inv := circuit.New()
-	inv.AddV("vdd", "vdd", "0", circuit.DC(1.8))
-	inv.AddV("vin", "in", "0", circuit.Pulse{V1: 0, V2: 1.8, Delay: 0.2e-9, Rise: 50e-12, Width: 2e-9, Fall: 50e-12})
-	inv.AddInverter("inv", "in", "out", "vdd", "0",
-		circuit.TypicalNMOS(4), circuit.TypicalPMOS(4), 2e-15, 4e-15)
-	inv.AddC("cl", "out", "0", 20e-15)
-	res, err := Tran(inv, TranOptions{TStop: 1e-9, TStep: 5e-12})
+	inv := switchingInverter()
+	iopt := TranOptions{TStop: 1e-9, TStep: 5e-12}
+	res, err := Tran(inv, iopt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NewtonIters == 0 {
 		t.Error("MOSFET netlist ran no Newton iterations")
 	}
+	if err := iopt.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	wantN, err := tranNewton(inv, iopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStates(t, "Tran", res, wantN)
 }
 
 // sameStates fails unless two transient results carry bit-identical
@@ -179,33 +169,6 @@ func sameStates(t *testing.T, name string, got, want *TranResult) {
 			if got.States[k][i] != want.States[k][i] {
 				t.Fatalf("%s: state[%d][%d] %g, sparse path %g", name, k, i, got.States[k][i], want.States[k][i])
 			}
-		}
-	}
-}
-
-func TestPropertyAdaptiveSparseTracksFixedStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	n := randRLC(rng, 10)
-	adapt, err := TranAdaptive(n, AdaptiveOptions{TStop: 2e-9, Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adapt.Steps == nil || adapt.Steps.Accepted == 0 {
-		t.Fatal("adaptive run reported no accepted steps")
-	}
-	fixed, err := Tran(n, TranOptions{TStop: 2e-9, TStep: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	av, err := Interp(adapt, "n10", fixed.Times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fv := fixed.MustV("n10")
-	for k := range fv {
-		if d := math.Abs(av[k] - fv[k]); d > 1e-3 {
-			t.Fatalf("adaptive diverges from fine fixed-step at t=%g: %g vs %g",
-				fixed.Times[k], av[k], fv[k])
 		}
 	}
 }

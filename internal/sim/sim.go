@@ -1,7 +1,8 @@
 // Package sim is the SPICE-lite circuit simulator: DC operating point
 // (Newton-Raphson over the level-1 MOSFET models), transient analysis
 // (trapezoidal or backward-Euler companion integration on the MNA
-// system), and AC analysis (complex MNA solve per frequency).
+// system), and AC analysis (complex MNA solve per frequency), all on the
+// sparse LU.
 //
 // It plays the role MCSPICE plays in the paper's experiments: the
 // reference engine the PEEC, sparsified-PEEC, reduced-order and loop
@@ -10,9 +11,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"inductance101/internal/circuit"
-	"inductance101/internal/matrix"
 )
 
 // Method selects the transient integration scheme.
@@ -48,8 +49,14 @@ type TranOptions struct {
 }
 
 func (o *TranOptions) setDefaults() error {
-	if o.TStop <= 0 || o.TStep <= 0 {
-		return fmt.Errorf("sim: TStop and TStep must be positive (got %g, %g)", o.TStop, o.TStep)
+	if !(o.TStop > 0 && o.TStep > 0) || math.IsInf(o.TStop, 0) || math.IsInf(o.TStep, 0) {
+		return fmt.Errorf("sim: TStop and TStep must be positive and finite (got %g, %g)", o.TStop, o.TStep)
+	}
+	if o.TStop/o.TStep+0.5 < 1 {
+		return fmt.Errorf("sim: TStop %g is under half of TStep %g, so the run has no step", o.TStop, o.TStep)
+	}
+	if o.Method != Trapezoidal && o.Method != BackwardEuler {
+		return fmt.Errorf("sim: unknown method %d", o.Method)
 	}
 	if o.MaxNewton <= 0 {
 		o.MaxNewton = 50
@@ -66,6 +73,15 @@ func (o *TranOptions) setDefaults() error {
 	return nil
 }
 
+// alpha is the companion-model factor of C: 2/h for the trapezoidal
+// rule, 1/h for backward Euler.
+func (o *TranOptions) alpha() float64 {
+	if o.Method == BackwardEuler {
+		return 1 / o.TStep
+	}
+	return 2 / o.TStep
+}
+
 // TranResult holds a transient waveform set: the state vector at each
 // saved time point, with probe helpers keyed by node name.
 type TranResult struct {
@@ -74,8 +90,6 @@ type TranResult struct {
 	States  [][]float64 // States[k][unknown]
 	// NewtonIters counts total Newton iterations, a cost metric.
 	NewtonIters int
-	// Steps holds adaptive-stepping counters (nil for fixed-step runs).
-	Steps *StepStats
 }
 
 // V returns the voltage waveform of a named node.
@@ -118,15 +132,6 @@ func (r *TranResult) IV(vi int) []float64 {
 	out := make([]float64, len(r.Times))
 	for k, x := range r.States {
 		out[k] = x[idx]
-	}
-	return out
-}
-
-// applyGmin adds gmin from every node to ground on a copy of g.
-func applyGmin(g *matrix.Dense, nodes int, gmin float64) *matrix.Dense {
-	out := g.Clone()
-	for i := 0; i < nodes; i++ {
-		out.Add(i, i, gmin)
 	}
 	return out
 }

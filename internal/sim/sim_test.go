@@ -232,16 +232,23 @@ func TestInputImpedanceSeriesRL(t *testing.T) {
 	}
 }
 
+// operatingPoint returns the DC operating point a transient of n
+// starts from.
+func operatingPoint(t *testing.T, n *circuit.Netlist) []float64 {
+	t.Helper()
+	res, err := Tran(n, TranOptions{TStop: 1e-12, TStep: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.States[0]
+}
+
 func TestOPResistorNetwork(t *testing.T) {
 	n := circuit.New()
 	n.AddV("v", "a", "0", circuit.DC(3))
 	n.AddR("r1", "a", "b", 100)
 	n.AddR("r2", "b", "0", 200)
-	m := circuit.Build(n)
-	x, err := OP(m, 0, TranOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := operatingPoint(t, n)
 	b, _ := n.NodeIndex("b")
 	if math.Abs(x[b]-2) > 1e-6 {
 		t.Errorf("OP node b = %g, want 2", x[b])
@@ -260,11 +267,7 @@ func TestOPInverterTransferPoints(t *testing.T) {
 		n.AddInverter("inv", "in", "out", "vdd", "0",
 			circuit.TypicalNMOS(1), circuit.TypicalPMOS(1), 0, 0)
 		n.AddR("rl", "out", "0", 1e9) // bleed to make DC unique
-		m := circuit.Build(n)
-		x, err := OP(m, 0, TranOptions{})
-		if err != nil {
-			t.Fatalf("vin=%g: %v", c.vin, err)
-		}
+		x := operatingPoint(t, n)
 		out, _ := n.NodeIndex("out")
 		if x[out] < c.wantLo || x[out] > c.wantHi {
 			t.Errorf("vin=%g: out=%g want in [%g,%g]", c.vin, x[out], c.wantLo, c.wantHi)
@@ -310,11 +313,30 @@ func TestTranEnergyPassivity(t *testing.T) {
 func TestTranOptionValidation(t *testing.T) {
 	n := circuit.New()
 	n.AddR("r", "a", "0", 1)
-	if _, err := Tran(n, TranOptions{TStop: 0, TStep: 1e-12}); err == nil {
-		t.Errorf("zero TStop accepted")
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name         string
+		tStop, tStep float64
+		method       Method
+	}{
+		{"zero TStop", 0, 1e-12, Trapezoidal},
+		{"zero TStep", 1e-9, 0, Trapezoidal},
+		{"negative TStep", 1e-9, -1e-12, Trapezoidal},
+		{"NaN TStop", nan, 1e-12, Trapezoidal},
+		{"+Inf TStop", inf, 1e-12, Trapezoidal},
+		{"NaN TStep", 1e-9, nan, Trapezoidal},
+		{"+Inf TStep", 1e-9, inf, Trapezoidal},
+		{"no step", 1e-12, 3e-12, Trapezoidal},
+		{"unknown method", 1e-9, 1e-12, Method(7)},
+	} {
+		if res, err := Tran(n, TranOptions{TStop: c.tStop, TStep: c.tStep, Method: c.method}); err == nil {
+			t.Errorf("%s (TStop %g, TStep %g) accepted: %d points", c.name, c.tStop, c.tStep, len(res.Times))
+		}
 	}
-	if _, err := Tran(n, TranOptions{TStop: 1e-9, TStep: 0}); err == nil {
-		t.Errorf("zero TStep accepted")
+	// Half a step rounds up to one.
+	res, err := Tran(n, TranOptions{TStop: 1e-12, TStep: 2e-12})
+	if err != nil || len(res.Times) != 2 {
+		t.Errorf("TStop of half a step: %v, want one step", err)
 	}
 }
 

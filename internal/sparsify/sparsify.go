@@ -2,9 +2,9 @@
 // sparsification and acceleration techniques surveyed in §4 of the
 // paper: naive truncation (unstable), block-diagonal sparsification,
 // the shell shift-truncate method of Krauter & Pileggi (ICCAD 1995),
-// the halo / return-limited method of Shepard et al. (TCAD 2000), the
-// windowed K (inverse inductance) matrix of Devgan et al. (ICCAD 2000),
-// and Kron (Schur-complement) reduction for hierarchical models.
+// the halo / return-limited method of Shepard et al. (TCAD 2000) and
+// the windowed K (inverse inductance) matrix of Devgan et al. (ICCAD
+// 2000).
 //
 // Every method returns a Result carrying the sparsified matrix, the
 // achieved density, and a passivity audit: a partial inductance matrix

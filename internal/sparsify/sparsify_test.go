@@ -235,90 +235,6 @@ func TestDensity(t *testing.T) {
 	}
 }
 
-func TestKronReduceResistorChain(t *testing.T) {
-	// Conductance matrix of a 3-resistor chain a-m1-m2-b (1 ohm each),
-	// reduce onto {a, b}: equivalent is a 3-ohm resistor between them.
-	g := matrix.NewDenseFrom([][]float64{
-		{1, -1, 0, 0},
-		{-1, 2, -1, 0},
-		{0, -1, 2, -1},
-		{0, 0, -1, 1},
-	})
-	r, err := KronReduce(g, []int{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1.0 / 3
-	if math.Abs(r.At(0, 0)-want) > 1e-12 || math.Abs(r.At(0, 1)+want) > 1e-12 {
-		t.Errorf("Kron reduced G =\n%v", r)
-	}
-	// Keeping everything is the identity operation.
-	all, err := KronReduce(g, []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.Clone().AddScaled(-1, g).MaxAbs() != 0 {
-		t.Errorf("KronReduce(all) changed the matrix")
-	}
-	// Errors.
-	if _, err := KronReduce(g, []int{0, 0}); err == nil {
-		t.Errorf("duplicate keep accepted")
-	}
-	if _, err := KronReduce(g, []int{9}); err == nil {
-		t.Errorf("out-of-range keep accepted")
-	}
-}
-
-func TestKronReducePreservesSolution(t *testing.T) {
-	// Property: for an SPD system, the Schur complement gives the same
-	// kept-node solution as solving the full system with zero injection
-	// at eliminated nodes.
-	f := func(seed int64) bool {
-		rng := seed
-		next := func() float64 {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return float64(int64(uint64(rng)>>11))/(1<<52) + 0.5
-		}
-		n := 6
-		a := matrix.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				g := next()
-				a.Add(i, i, g)
-				a.Add(j, j, g)
-				a.Add(i, j, -g)
-				a.Add(j, i, -g)
-			}
-			a.Add(i, i, 0.1) // ground leak keeps it nonsingular
-		}
-		keep := []int{0, 2, 4}
-		red, err := KronReduce(a, keep)
-		if err != nil {
-			return false
-		}
-		b := make([]float64, n)
-		b[0], b[2] = 1, -0.5
-		xFull, err := matrix.SolveDense(a, b)
-		if err != nil {
-			return false
-		}
-		bk := []float64{1, -0.5, 0}
-		xRed, err := matrix.SolveDense(red, bk)
-		if err != nil {
-			return false
-		}
-		for i, k := range keep {
-			if math.Abs(xRed[i]-xFull[k]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestHaloRadiiMatchBruteForce pins the indexed expanding-window
 // nearest-return search against the all-pairs scan it replaced: the
 // radii must be identical on regular and irregular layouts, so the

@@ -44,15 +44,18 @@ fi
 # lowering's determinism contract under parallel cluster-tree builds
 # over plane filament grids; core runs the Table 1 flows, whose linear
 # transients factor on the worker-parallel sparse LU at every size and
-# whose loop flow extracts its two ladder frequencies concurrently.
+# whose loop flow extracts its two ladder frequencies concurrently, and
+# the Fig. 1 current analysis, whose MOSFET Newton refactors on the
+# worker-parallel sparse LU every iteration.
 echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh, core)"
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh ./internal/core
 
-# The bit-identity pins (solution hashes, pinned delays) must hold at
+# The bit-identity pins (solution hashes, pinned delays, the Fig. 1
+# charges and the sparse Newton against its dense oracle) must hold at
 # any worker count: GOMAXPROCS 1 and 2 set the default worker count of
 # the parallel kernels, sweeps and loop-frequency fan-out they cover.
 echo "== bit-identity pins at 1 and 2 CPUs"
-go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/core
+go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/sim ./internal/core
 
 # The AVX2 kernels have scalar-only stubs in kernels_noasm.go; a
 # cross-vet and cross-build for arm64 keeps the two in step. Offline,
