@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"inductance101/internal/matrix"
-	"inductance101/internal/sim"
 )
 
 // TestBenchSnapshot measures the key dense kernels with
@@ -73,14 +72,6 @@ func TestBenchSnapshot(t *testing.T) {
 	pair("mul_256",
 		func() { _ = x.MulUnblocked(y) },
 		func() { _ = x.Mul(y) })
-
-	nl, vi, probe := acBenchNetlist(40)
-	stim := sim.ACStimulus{VSourceAmps: map[int]complex128{vi: 1}}
-	measure("ac_sweep_40stage", func() {
-		if _, err := sim.ACSweep(nl, probe, stim, 1e7, 1e10, 12); err != nil {
-			t.Fatal(err)
-		}
-	})
 
 	out, err := json.MarshalIndent(struct {
 		Note    string  `json:"note"`

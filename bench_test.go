@@ -12,14 +12,12 @@ package repro
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"inductance101/internal/circuit"
 	"inductance101/internal/core"
-	"inductance101/internal/delay"
 	"inductance101/internal/design"
 	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
@@ -29,11 +27,8 @@ import (
 	"inductance101/internal/matrix"
 	"inductance101/internal/mor"
 	"inductance101/internal/pkgmodel"
-	"inductance101/internal/repeater"
-	"inductance101/internal/sim"
 	"inductance101/internal/sparsify"
 	"inductance101/internal/supply"
-	"inductance101/internal/tline"
 	"inductance101/internal/units"
 	"inductance101/internal/xtalk"
 )
@@ -590,36 +585,6 @@ func BenchmarkFastHenrySolve(b *testing.B) {
 	b.ReportMetric(float64(solver.NumFilaments()), "filaments")
 }
 
-// --- extension: when does inductance matter (ref [1] + §7 rule) --------
-
-func BenchmarkInductanceCriterion(b *testing.B) {
-	p, err := tline.FromGeometry(8e-6, 1.2e-6, 1.1e-6, 0.018, 20e-6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := tline.DefaultSweepOptions()
-	lMin, lMax, _ := tline.CriticalRange(p, opt.TRise)
-	lengths := []float64{lMin / 4, lMin, fgeomMean(lMin, lMax), lMax, lMax * 4}
-	var pts []tline.SimPoint
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err = tline.Sweep(p, lengths, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Logf("inductance-matters window [%s, %s] at tr=%s:",
-		units.FormatSI(lMin, "m"), units.FormatSI(lMax, "m"), units.FormatSI(opt.TRise, "s"))
-	for _, pt := range pts {
-		b.Logf("  len=%-9s %-12s RC delay err %5.1f%%, overshoot %s",
-			units.FormatSI(pt.Length, "m"), pt.Regime,
-			pt.DelayErr*100, units.FormatSI(pt.Overshoot, "V"))
-	}
-}
-
-func fgeomMean(a, c float64) float64 { return math.Sqrt(a * c) }
-
 // --- extension: RLC crosstalk (intro's "aggravation of signal
 // crosstalk" + the worst-pattern reversal of RLC vs RC analysis) -------
 
@@ -692,66 +657,7 @@ func BenchmarkSparseIRDrop(b *testing.B) {
 		m.Spec.NX, m.Spec.NY, n.NumNodes(), units.FormatSI(drop, "V"))
 }
 
-// --- extension: RC delay metrics vs RLC reality -------------------------
-
-func BenchmarkDelayMetrics(b *testing.B) {
-	// Elmore/D2M on a distributed RC line vs simulation — and the same
-	// metrics' failure once the line's loop inductance is added.
-	mkRC := func(short bool) *circuit.Netlist {
-		n := circuit.New()
-		n.AddV("v", "src", "0", circuit.Pulse{V1: 0, V2: 1, Delay: 1e-11, Rise: 1e-12, Width: 1, Fall: 1e-12})
-		n.AddR("rdrv", "src", "n0", 20)
-		for k := 0; k < 8; k++ {
-			a, m, c := nodeN(k), nodeM(k), nodeN(k+1)
-			n.AddR("rw"+a, a, m, 8)
-			if short {
-				n.AddR("ls"+a, m, c, 1e-9)
-			} else {
-				n.AddL("lw"+a, m, c, 0.35e-9)
-			}
-			n.AddC("cw"+a, c, "0", 35e-15)
-		}
-		return n
-	}
-	var elmore, d2m, simRC, simRLC float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := delay.BuildTree(mkRC(true), "src")
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := tr.At(nodeN(8))
-		if err != nil {
-			b.Fatal(err)
-		}
-		elmore, d2m = m.Elmore(), m.D2M()
-		simRC = simDelayOf(b, mkRC(true))
-		simRLC = simDelayOf(b, mkRC(false))
-	}
-	b.StopTimer()
-	b.Logf("delay metrics on an 8-section line: Elmore %s, D2M %s, simulated RC %s, simulated RLC %s",
-		units.FormatSI(elmore, "s"), units.FormatSI(d2m, "s"),
-		units.FormatSI(simRC, "s"), units.FormatSI(simRLC, "s"))
-	b.Logf("  D2M tracks the RC answer; the RLC delay exceeds every RC metric — the paper's 'delay variations'")
-}
-
-func nodeN(k int) string { return fmt.Sprintf("n%d", k) }
-func nodeM(k int) string { return fmt.Sprintf("m%d", k) }
-
-func simDelayOf(b *testing.B, n *circuit.Netlist) float64 {
-	b.Helper()
-	res, err := sim.Tran(n, sim.TranOptions{TStop: 1e-9, TStep: 0.2e-12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cross, err := sim.CrossTime(res.Times, res.MustV(nodeN(8)), 0.5, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cross - 1.05e-11
-}
-
-// --- extension: supply noise map + worst-case alignment -----------------
+// --- extension: supply noise map ----------------------------------------
 
 func BenchmarkSupplyNoise(b *testing.B) {
 	spec := supply.DefaultSpec()
@@ -770,50 +676,6 @@ func BenchmarkSupplyNoise(b *testing.B) {
 		units.FormatSI(rep.WorstDroop, "V"), rep.WorstNode,
 		units.FormatSI(rep.StaticIR, "V"), units.FormatSI(rep.Dynamic, "V"),
 		units.FormatSI(rep.WorstBounce, "V"))
-}
-
-func BenchmarkWorstCaseAlignment(b *testing.B) {
-	spec := xtalk.DefaultBusSpec()
-	spec.NWires, spec.Sections = 3, 3
-	windows := []xtalk.Window{{Lo: 1e-10, Hi: 4e-10}, {Lo: 1e-10, Hi: 4e-10}}
-	var res *xtalk.AlignmentResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = xtalk.WorstAlignment(spec, windows, 4, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Logf("worst-case aggressor alignment: noise %s at offsets %v (%d transients)",
-		units.FormatSI(res.Noise, "V"), res.Times, res.Evals)
-}
-
-// --- extension: repeater insertion under inductance ---------------------
-
-func BenchmarkRepeaterInsertion(b *testing.B) {
-	p, err := tline.FromGeometry(1.5e-6, 1.2e-6, 1.1e-6, 0.018, 8e-6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	drv := repeater.Driver{R: 15, Cin: 20e-15, TIntrinsic: 8e-12, Vdd: 1.8, TRise: 40e-12}
-	var cmp *repeater.Comparison
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cmp, err = repeater.Compare(p, 14e-3, drv, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Logf("repeater insertion on a 14mm line:")
-	b.Logf("  RC model:  best k=%d, delay %s", cmp.RC.BestK, units.FormatSI(cmp.RC.BestDelay, "s"))
-	b.Logf("  RLC model: best k=%d, delay %s, per-stage overshoot %s",
-		cmp.RLC.BestK, units.FormatSI(cmp.RLC.BestDelay, "s"),
-		units.FormatSI(cmp.RLC.Points[cmp.RLC.BestK].Overshoot, "V"))
-	b.Logf("  RC methodology at its own k misses the true delay by %s",
-		units.FormatSI(cmp.RLC.Points[cmp.RC.BestK].TotalDelay-cmp.RC.BestDelay, "s"))
 }
 
 // --- Blocked dense-kernel benchmarks ---
@@ -899,37 +761,4 @@ func BenchmarkBlockedMul(b *testing.B) {
 			_ = x.Mul(y)
 		}
 	})
-}
-
-// acBenchNetlist builds an RLC ladder long enough that the per-point
-// complex solve dominates the sweep.
-func acBenchNetlist(stages int) (*circuit.Netlist, int, string) {
-	n := circuit.New()
-	vi := n.AddV("v", "in", "0", circuit.DC(0))
-	prev := "in"
-	probe := "in"
-	for i := 0; i < stages; i++ {
-		mid := fmt.Sprintf("m%d", i)
-		nxt := fmt.Sprintf("n%d", i)
-		n.AddR(fmt.Sprintf("r%d", i), prev, mid, 2.0)
-		n.AddL(fmt.Sprintf("l%d", i), mid, nxt, 1e-9)
-		n.AddC(fmt.Sprintf("c%d", i), nxt, "0", 50e-15)
-		prev, probe = nxt, nxt
-	}
-	return n, vi, probe
-}
-
-func BenchmarkACSweepParallel(b *testing.B) {
-	n, vi, probe := acBenchNetlist(40)
-	stim := sim.ACStimulus{VSourceAmps: map[int]complex128{vi: 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := sim.ACSweep(n, probe, stim, 1e7, 1e10, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("empty sweep")
-		}
-	}
 }

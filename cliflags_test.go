@@ -147,3 +147,24 @@ func TestRLSweepNestedSolver(t *testing.T) {
 		t.Errorf("-v does not report GMRES iteration counts:\n%s", diag)
 	}
 }
+
+// TestClocksimStrategiesRunsCombinedTechnique pins the last row of
+// clocksim -strategies to the paper's combined technique (§4):
+// block-diagonal sparsification followed by PRIMA, not full-L + PRIMA.
+func TestClocksimStrategiesRunsCombinedTechnique(t *testing.T) {
+	dir := buildTools(t)
+	cmd := exec.Command(filepath.Join(dir, "clocksim"), "-strategies")
+	var stdout, stderr strings.Builder
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("clocksim -strategies failed: %v\nstderr:\n%s", err, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "PEEC(block-diag)+PRIMA") {
+		t.Errorf("no PEEC(block-diag)+PRIMA row:\n%s", out)
+	}
+	if strings.Contains(out, "PEEC(RLC)+PRIMA") {
+		t.Errorf("full-L PEEC(RLC)+PRIMA row still printed:\n%s", out)
+	}
+}

@@ -80,11 +80,16 @@ func main() {
 	if *strats {
 		fmt.Println("\nSparsification / reduction strategies (vs PEEC(RLC)):")
 		ref := rows[1].Result
-		for _, s := range []core.Strategy{
-			core.StrategyBlockDiag, core.StrategyShell, core.StrategyHalo,
-			core.StrategyKMatrix,
+		for _, s := range []struct {
+			strategy core.Strategy
+			prima    bool
+		}{
+			{core.StrategyBlockDiag, false}, {core.StrategyShell, false},
+			{core.StrategyHalo, false}, {core.StrategyKMatrix, false},
+			{core.StrategyBlockDiag, true},
 		} {
-			fopt := core.DefaultFlowOptions(s)
+			fopt := core.DefaultFlowOptions(s.strategy)
+			fopt.UsePRIMA = s.prima
 			if *tstop > 0 {
 				fopt.TStop = *tstop
 			}
@@ -97,19 +102,6 @@ func main() {
 			}
 			report(r, ref)
 		}
-		fopt := core.DefaultFlowOptions(core.StrategyFull)
-		fopt.UsePRIMA = true
-		if *tstop > 0 {
-			fopt.TStop = *tstop
-		}
-		if *tstep > 0 {
-			fopt.TStep = *tstep
-		}
-		r, err := c.RunPEEC(fopt)
-		if err != nil {
-			fatal(err)
-		}
-		report(r, ref)
 	}
 
 	if *wavecsv != "" {

@@ -66,7 +66,7 @@ func main() {
 		n.AddC("cwire", "c", "0", cTot)
 		n.AddC("cload", "c", "0", 150e-15)
 		res, err := sim.Tran(n, sim.TranOptions{
-			TStop: 3e-9, TStep: 1e-12, Policy: sess.SimPolicy(),
+			TStop: 3e-9, TStep: 1e-12, Workers: sess.Config().Workers,
 		})
 		if err != nil {
 			panic(err)

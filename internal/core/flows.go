@@ -234,7 +234,7 @@ func (c *ClockCase) RunPEECCtx(ctx context.Context, opt FlowOptions) (*FlowResul
 			}
 			tr, err := sim.Tran(n, sim.TranOptions{
 				TStop: opt.TStop, TStep: opt.TStep,
-				Policy: c.session().SimPolicy(),
+				Workers: c.session().Config().Workers,
 			})
 			if err != nil {
 				return "", fmt.Errorf("core: %s transient: %w", res.Name, err)

@@ -3,7 +3,8 @@
 // one run's tuning (worker fan-out, solve mode, ACA tolerance,
 // preconditioner, kernel-cache policy, sweep mode, plane mesh density);
 // a Session owns the run's kernel cache and translates the Config into
-// the option structs of the lower layers (extract, fasthenry, sim).
+// the option structs of the lower layers (extract, fasthenry); sim
+// transients take Config().Workers directly.
 // Two Sessions with conflicting configs can run concurrently in one
 // process without touching each other: no layer keeps process-global
 // tuning state.
@@ -19,7 +20,6 @@ import (
 	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
 	"inductance101/internal/mesh"
-	"inductance101/internal/sim"
 	"inductance101/internal/sweep"
 )
 
@@ -53,7 +53,7 @@ func (p CachePolicy) String() string {
 // built-in defaults (each field documents its own convention).
 type Config struct {
 	// Workers caps goroutine fan-out everywhere the run parallelizes:
-	// extraction rows, factorization strips, sweep points, AC points.
+	// extraction rows, factorization strips, sweep points.
 	// 0 = process default (matrix.Workers), 1 = fully serial.
 	Workers int
 	// SolveMode picks the fasthenry solve path
@@ -77,8 +77,8 @@ type Config struct {
 	// applied to the process-wide shared cache (a process-level
 	// setting: the last session built wins); CacheOff ignores it.
 	CacheBytes int64
-	// SweepMode selects how frequency sweeps (loop extraction and AC)
-	// are solved: exact per-point solves, the adaptive rational-
+	// SweepMode selects how loop-extraction frequency sweeps are
+	// solved: exact per-point solves, the adaptive rational-
 	// interpolation engine, or automatic selection by point count (the
 	// zero value, sweep.ModeAuto — adaptive at sweep.AutoThreshold
 	// requested points and exact below, which keeps every small legacy
@@ -214,13 +214,6 @@ func (s *Session) CacheStats() extract.CacheStats { return s.cache.Stats() }
 
 // ResetCache clears the session cache's entries and counters.
 func (s *Session) ResetCache() { s.cache.Reset() }
-
-// SimPolicy mints the sim-layer solver policy for this run.
-func (s *Session) SimPolicy() sim.Policy {
-	return sim.Policy{
-		Workers: s.cfg.Workers, SweepMode: s.cfg.SweepMode, SweepTol: s.cfg.SweepTol,
-	}
-}
 
 // ExtractOptions mints a full-layout extraction option set: the
 // process defaults (dense mutual matrix, 3 um coupling window) under

@@ -15,9 +15,6 @@ import (
 
 func TestZeroConfigInheritsDefaults(t *testing.T) {
 	s := New(Config{})
-	if pol := s.SimPolicy(); pol.Workers != 0 || pol.SweepMode != sweep.ModeAuto || pol.SweepTol != 0 {
-		t.Errorf("zero config minted non-inheriting policy %+v", pol)
-	}
 	opt := s.SolverOptions()
 	if opt.Mode != fasthenry.ModeAuto || opt.ACATol != 0 || opt.Workers != 0 ||
 		opt.Precond != fasthenry.PrecondBlockJacobi {
@@ -67,15 +64,13 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSweepConfigPlumbing pins that the sweep settings reach both
-// consumers: the fasthenry solver options and the sim policy.
+// TestSweepConfigPlumbing pins that the sweep settings reach their
+// one consumer, the fasthenry solver options, and that the CLI
+// spellings parse.
 func TestSweepConfigPlumbing(t *testing.T) {
 	s := New(Config{SweepMode: sweep.ModeAdaptive, SweepTol: 1e-7})
 	if opt := s.SolverOptions(); opt.SweepMode != sweep.ModeAdaptive || opt.SweepTol != 1e-7 {
 		t.Errorf("SolverOptions dropped sweep config: %+v", opt)
-	}
-	if pol := s.SimPolicy(); pol.SweepMode != sweep.ModeAdaptive || pol.SweepTol != 1e-7 {
-		t.Errorf("SimPolicy dropped sweep config: %+v", pol)
 	}
 	for _, tc := range []struct {
 		in   string

@@ -81,7 +81,7 @@ func TestConcurrentSessionsConflictingConfigs(t *testing.T) {
 	refA, refB := ref(sessA), ref(sessB)
 
 	topt := func(s *Session) sim.TranOptions {
-		return sim.TranOptions{TStop: 1e-9, TStep: 1e-12, Policy: s.SimPolicy()}
+		return sim.TranOptions{TStop: 1e-9, TStep: 1e-12, Workers: s.Config().Workers}
 	}
 	trRefA, err := sim.Tran(raceNetlist(), topt(sessA))
 	if err != nil {

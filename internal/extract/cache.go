@@ -244,23 +244,6 @@ func (c *KernelCache) getOrCompute(k kernelKey, compute func() float64) float64 
 	return v
 }
 
-// reset drops every entry and zeroes the counters (the byte capacity is
-// retained).
-func (c *KernelCache) reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.ring = nil
-		sh.hand = 0
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-}
-
 // entries counts the stored values across shards.
 func (c *KernelCache) entries() int {
 	n := 0
@@ -288,13 +271,6 @@ func (c *KernelCache) residentBytes() int64 {
 // defaultCache is the process-wide cache a zero CacheRef resolves to.
 // Runs that need isolation or no memoization carry their own CacheRef.
 var defaultCache KernelCache
-
-// ResetKernelCache drops every memoized kernel value and zeroes the
-// hit/miss counters. Useful between benchmark runs and after processing
-// one layout when memory matters more than warm-start hits.
-func ResetKernelCache() {
-	defaultCache.reset()
-}
 
 // DefaultKernelCache returns the process-wide cache, so long-running
 // owners can bound it (SetCapacity) or inspect it directly. The
@@ -326,9 +302,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(tot)
 }
 
-// KernelCacheStats snapshots the process-wide cache counters.
-func KernelCacheStats() CacheStats { return defaultCache.Stats() }
-
 // Stats snapshots this cache's counters. A nil receiver (the disabled
 // cache a NoCache ref resolves to) reports Enabled=false.
 func (c *KernelCache) Stats() CacheStats {
@@ -346,12 +319,24 @@ func (c *KernelCache) Stats() CacheStats {
 	}
 }
 
-// Reset drops every memoized value and zeroes the counters. No-op on a
-// nil receiver.
+// Reset drops every memoized value and zeroes the counters (the byte
+// capacity is retained). No-op on a nil receiver.
 func (c *KernelCache) Reset() {
-	if c != nil {
-		c.reset()
+	if c == nil {
+		return
 	}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.m = nil
+		sh.ring = nil
+		sh.hand = 0
+		sh.bytes = 0
+		sh.mu.Unlock()
+	}
+	c.hits.Store(0)
+	c.misses.Store(0)
+	c.evictions.Store(0)
 }
 
 // cacheRefKind discriminates how a CacheRef resolves to a cache.
@@ -487,28 +472,4 @@ func (c *KernelCache) couplingCapPerLength(w, t, h, s float64) float64 {
 	return c.getOrCompute(k, func() float64 {
 		return CouplingCapPerLength(w, t, h, s)
 	})
-}
-
-// SelfInductanceBarCached is SelfInductanceBar through the
-// process-wide kernel cache.
-func SelfInductanceBarCached(l, w, t float64) float64 {
-	return DefaultCacheRef().Cache().SelfInductanceBar(l, w, t)
-}
-
-// MutualFilamentsCached is MutualFilaments through the process-wide
-// kernel cache.
-func MutualFilamentsCached(la, lb, s, d float64) float64 {
-	return DefaultCacheRef().Cache().MutualFilaments(la, lb, s, d)
-}
-
-// MutualBarsCached is MutualBars through the process-wide kernel
-// cache.
-func MutualBarsCached(pg geom.ParallelGeometry, wa, ta, wb, tb float64, opt GMDOptions) float64 {
-	return DefaultCacheRef().Cache().MutualBars(pg, wa, ta, wb, tb, opt)
-}
-
-// couplingCapPerLengthCached is couplingCapPerLength through the
-// process-wide kernel cache.
-func couplingCapPerLengthCached(w, t, h, s float64) float64 {
-	return DefaultCacheRef().Cache().couplingCapPerLength(w, t, h, s)
 }

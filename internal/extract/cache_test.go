@@ -176,9 +176,9 @@ func TestCacheStatsCounters(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	ResetKernelCache()
+	DefaultCacheRef().Reset()
 	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
-	st := KernelCacheStats()
+	st := DefaultCacheRef().Stats()
 	if !st.Enabled {
 		t.Fatal("cache should report enabled")
 	}
@@ -191,7 +191,7 @@ func TestCacheStatsCounters(t *testing.T) {
 	// A second identical assembly must be all hits.
 	before := st
 	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
-	st = KernelCacheStats()
+	st = DefaultCacheRef().Stats()
 	if st.Misses != before.Misses {
 		t.Fatalf("warm rerun missed: %d -> %d misses", before.Misses, st.Misses)
 	}
@@ -201,8 +201,8 @@ func TestCacheStatsCounters(t *testing.T) {
 	if st := NoCache().Stats(); st.Enabled {
 		t.Fatal("NoCache should report disabled")
 	}
-	ResetKernelCache()
-	if st := KernelCacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+	DefaultCacheRef().Reset()
+	if st := DefaultCacheRef().Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("reset did not clear counters: %+v", st)
 	}
 }

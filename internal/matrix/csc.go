@@ -32,8 +32,9 @@ type CCSC = CSCOf[complex128]
 // CSCFromParts assembles a CSC matrix from raw column pointers, row
 // indices and values (sizes are validated; rows must be ascending per
 // column). The slices are NOT copied: the caller hands over ownership.
-// This is the assembly door the AC sweep uses to rebuild values over a
-// fixed cached pattern without re-sorting anything.
+// This is the assembly door AC analysis and the FastHenry Schur
+// preconditioner use to build values over a fixed pattern without
+// re-sorting anything.
 func CSCFromParts[T Scalar](rows, cols int, colPtr, rowIdx []int, val []T) *CSCOf[T] {
 	if len(colPtr) != cols+1 || colPtr[0] != 0 || colPtr[cols] != len(rowIdx) || len(rowIdx) != len(val) {
 		panic("matrix: CSCFromParts inconsistent sizes")

@@ -166,7 +166,7 @@ func (s *newtonSystem) newton(x, rhs []float64, maxStep float64, opt TranOptions
 // every update to 1 V, which keeps the quadratic device model honest
 // far from the solution; gmin keeps floating nodes bounded.
 func opNewton(sm *circuit.SparseMNA, opt TranOptions) ([]float64, error) {
-	s := newNewtonSystem(sm.N, sparseGmin(sm, opt.Gmin), opt.Policy.Workers)
+	s := newNewtonSystem(sm.N, sparseGmin(sm, opt.Gmin), opt.Workers)
 	b := make([]float64, sm.Size())
 	sm.RHS(0, b)
 	x := make([]float64, sm.Size())

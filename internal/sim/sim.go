@@ -43,9 +43,9 @@ type TranOptions struct {
 	Gmin float64
 	// SaveEvery keeps every k-th point (default 1 = all).
 	SaveEvery int
-	// Policy pins the run's solver resources (worker count). The zero
-	// value is the built-in default.
-	Policy Policy
+	// Workers caps the sparse LU's parallel refactorization (0 =
+	// process default, 1 = serial). Results do not depend on it.
+	Workers int
 }
 
 func (o *TranOptions) setDefaults() error {

@@ -74,7 +74,7 @@ func (w *deltaWork) step(dst []float64, f *matrix.SparseLU, d *matrix.CSR, x, bP
 // built.
 func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	sm := circuit.BuildSparse(n)
-	x0, err := opSparse(sm, 0, opt.Gmin, opt.Policy.Workers)
+	x0, err := opSparse(sm, 0, opt.Gmin, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	alpha := opt.alpha()
 
 	aLin := sparseGmin(sm, opt.Gmin).AddScaled(alpha, sm.C)
-	f, err := matrix.FactorSparseLUWorkers(aLin.ToCSC(), opt.Policy.Workers)
+	f, err := matrix.FactorSparseLUWorkers(aLin.ToCSC(), opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular transient system: %w", err)
 	}

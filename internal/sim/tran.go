@@ -40,7 +40,7 @@ func tranNewton(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	h := opt.TStep
 	alpha := opt.alpha()
 	trap := opt.Method == Trapezoidal
-	s := newNewtonSystem(n, sparseGmin(sm, opt.Gmin).AddScaled(alpha, sm.C), opt.Policy.Workers)
+	s := newNewtonSystem(n, sparseGmin(sm, opt.Gmin).AddScaled(alpha, sm.C), opt.Workers)
 	histT := matrix.NewTriplet(size, size).AddScaled(alpha, sm.C)
 	if trap {
 		histT.AddScaled(-1, sm.G)

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"math"
 
-	"inductance101/internal/circuit"
 	"inductance101/internal/extract"
-	"inductance101/internal/sim"
 )
 
 // LineParams are per-unit-length line constants (ohm/m, H/m, F/m).
@@ -60,23 +58,6 @@ func FromGeometry(width, thickness, hBelow, sheetRho, returnDist float64) (LineP
 	return p, p.Validate()
 }
 
-// FlightTime returns the time of flight l*sqrt(LC).
-func (p LineParams) FlightTime(length float64) float64 {
-	return length * math.Sqrt(p.L*p.C)
-}
-
-// CharacteristicImpedance returns sqrt(L/C).
-func (p LineParams) CharacteristicImpedance() float64 {
-	return math.Sqrt(p.L / p.C)
-}
-
-// Damping returns the damping factor of the full line,
-// zeta = (R*len/2) * sqrt(C*len / (L*len)) = R*len/(2 Z0).
-// zeta >= 1 means the line cannot ring no matter how fast the edge.
-func (p LineParams) Damping(length float64) float64 {
-	return p.R * length / (2 * p.CharacteristicImpedance())
-}
-
 // CriticalRange returns the length window [lMin, lMax] where
 // transmission-line effects matter for edges of rise time tr. ok is
 // false when the window is empty (the wire is too resistive for
@@ -88,144 +69,4 @@ func CriticalRange(p LineParams, tRise float64) (lMin, lMax float64, ok bool) {
 	lMin = tRise / (2 * math.Sqrt(p.L*p.C))
 	lMax = 2 / p.R * math.Sqrt(p.L/p.C)
 	return lMin, lMax, lMax > lMin
-}
-
-// Regime classifies a wire.
-type Regime int
-
-// Wire regimes per the criterion.
-const (
-	// RegimeCapacitive: too short — the edge dwarfs the flight time.
-	RegimeCapacitive Regime = iota
-	// RegimeInductive: inside the window — model L or get it wrong.
-	RegimeInductive
-	// RegimeRC: too long/resistive — damping kills inductive behaviour.
-	RegimeRC
-)
-
-// String names the regime.
-func (r Regime) String() string {
-	switch r {
-	case RegimeCapacitive:
-		return "capacitive"
-	case RegimeInductive:
-		return "inductive"
-	case RegimeRC:
-		return "rc-dominated"
-	default:
-		return fmt.Sprintf("Regime(%d)", int(r))
-	}
-}
-
-// Classify applies the criterion to a wire of the given length.
-func Classify(p LineParams, length, tRise float64) Regime {
-	lMin, lMax, ok := CriticalRange(p, tRise)
-	switch {
-	case length < lMin:
-		return RegimeCapacitive
-	case ok && length <= lMax:
-		return RegimeInductive
-	default:
-		return RegimeRC
-	}
-}
-
-// SimPoint is one row of an RC-vs-RLC sweep.
-type SimPoint struct {
-	Length    float64
-	Regime    Regime
-	DelayRC   float64
-	DelayRLC  float64
-	DelayErr  float64 // |RC-RLC| / RLC
-	Overshoot float64 // RLC overshoot above the rail
-}
-
-// SweepOptions configures an RC-vs-RLC delay sweep.
-type SweepOptions struct {
-	TRise    float64 // edge rise time
-	Vdd      float64
-	DriverR  float64
-	LoadC    float64
-	Sections int // lumped π sections per line (default 10)
-}
-
-// DefaultSweepOptions gives a fast 2001-era driver.
-func DefaultSweepOptions() SweepOptions {
-	return SweepOptions{
-		TRise: 50e-12, Vdd: 1.8, DriverR: 25, LoadC: 50e-15, Sections: 10,
-	}
-}
-
-// Sweep simulates a distributed line at each length with and without
-// inductance and reports the delay discrepancy — the quantitative form
-// of the criterion (and of §7's opening sentence). The simulation uses
-// Sections lumped RLC-π stages, trapezoidal integration.
-func Sweep(p LineParams, lengths []float64, opt SweepOptions) ([]SimPoint, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Sections <= 0 {
-		opt.Sections = 10
-	}
-	out := make([]SimPoint, 0, len(lengths))
-	for _, length := range lengths {
-		dRC, _, err := simulate(p, length, opt, false)
-		if err != nil {
-			return nil, fmt.Errorf("tline: RC at %g m: %w", length, err)
-		}
-		dRLC, ov, err := simulate(p, length, opt, true)
-		if err != nil {
-			return nil, fmt.Errorf("tline: RLC at %g m: %w", length, err)
-		}
-		out = append(out, SimPoint{
-			Length:    length,
-			Regime:    Classify(p, length, opt.TRise),
-			DelayRC:   dRC,
-			DelayRLC:  dRLC,
-			DelayErr:  math.Abs(dRC-dRLC) / math.Max(dRLC, 1e-18),
-			Overshoot: ov,
-		})
-	}
-	return out, nil
-}
-
-func simulate(p LineParams, length float64, opt SweepOptions, withL bool) (delay, overshoot float64, err error) {
-	n := circuit.New()
-	rise := opt.TRise
-	n.AddV("v", "src", circuit.Ground, circuit.Pulse{
-		V1: 0, V2: opt.Vdd, Delay: rise, Rise: rise, Width: 1, Fall: rise,
-	})
-	n.AddR("rdrv", "src", "n0", opt.DriverR)
-	sec := opt.Sections
-	dl := length / float64(sec)
-	for k := 0; k < sec; k++ {
-		a := fmt.Sprintf("n%d", k)
-		mid := fmt.Sprintf("m%d", k)
-		bNode := fmt.Sprintf("n%d", k+1)
-		n.AddR(fmt.Sprintf("r%d", k), a, mid, p.R*dl)
-		if withL {
-			n.AddL(fmt.Sprintf("l%d", k), mid, bNode, p.L*dl)
-		} else {
-			n.AddR(fmt.Sprintf("rl%d", k), mid, bNode, 1e-9)
-		}
-		n.AddC(fmt.Sprintf("c%d", k), bNode, circuit.Ground, p.C*dl)
-	}
-	last := fmt.Sprintf("n%d", sec)
-	n.AddC("cl", last, circuit.Ground, opt.LoadC)
-
-	// Simulation window: generous multiple of the slowest time scale.
-	tau := opt.DriverR*(p.C*length+opt.LoadC) + p.R*length*p.C*length/2
-	tof := p.FlightTime(length)
-	tStop := rise*4 + 10*math.Max(tau, tof)
-	tStep := math.Min(rise/20, tStop/2000)
-	res, err := sim.Tran(n, sim.TranOptions{TStop: tStop, TStep: tStep})
-	if err != nil {
-		return 0, 0, err
-	}
-	v := res.MustV(last)
-	cross, err := sim.CrossTime(res.Times, v, opt.Vdd/2, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	return cross - rise*1.5, sim.Overshoot(v, opt.Vdd), nil
 }

@@ -68,81 +68,6 @@ func TestCriticalRangeShape(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	p := wideGlobal()
-	lMin, lMax, _ := CriticalRange(p, 50e-12)
-	cases := []struct {
-		l    float64
-		want Regime
-	}{
-		{lMin / 3, RegimeCapacitive},
-		{math.Sqrt(lMin * lMax), RegimeInductive},
-		{lMax * 3, RegimeRC},
-	}
-	for _, c := range cases {
-		if got := Classify(p, c.l, 50e-12); got != c.want {
-			t.Errorf("Classify(%g) = %v, want %v", c.l, got, c.want)
-		}
-	}
-	if RegimeCapacitive.String() == "" || RegimeInductive.String() != "inductive" {
-		t.Errorf("Regime strings broken")
-	}
-}
-
-func TestDampingMonotone(t *testing.T) {
-	p := wideGlobal()
-	if p.Damping(1e-3) >= p.Damping(5e-3) {
-		t.Errorf("damping must grow with length")
-	}
-	if p.FlightTime(2e-3) <= p.FlightTime(1e-3) {
-		t.Errorf("flight time must grow with length")
-	}
-	if p.CharacteristicImpedance() < 5 || p.CharacteristicImpedance() > 500 {
-		t.Errorf("Z0 = %g implausible for on-chip", p.CharacteristicImpedance())
-	}
-}
-
-func TestSweepCriterionAgreesWithSimulation(t *testing.T) {
-	// The headline property: inside the critical window the RC model's
-	// delay error and the RLC overshoot are large; outside they shrink.
-	p := wideGlobal()
-	opt := DefaultSweepOptions()
-	lMin, lMax, ok := CriticalRange(p, opt.TRise)
-	if !ok {
-		t.Fatal("no window")
-	}
-	mid := math.Sqrt(lMin * lMax)
-	pts, err := Sweep(p, []float64{lMin / 4, mid, lMax * 4}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, in, long := pts[0], pts[1], pts[2]
-	if in.Regime != RegimeInductive {
-		t.Fatalf("mid-window point classified %v", in.Regime)
-	}
-	if in.Overshoot < 0.05 {
-		t.Errorf("no ringing inside the inductive window: overshoot %g", in.Overshoot)
-	}
-	if long.Overshoot > in.Overshoot/2 {
-		t.Errorf("overdamped long wire still rings: %g vs %g", long.Overshoot, in.Overshoot)
-	}
-	if in.DelayErr < 0.05 {
-		t.Errorf("RC model accurate inside the window (err %g) — criterion would be pointless", in.DelayErr)
-	}
-	if short.DelayErr > in.DelayErr {
-		t.Errorf("short-wire RC error %g above in-window error %g", short.DelayErr, in.DelayErr)
-	}
-	if long.DelayErr > in.DelayErr {
-		t.Errorf("long-wire RC error %g above in-window error %g", long.DelayErr, in.DelayErr)
-	}
-}
-
-func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep(LineParams{}, []float64{1e-3}, DefaultSweepOptions()); err == nil {
-		t.Errorf("invalid params accepted")
-	}
-}
-
 func TestCriticalRangeProperty(t *testing.T) {
 	// For any physical parameters: lMin scales linearly with tRise and
 	// lMax is independent of it; both positive.

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerate BENCH_kernels.json: ns/op for the blocked dense kernels
-# (LU, Cholesky, Mul) against their unblocked references plus the
-# parallel AC sweep. Run from anywhere in the repo.
+# (LU, Cholesky, Mul) against their unblocked references. Run from
+# anywhere in the repo.
 set -e
 cd "$(dirname "$0")/.."
 BENCH_SNAPSHOT=1 go test -run TestBenchSnapshot -v . "$@"

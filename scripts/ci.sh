@@ -72,6 +72,18 @@ echo "== bench module vet and test"
 go -C bench vet ./...
 go -C bench test ./...
 
+# Every internal package must be reached by a flow: a command, an
+# example or the bench harness imports it, directly or not. A package
+# only tests reach is dead code; delete it or wire it into a flow.
+echo "== every internal package reached from cmd/, examples/ or bench/"
+reached=$( { go list -deps ./cmd/... ./examples/... && go -C bench list -deps ./...; } )
+unreached=$(go list ./internal/... | grep -vxF "$reached" || true)
+if [ -n "$unreached" ]; then
+	echo "internal package(s) no command, example or bench imports:" >&2
+	echo "$unreached" >&2
+	exit 1
+fi
+
 # No mutable package-level tuning state: run configuration belongs in
 # engine.Config / the per-layer option structs, not process-wide Set*
 # switches. No exemptions.
