@@ -131,9 +131,10 @@ func benchSynthRow(t *testing.T, target int) synthRow {
 	return row
 }
 
-// TestBenchSparseSnapshot times the solver menu — dense, sparse direct,
-// CG, multigrid — on power grids from gridnoise scale to a million
-// unknowns and writes BENCH_sparse.json. Like the kernel snapshot it
+// TestBenchSparseSnapshot times the static power-grid solves — the
+// dense oracle against gridnoise's sparse Cholesky, then sparse direct,
+// CG and multigrid on synthetic grids up to a million unknowns — and
+// writes BENCH_sparse.json. Like the kernel snapshot it
 // only runs when BENCH_SPARSE=1; regenerate with
 // scripts/bench_sparse.sh.
 func TestBenchSparseSnapshot(t *testing.T) {
@@ -142,8 +143,7 @@ func TestBenchSparseSnapshot(t *testing.T) {
 	}
 
 	// Part 1: the PEEC-netlist grid (2.3k unknowns) — dense LU against
-	// the sparse direct and iterative paths gridnoise's -irsolver flag
-	// selects. A 24x24 interleaved VDD/GND mesh; ModeRC keeps the element
+	// the sparse Cholesky static-IR solve gridnoise runs. A 24x24 interleaved VDD/GND mesh; ModeRC keeps the element
 	// count proportional to the wire count, and a tight mutual window
 	// skips the (unused) far-field inductance work during setup.
 	spec := grid.DefaultSpec()
@@ -168,7 +168,7 @@ func TestBenchSparseSnapshot(t *testing.T) {
 	}
 	t.Logf("grid: %d nodes, %d MNA unknowns", n.NumNodes(), n.Size())
 
-	var denseDrop, cholDrop, cgDrop, mgDrop float64
+	var denseDrop, cholDrop float64
 	denseIR := benchBest(1, func() {
 		denseDrop, err = grid.IRDropDC(m, n, 1.8)
 		if err != nil {
@@ -181,29 +181,11 @@ func TestBenchSparseSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	cgIR := benchBest(3, func() {
-		cgDrop, err = grid.IRDropDCSparse(m, n, 1.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	mgIR := benchBest(3, func() {
-		mgDrop, err = grid.IRDropDCMG(m, n, 1.8, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
 	if d := math.Abs(denseDrop - cholDrop); d > 1e-9*math.Max(denseDrop, 1) {
 		t.Fatalf("sparse Cholesky IR drop %g disagrees with dense %g", cholDrop, denseDrop)
 	}
-	if d := math.Abs(denseDrop - cgDrop); d > 1e-6*math.Max(denseDrop, 1) {
-		t.Fatalf("CG IR drop %g disagrees with dense %g", cgDrop, denseDrop)
-	}
-	if d := math.Abs(denseDrop - mgDrop); d > 1e-6*math.Max(denseDrop, 1) {
-		t.Fatalf("MG IR drop %g disagrees with dense %g", mgDrop, denseDrop)
-	}
-	t.Logf("static IR: dense %.3fs, sparse chol %.5fs (%.0fx), cg %.5fs, mg %.5fs",
-		denseIR, cholIR, denseIR/cholIR, cgIR, mgIR)
+	t.Logf("static IR: dense %.3fs, sparse chol %.5fs (%.0fx)",
+		denseIR, cholIR, denseIR/cholIR)
 	if denseIR < 5*cholIR {
 		t.Fatalf("sparse Cholesky speedup %.1fx below the 5x requirement", denseIR/cholIR)
 	}
@@ -266,8 +248,6 @@ func TestBenchSparseSnapshot(t *testing.T) {
 			Nodes       int     `json:"grid_nodes"`
 			DenseIRSec  float64 `json:"static_ir_dense_sec"`
 			CholIRSec   float64 `json:"static_ir_sparse_chol_sec"`
-			CGIRSec     float64 `json:"static_ir_cg_sec"`
-			MGIRSec     float64 `json:"static_ir_mg_sec"`
 			CholSpeedup float64 `json:"static_ir_chol_speedup"`
 		} `json:"peec_grid"`
 		Scaling []synthRow `json:"synth_scaling"`
@@ -279,18 +259,16 @@ func TestBenchSparseSnapshot(t *testing.T) {
 			BudgetSec float64 `json:"budget_sec"`
 		} `json:"synth_tran_1e5"`
 	}{
-		Note: "solver menu (dense, sparse direct, CG, multigrid) from gridnoise scale to 1e6+ unknowns; regenerate with scripts/bench_sparse.sh",
+		Note: "static power-grid solves: dense oracle vs gridnoise's sparse Cholesky static IR, then sparse direct, CG and multigrid on synthetic grids to 1e6+ unknowns; regenerate with scripts/bench_sparse.sh",
 		PEEC: struct {
 			Unknowns    int     `json:"mna_unknowns"`
 			Nodes       int     `json:"grid_nodes"`
 			DenseIRSec  float64 `json:"static_ir_dense_sec"`
 			CholIRSec   float64 `json:"static_ir_sparse_chol_sec"`
-			CGIRSec     float64 `json:"static_ir_cg_sec"`
-			MGIRSec     float64 `json:"static_ir_mg_sec"`
 			CholSpeedup float64 `json:"static_ir_chol_speedup"`
 		}{
 			Unknowns: n.Size(), Nodes: n.NumNodes(),
-			DenseIRSec: denseIR, CholIRSec: cholIR, CGIRSec: cgIR, MGIRSec: mgIR,
+			DenseIRSec: denseIR, CholIRSec: cholIR,
 			CholSpeedup: denseIR / cholIR,
 		},
 		Scaling: rows,

@@ -621,7 +621,7 @@ func BenchmarkCrosstalkBus(b *testing.B) {
 		units.FormatSI(bare.DelayNominal, "s"))
 }
 
-// --- extension: sparse CG power-grid IR drop ----------------------------
+// --- extension: sparse Cholesky power-grid IR drop ----------------------
 
 func BenchmarkSparseIRDrop(b *testing.B) {
 	m, err := grid.BuildPowerGrid(grid.StandardLayers(), grid.Spec{
@@ -647,13 +647,13 @@ func BenchmarkSparseIRDrop(b *testing.B) {
 	var drop float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drop, err = grid.IRDropDCSparse(m, n, 1.8)
+		drop, err = grid.IRDropDCSparseChol(m, n, 1.8)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.Logf("sparse CG IR drop on a %dx%d grid (%d nodes): worst %s",
+	b.Logf("sparse Cholesky IR drop on a %dx%d grid (%d nodes): worst %s",
 		m.Spec.NX, m.Spec.NY, n.NumNodes(), units.FormatSI(drop, "V"))
 }
 

@@ -20,14 +20,16 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"inductx", []string{"-kernelcache", "maybe", "nonexistent.json"}},
 		{"inductx", []string{"-l", "verbose", "nonexistent.json"}},
 		{"rlsweep", []string{"-solver", "bogus"}},
-		{"rlsweep", []string{"-precond", "ilu"}},
 		{"rlsweep", []string{"-kernelcache", "maybe"}},
 		{"clocksim", []string{"-kernelcache", "sometimes"}},
 		{"clocksim", []string{"-solver", "hierarchical"}},
-		{"gridnoise", []string{"-irsolver", "quantum"}},
-		{"gridnoise", []string{"-irsolver", "multigrid"}},
-		// The dense full-MNA static-IR mode is gone from the menu.
-		{"gridnoise", []string{"-irsolver", "dense"}},
+		// -synthtran without a synthetic grid, and a negative node
+		// count, would otherwise fall through to the PEEC analyzer.
+		{"gridnoise", []string{"-synth", "0", "-synthtran"}},
+		{"gridnoise", []string{"-synth", "-5"}},
+		// -workers caps only the -synth multigrid; the PEEC analyzer
+		// would ignore it.
+		{"gridnoise", []string{"-workers", "2"}},
 		// A negative kernel-cache byte cap is rejected by the shared
 		// engine.Config validation in every tool that carries the cache,
 		// daemon included — fail-fast, before any input file is opened.
@@ -40,13 +42,10 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"rlsweep", []string{"-sweep", "spline"}},
 		{"rlsweep", []string{"-sweeptol", "-2"}},
 		{"rlsweep", []string{"-sweeptol", "0"}},
-		{"inductx", []string{"-sweep", "spline", "nonexistent.json"}},
-		{"inductx", []string{"-sweeptol", "-3", "nonexistent.json"}},
 		// Plane mesh density: shared mesh.ValidatePlaneNW range check,
-		// rejected by every tool before any geometry is lowered.
+		// rejected before any geometry is lowered.
 		{"rlsweep", []string{"-planenw", "1"}},
 		{"rlsweep", []string{"-planenw", "-4"}},
-		{"inductx", []string{"-planenw", "100000", "nonexistent.json"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -122,7 +121,7 @@ func TestRLSweepAdaptiveVerbose(t *testing.T) {
 func TestRLSweepNestedSolver(t *testing.T) {
 	dir := buildTools(t)
 	cmd := exec.Command(filepath.Join(dir, "rlsweep"),
-		"-solver", "nested", "-precond", "sai", "-workers", "2", "-points", "3", "-v")
+		"-solver", "nested", "-workers", "2", "-points", "3", "-v")
 	var stdout, stderr strings.Builder
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr

@@ -1,19 +1,21 @@
 // Command gridnoise runs the supply-noise analyzer: a localized
 // switching burst on a PEEC-modeled power grid, reporting the worst
 // droop, its static-IR/dynamic decomposition, the droop map, and the
-// effect of the two design levers (decap budget, package choice).
+// effect of the two design levers (decap budget, package choice). The
+// static IR is one sparse Cholesky solve of the DC system.
 //
 // With -synth N it instead exercises the production-scale path: a
 // streaming-assembled synthetic multi-layer grid of ~N nodes solved by
 // multigrid-preconditioned CG, optionally (-synthtran) with the
 // cached-hierarchy backward-Euler transient of a clock-gating burst.
+// -workers caps that path's multigrid parallelism; the PEEC analyzer
+// has no parallel solve, so -workers without -synth is rejected.
 //
 // Usage:
 //
 //	gridnoise [-nx 4] [-ny 4] [-pitch 150e-6] [-burst 25e-3]
 //	          [-decap 2e4] [-sweep] [-packages]
-//	          [-irsolver auto|cg|chol|mg] [-workers N]
-//	          [-synth N] [-synthtran]
+//	gridnoise -synth N [-synthtran] [-workers N]
 package main
 
 import (
@@ -39,16 +41,21 @@ func main() {
 		dcap    = flag.Float64("decap", 2e4, "decap budget, total transistor width (um)")
 		sweep   = flag.Bool("sweep", false, "sweep the decap budget")
 		pkgs    = flag.Bool("packages", false, "compare package models")
-		irsolv  = flag.String("irsolver", "auto", "static IR solver: auto (= chol), cg, chol or mg")
-		workers = flag.Int("workers", 0, "solver worker cap (0 = all cores)")
+		workers = flag.Int("workers", 0, "with -synth: multigrid worker cap (0 = all cores)")
 		synthN  = flag.Int("synth", 0, "run the synthetic-grid MG path at ~N nodes instead of the PEEC analyzer")
 		synthTr = flag.Bool("synthtran", false, "with -synth: run the cached-hierarchy transient too")
 	)
 	flag.Parse()
-	// A bad -irsolver fails here, before the grid is built or the
-	// transient runs.
-	if err := supply.ValidateIRSolver(*irsolv); err != nil {
-		fatal(err)
+	// Flags that would be silently ignored fail here, before any grid
+	// is built.
+	if *synthN < 0 {
+		fatal(fmt.Errorf("-synth must be a non-negative node count, got %d", *synthN))
+	}
+	if *synthTr && *synthN == 0 {
+		fatal(fmt.Errorf("-synthtran needs a positive -synth node count, got %d", *synthN))
+	}
+	if *workers != 0 && *synthN == 0 {
+		fatal(fmt.Errorf("-workers %d needs a positive -synth node count: the PEEC analyzer runs no parallel solve", *workers))
 	}
 
 	if *synthN > 0 {
@@ -62,8 +69,6 @@ func main() {
 	spec.Bursts[0].X = float64(*nx-1) / 2 * *pitch
 	spec.Bursts[0].Y = float64(*ny-1) / 2 * *pitch
 	spec.DecapWidth = *dcap
-	spec.IRSolver = *irsolv
-	spec.Workers = *workers
 
 	rep, err := supply.Analyze(spec)
 	if err != nil {

@@ -7,7 +7,6 @@
 //
 //	inductx [-l matrix|summary] [-c] [-window 0] [-kernelcache on|off]
 //	        [-solver auto|dense|iterative|nested] [-acatol 1e-8]
-//	        [-sweep exact|adaptive|auto] [-sweeptol 1e-6] [-planenw 8]
 //	        [-workers 0] [-v] layout.json
 //	inductx -sample          # print a sample layout document
 //
@@ -51,9 +50,6 @@ func main() {
 		kbytes  = flag.Int64("cachebytes", 0, "kernel-cache byte cap, CLOCK-evicted over it (0 = unbounded)")
 		solver  = flag.String("solver", "auto", "inductance representation: dense | iterative (flat ACA) | nested (H² bases) | auto (by segment count)")
 		acatol  = flag.Float64("acatol", 1e-8, "far-field relative tolerance for the compressed representations")
-		swmode  = flag.String("sweep", "auto", "sweep strategy carried in the run config: exact | adaptive | auto (validated here, consumed by frequency-sweeping flows)")
-		swtol   = flag.Float64("sweeptol", 1e-6, "adaptive sweep relative interpolation tolerance")
-		planew  = flag.Int("planenw", 0, "plane mesh density carried in the run config, grid cells per axis (validated here, consumed by the filament-lowering flows; 0 = mesh default)")
 		workers = flag.Int("workers", 0, "worker goroutines for extraction and operator build (0 = all CPUs)")
 		verbose = flag.Bool("v", false, "print extraction diagnostics (kernel cache hit/miss counters, operator compression, rank histograms)")
 	)
@@ -61,7 +57,7 @@ func main() {
 
 	// Every enum flag is validated before any file is opened or work is
 	// done: a typo fails in milliseconds with a one-line error.
-	cfg := engine.Config{ACATol: *acatol, Workers: *workers, CacheBytes: *kbytes, PlaneNW: *planew}
+	cfg := engine.Config{ACATol: *acatol, Workers: *workers, CacheBytes: *kbytes}
 	switch *kcache {
 	case "on":
 		cfg.Cache = engine.CacheDefault
@@ -80,18 +76,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -l mode %q", *lMode))
 	}
-	// The sweep settings ride in the shared run config so every tool
-	// rejects bad values with the same message; inductx itself extracts
-	// at DC, so they only gate validation here.
-	sm, err := engine.ParseSweepMode(*swmode)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.SweepMode = sm
-	if !(*swtol > 0) {
-		fatal(fmt.Errorf("-sweeptol must be > 0, got %g", *swtol))
-	}
-	cfg.SweepTol = *swtol
 	sess, err := engine.NewChecked(cfg)
 	if err != nil {
 		fatal(err)

@@ -7,18 +7,16 @@
 //
 //	rlsweep [-length 2e-3] [-width 8e-6] [-pitch 20e-6] [-plane] [-planenw 8]
 //	        [-fstart 1e8] [-fstop 2e10] [-points 13] [-fit] [-kernelcache on|off]
-//	        [-solver auto|dense|iterative|nested] [-precond bjacobi|sai]
-//	        [-acatol 1e-8] [-sweep exact|adaptive|auto] [-sweeptol 1e-6]
-//	        [-workers 0] [-v]
+//	        [-solver auto|dense|iterative|nested] [-acatol 1e-8]
+//	        [-sweep exact|adaptive|auto] [-sweeptol 1e-6] [-workers 0] [-v]
 //	rlsweep -layout l.json -plus s0 -minus g0 -short s1=g1 [-short a=b ...]
 //
 // -solver picks the branch-system solve: dense complex LU (the exact
 // oracle), matrix-free GMRES over the flat ACA-compressed
 // partial-inductance operator (iterative), GMRES over the nested-basis
 // H² operator (nested), or auto (dense below 512 filaments, flat ACA to
-// 8191, nested beyond). -precond selects the GMRES preconditioner:
-// block-Jacobi over the cluster diagonal, or the near-field sparse
-// approximate inverse. -sweep picks the sweep strategy: exact solves
+// 8191, nested beyond); GMRES is preconditioned by block-Jacobi over
+// the cluster diagonal. -sweep picks the sweep strategy: exact solves
 // every requested frequency, adaptive solves only rational-fit anchor
 // points (with Krylov recycling across anchors) and interpolates the
 // rest within -sweeptol, and auto switches to adaptive at 64+ points;
@@ -78,7 +76,6 @@ func main() {
 		kcache = flag.String("kernelcache", "on", "geometry-keyed kernel cache for filament assembly: on | off (bit-identical either way)")
 		kbytes = flag.Int64("cachebytes", 0, "kernel-cache byte cap, CLOCK-evicted over it (0 = unbounded)")
 		solver = flag.String("solver", "auto", "branch solve: dense | iterative (flat ACA) | nested (H² bases) | auto (by filament count)")
-		precnd = flag.String("precond", "bjacobi", "GMRES preconditioner: bjacobi | sai (near-field sparse approximate inverse)")
 		acatol = flag.Float64("acatol", 1e-8, "far-field relative tolerance for the compressed solvers")
 		swmode = flag.String("sweep", "auto", "sweep strategy: exact (solve every point) | adaptive (rational fit over anchor solves) | auto (adaptive at 64+ points)")
 		swtol  = flag.Float64("sweeptol", 1e-6, "adaptive sweep relative interpolation tolerance")
@@ -107,11 +104,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.SolveMode = mode
-	pre, err := fasthenry.ParsePrecond(*precnd)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Precond = pre
 	sm, err := engine.ParseSweepMode(*swmode)
 	if err != nil {
 		fatal(err)

@@ -171,13 +171,6 @@ func TestGoldenGridnoise(t *testing.T) {
 	checkGolden(t, "gridnoise", runTool(t, filepath.Join(dir, "gridnoise")))
 }
 
-func TestGoldenGridnoiseMG(t *testing.T) {
-	dir := buildTools(t)
-	// The multigrid static-IR path; bit-deterministic at any -workers.
-	checkGolden(t, "gridnoise_mg", runTool(t, filepath.Join(dir, "gridnoise"),
-		"-irsolver", "mg", "-workers", "2"))
-}
-
 func TestGoldenGridnoiseSynth(t *testing.T) {
 	dir := buildTools(t)
 	// Streaming synthetic grid, MG static solve, cached-hierarchy

@@ -1,7 +1,7 @@
 // Package engine is the run-scoped configuration layer of the
 // extraction/simulation stack. A Config is an immutable description of
 // one run's tuning (worker fan-out, solve mode, ACA tolerance,
-// preconditioner, kernel-cache policy, sweep mode, plane mesh density);
+// kernel-cache policy, sweep mode, plane mesh density);
 // a Session owns the run's kernel cache and translates the Config into
 // the option structs of the lower layers (extract, fasthenry); sim
 // transients take Config().Workers directly.
@@ -63,9 +63,6 @@ type Config struct {
 	// ACA factors or nested interpolation bases (0 = the
 	// extract/fasthenry default, 1e-8).
 	ACATol float64
-	// Precond selects the iterative paths' preconditioner
-	// (block-Jacobi, or the near-field sparse approximate inverse).
-	Precond fasthenry.Precond
 	// Cache is the kernel-cache policy.
 	Cache CachePolicy
 	// CacheBytes bounds the run's kernel-cache resident footprint in
@@ -114,11 +111,6 @@ func (c Config) Validate() error {
 	case fasthenry.ModeAuto, fasthenry.ModeDense, fasthenry.ModeIterative, fasthenry.ModeNested:
 	default:
 		return fmt.Errorf("engine: unknown solve mode %d", int(c.SolveMode))
-	}
-	switch c.Precond {
-	case fasthenry.PrecondBlockJacobi, fasthenry.PrecondSAI:
-	default:
-		return fmt.Errorf("engine: unknown preconditioner %d", int(c.Precond))
 	}
 	switch c.SweepMode {
 	case sweep.ModeAuto, sweep.ModeExact, sweep.ModeAdaptive:
@@ -226,13 +218,12 @@ func (s *Session) ExtractOptions() extract.Options {
 }
 
 // SolverOptions mints the base fasthenry option set (solve mode, ACA
-// tolerance, preconditioner, cache, workers); callers fill the
+// tolerance, cache, workers, sweep, plane density); callers fill the
 // discretization fields (NW/NT/MaxPerSide/Rho) per extraction.
 func (s *Session) SolverOptions() fasthenry.Options {
 	return fasthenry.Options{
 		Mode:      s.cfg.SolveMode,
 		ACATol:    s.cfg.ACATol,
-		Precond:   s.cfg.Precond,
 		Cache:     s.cache,
 		Workers:   s.cfg.Workers,
 		SweepMode: s.cfg.SweepMode,

@@ -16,8 +16,7 @@ import (
 func TestZeroConfigInheritsDefaults(t *testing.T) {
 	s := New(Config{})
 	opt := s.SolverOptions()
-	if opt.Mode != fasthenry.ModeAuto || opt.ACATol != 0 || opt.Workers != 0 ||
-		opt.Precond != fasthenry.PrecondBlockJacobi {
+	if opt.Mode != fasthenry.ModeAuto || opt.ACATol != 0 || opt.Workers != 0 {
 		t.Errorf("zero config minted non-inheriting solver options %+v", opt)
 	}
 	eo := s.ExtractOptions()
@@ -31,7 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		{ACATol: -1},
 		{Cache: CachePolicy(99)},
 		{SolveMode: fasthenry.SolveMode(42)},
-		{Precond: fasthenry.Precond(7)},
 		{CacheBytes: -1},
 		{Cache: CachePrivate, CacheBytes: -4096},
 		{SweepMode: sweep.Mode(9)},
@@ -51,8 +49,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	good := []Config{
 		{SolveMode: fasthenry.ModeNested},
-		{Precond: fasthenry.PrecondSAI},
-		{SolveMode: fasthenry.ModeNested, Precond: fasthenry.PrecondSAI},
 		{Cache: CachePrivate, CacheBytes: 1 << 20}, // zero CacheBytes = unbounded, positive = cap
 		{SweepMode: sweep.ModeAdaptive, SweepTol: 1e-8},
 		{SweepMode: sweep.ModeExact},

@@ -70,10 +70,6 @@ type LOperator interface {
 	ApplyTo(dst, x []float64)
 	// ApplyCTo computes dst = L*x over complex vectors (no aliasing).
 	ApplyCTo(dst, x []complex128)
-	// ApplyNearCTo computes dst = N*x where N holds only the exact
-	// off-diagonal near-field blocks — the sparse pattern the
-	// approximate-inverse preconditioner corrects over.
-	ApplyNearCTo(dst, x []complex128)
 	// EachUpper visits every strictly-upper-triangle entry once.
 	EachUpper(fn func(i, j int, v float64))
 }

@@ -27,8 +27,7 @@ import "sync"
 // nearField is the exact dense part both compressed operators share —
 // the diagonal leaf blocks and the off-diagonal near blocks — together
 // with the tree order and the scratch the planar matvec runs on. It
-// supplies Dim, Diag, DiagBlocks and ApplyNearCTo to the operators
-// that embed it.
+// supplies Dim, Diag and DiagBlocks to the operators that embed it.
 type nearField struct {
 	n    int
 	diag []denseBlock
@@ -80,12 +79,6 @@ func (f *nearField) Diag(i int) float64 {
 	p := int(f.elemPos[i])
 	return b.v[p*len(b.cols)+p]
 }
-
-// ApplyNearCTo computes dst = N*x over the exact off-diagonal near
-// blocks only — the sparse near-field pattern the approximate-inverse
-// preconditioner in internal/fasthenry corrects over. dst and x have
-// length Dim.
-func (f *nearField) ApplyNearCTo(dst, x []complex128) { f.applyC(dst, x, nil) }
 
 // indexTreeOrder records the tree order of trees, locates every dense
 // block in it, builds the per-element diagonal lookup and sizes the
@@ -154,8 +147,7 @@ func treeSpan(pos []int, idx []int) int {
 	return s
 }
 
-// applyR computes dst = L*x over real vectors on plane 0 (far == nil
-// applies only the off-diagonal near blocks).
+// applyR computes dst = L*x over real vectors on plane 0.
 func (f *nearField) applyR(dst, x []float64, far farField) {
 	if len(dst) != f.n || len(x) != f.n {
 		panic("extract: compressed operator dimension mismatch")
@@ -173,8 +165,7 @@ func (f *nearField) applyR(dst, x []float64, far farField) {
 }
 
 // applyC computes dst = L*x over complex vectors on the real and
-// imaginary planes (far == nil applies only the off-diagonal near
-// blocks).
+// imaginary planes.
 func (f *nearField) applyC(dst, x []complex128, far farField) {
 	if len(dst) != f.n || len(x) != f.n {
 		panic("extract: compressed operator dimension mismatch")
@@ -194,19 +185,16 @@ func (f *nearField) applyC(dst, x []complex128, far farField) {
 }
 
 // run applies the diagonal blocks, the near blocks (both ways) and the
-// far field, in that order, to the np gathered planes of w. With
-// far == nil it applies the near blocks alone.
+// far field, in that order, to the np gathered planes of w.
 func (f *nearField) run(w *workspace, np int, far farField) {
 	for p := 0; p < np; p++ {
 		clear(w.y[p])
 	}
-	if far != nil {
-		for bi := range f.diag {
-			b := &f.diag[bi]
-			r0, r1 := b.r0, b.r0+len(b.rows)
-			for p := 0; p < np; p++ {
-				rowSums(b.v, w.x[p][r0:r1], w.y[p][r0:r1])
-			}
+	for bi := range f.diag {
+		b := &f.diag[bi]
+		r0, r1 := b.r0, b.r0+len(b.rows)
+		for p := 0; p < np; p++ {
+			rowSums(b.v, w.x[p][r0:r1], w.y[p][r0:r1])
 		}
 	}
 	for bi := range f.near {
@@ -218,9 +206,7 @@ func (f *nearField) run(w *workspace, np int, far farField) {
 			symPair(b.v, x[r0:r1], x[c0:c1], y[r0:r1], y[c0:c1])
 		}
 	}
-	if far != nil {
-		far.applyFar(w, np)
-	}
+	far.applyFar(w, np)
 }
 
 // rowSums accumulates y[i] += Σ_j v[i][j]·x[j] for the len(y) x len(x)

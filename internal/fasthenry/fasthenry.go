@@ -69,9 +69,6 @@ type Options struct {
 	// tolerance in ModeIterative, the interpolative-basis tolerance in
 	// ModeNested (default 1e-8 for both).
 	ACATol float64
-	// Precond selects the iterative paths' preconditioner. The zero
-	// value is PrecondBlockJacobi.
-	Precond Precond
 	// Cache names the kernel cache the solver's partial-inductance
 	// entries go through. The zero value is the built-in default, the
 	// process-wide shared cache; sessions pass their own
@@ -128,7 +125,6 @@ type Solver struct {
 
 	mode    SolveMode
 	acaTol  float64
-	precond Precond
 	cache   extract.CacheRef
 	workers int
 
@@ -164,7 +160,7 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		mesh:   m,
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
 		planes: m.PlaneFilaments > 0,
-		mode:   opt.Mode, acaTol: opt.ACATol, precond: opt.Precond,
+		mode:   opt.Mode, acaTol: opt.ACATol,
 		cache: opt.Cache, workers: opt.Workers,
 		sweepMode: opt.SweepMode, sweepTol: opt.SweepTol,
 		recycleDim: opt.RecycleDim,

@@ -102,41 +102,6 @@ func TestNestedSweepMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSAIMatchesDense: the sparse-approximate-inverse preconditioner
-// must change only the iteration path, never the answer, on both
-// compressed operators.
-func TestSAIMatchesDense(t *testing.T) {
-	l, segs, port, shorts := busLayout(8, 800e-6, 2e-6, 6e-6)
-	opt := Options{NW: 3, NT: 2, Mode: ModeDense}
-	dense, err := NewSolver(l, segs, port, shorts, 20e9, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []SolveMode{ModeIterative, ModeNested} {
-		optSAI := Options{NW: 3, NT: 2, Mode: mode, Precond: PrecondSAI}
-		sai, err := NewSolver(l, segs, port, shorts, 20e9, optSAI)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []float64{1e9, 2e10} {
-			zd, err := dense.Impedance(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			zs, it, err := sai.impedanceIterative(f, nil, nil)
-			if err != nil {
-				t.Fatalf("%v+sai at %g: %v", mode, f, err)
-			}
-			if it <= 0 {
-				t.Fatalf("%v+sai at %g: no iterations", mode, f)
-			}
-			if d := relDiff(zs, zd); d > iterDenseTol {
-				t.Errorf("%v+sai at %g Hz: mismatch %.3g (Zs=%v Zd=%v)", mode, f, d, zs, zd)
-			}
-		}
-	}
-}
-
 // singularOp is a hand-built operator whose single diagonal block is
 // exactly singular at any frequency — the degraded geometry the
 // preconditioner must survive.
@@ -171,11 +136,6 @@ func (o *singularOp) ApplyCTo(dst, x []complex128) {
 			s += complex(o.v[i*o.n+j], 0) * x[j]
 		}
 		dst[i] = s
-	}
-}
-func (o *singularOp) ApplyNearCTo(dst, x []complex128) {
-	for i := range dst {
-		dst[i] = 0
 	}
 }
 func (o *singularOp) EachUpper(fn func(i, j int, v float64)) {
@@ -252,26 +212,5 @@ func TestAutoNestedThreshold(t *testing.T) {
 	}
 	if got := at(AutoNestedThreshold); got != ModeNested {
 		t.Errorf("auto at %d filaments = %v, want nested", AutoNestedThreshold, got)
-	}
-}
-
-func TestParsePrecond(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Precond
-		ok   bool
-	}{
-		{"bjacobi", PrecondBlockJacobi, true},
-		{"sai", PrecondSAI, true},
-		{"jacobi", PrecondBlockJacobi, false},
-		{"", PrecondBlockJacobi, false},
-	} {
-		got, err := ParsePrecond(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParsePrecond(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-		if tc.ok && got.String() != tc.in {
-			t.Errorf("String round-trip: %v -> %q", got, got.String())
-		}
 	}
 }

@@ -35,8 +35,8 @@ import (
 // resistance (kclScale) so both residual blocks read in volts. The
 // system is right-preconditioned by the constraint preconditioner
 // [D −Aᵀ; A 0] (augPrecond), applied through its block LU: D the
-// per-cluster R + jω L_self diagonal blocks (block-Jacobi, or SAI on
-// top), Ŝ = A D⁻¹ Aᵀ the Schur complement those blocks imply, factored
+// per-cluster R + jω L_self diagonal blocks (block-Jacobi), Ŝ = A D⁻¹ Aᵀ
+// the Schur complement those blocks imply, factored
 // sparse over a pattern and symbolic analysis cached per solver.
 // Frequency sweeps warm-start every point with the previous point's
 // [i; v].
@@ -102,44 +102,6 @@ func ParseSolveMode(s string) (SolveMode, error) {
 		return ModeNested, nil
 	}
 	return ModeAuto, fmt.Errorf("fasthenry: unknown solve mode %q (want dense, iterative, nested or auto)", s)
-}
-
-// Precond selects the preconditioner of the iterative solve paths.
-type Precond int
-
-const (
-	// PrecondBlockJacobi is the per-cluster block-Jacobi preconditioner
-	// (the default): the diagonal leaf blocks of R + jωL, complex-LU
-	// factored once per frequency point.
-	PrecondBlockJacobi Precond = iota
-	// PrecondSAI is a sparse approximate inverse over the near-field
-	// pattern: one Neumann correction of block-Jacobi through the exact
-	// off-diagonal near blocks, M⁻¹ = D⁻¹ − D⁻¹ (jω L_near) D⁻¹. It
-	// costs one extra near-field matvec and block solve per
-	// application and cuts GMRES iterations on tightly coupled layouts
-	// where the nearest-neighbour coupling dominates.
-	PrecondSAI
-)
-
-// String returns the CLI spelling of the preconditioner.
-func (p Precond) String() string {
-	switch p {
-	case PrecondSAI:
-		return "sai"
-	default:
-		return "bjacobi"
-	}
-}
-
-// ParsePrecond parses the -precond CLI flag value.
-func ParsePrecond(s string) (Precond, error) {
-	switch s {
-	case "bjacobi":
-		return PrecondBlockJacobi, nil
-	case "sai":
-		return PrecondSAI, nil
-	}
-	return PrecondBlockJacobi, fmt.Errorf("fasthenry: unknown preconditioner %q (want bjacobi or sai)", s)
 }
 
 // SolveModeInUse reports the mode Impedance will actually run
@@ -325,51 +287,6 @@ func (p *blockPrecond) apply(dst, src []complex128) {
 			dst[i] = x[a]
 		}
 	}
-}
-
-// saiPrecond is the sparse-approximate-inverse preconditioner: a
-// one-term Neumann correction of block-Jacobi over the operator's
-// exact near-field pattern,
-//
-//	M⁻¹ src = D⁻¹ src − D⁻¹ (jω L_near) D⁻¹ src,
-//
-// with D the factored diagonal blocks and L_near the off-diagonal
-// dense near blocks. It approximates the inverse over the full sparse
-// near pattern (the strongest couplings GMRES otherwise has to iterate
-// away) at one extra near-field matvec and block solve per
-// application.
-type saiPrecond struct {
-	bj     *blockPrecond
-	op     extract.LOperator
-	omega  float64
-	t1, t2 []complex128
-}
-
-func (p *saiPrecond) apply(dst, src []complex128) {
-	p.bj.apply(p.t1, src)
-	p.op.ApplyNearCTo(p.t2, p.t1)
-	jw := complex(0, p.omega)
-	for i := range p.t2 {
-		p.t2[i] *= jw
-	}
-	p.bj.apply(dst, p.t2)
-	for i := range dst {
-		dst[i] = p.t1[i] - dst[i]
-	}
-}
-
-// branchPrecond returns the configured branch-block preconditioner
-// D⁻¹ for one frequency point: bj itself, or the SAI correction on top.
-func (s *Solver) branchPrecond(bj *blockPrecond, op extract.LOperator, omega float64) func(dst, src []complex128) {
-	if s.precond != PrecondSAI {
-		return bj.apply
-	}
-	nf := len(s.fils)
-	sp := &saiPrecond{
-		bj: bj, op: op, omega: omega,
-		t1: make([]complex128, nf), t2: make([]complex128, nf),
-	}
-	return sp.apply
 }
 
 // schurPlan is the frequency-independent half of the Schur complement
@@ -663,9 +580,8 @@ func (p *augPrecond) apply(dst, src []complex128) {
 }
 
 // portSystem assembles the augmented operator at angular frequency
-// omega and its preconditioner: this point's block-Jacobi factors, the
-// configured branch preconditioner over them, and Ŝ factored on the
-// solver's cached Schur plan.
+// omega and its preconditioner: this point's block-Jacobi factors and
+// Ŝ factored on the solver's cached Schur plan.
 func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
 	op := s.compressedOp()
 	plan, err := s.schur()
@@ -681,7 +597,7 @@ func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
 	rho := complex(s.kclScale(), 0)
 	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}, inc: s.inc, rho: rho}
 	pre := &augPrecond{
-		d: s.branchPrecond(bj, op, omega), schur: sc, inc: s.inc, rho: rho,
+		d: bj.apply, schur: sc, inc: s.inc, rho: rho,
 		t: make([]complex128, nf), rv: make([]complex128, nn), sc: make([]complex128, nn),
 	}
 	return aop, pre, nil

@@ -121,7 +121,7 @@ func (s *Solver) shorted(sh [2]string) (*Solver, []int, error) {
 	sib := &Solver{
 		fils: s.fils, entry: s.entry,
 		nNodes: s.nNodes - 1, plus: m.node(s.plus), minus: m.node(s.minus),
-		mode: s.effectiveMode(), precond: s.precond,
+		mode: s.effectiveMode(),
 	}
 	if sib.plus == sib.minus {
 		return nil, nil, fmt.Errorf("port terminals are shorted together")

@@ -265,9 +265,8 @@ func (m *Model) AddBackgroundActivity(n *circuit.Netlist, rng *rand.Rand, nSourc
 
 // IRDropDC computes the worst static IR drop of the grid for a uniform
 // DC current draw per crossing by a dense LU of the full MNA G. It is
-// the dense oracle the sparse paths (IRDropDCSparseChol, the default
-// of supply.Analyze; IRDropDCSparse; IRDropDCMG) are checked against;
-// no production flow calls it.
+// the dense oracle the sparse path (IRDropDCSparseChol, the one
+// supply.Analyze runs) is checked against; no production flow calls it.
 func IRDropDC(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	// The caller is expected to have attached the package and loads;
 	// here we just find the minimum VDD node voltage from a DC solve.
@@ -285,41 +284,11 @@ func IRDropDC(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	return worstVddDrop(m, n, x, vdd), nil
 }
 
-// IRDropDCSparse is IRDropDC on the sparse CG path: the route to grids
-// far beyond dense-LU reach. Inductors are treated as DC shorts and
-// voltage sources by penalty (see circuit.BuildSparseDC).
-func IRDropDCSparse(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
-	g, b, err := circuit.BuildSparseDC(n, 0, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	x, _, err := solveJacobiCG(g.ToCSR(), b, matrix.PCGOptions{Tol: 1e-12})
-	if err != nil {
-		return 0, fmt.Errorf("grid: sparse IR solve: %w", err)
-	}
-	return worstVddDrop(m, n, x, vdd), nil
-}
-
-// solveJacobiCG solves the SPD system a x = b with Jacobi-preconditioned
-// CG; a stalled solve is an error.
-func solveJacobiCG(a *matrix.CSR, b []float64, opt matrix.PCGOptions) ([]float64, matrix.IterResult, error) {
-	pre, err := matrix.JacobiPrecond(a)
-	if err != nil {
-		return nil, matrix.IterResult{}, err
-	}
-	opt.Precond = pre
-	x, res, err := matrix.PCG(matrix.CSROp{M: a}, b, opt)
-	if err == nil && !res.Converged {
-		err = fmt.Errorf("CG did not converge in %d iterations (residual %g)", res.Iters, res.Residual)
-	}
-	return x, res, err
-}
-
-// IRDropDCSparseChol is IRDropDC on the sparse direct path: the same
-// SPD system BuildSparseDC assembles for CG, factored once by the
-// sparse Cholesky. Exact to machine precision (no iteration tolerance)
-// at a cost that scales with the factor fill rather than the grid
-// cubed, it is the direct counterpart CG runs are checked against.
+// IRDropDCSparseChol is IRDropDC on the sparse direct path: the SPD
+// system BuildSparseDC assembles (inductors as DC shorts, voltage
+// sources by penalty), factored once by the sparse Cholesky. Exact to
+// machine precision (no iteration tolerance) at a cost that scales
+// with the factor fill rather than the grid cubed.
 func IRDropDCSparseChol(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	g, b, err := circuit.BuildSparseDC(n, 0, 0, 0)
 	if err != nil {

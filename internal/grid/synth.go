@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"inductance101/internal/circuit"
 	"inductance101/internal/matrix"
 )
 
@@ -578,9 +577,19 @@ func (g *SynthGrid) SolveChol() ([]float64, int, error) {
 }
 
 // SolveCG solves the static system with Jacobi-preconditioned CG,
-// reporting the iteration count and final residual.
+// reporting the iteration count and final residual; a stalled solve is
+// an error.
 func (g *SynthGrid) SolveCG(opt matrix.PCGOptions) ([]float64, matrix.IterResult, error) {
-	return solveJacobiCG(g.Sys, g.B, opt)
+	pre, err := matrix.JacobiPrecond(g.Sys)
+	if err != nil {
+		return nil, matrix.IterResult{}, err
+	}
+	opt.Precond = pre
+	x, res, err := matrix.PCG(matrix.CSROp{M: g.Sys}, g.B, opt)
+	if err == nil && !res.Converged {
+		err = fmt.Errorf("CG did not converge in %d iterations (residual %g)", res.Iters, res.Residual)
+	}
+	return x, res, err
 }
 
 // TranRHS returns the transient right-hand-side closure the MG time
@@ -596,25 +605,4 @@ func (g *SynthGrid) TranRHS(activity func(t float64) float64, workers int) func(
 			}
 		})
 	}
-}
-
-// IRDropDCMG is IRDropDC on the multigrid path: the same SPD system
-// BuildSparseDC assembles for CG/Cholesky, solved by MG-preconditioned
-// conjugate gradients with purely algebraic coarsening (netlist grids
-// carry no index-space geometry). workers caps the solver's
-// parallelism; 0 inherits the process default.
-func IRDropDCMG(m *Model, n *circuit.Netlist, vdd float64, workers int) (float64, error) {
-	g, b, err := circuit.BuildSparseDC(n, 0, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	mg, err := matrix.NewMG(g.ToCSR(), matrix.MGOptions{Workers: workers})
-	if err != nil {
-		return 0, fmt.Errorf("grid: multigrid IR solve: %w", err)
-	}
-	x, _, err := mg.SolvePCG(b, matrix.MGSolveOptions{Tol: 1e-10})
-	if err != nil {
-		return 0, fmt.Errorf("grid: multigrid IR solve: %w", err)
-	}
-	return worstVddDrop(m, n, x, vdd), nil
 }

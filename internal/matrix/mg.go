@@ -8,41 +8,17 @@ import (
 
 // Multigrid for the SPD power-grid systems (nodal conductance at DC,
 // G + C/h transient companions): a smoothed-aggregation hierarchy with
-// an optional geometry-aware coarsener for regular meshes, weighted-
-// Jacobi or Gauss-Seidel smoothing, and a V-cycle usable standalone or
-// as the preconditioner of conjugate gradients. Setup is O(nnz) per
-// level and the per-cycle work is a handful of matvecs, which is what
-// lets static-IR and transient solves reach 10^6+ unknowns where the
-// sparse direct factorizations run out of fill.
+// an optional geometry-aware coarsener for regular meshes, damped-
+// Jacobi smoothing, and a V-cycle as the preconditioner of conjugate
+// gradients. Setup is O(nnz) per level and the per-cycle work is a
+// handful of matvecs, which is what lets static and transient grid
+// solves reach 10^6+ unknowns where the sparse direct factorizations
+// run out of fill.
 //
-// A built MG is immutable and safe for concurrent use: every Solve
+// A built MG is immutable and safe for concurrent use: every SolvePCG
 // call draws its scratch vectors from an internal pool, so many
 // goroutines (sessions with conflicting worker counts included) can
 // run V-cycles against one shared hierarchy.
-
-// MGSmoother selects the relaxation scheme of the V-cycle.
-type MGSmoother int
-
-const (
-	// SmootherJacobi is weighted (damped) Jacobi: worker-parallel and
-	// bit-deterministic at any worker count. The default.
-	SmootherJacobi MGSmoother = iota
-	// SmootherGaussSeidel is symmetric Gauss-Seidel (forward sweeps
-	// before coarse correction, backward after — keeping the cycle a
-	// symmetric operator, as PCG requires). Serial but a stronger
-	// smoother per sweep.
-	SmootherGaussSeidel
-)
-
-// String names the smoother.
-func (s MGSmoother) String() string {
-	switch s {
-	case SmootherGaussSeidel:
-		return "gauss-seidel"
-	default:
-		return "jacobi"
-	}
-}
 
 // Coarsener supplies geometry-aware aggregates to the hierarchy build.
 // Aggregates is called once per level with the level index and system
@@ -55,84 +31,38 @@ type Coarsener interface {
 	Aggregates(level, n int) []int
 }
 
-// MGOptions configures the hierarchy build and the cycle shape. The
-// zero value is a sensible default for grid conductance systems.
+// MGOptions configures the hierarchy build. The zero value is the
+// default for grid conductance systems.
 type MGOptions struct {
 	// Workers caps the goroutines of smoothing, residual, restriction,
 	// prolongation and setup products (0 = process default, 1 = serial).
 	Workers int
-	// MaxLevels bounds the hierarchy depth (default 25).
-	MaxLevels int
-	// CoarseSize is the size at which coarsening stops and the level is
-	// solved by a dense Cholesky factorization (default 400).
-	CoarseSize int
-	// Smoother selects the relaxation scheme.
-	Smoother MGSmoother
-	// Omega is the Jacobi damping weight (default 0.7; ignored by
-	// Gauss-Seidel).
-	Omega float64
-	// PreSweeps/PostSweeps are the smoothing sweeps before and after the
-	// coarse correction (default 1 each).
-	PreSweeps, PostSweeps int
-	// PlainProlong disables prolongator smoothing (plain aggregation).
-	// The default is smoothed aggregation: P = (I - 2/3 D^-1 A) P0,
-	// which buys a markedly better convergence factor for one extra
-	// sparse product per level.
-	PlainProlong bool
-	// Theta is the strength-of-connection threshold of the greedy
-	// aggregation (default 0.08).
-	Theta float64
 	// Coarsener, when non-nil, supplies geometry-aware aggregates
 	// (regular-mesh coarsening); levels where it returns nil fall back
 	// to greedy aggregation.
 	Coarsener Coarsener
 }
 
-func (o *MGOptions) setDefaults() error {
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 25
-	}
-	if o.CoarseSize == 0 {
-		o.CoarseSize = 400
-	}
-	if o.Omega == 0 {
-		o.Omega = 0.7
-	}
-	if o.PreSweeps == 0 {
-		o.PreSweeps = 1
-	}
-	if o.PostSweeps == 0 {
-		o.PostSweeps = 1
-	}
-	if o.Theta == 0 {
-		o.Theta = 0.08
-	}
-	if o.MaxLevels < 2 {
-		return fmt.Errorf("matrix: multigrid needs MaxLevels >= 2, got %d", o.MaxLevels)
-	}
-	if o.CoarseSize < 1 {
-		return fmt.Errorf("matrix: non-positive multigrid CoarseSize %d", o.CoarseSize)
-	}
-	if o.Omega < 0 || o.Omega > 1 {
-		return fmt.Errorf("matrix: multigrid Jacobi weight %g outside (0, 1]", o.Omega)
-	}
-	if o.PreSweeps < 0 || o.PostSweeps < 0 {
-		return fmt.Errorf("matrix: negative multigrid smoothing sweeps")
-	}
-	if o.Theta < 0 || o.Theta >= 1 {
-		return fmt.Errorf("matrix: multigrid strength threshold %g outside [0, 1)", o.Theta)
-	}
-	switch o.Smoother {
-	case SmootherJacobi, SmootherGaussSeidel:
-	default:
-		return fmt.Errorf("matrix: unknown multigrid smoother %d", int(o.Smoother))
-	}
-	return nil
-}
-
-// prolongSmoothOmega is the damping of the prolongator-smoothing step
-// of smoothed aggregation (the usual ~2/3 under-relaxation).
-const prolongSmoothOmega = 2.0 / 3.0
+// The fixed shape of the hierarchy and the V-cycle.
+const (
+	// mgMaxLevels bounds the hierarchy depth.
+	mgMaxLevels = 25
+	// mgCoarseSize is the size at which coarsening stops and the level
+	// is solved by a dense Cholesky factorization.
+	mgCoarseSize = 400
+	// mgOmega is the damping weight of the Jacobi smoother, which runs
+	// one sweep before and one after the coarse correction:
+	// worker-parallel and bit-deterministic at any worker count.
+	mgOmega = 0.7
+	// mgTheta is the strength-of-connection threshold of the greedy
+	// aggregation.
+	mgTheta = 0.08
+	// prolongSmoothOmega is the damping of the prolongator-smoothing
+	// step of smoothed aggregation (the usual ~2/3 under-relaxation):
+	// P = (I - 2/3 D^-1 A) P0 buys a markedly better convergence factor
+	// than plain aggregation for one extra sparse product per level.
+	prolongSmoothOmega = 2.0 / 3.0
+)
 
 type mgLevel struct {
 	a       *CSR
@@ -170,9 +100,6 @@ func NewMG(a *CSR, opt MGOptions) (*MG, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: multigrid needs a square matrix, got %dx%d", a.rows, a.cols)
 	}
-	if err := opt.setDefaults(); err != nil {
-		return nil, err
-	}
 	m := &MG{opt: opt}
 	cur := a
 	for level := 0; ; level++ {
@@ -182,7 +109,7 @@ func NewMG(a *CSR, opt MGOptions) (*MG, error) {
 		}
 		lv := &mgLevel{a: cur, invDiag: inv}
 		m.levels = append(m.levels, lv)
-		if cur.rows <= opt.CoarseSize || level >= opt.MaxLevels-1 {
+		if cur.rows <= mgCoarseSize || level >= mgMaxLevels-1 {
 			break
 		}
 		var agg []int
@@ -190,7 +117,7 @@ func NewMG(a *CSR, opt MGOptions) (*MG, error) {
 			agg = opt.Coarsener.Aggregates(level, cur.rows)
 		}
 		if agg == nil {
-			agg = greedyAggregates(cur, opt.Theta)
+			agg = greedyAggregates(cur, mgTheta)
 		} else if len(agg) != cur.rows {
 			return nil, fmt.Errorf("matrix: coarsener returned %d aggregates for a %d-node level", len(agg), cur.rows)
 		}
@@ -198,12 +125,7 @@ func NewMG(a *CSR, opt MGOptions) (*MG, error) {
 		if nc == 0 || nc >= cur.rows {
 			break // no coarsening progress; solve this level directly
 		}
-		var p *CSR
-		if opt.PlainProlong {
-			p = tentativeProlongator(cur.rows, nc, aggD)
-		} else {
-			p = smoothProlongator(cur, inv, aggD, prolongSmoothOmega, opt.Workers)
-		}
+		p := smoothProlongator(cur, inv, aggD, prolongSmoothOmega, opt.Workers)
 		pt := csrTranspose(p)
 		lv.p, lv.pt = p, pt
 		cur = csrMul(pt, csrMul(cur, p, opt.Workers), opt.Workers)
@@ -295,9 +217,8 @@ type MGStats struct {
 	// per-cycle work multiplier of the hierarchy. GridComplexity is the
 	// same ratio over unknown counts.
 	OperatorComplexity, GridComplexity float64
-	// Iterations is the V-cycle count (standalone) or PCG iteration
-	// count; Residual the final relative residual. Zero until a solve
-	// runs.
+	// Iterations is the PCG iteration count; Residual the final
+	// relative residual. Zero until a solve runs.
 	Iterations int
 	Residual   float64
 }
@@ -321,7 +242,7 @@ func (m *MG) Stats() MGStats {
 type MGSolveOptions struct {
 	// Tol is the relative residual target (default 1e-10).
 	Tol float64
-	// MaxIter bounds V-cycles / PCG iterations (default 200).
+	// MaxIter bounds the PCG iterations (default 200).
 	MaxIter int
 	// X0, when non-nil, is the warm-start guess (not modified). The
 	// transient stepper passes the previous step's solution here.
@@ -348,33 +269,23 @@ func (m *MG) workersFor(opt MGSolveOptions) int {
 	return m.opt.Workers
 }
 
-// smooth runs the configured relaxation sweeps on one level. post
-// selects the backward direction of symmetric Gauss-Seidel.
-func (m *MG) smooth(lv *mgLevel, x, b, tmp []float64, sweeps, workers int, post bool) {
-	if m.opt.Smoother == SmootherGaussSeidel {
-		for s := 0; s < sweeps; s++ {
-			gsSweep(lv, x, b, post)
-		}
+// smooth runs one damped-Jacobi sweep on one level.
+func smooth(lv *mgLevel, x, b, tmp []float64, workers int) {
+	lv.a.MulVecToWorkers(tmp, x, workers)
+	if rangeWorkers(workers, len(x), 4096) <= 1 {
+		jacobiRows(x, b, tmp, lv.invDiag, 0, len(x))
 		return
 	}
-	omega := m.opt.Omega
-	for s := 0; s < sweeps; s++ {
-		lv.a.MulVecToWorkers(tmp, x, workers)
-		if rangeWorkers(workers, len(x), 4096) <= 1 {
-			jacobiRows(x, b, tmp, lv.invDiag, omega, 0, len(x))
-			continue
-		}
-		ParallelRangeWorkers(workers, len(x), 4096, func(lo, hi int) {
-			jacobiRows(x, b, tmp, lv.invDiag, omega, lo, hi)
-		})
-	}
+	ParallelRangeWorkers(workers, len(x), 4096, func(lo, hi int) {
+		jacobiRows(x, b, tmp, lv.invDiag, lo, hi)
+	})
 }
 
 // jacobiRows is one damped-Jacobi update of rows [lo, hi), with
 // tmp = A x precomputed.
-func jacobiRows(x, b, tmp, invDiag []float64, omega float64, lo, hi int) {
+func jacobiRows(x, b, tmp, invDiag []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		x[i] += omega * invDiag[i] * (b[i] - tmp[i])
+		x[i] += mgOmega * invDiag[i] * (b[i] - tmp[i])
 	}
 }
 
@@ -403,29 +314,6 @@ func addRows(x, d []float64, lo, hi int) {
 	}
 }
 
-func gsSweep(lv *mgLevel, x, b []float64, backward bool) {
-	a := lv.a
-	n := a.rows
-	update := func(i int) {
-		s := b[i]
-		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			if j := a.colIdx[p]; j != i {
-				s -= a.val[p] * x[j]
-			}
-		}
-		x[i] = s * lv.invDiag[i]
-	}
-	if backward {
-		for i := n - 1; i >= 0; i-- {
-			update(i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			update(i)
-		}
-	}
-}
-
 // cycle runs one V-cycle at the given level: x += M^-1 (b - A x) in
 // multigrid form. x is the current iterate (updated in place).
 func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
@@ -445,7 +333,7 @@ func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 		}
 		return
 	}
-	m.smooth(lv, x, b, w.tmp[level], m.opt.PreSweeps, workers, false)
+	smooth(lv, x, b, w.tmp[level], workers)
 	r := w.r[level]
 	lv.a.MulVecToWorkers(r, x, workers)
 	vecRange(workers, r, b, subFromRows)
@@ -457,48 +345,7 @@ func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 	m.cycle(level+1, xc, rc, w, workers)
 	lv.p.MulVecToWorkers(r, xc, workers) // r now holds the prolonged correction
 	vecRange(workers, x, r, addRows)
-	m.smooth(lv, x, b, w.tmp[level], m.opt.PostSweeps, workers, true)
-}
-
-// residualNorm writes b - A*x into r and returns its 2-norm.
-func (m *MG) residualNorm(x, b, r []float64, workers int) float64 {
-	m.levels[0].a.MulVecToWorkers(r, x, workers)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	return Norm2(r)
-}
-
-// Solve runs standalone V-cycle iteration to the relative residual
-// target. Safe for concurrent use.
-func (m *MG) Solve(b []float64, opt MGSolveOptions) ([]float64, MGStats, error) {
-	opt.setDefaults()
-	st := m.Stats()
-	n := m.N()
-	if len(b) != n {
-		return nil, st, fmt.Errorf("matrix: multigrid rhs length %d, want %d", len(b), n)
-	}
-	workers := m.workersFor(opt)
-	x := make([]float64, n)
-	if opt.X0 != nil {
-		copy(x, opt.X0)
-	}
-	bn := Norm2(b)
-	if bn == 0 {
-		return x, st, nil
-	}
-	w := m.pool.Get().(*mgWork)
-	defer m.pool.Put(w)
-	for it := 1; it <= opt.MaxIter; it++ {
-		m.cycle(0, x, b, w, workers)
-		res := m.residualNorm(x, b, w.r[0], workers) / bn
-		if res <= opt.Tol {
-			st.Iterations, st.Residual = it, res
-			return x, st, nil
-		}
-		st.Iterations, st.Residual = it, res
-	}
-	return nil, st, fmt.Errorf("matrix: multigrid did not converge in %d V-cycles (residual %g)", opt.MaxIter, st.Residual)
+	smooth(lv, x, b, w.tmp[level], workers)
 }
 
 // SolvePCG runs PCG preconditioned by one V-cycle per iteration — the

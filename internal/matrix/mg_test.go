@@ -93,27 +93,6 @@ func maxAbsDiff(a, b []float64) float64 {
 	return worst
 }
 
-func TestMGSolveMatchesCholesky(t *testing.T) {
-	a := lap2D(60, 55)
-	b := randRHS(a.Rows(), 1)
-	want := oracleSolve(t, a, b)
-	for _, sm := range []MGSmoother{SmootherJacobi, SmootherGaussSeidel} {
-		x, st, err := NewMGMust(t, a, MGOptions{Smoother: sm}).Solve(b, MGSolveOptions{Tol: 1e-12})
-		if err != nil {
-			t.Fatalf("%v: %v", sm, err)
-		}
-		if d := maxAbsDiff(x, want); d > 1e-8 {
-			t.Errorf("%v: V-cycle solution off by %g from Cholesky", sm, d)
-		}
-		if st.Levels < 3 {
-			t.Errorf("%v: expected a real hierarchy, got %d levels", sm, st.Levels)
-		}
-		if st.Iterations == 0 || st.Iterations > 120 {
-			t.Errorf("%v: suspicious V-cycle count %d", sm, st.Iterations)
-		}
-	}
-}
-
 func NewMGMust(t *testing.T, a *CSR, opt MGOptions) *MG {
 	t.Helper()
 	m, err := NewMG(a, opt)
@@ -124,36 +103,35 @@ func NewMGMust(t *testing.T, a *CSR, opt MGOptions) *MG {
 }
 
 func TestMGPCGMatchesCholesky(t *testing.T) {
-	a := lap2D(48, 48)
-	b := randRHS(a.Rows(), 2)
-	want := oracleSolve(t, a, b)
-	x, st, err := NewMGMust(t, a, MGOptions{}).SolvePCG(b, MGSolveOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(x, want); d > 1e-8 {
-		t.Errorf("PCG-MG solution off by %g from Cholesky", d)
-	}
-	if st.Iterations == 0 || st.Iterations > 60 {
-		t.Errorf("suspicious PCG iteration count %d", st.Iterations)
-	}
-	if st.OperatorComplexity < 1 || st.OperatorComplexity > 3 {
-		t.Errorf("operator complexity %g outside sane range", st.OperatorComplexity)
-	}
-}
-
-// TestMGPlainProlong pins the plain-aggregation fallback: slower but
-// still convergent under PCG.
-func TestMGPlainProlong(t *testing.T) {
-	a := lap2D(40, 40)
-	b := randRHS(a.Rows(), 3)
-	want := oracleSolve(t, a, b)
-	x, _, err := NewMGMust(t, a, MGOptions{PlainProlong: true}).SolvePCG(b, MGSolveOptions{Tol: 1e-12, MaxIter: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(x, want); d > 1e-8 {
-		t.Errorf("plain-prolongation PCG off by %g", d)
+	for _, tc := range []struct {
+		nx, ny    int
+		seed      int64
+		minLevels int
+	}{
+		{48, 48, 2, 2},
+		{60, 55, 1, 3},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.nx, tc.ny), func(t *testing.T) {
+			a := lap2D(tc.nx, tc.ny)
+			b := randRHS(a.Rows(), tc.seed)
+			want := oracleSolve(t, a, b)
+			x, st, err := NewMGMust(t, a, MGOptions{}).SolvePCG(b, MGSolveOptions{Tol: 1e-12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(x, want); d > 1e-8 {
+				t.Errorf("PCG-MG solution off by %g from Cholesky", d)
+			}
+			if st.Iterations == 0 || st.Iterations > 60 {
+				t.Errorf("suspicious PCG iteration count %d", st.Iterations)
+			}
+			if st.Levels < tc.minLevels {
+				t.Errorf("expected at least %d levels, got %d", tc.minLevels, st.Levels)
+			}
+			if st.OperatorComplexity < 1 || st.OperatorComplexity > 3 {
+				t.Errorf("operator complexity %g outside sane range", st.OperatorComplexity)
+			}
+		})
 	}
 }
 
@@ -238,22 +216,18 @@ func TestMGRejectsSingular(t *testing.T) {
 	}
 }
 
-// TestMGOptionValidation pins the fail-fast contract on bad options.
+// shortCoarsener returns an aggregate map one entry short of the level.
+type shortCoarsener struct{}
+
+func (shortCoarsener) Aggregates(level, n int) []int { return make([]int, n-1) }
+
+// TestMGOptionValidation pins the fail-fast contract on a coarsener
+// whose aggregate map does not cover the level, and on a non-square
+// matrix.
 func TestMGOptionValidation(t *testing.T) {
-	a := lap2D(8, 8)
-	bad := []MGOptions{
-		{Omega: 1.5},
-		{Omega: -0.1},
-		{Theta: 1.2},
-		{MaxLevels: 1},
-		{CoarseSize: -3},
-		{Smoother: MGSmoother(9)},
-		{PreSweeps: -1},
-	}
-	for i, opt := range bad {
-		if _, err := NewMG(a, opt); err == nil {
-			t.Errorf("case %d: NewMG accepted invalid options %+v", i, opt)
-		}
+	a := lap2D(30, 30)
+	if _, err := NewMG(a, MGOptions{Coarsener: shortCoarsener{}}); err == nil || !strings.Contains(err.Error(), "coarsener returned") {
+		t.Errorf("NewMG accepted a short aggregate map: %v", err)
 	}
 	rect := &CSR{rows: 3, cols: 4, rowPtr: make([]int, 4)}
 	if _, err := NewMG(rect, MGOptions{}); err == nil {
@@ -382,26 +356,16 @@ func TestMGConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			// Conflicting worker counts across concurrent sessions, plus a
-			// standalone V-cycle session mixed among the PCG ones.
-			opt := MGSolveOptions{Tol: 1e-11, Workers: 1 + s%4}
-			var x []float64
-			var err error
-			if s%3 == 0 {
-				x, _, err = m.Solve(rhs[s], opt)
-			} else {
-				x, _, err = m.SolvePCG(rhs[s], opt)
-			}
+			// Conflicting worker counts across concurrent sessions.
+			x, _, err := m.SolvePCG(rhs[s], MGSolveOptions{Tol: 1e-11, Workers: 1 + s%4})
 			if err != nil {
 				errs[s] = err
 				return
 			}
-			if s%3 != 0 { // V-cycle path converges to a different iterate count; compare PCG only
-				for i := range x {
-					if x[i] != want[s][i] {
-						errs[s] = fmt.Errorf("session %d: x[%d] = %g differs from isolated solve %g", s, i, x[i], want[s][i])
-						return
-					}
+			for i := range x {
+				if x[i] != want[s][i] {
+					errs[s] = fmt.Errorf("session %d: x[%d] = %g differs from isolated solve %g", s, i, x[i], want[s][i])
+					return
 				}
 			}
 		}(s)

@@ -72,7 +72,6 @@ type portJSON struct {
 // budget so one request cannot grab the whole machine.
 type jobConfigJSON struct {
 	Solver      string  `json:"solver,omitempty"`      // dense | iterative | nested | auto
-	Precond     string  `json:"precond,omitempty"`     // bjacobi | sai
 	ACATol      float64 `json:"acatol,omitempty"`      // 0 = default
 	Workers     int     `json:"workers,omitempty"`     // 0 = 1; clamped to the tenant budget
 	KernelCache string  `json:"kernelcache,omitempty"` // shared | private | off (default shared)
@@ -223,13 +222,6 @@ func decodeJob(r io.Reader, lim Limits, tenantBudget int) (*job, error) {
 			return nil, err
 		}
 		cfg.SolveMode = mode
-	}
-	if doc.Config.Precond != "" {
-		pre, err := fasthenry.ParsePrecond(doc.Config.Precond)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Precond = pre
 	}
 	if !isFinite(doc.Config.ACATol) || doc.Config.ACATol < 0 {
 		return nil, fmt.Errorf("acatol %g must be a finite non-negative tolerance", doc.Config.ACATol)

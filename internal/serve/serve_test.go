@@ -272,6 +272,10 @@ func TestRejectsStructured400(t *testing.T) {
 	}{
 		{"malformed", []byte(`{`), "invalid job JSON"},
 		{"unknown-field", []byte(`{"bogus":1}`), "bogus"},
+		// The GMRES preconditioner is no longer a job setting; a config
+		// that still names one is refused, not silently ignored.
+		{"removed-precond", bytes.Replace(testJob(t), []byte(`"config":{`), []byte(`"config":{"precond":"sai",`), 1),
+			`unknown field "precond"`},
 		{"no-layout", testJob(t, func(j *jobJSON) { j.Layout = nil }), "missing layout"},
 		{"bad-priority", testJob(t, func(j *jobJSON) { p := 9; j.Priority = &p }), "priority 9"},
 		{"zero-points", testJob(t, func(j *jobJSON) { j.Points = 0 }), "points 0"},

@@ -41,6 +41,16 @@ type GridSystem struct {
 	Coarsener func() matrix.Coarsener
 }
 
+// mgOptions returns the options of one hierarchy build: the run's
+// worker cap and a fresh coarsener.
+func (sys GridSystem) mgOptions(workers int) matrix.MGOptions {
+	opt := matrix.MGOptions{Workers: workers}
+	if sys.Coarsener != nil {
+		opt.Coarsener = sys.Coarsener()
+	}
+	return opt
+}
+
 // GridTranOptions configures a TranGridMG run.
 type GridTranOptions struct {
 	// TStop is the end time; TStep the fixed backward-Euler step.
@@ -54,9 +64,6 @@ type GridTranOptions struct {
 	// Workers caps the solver and vector-op parallelism (0 = process
 	// default).
 	Workers int
-	// MG tunes the hierarchy build; Workers and Coarsener are filled in
-	// from the run options and the system.
-	MG matrix.MGOptions
 	// V0 is the initial node-voltage state. Nil solves the DC system
 	// G v = b(0) for a consistent start.
 	V0 []float64
@@ -158,12 +165,7 @@ func TranGridMG(sys GridSystem, opt GridTranOptions) (*GridTranResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: grid transient companion build: %w", err)
 	}
-	mgOpt := opt.MG
-	mgOpt.Workers = opt.Workers
-	if sys.Coarsener != nil {
-		mgOpt.Coarsener = sys.Coarsener()
-	}
-	mg, err := matrix.NewMG(a, mgOpt)
+	mg, err := matrix.NewMG(a, sys.mgOptions(opt.Workers))
 	if err != nil {
 		return nil, fmt.Errorf("sim: grid transient hierarchy: %w", err)
 	}
@@ -176,12 +178,7 @@ func TranGridMG(sys GridSystem, opt GridTranOptions) (*GridTranResult, error) {
 		v = make([]float64, n)
 		copy(v, opt.V0)
 	} else {
-		dcOpt := opt.MG
-		dcOpt.Workers = opt.Workers
-		if sys.Coarsener != nil {
-			dcOpt.Coarsener = sys.Coarsener()
-		}
-		dc, err := matrix.NewMG(sys.G, dcOpt)
+		dc, err := matrix.NewMG(sys.G, sys.mgOptions(opt.Workers))
 		if err != nil {
 			return nil, fmt.Errorf("sim: grid transient DC init: %w", err)
 		}

@@ -41,15 +41,6 @@ type Spec struct {
 	Bursts     []Burst
 	TStop      float64
 	TStep      float64
-	// IRSolver picks the static-reference solve on the sparse DC system
-	// circuit.BuildSparseDC assembles: "chol" (sparse direct Cholesky,
-	// the default), "cg" (Jacobi-preconditioned conjugate gradients) or
-	// "mg" (multigrid-preconditioned conjugate gradients, the O(N) path
-	// of the million-node flows). "auto" and "" both mean "chol".
-	IRSolver string
-	// Workers caps the iterative solvers' parallelism (0 = process
-	// default); only "mg" currently fans out.
-	Workers int
 }
 
 // DefaultSpec gives a 4x4 grid with a single centre burst.
@@ -83,17 +74,6 @@ type Report struct {
 	NodeDroop map[string]float64
 }
 
-// ValidateIRSolver rejects unknown Spec.IRSolver spellings. "" is the
-// sparse Cholesky default. CLIs call this before doing any work so a
-// typo fails in milliseconds, not after the transient.
-func ValidateIRSolver(s string) error {
-	switch s {
-	case "", "auto", "cg", "chol", "mg":
-		return nil
-	}
-	return fmt.Errorf("supply: unknown IR solver %q (want auto, cg, chol or mg)", s)
-}
-
 // Analyze runs the static reference solve and the transient on one
 // build of the grid model.
 func Analyze(spec Spec) (*Report, error) {
@@ -102,9 +82,6 @@ func Analyze(spec Spec) (*Report, error) {
 	}
 	if spec.TStop <= 0 || spec.TStep <= 0 {
 		return nil, fmt.Errorf("supply: bad transient window")
-	}
-	if err := ValidateIRSolver(spec.IRSolver); err != nil {
-		return nil, err
 	}
 	m, n, err := build(spec)
 	if err != nil {
@@ -117,15 +94,7 @@ func Analyze(spec Spec) (*Report, error) {
 		vddN, gndN := m.NearestGridNodes(bu.X, bu.Y)
 		n.AddI(fmt.Sprintf("dc%d", k), vddN, gndN, circuit.DC(bu.Peak))
 	}
-	var staticIR float64
-	switch spec.IRSolver {
-	case "", "auto", "chol":
-		staticIR, err = grid.IRDropDCSparseChol(m, n, spec.Vdd)
-	case "cg":
-		staticIR, err = grid.IRDropDCSparse(m, n, spec.Vdd)
-	case "mg":
-		staticIR, err = grid.IRDropDCMG(m, n, spec.Vdd, spec.Workers)
-	}
+	staticIR, err := grid.IRDropDCSparseChol(m, n, spec.Vdd)
 	if err != nil {
 		return nil, fmt.Errorf("supply: static reference: %w", err)
 	}

@@ -1,7 +1,6 @@
 package supply
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -87,22 +86,5 @@ func TestAnalyzeValidation(t *testing.T) {
 	s.TStop = 0
 	if _, err := Analyze(s); err == nil {
 		t.Errorf("zero TStop accepted")
-	}
-}
-
-// TestValidateIRSolver pins the static-IR menu: the sparse spellings
-// pass, and "dense" (the removed full-MNA LU) and near-miss spellings
-// are rejected with the bad value named.
-func TestValidateIRSolver(t *testing.T) {
-	for _, s := range []string{"", "auto", "cg", "chol", "mg"} {
-		if err := ValidateIRSolver(s); err != nil {
-			t.Errorf("ValidateIRSolver(%q) = %v", s, err)
-		}
-	}
-	for _, s := range []string{"dense", "multigrid", "lu", "CG", "amg"} {
-		err := ValidateIRSolver(s)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", s)) {
-			t.Errorf("ValidateIRSolver(%q) = %v, want an error naming it", s, err)
-		}
 	}
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Regenerate BENCH_sparse.json: the solver menu (dense LU, sparse direct
-# Cholesky, Jacobi-CG, multigrid-PCG) on power grids from gridnoise
-# scale (2.3k MNA unknowns) to streaming-assembled synthetic grids of a
-# million-plus nodes — one JSON row per size with iteration counts and
-# tolerances alongside the timings. Also runs the 1e5-node cached-
+# Regenerate BENCH_sparse.json: the dense-LU oracle against gridnoise's
+# sparse Cholesky static IR at 2.3k MNA unknowns, then sparse direct
+# Cholesky, Jacobi-CG and multigrid-PCG on streaming-assembled synthetic
+# grids up to a million-plus nodes — one JSON row per size with
+# iteration counts and tolerances alongside the timings. Also runs the 1e5-node cached-
 # hierarchy transient and asserts it fits the wall-clock budget. The
 # dense static-IR solve takes a while at 2.3k; that is the point.
 set -e
