@@ -110,7 +110,7 @@ func TestBenchExtractSnapshot(t *testing.T) {
 	busOff := measure("bus64_inductance_nocache", func() {
 		bruteForceWindowed(bus, busSegs, math.Inf(1), gmd)
 	})
-	busCache := extract.PrivateCache()
+	busCache := new(extract.KernelCache)
 	measure("bus64_inductance_cache_cold", func() {
 		busCache.Reset()
 		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, busCache)
@@ -175,10 +175,10 @@ func TestBenchExtractSnapshot(t *testing.T) {
 		bruteForceWindowed(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{})
 	})
 	measure("grid2400_windowed_indexed", func() {
-		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, extract.NoCache())
+		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, nil)
 	})
 	speedupVs(gridBrute)
-	gridCache := extract.PrivateCache()
+	gridCache := new(extract.KernelCache)
 	measure("grid2400_windowed_indexed_cache", func() {
 		gridCache.Reset()
 		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, gridCache)

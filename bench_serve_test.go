@@ -64,7 +64,7 @@ func TestBenchServeSnapshot(t *testing.T) {
       {"layer":0,"dir":"X","x0":0,"y0":%g,"length":2e-3,"width":8e-6,"net":"GND","node_a":"g0","node_b":"g1"}]},
   "port":{"plus":"s0","minus":"g0"},"shorts":[["s1","g1"]],
   "fstart_hz":1e9,"fstop_hz":2e10,"points":2,
-  "config":{"solver":"dense","workers":1,"kernelcache":"shared"}}`, tenant, -pitch)
+  "config":{"solver":"dense","workers":1}}`, tenant, -pitch)
 		return []byte(doc)
 	}
 

@@ -117,10 +117,11 @@ func fig3Structure() (*geom.Layout, []int, fasthenry.Port, [][2]string) {
 
 func BenchmarkFig3RLvsFrequency(b *testing.B) {
 	lay, segs, port, shorts := fig3Structure()
+	opt := fasthenry.Options{MaxPerSide: 4, Cache: new(extract.KernelCache)}
 	var pts []fasthenry.Point
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver, err := fasthenry.NewSolver(lay, segs, port, shorts, 2e10, fasthenry.Options{MaxPerSide: 4})
+		solver, err := fasthenry.NewSolver(lay, segs, port, shorts, 2e10, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func busInductanceMatrix(n int, length, width, pitch float64) *matrix.Dense {
 			Net: fmt.Sprintf("n%d", i), NodeA: fmt.Sprintf("a%d", i), NodeB: fmt.Sprintf("b%d", i),
 		})
 	}
-	return extract.InductanceMatrix(lay, segs, 1, extract.GMDOptions{}, extract.DefaultCacheRef())
+	return extract.InductanceMatrix(lay, segs, 1, extract.GMDOptions{}, new(extract.KernelCache))
 }
 
 // --- E8: §4 combined technique (block-diag + PRIMA) -------------------
@@ -504,7 +505,7 @@ func BenchmarkPartialInductanceMatrix(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := extract.InductanceMatrix(c.Grid.Layout, segs, 1e9, extract.GMDOptions{}, extract.DefaultCacheRef())
+		m := extract.InductanceMatrix(c.Grid.Layout, segs, 1e9, extract.GMDOptions{}, new(extract.KernelCache))
 		_ = m
 	}
 }

@@ -22,6 +22,8 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"rlsweep", []string{"-solver", "bogus"}},
 		{"rlsweep", []string{"-kernelcache", "maybe"}},
 		{"clocksim", []string{"-kernelcache", "sometimes"}},
+		// The per-run private cache is what "on" does now.
+		{"clocksim", []string{"-kernelcache", "private"}},
 		{"clocksim", []string{"-solver", "hierarchical"}},
 		// -synthtran without a synthetic grid, and a negative node
 		// count, would otherwise fall through to the PEEC analyzer.
@@ -30,6 +32,15 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		// -workers caps only the -synth multigrid; the PEEC analyzer
 		// would ignore it.
 		{"gridnoise", []string{"-workers", "2"}},
+		// The PEEC-analyzer flags mean nothing to the -synth multigrid
+		// path, which would ignore them.
+		{"gridnoise", []string{"-nx", "9", "-synth", "2000"}},
+		{"gridnoise", []string{"-ny", "9", "-synth", "2000"}},
+		{"gridnoise", []string{"-pitch", "0.0002", "-synth", "2000"}},
+		{"gridnoise", []string{"-burst", "0.05", "-synth", "2000"}},
+		{"gridnoise", []string{"-decap", "10000", "-synth", "2000"}},
+		{"gridnoise", []string{"-sweep", "-synth", "2000"}},
+		{"gridnoise", []string{"-packages", "-synth", "2000"}},
 		// A negative kernel-cache byte cap is rejected by the shared
 		// engine.Config validation in every tool that carries the cache,
 		// daemon included — fail-fast, before any input file is opened.
@@ -46,6 +57,8 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		// rejected before any geometry is lowered.
 		{"rlsweep", []string{"-planenw", "1"}},
 		{"rlsweep", []string{"-planenw", "-4"}},
+		// A plane density with no plane to mesh would be ignored.
+		{"rlsweep", []string{"-planenw", "40", "-points", "2"}},
 	}
 	for _, tc := range cases {
 		tc := tc

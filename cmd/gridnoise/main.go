@@ -9,7 +9,8 @@
 // multigrid-preconditioned CG, optionally (-synthtran) with the
 // cached-hierarchy backward-Euler transient of a clock-gating burst.
 // -workers caps that path's multigrid parallelism; the PEEC analyzer
-// has no parallel solve, so -workers without -synth is rejected.
+// has no parallel solve, so -workers without -synth is rejected, and
+// the PEEC-analyzer flags are rejected together with -synth.
 //
 // Usage:
 //
@@ -56,6 +57,14 @@ func main() {
 	}
 	if *workers != 0 && *synthN == 0 {
 		fatal(fmt.Errorf("-workers %d needs a positive -synth node count: the PEEC analyzer runs no parallel solve", *workers))
+	}
+	if *synthN > 0 {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "nx", "ny", "pitch", "burst", "decap", "sweep", "packages":
+				fatal(fmt.Errorf("-%s %s is a PEEC-analyzer flag: the -synth %d multigrid path would ignore it", f.Name, f.Value, *synthN))
+			}
+		})
 	}
 
 	if *synthN > 0 {

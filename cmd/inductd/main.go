@@ -25,8 +25,8 @@
 //	 "layout":{"layers":[...],"segments":[...],"planes":[...]},
 //	 "port":{"plus":"s0","minus":"g0"},"shorts":[["s1","g1"]],
 //	 "fstart_hz":1e8,"fstop_hz":2e10,"points":13,
-//	 "config":{"solver":"auto","workers":1,"kernelcache":"shared",
-//	           "sweep":"auto","sweeptol":1e-6,"planenw":8}}
+//	 "config":{"solver":"auto","workers":1,"sweep":"auto",
+//	           "sweeptol":1e-6,"planenw":8}}
 //
 // config.sweep selects exact per-point solves, the adaptive
 // rational-interpolation engine, or auto (adaptive at 64+ points);

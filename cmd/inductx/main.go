@@ -60,7 +60,6 @@ func main() {
 	cfg := engine.Config{ACATol: *acatol, Workers: *workers, CacheBytes: *kbytes}
 	switch *kcache {
 	case "on":
-		cfg.Cache = engine.CacheDefault
 	case "off":
 		cfg.Cache = engine.CacheOff
 	default:
@@ -135,10 +134,10 @@ func main() {
 	switch {
 	case nested:
 		op = extract.CompressInductanceH2(lay, par.Segs, opt.GMD,
-			extract.H2Options{Tol: sess.Config().ACATol, Workers: *workers}, sess.CacheRef())
+			extract.H2Options{Tol: sess.Config().ACATol, Workers: *workers}, sess.Cache())
 	case compressed:
 		op = extract.CompressInductance(lay, par.Segs, opt.GMD,
-			extract.ACAOptions{Tol: sess.Config().ACATol, Workers: *workers}, sess.CacheRef())
+			extract.ACAOptions{Tol: sess.Config().ACATol, Workers: *workers}, sess.Cache())
 	}
 	// lAt reads partial inductances through whichever representation
 	// was built; the compressed accessor reconstructs far entries from
@@ -163,13 +162,7 @@ func main() {
 	fmt.Printf("extracted %d segments: %d R, %d self L, %d mutuals, %d ground caps, %d coupling caps\n",
 		len(par.Segs), st.NumR, st.NumL, st.NumMutual, st.NumCGround, st.NumCCouple)
 	if *verbose {
-		cs := sess.CacheStats()
-		if cs.Enabled {
-			fmt.Printf("kernel cache: %d hits, %d misses (%.1f%% hit rate), %d entries\n",
-				cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
-		} else {
-			fmt.Println("kernel cache: off")
-		}
+		fmt.Println(sess.CacheStats().String())
 		if op != nil {
 			os := op.Stats()
 			kind := "flat ACA"

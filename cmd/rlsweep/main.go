@@ -24,9 +24,10 @@
 // interpolated rows. -plane replaces the builtin structure's coplanar
 // returns with a solid ground plane on the layer below (the paper's
 // Fig. 6 microstrip); -planenw sets the plane mesh density in grid
-// cells per axis (0 = the mesh default) and applies equally to planes
-// read from a -layout file. -workers caps the operator-build and sweep
-// fan-out (0 = all CPUs; results are bit-identical at any setting).
+// cells per axis (0 = the mesh default), applies equally to planes
+// read from a -layout file, and is rejected when there is no plane.
+// -workers caps the operator-build and sweep fan-out (0 = all CPUs;
+// results are bit-identical at any setting).
 // -v prints diagnostics to stderr: the resolved solve mode, kernel
 // cache hit/miss/entry counters, operator compression stats with
 // per-level rank histograms and near/far kernel-evaluation counts on
@@ -93,7 +94,6 @@ func main() {
 	cfg := engine.Config{ACATol: *acatol, Workers: *nwork, CacheBytes: *kbytes, PlaneNW: *planew}
 	switch *kcache {
 	case "on":
-		cfg.Cache = engine.CacheDefault
 	case "off":
 		cfg.Cache = engine.CacheOff
 	default:
@@ -148,6 +148,9 @@ func main() {
 	} else {
 		lay, segs, port, sh = builtin(*length, *width, *pitch)
 	}
+	if *planew != 0 && len(lay.Planes) == 0 {
+		fatal(fmt.Errorf("-planenw %d needs a plane to mesh: pass -plane or a -layout file with planes", *planew))
+	}
 
 	s, err := fasthenry.NewSolver(lay, segs, port, sh, *fstop, sess.SolverOptions())
 	if err != nil {
@@ -187,12 +190,7 @@ func main() {
 		}
 	}
 	if *verb {
-		if cs := sess.CacheStats(); cs.Enabled {
-			fmt.Fprintf(os.Stderr, "rlsweep: kernel cache: %d hits, %d misses (%.1f%% hit rate), %d entries\n",
-				cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
-		} else {
-			fmt.Fprintln(os.Stderr, "rlsweep: kernel cache: off")
-		}
+		fmt.Fprintln(os.Stderr, "rlsweep: "+sess.CacheStats().String())
 		if m := s.SolveModeInUse(); m == fasthenry.ModeIterative || m == fasthenry.ModeNested {
 			st := s.OperatorStats()
 			kind := "flat ACA"

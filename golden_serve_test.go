@@ -62,7 +62,7 @@ func TestGoldenInductd(t *testing.T) {
       {"layer":0,"dir":"X","x0":0,"y0":2e-5,"length":2e-3,"width":8e-6,"net":"GND","node_a":"h0","node_b":"h1"}]},
   "port":{"plus":"s0","minus":"g0"},"shorts":[["s1","g1"],["g1","h1"],["g0","h0"]],
   "fstart_hz":1e8,"fstop_hz":2e10,"points":5,
-  "config":{"solver":"dense","workers":1,"kernelcache":"shared"}}`
+  "config":{"solver":"dense","workers":1}}`
 
 	client := &http.Client{Timeout: 30 * time.Second}
 	get := func(path string) []byte {
@@ -85,8 +85,8 @@ func TestGoldenInductd(t *testing.T) {
 	// rational fit and marked "interp":true. Dense anchor solves under
 	// one worker keep the stream bit-deterministic.
 	adaptiveJob := strings.Replace(job, `"points":5`, `"points":96`, 1)
-	adaptiveJob = strings.Replace(adaptiveJob, `"kernelcache":"shared"`,
-		`"kernelcache":"shared","sweep":"adaptive","sweeptol":1e-6`, 1)
+	adaptiveJob = strings.Replace(adaptiveJob, `"workers":1`,
+		`"workers":1,"sweep":"adaptive","sweeptol":1e-6`, 1)
 
 	post := func(body string) []byte {
 		resp, err := client.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))

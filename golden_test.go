@@ -140,17 +140,35 @@ func TestGoldenRLSweepPlane(t *testing.T) {
 		"-plane", "-planenw", "8", "-points", "7"))
 }
 
+// sampleLayout writes inductx's own sample layout to a temp file, so
+// the inductx runs are self-contained.
+func sampleLayout(t *testing.T, inductx string) string {
+	t.Helper()
+	layout := filepath.Join(t.TempDir(), "sample.json")
+	if err := os.WriteFile(layout, runTool(t, inductx, "-sample"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return layout
+}
+
 func TestGoldenInductx(t *testing.T) {
 	dir := buildTools(t)
 	bin := filepath.Join(dir, "inductx")
-	// inductx consumes a layout file; feed it its own sample layout so
-	// the run is self-contained.
-	sample := runTool(t, bin, "-sample")
-	layout := filepath.Join(t.TempDir(), "sample.json")
-	if err := os.WriteFile(layout, sample, 0o644); err != nil {
-		t.Fatal(err)
+	checkGolden(t, "inductx", runTool(t, bin, sampleLayout(t, bin)))
+}
+
+// TestGoldenKernelCacheOff reruns the inductx, rlsweep and clocksim
+// golden cases with the kernel cache off. The cache is exact, so each
+// output must match its cache-on golden byte for byte.
+func TestGoldenKernelCacheOff(t *testing.T) {
+	if *update {
+		t.Skip("the cache-on runs are the ones that write the goldens")
 	}
-	checkGolden(t, "inductx", runTool(t, bin, layout))
+	dir := buildTools(t)
+	inductx := filepath.Join(dir, "inductx")
+	checkGolden(t, "inductx", runTool(t, inductx, "-kernelcache", "off", sampleLayout(t, inductx)))
+	checkGolden(t, "rlsweep", runTool(t, filepath.Join(dir, "rlsweep"), "-kernelcache", "off"))
+	checkGolden(t, "clocksim", runTool(t, filepath.Join(dir, "clocksim"), "-kernelcache", "off"))
 }
 
 func TestGoldenClocksim(t *testing.T) {

@@ -14,6 +14,7 @@ package design
 import (
 	"fmt"
 
+	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
 	"inductance101/internal/geom"
 	"inductance101/internal/grid"
@@ -87,7 +88,7 @@ func ShieldedLoop(spec ShieldSpec, withShields bool, f float64) (r, l float64, e
 	}
 	solver, err := fasthenry.NewSolver(lay, segs,
 		fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, f,
-		fasthenry.Options{MaxPerSide: 2})
+		fasthenry.Options{MaxPerSide: 2, Cache: new(extract.KernelCache)})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -180,7 +181,7 @@ func LOverFrequency(spec PlaneSpec, variant PlaneVariant, freqs []float64) ([]fa
 	fRef := freqs[len(freqs)-1]
 	solver, err := fasthenry.NewSolver(lay, segs,
 		fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, fRef,
-		fasthenry.Options{MaxPerSide: 2})
+		fasthenry.Options{MaxPerSide: 2, Cache: new(extract.KernelCache)})
 	if err != nil {
 		return nil, err
 	}
@@ -279,9 +280,11 @@ func Interdigitate(spec InterdigitSpec, fingers bool, f float64) (InterdigitResu
 		}
 		shorts = append(shorts, [2]string{"s1", "r1"})
 	}
+	// One cache serves the loop extraction and the capacitance sum.
+	kc := new(extract.KernelCache)
 	solver, err := fasthenry.NewSolver(lay, segs,
 		fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, f,
-		fasthenry.Options{MaxPerSide: 2})
+		fasthenry.Options{MaxPerSide: 2, Cache: kc})
 	if err != nil {
 		return res, err
 	}
@@ -292,9 +295,9 @@ func Interdigitate(spec InterdigitSpec, fingers bool, f float64) (InterdigitResu
 	res.LoopR, res.LoopL = fasthenry.RL(z, f)
 	// Capacitance of the signal net: ground + coupling contributions.
 	for _, si := range lay.SegmentsOnNet("sig") {
-		res.CTotal += segGroundCap(lay, si)
+		res.CTotal += extract.GroundCap(lay, si)
 		for _, sj := range lay.SegmentsOnNet("ret") {
-			res.CTotal += segCouplingCap(lay, si, sj)
+			res.CTotal += extract.CouplingCap(lay, si, sj, kc)
 		}
 	}
 	return res, nil

@@ -24,7 +24,7 @@ var planeTestFreqs = []float64{1e9, 5e9, 1e10, 5e10}
 // strip array can.
 func TestMicrostripMatchesStripEmulation(t *testing.T) {
 	ms, err := Microstrip(DefaultMicrostripSpec(), planeTestFreqs,
-		fasthenry.Options{Cache: extract.PrivateCache()})
+		fasthenry.Options{Cache: new(extract.KernelCache)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMicrostripHoleRaisesL(t *testing.T) {
 		spec.PlaneNW = 12
 		spec.Holes = holes
 		pts, err := Microstrip(spec, []float64{1e9},
-			fasthenry.Options{Cache: extract.PrivateCache()})
+			fasthenry.Options{Cache: new(extract.KernelCache)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +88,12 @@ func TestMicrostripHoleRaisesL(t *testing.T) {
 func TestStriplineBelowMicrostrip(t *testing.T) {
 	freqs := []float64{1e9, 1e10}
 	ms, err := Microstrip(DefaultMicrostripSpec(), freqs,
-		fasthenry.Options{Cache: extract.PrivateCache()})
+		fasthenry.Options{Cache: new(extract.KernelCache)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sl, err := Stripline(DefaultStriplineSpec(), freqs,
-		fasthenry.Options{Cache: extract.PrivateCache()})
+		fasthenry.Options{Cache: new(extract.KernelCache)})
 	if err != nil {
 		t.Fatal(err)
 	}

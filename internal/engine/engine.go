@@ -6,11 +6,11 @@
 // the option structs of the lower layers (extract, fasthenry); sim
 // transients take Config().Workers directly.
 // Two Sessions with conflicting configs can run concurrently in one
-// process without touching each other: no layer keeps process-global
-// tuning state.
+// process without touching each other: each owns its kernel cache, and
+// no layer keeps process-global tuning state.
 //
 // Every zero Config field means the built-in default (GOMAXPROCS
-// workers, auto solve mode, the shared kernel cache, auto sweep mode).
+// workers, auto solve mode, a private kernel cache, auto sweep mode).
 package engine
 
 import (
@@ -28,26 +28,12 @@ import (
 type CachePolicy int
 
 const (
-	// CacheDefault uses the process-wide shared cache.
-	CacheDefault CachePolicy = iota
 	// CachePrivate gives the session its own cache: full memoization
 	// within the session, no sharing or interference across sessions.
-	CachePrivate
+	CachePrivate CachePolicy = iota
 	// CacheOff computes every kernel directly.
 	CacheOff
 )
-
-// String returns the CLI spelling of the policy.
-func (p CachePolicy) String() string {
-	switch p {
-	case CachePrivate:
-		return "private"
-	case CacheOff:
-		return "off"
-	default:
-		return "default"
-	}
-}
 
 // Config is one run's immutable tuning. Zero values select the
 // built-in defaults (each field documents its own convention).
@@ -68,11 +54,9 @@ type Config struct {
 	// CacheBytes bounds the run's kernel-cache resident footprint in
 	// bytes; over the cap, entries are evicted with a sharded CLOCK
 	// policy (bit-identical results either way — eviction only trades
-	// recomputation for memory). 0 = unbounded, the historical
-	// behavior; negative values are rejected. With CachePrivate the cap
-	// applies to the session's own cache; with CacheDefault it is
-	// applied to the process-wide shared cache (a process-level
-	// setting: the last session built wins); CacheOff ignores it.
+	// recomputation for memory). 0 = unbounded; negative values are
+	// rejected. The cap applies to the session's own cache; CacheOff
+	// ignores it.
 	CacheBytes int64
 	// SweepMode selects how loop-extraction frequency sweeps are
 	// solved: exact per-point solves, the adaptive rational-
@@ -103,7 +87,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: negative kernel-cache byte cap %d", c.CacheBytes)
 	}
 	switch c.Cache {
-	case CacheDefault, CachePrivate, CacheOff:
+	case CachePrivate, CacheOff:
 	default:
 		return fmt.Errorf("engine: unknown cache policy %d", int(c.Cache))
 	}
@@ -141,7 +125,7 @@ func ParseSweepMode(s string) (sweep.Mode, error) {
 // immutable and the cache is internally synchronized.
 type Session struct {
 	cfg   Config
-	cache extract.CacheRef
+	cache *extract.KernelCache
 }
 
 // New builds a Session. Invalid configs are rejected by NewChecked;
@@ -162,20 +146,8 @@ func NewChecked(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{cfg: cfg}
-	switch cfg.Cache {
-	case CachePrivate:
-		if cfg.CacheBytes > 0 {
-			s.cache = extract.PrivateCacheBytes(cfg.CacheBytes)
-		} else {
-			s.cache = extract.PrivateCache()
-		}
-	case CacheOff:
-		s.cache = extract.NoCache()
-	default:
-		if cfg.CacheBytes > 0 {
-			extract.DefaultKernelCache().SetCapacity(cfg.CacheBytes)
-		}
-		s.cache = extract.DefaultCacheRef()
+	if cfg.Cache == CachePrivate {
+		s.cache = extract.NewBoundedCache(cfg.CacheBytes)
 	}
 	return s, nil
 }
@@ -187,19 +159,19 @@ func NewChecked(cfg Config) (*Session, error) {
 // own config, but they all memoize into — and are capped by — the one
 // cache the process owns. cfg.Cache and cfg.CacheBytes are validated
 // but otherwise ignored.
-func NewCheckedWithCache(cfg Config, ref extract.CacheRef) (*Session, error) {
+func NewCheckedWithCache(cfg Config, cache *extract.KernelCache) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Session{cfg: cfg, cache: ref}, nil
+	return &Session{cfg: cfg, cache: cache}, nil
 }
 
 // Config returns the session's immutable config.
 func (s *Session) Config() Config { return s.cfg }
 
-// CacheRef names the session's kernel cache; pass it to extract entry
-// points.
-func (s *Session) CacheRef() extract.CacheRef { return s.cache }
+// Cache returns the session's kernel cache (nil under CacheOff); pass
+// it to extract entry points.
+func (s *Session) Cache() *extract.KernelCache { return s.cache }
 
 // CacheStats reports the session cache's hit/miss counters.
 func (s *Session) CacheStats() extract.CacheStats { return s.cache.Stats() }
@@ -208,7 +180,7 @@ func (s *Session) CacheStats() extract.CacheStats { return s.cache.Stats() }
 func (s *Session) ResetCache() { s.cache.Reset() }
 
 // ExtractOptions mints a full-layout extraction option set: the
-// process defaults (dense mutual matrix, 3 um coupling window) under
+// extract defaults (dense mutual matrix, 3 um coupling window) under
 // this session's workers and cache.
 func (s *Session) ExtractOptions() extract.Options {
 	opt := extract.DefaultOptions()

@@ -95,19 +95,18 @@ func TestSessionCacheBytes(t *testing.T) {
 	}
 
 	shared := extract.NewBoundedCache(2 << 20)
-	ref := extract.CacheRefOf(shared)
-	a, err := NewCheckedWithCache(Config{Workers: 1}, ref)
+	a, err := NewCheckedWithCache(Config{Workers: 1}, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewCheckedWithCache(Config{Workers: 2, Cache: CacheOff}, ref)
+	b, err := NewCheckedWithCache(Config{Workers: 2, Cache: CacheOff}, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.CacheRef().Cache() != shared || b.CacheRef().Cache() != shared {
+	if a.Cache() != shared || b.Cache() != shared {
 		t.Errorf("NewCheckedWithCache sessions do not share the supplied cache")
 	}
-	if _, err := NewCheckedWithCache(Config{CacheBytes: -1}, ref); err == nil {
+	if _, err := NewCheckedWithCache(Config{CacheBytes: -1}, shared); err == nil {
 		t.Errorf("NewCheckedWithCache accepted an invalid config")
 	}
 }
@@ -131,8 +130,8 @@ func TestCachePolicies(t *testing.T) {
 		t.Error("CacheOff session reports an enabled cache")
 	}
 	// A private cache's counters are the session's own.
-	priv.CacheRef().Cache().SelfInductanceBar(100e-6, 1e-6, 1e-6)
-	priv.CacheRef().Cache().SelfInductanceBar(100e-6, 1e-6, 1e-6)
+	priv.Cache().SelfInductanceBar(100e-6, 1e-6, 1e-6)
+	priv.Cache().SelfInductanceBar(100e-6, 1e-6, 1e-6)
 	st := priv.CacheStats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("private cache counters = %+v, want 1 hit / 1 miss", st)
@@ -147,9 +146,23 @@ func TestCachePolicies(t *testing.T) {
 	}
 }
 
-func TestEnumStrings(t *testing.T) {
-	if CacheDefault.String() != "default" || CachePrivate.String() != "private" || CacheOff.String() != "off" {
-		t.Error("CachePolicy strings drifted")
+// TestSessionsOwnTheirCaches pins the isolation contract: building a
+// second session with a small byte cap must not trim the cache of a
+// session built earlier with the default policy and a large cap.
+func TestSessionsOwnTheirCaches(t *testing.T) {
+	const n = 2000
+	a := New(Config{CacheBytes: 1 << 30})
+	for i := 0; i < n; i++ {
+		a.Cache().SelfInductanceBar(float64(i+1)*1e-6, 1e-6, 1e-6)
+	}
+	if st := a.CacheStats(); st.Entries != n {
+		t.Fatalf("session A holds %d entries after %d distinct kernels", st.Entries, n)
+	}
+	New(Config{CacheBytes: 16 << 10})
+	st := a.CacheStats()
+	if st.Entries != n || st.Evictions != 0 || st.CapBytes != 1<<30 {
+		t.Errorf("building session B changed session A's cache: %d entries, %d evictions, cap %d",
+			st.Entries, st.Evictions, st.CapBytes)
 	}
 }
 

@@ -825,10 +825,10 @@ func sortedLevels(byLevel map[int]*LevelStats) []LevelStats {
 
 // CompressInductance builds the compressed partial-inductance operator
 // over the given layout segments (one element per segment), with the
-// same self/mutual kernels — through the geometry-keyed cache named by
-// cache (zero = process default) — as InductanceMatrix with an
-// unlimited window. Position k of the operator corresponds to segs[k].
-func CompressInductance(l *geom.Layout, segs []int, gmd GMDOptions, opt ACAOptions, cache CacheRef) *CompressedL {
+// same self/mutual kernels — through the geometry-keyed cache (nil =
+// compute directly) — as InductanceMatrix with an unlimited window.
+// Position k of the operator corresponds to segs[k].
+func CompressInductance(l *geom.Layout, segs []int, gmd GMDOptions, opt ACAOptions, cache *KernelCache) *CompressedL {
 	elems, trees, entry := segmentOperatorInputs(l, segs, gmd, cache, opt.Workers)
 	return CompressL(elems, trees, entry, opt)
 }
@@ -836,8 +836,7 @@ func CompressInductance(l *geom.Layout, segs []int, gmd GMDOptions, opt ACAOptio
 // segmentOperatorInputs prepares the shared inputs of the segment-level
 // compressed operators: one HElement per segment, per-direction cluster
 // trees, and the cached self/mutual kernel closure.
-func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, cache CacheRef, workers int) ([]HElement, []*ElemTree, func(i, j int) float64) {
-	kc := cache.Cache()
+func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, kc *KernelCache, workers int) ([]HElement, []*ElemTree, func(i, j int) float64) {
 	elems := make([]HElement, len(segs))
 	for k, si := range segs {
 		s := &l.Segments[si]

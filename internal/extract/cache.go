@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // and relative offsets, never on absolute position. The cache
 // canonicalizes each kernel evaluation into a translation-invariant key
 // and memoizes the exact computed value in a sharded, lock-striped
-// concurrent map, so repeated geometries are evaluated once per process
+// concurrent map, so repeated geometries are evaluated once per cache
 // instead of once per pair.
 //
 // Exactness: the key is the full IEEE-754 bit pattern of every kernel
@@ -141,6 +142,8 @@ func (sh *cacheShard) trim(maxEntries int, evictions *atomic.Uint64) {
 // The zero value is ready to use and unbounded. All methods are safe
 // for concurrent use; two goroutines racing on the same missing key
 // both compute the (deterministic) value and store identical results.
+// A nil *KernelCache memoizes nothing: every kernel method, Stats and
+// Reset accept a nil receiver, and the kernels are computed directly.
 //
 // A cache that lives in a long-running process sets a byte capacity
 // (SetCapacity / NewBoundedCache): resident entries are then evicted
@@ -158,8 +161,7 @@ type KernelCache struct {
 }
 
 // NewBoundedCache returns a fresh cache capped at capBytes of accounted
-// entry footprint (<= 0 means unbounded). Callers that need several
-// runs to share one bounded cache wrap it with CacheRefOf.
+// entry footprint (<= 0 means unbounded).
 func NewBoundedCache(capBytes int64) *KernelCache {
 	c := new(KernelCache)
 	c.SetCapacity(capBytes)
@@ -268,16 +270,6 @@ func (c *KernelCache) residentBytes() int64 {
 	return n
 }
 
-// defaultCache is the process-wide cache a zero CacheRef resolves to.
-// Runs that need isolation or no memoization carry their own CacheRef.
-var defaultCache KernelCache
-
-// DefaultKernelCache returns the process-wide cache, so long-running
-// owners can bound it (SetCapacity) or inspect it directly. The
-// returned cache is shared state: capping it affects every run that
-// resolves a default CacheRef.
-func DefaultKernelCache() *KernelCache { return &defaultCache }
-
 // CacheStats is a snapshot of the kernel cache counters.
 type CacheStats struct {
 	Enabled bool
@@ -302,8 +294,17 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(tot)
 }
 
-// Stats snapshots this cache's counters. A nil receiver (the disabled
-// cache a NoCache ref resolves to) reports Enabled=false.
+// String formats the counters as the CLIs' one-line -v report.
+func (s CacheStats) String() string {
+	if !s.Enabled {
+		return "kernel cache: off"
+	}
+	return fmt.Sprintf("kernel cache: %d hits, %d misses (%.1f%% hit rate), %d entries",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
+}
+
+// Stats snapshots this cache's counters. A nil receiver (no
+// memoization) reports Enabled=false.
 func (c *KernelCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
@@ -338,72 +339,6 @@ func (c *KernelCache) Reset() {
 	c.misses.Store(0)
 	c.evictions.Store(0)
 }
-
-// cacheRefKind discriminates how a CacheRef resolves to a cache.
-type cacheRefKind uint8
-
-const (
-	cacheRefDefault cacheRefKind = iota // the process-wide cache
-	cacheRefOff                         // no memoization
-	cacheRefOwned                       // an explicit cache instance
-)
-
-// CacheRef names which kernel cache an extraction run consults. It is a
-// small value meant to be embedded in option structs and threaded down
-// call chains. The zero value is the built-in default: the process-wide
-// shared cache. Sessions that need isolation hold a PrivateCache ref;
-// runs that must not memoize use NoCache.
-type CacheRef struct {
-	kind cacheRefKind
-	c    *KernelCache
-}
-
-// DefaultCacheRef returns the zero CacheRef: the process-wide cache.
-func DefaultCacheRef() CacheRef { return CacheRef{} }
-
-// NoCache returns a ref that disables kernel memoization for the runs
-// that carry it. Results are bit-identical with and without the cache;
-// this only trades recomputation for memory.
-func NoCache() CacheRef { return CacheRef{kind: cacheRefOff} }
-
-// PrivateCache returns a ref owning a fresh cache, isolated from the
-// process default and from every other session.
-func PrivateCache() CacheRef { return CacheRef{kind: cacheRefOwned, c: new(KernelCache)} }
-
-// PrivateCacheBytes is PrivateCache with a byte cap on the fresh
-// cache's resident footprint (<= 0 means unbounded).
-func PrivateCacheBytes(capBytes int64) CacheRef {
-	return CacheRef{kind: cacheRefOwned, c: NewBoundedCache(capBytes)}
-}
-
-// CacheRefOf wraps an existing cache so several runs can share it
-// explicitly. A nil cache behaves like NoCache.
-func CacheRefOf(c *KernelCache) CacheRef {
-	if c == nil {
-		return NoCache()
-	}
-	return CacheRef{kind: cacheRefOwned, c: c}
-}
-
-// Cache resolves the ref to a concrete cache: nil means "compute
-// directly" (every kernel method on *KernelCache accepts a nil receiver
-// and falls through to the uncached kernel).
-func (r CacheRef) Cache() *KernelCache {
-	switch r.kind {
-	case cacheRefOff:
-		return nil
-	case cacheRefOwned:
-		return r.c
-	default:
-		return &defaultCache
-	}
-}
-
-// Stats snapshots the counters of the cache the ref resolves to.
-func (r CacheRef) Stats() CacheStats { return r.Cache().Stats() }
-
-// Reset drops the resolved cache's entries (no-op for NoCache).
-func (r CacheRef) Reset() { r.Cache().Reset() }
 
 // SelfInductanceBar evaluates the self-inductance kernel through the
 // cache: bit-identical to the direct call, computed once per unique

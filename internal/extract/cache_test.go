@@ -90,8 +90,8 @@ func TestCachedInductanceBitIdentical(t *testing.T) {
 	for _, lc := range layouts {
 		for _, w := range windows {
 			for _, g := range gmds {
-				cache := PrivateCache()
-				off := InductanceMatrix(lc.l, lc.segs, w, g, NoCache())
+				cache := new(KernelCache)
+				off := InductanceMatrix(lc.l, lc.segs, w, g, nil)
 				on := InductanceMatrix(lc.l, lc.segs, w, g, cache)
 				par := InductanceMatrixParallel(lc.l, lc.segs, w, g, 4, cache)
 				requireBitIdentical(t, off, on, lc.name+" serial")
@@ -131,7 +131,7 @@ func TestWindowedIndexMatchesBruteForce(t *testing.T) {
 		l, segs := randomLayout(rng, 30)
 		window := []float64{1e-6, 10e-6, 50e-6, 400e-6}[trial%4]
 		ref := bruteForce(l, segs, window, GMDOptions{})
-		got := InductanceMatrix(l, segs, window, GMDOptions{}, NoCache())
+		got := InductanceMatrix(l, segs, window, GMDOptions{}, nil)
 		requireBitIdentical(t, ref, got, "indexed windowed")
 	}
 	// Collinear far-apart segments: perpendicular distance is zero even
@@ -145,7 +145,7 @@ func TestWindowedIndexMatchesBruteForce(t *testing.T) {
 	if ref.At(0, 1) == 0 {
 		t.Fatal("test geometry broken: collinear pair should couple")
 	}
-	requireBitIdentical(t, ref, InductanceMatrix(l, segs, 5e-6, GMDOptions{}, NoCache()), "collinear pair")
+	requireBitIdentical(t, ref, InductanceMatrix(l, segs, 5e-6, GMDOptions{}, nil), "collinear pair")
 }
 
 // TestCachedCouplingCapBitIdentical runs the full extraction (which
@@ -154,7 +154,7 @@ func TestWindowedIndexMatchesBruteForce(t *testing.T) {
 func TestCachedCouplingCapBitIdentical(t *testing.T) {
 	l := makeBusLayout(12, 600e-6, 1e-6, 2.5e-6)
 	optOff, optOn := DefaultOptions(), DefaultOptions()
-	optOff.Cache, optOn.Cache = NoCache(), PrivateCache()
+	optOff.Cache, optOn.Cache = nil, new(KernelCache)
 	off, on := Extract(l, optOff), Extract(l, optOn)
 	if len(off.CCoupling) == 0 || len(off.CCoupling) != len(on.CCoupling) {
 		t.Fatalf("coupling cap count: %d vs %d", len(off.CCoupling), len(on.CCoupling))
@@ -169,16 +169,17 @@ func TestCachedCouplingCapBitIdentical(t *testing.T) {
 	requireBitIdentical(t, off.L, on.L, "extract L")
 }
 
-// TestCacheStatsCounters exercises the accessor inductx -v prints.
+// TestCacheStatsCounters exercises the counters inductx -v and
+// rlsweep -v print, and the one-line report they print them as.
 func TestCacheStatsCounters(t *testing.T) {
 	l := makeBusLayout(16, 800e-6, 1e-6, 2e-6)
 	segs := make([]int, 16)
 	for i := range segs {
 		segs[i] = i
 	}
-	DefaultCacheRef().Reset()
-	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
-	st := DefaultCacheRef().Stats()
+	c := new(KernelCache)
+	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, c)
+	st := c.Stats()
 	if !st.Enabled {
 		t.Fatal("cache should report enabled")
 	}
@@ -190,19 +191,27 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 	// A second identical assembly must be all hits.
 	before := st
-	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
-	st = DefaultCacheRef().Stats()
+	InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, c)
+	st = c.Stats()
 	if st.Misses != before.Misses {
 		t.Fatalf("warm rerun missed: %d -> %d misses", before.Misses, st.Misses)
 	}
 	if st.Hits <= before.Hits {
 		t.Fatalf("warm rerun did not hit: %+v", st)
 	}
-	if st := NoCache().Stats(); st.Enabled {
-		t.Fatal("NoCache should report disabled")
+	var off *KernelCache
+	if st := off.Stats(); st.Enabled {
+		t.Fatal("a nil cache should report disabled")
 	}
-	DefaultCacheRef().Reset()
-	if st := DefaultCacheRef().Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+	if got := off.Stats().String(); got != "kernel cache: off" {
+		t.Errorf("disabled report %q", got)
+	}
+	want := "kernel cache: 3 hits, 1 misses (75.0% hit rate), 2 entries"
+	if got := (CacheStats{Enabled: true, Hits: 3, Misses: 1, Entries: 2}).String(); got != want {
+		t.Errorf("report %q, want %q", got, want)
+	}
+	c.Reset()
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("reset did not clear counters: %+v", st)
 	}
 }
@@ -234,9 +243,9 @@ func TestConcurrentAssemblySharedCache(t *testing.T) {
 		jobs[k] = job{l: l, segs: segs}
 	}
 	for k := range jobs {
-		jobs[k].ref = InductanceMatrix(jobs[k].l, jobs[k].segs, math.Inf(1), GMDOptions{Numeric: true}, NoCache())
+		jobs[k].ref = InductanceMatrix(jobs[k].l, jobs[k].segs, math.Inf(1), GMDOptions{Numeric: true}, nil)
 	}
-	shared := PrivateCache()
+	shared := new(KernelCache)
 	var wg sync.WaitGroup
 	results := make([]*matrix.Dense, len(jobs))
 	for k := range jobs {

@@ -176,8 +176,8 @@ func TestBoundedCacheHitRateRepeatedLayout(t *testing.T) {
 		}))
 	}
 
-	unbounded := PrivateCache()
-	bounded := PrivateCacheBytes(8 << 20)
+	unbounded := new(KernelCache)
+	bounded := NewBoundedCache(8 << 20)
 	for pass := 0; pass < 3; pass++ {
 		a := InductanceMatrix(lay, segs, 0, GMDOptions{}, unbounded)
 		b := InductanceMatrix(lay, segs, 0, GMDOptions{}, bounded)

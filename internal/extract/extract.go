@@ -25,10 +25,9 @@ type Options struct {
 	// Workers parallelizes the inductance-matrix assembly across CPUs
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Cache names the kernel cache the run consults. The zero value is
-	// the built-in default, the process-wide cache; sessions pass their
-	// own ref for isolation.
-	Cache CacheRef
+	// Cache is the kernel cache the run memoizes into; nil computes
+	// every kernel directly.
+	Cache *KernelCache
 	// SkipInductance leaves Parasitics.L nil. Used by callers that
 	// represent the partial-inductance coupling some other way (e.g.
 	// the hierarchically compressed operator from CompressInductance)
@@ -37,11 +36,12 @@ type Options struct {
 }
 
 // DefaultOptions extracts the full dense mutual matrix and couples lines
-// within 5x of typical spacing.
+// within 5x of typical spacing, memoizing into a fresh cache.
 func DefaultOptions() Options {
 	return Options{
 		MutualWindow:   math.Inf(1),
 		CouplingWindow: 3e-6,
+		Cache:          new(KernelCache),
 	}
 }
 
@@ -101,7 +101,6 @@ func ExtractSegments(l *geom.Layout, segs []int, opt Options) *Parasitics {
 	if !opt.SkipInductance {
 		p.L = InductanceMatrixParallel(l, segs, opt.MutualWindow, opt.GMD, opt.Workers, opt.Cache)
 	}
-	cc := opt.Cache.Cache()
 
 	// Coupling capacitance between adjacent same-layer parallel lines.
 	// Use a spatial index to keep this near-linear; window by spacing.
@@ -128,7 +127,7 @@ func ExtractSegments(l *geom.Layout, segs []int, opt Options) *Parasitics {
 			if l.EdgeSpacing(a, b) > opt.CouplingWindow {
 				continue
 			}
-			cv := couplingCap(l, a, b, cc)
+			cv := CouplingCap(l, a, b, opt.Cache)
 			if cv <= 0 {
 				continue
 			}

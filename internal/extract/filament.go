@@ -45,12 +45,11 @@ func FilamentElements(fils []mesh.Filament) []HElement {
 // by symmetry); collinear pairs (perpendicular distance zero, e.g.
 // filaments in the same plane-grid track) are regularized with the
 // mean self-GMD of the two cross-sections so the formula stays finite.
-func FilamentEntry(fils []mesh.Filament, cache CacheRef) func(i, j int) float64 {
+func FilamentEntry(fils []mesh.Filament, c *KernelCache) func(i, j int) float64 {
 	return func(i, j int) float64 {
 		if i > j {
 			i, j = j, i
 		}
-		c := cache.Cache()
 		fi := &fils[i]
 		if i == j {
 			return c.SelfInductanceBar(fi.Length, fi.W, fi.T)

@@ -855,9 +855,9 @@ func (b *h2builder) finishStats() {
 // CompressInductanceH2 builds the nested-basis partial-inductance
 // operator over the given layout segments, mirroring
 // CompressInductance: one element per segment, kernels through the
-// geometry-keyed cache named by cache, position k of the operator
+// geometry-keyed cache (nil = compute directly), position k of the operator
 // corresponding to segs[k].
-func CompressInductanceH2(l *geom.Layout, segs []int, gmd GMDOptions, opt H2Options, cache CacheRef) *H2L {
+func CompressInductanceH2(l *geom.Layout, segs []int, gmd GMDOptions, opt H2Options, cache *KernelCache) *H2L {
 	elems, trees, entry := segmentOperatorInputs(l, segs, gmd, cache, opt.Workers)
 	return CompressLH2(elems, trees, entry, opt)
 }

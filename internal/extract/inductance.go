@@ -172,17 +172,16 @@ func MutualBars(pg geom.ParallelGeometry, wa, ta, wb, tb float64, opt GMDOptions
 // full dense PEEC matrix). The result is symmetric with positive
 // diagonal.
 //
-// Kernel evaluations go through the geometry-keyed cache named by cache
-// (see cache.go — the zero CacheRef is the process-wide default): each
-// unique relative pair geometry is computed once, and every value is
-// bit-identical to the uncached path. With a finite window the candidate
-// pairs come from a uniform-grid spatial index instead of the all-pairs
-// scan, making windowed assembly O(n·k) in the neighbour count k.
-func InductanceMatrix(l *geom.Layout, segs []int, window float64, opt GMDOptions, cache CacheRef) *matrix.Dense {
+// Kernel evaluations go through the geometry-keyed cache c (see
+// cache.go; nil computes directly): each unique relative pair geometry
+// is computed once, and every value is bit-identical to the uncached
+// path. With a finite window the candidate pairs come from a
+// uniform-grid spatial index instead of the all-pairs scan, making
+// windowed assembly O(n·k) in the neighbour count k.
+func InductanceMatrix(l *geom.Layout, segs []int, window float64, opt GMDOptions, c *KernelCache) *matrix.Dense {
 	n := len(segs)
 	m := matrix.NewDense(n, n)
 	pairs := pairCandidates(l, segs, window)
-	c := cache.Cache()
 	for i := 0; i < n; i++ {
 		fillInductanceRow(l, segs, window, opt, m, i, pairs, c)
 	}

@@ -178,7 +178,7 @@ func makeBusLayout(nWires int, length, width, pitch float64) *geom.Layout {
 func TestInductanceMatrixProperties(t *testing.T) {
 	l := makeBusLayout(6, 500e-6, 1e-6, 2e-6)
 	segs := []int{0, 1, 2, 3, 4, 5}
-	m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+	m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
 	if !m.IsSymmetric(1e-12) {
 		t.Fatalf("L not symmetric")
 	}
@@ -195,7 +195,7 @@ func TestInductanceMatrixProperties(t *testing.T) {
 		}
 	}
 	// Windowed matrix: far mutuals dropped.
-	mw := InductanceMatrix(l, segs, 3e-6, GMDOptions{}, DefaultCacheRef())
+	mw := InductanceMatrix(l, segs, 3e-6, GMDOptions{}, new(KernelCache))
 	if mw.At(0, 5) != 0 {
 		t.Errorf("window did not drop far mutual")
 	}
@@ -215,7 +215,7 @@ func TestInductanceMatrixPDProperty(t *testing.T) {
 		for i := range segs {
 			segs[i] = i
 		}
-		m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+		m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
 		return matrix.IsPositiveDefinite(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -248,7 +248,7 @@ func TestOrthogonalMutualZero(t *testing.T) {
 	})
 	l.AddSegment(geom.Segment{Layer: 0, Dir: geom.DirX, Length: 100e-6, Width: 1e-6, Net: "a", NodeA: "a0", NodeB: "a1"})
 	l.AddSegment(geom.Segment{Layer: 0, Dir: geom.DirY, X0: 50e-6, Y0: -50e-6, Length: 100e-6, Width: 1e-6, Net: "b", NodeA: "b0", NodeB: "b1"})
-	m := InductanceMatrix(l, []int{0, 1}, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+	m := InductanceMatrix(l, []int{0, 1}, math.Inf(1), GMDOptions{}, new(KernelCache))
 	if m.At(0, 1) != 0 {
 		t.Errorf("orthogonal mutual = %g, want 0", m.At(0, 1))
 	}

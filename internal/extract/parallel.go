@@ -25,12 +25,12 @@ import (
 // the mutex-guarded handout this replaces serialized all workers through
 // one critical section per row.
 //
-// All workers share the geometry-keyed kernel cache named by cache (the
-// zero CacheRef is the process-wide default); its lock striping (64
-// shards, read-locked lookups) keeps contention negligible, and because
-// the memoized values are the kernels' exact outputs the result stays
-// bit-identical at every worker count.
-func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GMDOptions, workers int, cache CacheRef) *matrix.Dense {
+// All workers share the geometry-keyed kernel cache c (nil = compute
+// directly); its lock striping (64 shards, read-locked lookups) keeps
+// contention negligible, and because the memoized values are the
+// kernels' exact outputs the result stays bit-identical at every worker
+// count.
+func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GMDOptions, workers int, c *KernelCache) *matrix.Dense {
 	n := len(segs)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -39,11 +39,10 @@ func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GM
 		workers = n
 	}
 	if workers <= 1 {
-		return InductanceMatrix(l, segs, window, opt, cache)
+		return InductanceMatrix(l, segs, window, opt, c)
 	}
 	m := matrix.NewDense(n, n)
 	pairs := pairCandidates(l, segs, window)
-	c := cache.Cache()
 	// A few strides per worker keeps the tail balanced even if one
 	// stride stalls (e.g. a worker descheduled by the OS).
 	numUnits := 4 * workers

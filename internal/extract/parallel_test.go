@@ -11,9 +11,9 @@ func TestInductanceMatrixParallelMatchesSerial(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	serial := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+	serial := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
 	for _, workers := range []int{0, 1, 2, 7, 32} {
-		par := InductanceMatrixParallel(l, segs, math.Inf(1), GMDOptions{}, workers, DefaultCacheRef())
+		par := InductanceMatrixParallel(l, segs, math.Inf(1), GMDOptions{}, workers, new(KernelCache))
 		for i := 0; i < 8; i++ {
 			for j := 0; j < 8; j++ {
 				if par.At(i, j) != serial.At(i, j) {
@@ -24,8 +24,8 @@ func TestInductanceMatrixParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	// Windowed variant too.
-	sw := InductanceMatrix(l, segs, 4e-6, GMDOptions{}, DefaultCacheRef())
-	pw := InductanceMatrixParallel(l, segs, 4e-6, GMDOptions{}, 4, DefaultCacheRef())
+	sw := InductanceMatrix(l, segs, 4e-6, GMDOptions{}, new(KernelCache))
+	pw := InductanceMatrixParallel(l, segs, 4e-6, GMDOptions{}, 4, new(KernelCache))
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if pw.At(i, j) != sw.At(i, j) {

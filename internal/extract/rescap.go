@@ -63,16 +63,9 @@ func GroundCap(l *geom.Layout, segIdx int) float64 {
 
 // CouplingCap returns the coupling capacitance (F) between two parallel
 // same-layer segments over their overlap length, zero when they do not
-// run side by side. The per-length kernel is memoized through the
-// process-default cache; ExtractSegments threads its own cache via
-// couplingCap.
-func CouplingCap(l *geom.Layout, i, j int) float64 {
-	return couplingCap(l, i, j, DefaultCacheRef().Cache())
-}
-
-// couplingCap is CouplingCap against an explicit resolved cache (nil =
+// run side by side. The per-length kernel is memoized through c (nil =
 // compute directly).
-func couplingCap(l *geom.Layout, i, j int, c *KernelCache) float64 {
+func CouplingCap(l *geom.Layout, i, j int, c *KernelCache) float64 {
 	a := &l.Segments[i]
 	b := &l.Segments[j]
 	if a.Dir != b.Dir || a.Layer != b.Layer {

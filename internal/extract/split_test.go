@@ -26,7 +26,7 @@ func TestSplitWideWirePreservesLowFreqInductance(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	lp := InductanceMatrix(split, segs, math.Inf(1), GMDOptions{}, DefaultCacheRef())
+	lp := InductanceMatrix(split, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
 	// Parallel combination: L_eff = 1 / sum_ij (Lp^-1)_ij.
 	inv, err := matrix.Inverse(lp)
 	if err != nil {

@@ -46,7 +46,7 @@ func pinOperator(t testing.TB, c applyPinCase) extract.LOperator {
 	t.Helper()
 	l, segs, port, shorts := c.build(t)
 	opt := c.opt
-	opt.Cache = extract.PrivateCache()
+	opt.Cache = new(extract.KernelCache)
 	s, err := NewSolver(l, segs, port, shorts, 20e9, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func TestDenseExtractionPinned(t *testing.T) {
 
 	t.Run("clock/shorts", func(t *testing.T) {
 		l, segs, port, base, alts := clockTree()
-		s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 3, Mode: ModeDense, Cache: extract.PrivateCache()})
+		s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 3, Mode: ModeDense, Cache: new(extract.KernelCache)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestDenseExtractionPinned(t *testing.T) {
 		l, segs, port, shorts := microstripOverPlane(t)
 		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{
 			MaxPerSide: 2, PlaneNW: 16, Mode: ModeDense,
-			Cache: extract.PrivateCache(), Workers: 2,
+			Cache: new(extract.KernelCache), Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -69,11 +69,10 @@ type Options struct {
 	// tolerance in ModeIterative, the interpolative-basis tolerance in
 	// ModeNested (default 1e-8 for both).
 	ACATol float64
-	// Cache names the kernel cache the solver's partial-inductance
-	// entries go through. The zero value is the built-in default, the
-	// process-wide shared cache; sessions pass their own
-	// extract.PrivateCache() or extract.NoCache().
-	Cache extract.CacheRef
+	// Cache is the kernel cache the solver's partial-inductance entries
+	// memoize into; nil computes every kernel directly. Sessions pass
+	// their own.
+	Cache *extract.KernelCache
 	// Workers caps the sweep fan-out and dense-kernel goroutines.
 	// 0 = process default (matrix.Workers), 1 = fully serial.
 	Workers int
@@ -125,7 +124,6 @@ type Solver struct {
 
 	mode    SolveMode
 	acaTol  float64
-	cache   extract.CacheRef
 	workers int
 
 	sweepMode  sweep.Mode
@@ -160,8 +158,7 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		mesh:   m,
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
 		planes: m.PlaneFilaments > 0,
-		mode:   opt.Mode, acaTol: opt.ACATol,
-		cache: opt.Cache, workers: opt.Workers,
+		mode:   opt.Mode, acaTol: opt.ACATol, workers: opt.Workers,
 		sweepMode: opt.SweepMode, sweepTol: opt.SweepTol,
 		recycleDim: opt.RecycleDim,
 	}

@@ -223,15 +223,15 @@ func TestSkinEffectResistanceRatio(t *testing.T) {
 // last bit (the cache memoizes exact kernel outputs only).
 func TestFilamentAssemblyCacheBitIdentical(t *testing.T) {
 	l, segs, port, shorts := signalOverReturn(1500e-6, 6e-6, 15e-6)
-	build := func(cache extract.CacheRef) *Solver {
+	build := func(cache *extract.KernelCache) *Solver {
 		s, err := NewSolver(l, segs, port, shorts, 10e9, Options{MaxPerSide: 4, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	off := build(extract.NoCache())
-	on := build(extract.PrivateCache())
+	off := build(nil)
+	on := build(new(extract.KernelCache))
 	nf := off.NumFilaments()
 	if on.NumFilaments() != nf {
 		t.Fatalf("filament counts differ: %d vs %d", on.NumFilaments(), nf)

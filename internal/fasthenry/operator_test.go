@@ -202,7 +202,7 @@ func TestIterativeSweepSharedOperatorParallel(t *testing.T) {
 	}
 	l, segs, port, shorts = microstripOverPlane(t)
 	plane, err := NewSolver(l, segs, port, shorts, 1e10, Options{
-		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Cache: extract.PrivateCache(),
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Cache: new(extract.KernelCache),
 	})
 	if err != nil {
 		t.Fatal(err)

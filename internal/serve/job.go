@@ -71,26 +71,24 @@ type portJSON struct {
 // override. Workers is advisory: it is clamped to the tenant's worker
 // budget so one request cannot grab the whole machine.
 type jobConfigJSON struct {
-	Solver      string  `json:"solver,omitempty"`      // dense | iterative | nested | auto
-	ACATol      float64 `json:"acatol,omitempty"`      // 0 = default
-	Workers     int     `json:"workers,omitempty"`     // 0 = 1; clamped to the tenant budget
-	KernelCache string  `json:"kernelcache,omitempty"` // shared | private | off (default shared)
-	Sweep       string  `json:"sweep,omitempty"`       // exact | adaptive | auto (default auto)
-	SweepTol    float64 `json:"sweeptol,omitempty"`    // 0 = default (1e-6)
-	PlaneNW     int     `json:"planenw,omitempty"`     // plane mesh cells per axis; 0 = default
+	Solver   string  `json:"solver,omitempty"`   // dense | iterative | nested | auto
+	ACATol   float64 `json:"acatol,omitempty"`   // 0 = default
+	Workers  int     `json:"workers,omitempty"`  // 0 = 1; clamped to the tenant budget
+	Sweep    string  `json:"sweep,omitempty"`    // exact | adaptive | auto (default auto)
+	SweepTol float64 `json:"sweeptol,omitempty"` // 0 = default (1e-6)
+	PlaneNW  int     `json:"planenw,omitempty"`  // plane mesh cells per axis; 0 = default
 }
 
 // job is a decoded, validated request ready to schedule.
 type job struct {
-	tenant      string
-	prio        int
-	layout      *geom.Layout
-	segs        []int
-	port        fasthenry.Port
-	shorts      [][2]string
-	freqs       []float64
-	cfg         engine.Config
-	kernelCache string
+	tenant string
+	prio   int
+	layout *geom.Layout
+	segs   []int
+	port   fasthenry.Port
+	shorts [][2]string
+	freqs  []float64
+	cfg    engine.Config
 }
 
 // decodeJob parses and validates one job document. Every failure is a
@@ -246,17 +244,10 @@ func decodeJob(r io.Reader, lim Limits, tenantBudget int) (*job, error) {
 		return nil, fmt.Errorf("sweeptol %g must be a finite non-negative tolerance", doc.Config.SweepTol)
 	}
 	cfg.SweepTol = doc.Config.SweepTol
-	cfg.PlaneNW = doc.Config.PlaneNW
-	switch doc.Config.KernelCache {
-	case "", "shared":
-		j.kernelCache = "shared"
-	case "private":
-		j.kernelCache = "private"
-	case "off":
-		j.kernelCache = "off"
-	default:
-		return nil, fmt.Errorf("kernelcache must be shared, private or off, got %q", doc.Config.KernelCache)
+	if doc.Config.PlaneNW != 0 && len(doc.Layout.Planes) == 0 {
+		return nil, fmt.Errorf("planenw %d needs a layout with planes; this one has none", doc.Config.PlaneNW)
 	}
+	cfg.PlaneNW = doc.Config.PlaneNW
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -51,8 +51,7 @@ func busShorts(n int) [][2]string {
 
 // TestManyTenantsConflictingConfigsRace drives the server with several
 // tenants whose jobs disagree about everything configurable — solver
-// mode, cache mode, priority — all multiplexed over the
-// one shared bounded cache. Run under -race this is the server's data
+// mode, priority — all multiplexed over the one shared bounded cache. Run under -race this is the server's data
 // integrity check; the assertions pin the accounting invariant and the
 // byte cap.
 func TestManyTenantsConflictingConfigsRace(t *testing.T) {
@@ -65,16 +64,15 @@ func TestManyTenantsConflictingConfigsRace(t *testing.T) {
 
 	type variant struct {
 		solver string
-		cache  string
 		prio   int
 	}
 	variants := []variant{
-		{"dense", "shared", 0},
-		{"iterative", "shared", 1},
-		{"iterative", "private", 2},
-		{"nested", "shared", 1},
-		{"dense", "off", 2},
-		{"auto", "shared", 0},
+		{"dense", 0},
+		{"iterative", 1},
+		{"iterative", 2},
+		{"nested", 1},
+		{"dense", 2},
+		{"auto", 0},
 	}
 
 	const tenants = 6
@@ -97,7 +95,7 @@ func TestManyTenantsConflictingConfigsRace(t *testing.T) {
 					j.Priority = &p
 					j.Layout = testLayout(pitch)
 					j.Points = 2
-					j.Config = jobConfigJSON{Solver: v.solver, KernelCache: v.cache, Workers: 2}
+					j.Config = jobConfigJSON{Solver: v.solver, Workers: 2}
 				})
 				code, got := postJob(t, ts.URL, body)
 				if code != http.StatusOK || got == nil || got.done == nil || len(got.points) != 2 {

@@ -155,20 +155,6 @@ func (s *Server) limits() Limits {
 	return Limits{MaxPoints: s.opt.MaxPoints, MaxSegments: s.opt.MaxSegments}
 }
 
-// cacheRefFor maps a job's kernelcache choice onto a concrete cache:
-// the server's shared bounded cache, a private cache under the same
-// byte cap, or none.
-func (s *Server) cacheRefFor(j *job) extract.CacheRef {
-	switch j.kernelCache {
-	case "private":
-		return extract.PrivateCacheBytes(s.opt.CacheBytes)
-	case "off":
-		return extract.NoCache()
-	default:
-		return extract.CacheRefOf(s.cache)
-	}
-}
-
 func (s *Server) recordStage(name string, wall time.Duration) {
 	s.stageMu.Lock()
 	agg := s.stages[name]
@@ -240,7 +226,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess, err := engine.NewCheckedWithCache(jb.cfg, s.cacheRefFor(jb))
+	sess, err := engine.NewCheckedWithCache(jb.cfg, s.cache)
 	if err != nil {
 		s.rejected400.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -276,6 +276,10 @@ func TestRejectsStructured400(t *testing.T) {
 		// that still names one is refused, not silently ignored.
 		{"removed-precond", bytes.Replace(testJob(t), []byte(`"config":{`), []byte(`"config":{"precond":"sai",`), 1),
 			`unknown field "precond"`},
+		// Every job memoizes into the server's one bounded cache; the
+		// per-job cache choice is gone and naming it is refused.
+		{"removed-kernelcache", bytes.Replace(testJob(t), []byte(`"config":{`), []byte(`"config":{"kernelcache":"off",`), 1),
+			`unknown field "kernelcache"`},
 		{"no-layout", testJob(t, func(j *jobJSON) { j.Layout = nil }), "missing layout"},
 		{"bad-priority", testJob(t, func(j *jobJSON) { p := 9; j.Priority = &p }), "priority 9"},
 		{"zero-points", testJob(t, func(j *jobJSON) { j.Points = 0 }), "points 0"},
@@ -283,7 +287,6 @@ func TestRejectsStructured400(t *testing.T) {
 		{"bad-freq-order", testJob(t, func(j *jobJSON) { j.FStartHz = 1e10; j.FStopHz = 1e8 }), "below fstart_hz"},
 		{"absurd-freq", testJob(t, func(j *jobJSON) { j.FStopHz = 1e30 }), "above"},
 		{"bad-solver", testJob(t, func(j *jobJSON) { j.Config.Solver = "quantum" }), "quantum"},
-		{"bad-cachemode", testJob(t, func(j *jobJSON) { j.Config.KernelCache = "sometimes" }), "sometimes"},
 		{"negative-width", testJob(t, func(j *jobJSON) { j.Layout.Segments[0].Width = -1e-6 }), "width"},
 		{"absurd-length", testJob(t, func(j *jobJSON) { j.Layout.Segments[0].Length = 5e3 }), "length"},
 		{"no-port", testJob(t, func(j *jobJSON) { j.Port = portJSON{} }), "port"},
@@ -296,6 +299,8 @@ func TestRejectsStructured400(t *testing.T) {
 		{"huge-planenw", testJob(t, withPlane, func(j *jobJSON) {
 			j.Config.PlaneNW = 1 << 16
 		}), "plane density"},
+		// A plane density with no plane to mesh would be ignored.
+		{"planenw-without-plane", testJob(t, func(j *jobJSON) { j.Config.PlaneNW = 16 }), "planenw 16"},
 		{"too-many-planes", testJob(t, withPlane, func(j *jobJSON) {
 			for len(j.Layout.Planes) <= maxPlanesPerJob {
 				p := j.Layout.Planes[0]

@@ -86,13 +86,22 @@ fi
 
 # No mutable package-level tuning state: run configuration belongs in
 # engine.Config / the per-layer option structs, not process-wide Set*
-# switches. No exemptions.
-echo "== no package-level Set* tuning switches"
+# switches, and run state such as a kernel cache belongs to a session,
+# not to an uninitialized package-level var every run shares. No
+# exemptions.
+echo "== no package-level Set* tuning switches or uninitialized vars"
 setters=$(grep -rnE '^func Set[A-Z]' internal cmd --include='*.go' \
 	| grep -v '_test\.go' || true)
 if [ -n "$setters" ]; then
 	echo "package-level setter(s) found (use engine.Config instead):" >&2
 	echo "$setters" >&2
+	exit 1
+fi
+globals=$(grep -rnE '^var [A-Za-z_][A-Za-z0-9_]* [][*A-Za-z0-9_.]+$' internal cmd --include='*.go' \
+	| grep -v '_test\.go' || true)
+if [ -n "$globals" ]; then
+	echo "package-level mutable var(s) found (give the state an owner):" >&2
+	echo "$globals" >&2
 	exit 1
 fi
 
