@@ -157,6 +157,25 @@ func TestGoldenInductx(t *testing.T) {
 	checkGolden(t, "inductx", runTool(t, bin, sampleLayout(t, bin)))
 }
 
+// TestGoldenInductxSpice pins the SPICE deck inductx -spice writes for
+// its sample layout, the one flow that exports SPICE. The layout is
+// passed as a path relative to the run directory, so the deck's title
+// line names no temp dir.
+func TestGoldenInductxSpice(t *testing.T) {
+	bin := filepath.Join(buildTools(t), "inductx")
+	dir := filepath.Dir(sampleLayout(t, bin))
+	cmd := exec.Command(bin, "-spice", "deck.sp", "sample.json")
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("inductx -spice: %v\n%s", err, out)
+	}
+	deck, err := os.ReadFile(filepath.Join(dir, "deck.sp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "inductx_spice", deck)
+}
+
 // TestGoldenKernelCacheOff reruns the inductx, rlsweep and clocksim
 // golden cases with the kernel cache off. The cache is exact, so each
 // output must match its cache-on golden byte for byte.
