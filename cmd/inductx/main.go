@@ -164,25 +164,7 @@ func main() {
 	if *verbose {
 		fmt.Println(sess.CacheStats().String())
 		if op != nil {
-			os := op.Stats()
-			kind := "flat ACA"
-			if os.Nested {
-				kind = "nested-basis"
-			}
-			fmt.Printf("%s operator: %d dense + %d low-rank blocks, max rank %d, %.1fx storage compression, %d of %d kernels evaluated\n",
-				kind, os.DiagBlocks+os.NearBlocks, os.FarBlocks, os.MaxRank,
-				os.CompressionRatio(), os.KernelEvals, os.DenseKernelEntries)
-			fmt.Printf("kernel evaluations: %d near + %d far\n",
-				os.NearKernelEvals, os.FarKernelEvals)
-			for _, lv := range os.Levels {
-				if os.Nested {
-					fmt.Printf("level %2d: %d bases (max rank %d), %d couplings, rank min/avg/max %d/%.1f/%d\n",
-						lv.Level, lv.Bases, lv.BasisMaxRank, lv.FarBlocks, lv.MinRank, lv.AvgRank, lv.MaxRank)
-				} else {
-					fmt.Printf("level %2d: %d low-rank blocks, rank min/avg/max %d/%.1f/%d\n",
-						lv.Level, lv.FarBlocks, lv.MinRank, lv.AvgRank, lv.MaxRank)
-				}
-			}
+			fmt.Println(op.Stats().String())
 		}
 	}
 

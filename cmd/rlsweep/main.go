@@ -192,23 +192,8 @@ func main() {
 	if *verb {
 		fmt.Fprintln(os.Stderr, "rlsweep: "+sess.CacheStats().String())
 		if m := s.SolveModeInUse(); m == fasthenry.ModeIterative || m == fasthenry.ModeNested {
-			st := s.OperatorStats()
-			kind := "flat ACA"
-			if st.Nested {
-				kind = "nested-basis"
-			}
-			fmt.Fprintf(os.Stderr, "rlsweep: %s operator: %d near + %d low-rank blocks, %.1fx storage compression\n",
-				kind, st.NearBlocks+st.DiagBlocks, st.FarBlocks, st.CompressionRatio())
-			fmt.Fprintf(os.Stderr, "rlsweep: kernel evaluations: %d near + %d far of %d dense entries\n",
-				st.NearKernelEvals, st.FarKernelEvals, st.DenseKernelEntries)
-			for _, lv := range st.Levels {
-				if st.Nested {
-					fmt.Fprintf(os.Stderr, "rlsweep: level %2d: %d bases (max rank %d), %d couplings, rank min/avg/max %d/%.1f/%d\n",
-						lv.Level, lv.Bases, lv.BasisMaxRank, lv.FarBlocks, lv.MinRank, lv.AvgRank, lv.MaxRank)
-				} else {
-					fmt.Fprintf(os.Stderr, "rlsweep: level %2d: %d low-rank blocks, rank min/avg/max %d/%.1f/%d\n",
-						lv.Level, lv.FarBlocks, lv.MinRank, lv.AvgRank, lv.MaxRank)
-				}
+			for _, line := range strings.Split(s.OperatorStats().String(), "\n") {
+				fmt.Fprintln(os.Stderr, "rlsweep: "+line)
 			}
 			for _, p := range pts {
 				if p.Interp {

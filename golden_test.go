@@ -157,6 +157,17 @@ func TestGoldenInductx(t *testing.T) {
 	checkGolden(t, "inductx", runTool(t, bin, sampleLayout(t, bin)))
 }
 
+// TestGoldenInductxVerbose pins inductx's -v lines at two workers: the
+// kernel-cache counters of the dense path, whose parallel assembly has
+// workers racing on one key, and the compressed operator's lines under
+// -solver iterative.
+func TestGoldenInductxVerbose(t *testing.T) {
+	bin := filepath.Join(buildTools(t), "inductx")
+	layout := sampleLayout(t, bin)
+	checkGolden(t, "inductx_verbose", runTool(t, bin, "-v", "-workers", "2", layout))
+	checkGolden(t, "inductx_verbose_iterative", runTool(t, bin, "-v", "-workers", "2", "-solver", "iterative", layout))
+}
+
 // TestGoldenInductxSpice pins the SPICE deck inductx -spice writes for
 // its sample layout, the one flow that exports SPICE. The layout is
 // passed as a path relative to the run directory, so the deck's title

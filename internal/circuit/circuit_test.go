@@ -59,14 +59,14 @@ func TestBranchNumbering(t *testing.T) {
 	l0 := n.AddL("l0", "a", "b", 1e-9)
 	v0 := n.AddV("v0", "a", "0", DC(1))
 	l1 := n.AddL("l1", "b", "0", 1e-9)
-	if n.NumBranches() != 3 {
-		t.Fatalf("NumBranches = %d", n.NumBranches())
+	if got := n.Size() - n.NumNodes(); got != 3 {
+		t.Fatalf("branch unknowns = %d, want 3", got)
 	}
 	// Branch unknowns come after node unknowns and are all distinct.
 	set := map[int]bool{
-		n.BranchOfInductor(l0): true,
-		n.BranchOfVSource(v0):  true,
-		n.BranchOfInductor(l1): true,
+		branchOfInductor(n, l0): true,
+		n.BranchOfVSource(v0):   true,
+		branchOfInductor(n, l1): true,
 	}
 	if len(set) != 3 {
 		t.Errorf("branch indices collide")
@@ -76,6 +76,11 @@ func TestBranchNumbering(t *testing.T) {
 			t.Errorf("branch index %d out of [nodes, size)", k)
 		}
 	}
+}
+
+// branchOfInductor is the MNA unknown index of inductor li's current.
+func branchOfInductor(n *Netlist, li int) int {
+	return n.NumNodes() + n.Inductors[li].Branch
 }
 
 func TestMNAResistorDivider(t *testing.T) {
@@ -159,12 +164,12 @@ func TestMNAInductorDCShort(t *testing.T) {
 	if math.Abs(x[mid]-1) > 1e-9 {
 		t.Errorf("inductor DC short broken: mid = %g", x[mid])
 	}
-	il := x[n.BranchOfInductor(0)]
+	il := x[branchOfInductor(n, 0)]
 	if math.Abs(il-0.02) > 1e-9 {
 		t.Errorf("inductor current = %g, want 0.02", il)
 	}
 	// C matrix carries -L on the branch diagonal.
-	br := n.BranchOfInductor(0)
+	br := branchOfInductor(n, 0)
 	if c := m.C.ToDense(); c.At(br, br) != -5e-9 {
 		t.Errorf("C branch stamp = %g", c.At(br, br))
 	}
@@ -176,7 +181,7 @@ func TestMNAMutualStamp(t *testing.T) {
 	lb := n.AddL("lb", "b", "0", 3e-9)
 	n.AddM("m", la, lb, 1e-9)
 	m := BuildSparse(n)
-	ba, bb := n.BranchOfInductor(la), n.BranchOfInductor(lb)
+	ba, bb := branchOfInductor(n, la), branchOfInductor(n, lb)
 	c := m.C.ToDense()
 	if c.At(ba, bb) != -1e-9 || c.At(bb, ba) != -1e-9 {
 		t.Errorf("mutual stamps wrong: %g %g", c.At(ba, bb), c.At(bb, ba))
@@ -190,7 +195,7 @@ func TestMNAKGroupStamp(t *testing.T) {
 	li := n.AddL("l", "a", "0", 0)
 	n.AddKGroup("k", []int{li}, [][]float64{{2e8}}) // K = 1/5nH
 	m := BuildSparse(n)
-	br := n.BranchOfInductor(li)
+	br := branchOfInductor(n, li)
 	a, _ := n.NodeIndex("a")
 	g, c := m.G.ToDense(), m.C.ToDense()
 	if c.At(br, br) != -1 {
@@ -243,7 +248,7 @@ func TestWaveforms(t *testing.T) {
 		t.Errorf("pulse periodic repeat = %g", p.At(5.5e-9))
 	}
 
-	w := NewPWL([]float64{0, 1, 2}, []float64{0, 10, 10})
+	w := PWL{Times: []float64{0, 1, 2}, Values: []float64{0, 10, 10}}
 	if w.At(-1) != 0 || w.At(0.5) != 5 || w.At(3) != 10 {
 		t.Errorf("PWL wrong: %g %g %g", w.At(-1), w.At(0.5), w.At(3))
 	}
@@ -261,15 +266,6 @@ func TestWaveforms(t *testing.T) {
 	if sh.At(2.5e-9) != p.At(1.5e-9) {
 		t.Errorf("Shifted broken")
 	}
-}
-
-func TestPWLValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("unsorted PWL should panic")
-		}
-	}()
-	NewPWL([]float64{1, 0}, []float64{0, 0})
 }
 
 func TestMOSFETRegions(t *testing.T) {

@@ -12,7 +12,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Ground is the reference node; "gnd" and "GND" are accepted aliases.
@@ -75,13 +74,6 @@ func (n *Netlist) NodeIndex(name string) (int, error) {
 		return 0, fmt.Errorf("circuit: unknown node %q", name)
 	}
 	return i, nil
-}
-
-// NodeNames returns all non-ground node names, sorted.
-func (n *Netlist) NodeNames() []string {
-	out := append([]string(nil), n.nodeNames...)
-	sort.Strings(out)
-	return out
 }
 
 // Resistor is a linear resistance between nodes A and B.
@@ -226,17 +218,8 @@ func (n *Netlist) numBranches() int {
 	return len(n.Inductors) + len(n.VSources)
 }
 
-// NumBranches returns the total number of branch-current unknowns.
-func (n *Netlist) NumBranches() int { return n.numBranches() }
-
 // Size returns the MNA system dimension: nodes + branches.
 func (n *Netlist) Size() int { return n.NumNodes() + n.numBranches() }
-
-// BranchOfInductor returns the MNA unknown index (node-offset) of an
-// inductor's current, for probing currents in simulation results.
-func (n *Netlist) BranchOfInductor(li int) int {
-	return n.NumNodes() + n.Inductors[li].Branch
-}
 
 // BranchOfVSource returns the MNA unknown index of a source's current.
 func (n *Netlist) BranchOfVSource(vi int) int {

@@ -60,7 +60,7 @@ func TestBuildSparseDCInductorShort(t *testing.T) {
 func TestBuildSparseDCISourceAtTime(t *testing.T) {
 	n := New()
 	n.AddR("r", "a", "0", 100)
-	n.AddI("i", "0", "a", NewPWL([]float64{0, 1e-9}, []float64{0, 10e-3}))
+	n.AddI("i", "0", "a", PWL{Times: []float64{0, 1e-9}, Values: []float64{0, 10e-3}})
 	_, b0, err := BuildSparseDC(n, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)

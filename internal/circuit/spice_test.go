@@ -45,7 +45,7 @@ func TestWriteSpiceBasic(t *testing.T) {
 
 func TestWriteSpiceWaveforms(t *testing.T) {
 	n := New()
-	n.AddV("v1", "a", "0", NewPWL([]float64{0, 1e-9}, []float64{0, 1}))
+	n.AddV("v1", "a", "0", PWL{Times: []float64{0, 1e-9}, Values: []float64{0, 1}})
 	n.AddV("v2", "b", "0", Sine{Offset: 0.9, Amplitude: 0.1, Freq: 1e9})
 	n.AddV("v3", "c", "0", Shifted{W: Pulse{V1: 0, V2: 1, Delay: 1e-10, Rise: 1e-11, Width: 1e-9, Fall: 1e-11}, Dt: 2e-10})
 	n.AddV("v4", "d", "0", Scaled{W: DC(2), K: 3})

@@ -61,17 +61,6 @@ type PWL struct {
 	Values []float64
 }
 
-// NewPWL builds a PWL waveform, validating monotone times.
-func NewPWL(times, values []float64) PWL {
-	if len(times) != len(values) || len(times) == 0 {
-		panic("circuit: PWL needs equal-length non-empty times/values")
-	}
-	if !sort.Float64sAreSorted(times) {
-		panic("circuit: PWL times must be non-decreasing")
-	}
-	return PWL{Times: times, Values: values}
-}
-
 // At evaluates the waveform by binary search + linear interpolation.
 func (p PWL) At(t float64) float64 {
 	n := len(p.Times)

@@ -3,10 +3,10 @@ package design
 // First-class plane workloads: the paper's Fig. 6 "dedicated ground
 // plane" story extracted over real geom.Plane conductor planes through
 // the mesh lowering, replacing the strip-array emulation of PlaneSpec /
-// VariantPlane. Microstrip is a signal over one plane, Stripline a
-// signal sandwiched between two; both support rectangular perforation
-// holes, the structure whose inductance penalty Tolpygo et al. (arXiv
-// 2112.08457, part II) measure on superconductor ground planes.
+// VariantPlane. Microstrip is a signal over one plane; the plane
+// supports rectangular perforation holes, the structure whose
+// inductance penalty Tolpygo et al. (arXiv 2112.08457, part II) measure
+// on superconductor ground planes.
 
 import (
 	"fmt"
@@ -84,104 +84,6 @@ func MicrostripLayout(spec MicrostripSpec) (lay *geom.Layout, segs []int, port f
 // filament grids, as in every sweep entry point of the package.
 func Microstrip(spec MicrostripSpec, freqs []float64, opt fasthenry.Options) ([]fasthenry.Point, error) {
 	lay, segs, port, shorts, err := MicrostripLayout(spec)
-	if err != nil {
-		return nil, err
-	}
-	if opt.MaxPerSide == 0 {
-		opt.MaxPerSide = 2
-	}
-	if opt.PlaneNW == 0 {
-		opt.PlaneNW = spec.PlaneNW
-	}
-	fRef := freqs[len(freqs)-1]
-	solver, err := fasthenry.NewSolver(lay, segs, port, shorts, fRef, opt)
-	if err != nil {
-		return nil, err
-	}
-	return solver.Sweep(freqs)
-}
-
-// StriplineSpec describes a signal sandwiched between two conductor
-// planes — the fully shielded variant of the microstrip.
-type StriplineSpec struct {
-	Length  float64
-	SignalW float64
-	PlaneW  float64
-	// FarReturnD closes the DC loop coplanar with the signal.
-	FarReturnD float64
-	PlaneNW    int
-	// Holes perforate the lower plane (the upper plane stays solid, as
-	// in the Tolpygo part II structures where only the ground plane
-	// under the signal is perforated).
-	Holes []geom.Hole
-}
-
-// DefaultStriplineSpec mirrors DefaultMicrostripSpec with the second
-// plane added.
-func DefaultStriplineSpec() StriplineSpec {
-	return StriplineSpec{
-		Length: 1500e-6, SignalW: 2e-6,
-		PlaneW: 48e-6, FarReturnD: 80e-6,
-	}
-}
-
-// striplineLayers is the standard two-layer stack plus a mirror of the
-// plane layer above the signal, at the same dielectric spacing as the
-// plane below it.
-func striplineLayers() []geom.Layer {
-	layers := grid.StandardLayers()
-	below, sig := layers[0], layers[1]
-	gap := sig.Z - (below.Z + below.Thickness)
-	above := below
-	above.Name = "M7"
-	above.Index = 2
-	above.Z = sig.Z + sig.Thickness + gap
-	above.HBelow = gap
-	return append(layers, above)
-}
-
-// StriplineLayout builds the sandwich: the microstrip structure plus a
-// second, solid plane above the signal, both planes tied into the loop
-// through their edge rails.
-func StriplineLayout(spec StriplineSpec) (lay *geom.Layout, segs []int, port fasthenry.Port, shorts [][2]string, err error) {
-	if spec.Length <= 0 || spec.SignalW <= 0 || spec.PlaneW <= 0 || spec.FarReturnD <= 0 {
-		return nil, nil, fasthenry.Port{}, nil, fmt.Errorf("design: bad stripline spec %+v", spec)
-	}
-	lay = geom.NewLayout(striplineLayers())
-	segs = []int{lay.AddSegment(geom.Segment{
-		Layer: 1, Dir: geom.DirX, X0: 0, Y0: 0,
-		Length: spec.Length, Width: spec.SignalW,
-		Net: "sig", NodeA: "s0", NodeB: "s1",
-	})}
-	segs = append(segs, lay.AddSegment(geom.Segment{
-		Layer: 1, Dir: geom.DirX, X0: 0, Y0: spec.FarReturnD,
-		Length: spec.Length, Width: spec.SignalW,
-		Net: "ret", NodeA: "r0", NodeB: "r1",
-	}))
-	lay.AddPlane(geom.Plane{
-		Layer: 0, X0: 0, Y0: -spec.PlaneW / 2, X1: spec.Length, Y1: spec.PlaneW / 2,
-		Net: "ret", NodeLeft: "p0", NodeRight: "p1",
-		Holes: spec.Holes,
-	})
-	lay.AddPlane(geom.Plane{
-		Layer: 2, X0: 0, Y0: -spec.PlaneW / 2, X1: spec.Length, Y1: spec.PlaneW / 2,
-		Net: "ret", NodeLeft: "q0", NodeRight: "q1",
-	})
-	shorts = [][2]string{
-		{"s1", "r1"},
-		{"p1", "s1"}, {"p0", "r0"},
-		{"q1", "s1"}, {"q0", "r0"},
-	}
-	if err := lay.Validate(); err != nil {
-		return nil, nil, fasthenry.Port{}, nil, err
-	}
-	return lay, segs, fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, nil
-}
-
-// Stripline extracts the loop impedance of the sandwich at each
-// frequency.
-func Stripline(spec StriplineSpec, freqs []float64, opt fasthenry.Options) ([]fasthenry.Point, error) {
-	lay, segs, port, shorts, err := StriplineLayout(spec)
 	if err != nil {
 		return nil, err
 	}

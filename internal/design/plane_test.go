@@ -81,30 +81,6 @@ func TestMicrostripHoleRaisesL(t *testing.T) {
 	}
 }
 
-// TestStriplineBelowMicrostrip: sandwiching the signal between two
-// planes gives the return current twice the nearby metal, so the loop
-// inductance must come out below the single-plane microstrip at every
-// frequency.
-func TestStriplineBelowMicrostrip(t *testing.T) {
-	freqs := []float64{1e9, 1e10}
-	ms, err := Microstrip(DefaultMicrostripSpec(), freqs,
-		fasthenry.Options{Cache: new(extract.KernelCache)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, err := Stripline(DefaultStriplineSpec(), freqs,
-		fasthenry.Options{Cache: new(extract.KernelCache)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range freqs {
-		if !(sl[i].L < ms[i].L) || sl[i].L <= 0 {
-			t.Errorf("f=%.3g: stripline L=%.4g not below microstrip L=%.4g",
-				freqs[i], sl[i].L, ms[i].L)
-		}
-	}
-}
-
 // TestPlaneSpecValidation pins the generator-level rejections.
 func TestPlaneSpecValidation(t *testing.T) {
 	bad := DefaultMicrostripSpec()
@@ -112,9 +88,9 @@ func TestPlaneSpecValidation(t *testing.T) {
 	if _, _, _, _, err := MicrostripLayout(bad); err == nil {
 		t.Error("zero signal width accepted")
 	}
-	badS := DefaultStriplineSpec()
-	badS.PlaneW = -1e-6
-	if _, _, _, _, err := StriplineLayout(badS); err == nil {
+	bad = DefaultMicrostripSpec()
+	bad.PlaneW = -1e-6
+	if _, _, _, _, err := MicrostripLayout(bad); err == nil {
 		t.Error("negative plane width accepted")
 	}
 	// An out-of-range mesh density must fail at solver construction,

@@ -176,9 +176,6 @@ func (s *Session) Cache() *extract.KernelCache { return s.cache }
 // CacheStats reports the session cache's hit/miss counters.
 func (s *Session) CacheStats() extract.CacheStats { return s.cache.Stats() }
 
-// ResetCache clears the session cache's entries and counters.
-func (s *Session) ResetCache() { s.cache.Reset() }
-
 // ExtractOptions mints a full-layout extraction option set: the
 // extract defaults (dense mutual matrix, 3 um coupling window) under
 // this session's workers and cache.
@@ -191,7 +188,7 @@ func (s *Session) ExtractOptions() extract.Options {
 
 // SolverOptions mints the base fasthenry option set (solve mode, ACA
 // tolerance, cache, workers, sweep, plane density); callers fill the
-// discretization fields (NW/NT/MaxPerSide/Rho) per extraction.
+// discretization fields (NW/NT/MaxPerSide) per extraction.
 func (s *Session) SolverOptions() fasthenry.Options {
 	return fasthenry.Options{
 		Mode:      s.cfg.SolveMode,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -140,10 +139,6 @@ func TestCachePolicies(t *testing.T) {
 	if st := other.CacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("second private session inherited counters: %+v", st)
 	}
-	priv.ResetCache()
-	if st := priv.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("ResetCache left counters: %+v", st)
-	}
 }
 
 // TestSessionsOwnTheirCaches pins the isolation contract: building a
@@ -190,13 +185,6 @@ func TestPipelineRunsAndRecords(t *testing.T) {
 	}
 	if st[1].Err == nil {
 		t.Error("failed stage recorded without error")
-	}
-	if p.Wall() < st[0].Wall {
-		t.Error("Wall() lost stage time")
-	}
-	rep := p.Report()
-	if !strings.Contains(rep, "extract") || !strings.Contains(rep, "3 segments") || !strings.Contains(rep, "boom") {
-		t.Errorf("Report missing content:\n%s", rep)
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -26,17 +25,12 @@ type StageStat struct {
 // Config, the flow runs its stages through the pipeline, and the
 // report comes out uniform.
 type Pipeline struct {
-	sess *Session
-
 	mu     sync.Mutex
 	stages []StageStat
 }
 
-// Pipeline starts an empty stage log bound to the session.
-func (s *Session) Pipeline() *Pipeline { return &Pipeline{sess: s} }
-
-// Session returns the session the pipeline runs under.
-func (p *Pipeline) Session() *Session { return p.sess }
+// Pipeline starts an empty stage log for one flow of the session.
+func (s *Session) Pipeline() *Pipeline { return &Pipeline{} }
 
 // Run executes one stage: it refuses to start once ctx is cancelled,
 // times fn, records the stage, and returns fn's error wrapped with the
@@ -66,29 +60,4 @@ func (p *Pipeline) Stages() []StageStat {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]StageStat(nil), p.stages...)
-}
-
-// Wall sums the recorded stage wall times.
-func (p *Pipeline) Wall() time.Duration {
-	var tot time.Duration
-	for _, st := range p.Stages() {
-		tot += st.Wall
-	}
-	return tot
-}
-
-// Report formats the stage log, one line per stage.
-func (p *Pipeline) Report() string {
-	var b strings.Builder
-	for _, st := range p.Stages() {
-		fmt.Fprintf(&b, "%-10s %12v", st.Name, st.Wall.Round(time.Microsecond))
-		if st.Note != "" {
-			fmt.Fprintf(&b, "  %s", st.Note)
-		}
-		if st.Err != nil {
-			fmt.Fprintf(&b, "  ERROR: %v", st.Err)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,7 +1,9 @@
 package extract
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +22,7 @@ import (
 // their relative placement, so the interaction block between two
 // distant clusters is numerically low-rank. This file implements the
 // flat hierarchical-matrix recipe over a geometric cluster tree
-// (geom.Index.ClusterTree):
+// (geom.Index.ClusterTreeParallel):
 //
 //   - near blocks (clusters that touch or overlap) are stored dense,
 //     assembled through the geometry-keyed kernel cache, exact to the
@@ -132,11 +134,6 @@ type ACAOptions struct {
 	// 1e-8. Smaller is tighter and more expensive; the operator's
 	// overall matvec error is of the same order as Tol.
 	Tol float64
-	// Eta is the admissibility parameter: two clusters are compressed
-	// when their separation exceeds Eta times the sum of their extents
-	// (cross-plane distance vs cross extents, or axis gap vs axis
-	// extents for collinear clusters). Default 1.
-	Eta float64
 	// MaxRank caps each block's ACA rank; blocks that fail to converge
 	// within the cap fall back to exact dense storage. Default: the
 	// break-even rank m·n/(2(m+n)) beyond which the factors would cost
@@ -153,13 +150,6 @@ func (o ACAOptions) tol() float64 {
 		return 1e-8
 	}
 	return o.Tol
-}
-
-func (o ACAOptions) eta() float64 {
-	if o.Eta <= 0 {
-		return 1
-	}
-	return o.Eta
 }
 
 // denseBlock is an exactly stored interaction block. For diagonal
@@ -223,6 +213,31 @@ func (s CompressStats) CompressionRatio() float64 {
 		return 0
 	}
 	return float64(s.DenseFloats) / float64(s.StoredFloats)
+}
+
+// String formats the summary as the CLIs' -v report, one line each:
+// the operator's blocks and compression, its kernel evaluations, then
+// every cluster-tree level's ranks.
+func (s CompressStats) String() string {
+	kind := "flat ACA"
+	if s.Nested {
+		kind = "nested-basis"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s operator: %d dense + %d low-rank blocks, max rank %d, %.1fx storage compression\n",
+		kind, s.DiagBlocks+s.NearBlocks, s.FarBlocks, s.MaxRank, s.CompressionRatio())
+	fmt.Fprintf(&b, "kernel evaluations: %d near + %d far of %d dense entries",
+		s.NearKernelEvals, s.FarKernelEvals, s.DenseKernelEntries)
+	for _, lv := range s.Levels {
+		if s.Nested {
+			fmt.Fprintf(&b, "\nlevel %2d: %d bases (max rank %d), %d couplings, rank min/avg/max %d/%.1f/%d",
+				lv.Level, lv.Bases, lv.BasisMaxRank, lv.FarBlocks, lv.MinRank, lv.AvgRank, lv.MaxRank)
+		} else {
+			fmt.Fprintf(&b, "\nlevel %2d: %d low-rank blocks, rank min/avg/max %d/%.1f/%d",
+				lv.Level, lv.FarBlocks, lv.MinRank, lv.AvgRank, lv.MaxRank)
+		}
+	}
+	return b.String()
 }
 
 // CompressedL is a symmetric partial-inductance operator stored as
@@ -381,13 +396,16 @@ func elemBounds(elems []HElement, idx []int) nodeBounds {
 	return b
 }
 
+// eta is the admissibility parameter of both compressed operators.
+const eta = 1.0
+
 // boundsAdmissible reports whether two bounded clusters are smooth
 // enough to compress: separated in the cross plane by more than eta
 // times their combined cross extents, or — for collinear clusters —
 // separated along the routing axis by more than eta times their
 // combined axis extents. Either separation bounds the kernel away from
 // its near-field singularity across the whole block.
-func boundsAdmissible(ba, bb nodeBounds, eta float64) bool {
+func boundsAdmissible(ba, bb nodeBounds) bool {
 	crossDist := math.Hypot(
 		gap(ba.crossLo, ba.crossHi, bb.crossLo, bb.crossHi),
 		gap(ba.zLo, ba.zHi, bb.zLo, bb.zHi),
@@ -435,7 +453,7 @@ func (c *compressor) boundsOf(t *ElemTree) nodeBounds {
 // admissible reports whether the (a, b) interaction block is smooth
 // enough to compress.
 func (c *compressor) admissible(a, b *ElemTree) bool {
-	return boundsAdmissible(c.boundsOf(a), c.boundsOf(b), c.opt.eta())
+	return boundsAdmissible(c.boundsOf(a), c.boundsOf(b))
 }
 
 // CompressL builds the flat hierarchically compressed operator over

@@ -190,14 +190,6 @@ func (c *KernelCache) SetCapacity(capBytes int64) {
 	}
 }
 
-// Capacity returns the byte cap (0 = unbounded).
-func (c *KernelCache) Capacity() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.capBytes.Load()
-}
-
 // shardMaxEntries converts the byte cap into a per-shard entry budget:
 // -1 for unbounded, otherwise floor(cap/shards/entryBytes).
 func (c *KernelCache) shardMaxEntries() int {
@@ -209,7 +201,9 @@ func (c *KernelCache) shardMaxEntries() int {
 }
 
 // getOrCompute returns the cached value for k, computing and storing it
-// on a miss (evicting first if the shard is at its budget).
+// on a miss (evicting first if the shard is at its budget). A miss is
+// counted by the goroutine that stores the value, so goroutines racing
+// on one key count one miss between them however they interleave.
 func (c *KernelCache) getOrCompute(k kernelKey, compute func() float64) float64 {
 	sh := &c.shards[k.shard()]
 	sh.mu.RLock()
@@ -220,19 +214,23 @@ func (c *KernelCache) getOrCompute(k kernelKey, compute func() float64) float64 
 		c.hits.Add(1)
 		return e.val
 	}
-	c.misses.Add(1)
 	v := compute()
 	max := c.shardMaxEntries()
 	if max == 0 {
 		// No per-shard budget at this cap: stay a pure pass-through.
+		c.misses.Add(1)
 		return v
 	}
 	sh.mu.Lock()
 	if e, ok := sh.m[k]; ok {
-		// A racing goroutine stored the (identical) value first.
+		// A racing goroutine stored the (identical) value first: this
+		// lookup is the hit it would have been a moment later.
 		sh.mu.Unlock()
+		e.ref.Store(true)
+		c.hits.Add(1)
 		return e.val
 	}
+	c.misses.Add(1)
 	if sh.m == nil {
 		sh.m = make(map[kernelKey]*cacheEntry)
 	}

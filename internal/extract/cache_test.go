@@ -171,6 +171,38 @@ func TestCachedCouplingCapBitIdentical(t *testing.T) {
 
 // TestCacheStatsCounters exercises the counters inductx -v and
 // rlsweep -v print, and the one-line report they print them as.
+// TestCacheRacingMissCountsOnce: two goroutines that miss one key at
+// the same moment both compute it, but only the one that stores the
+// value counts a miss; the other counts the hit it would have been a
+// moment later. The compute func holds both inside until both arrived.
+func TestCacheRacingMissCountsOnce(t *testing.T) {
+	c := new(KernelCache)
+	k := kernelKey{kind: kindSelfBar}
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	compute := func() float64 {
+		arrived.Done()
+		arrived.Wait()
+		return 1
+	}
+	var done sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			if v := c.getOrCompute(k, compute); v != 1 {
+				t.Errorf("getOrCompute = %g, want 1", v)
+			}
+		}()
+	}
+	done.Wait()
+	st := c.Stats()
+	if st.Entries != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("racing miss: %d entries, %d misses, %d hits; want 1, 1, 1",
+			st.Entries, st.Misses, st.Hits)
+	}
+}
+
 func TestCacheStatsCounters(t *testing.T) {
 	l := makeBusLayout(16, 800e-6, 1e-6, 2e-6)
 	segs := make([]int, 16)

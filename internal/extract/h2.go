@@ -57,18 +57,12 @@ type H2Options struct {
 	// row norm falls below Tol times the largest initial row norm.
 	// Default 1e-8.
 	Tol float64
-	// Eta is the admissibility parameter, as in ACAOptions. Default 1.
-	Eta float64
 	// MaxRank caps each cluster basis rank; a basis that cannot reach
 	// Tol within the cap fails its node and re-routes the node's
 	// couplings to exact dense blocks. 0 = uncapped (a basis of
 	// min(rows, samples) columns is always exact, so uncapped never
 	// fails).
 	MaxRank int
-	// Sample caps how many far-field elements each basis samples.
-	// Default 128. Larger samples make the skeleton selection see more
-	// of the true far field at proportional build cost.
-	Sample int
 	// Workers caps the goroutines used during construction. 0 = process
 	// default (matrix.Workers), 1 = fully serial. The operator is
 	// bit-identical at every worker count.
@@ -82,19 +76,10 @@ func (o H2Options) tol() float64 {
 	return o.Tol
 }
 
-func (o H2Options) eta() float64 {
-	if o.Eta <= 0 {
-		return 1
-	}
-	return o.Eta
-}
-
-func (o H2Options) sample() int {
-	if o.Sample <= 0 {
-		return 128
-	}
-	return o.Sample
-}
+// farSample caps how many far-field elements each basis samples.
+// Larger samples make the skeleton selection see more of the true far
+// field at proportional build cost.
+const farSample = 128
 
 // h2node wraps one cluster-tree node with its nested basis.
 type h2node struct {
@@ -401,7 +386,7 @@ func (b *h2builder) visitPair(ta, tb *ElemTree) {
 	if len(ta.Elems) == 0 || len(tb.Elems) == 0 {
 		return
 	}
-	if boundsAdmissible(b.boundsOf(ta), b.boundsOf(tb), b.opt.eta()) {
+	if boundsAdmissible(b.boundsOf(ta), b.boundsOf(tb)) {
 		na, nb := b.byTree[ta], b.byTree[tb]
 		na.partners = append(na.partners, tb.Elems)
 		nb.partners = append(nb.partners, ta.Elems)
@@ -470,7 +455,7 @@ func (b *h2builder) buildBases() {
 	}
 }
 
-// fieldSample gathers up to opt.Sample far-field element indices for a
+// fieldSample gathers up to farSample far-field element indices for a
 // node: a deterministic stride over the concatenated partner lists of
 // the node and its ancestors. The partition tiles the matrix, so those
 // lists are disjoint.
@@ -481,7 +466,7 @@ func (b *h2builder) fieldSample(nd *h2node) []int {
 			total += len(p)
 		}
 	}
-	budget := b.opt.sample()
+	budget := farSample
 	if total == 0 {
 		return nil
 	}

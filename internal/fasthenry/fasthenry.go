@@ -53,9 +53,6 @@ type Options struct {
 	NW, NT int
 	// MaxPerSide caps automatic discretization (default 5).
 	MaxPerSide int
-	// Rho is the conductor resistivity used for skin-depth sizing
-	// (default copper).
-	Rho float64
 	// PlaneNW is the mesh grid density of conductor planes: the number
 	// of grid cells along each plane axis (0 = mesh.DefaultPlaneNW;
 	// see mesh.Options.PlaneNW for the valid range, which NewSolver
@@ -94,7 +91,7 @@ type Options struct {
 func (o Options) meshOptions() mesh.Options {
 	return mesh.Options{
 		NW: o.NW, NT: o.NT, MaxPerSide: o.MaxPerSide,
-		Rho: o.Rho, PlaneNW: o.PlaneNW,
+		PlaneNW: o.PlaneNW,
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // into near (dense) and well-separated (low-rank) interaction blocks.
 type ClusterNode struct {
 	// Segs lists the element indices of this subtree (segment indices
-	// for Index.ClusterTree, caller-defined element indices for
+	// for Index.ClusterTreeParallel, caller-defined element indices for
 	// ClusterItems), in the deterministic order produced by the
 	// bisection sorts.
 	Segs []int
@@ -30,49 +30,22 @@ type ClusterNode struct {
 // IsLeaf reports whether the node has no children.
 func (c *ClusterNode) IsLeaf() bool { return c.Left == nil }
 
-// Extents reports the node's segment bounding box as per-dimension
-// spreads (axis-centre span, cross-coordinate span, z span) over the
-// given layout — the geometry the admissibility condition and the
-// bisection both measure. Empty nodes report zero spreads.
-func (c *ClusterNode) Extents(l *Layout) (axis, cross, z float64) {
-	var lo, hi [3]float64
-	for i, si := range c.Segs {
-		for dim := 0; dim < 3; dim++ {
-			v := clusterCoord(l, dim, si)
-			if i == 0 || v < lo[dim] {
-				lo[dim] = v
-			}
-			if i == 0 || v > hi[dim] {
-				hi[dim] = v
-			}
-		}
-	}
-	return hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]
-}
-
-// ClusterTree builds spatial cluster trees over the given segments, one
-// root per routing direction present (mutual inductance couples only
-// same-direction segments, so cross-direction blocks are identically
-// zero and never need a shared subtree). Each tree is grown by
-// recursive bisection: the node's segments are sorted along the widest
-// of the three spreads — position along the routing axis, cross
-// coordinate, and layer height z — and split at the median, until a
-// node holds at most leafSize segments (leafSize < 1 means 16).
+// ClusterTreeParallel builds spatial cluster trees over the given
+// segments, one root per routing direction present (mutual inductance
+// couples only same-direction segments, so cross-direction blocks are
+// identically zero and never need a shared subtree). Each tree is
+// grown by recursive bisection: the node's segments are sorted along
+// the widest of the three spreads — position along the routing axis,
+// cross coordinate, and layer height z — and split at the median, until
+// a node holds at most leafSize segments (leafSize < 1 means 16).
 //
 // The split coordinates come from the same layout geometry the index
-// was built over; ties are broken by segment index, so the tree is
-// deterministic for a given layout and segment list.
-func (idx *Index) ClusterTree(segs []int, leafSize int) []*ClusterNode {
-	return idx.ClusterTreeParallel(segs, leafSize, 1)
-}
-
-// ClusterTreeParallel is ClusterTree with the recursive bisection fanned
+// was built over; ties are broken by segment index. The bisection fans
 // out over up to workers goroutines: after each median split the left
-// half is handed to another goroutine when one is free, so tree
-// construction scales with cores on the large filament-level trees the
-// nested-basis operator builds. workers <= 0 uses GOMAXPROCS. The tree
-// is a pure function of (layout, segs, leafSize) — shape, order and
-// levels are bit-identical at every worker count.
+// half is handed to another goroutine when one is free. workers <= 0
+// uses GOMAXPROCS. The tree is a pure function of (layout, segs,
+// leafSize) — shape, order and levels are bit-identical at every worker
+// count.
 func (idx *Index) ClusterTreeParallel(segs []int, leafSize, workers int) []*ClusterNode {
 	if leafSize < 1 {
 		leafSize = 16
@@ -105,8 +78,9 @@ func (idx *Index) ClusterTreeParallel(segs []int, leafSize, workers int) []*Clus
 
 // ClusterItems builds spatial cluster trees over n arbitrary directed
 // elements, one root per routing direction present — the element-level
-// twin of Index.ClusterTree for geometry that is not layout segments
-// (the mesh layer's filaments, lowered from segments and planes alike).
+// twin of Index.ClusterTreeParallel for geometry that is not layout
+// segments (the mesh layer's filaments, lowered from segments and planes
+// alike).
 // dir reports an element's routing direction; coord its bisection
 // coordinate per dimension (0 = centre along the routing axis, 1 =
 // cross coordinate, 2 = height), mirroring clusterCoord. The same

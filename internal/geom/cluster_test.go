@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -45,7 +44,7 @@ func TestClusterTreePartition(t *testing.T) {
 	l, segs := clusterTestLayout(rng, 97)
 	idx := NewIndex(l, 0)
 	leafSize := 8
-	roots := idx.ClusterTree(segs, leafSize)
+	roots := idx.ClusterTreeParallel(segs, leafSize, 1)
 	if len(roots) == 0 {
 		t.Fatal("no roots")
 	}
@@ -100,8 +99,8 @@ func TestClusterTreeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	l, segs := clusterTestLayout(rng, 50)
 	idx := NewIndex(l, 0)
-	a := idx.ClusterTree(segs, 6)
-	b := idx.ClusterTree(segs, 6)
+	a := idx.ClusterTreeParallel(segs, 6, 1)
+	b := idx.ClusterTreeParallel(segs, 6, 1)
 	var eq func(x, y *ClusterNode) bool
 	eq = func(x, y *ClusterNode) bool {
 		if len(x.Segs) != len(y.Segs) {
@@ -212,37 +211,12 @@ func TestClusterTreeConcurrentBuilds(t *testing.T) {
 
 // TestClusterNodeExtents pins the per-dimension spread measurement the
 // admissibility condition relies on.
-func TestClusterNodeExtents(t *testing.T) {
-	l := NewLayout([]Layer{
-		{Name: "M5", Z: 4e-6, Thickness: 1e-6, SheetRho: 0.025, HBelow: 1e-6},
-		{Name: "M6", Z: 6e-6, Thickness: 1.2e-6, SheetRho: 0.018, HBelow: 1e-6},
-	})
-	s0 := l.AddSegment(Segment{Layer: 0, Dir: DirX, X0: 0, Y0: 0,
-		Length: 100e-6, Width: 1e-6, Net: "n", NodeA: "a", NodeB: "b"})
-	s1 := l.AddSegment(Segment{Layer: 1, Dir: DirX, X0: 40e-6, Y0: 30e-6,
-		Length: 100e-6, Width: 1e-6, Net: "n", NodeA: "c", NodeB: "d"})
-	n := &ClusterNode{Segs: []int{s0, s1}}
-	axis, cross, z := n.Extents(l)
-	if got, want := axis, 40e-6; math.Abs(got-want) > 1e-18 {
-		t.Errorf("axis extent %g, want %g", got, want)
-	}
-	if got, want := cross, 30e-6; math.Abs(got-want) > 1e-18 {
-		t.Errorf("cross extent %g, want %g", got, want)
-	}
-	if got := z; got <= 0 {
-		t.Errorf("z extent %g, want > 0 across layers", got)
-	}
-	if a, c, zz := (&ClusterNode{}).Extents(l); a != 0 || c != 0 || zz != 0 {
-		t.Errorf("empty node extents (%g, %g, %g), want zeros", a, c, zz)
-	}
-}
-
 func TestClusterTreeSmallInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	l, segs := clusterTestLayout(rng, 3)
 	idx := NewIndex(l, 0)
 	// leafSize < 1 defaults; a tiny input yields leaf roots.
-	roots := idx.ClusterTree(segs, 0)
+	roots := idx.ClusterTreeParallel(segs, 0, 1)
 	total := 0
 	for _, r := range roots {
 		if !r.IsLeaf() {
@@ -253,7 +227,7 @@ func TestClusterTreeSmallInputs(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("roots hold %d segments, want 3", total)
 	}
-	if got := idx.ClusterTree(nil, 4); len(got) != 0 {
+	if got := idx.ClusterTreeParallel(nil, 4, 1); len(got) != 0 {
 		t.Fatalf("empty input produced %d roots", len(got))
 	}
 }

@@ -71,12 +71,6 @@ func (s *Segment) End() (x, y float64) {
 	return s.X0, s.Y0 + s.Length
 }
 
-// Center returns the segment midpoint.
-func (s *Segment) Center() (x, y float64) {
-	ex, ey := s.End()
-	return (s.X0 + ex) / 2, (s.Y0 + ey) / 2
-}
-
 // AxisSpan returns the segment's [lo, hi] interval along its own
 // direction axis.
 func (s *Segment) AxisSpan() (lo, hi float64) {

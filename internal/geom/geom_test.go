@@ -21,10 +21,6 @@ func TestSegmentGeometry(t *testing.T) {
 	if ex != 11 || ey != 2 {
 		t.Errorf("End = (%g,%g)", ex, ey)
 	}
-	cx, cy := s.Center()
-	if cx != 6 || cy != 2 {
-		t.Errorf("Center = (%g,%g)", cx, cy)
-	}
 	lo, hi := s.AxisSpan()
 	if lo != 1 || hi != 11 {
 		t.Errorf("AxisSpan = (%g,%g)", lo, hi)

@@ -43,11 +43,6 @@ type Plane struct {
 	Holes                                    []Hole
 }
 
-// BBox returns the plane's extent (the metal footprint).
-func (p *Plane) BBox() (x0, y0, x1, y1 float64) {
-	return p.X0, p.Y0, p.X1, p.Y1
-}
-
 // Rails returns the non-empty edge rail node names in left, right,
 // bottom, top order.
 func (p *Plane) Rails() []string {
@@ -70,14 +65,6 @@ func (l *Layout) AddPlane(p Plane) int {
 	}
 	l.Planes = append(l.Planes, p)
 	return len(l.Planes) - 1
-}
-
-// PlaneZ returns the vertical centre coordinate of a plane: layer z
-// plus half the metal thickness (the plane analogue of Layout.Z).
-func (l *Layout) PlaneZ(planeIdx int) float64 {
-	p := &l.Planes[planeIdx]
-	ly := l.Layers[p.Layer]
-	return ly.Z + ly.Thickness/2
 }
 
 // validatePlanes checks the plane-specific structural invariants; it is

@@ -126,10 +126,16 @@ func BuildPEECNetlist(lay *geom.Layout, par *extract.Parasitics, opt PEECOptions
 			}
 		}
 	}
-	// Ground capacitance (π halves) at every node.
-	for node, c := range par.CGround {
-		if c > 0 {
-			n.AddC("cg."+node, node, circuit.Ground, c)
+	// Ground capacitance (π halves) at every node, in the order the
+	// segments first reach it, so the netlist is the same on every run.
+	seen := make(map[string]bool, len(par.CGround))
+	for _, si := range par.Segs {
+		s := &lay.Segments[si]
+		for _, node := range [2]string{s.NodeA, s.NodeB} {
+			if c := par.CGround[node]; c > 0 && !seen[node] {
+				seen[node] = true
+				n.AddC("cg."+node, node, circuit.Ground, c)
+			}
 		}
 	}
 	// Coupling capacitors.

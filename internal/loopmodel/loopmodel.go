@@ -53,24 +53,6 @@ func (ld Ladder) RL(f float64) (r, l float64) {
 	return fasthenry.RL(ld.Z(f), f)
 }
 
-// LowFreqL returns L0 + sum L_k, the DC-limit loop inductance.
-func (ld Ladder) LowFreqL() float64 {
-	l := ld.L0
-	for _, s := range ld.Sections {
-		l += s.L
-	}
-	return l
-}
-
-// HighFreqR returns R0 + sum R_k, the fully-crowded loop resistance.
-func (ld Ladder) HighFreqR() float64 {
-	r := ld.R0
-	for _, s := range ld.Sections {
-		r += s.R
-	}
-	return r
-}
-
 // FitTwoPoint fits the single-section ladder (R0, L0, R1, L1) exactly
 // through two extracted impedances, the construction of [5] as described
 // in the paper's §5. f1 < f2 required.

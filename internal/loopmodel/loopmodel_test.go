@@ -64,14 +64,20 @@ func TestLadderAsymptotes(t *testing.T) {
 	ld := refLadder()
 	rLo, lLo := ld.RL(1e3)
 	rHi, lHi := ld.RL(1e15)
+	// DC: every section's L in series; fully crowded: every R.
+	lowL, highR := ld.L0, ld.R0
+	for _, s := range ld.Sections {
+		lowL += s.L
+		highR += s.R
+	}
 	if math.Abs(rLo-ld.R0)/ld.R0 > 1e-6 {
 		t.Errorf("low-f R = %g, want %g", rLo, ld.R0)
 	}
-	if math.Abs(lLo-ld.LowFreqL())/ld.LowFreqL() > 1e-6 {
-		t.Errorf("low-f L = %g, want %g", lLo, ld.LowFreqL())
+	if math.Abs(lLo-lowL)/lowL > 1e-6 {
+		t.Errorf("low-f L = %g, want %g", lLo, lowL)
 	}
-	if math.Abs(rHi-ld.HighFreqR())/ld.HighFreqR() > 1e-6 {
-		t.Errorf("high-f R = %g, want %g", rHi, ld.HighFreqR())
+	if math.Abs(rHi-highR)/highR > 1e-6 {
+		t.Errorf("high-f R = %g, want %g", rHi, highR)
 	}
 	if math.Abs(lHi-ld.L0)/ld.L0 > 1e-6 {
 		t.Errorf("high-f L = %g, want %g", lHi, ld.L0)

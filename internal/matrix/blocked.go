@@ -91,8 +91,7 @@ func trailingSub(d []float64, n, i0, i1, j0, j1, k0, k1 int) {
 // matrix product — the panel rows first (sequentially, since row k
 // consumes rows k0..k-1), then the trailing submatrix in parallel
 // column strips.
-func factorLUBlocked(d []float64, n int, piv []int, workers int) (int, error) {
-	sign := 1
+func factorLUBlocked(d []float64, n int, piv []int, workers int) error {
 	for k0 := 0; k0 < n; k0 += blockSize {
 		k1 := imin(k0+blockSize, n)
 		for k := k0; k < k1; k++ {
@@ -103,14 +102,13 @@ func factorLUBlocked(d []float64, n int, piv []int, workers int) (int, error) {
 				}
 			}
 			if mx == 0 {
-				return sign, ErrSingular
+				return ErrSingular
 			}
 			if p != k {
 				for j := 0; j < n; j++ {
 					d[k*n+j], d[p*n+j] = d[p*n+j], d[k*n+j]
 				}
 				piv[k], piv[p] = piv[p], piv[k]
-				sign = -sign
 			}
 			pivVal := d[k*n+k]
 			for i := k + 1; i < n; i++ {
@@ -134,7 +132,7 @@ func factorLUBlocked(d []float64, n int, piv []int, workers int) (int, error) {
 			trailingSub(d, n, k1, n, k1+lo, k1+hi, k0, k1)
 		})
 	}
-	return sign, nil
+	return nil
 }
 
 // cholUpdateRect applies the delayed left-looking Cholesky update

@@ -16,8 +16,7 @@ var ErrNotPositiveDefinite = errors.New("matrix: matrix is not positive definite
 
 // Cholesky holds the lower-triangular factor of A = L*L^T.
 type Cholesky struct {
-	l       *Dense
-	workers int // worker count for SolveMat; 0 = process default
+	l *Dense
 }
 
 // FactorCholesky computes the Cholesky factorization of the symmetric
@@ -25,16 +24,9 @@ type Cholesky struct {
 // Matrices of dimension blockedMin and up go through the cache-blocked,
 // parallel kernel; the result is bit-identical to
 // FactorCholeskyUnblocked at every worker count. The worker count is the
-// process default; FactorCholeskyWorkers pins it per run.
+// process default (Workers).
 func FactorCholesky(a *Dense) (*Cholesky, error) {
 	return factorCholesky(a, a.rows >= blockedMin, 0)
-}
-
-// FactorCholeskyWorkers is FactorCholesky with an explicit worker count
-// used by the factorization and remembered for SolveMat on the returned
-// factor. workers <= 0 resolves to the process default (Workers).
-func FactorCholeskyWorkers(a *Dense, workers int) (*Cholesky, error) {
-	return factorCholesky(a, a.rows >= blockedMin, workers)
 }
 
 // FactorCholeskyUnblocked runs the serial, unblocked reference
@@ -60,7 +52,7 @@ func factorCholesky(a *Dense, blocked bool, workers int) (*Cholesky, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cholesky{l: l, workers: workers}, nil
+	return &Cholesky{l: l}, nil
 }
 
 // factorCholeskyUnblocked is the reference kernel: left-looking
@@ -136,7 +128,7 @@ func (c *Cholesky) SolveMat(b *Dense) (*Dense, error) {
 	if n >= 128 {
 		minChunk = 1
 	}
-	ParallelRangeWorkers(c.workers, b.cols, minChunk, func(lo, hi int) {
+	ParallelRangeWorkers(0, b.cols, minChunk, func(lo, hi int) {
 		col := make([]float64, n)
 		for j := lo; j < hi; j++ {
 			for i := 0; i < n; i++ {
@@ -162,17 +154,6 @@ func (c *Cholesky) SolveMat(b *Dense) (*Dense, error) {
 
 // L returns a copy of the lower-triangular factor.
 func (c *Cholesky) L() *Dense { return c.l.Clone() }
-
-// LogDet returns log(det(A)) = 2*sum(log L_ii), without overflow for
-// large matrices of tiny inductance values.
-func (c *Cholesky) LogDet() float64 {
-	n := c.l.rows
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += math.Log(c.l.data[i*n+i])
-	}
-	return 2 * s
-}
 
 // IsPositiveDefinite reports whether the symmetric matrix a admits a
 // Cholesky factorization. This is the passivity audit used throughout

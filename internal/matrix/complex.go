@@ -54,13 +54,6 @@ func (m *CDense) Clone() *CDense {
 	return c
 }
 
-// Zero clears the matrix.
-func (m *CDense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // MulVec returns m*x.
 func (m *CDense) MulVec(x []complex128) []complex128 {
 	if m.cols != len(x) {
@@ -89,21 +82,4 @@ func SolveComplex(a *CDense, b []complex128) ([]complex128, error) {
 		return nil, err
 	}
 	return lu.Solve(b)
-}
-
-// CFromReal builds a complex matrix re + 1i*im. im may be nil (treated
-// as zero). This is how AC analysis assembles G + jωC system matrices.
-func CFromReal(re, im *Dense) *CDense {
-	if im != nil && (re.rows != im.rows || re.cols != im.cols) {
-		panic("matrix: CFromReal dimension mismatch")
-	}
-	m := NewCDense(re.rows, re.cols)
-	for i := range re.data {
-		if im != nil {
-			m.data[i] = complex(re.data[i], im.data[i])
-		} else {
-			m.data[i] = complex(re.data[i], 0)
-		}
-	}
-	return m
 }

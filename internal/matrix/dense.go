@@ -108,13 +108,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Zero sets every element to zero, retaining dimensions.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Dense) Scale(s float64) *Dense {
 	for i := range m.data {
@@ -324,48 +317,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// FrobeniusNorm returns sqrt(sum m_ij^2).
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// NonZeros counts elements with |v| > tol.
-func (m *Dense) NonZeros(tol float64) int {
-	n := 0
-	for _, v := range m.data {
-		if math.Abs(v) > tol {
-			n++
-		}
-	}
-	return n
-}
-
-// Submatrix returns the block m[r0:r1, c0:c1] as a copy.
-func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
-	if r0 < 0 || c0 < 0 || r1 > m.rows || c1 > m.cols || r0 > r1 || c0 > c1 {
-		panic("matrix: Submatrix bounds out of range")
-	}
-	s := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(s.Row(i-r0), m.data[i*m.cols+c0:i*m.cols+c1])
-	}
-	return s
-}
-
-// SetSubmatrix copies a into m starting at (r0, c0).
-func (m *Dense) SetSubmatrix(r0, c0 int, a *Dense) {
-	if r0+a.rows > m.rows || c0+a.cols > m.cols || r0 < 0 || c0 < 0 {
-		panic("matrix: SetSubmatrix out of range")
-	}
-	for i := 0; i < a.rows; i++ {
-		copy(m.data[(r0+i)*m.cols+c0:(r0+i)*m.cols+c0+a.cols], a.Row(i))
-	}
 }
 
 // String renders the matrix for debugging, with aligned %.4g columns.

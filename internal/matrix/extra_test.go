@@ -23,17 +23,6 @@ func TestDenseInPlaceOps(t *testing.T) {
 	if a.At(0, 0) != 2 {
 		t.Errorf("Scale: %g", a.At(0, 0))
 	}
-	a.Zero()
-	if a.MaxAbs() != 0 {
-		t.Errorf("Zero left %g", a.MaxAbs())
-	}
-	c := NewDenseFrom([][]float64{{3, 4}})
-	if got := c.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("FrobeniusNorm = %g", got)
-	}
-	if c.NonZeros(0.5) != 2 || c.NonZeros(3.5) != 1 {
-		t.Errorf("NonZeros wrong")
-	}
 	s := NewDenseFrom([][]float64{{1, 2}, {3, 4}}).String()
 	if !strings.Contains(s, "4") || !strings.Contains(s, "\n") {
 		t.Errorf("String output: %q", s)
@@ -48,8 +37,6 @@ func TestDenseRaggedAndNegative(t *testing.T) {
 		func() { NewDenseFrom([][]float64{{1, 2}, {3}}) },
 		func() { NewDense(-1, 2) },
 		func() { NewDense(2, 2).Row(5) },
-		func() { NewDense(2, 2).Submatrix(0, 3, 0, 1) },
-		func() { NewDense(2, 2).SetSubmatrix(1, 1, NewDense(2, 2)) },
 		func() { NewDense(2, 2).AddMat(NewDense(3, 3)) },
 		func() { NewDense(2, 2).AddScaled(1, NewDense(3, 3)) },
 	} {
@@ -80,7 +67,7 @@ func TestIsSymmetricEdge(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatAndLogDet(t *testing.T) {
+func TestCholeskySolveMat(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := randSPD(rng, 6)
 	ch, err := FactorCholesky(a)
@@ -103,13 +90,6 @@ func TestCholeskySolveMatAndLogDet(t *testing.T) {
 			}
 		}
 	}
-	lu, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ch.LogDet()-math.Log(lu.Det())) > 1e-9 {
-		t.Errorf("LogDet %g vs log(det) %g", ch.LogDet(), math.Log(lu.Det()))
-	}
 	if _, err := ch.SolveMat(NewDense(3, 1)); err == nil {
 		t.Errorf("dimension mismatch accepted")
 	}
@@ -123,9 +103,6 @@ func TestLUSolveMatErrors(t *testing.T) {
 	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := f.SolveMat(NewDense(3, 2)); err == nil {
-		t.Errorf("row mismatch accepted")
 	}
 	if _, err := f.Solve(make([]float64, 3)); err == nil {
 		t.Errorf("length mismatch accepted")
@@ -149,15 +126,14 @@ func TestCDenseOps(t *testing.T) {
 		t.Errorf("Add: %v", m.At(1, 2))
 	}
 	c := m.Clone()
-	c.Zero()
-	if c.At(1, 2) != 0 || m.At(1, 2) == 0 {
-		t.Errorf("Zero/Clone aliasing")
+	c.Set(1, 2, 0)
+	if m.At(1, 2) == 0 {
+		t.Errorf("Clone aliases its source")
 	}
 	for _, f := range []func(){
 		func() { m.At(5, 0) },
 		func() { NewCDense(-1, 1) },
 		func() { m.MulVec(make([]complex128, 2)) },
-		func() { CFromReal(NewDense(2, 2), NewDense(3, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -316,11 +292,5 @@ func TestSolversRejectBadShapes(t *testing.T) {
 	}
 	if _, _, err := PCG(CSROp{M: sq.ToCSR()}, make([]float64, 2), PCGOptions{X0: make([]float64, 3)}); err == nil {
 		t.Errorf("CG x0 mismatch accepted")
-	}
-}
-
-func TestConditionSingular(t *testing.T) {
-	if !math.IsInf(ConditionEstimate(NewDense(2, 2)), 1) {
-		t.Errorf("singular condition estimate should be +Inf")
 	}
 }

@@ -14,10 +14,8 @@ var ErrSingular = errors.New("matrix: singular matrix")
 // is unit lower triangular and U upper triangular, packed into a single
 // matrix.
 type LU struct {
-	lu      *Dense
-	piv     []int // row i of the factor came from row piv[i] of A
-	sign    int   // determinant sign from row swaps
-	workers int   // worker count for SolveMat; 0 = process default
+	lu  *Dense
+	piv []int // row i of the factor came from row piv[i] of A
 }
 
 // FactorLU computes the LU factorization with partial pivoting of the
@@ -30,9 +28,9 @@ func FactorLU(a *Dense) (*LU, error) {
 	return factorLU(a, a.rows >= blockedMin, 0)
 }
 
-// FactorLUWorkers is FactorLU with an explicit worker count used by the
-// factorization and remembered for SolveMat on the returned factor.
-// workers <= 0 resolves to the process default (Workers) at each use.
+// FactorLUWorkers is FactorLU with an explicit worker count for the
+// factorization. workers <= 0 resolves to the process default
+// (Workers).
 func FactorLUWorkers(a *Dense, workers int) (*LU, error) {
 	return factorLU(a, a.rows >= blockedMin, workers)
 }
@@ -54,23 +52,21 @@ func factorLU(a *Dense, blocked bool, workers int) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	var sign int
 	var err error
 	if blocked {
-		sign, err = factorLUBlocked(lu.data, n, piv, workers)
+		err = factorLUBlocked(lu.data, n, piv, workers)
 	} else {
-		sign, err = factorLUUnblocked(lu.data, n, piv)
+		err = factorLUUnblocked(lu.data, n, piv)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &LU{lu: lu, piv: piv, sign: sign, workers: workers}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // factorLUUnblocked is the reference kernel: right-looking LU with
 // partial pivoting, immediate rank-1 trailing updates.
-func factorLUUnblocked(d []float64, n int, piv []int) (int, error) {
-	sign := 1
+func factorLUUnblocked(d []float64, n int, piv []int) error {
 	for k := 0; k < n; k++ {
 		// Pivot: largest |d[i][k]| for i >= k.
 		p, mx := k, math.Abs(d[k*n+k])
@@ -80,14 +76,13 @@ func factorLUUnblocked(d []float64, n int, piv []int) (int, error) {
 			}
 		}
 		if mx == 0 {
-			return sign, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
 				d[k*n+j], d[p*n+j] = d[p*n+j], d[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := d[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -101,7 +96,7 @@ func factorLUUnblocked(d []float64, n int, piv []int) (int, error) {
 			}
 		}
 	}
-	return sign, nil
+	return nil
 }
 
 // Solve solves A*x = b for one right-hand side. b is not modified.
@@ -138,59 +133,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveMat solves A*X = B column by column. Columns are independent
-// triangular solves, so they run in parallel (each with its own
-// scratch); per-column results are identical to the serial loop.
-func (f *LU) SolveMat(b *Dense) (*Dense, error) {
-	n := f.lu.rows
-	if b.rows != n {
-		return nil, fmt.Errorf("matrix: LU SolveMat rhs rows %d, want %d", b.rows, n)
-	}
-	x := NewDense(n, b.cols)
-	errs := make([]error, b.cols)
-	minChunk := 8
-	if n >= 128 {
-		minChunk = 1
-	}
-	ParallelRangeWorkers(f.workers, b.cols, minChunk, func(lo, hi int) {
-		col := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = b.data[i*b.cols+j]
-			}
-			sol, err := f.Solve(col)
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			for i := 0; i < n; i++ {
-				x.data[i*b.cols+j] = sol[i]
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	det := float64(f.sign)
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
-// Inverse returns A^-1 computed from the factorization.
-func (f *LU) Inverse() (*Dense, error) {
-	return f.SolveMat(Identity(f.lu.rows))
-}
-
 // SolveDense is a convenience wrapper: factor a and solve a*x = b.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -198,64 +140,4 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse is a convenience wrapper returning a^-1.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Inverse()
-}
-
-// ConditionEstimate returns a cheap lower-bound estimate of the 1-norm
-// condition number of a, via ||A||_1 * ||A^-1 e||_inf probing with a few
-// right-hand sides. It is used by tests and diagnostics, not by solvers.
-func ConditionEstimate(a *Dense) float64 {
-	f, err := FactorLU(a)
-	if err != nil {
-		return math.Inf(1)
-	}
-	n := a.rows
-	norm1 := 0.0
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += math.Abs(a.data[i*n+j])
-		}
-		if s > norm1 {
-			norm1 = s
-		}
-	}
-	// Probe with ones and alternating-sign vectors.
-	worst := 0.0
-	for _, mk := range []func(i int) float64{
-		func(int) float64 { return 1 },
-		func(i int) float64 {
-			if i%2 == 0 {
-				return 1
-			}
-			return -1
-		},
-	} {
-		b := make([]float64, n)
-		bn := 0.0
-		for i := range b {
-			b[i] = mk(i)
-			bn = math.Max(bn, math.Abs(b[i]))
-		}
-		x, err := f.Solve(b)
-		if err != nil {
-			return math.Inf(1)
-		}
-		xn := 0.0
-		for _, v := range x {
-			xn = math.Max(xn, math.Abs(v))
-		}
-		if bn > 0 {
-			worst = math.Max(worst, xn/bn)
-		}
-	}
-	return norm1 * worst
 }

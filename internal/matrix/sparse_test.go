@@ -197,16 +197,3 @@ func TestComplexSolveSingular(t *testing.T) {
 		t.Errorf("expected singular error")
 	}
 }
-
-func TestCFromReal(t *testing.T) {
-	re := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
-	im := NewDenseFrom([][]float64{{5, 6}, {7, 8}})
-	c := CFromReal(re, im)
-	if c.At(1, 0) != complex(3, 7) {
-		t.Errorf("CFromReal wrong: %v", c.At(1, 0))
-	}
-	c2 := CFromReal(re, nil)
-	if c2.At(1, 1) != 4 {
-		t.Errorf("CFromReal nil-imag wrong")
-	}
-}

@@ -44,14 +44,6 @@ type Filament struct {
 	NodeB      int     // merged node id at the far end
 }
 
-// End returns the filament's far-end centre-line coordinates.
-func (f *Filament) End() (x, y float64) {
-	if f.Dir == geom.DirX {
-		return f.X0 + f.Length, f.Y0
-	}
-	return f.X0, f.Y0 + f.Length
-}
-
 // Options controls the lowering density.
 type Options struct {
 	// NW, NT force the per-segment filament counts across width and
@@ -61,9 +53,6 @@ type Options struct {
 	NW, NT int
 	// MaxPerSide caps automatic segment discretization (default 5).
 	MaxPerSide int
-	// Rho is the conductor resistivity used for skin-depth sizing
-	// (default copper).
-	Rho float64
 	// PlaneNW is the number of grid cells along each axis of a plane's
 	// filament mesh: every plane lowers to a PlaneNW x PlaneNW cell
 	// grid (~2·PlaneNW² filaments and ~PlaneNW² nodes), whatever its
@@ -93,13 +82,6 @@ func (o Options) maxPerSide() int {
 		return 5
 	}
 	return o.MaxPerSide
-}
-
-func (o Options) rho() float64 {
-	if o.Rho <= 0 {
-		return units.RhoCu
-	}
-	return o.Rho
 }
 
 func (o Options) planeNW() int {
@@ -220,7 +202,7 @@ func Build(l *geom.Layout, segs []int, shorts [][2]string, fRef float64, opt Opt
 		m.union(v.NodeLo, v.NodeHi)
 	}
 
-	skin := units.SkinDepth(opt.rho(), fRef)
+	skin := units.SkinDepth(units.RhoCu, fRef)
 	for _, si := range segs {
 		if err := m.lowerSegment(l, si, skin, opt); err != nil {
 			return nil, err

@@ -66,15 +66,6 @@ type Port struct {
 	Plus, Minus int
 }
 
-// GroundedPorts converts bare node indices to single-ended ports.
-func GroundedPorts(nodes []int) []Port {
-	out := make([]Port, len(nodes))
-	for i, n := range nodes {
-		out[i] = Port{Plus: n, Minus: -1}
-	}
-	return out
-}
-
 // Reduce runs block-Arnoldi PRIMA on the sparse linear MNA system.
 // activePorts are current-injection terminal pairs; observeNodes are
 // MNA node indices (from Netlist.NodeIndex) whose voltages the reduced

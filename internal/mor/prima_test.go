@@ -52,7 +52,7 @@ func fullTransfer(nl *circuit.Netlist, inNode string, outNode string, f float64,
 func TestReduceMatchesFullTransfer(t *testing.T) {
 	nl, in, out := rlcLine(12)
 	m := circuit.BuildSparse(nl)
-	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{in, out}, Options{Blocks: 8})
+	rm, err := Reduce(m, groundedPorts([]int{in}), []int{in, out}, Options{Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReduceMomentMatchingAtDC(t *testing.T) {
 	// in parallel with rload... here series path to rload then ground).
 	nl, in, out := rlcLine(6)
 	m := circuit.BuildSparse(nl)
-	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{in, out}, Options{Blocks: 3})
+	rm, err := Reduce(m, groundedPorts([]int{in}), []int{in, out}, Options{Blocks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReduceMomentMatchingAtDC(t *testing.T) {
 func TestReducedTranMatchesFullSim(t *testing.T) {
 	nl, in, out := rlcLine(10)
 	m := circuit.BuildSparse(nl)
-	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{out}, Options{Blocks: 8})
+	rm, err := Reduce(m, groundedPorts([]int{in}), []int{out}, Options{Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReducedTranMatchesFullSim(t *testing.T) {
 func TestReducedStability(t *testing.T) {
 	nl, in, out := rlcLine(15)
 	m := circuit.BuildSparse(nl)
-	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{out}, Options{Blocks: 10})
+	rm, err := Reduce(m, groundedPorts([]int{in}), []int{out}, Options{Blocks: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReduceWithMutualInductance(t *testing.T) {
 	in, _ := nl.NodeIndex("in")
 	victim, _ := nl.NodeIndex("b2")
 	m := circuit.BuildSparse(nl)
-	rm, err := Reduce(m, GroundedPorts([]int{in}), []int{victim}, Options{Blocks: 8})
+	rm, err := Reduce(m, groundedPorts([]int{in}), []int{victim}, Options{Blocks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestReduceErrors(t *testing.T) {
 	if _, err := Reduce(m, []Port{{Plus: -1, Minus: -1}}, nil, Options{}); err == nil {
 		t.Errorf("fully grounded port accepted")
 	}
-	rm, err := Reduce(m, GroundedPorts([]int{in}), nil, Options{})
+	rm, err := Reduce(m, groundedPorts([]int{in}), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestReduceChecksInputsBeforeFactoring(t *testing.T) {
 	nl.AddL("l2", "a", "0", 1e-9)
 	in, _ := nl.NodeIndex("in")
 	m := circuit.BuildSparse(nl)
-	if _, err := Reduce(m, GroundedPorts([]int{in}), []int{in}, Options{}); err == nil || !strings.Contains(err.Error(), "singular") {
+	if _, err := Reduce(m, groundedPorts([]int{in}), []int{in}, Options{}); err == nil || !strings.Contains(err.Error(), "singular") {
 		t.Fatalf("valid inputs on a singular G: error %v, want a singular-G error", err)
 	}
 	for _, tc := range []struct {
@@ -235,12 +235,21 @@ func TestReduceChecksInputsBeforeFactoring(t *testing.T) {
 		want    string
 	}{
 		{[]Port{{Plus: -5, Minus: in}}, []int{in}, "active port"},
-		{GroundedPorts([]int{in}), []int{m.Size()}, "observation node"},
-		{GroundedPorts([]int{in}), []int{-1}, "observation node"},
+		{groundedPorts([]int{in}), []int{m.Size()}, "observation node"},
+		{groundedPorts([]int{in}), []int{-1}, "observation node"},
 	} {
 		_, err := Reduce(m, tc.ports, tc.observe, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ports %+v observe %v: error %v, want one naming the %s", tc.ports, tc.observe, err, tc.want)
 		}
 	}
+}
+
+// groundedPorts converts bare node indices to single-ended ports.
+func groundedPorts(nodes []int) []Port {
+	out := make([]Port, len(nodes))
+	for i, n := range nodes {
+		out[i] = Port{Plus: n, Minus: -1}
+	}
+	return out
 }

@@ -3,15 +3,14 @@
 // pads, whose inductance significantly affects on-chip behaviour. The
 // package planes themselves are assumed ideal (the voltage difference
 // across them is a few mV, the paper's own assumption); each supply
-// connection is modeled as a bar inductance plus lead and via
-// resistance.
+// connection is modeled as a series lead inductance plus lead and
+// pad-via resistance.
 package pkgmodel
 
 import (
 	"fmt"
 
 	"inductance101/internal/circuit"
-	"inductance101/internal/extract"
 )
 
 // Connection is one pad-plus-lead supply connection.
@@ -35,18 +34,6 @@ func FlipChip() Connection {
 	return Connection{LeadR: 0.01, LeadL: 0.15e-9, PadR: 0.005}
 }
 
-// BarConnection models the lead as a rectangular bar of the given
-// dimensions (the paper: "the package is modeled as a bar, including the
-// pad and a via between the pad and package"), computing its inductance
-// from the PEEC self-inductance formula.
-func BarConnection(length, width, thickness, leadR, padR float64) Connection {
-	return Connection{
-		LeadR: leadR,
-		LeadL: extract.SelfInductanceBar(length, width, thickness),
-		PadR:  padR,
-	}
-}
-
 // Stamp adds the connection between the external (ideal) supply node and
 // the on-chip pad node: external --R_lead--L_lead--R_pad-- pad.
 // Returns the inductor index for current probing.
@@ -60,29 +47,4 @@ func (c Connection) Stamp(n *circuit.Netlist, prefix, external, pad string) (int
 	li := n.AddL(prefix+".llead", m1, m2, c.LeadL)
 	n.AddR(prefix+".rpad", m2, pad, c.PadR)
 	return li, nil
-}
-
-// Supply describes a chip supply brought in over several parallel
-// pad/lead connections (more pads = lower effective package impedance,
-// a first-order design lever for di/dt noise).
-type Supply struct {
-	Conn  Connection
-	NPads int
-}
-
-// EffectiveL returns the parallel combination of the pad inductances.
-func (s Supply) EffectiveL() float64 {
-	if s.NPads <= 0 {
-		return 0
-	}
-	return s.Conn.LeadL / float64(s.NPads)
-}
-
-// EffectiveR returns the parallel combination of the lead+pad
-// resistances.
-func (s Supply) EffectiveR() float64 {
-	if s.NPads <= 0 {
-		return 0
-	}
-	return (s.Conn.LeadR + s.Conn.PadR) / float64(s.NPads)
 }

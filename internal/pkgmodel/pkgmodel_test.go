@@ -18,14 +18,6 @@ func TestPresets(t *testing.T) {
 	}
 }
 
-func TestBarConnection(t *testing.T) {
-	c := BarConnection(2e-3, 100e-6, 30e-6, 0.05, 0.02)
-	// A 2mm bar is in the nH range.
-	if c.LeadL < 0.5e-9 || c.LeadL > 5e-9 {
-		t.Errorf("bar inductance = %g, expected ~1-2nH", c.LeadL)
-	}
-}
-
 func TestStampImpedance(t *testing.T) {
 	c := Connection{LeadR: 0.1, LeadL: 2e-9, PadR: 0.05}
 	n := circuit.New()
@@ -49,18 +41,5 @@ func TestStampValidation(t *testing.T) {
 	n := circuit.New()
 	if _, err := (Connection{LeadR: 0, LeadL: 1e-9, PadR: 0.1}).Stamp(n, "p", "a", "b"); err == nil {
 		t.Errorf("zero lead R accepted")
-	}
-}
-
-func TestSupplyParallelism(t *testing.T) {
-	s := Supply{Conn: WireBond(), NPads: 8}
-	if math.Abs(s.EffectiveL()-WireBond().LeadL/8) > 1e-18 {
-		t.Errorf("EffectiveL = %g", s.EffectiveL())
-	}
-	if s.EffectiveR() <= 0 {
-		t.Errorf("EffectiveR = %g", s.EffectiveR())
-	}
-	if (Supply{}).EffectiveL() != 0 || (Supply{}).EffectiveR() != 0 {
-		t.Errorf("zero-pad supply should be 0")
 	}
 }

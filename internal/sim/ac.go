@@ -19,10 +19,6 @@ type ACStimulus struct {
 	ISourceAmps map[int]complex128 // ISource index -> amplitude
 }
 
-// acGmin is the floating-node conductance added to every node's
-// diagonal in AC analysis.
-const acGmin = 1e-12
-
 // acPattern is the union sparsity structure of an MNA pencil
 // G + jωC. The build walks the netlist stamps (O(nnz log nnz)) into a
 // CSC skeleton with per-position G and C values.
@@ -30,7 +26,7 @@ type acPattern struct {
 	size int
 	nn   int // number of nodes (gmin targets)
 	// cpat is the union pattern of G, C and the node diagonals; gv and
-	// cv hold G and C per position, with acGmin folded into gv's node
+	// cv hold G and C per position, with gmin folded into gv's node
 	// diagonals.
 	cpat   *matrix.CCSC
 	gv, cv []float64
@@ -81,7 +77,7 @@ func acPatternFromNetlist(n *circuit.Netlist) *acPattern {
 		rowIdx[pos] = i
 		g := e.g
 		if i == j && i < nn {
-			g += acGmin
+			g += gmin
 		}
 		p.gv[pos] = g
 		p.cv[pos] = e.c

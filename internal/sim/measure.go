@@ -46,21 +46,6 @@ func CrossTime(times, v []float64, threshold float64, rising bool) (float64, err
 	return 0, fmt.Errorf("sim: waveform never crosses %g %s", threshold, dir)
 }
 
-// Delay50 returns the 50%-to-50% delay between an input and an output
-// waveform transitioning between vLow and vHigh.
-func Delay50(times, vin, vout []float64, vLow, vHigh float64, rising bool) (float64, error) {
-	mid := (vLow + vHigh) / 2
-	t0, err := CrossTime(times, vin, mid, rising)
-	if err != nil {
-		return 0, fmt.Errorf("sim: input: %w", err)
-	}
-	t1, err := CrossTime(times, vout, mid, rising)
-	if err != nil {
-		return 0, fmt.Errorf("sim: output: %w", err)
-	}
-	return t1 - t0, nil
-}
-
 // Skew returns max - min of the given per-sink delays, the paper's
 // "worst skew" metric for a clock net.
 func Skew(delays []float64) float64 {
@@ -86,61 +71,6 @@ func Overshoot(v []float64, vHigh float64) float64 {
 	return m - vHigh
 }
 
-// Undershoot returns vLow - min(v) (0 if the waveform never dips below).
-func Undershoot(v []float64, vLow float64) float64 {
-	m := vLow
-	for _, x := range v {
-		m = math.Min(m, x)
-	}
-	return vLow - m
-}
-
-// SettleTime returns the time after which the waveform stays within
-// band of vFinal, or an error if it never settles.
-func SettleTime(times, v []float64, vFinal, band float64) (float64, error) {
-	if len(times) != len(v) || len(times) == 0 {
-		return 0, fmt.Errorf("sim: bad waveform")
-	}
-	last := -1
-	for i := len(v) - 1; i >= 0; i-- {
-		if math.Abs(v[i]-vFinal) > band {
-			last = i
-			break
-		}
-	}
-	if last == len(v)-1 {
-		return 0, fmt.Errorf("sim: waveform does not settle within %g of %g", band, vFinal)
-	}
-	return times[last+1], nil
-}
-
-// RingFrequency estimates the oscillation frequency of a ringing
-// waveform from the mean spacing of its crossings of vRef after tStart.
-// Returns 0 if fewer than 3 crossings exist (no ringing).
-func RingFrequency(times, v []float64, vRef, tStart float64) float64 {
-	var crossings []float64
-	for i := 1; i < len(v); i++ {
-		if times[i] < tStart {
-			continue
-		}
-		if (v[i-1] < vRef && v[i] >= vRef) || (v[i-1] > vRef && v[i] <= vRef) {
-			dv := v[i] - v[i-1]
-			f := 0.0
-			if dv != 0 {
-				f = (vRef - v[i-1]) / dv
-			}
-			crossings = append(crossings, times[i-1]+f*(times[i]-times[i-1]))
-		}
-	}
-	if len(crossings) < 3 {
-		return 0
-	}
-	// Consecutive crossings are half periods.
-	span := crossings[len(crossings)-1] - crossings[0]
-	halfPeriods := float64(len(crossings) - 1)
-	return halfPeriods / (2 * span)
-}
-
 // Integrate returns the trapezoidal integral of the waveform over its
 // full span (e.g. current -> charge).
 func Integrate(times, v []float64) float64 {
@@ -156,20 +86,6 @@ func PeakAbs(v []float64) float64 {
 	m := 0.0
 	for _, x := range v {
 		m = math.Max(m, math.Abs(x))
-	}
-	return m
-}
-
-// MaxErr returns the maximum absolute pointwise difference between two
-// equal-length waveforms — the accuracy metric for comparing sparsified
-// or reduced models against the full PEEC reference.
-func MaxErr(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("sim: MaxErr length mismatch")
-	}
-	m := 0.0
-	for i := range a {
-		m = math.Max(m, math.Abs(a[i]-b[i]))
 	}
 	return m
 }

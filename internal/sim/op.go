@@ -134,10 +134,10 @@ func (s *newtonSystem) solve(dst, x, rhs []float64) error {
 }
 
 // newton runs Newton from x in place until the largest update is below
-// opt.NewtonTol, limiting each unknown's update to maxStep, and returns
+// newtonTol, limiting each unknown's update to maxStep, and returns
 // the iterations taken.
-func (s *newtonSystem) newton(x, rhs []float64, maxStep float64, opt TranOptions) (int, error) {
-	for it := 1; it <= opt.MaxNewton; it++ {
+func (s *newtonSystem) newton(x, rhs []float64, maxStep float64) (int, error) {
+	for it := 1; it <= maxNewton; it++ {
 		if err := s.solve(s.next, x, rhs); err != nil {
 			return it, fmt.Errorf("singular Newton system: %w", err)
 		}
@@ -154,11 +154,11 @@ func (s *newtonSystem) newton(x, rhs []float64, maxStep float64, opt TranOptions
 				worst = ad
 			}
 		}
-		if worst < opt.NewtonTol {
+		if worst < newtonTol {
 			return it, nil
 		}
 	}
-	return opt.MaxNewton, fmt.Errorf("Newton did not converge in %d iterations", opt.MaxNewton)
+	return maxNewton, fmt.Errorf("Newton did not converge in %d iterations", maxNewton)
 }
 
 // opNewton computes the DC operating point of a netlist with MOSFETs
@@ -166,11 +166,11 @@ func (s *newtonSystem) newton(x, rhs []float64, maxStep float64, opt TranOptions
 // every update to 1 V, which keeps the quadratic device model honest
 // far from the solution; gmin keeps floating nodes bounded.
 func opNewton(sm *circuit.SparseMNA, opt TranOptions) ([]float64, error) {
-	s := newNewtonSystem(sm.N, sparseGmin(sm, opt.Gmin), opt.Workers)
+	s := newNewtonSystem(sm.N, sparseGmin(sm), opt.Workers)
 	b := make([]float64, sm.Size())
 	sm.RHS(0, b)
 	x := make([]float64, sm.Size())
-	if _, err := s.newton(x, b, 1, opt); err != nil {
+	if _, err := s.newton(x, b, 1); err != nil {
 		return nil, fmt.Errorf("sim: DC operating point: %w", err)
 	}
 	return x, nil

@@ -24,7 +24,7 @@ func buildDense(n *circuit.Netlist) *denseMNA {
 }
 
 // gGmin returns G + gmin on the node diagonals, as a copy.
-func (m *denseMNA) gGmin(gmin float64) *matrix.Dense {
+func (m *denseMNA) gGmin() *matrix.Dense {
 	out := m.g.Clone()
 	for i := 0; i < m.sm.N.NumNodes(); i++ {
 		out.Add(i, i, gmin)
@@ -46,14 +46,14 @@ func denseSolve(a *matrix.Dense, b []float64, workers int) ([]float64, error) {
 // carry its defaults.
 func denseOP(m *denseMNA, opt TranOptions) ([]float64, error) {
 	n := m.sm.N
-	base := m.gGmin(opt.Gmin)
+	base := m.gGmin()
 	b0 := make([]float64, m.sm.Size())
 	m.sm.RHS(0, b0)
 	if len(n.MOSFETs) == 0 {
 		return denseSolve(base, b0, opt.Workers)
 	}
 	x := make([]float64, len(b0))
-	for it := 0; it < opt.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		a := base.Clone()
 		rhs := matrix.CloneVec(b0)
 		stampDevices(n, x, a.Add, rhs)
@@ -74,17 +74,17 @@ func denseOP(m *denseMNA, opt TranOptions) ([]float64, error) {
 				worst = ad
 			}
 		}
-		if worst < opt.NewtonTol {
+		if worst < newtonTol {
 			return x, nil
 		}
 	}
-	return nil, fmt.Errorf("dense DC operating point did not converge in %d iterations", opt.MaxNewton)
+	return nil, fmt.Errorf("dense DC operating point did not converge in %d iterations", maxNewton)
 }
 
 // denseNewton solves aLin x = rhsBase + f(x) by undamped Newton from x0.
 func denseNewton(n *circuit.Netlist, aLin *matrix.Dense, rhsBase, x0 []float64, opt TranOptions) ([]float64, int, error) {
 	x := matrix.CloneVec(x0)
-	for it := 1; it <= opt.MaxNewton; it++ {
+	for it := 1; it <= maxNewton; it++ {
 		a := aLin.Clone()
 		rhs := matrix.CloneVec(rhsBase)
 		stampDevices(n, x, a.Add, rhs)
@@ -94,11 +94,11 @@ func denseNewton(n *circuit.Netlist, aLin *matrix.Dense, rhsBase, x0 []float64, 
 		}
 		worst := matrix.NormInf(matrix.Sub(xNew, x))
 		x = xNew
-		if worst < opt.NewtonTol {
+		if worst < newtonTol {
 			return x, it, nil
 		}
 	}
-	return nil, opt.MaxNewton, fmt.Errorf("dense Newton did not converge in %d iterations", opt.MaxNewton)
+	return nil, maxNewton, fmt.Errorf("dense Newton did not converge in %d iterations", maxNewton)
 }
 
 // denseTran is the dense oracle of Tran: the dense operating point, then
@@ -116,7 +116,7 @@ func denseTran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	}
 	h := opt.TStep
 	alpha := opt.alpha()
-	aLin := m.c.Clone().Scale(alpha).AddMat(m.gGmin(opt.Gmin))
+	aLin := m.c.Clone().Scale(alpha).AddMat(m.gGmin())
 	hist := m.c.Clone().Scale(alpha)
 	if opt.Method == Trapezoidal {
 		hist.AddScaled(-1, m.g)
@@ -172,7 +172,7 @@ func denseTran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	return res, nil
 }
 
-// denseAC is the dense oracle of the AC solve: G + jωC, with acGmin on
+// denseAC is the dense oracle of the AC solve: G + jωC, with gmin on
 // the node diagonals, solved by the dense complex LU.
 func denseAC(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
 	m := buildDense(n)
@@ -184,7 +184,7 @@ func denseAC(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, 
 		}
 	}
 	for i := 0; i < n.NumNodes(); i++ {
-		a.Add(i, i, acGmin)
+		a.Add(i, i, gmin)
 	}
 	b := make([]complex128, size)
 	for vi, amp := range stim.VSourceAmps {

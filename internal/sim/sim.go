@@ -28,19 +28,23 @@ const (
 	BackwardEuler
 )
 
+// Newton and floating-node constants of every analysis.
+const (
+	// maxNewton bounds Newton iterations per step.
+	maxNewton = 50
+	// newtonTol is the infinity-norm convergence tolerance on the state
+	// update (nanovolt/nanoamp).
+	newtonTol = 1e-9
+	// gmin is a tiny conductance from every node to ground that keeps
+	// the system nonsingular when nodes float at DC (S).
+	gmin = 1e-12
+)
+
 // TranOptions configures a transient run.
 type TranOptions struct {
 	TStop  float64 // end time (s)
 	TStep  float64 // fixed time step (s)
 	Method Method
-	// MaxNewton bounds Newton iterations per step (default 50).
-	MaxNewton int
-	// NewtonTol is the infinity-norm convergence tolerance on the state
-	// update (default 1e-9, i.e. nanovolt/nanoamp).
-	NewtonTol float64
-	// Gmin is a tiny conductance from every node to ground that keeps
-	// the system nonsingular when nodes float at DC (default 1e-12 S).
-	Gmin float64
 	// SaveEvery keeps every k-th point (default 1 = all).
 	SaveEvery int
 	// Workers caps the sparse LU's parallel refactorization (0 =
@@ -57,15 +61,6 @@ func (o *TranOptions) setDefaults() error {
 	}
 	if o.Method != Trapezoidal && o.Method != BackwardEuler {
 		return fmt.Errorf("sim: unknown method %d", o.Method)
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 50
-	}
-	if o.NewtonTol <= 0 {
-		o.NewtonTol = 1e-9
-	}
-	if o.Gmin <= 0 {
-		o.Gmin = 1e-12
 	}
 	if o.SaveEvery <= 0 {
 		o.SaveEvery = 1
@@ -114,24 +109,4 @@ func (r *TranResult) MustV(node string) []float64 {
 		panic(err)
 	}
 	return v
-}
-
-// IL returns the current waveform of inductor li (index from AddL).
-func (r *TranResult) IL(li int) []float64 {
-	idx := r.Netlist.BranchOfInductor(li)
-	out := make([]float64, len(r.Times))
-	for k, x := range r.States {
-		out[k] = x[idx]
-	}
-	return out
-}
-
-// IV returns the branch current waveform of voltage source vi.
-func (r *TranResult) IV(vi int) []float64 {
-	idx := r.Netlist.BranchOfVSource(vi)
-	out := make([]float64, len(r.Times))
-	for k, x := range r.States {
-		out[k] = x[idx]
-	}
-	return out
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // sparseGmin returns G + gmin*I(nodes) as a fresh triplet.
-func sparseGmin(sm *circuit.SparseMNA, gmin float64) *matrix.Triplet {
+func sparseGmin(sm *circuit.SparseMNA) *matrix.Triplet {
 	size := sm.Size()
 	g := matrix.NewTriplet(size, size).AddScaled(1, sm.G)
 	for i := 0; i < sm.N.NumNodes(); i++ {
@@ -19,11 +19,8 @@ func sparseGmin(sm *circuit.SparseMNA, gmin float64) *matrix.Triplet {
 
 // opSparse computes the DC operating point of a linear netlist with the
 // sparse LU (capacitors open, inductors short, sources at t0).
-func opSparse(sm *circuit.SparseMNA, t0, gmin float64, workers int) ([]float64, error) {
-	if gmin <= 0 {
-		gmin = 1e-12
-	}
-	f, err := matrix.FactorSparseLUWorkers(sparseGmin(sm, gmin).ToCSC(), workers)
+func opSparse(sm *circuit.SparseMNA, t0 float64, workers int) ([]float64, error) {
+	f, err := matrix.FactorSparseLUWorkers(sparseGmin(sm).ToCSC(), workers)
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular DC system: %w", err)
 	}
@@ -74,7 +71,7 @@ func (w *deltaWork) step(dst []float64, f *matrix.SparseLU, d *matrix.CSR, x, bP
 // built.
 func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	sm := circuit.BuildSparse(n)
-	x0, err := opSparse(sm, 0, opt.Gmin, opt.Workers)
+	x0, err := opSparse(sm, 0, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -82,12 +79,12 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	h := opt.TStep
 	alpha := opt.alpha()
 
-	aLin := sparseGmin(sm, opt.Gmin).AddScaled(alpha, sm.C)
+	aLin := sparseGmin(sm).AddScaled(alpha, sm.C)
 	f, err := matrix.FactorSparseLUWorkers(aLin.ToCSC(), opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular transient system: %w", err)
 	}
-	dT := sparseGmin(sm, opt.Gmin)
+	dT := sparseGmin(sm)
 	if opt.Method == Trapezoidal {
 		dT.AddScaled(1, sm.G)
 	}

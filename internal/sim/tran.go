@@ -40,7 +40,7 @@ func tranNewton(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	h := opt.TStep
 	alpha := opt.alpha()
 	trap := opt.Method == Trapezoidal
-	s := newNewtonSystem(n, sparseGmin(sm, opt.Gmin).AddScaled(alpha, sm.C), opt.Workers)
+	s := newNewtonSystem(n, sparseGmin(sm).AddScaled(alpha, sm.C), opt.Workers)
 	histT := matrix.NewTriplet(size, size).AddScaled(alpha, sm.C)
 	if trap {
 		histT.AddScaled(-1, sm.G)
@@ -68,7 +68,7 @@ func tranNewton(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 			matrix.Axpy(1, fPrev, rhs)
 		}
 		matrix.Axpy(1, bNow, rhs)
-		iters, err := s.newton(x, rhs, math.Inf(1), opt)
+		iters, err := s.newton(x, rhs, math.Inf(1))
 		res.NewtonIters += iters
 		if err != nil {
 			return nil, fmt.Errorf("sim: t=%g: %w", t, err)

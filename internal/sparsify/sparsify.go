@@ -388,25 +388,3 @@ func strongestNeighbors(l *matrix.Dense, i, window int) []int {
 	}
 	return idx
 }
-
-// Density returns the fraction of off-diagonal entries of m with
-// magnitude above tol relative to the largest diagonal entry.
-func Density(m *matrix.Dense, tol float64) float64 {
-	n := m.Rows()
-	if n < 2 {
-		return 0
-	}
-	ref := 0.0
-	for i := 0; i < n; i++ {
-		ref = math.Max(ref, math.Abs(m.At(i, i)))
-	}
-	cnt := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && math.Abs(m.At(i, j)) > tol*ref {
-				cnt++
-			}
-		}
-	}
-	return float64(cnt) / float64(n*(n-1))
-}

@@ -223,18 +223,6 @@ func TestWindowedKApproximatesExactK(t *testing.T) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	m := matrix.Identity(4)
-	if Density(m, 1e-9) != 0 {
-		t.Errorf("identity density should be 0")
-	}
-	m.Set(0, 1, 0.5)
-	m.Set(1, 0, 0.5)
-	if got := Density(m, 1e-9); math.Abs(got-2.0/12) > 1e-12 {
-		t.Errorf("density = %g", got)
-	}
-}
-
 // TestHaloRadiiMatchBruteForce pins the indexed expanding-window
 // nearest-return search against the all-pairs scan it replaced: the
 // radii must be identical on regular and irregular layouts, so the

@@ -7,10 +7,8 @@
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Physical constants (SI).
@@ -27,33 +25,6 @@ const (
 	// On-chip copper is slightly worse than bulk due to barriers and
 	// grain scattering; 2.2e-8 is a typical 2001-era value.
 	RhoCu = 2.2e-8
-	// RhoAl is the resistivity of aluminum interconnect, ohm*m.
-	RhoAl = 3.3e-8
-)
-
-// Convenience multipliers for readable literals, e.g. 3*units.Millimetre.
-const (
-	Metre      = 1.0
-	Millimetre = 1e-3
-	Micrometre = 1e-6
-	Nanometre  = 1e-9
-
-	Second     = 1.0
-	Nanosecond = 1e-9
-	Picosecond = 1e-12
-
-	Henry     = 1.0
-	Nanohenry = 1e-9
-	Picohenry = 1e-12
-
-	Farad      = 1.0
-	Picofarad  = 1e-12
-	Femtofarad = 1e-15
-
-	Hertz     = 1.0
-	Kilohertz = 1e3
-	Megahertz = 1e6
-	Gigahertz = 1e9
 )
 
 // SkinDepth returns the skin depth in metres for a conductor of
@@ -67,7 +38,7 @@ func SkinDepth(rho, f float64) float64 {
 	return math.Sqrt(rho / (math.Pi * f * Mu0))
 }
 
-// siPrefixes maps metric prefixes to multipliers, for FormatSI/ParseSI.
+// siPrefixes maps metric prefixes to multipliers, for FormatSI.
 var siPrefixes = []struct {
 	mult   float64
 	symbol string
@@ -104,82 +75,4 @@ func FormatSI(v float64, unit string) string {
 func trimFloat(v float64) string {
 	s := strconv.FormatFloat(v, 'g', 4, 64)
 	return s
-}
-
-// ParseSI parses strings like "2.2nH", "15 ohm", "1.5G" into an SI value.
-// The unit suffix, if present, is returned alongside the value. Prefix
-// matching is case-sensitive for the ambiguous m/M pair.
-func ParseSI(s string) (value float64, unit string, err error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, "", fmt.Errorf("units: empty string")
-	}
-	// Split the leading numeric part.
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if (c >= '0' && c <= '9') || c == '.' || c == '+' || c == '-' ||
-			c == 'e' || c == 'E' {
-			// Accept e/E only when followed by a digit or sign, so that
-			// a bare unit like "eV" is not swallowed.
-			if c == 'e' || c == 'E' {
-				if i+1 >= len(s) {
-					break
-				}
-				n := s[i+1]
-				if !(n >= '0' && n <= '9') && n != '+' && n != '-' {
-					break
-				}
-			}
-			i++
-			continue
-		}
-		break
-	}
-	if i == 0 {
-		return 0, "", fmt.Errorf("units: no number in %q", s)
-	}
-	v, err := strconv.ParseFloat(s[:i], 64)
-	if err != nil {
-		return 0, "", fmt.Errorf("units: bad number in %q: %v", s, err)
-	}
-	rest := strings.TrimSpace(s[i:])
-	if rest == "" {
-		return v, "", nil
-	}
-	for _, p := range siPrefixes {
-		if p.symbol == "" {
-			continue
-		}
-		if strings.HasPrefix(rest, p.symbol) {
-			// Treat a bare trailing prefix ("1.5k") or prefix+unit
-			// ("2.2nH") as scaled; but a string like "mil" must not
-			// parse as milli+"il" for known unit words.
-			u := rest[len(p.symbol):]
-			return v * p.mult, u, nil
-		}
-	}
-	return v, rest, nil
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ApproxEqual reports whether a and b agree to within rel relative
-// tolerance (or abs absolute tolerance for values near zero).
-func ApproxEqual(a, b, rel, abs float64) bool {
-	d := math.Abs(a - b)
-	if d <= abs {
-		return true
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d <= rel*m
 }

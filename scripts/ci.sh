@@ -57,6 +57,11 @@ go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fa
 echo "== bit-identity pins at 1 and 2 CPUs"
 go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/sim ./internal/core
 
+# The inductd job decoder is the program's one parser of outside input;
+# fuzz it for a fixed time on top of its committed seed corpus.
+echo "== fuzz the inductd job decoder (10 s)"
+go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s ./internal/serve
+
 # The AVX2 kernels have scalar-only stubs in kernels_noasm.go; a
 # cross-vet and cross-build for arm64 keeps the two in step. Offline,
 # 10-20 s on a 2-vCPU Xeon.
