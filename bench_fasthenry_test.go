@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
 	"inductance101/internal/geom"
 	"inductance101/internal/grid"
@@ -146,9 +145,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 	if cpus > 1 {
 		workerCols = append(workerCols, cpus)
 	}
-	// Every solver of the snapshot memoizes into one kernel cache.
-	kc := new(extract.KernelCache)
-	opts := fasthenry.Options{NW: 4, NT: 2, Cache: kc} // 8 filaments per wire
+	opts := fasthenry.Options{NW: 4, NT: 2} // 8 filaments per wire
 
 	sizes := []struct {
 		wires  int
@@ -376,7 +373,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 			freqs := fasthenry.LogSpace(1e8, 2e10, sz.points)
 			run := func(mode fasthenry.SolveMode) (benchRow, []fasthenry.Point) {
 				s, err := fasthenry.NewSolver(lay, segs, port, shorts, 2e10, fasthenry.Options{
-					MaxPerSide: 2, PlaneNW: sz.planeNW, Mode: mode, Workers: w, Cache: kc,
+					MaxPerSide: 2, PlaneNW: sz.planeNW, Mode: mode, Workers: w,
 				})
 				if err != nil {
 					t.Fatal(err)

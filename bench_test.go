@@ -117,7 +117,7 @@ func fig3Structure() (*geom.Layout, []int, fasthenry.Port, [][2]string) {
 
 func BenchmarkFig3RLvsFrequency(b *testing.B) {
 	lay, segs, port, shorts := fig3Structure()
-	opt := fasthenry.Options{MaxPerSide: 4, Cache: new(extract.KernelCache)}
+	opt := fasthenry.Options{MaxPerSide: 4}
 	var pts []fasthenry.Point
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,6 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"inductx", []string{"-kernelcache", "maybe", "nonexistent.json"}},
 		{"inductx", []string{"-l", "verbose", "nonexistent.json"}},
 		{"rlsweep", []string{"-solver", "bogus"}},
-		{"rlsweep", []string{"-kernelcache", "maybe"}},
 		{"clocksim", []string{"-kernelcache", "sometimes"}},
 		// The per-run private cache is what "on" does now.
 		{"clocksim", []string{"-kernelcache", "private"}},
@@ -44,8 +43,9 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		// A negative kernel-cache byte cap is rejected by the shared
 		// engine.Config validation in every tool that carries the cache,
 		// daemon included — fail-fast, before any input file is opened.
+		// rlsweep carries none: its filament kernels are computed
+		// directly.
 		{"inductx", []string{"-cachebytes", "-1", "nonexistent.json"}},
-		{"rlsweep", []string{"-cachebytes", "-4096"}},
 		{"clocksim", []string{"-cachebytes", "-1"}},
 		{"inductd", []string{"-cachebytes", "-65536"}},
 		// Sweep-mode enum and tolerance validation: unknown modes and

@@ -2,8 +2,8 @@
 // HTTP server that accepts JSON sweep jobs (layout geometry + per-job
 // engine config overrides), schedules them through a bounded priority
 // queue with per-tenant worker budgets, and streams sweep points back
-// as NDJSON as they complete. All tenants share one byte-bounded kernel
-// cache, so repeated geometry across jobs is evaluated once.
+// as NDJSON as they complete. A connection whose request headers take
+// longer than 10 s to arrive is closed.
 //
 // Usage:
 //
@@ -47,6 +47,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"inductance101/internal/engine"
 	"inductance101/internal/serve"
@@ -86,7 +87,10 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "inductd: listening on http://%s\n", ln.Addr())
-	if err := http.Serve(ln, srv.Handler()); err != nil {
+	// A client that never finishes its request headers is cut off
+	// instead of holding a connection forever.
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	if err := hs.Serve(ln); err != nil {
 		fatal(err)
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rlsweep [-length 2e-3] [-width 8e-6] [-pitch 20e-6] [-plane] [-planenw 8]
-//	        [-fstart 1e8] [-fstop 2e10] [-points 13] [-fit] [-kernelcache on|off]
+//	        [-fstart 1e8] [-fstop 2e10] [-points 13] [-fit]
 //	        [-solver auto|dense|iterative|nested] [-acatol 1e-8]
 //	        [-sweep exact|adaptive|auto] [-sweeptol 1e-6] [-workers 0] [-v]
 //	rlsweep -layout l.json -plus s0 -minus g0 -short s1=g1 [-short a=b ...]
@@ -28,10 +28,10 @@
 // read from a -layout file, and is rejected when there is no plane.
 // -workers caps the operator-build and sweep fan-out (0 = all CPUs;
 // results are bit-identical at any setting).
-// -v prints diagnostics to stderr: the resolved solve mode, kernel
-// cache hit/miss/entry counters, operator compression stats with
-// per-level rank histograms and near/far kernel-evaluation counts on
-// the compressed paths, and per-point GMRES iteration counts.
+// -v prints diagnostics to stderr: the resolved solve mode, operator
+// compression stats with per-level rank histograms and near/far
+// kernel-evaluation counts on the compressed paths, and per-point GMRES
+// iteration counts.
 package main
 
 import (
@@ -74,8 +74,6 @@ func main() {
 		layout = flag.String("layout", "", "layout JSON file (instead of builtin structure)")
 		plus   = flag.String("plus", "", "port plus node (with -layout)")
 		minus  = flag.String("minus", "", "port minus node (with -layout)")
-		kcache = flag.String("kernelcache", "on", "geometry-keyed kernel cache for filament assembly: on | off (bit-identical either way)")
-		kbytes = flag.Int64("cachebytes", 0, "kernel-cache byte cap, CLOCK-evicted over it (0 = unbounded)")
 		solver = flag.String("solver", "auto", "branch solve: dense | iterative (flat ACA) | nested (H² bases) | auto (by filament count)")
 		acatol = flag.Float64("acatol", 1e-8, "far-field relative tolerance for the compressed solvers")
 		swmode = flag.String("sweep", "auto", "sweep strategy: exact (solve every point) | adaptive (rational fit over anchor solves) | auto (adaptive at 64+ points)")
@@ -83,7 +81,7 @@ func main() {
 		plane  = flag.Bool("plane", false, "builtin structure: return through a ground plane below instead of coplanar wires")
 		planew = flag.Int("planenw", 0, "plane mesh density, grid cells per axis (0 = mesh default)")
 		nwork  = flag.Int("workers", 0, "worker goroutines for operator build and sweep (0 = all CPUs)")
-		verb   = flag.Bool("v", false, "print solve diagnostics to stderr (solve mode, kernel cache counters, operator stats, GMRES iterations)")
+		verb   = flag.Bool("v", false, "print solve diagnostics to stderr (solve mode, operator stats, GMRES iterations)")
 		shorts shortList
 	)
 	flag.Var(&shorts, "short", "short two nodes, nodeA=nodeB (repeatable; with -layout)")
@@ -91,14 +89,7 @@ func main() {
 
 	// Enum flags are validated into the run config before any file is
 	// opened or filament is built: a typo fails in milliseconds.
-	cfg := engine.Config{ACATol: *acatol, Workers: *nwork, CacheBytes: *kbytes, PlaneNW: *planew}
-	switch *kcache {
-	case "on":
-	case "off":
-		cfg.Cache = engine.CacheOff
-	default:
-		fatal(fmt.Errorf("-kernelcache must be on or off, got %q", *kcache))
-	}
+	cfg := engine.Config{ACATol: *acatol, Workers: *nwork, PlaneNW: *planew}
 	mode, err := fasthenry.ParseSolveMode(*solver)
 	if err != nil {
 		fatal(err)
@@ -190,7 +181,6 @@ func main() {
 		}
 	}
 	if *verb {
-		fmt.Fprintln(os.Stderr, "rlsweep: "+sess.CacheStats().String())
 		if m := s.SolveModeInUse(); m == fasthenry.ModeIterative || m == fasthenry.ModeNested {
 			for _, line := range strings.Split(s.OperatorStats().String(), "\n") {
 				fmt.Fprintln(os.Stderr, "rlsweep: "+line)

@@ -88,7 +88,7 @@ func ShieldedLoop(spec ShieldSpec, withShields bool, f float64) (r, l float64, e
 	}
 	solver, err := fasthenry.NewSolver(lay, segs,
 		fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, f,
-		fasthenry.Options{MaxPerSide: 2, Cache: new(extract.KernelCache)})
+		fasthenry.Options{MaxPerSide: 2})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -181,7 +181,7 @@ func LOverFrequency(spec PlaneSpec, variant PlaneVariant, freqs []float64) ([]fa
 	fRef := freqs[len(freqs)-1]
 	solver, err := fasthenry.NewSolver(lay, segs,
 		fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, fRef,
-		fasthenry.Options{MaxPerSide: 2, Cache: new(extract.KernelCache)})
+		fasthenry.Options{MaxPerSide: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -280,11 +280,9 @@ func Interdigitate(spec InterdigitSpec, fingers bool, f float64) (InterdigitResu
 		}
 		shorts = append(shorts, [2]string{"s1", "r1"})
 	}
-	// One cache serves the loop extraction and the capacitance sum.
-	kc := new(extract.KernelCache)
 	solver, err := fasthenry.NewSolver(lay, segs,
 		fasthenry.Port{Plus: "s0", Minus: "r0"}, shorts, f,
-		fasthenry.Options{MaxPerSide: 2, Cache: kc})
+		fasthenry.Options{MaxPerSide: 2})
 	if err != nil {
 		return res, err
 	}
@@ -293,7 +291,9 @@ func Interdigitate(spec InterdigitSpec, fingers bool, f float64) (InterdigitResu
 		return res, err
 	}
 	res.LoopR, res.LoopL = fasthenry.RL(z, f)
-	// Capacitance of the signal net: ground + coupling contributions.
+	// Capacitance of the signal net: ground + coupling contributions,
+	// the coupling kernel memoized across the net pairs.
+	kc := new(extract.KernelCache)
 	for _, si := range lay.SegmentsOnNet("sig") {
 		res.CTotal += extract.GroundCap(lay, si)
 		for _, sj := range lay.SegmentsOnNet("ret") {

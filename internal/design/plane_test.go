@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
 	"inductance101/internal/geom"
 )
@@ -24,7 +23,7 @@ var planeTestFreqs = []float64{1e9, 5e9, 1e10, 5e10}
 // strip array can.
 func TestMicrostripMatchesStripEmulation(t *testing.T) {
 	ms, err := Microstrip(DefaultMicrostripSpec(), planeTestFreqs,
-		fasthenry.Options{Cache: new(extract.KernelCache)})
+		fasthenry.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestMicrostripHoleRaisesL(t *testing.T) {
 		spec.PlaneNW = 12
 		spec.Holes = holes
 		pts, err := Microstrip(spec, []float64{1e9},
-			fasthenry.Options{Cache: new(extract.KernelCache)})
+			fasthenry.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

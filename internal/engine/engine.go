@@ -187,13 +187,14 @@ func (s *Session) ExtractOptions() extract.Options {
 }
 
 // SolverOptions mints the base fasthenry option set (solve mode, ACA
-// tolerance, cache, workers, sweep, plane density); callers fill the
-// discretization fields (NW/NT/MaxPerSide) per extraction.
+// tolerance, workers, sweep, plane density); callers fill the
+// discretization fields (NW/NT/MaxPerSide) per extraction. The
+// filament kernels are evaluated directly, so the session's cache
+// does not travel with it.
 func (s *Session) SolverOptions() fasthenry.Options {
 	return fasthenry.Options{
 		Mode:      s.cfg.SolveMode,
 		ACATol:    s.cfg.ACATol,
-		Cache:     s.cache,
 		Workers:   s.cfg.Workers,
 		SweepMode: s.cfg.SweepMode,
 		SweepTol:  s.cfg.SweepTol,

@@ -154,12 +154,13 @@ func TestConcurrentSessionsConflictingConfigs(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The cache-off session must not have populated anything anywhere;
-	// the private session's cache saw its own traffic only.
-	if st := sessB.CacheStats(); st.Enabled || st.Entries != 0 {
+	// The FastHenry filament kernels are computed directly: neither
+	// session's cache — the private one included — sees a lookup or
+	// holds an entry after the concurrent sweeps.
+	if st := sessB.CacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Errorf("cache-off session accumulated cache state: %+v", st)
 	}
-	if st := sessA.CacheStats(); !st.Enabled || st.Misses == 0 {
-		t.Errorf("private-cache session saw no kernel traffic: %+v", st)
+	if st := sessA.CacheStats(); !st.Enabled || st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("filament sweeps went through the private session cache: %+v", st)
 	}
 }

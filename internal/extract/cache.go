@@ -13,13 +13,20 @@ import (
 //
 // On the regular structures the paper's experiments run on (buses,
 // power grids, H-trees) most parallel segment pairs are translates of a
-// handful of unique relative geometries: the mutual-inductance and
+// handful of unique relative geometries: the bar mutual-inductance and
 // coupling-capacitance kernels depend only on lengths, cross-sections
 // and relative offsets, never on absolute position. The cache
 // canonicalizes each kernel evaluation into a translation-invariant key
 // and memoizes the exact computed value in a sharded, lock-striped
 // concurrent map, so repeated geometries are evaluated once per cache
 // instead of once per pair.
+//
+// Scope: the segment-level (PEEC) bar kernels only — the dense and
+// compressed inductance matrices and coupling capacitance. The
+// FastHenry filament path (FilamentEntry) evaluates its closed-form
+// kernels directly, because with parallel workers a cache hit (shard
+// lock, 80-byte key hash and compare, CLOCK bit, shared counter) costs
+// more than the MutualFilaments evaluation it would replace.
 //
 // Exactness: the key is the full IEEE-754 bit pattern of every kernel
 // input (quantization at full float64 resolution — the finest grid that
@@ -43,7 +50,6 @@ type kernelKind uint8
 
 const (
 	kindSelfBar kernelKind = iota + 1
-	kindMutualFilaments
 	kindMutualBars
 	kindCouplingCapPerLen
 )
@@ -349,21 +355,6 @@ func (c *KernelCache) SelfInductanceBar(l, w, t float64) float64 {
 	k.p[0], k.p[1], k.p[2] = fbits(l), fbits(w), fbits(t)
 	return c.getOrCompute(k, func() float64 {
 		return SelfInductanceBar(l, w, t)
-	})
-}
-
-// MutualFilaments evaluates the filament mutual-inductance kernel
-// through the cache — the memo the FastHenry-style filament-matrix
-// assembly uses, where a regular discretization repeats the same
-// relative filament geometry thousands of times.
-func (c *KernelCache) MutualFilaments(la, lb, s, d float64) float64 {
-	if c == nil {
-		return MutualFilaments(la, lb, s, d)
-	}
-	k := kernelKey{kind: kindMutualFilaments}
-	k.p[0], k.p[1], k.p[2], k.p[3] = fbits(la), fbits(lb), fbits(s), fbits(d)
-	return c.getOrCompute(k, func() float64 {
-		return MutualFilaments(la, lb, s, d)
 	})
 }
 

@@ -126,7 +126,7 @@ func TestBoundedCacheByteAccounting(t *testing.T) {
 				// Overlapping key ranges: some keys race across
 				// goroutines, most churn the CLOCK rings.
 				id := uint64(g*perG/2 + i)
-				k := kernelKey{kind: kindMutualFilaments}
+				k := kernelKey{kind: kindMutualBars}
 				k.p[0] = id
 				want := float64(id) * 0.5
 				if got := c.getOrCompute(k, func() float64 { return want }); got != want {

@@ -34,25 +34,25 @@ func FilamentElements(fils []mesh.Filament) []HElement {
 }
 
 // FilamentEntry returns the partial-inductance entry function over
-// lowered filaments, routed through the given kernel cache. The
-// arguments are canonicalized to i <= j so both orders hit the same
-// translation-invariant cache key (the value is symmetric); a regular
-// filament grid — a bus of identical segments, or a plane's uniform
-// mesh — repeats the same relative geometry constantly, so each unique
-// (la, lb, s, d) is integrated once per cache lifetime.
+// lowered filaments. It evaluates the closed-form kernels directly:
+// SelfInductanceBar on the diagonal and MutualFilaments (4 asinh + 4
+// hypot) off it. With parallel workers a geometry-keyed cache hit
+// costs more than that kernel, so the filament path keeps no memo.
+// The arguments are canonicalized to i <= j, so entry(i, j) and
+// entry(j, i) are bit-equal.
 //
 // Orthogonal pairs return exactly zero (the Neumann integral vanishes
 // by symmetry); collinear pairs (perpendicular distance zero, e.g.
 // filaments in the same plane-grid track) are regularized with the
 // mean self-GMD of the two cross-sections so the formula stays finite.
-func FilamentEntry(fils []mesh.Filament, c *KernelCache) func(i, j int) float64 {
+func FilamentEntry(fils []mesh.Filament) func(i, j int) float64 {
 	return func(i, j int) float64 {
 		if i > j {
 			i, j = j, i
 		}
 		fi := &fils[i]
 		if i == j {
-			return c.SelfInductanceBar(fi.Length, fi.W, fi.T)
+			return SelfInductanceBar(fi.Length, fi.W, fi.T)
 		}
 		fj := &fils[j]
 		if fi.Dir != fj.Dir {
@@ -69,6 +69,6 @@ func FilamentEntry(fils []mesh.Filament, c *KernelCache) func(i, j int) float64 
 		if d == 0 {
 			d = SelfGMDFactor * (fi.W + fi.T + fj.W + fj.T) / 2
 		}
-		return c.MutualFilaments(fi.Length, fj.Length, off, d)
+		return MutualFilaments(fi.Length, fj.Length, off, d)
 	}
 }

@@ -18,7 +18,7 @@ func TestFilamentEntryOrthogonalExactlyZero(t *testing.T) {
 		{Dir: geom.DirY, X0: 5e-6, Y0: -5e-6, Z: 1e-6, Length: 10e-6, W: 1e-6, T: 0.5e-6},
 		{Dir: geom.DirY, X0: 40e-6, Y0: 2e-6, Z: 3e-6, Length: 4e-6, W: 2e-6, T: 0.5e-6},
 	}
-	entry := FilamentEntry(fils, nil)
+	entry := FilamentEntry(fils)
 	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 0}, {2, 0}} {
 		if v := entry(pair[0], pair[1]); v != 0 {
 			t.Errorf("entry(%d, %d) = %g for orthogonal filaments, want exactly 0", pair[0], pair[1], v)
@@ -27,7 +27,7 @@ func TestFilamentEntryOrthogonalExactlyZero(t *testing.T) {
 }
 
 // TestFilamentEntrySymmetricAndFinite checks argument symmetry (both
-// orders canonicalize to one cache key, so the values are bit-equal)
+// orders canonicalize to one kernel call, so the values are bit-equal)
 // and the collinear d == 0 regularization.
 func TestFilamentEntrySymmetricAndFinite(t *testing.T) {
 	fils := []mesh.Filament{
@@ -36,7 +36,7 @@ func TestFilamentEntrySymmetricAndFinite(t *testing.T) {
 		// Collinear with filament 0: same track, offset along it.
 		{Dir: geom.DirX, X0: 25e-6, Y0: 0, Z: 1e-6, Length: 20e-6, W: 1e-6, T: 0.5e-6},
 	}
-	entry := FilamentEntry(fils, new(KernelCache))
+	entry := FilamentEntry(fils)
 	for i := 0; i < len(fils); i++ {
 		self := entry(i, i)
 		if !(self > 0) || math.IsInf(self, 0) {

@@ -31,7 +31,7 @@ func TestSplitWideWirePreservesLowFreqInductance(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("mesh split the bar into %d filaments, want 4", n)
 	}
-	entry := FilamentEntry(m.Filaments, new(KernelCache))
+	entry := FilamentEntry(m.Filaments)
 	lp := matrix.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

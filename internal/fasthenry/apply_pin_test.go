@@ -40,14 +40,11 @@ func applyPinCases() []applyPinCase {
 	return out
 }
 
-// pinOperator builds the case's compressed operator over a private
-// kernel cache.
+// pinOperator builds the case's compressed operator.
 func pinOperator(t testing.TB, c applyPinCase) extract.LOperator {
 	t.Helper()
 	l, segs, port, shorts := c.build(t)
-	opt := c.opt
-	opt.Cache = new(extract.KernelCache)
-	s, err := NewSolver(l, segs, port, shorts, 20e9, opt)
+	s, err := NewSolver(l, segs, port, shorts, 20e9, c.opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package fasthenry
 import (
 	"runtime"
 	"testing"
-
-	"inductance101/internal/extract"
 )
 
 // TestDenseExtractionPinned pins the bits of the dense oracle path on
@@ -22,7 +20,7 @@ func TestDenseExtractionPinned(t *testing.T) {
 
 	t.Run("clock/shorts", func(t *testing.T) {
 		l, segs, port, base, alts := clockTree()
-		s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 3, Mode: ModeDense, Cache: new(extract.KernelCache)})
+		s, err := NewSolver(l, segs, port, base, 1e10, Options{NW: 3, NT: 3, Mode: ModeDense})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +42,7 @@ func TestDenseExtractionPinned(t *testing.T) {
 		l, segs, port, shorts := microstripOverPlane(t)
 		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{
 			MaxPerSide: 2, PlaneNW: 16, Mode: ModeDense,
-			Cache: new(extract.KernelCache), Workers: 2,
+			Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -66,10 +66,6 @@ type Options struct {
 	// tolerance in ModeIterative, the interpolative-basis tolerance in
 	// ModeNested (default 1e-8 for both).
 	ACATol float64
-	// Cache is the kernel cache the solver's partial-inductance entries
-	// memoize into; nil computes every kernel directly. Sessions pass
-	// their own.
-	Cache *extract.KernelCache
 	// Workers caps the sweep fan-out and dense-kernel goroutines.
 	// 0 = process default (matrix.Workers), 1 = fully serial.
 	Workers int
@@ -151,7 +147,7 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 
 	s := &Solver{
 		fils:   m.Filaments,
-		entry:  extract.FilamentEntry(m.Filaments, opt.Cache),
+		entry:  extract.FilamentEntry(m.Filaments),
 		mesh:   m,
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
 		planes: m.PlaneFilaments > 0,

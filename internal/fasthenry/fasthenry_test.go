@@ -217,42 +217,32 @@ func TestSkinEffectResistanceRatio(t *testing.T) {
 	}
 }
 
-// TestFilamentAssemblyCacheBitIdentical builds the same solver with the
-// kernel cache enabled and disabled: the filament partial-inductance
-// matrix, and therefore the extracted port impedance, must match to the
-// last bit (the cache memoizes exact kernel outputs only).
-func TestFilamentAssemblyCacheBitIdentical(t *testing.T) {
+// TestFilamentAssemblyMatchesKernels checks that the assembled
+// filament partial-inductance matrix is the closed-form kernels to the
+// last bit: SelfInductanceBar on the diagonal, MutualFilaments on the
+// filaments' relative geometry off it, and bit-symmetric (both orders
+// evaluate one kernel call).
+func TestFilamentAssemblyMatchesKernels(t *testing.T) {
 	l, segs, port, shorts := signalOverReturn(1500e-6, 6e-6, 15e-6)
-	build := func(cache *extract.KernelCache) *Solver {
-		s, err := NewSolver(l, segs, port, shorts, 10e9, Options{MaxPerSide: 4, Cache: cache})
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewSolver(l, segs, port, shorts, 10e9, Options{MaxPerSide: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, fils := s.denseLP(), s.fils
+	for i := range fils {
+		fi := &fils[i]
+		if got, want := lp.At(i, i), extract.SelfInductanceBar(fi.Length, fi.W, fi.T); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("lp(%d,%d) = %v, want %v", i, i, got, want)
 		}
-		return s
-	}
-	off := build(nil)
-	on := build(new(extract.KernelCache))
-	nf := off.NumFilaments()
-	if on.NumFilaments() != nf {
-		t.Fatalf("filament counts differ: %d vs %d", on.NumFilaments(), nf)
-	}
-	for i := 0; i < nf; i++ {
-		for j := 0; j < nf; j++ {
-			a, b := off.denseLP().At(i, j), on.denseLP().At(i, j)
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("lp(%d,%d): %v != %v", i, j, a, b)
+		for j := i + 1; j < len(fils); j++ {
+			fj := &fils[j]
+			want := extract.MutualFilaments(fi.Length, fj.Length, fj.X0-fi.X0, math.Hypot(fj.Y0-fi.Y0, fj.Z-fi.Z))
+			if got := lp.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("lp(%d,%d) = %v, want %v", i, j, got, want)
+			}
+			if a, b := lp.At(i, j), lp.At(j, i); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("lp(%d,%d) = %v but lp(%d,%d) = %v", i, j, a, j, i, b)
 			}
 		}
-	}
-	za, err := off.Impedance(5e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zb, err := on.Impedance(5e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if za != zb {
-		t.Fatalf("impedance differs: %v vs %v", za, zb)
 	}
 }

@@ -18,9 +18,8 @@ import (
 // below skin-depth-accurate discretizations. The iterative path never
 // forms Zb. Lp becomes a hierarchically compressed operator
 // (extract.CompressedL): filaments are clustered through
-// mesh.ClusterFilaments, near blocks stay exact through the kernel
-// cache, and well-separated blocks are ACA low-rank factors, so one
-// matvec is near-linear in nf.
+// mesh.ClusterFilaments, near blocks stay exact, and well-separated
+// blocks are ACA low-rank factors, so one matvec is near-linear in nf.
 //
 // The port is driven, not the nodes: instead of the full nodal
 // admittance (one solve per reduced node, hopeless on a plane with
@@ -151,8 +150,8 @@ const gmresRestart = 80
 // partial-inductance operator over the solver's filaments — flat ACA
 // factors, or nested bases when the effective mode is ModeNested. Safe
 // for concurrent callers; sweep workers share the cached operator. The
-// construction itself fans out over Options.Workers goroutines through
-// the shared kernel cache.
+// construction itself fans out over Options.Workers goroutines, each
+// evaluating the filament kernels directly.
 func (s *Solver) compressedOp() extract.LOperator {
 	s.opOnce.Do(func() {
 		elems := extract.FilamentElements(s.fils)

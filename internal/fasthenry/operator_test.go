@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"inductance101/internal/extract"
 	"inductance101/internal/geom"
 )
 
@@ -202,7 +201,7 @@ func TestIterativeSweepSharedOperatorParallel(t *testing.T) {
 	}
 	l, segs, port, shorts = microstripOverPlane(t)
 	plane, err := NewSolver(l, segs, port, shorts, 1e10, Options{
-		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Cache: new(extract.KernelCache),
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative,
 	})
 	if err != nil {
 		t.Fatal(err)

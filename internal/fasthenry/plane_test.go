@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"inductance101/internal/extract"
 	"inductance101/internal/geom"
 	"inductance101/internal/grid"
 )
@@ -59,7 +58,7 @@ func TestPlaneThreeModeAgreement(t *testing.T) {
 	for i, m := range modes {
 		s, err := NewSolver(lay, segs, port, shorts, f, Options{
 			MaxPerSide: 2, PlaneNW: 16, Mode: m.mode,
-			Cache: new(extract.KernelCache), Workers: 2,
+			Workers: 2,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
@@ -100,7 +99,7 @@ func TestPlaneSolverDeterministic(t *testing.T) {
 	solve := func(workers int) complex128 {
 		s, err := NewSolver(lay, segs, port, shorts, f, Options{
 			MaxPerSide: 2, PlaneNW: 12, Mode: ModeIterative,
-			Cache: new(extract.KernelCache), Workers: workers,
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +141,7 @@ func planeImpedances(t *testing.T, lay *geom.Layout, segs []int, port Port, shor
 	}
 	z := make([][]complex128, len(opts))
 	for i, o := range opts {
-		o.MaxPerSide, o.PlaneNW, o.Cache, o.Workers = 2, 16, new(extract.KernelCache), 2
+		o.MaxPerSide, o.PlaneNW, o.Workers = 2, 16, 2
 		s, err := NewSolver(lay, segs, port, shorts, freqs[len(freqs)-1], o)
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +209,7 @@ func TestPortDrivenPerforatedPlane(t *testing.T) {
 func TestPortDrivenIterationPin(t *testing.T) {
 	lay, segs, port, shorts := microstripOverPlane(t)
 	s, err := NewSolver(lay, segs, port, shorts, 2e10, Options{
-		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Cache: new(extract.KernelCache),
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +230,7 @@ func TestPortDrivenIterationPin(t *testing.T) {
 func TestAutoModeKeepsPlanesOnFlatACA(t *testing.T) {
 	lay, segs, port, shorts := microstripOverPlane(t)
 	s, err := NewSolver(lay, segs, port, shorts, 2e10, Options{
-		MaxPerSide: 2, PlaneNW: 64, Cache: new(extract.KernelCache),
+		MaxPerSide: 2, PlaneNW: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"inductance101/internal/extract"
 	"inductance101/internal/matrix"
 )
 
@@ -17,7 +16,7 @@ import (
 func TestSchurOrderingPinned(t *testing.T) {
 	l, segs, port, shorts := microstripOverPlane(t)
 	s, err := NewSolver(l, segs, port, shorts, 1e10, Options{
-		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Cache: new(extract.KernelCache),
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,13 +8,13 @@
 // The paper's closing argument is that inductance analysis has to be a
 // routine design-flow step, not a one-off expert task; this package is
 // that step made literal. Verification traffic is thousands of small
-// jobs per chip, so the server multiplexes tenants over one shared,
-// byte-bounded kernel cache (translated geometry repeats across jobs —
-// the cache is the cross-job accelerator) and schedules jobs through a
-// bounded priority queue with per-tenant worker budgets carved out of
-// the process's worker total: backpressure (429) instead of unbounded
-// buffering, and no tenant can starve the rest or grow the cache
-// without bound.
+// jobs per chip, so the server schedules jobs through a bounded
+// priority queue with per-tenant worker budgets carved out of the
+// process's worker total: backpressure (429) instead of unbounded
+// buffering, and no tenant can starve the rest. Sweep jobs evaluate
+// their filament kernels directly (a cache hit costs more than the
+// closed-form kernel), so the byte-bounded kernel cache the server
+// still owns and reports in /statz sees no job traffic.
 package serve
 
 import (

@@ -32,11 +32,13 @@ fi
 
 # The fasthenry package includes the iterative-sweep race coverage: a
 # shared ACA-compressed operator driven by parallel frequency workers;
-# engine runs two concurrent sessions with conflicting configs; extract
-# builds nested-basis operators from concurrent goroutines sharing one
-# kernel cache; geom races parallel cluster-tree builds over one index;
-# serve drives the multi-tenant job server with conflicting tenant
-# configs over the shared bounded cache and mid-stream disconnects;
+# engine runs two concurrent sessions with conflicting configs and
+# checks their filament sweeps never touch either session's kernel
+# cache; extract builds segment-level nested-basis operators from
+# concurrent goroutines sharing one bar-kernel cache; geom races
+# parallel cluster-tree builds over one index; serve drives the
+# multi-tenant job server with conflicting tenant configs and
+# mid-stream disconnects;
 # matrix runs concurrent multigrid V-cycles with conflicting worker
 # counts against one shared hierarchy; grid covers the streaming
 # assembly feeding worker-parallel MG solves; sweep stresses the
