@@ -167,8 +167,8 @@ func runSynth(nodes, workers int, tran bool) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("transient: %d steps of %s, %d total PCG iterations on one cached hierarchy\n",
-		res.Steps, units.FormatSI(20e-12, "s"), res.PCGIters)
+	fmt.Printf("transient: %d steps of %s, %d total PCG iterations on one cached hierarchy; DC start %d iterations, fallback %t\n",
+		res.Steps, units.FormatSI(20e-12, "s"), res.PCGIters, res.DCIters, res.DCFallback)
 	fmt.Printf("worst transient droop: %s at t=%s\n",
 		units.FormatSI(g.Spec.Vdd-res.WorstV, "V"), units.FormatSI(res.WorstTime, "s"))
 }

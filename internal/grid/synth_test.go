@@ -116,23 +116,49 @@ func TestSynthMGMatchesCholesky(t *testing.T) {
 	}
 }
 
-// TestSynthGeometricCoarsening pins that a grid above the geometric
-// floor actually builds geometric levels (hierarchy deeper than one
-// coarsening) and still converges.
+// sizeRecorder wraps a coarsener and records the size of every level
+// the hierarchy build coarsens.
+type sizeRecorder struct {
+	matrix.Coarsener
+	sizes []int
+}
+
+func (r *sizeRecorder) Aggregates(level, n int) []int {
+	r.sizes = append(r.sizes, n)
+	return r.Coarsener.Aggregates(level, n)
+}
+
+// TestSynthGeometricCoarsening pins the hierarchy shape the geometric
+// coarsener gives all the way down to the coarse size: every
+// coarsening step shrinks its level at least 3x, operator complexity
+// stays at most 1.8, and the solve converges.
 func TestSynthGeometricCoarsening(t *testing.T) {
-	g, err := Synthesize(DefaultSynthSpec(9000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := g.SolveMG(matrix.MGOptions{}, matrix.MGSolveOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Levels < 3 {
-		t.Errorf("expected a geometric hierarchy, got %d levels", st.Levels)
-	}
-	if st.OperatorComplexity > 2.5 {
-		t.Errorf("operator complexity %g — geometric coarsening should stay lean", st.OperatorComplexity)
+	for _, nodes := range []int{9000, 100000} {
+		g, err := Synthesize(DefaultSynthSpec(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &sizeRecorder{Coarsener: g.Coarsener()}
+		mg, err := matrix.NewMG(g.Sys, matrix.MGOptions{Coarsener: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := mg.SolvePCG(g.B, matrix.MGSolveOptions{Tol: 1e-10}); err != nil {
+			t.Fatal(err)
+		}
+		st := mg.Stats()
+		sizes := append(rec.sizes, st.CoarseUnknowns)
+		if st.Levels < 3 || len(sizes) != st.Levels {
+			t.Errorf("%d nodes: level sizes %v over %d levels, want a geometric hierarchy of at least 3", nodes, sizes, st.Levels)
+		}
+		for l := 1; l < len(sizes); l++ {
+			if sizes[l-1] < 3*sizes[l] {
+				t.Errorf("%d nodes: level %d -> %d shrinks %d -> %d, less than 3x", nodes, l-1, l, sizes[l-1], sizes[l])
+			}
+		}
+		if st.OperatorComplexity > 1.8 {
+			t.Errorf("%d nodes: operator complexity %.2f above 1.8", nodes, st.OperatorComplexity)
+		}
 	}
 }
 

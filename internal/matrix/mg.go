@@ -24,8 +24,8 @@ import (
 // Aggregates is called once per level with the level index and system
 // size and returns the fine-node -> aggregate map (ids need not be
 // dense; negative means singleton), or nil to fall back to the greedy
-// algebraic aggregation — the escape hatch irregular stitches and
-// deep/small levels take. Implementations may be stateful (each call
+// algebraic aggregation — the escape hatch for a level the caller's
+// geometry does not describe. Implementations may be stateful (each call
 // advances to the next level); NewMG calls them from one goroutine.
 type Coarsener interface {
 	Aggregates(level, n int) []int
@@ -251,6 +251,11 @@ type MGSolveOptions struct {
 	// (0 = inherit). Distinct concurrent solves may use conflicting
 	// counts against one shared hierarchy.
 	Workers int
+	// A, when non-nil, is the SPD system PCG solves in place of the
+	// hierarchy's own matrix; the hierarchy's V-cycle still
+	// preconditions it. The grid transient solves its DC start G v = b
+	// this way on the hierarchy of G + C/h.
+	A *CSR
 }
 
 func (o *MGSolveOptions) setDefaults() {
@@ -269,9 +274,12 @@ func (m *MG) workersFor(opt MGSolveOptions) int {
 	return m.opt.Workers
 }
 
-// smooth runs one damped-Jacobi sweep on one level.
+// smooth runs one damped-Jacobi sweep on one level. A nil tmp means x
+// enters as zero: the sweep skips the product A·0 and overwrites x.
 func smooth(lv *mgLevel, x, b, tmp []float64, workers int) {
-	lv.a.MulVecToWorkers(tmp, x, workers)
+	if tmp != nil {
+		lv.a.MulVecToWorkers(tmp, x, workers)
+	}
 	if rangeWorkers(workers, len(x), 4096) <= 1 {
 		jacobiRows(x, b, tmp, lv.invDiag, 0, len(x))
 		return
@@ -282,8 +290,15 @@ func smooth(lv *mgLevel, x, b, tmp []float64, workers int) {
 }
 
 // jacobiRows is one damped-Jacobi update of rows [lo, hi), with
-// tmp = A x precomputed.
+// tmp = A x precomputed, or nil for x = 0: then the update is written
+// as 0 + ω D⁻¹ b, which keeps its rounding and sign of zero.
 func jacobiRows(x, b, tmp, invDiag []float64, lo, hi int) {
+	if tmp == nil {
+		for i := lo; i < hi; i++ {
+			x[i] = 0 + mgOmega*invDiag[i]*b[i]
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		x[i] += mgOmega * invDiag[i] * (b[i] - tmp[i])
 	}
@@ -314,8 +329,8 @@ func addRows(x, d []float64, lo, hi int) {
 	}
 }
 
-// cycle runs one V-cycle at the given level: x += M^-1 (b - A x) in
-// multigrid form. x is the current iterate (updated in place).
+// cycle runs one V-cycle at the given level from a zero start: it
+// overwrites x with M^-1 b in multigrid form.
 func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 	lv := m.levels[level]
 	if level == len(m.levels)-1 {
@@ -333,15 +348,12 @@ func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 		}
 		return
 	}
-	smooth(lv, x, b, w.tmp[level], workers)
+	smooth(lv, x, b, nil, workers)
 	r := w.r[level]
 	lv.a.MulVecToWorkers(r, x, workers)
 	vecRange(workers, r, b, subFromRows)
 	rc, xc := w.b[level+1], w.x[level+1]
 	lv.pt.MulVecToWorkers(rc, r, workers)
-	for i := range xc {
-		xc[i] = 0
-	}
 	m.cycle(level+1, xc, rc, w, workers)
 	lv.p.MulVecToWorkers(r, xc, workers) // r now holds the prolonged correction
 	vecRange(workers, x, r, addRows)
@@ -352,27 +364,27 @@ func (m *MG) cycle(level int, x, b []float64, w *mgWork, workers int) {
 // robust route when the grid carries stiff stitches (penalty-stamped
 // sources, via shorts) the smoother alone handles poorly. Every work
 // vector comes from the pool, so a solve allocates only its result.
-// Safe for concurrent use.
+// A solve that does not converge in MaxIter iterations returns its
+// last iterate with the error. Safe for concurrent use.
 func (m *MG) SolvePCG(b []float64, opt MGSolveOptions) ([]float64, MGStats, error) {
 	opt.setDefaults()
 	st := m.Stats()
 	n := m.N()
-	if len(b) != n {
-		return nil, st, fmt.Errorf("matrix: multigrid rhs length %d, want %d", len(b), n)
+	a := m.levels[0].a
+	if opt.A != nil {
+		a = opt.A
+	}
+	if len(b) != n || a.rows != n || a.cols != n {
+		return nil, st, fmt.Errorf("matrix: multigrid system %dx%d with rhs length %d, want %d", a.rows, a.cols, len(b), n)
 	}
 	workers := m.workersFor(opt)
 	w := m.pool.Get().(*mgWork)
 	defer m.pool.Put(w)
 	// The V-cycle uses w.r[0] as its own residual scratch, so CG keeps
 	// its residual in the separate w.pcg vectors.
-	vcycle := func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = 0
-		}
-		m.cycle(0, dst, src, w, workers)
-	}
+	vcycle := func(dst, src []float64) { m.cycle(0, dst, src, w, workers) }
 	x := make([]float64, n)
-	res, err := pcg(CSROp{M: m.levels[0].a, Workers: workers}, b, x, PCGOptions{
+	res, err := pcg(CSROp{M: a, Workers: workers}, b, x, PCGOptions{
 		Tol: opt.Tol, MaxIters: opt.MaxIter, X0: opt.X0, Precond: vcycle,
 	}, w.pcg)
 	st.Iterations, st.Residual = res.Iters, res.Residual
@@ -380,7 +392,7 @@ func (m *MG) SolvePCG(b []float64, opt MGSolveOptions) ([]float64, MGStats, erro
 		return nil, st, fmt.Errorf("matrix: multigrid PCG: %w", err)
 	}
 	if !res.Converged {
-		return nil, st, fmt.Errorf("matrix: multigrid PCG did not converge in %d iterations (residual %g)", opt.MaxIter, st.Residual)
+		return x, st, fmt.Errorf("matrix: multigrid PCG did not converge in %d iterations (residual %g)", opt.MaxIter, st.Residual)
 	}
 	return x, st, nil
 }

@@ -87,8 +87,8 @@ func TestMGSolvePCGBitIdentityPins(t *testing.T) {
 		iters int
 		hash  uint64
 	}{
-		{nil, 15, 0x8859aaaaa6dc2337},
-		{ones, 14, 0x55c6336f1efc6e99},
+		{nil, 16, 0x6601a51ea9611f65},
+		{ones, 15, 0x24aa2961506be0d8},
 	}
 	for _, tc := range cases {
 		mg, err := matrix.NewMG(g.Sys, matrix.MGOptions{Workers: 1, Coarsener: g.Coarsener()})

@@ -22,6 +22,14 @@ import (
 // previous voltage state. The per-step vector work (companion RHS,
 // droop scan) is domain-decomposed — each worker owns a contiguous node
 // partition — and bit-deterministic at any worker count.
+//
+// The DC start G v = b(0) reuses the same hierarchy: PCG on G,
+// preconditioned by the V-cycle of A. Since G ≤ A ≤ (1 + τ_max/h) G,
+// with τ_max the grid's largest RC constant (largest eigenvalue of
+// G⁻¹C), an exact A⁻¹ would bound the condition number by 1 + τ_max/h,
+// so it converges fast while τ_max/h is small. Past dcStartBudget
+// iterations G's own hierarchy is built and finishes from the last
+// iterate, and the result records that fallback.
 
 // GridSystem is the plain-data description of a power-grid transient
 // problem: the conductance system, the diagonal decap, and the
@@ -113,6 +121,11 @@ type GridTranResult struct {
 	PCGIters int
 	// MG describes the stepping hierarchy (built once, reused per step).
 	MG matrix.MGStats
+	// DCIters counts the PCG iterations of the DC start (0 with V0);
+	// DCFallback reports that the stepping hierarchy ran past
+	// dcStartBudget on it, so G's own hierarchy finished the solve.
+	DCIters    int
+	DCFallback bool
 	// V is the final node-voltage state.
 	V []float64
 }
@@ -137,6 +150,31 @@ func minNode(v []float64, workers int) (float64, int) {
 		mu.Unlock()
 	})
 	return minV, minI
+}
+
+// dcStartBudget caps the DC-start PCG iterations on the stepping
+// hierarchy. At 10⁵ nodes a build of G's own hierarchy costs about as
+// much as 15–20 such iterations and its solve takes about 12 more, so a
+// start that has not converged by 40 is finished sooner on G's own.
+const dcStartBudget = 40
+
+// dcStart solves G v = b(0) on the stepping hierarchy mg, finishing on
+// G's own past dcStartBudget, and records both in res.
+func dcStart(sys GridSystem, mg *matrix.MG, b []float64, opt GridTranOptions, res *GridTranResult) ([]float64, error) {
+	sys.RHS(0, b)
+	v, st, err := mg.SolvePCG(b, matrix.MGSolveOptions{Tol: opt.Tol, MaxIter: dcStartBudget, Workers: opt.Workers, A: sys.G})
+	res.DCIters = st.Iterations
+	if err == nil || v == nil { // v is nil unless PCG only ran out of iterations
+		return v, err
+	}
+	res.DCFallback = true
+	dc, err := matrix.NewMG(sys.G, sys.mgOptions(opt.Workers))
+	if err != nil {
+		return nil, err
+	}
+	v, st, err = dc.SolvePCG(b, matrix.MGSolveOptions{Tol: opt.Tol, MaxIter: opt.MaxIter, Workers: opt.Workers, X0: v})
+	res.DCIters += st.Iterations
+	return v, err
 }
 
 // TranGridMG runs the fixed-step backward-Euler transient of a power
@@ -170,31 +208,20 @@ func TranGridMG(sys GridSystem, opt GridTranOptions) (*GridTranResult, error) {
 		return nil, fmt.Errorf("sim: grid transient hierarchy: %w", err)
 	}
 
-	// Initial state: caller-provided, or the DC solution of G v = b(0)
-	// (its own small hierarchy — the stepping one factors A, not G).
-	b := make([]float64, n)
-	var v []float64
-	if opt.V0 != nil {
-		v = make([]float64, n)
-		copy(v, opt.V0)
-	} else {
-		dc, err := matrix.NewMG(sys.G, sys.mgOptions(opt.Workers))
-		if err != nil {
-			return nil, fmt.Errorf("sim: grid transient DC init: %w", err)
-		}
-		sys.RHS(0, b)
-		v, _, err = dc.SolvePCG(b, matrix.MGSolveOptions{Tol: opt.Tol, MaxIter: opt.MaxIter})
-		if err != nil {
-			return nil, fmt.Errorf("sim: grid transient DC init: %w", err)
-		}
-	}
-
 	res := &GridTranResult{
 		Times: make([]float64, 0, steps+1),
 		Saved: make([][]float64, len(opt.SaveNodes)),
 		MinV:  make([]float64, 0, steps+1),
 		Steps: steps,
 		MG:    mg.Stats(),
+	}
+	b := make([]float64, n)
+	var v []float64
+	if opt.V0 != nil {
+		v = make([]float64, n)
+		copy(v, opt.V0)
+	} else if v, err = dcStart(sys, mg, b, opt, res); err != nil {
+		return nil, fmt.Errorf("sim: grid transient DC init: %w", err)
 	}
 	cOverH := make([]float64, n)
 	for i, c := range sys.CDiag {

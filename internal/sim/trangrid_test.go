@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -32,10 +34,57 @@ func synthTranCase(t *testing.T, nodes int) (*grid.SynthGrid, sim.GridSystem) {
 	}
 }
 
+// choleskyStepping is the transient oracle: it factors G and the
+// backward-Euler companion A = G + C/h once with the sparse direct
+// Cholesky, solves the DC start and steps explicitly. It returns the
+// final state.
+func choleskyStepping(t *testing.T, sys sim.GridSystem, h, tstop float64) []float64 {
+	t.Helper()
+	a, err := sys.G.AddDiagScaled(1/h, sys.CDiag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := matrix.FactorSparseCholesky(a.AsSymmetricCSC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chG, err := matrix.FactorSparseCholesky(sys.G.AsSymmetricCSC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sys.G.Rows()
+	b := make([]float64, n)
+	sys.RHS(0, b)
+	v, err := chG.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, n)
+	for k := 1; k <= int(math.Round(tstop/h)); k++ {
+		sys.RHS(float64(k)*h, b)
+		for i := range rhs {
+			rhs[i] = sys.CDiag[i]/h*v[i] + b[i]
+		}
+		if v, err = ch.Solve(rhs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v
+}
+
+// maxAbsDiff returns max |a[i] - b[i]|.
+func maxAbsDiff(a, b []float64) float64 {
+	worst := 0.0
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 // TestTranGridMGMatchesCholeskyStepping checks the cached-hierarchy MG
-// transient against an oracle that factors the same backward-Euler
-// companion A = G + C/h once with the sparse direct Cholesky and steps
-// explicitly.
+// transient against the Cholesky stepping oracle.
 func TestTranGridMGMatchesCholeskyStepping(t *testing.T) {
 	g, sys := synthTranCase(t, 1200)
 	h, tstop := 0.05e-9, 1e-9
@@ -46,49 +95,17 @@ func TestTranGridMGMatchesCholeskyStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := choleskyStepping(t, sys, h, tstop)
 
-	// Oracle: explicit BE stepping on the factored companion.
-	a, err := g.Sys.AddDiagScaled(1/h, g.CDiag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := matrix.FactorSparseCholesky(a.AsSymmetricCSC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	chG, err := matrix.FactorSparseCholesky(g.Sys.AsSymmetricCSC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, g.N)
-	sys.RHS(0, b)
-	v, err := chG.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	steps := int(math.Round(tstop / h))
-	rhs := make([]float64, g.N)
-	for k := 1; k <= steps; k++ {
-		sys.RHS(float64(k)*h, b)
-		for i := range rhs {
-			rhs[i] = g.CDiag[i]/h*v[i] + b[i]
-		}
-		if v, err = ch.Solve(rhs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	if res.Steps != steps || len(res.Times) != steps+1 {
 		t.Fatalf("step bookkeeping: %d steps, %d times (want %d, %d)", res.Steps, len(res.Times), steps, steps+1)
 	}
-	worst := 0.0
-	for i := range v {
-		if d := math.Abs(res.V[i] - v[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-8 {
+	if worst := maxAbsDiff(res.V, v); worst > 1e-8 {
 		t.Errorf("final state off by %g from direct-factor stepping", worst)
+	}
+	if res.DCIters <= 0 || res.DCFallback {
+		t.Errorf("DC start: %d iterations, fallback %v; want a converged start on the stepping hierarchy", res.DCIters, res.DCFallback)
 	}
 	// Warm starts legitimately converge in zero iterations on the quiet
 	// plateau, so the total is well below steps — but never zero.
@@ -114,6 +131,53 @@ func TestTranGridMGMatchesCholeskyStepping(t *testing.T) {
 	}
 	if res.WorstV >= res.MinV[0] {
 		t.Errorf("burst did not deepen the droop: worst %g vs initial min %g", res.WorstV, res.MinV[0])
+	}
+}
+
+// TestTranGridMGStiffDCStartFallsBack scales the decap by 10⁵, so the
+// grid's RC constants dwarf the step and the stepping hierarchy of
+// G + C/h preconditions G poorly: the DC start must fall back to G's
+// own hierarchy, say so, and still match the Cholesky oracle.
+func TestTranGridMGStiffDCStartFallsBack(t *testing.T) {
+	_, sys := synthTranCase(t, 1200)
+	stiff := make([]float64, len(sys.CDiag))
+	for i, c := range sys.CDiag {
+		stiff[i] = 1e5 * c
+	}
+	sys.CDiag = stiff
+	h, tstop := 0.05e-9, 1e-9
+	res, err := sim.TranGridMG(sys, sim.GridTranOptions{TStop: tstop, TStep: h, Tol: 1e-12, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.DCFallback {
+		t.Errorf("DC start converged in %d iterations on the stepping hierarchy; want the fallback", res.DCIters)
+	}
+	if worst := maxAbsDiff(res.V, choleskyStepping(t, sys, h, tstop)); worst > 1e-8 {
+		t.Errorf("final state off by %g from direct-factor stepping", worst)
+	}
+}
+
+// TestTranGridMGBitIdentityPin pins the transient's final state (an
+// FNV-64a hash of its float64 bits), the step PCG total and the
+// DC-start iterations. CI runs it at 1 and 2 CPUs, so the default
+// worker count must not change them.
+func TestTranGridMGBitIdentityPin(t *testing.T) {
+	_, sys := synthTranCase(t, 1200)
+	res, err := sim.TranGridMG(sys, sim.GridTranOptions{TStop: 1e-9, TStep: 0.05e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range res.V {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	const wantHash, wantPCG, wantDC = 0x6ab276a06deb6977, 6, 11
+	if got := h.Sum64(); got != wantHash || res.PCGIters != wantPCG || res.DCIters != wantDC || res.DCFallback {
+		t.Errorf("hash %#016x, %d step PCG iterations, %d DC-start iterations (fallback %v); want %#016x, %d, %d (no fallback)",
+			got, res.PCGIters, res.DCIters, res.DCFallback, uint64(wantHash), wantPCG, wantDC)
 	}
 }
 
