@@ -48,6 +48,12 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"inductx", []string{"-cachebytes", "-1", "nonexistent.json"}},
 		{"clocksim", []string{"-cachebytes", "-1"}},
 		{"inductd", []string{"-cachebytes", "-65536"}},
+		// A negative worker cap is not "all cores": engine.Config and
+		// gridnoise's flag checks reject it before any input is opened.
+		{"gridnoise", []string{"-workers", "-3", "-synth", "2000"}},
+		{"clocksim", []string{"-workers", "-1"}},
+		{"rlsweep", []string{"-workers", "-2"}},
+		{"inductx", []string{"-workers", "-1", "nonexistent.json"}},
 		// Sweep-mode enum and tolerance validation: unknown modes and
 		// non-positive tolerances fail in milliseconds.
 		{"rlsweep", []string{"-sweep", "spline"}},

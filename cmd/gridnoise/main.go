@@ -52,6 +52,9 @@ func main() {
 	if *synthN < 0 {
 		fatal(fmt.Errorf("-synth must be a non-negative node count, got %d", *synthN))
 	}
+	if *workers < 0 {
+		fatal(fmt.Errorf("-workers must be a non-negative worker cap, got %d", *workers))
+	}
 	if *synthTr && *synthN == 0 {
 		fatal(fmt.Errorf("-synthtran needs a positive -synth node count, got %d", *synthN))
 	}
@@ -167,8 +170,8 @@ func runSynth(nodes, workers int, tran bool) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("transient: %d steps of %s, %d total PCG iterations on one cached hierarchy; DC start %d iterations, fallback %t\n",
-		res.Steps, units.FormatSI(20e-12, "s"), res.PCGIters, res.DCIters, res.DCFallback)
+	fmt.Printf("transient: %d steps of %s, %d repeated, %d total PCG iterations on one cached hierarchy; DC start %d iterations, fallback %t\n",
+		res.Steps, units.FormatSI(20e-12, "s"), res.RepeatedSteps, res.PCGIters, res.DCIters, res.DCFallback)
 	fmt.Printf("worst transient droop: %s at t=%s\n",
 		units.FormatSI(g.Spec.Vdd-res.WorstV, "V"), units.FormatSI(res.WorstTime, "s"))
 }

@@ -40,7 +40,8 @@ const (
 type Config struct {
 	// Workers caps goroutine fan-out everywhere the run parallelizes:
 	// extraction rows, factorization strips, sweep points.
-	// 0 = process default (matrix.Workers), 1 = fully serial.
+	// 0 = process default (matrix.Workers), 1 = fully serial; negative
+	// values are rejected by Validate.
 	Workers int
 	// SolveMode picks the fasthenry solve path
 	// (auto/dense/iterative/nested).
@@ -80,6 +81,9 @@ type Config struct {
 // Validate rejects configs no layer can interpret. Zero values are
 // always valid (they mean "built-in default").
 func (c Config) Validate() error {
+	if c.Workers < 0 {
+		return fmt.Errorf("engine: negative worker cap %d", c.Workers)
+	}
 	if c.ACATol < 0 {
 		return fmt.Errorf("engine: negative ACA tolerance %g", c.ACATol)
 	}

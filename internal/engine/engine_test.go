@@ -26,6 +26,7 @@ func TestZeroConfigInheritsDefaults(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
+		{Workers: -1},
 		{ACATol: -1},
 		{Cache: CachePolicy(99)},
 		{SolveMode: fasthenry.SolveMode(42)},

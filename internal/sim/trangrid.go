@@ -23,6 +23,12 @@ import (
 // droop scan) is domain-decomposed — each worker owns a contiguous node
 // partition — and bit-deterministic at any worker count.
 //
+// Once a step's PCG returns its warm start bit for bit, the state is
+// settled for that excitation: while b(t) repeats bit for bit, every
+// later step would hand PCG the same rhs and warm start, so it repeats
+// the answer without solving. Piecewise-constant activity makes most
+// steps such repeats, and the results stay bit-identical to solving.
+//
 // The DC start G v = b(0) reuses the same hierarchy: PCG on G,
 // preconditioned by the V-cycle of A. Since G ≤ A ≤ (1 + τ_max/h) G,
 // with τ_max the grid's largest RC constant (largest eigenvalue of
@@ -116,9 +122,14 @@ type GridTranResult struct {
 	WorstNode int
 	WorstTime float64
 	// Steps is the time-step count; PCGIters the total PCG iterations
-	// across all steps (hierarchy reuse makes this the dominant cost).
+	// across all steps, repeated steps included. A step that needs no
+	// iteration still costs a residual SpMV, which repeats avoid.
 	Steps    int
 	PCGIters int
+	// RepeatedSteps counts the steps that reused the previous answer:
+	// the last solved step returned its warm start unchanged and b(t)
+	// equalled that step's b bit for bit.
+	RepeatedSteps int
 	// MG describes the stepping hierarchy (built once, reused per step).
 	MG matrix.MGStats
 	// DCIters counts the PCG iterations of the DC start (0 with V0);
@@ -150,6 +161,16 @@ func minNode(v []float64, workers int) (float64, int) {
 		mu.Unlock()
 	})
 	return minV, minI
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // dcStartBudget caps the DC-start PCG iterations on the stepping
@@ -227,9 +248,16 @@ func TranGridMG(sys GridSystem, opt GridTranOptions) (*GridTranResult, error) {
 	for i, c := range sys.CDiag {
 		cOverH[i] = c / h
 	}
-	record := func(t float64, v []float64) {
+	// record appends the state v at time t; a repeat reuses the last
+	// minimum, which v still holds and which cannot lower WorstV.
+	record := func(t float64, v []float64, repeat bool) {
 		res.Times = append(res.Times, t)
-		mv, mi := minNode(v, opt.Workers)
+		mv, mi := 0.0, -1
+		if repeat {
+			mv = res.MinV[len(res.MinV)-1]
+		} else {
+			mv, mi = minNode(v, opt.Workers)
+		}
 		res.MinV = append(res.MinV, mv)
 		if mi >= 0 && (len(res.MinV) == 1 || mv < res.WorstV) {
 			res.WorstV, res.WorstNode, res.WorstTime = mv, mi, t
@@ -238,12 +266,24 @@ func TranGridMG(sys GridSystem, opt GridTranOptions) (*GridTranResult, error) {
 			res.Saved[k] = append(res.Saved[k], v[node])
 		}
 	}
-	record(0, v)
+	record(0, v, false)
 
-	rhs := make([]float64, n)
+	// still records that the last solved step returned its warm start
+	// bit for bit, after stillIters iterations. A step whose b(t) then
+	// repeats that step's b bit for bit would hand SolvePCG the same
+	// rhs and X0, so it reuses the answer instead of solving.
+	rhs, bPrev := make([]float64, n), make([]float64, n)
+	still, stillIters := false, 0
 	for k := 1; k <= steps; k++ {
 		t := float64(k) * h
+		b, bPrev = bPrev, b
 		sys.RHS(t, b)
+		if still && sameBits(b, bPrev) {
+			res.RepeatedSteps++
+			res.PCGIters += stillIters
+			record(t, v, true)
+			continue
+		}
 		matrix.ParallelRangeWorkers(opt.Workers, n, 8192, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				rhs[i] = cOverH[i]*v[i] + b[i]
@@ -256,8 +296,9 @@ func TranGridMG(sys GridSystem, opt GridTranOptions) (*GridTranResult, error) {
 			return nil, fmt.Errorf("sim: grid transient step %d (t=%g): %w", k, t, err)
 		}
 		res.PCGIters += st.Iterations
+		still, stillIters = sameBits(x, v), st.Iterations
 		v = x
-		record(t, v)
+		record(t, v, false)
 	}
 	res.V = v
 	return res, nil

@@ -252,3 +252,154 @@ func TestTranGridMGV0SkipsDCInit(t *testing.T) {
 		t.Errorf("t=0 min voltage %g, want the flat V0 %g", res.MinV[0], g.Spec.Vdd)
 	}
 }
+
+// referenceStepping is the grid transient solved at every step: the
+// companion hierarchy of A = G + C/h, a DC start on it through
+// MGSolveOptions.A (the cases here converge within TranGridMG's DC-start
+// budget, so no fallback), then a warm-started SolvePCG per step. It
+// records what TranGridMG records, so the two can be compared bit for
+// bit.
+func referenceStepping(t *testing.T, sys sim.GridSystem, opt sim.GridTranOptions) *sim.GridTranResult {
+	t.Helper()
+	h := opt.TStep
+	n := sys.G.Rows()
+	a, err := sys.G.AddDiagScaled(1/h, sys.CDiag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := matrix.NewMG(a, matrix.MGOptions{Workers: opt.Workers, Coarsener: sys.Coarsener()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &sim.GridTranResult{Saved: make([][]float64, len(opt.SaveNodes))}
+	b := make([]float64, n)
+	v := opt.V0
+	if v == nil {
+		sys.RHS(0, b)
+		var st matrix.MGStats
+		v, st, err = mg.SolvePCG(b, matrix.MGSolveOptions{Tol: 1e-8, MaxIter: 40, Workers: opt.Workers, A: sys.G})
+		if err != nil {
+			t.Fatalf("reference DC start: %v", err)
+		}
+		res.DCIters = st.Iterations
+	}
+	record := func(tm float64) {
+		mv, mi := math.Inf(1), -1
+		for i, x := range v {
+			if x < mv {
+				mv, mi = x, i
+			}
+		}
+		res.Times = append(res.Times, tm)
+		res.MinV = append(res.MinV, mv)
+		if mi >= 0 && (len(res.MinV) == 1 || mv < res.WorstV) {
+			res.WorstV, res.WorstNode, res.WorstTime = mv, mi, tm
+		}
+		for k, node := range opt.SaveNodes {
+			res.Saved[k] = append(res.Saved[k], v[node])
+		}
+	}
+	record(0)
+	rhs := make([]float64, n)
+	res.Steps = int(math.Round(opt.TStop / h))
+	for k := 1; k <= res.Steps; k++ {
+		tm := float64(k) * h
+		sys.RHS(tm, b)
+		for i, c := range sys.CDiag {
+			rhs[i] = c/h*v[i] + b[i]
+		}
+		x, st, err := mg.SolvePCG(rhs, matrix.MGSolveOptions{Tol: 1e-8, MaxIter: 200, X0: v, Workers: opt.Workers})
+		if err != nil {
+			t.Fatalf("reference step %d: %v", k, err)
+		}
+		res.PCGIters += st.Iterations
+		v = x
+		record(tm)
+	}
+	res.V = v
+	return res
+}
+
+// sameFloats reports whether a and b hold the same float64 bits.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTranGridMGRepeatedStepsPin pins that skipping repeated steps
+// changes no bit of the transient: on the burst, on an excitation that
+// changes every step (no repeats), on an all-zero one from V0 = 0 and
+// on one whose first rhs is zero from a nonzero V0 (a step of zero
+// iterations that is no repeat), TranGridMG matches referenceStepping
+// and RepeatedSteps has its exact count. CI runs it at 1 and 2 CPUs.
+func TestTranGridMGRepeatedStepsPin(t *testing.T) {
+	g, burst := synthTranCase(t, 1200)
+	ramp := burst
+	ramp.RHS = g.TranRHS(func(tm float64) float64 { return 0.1 + tm/1e-9 }, 2)
+	zero := burst
+	zero.RHS = func(_ float64, dst []float64) {
+		for i := range dst {
+			dst[i] = 0
+		}
+	}
+	// From a flat V0, b = -(C/h)·V0 zeroes the first step's rhs, so
+	// PCG returns x = 0, not its warm start, without iterating; the
+	// second step must still solve.
+	h := 0.05e-9
+	flat := make([]float64, g.N)
+	for i := range flat {
+		flat[i] = g.Spec.Vdd
+	}
+	cancel := burst
+	cancel.RHS = func(_ float64, dst []float64) {
+		for i, c := range burst.CDiag {
+			dst[i] = -(c / h * flat[i])
+		}
+	}
+	save := []int{g.CenterBottomNode(), 0}
+	cases := []struct {
+		name     string
+		sys      sim.GridSystem
+		v0       []float64
+		repeated int
+	}{
+		{"burst", burst, nil, 17},
+		{"ramp", ramp, nil, 0},
+		{"zero", zero, make([]float64, g.N), 19},
+		{"cancel", cancel, flat, 13},
+	}
+	for _, tc := range cases {
+		opt := sim.GridTranOptions{TStop: 1e-9, TStep: h, V0: tc.v0, SaveNodes: save}
+		got, err := sim.TranGridMG(tc.sys, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := referenceStepping(t, tc.sys, opt)
+		if got.RepeatedSteps != tc.repeated {
+			t.Errorf("%s: %d repeated steps, want %d", tc.name, got.RepeatedSteps, tc.repeated)
+		}
+		if !sameFloats(got.V, want.V) || !sameFloats(got.MinV, want.MinV) || !sameFloats(got.Times, want.Times) {
+			t.Errorf("%s: V, MinV or Times differ from solving every step", tc.name)
+		}
+		for k := range save {
+			if !sameFloats(got.Saved[k], want.Saved[k]) {
+				t.Errorf("%s: saved trace %d differs from solving every step", tc.name, k)
+			}
+		}
+		if math.Float64bits(got.WorstV) != math.Float64bits(want.WorstV) || got.WorstNode != want.WorstNode || got.WorstTime != want.WorstTime {
+			t.Errorf("%s: worst droop %g @ node %d, t=%g; want %g @ node %d, t=%g", tc.name,
+				got.WorstV, got.WorstNode, got.WorstTime, want.WorstV, want.WorstNode, want.WorstTime)
+		}
+		if got.PCGIters != want.PCGIters || got.DCIters != want.DCIters || got.DCFallback {
+			t.Errorf("%s: %d step and %d DC-start PCG iterations (fallback %v); want %d and %d", tc.name,
+				got.PCGIters, got.DCIters, got.DCFallback, want.PCGIters, want.DCIters)
+		}
+	}
+}

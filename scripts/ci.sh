@@ -53,11 +53,12 @@ echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, gr
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh ./internal/core
 
 # The bit-identity pins (solution hashes, pinned delays, the Fig. 1
-# charges, the sparse Newton against its dense oracle and the multigrid
-# grid transient with its DC start) must hold at any worker count:
-# GOMAXPROCS 1 and 2 set the default worker count of the parallel
-# kernels, sweeps, loop-frequency fan-out and grid time steps they
-# cover.
+# charges, the sparse Newton against its dense oracle, the multigrid
+# grid transient with its DC start, and TestTranGridMGRepeatedStepsPin,
+# which checks that the transient's repeated-step skip matches solving
+# every step bit for bit) must hold at any worker count: GOMAXPROCS 1
+# and 2 set the default worker count of the parallel kernels, sweeps,
+# loop-frequency fan-out and grid time steps they cover.
 echo "== bit-identity pins at 1 and 2 CPUs"
 go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/sim ./internal/core
 
