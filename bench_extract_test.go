@@ -2,8 +2,6 @@ package repro
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"os"
 	"testing"
 
@@ -12,38 +10,6 @@ import (
 	"inductance101/internal/grid"
 	"inductance101/internal/matrix"
 )
-
-// benchBus64 builds the paper-scale regular bus the extraction bench
-// runs on: 64 parallel lines at minimum pitch, each split into four
-// sections (the distributed-RLC discretization the simulation flows
-// use), 256 segments in all.
-func benchBus64() (*geom.Layout, []int) {
-	lay := geom.NewLayout([]geom.Layer{
-		{Name: "M6", Z: 6e-6, Thickness: 1.2e-6, SheetRho: 0.018, HBelow: 1.1e-6},
-	})
-	const (
-		nWires   = 64
-		sections = 4
-		length   = 2e-3
-		width    = 1e-6
-		pitch    = 1.5e-6 // 0.5 um spacing: minimum-pitch global bus
-	)
-	segLen := length / sections
-	var segs []int
-	for w := 0; w < nWires; w++ {
-		for k := 0; k < sections; k++ {
-			segs = append(segs, lay.AddSegment(geom.Segment{
-				Layer: 0, Dir: geom.DirX,
-				X0: float64(k) * segLen, Y0: float64(w) * pitch,
-				Length: segLen, Width: width,
-				Net:   fmt.Sprintf("w%d", w),
-				NodeA: fmt.Sprintf("w%d_n%d", w, k),
-				NodeB: fmt.Sprintf("w%d_n%d", w, k+1),
-			}))
-		}
-	}
-	return lay, segs
-}
 
 // bruteForceWindowed is the pre-spatial-index windowed assembly: an
 // all-pairs scan that tests every pair against the window. Kept here as
@@ -70,9 +36,8 @@ func bruteForceWindowed(l *geom.Layout, segs []int, window float64, opt extract.
 	return m
 }
 
-// TestBenchExtractSnapshot measures the geometry-keyed kernel cache and
-// the spatial-index candidate search on the two paper-scale structures
-// (a 64-line minimum-pitch bus, a 2400-segment power grid) and writes
+// TestBenchExtractSnapshot measures the spatial-index candidate search
+// on a paper-scale 2400-segment power grid and writes
 // BENCH_extract.json. Only runs when BENCH_EXTRACT=1; regenerate with
 // scripts/bench_extract.sh.
 func TestBenchExtractSnapshot(t *testing.T) {
@@ -101,30 +66,9 @@ func TestBenchExtractSnapshot(t *testing.T) {
 		entries[len(entries)-1].Speedup = refNs / entries[len(entries)-1].NsPerOp
 	}
 
-	// 1. The 64-line bus: full dense partial-inductance matrix with
-	// numeric cross-section GMD (the accurate near-field setting a
-	// minimum-pitch bus requires). Every pair is a translate of one of a
-	// few hundred relative geometries, the cache's home turf.
-	bus, busSegs := benchBus64()
-	gmd := extract.GMDOptions{Numeric: true}
-	busOff := measure("bus64_inductance_nocache", func() {
-		bruteForceWindowed(bus, busSegs, math.Inf(1), gmd)
-	})
-	busCache := new(extract.KernelCache)
-	measure("bus64_inductance_cache_cold", func() {
-		busCache.Reset()
-		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, busCache)
-	})
-	speedupVs(busOff)
-	coldStats := busCache.Stats()
-	measure("bus64_inductance_cache_warm", func() {
-		extract.InductanceMatrix(bus, busSegs, math.Inf(1), gmd, busCache)
-	})
-	speedupVs(busOff)
-
-	// 2. A 2400-segment interleaved power grid, window-limited to one
+	// A 2400-segment interleaved power grid, window-limited to one
 	// pitch (the bench_sparse setup): first the old all-pairs windowed
-	// scan, then the spatial-index candidate path, then index + cache.
+	// scan, then the spatial-index candidate path.
 	spec := grid.DefaultSpec()
 	spec.NX, spec.NY = 25, 25
 	gm, err := grid.BuildPowerGrid(grid.StandardLayers(), spec)
@@ -175,45 +119,17 @@ func TestBenchExtractSnapshot(t *testing.T) {
 		bruteForceWindowed(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{})
 	})
 	measure("grid2400_windowed_indexed", func() {
-		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, nil)
+		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{})
 	})
 	speedupVs(gridBrute)
-	gridCache := new(extract.KernelCache)
-	measure("grid2400_windowed_indexed_cache", func() {
-		gridCache.Reset()
-		extract.InductanceMatrix(gm.Layout, gridSegs, spec.Pitch, extract.GMDOptions{}, gridCache)
-	})
-	speedupVs(gridBrute)
-
-	// Sanity: the bench must measure the configuration it claims.
-	var busEntry, warmEntry entry
-	for _, e := range entries {
-		switch e.Name {
-		case "bus64_inductance_cache_cold":
-			busEntry = e
-		case "bus64_inductance_cache_warm":
-			warmEntry = e
-		}
-	}
-	if busEntry.Speedup < 5 {
-		t.Errorf("cache speedup on the 64-line bus is %.1fx, want >= 5x", busEntry.Speedup)
-	}
-	_ = warmEntry
 
 	out, err := json.MarshalIndent(struct {
 		Note    string  `json:"note"`
 		Workers int     `json:"workers"`
-		Cache   any     `json:"bus64_cold_cache_stats"`
 		Entries []entry `json:"extraction"`
 	}{
-		Note:    "extraction timing snapshot (kernel cache + spatial index); regenerate with scripts/bench_extract.sh",
+		Note:    "extraction timing snapshot (spatial index); regenerate with scripts/bench_extract.sh",
 		Workers: matrix.Workers(),
-		Cache: map[string]any{
-			"hits":     coldStats.Hits,
-			"misses":   coldStats.Misses,
-			"hit_rate": coldStats.HitRate(),
-			"entries":  coldStats.Entries,
-		},
 		Entries: entries,
 	}, "", "  ")
 	if err != nil {

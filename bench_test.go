@@ -323,7 +323,7 @@ func busInductanceMatrix(n int, length, width, pitch float64) *matrix.Dense {
 			Net: fmt.Sprintf("n%d", i), NodeA: fmt.Sprintf("a%d", i), NodeB: fmt.Sprintf("b%d", i),
 		})
 	}
-	return extract.InductanceMatrix(lay, segs, 1, extract.GMDOptions{}, new(extract.KernelCache))
+	return extract.InductanceMatrix(lay, segs, 1, extract.GMDOptions{})
 }
 
 // --- E8: §4 combined technique (block-diag + PRIMA) -------------------
@@ -505,7 +505,7 @@ func BenchmarkPartialInductanceMatrix(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := extract.InductanceMatrix(c.Grid.Layout, segs, 1e9, extract.GMDOptions{}, new(extract.KernelCache))
+		m := extract.InductanceMatrix(c.Grid.Layout, segs, 1e9, extract.GMDOptions{})
 		_ = m
 	}
 }

@@ -17,12 +17,8 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		args []string
 	}{
 		{"inductx", []string{"-solver", "bogus", "nonexistent.json"}},
-		{"inductx", []string{"-kernelcache", "maybe", "nonexistent.json"}},
 		{"inductx", []string{"-l", "verbose", "nonexistent.json"}},
 		{"rlsweep", []string{"-solver", "bogus"}},
-		{"clocksim", []string{"-kernelcache", "sometimes"}},
-		// The per-run private cache is what "on" does now.
-		{"clocksim", []string{"-kernelcache", "private"}},
 		{"clocksim", []string{"-solver", "hierarchical"}},
 		// -synthtran without a synthetic grid, and a negative node
 		// count, would otherwise fall through to the PEEC analyzer.
@@ -40,20 +36,13 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"gridnoise", []string{"-decap", "10000", "-synth", "2000"}},
 		{"gridnoise", []string{"-sweep", "-synth", "2000"}},
 		{"gridnoise", []string{"-packages", "-synth", "2000"}},
-		// A negative kernel-cache byte cap is rejected by the shared
-		// engine.Config validation in every tool that carries the cache,
-		// daemon included — fail-fast, before any input file is opened.
-		// rlsweep carries none: its filament kernels are computed
-		// directly.
-		{"inductx", []string{"-cachebytes", "-1", "nonexistent.json"}},
-		{"clocksim", []string{"-cachebytes", "-1"}},
-		{"inductd", []string{"-cachebytes", "-65536"}},
 		// A negative worker cap is not "all cores": engine.Config and
 		// gridnoise's flag checks reject it before any input is opened.
 		{"gridnoise", []string{"-workers", "-3", "-synth", "2000"}},
 		{"clocksim", []string{"-workers", "-1"}},
 		{"rlsweep", []string{"-workers", "-2"}},
 		{"inductx", []string{"-workers", "-1", "nonexistent.json"}},
+		{"inductd", []string{"-workers", "-1"}},
 		// Sweep-mode enum and tolerance validation: unknown modes and
 		// non-positive tolerances fail in milliseconds.
 		{"rlsweep", []string{"-sweep", "spline"}},

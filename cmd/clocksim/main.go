@@ -6,8 +6,7 @@
 // Usage:
 //
 //	clocksim [-nx 4] [-ny 4] [-pitch 400e-6] [-levels 2] [-tstop 2.5e-9]
-//	         [-solver auto|dense|iterative|nested] [-kernelcache on|off]
-//	         [-strategies]
+//	         [-solver auto|dense|iterative|nested] [-strategies]
 //	         [-waveforms out.csv]
 package main
 
@@ -33,27 +32,18 @@ func main() {
 		strats  = flag.Bool("strategies", false, "also run the sparsified/PRIMA strategies")
 		wavecsv = flag.String("waveforms", "", "write sink waveforms of each model to this CSV file")
 		workers = flag.Int("workers", 0, "solver/extraction goroutine cap (0 = all cores, 1 = serial)")
-		kcache  = flag.String("kernelcache", "on", "geometry-keyed kernel cache: on | off (results are bit-identical either way)")
-		kbytes  = flag.Int64("cachebytes", 0, "kernel-cache byte cap, CLOCK-evicted over it (0 = unbounded)")
 		solver  = flag.String("solver", "auto", "loop-model branch solve: dense | iterative (flat ACA) | nested (H² bases) | auto")
 	)
 	flag.Parse()
 
 	// Flags translate into the run config up front; a bad enum value
 	// fails before any extraction starts.
-	cfg := engine.Config{Workers: *workers, CacheBytes: *kbytes}
+	cfg := engine.Config{Workers: *workers}
 	mode, err := fasthenry.ParseSolveMode(*solver)
 	if err != nil {
 		fatal(err)
 	}
 	cfg.SolveMode = mode
-	switch *kcache {
-	case "on":
-	case "off":
-		cfg.Cache = engine.CacheOff
-	default:
-		fatal(fmt.Errorf("-kernelcache must be on or off, got %q", *kcache))
-	}
 
 	opt := core.DefaultCaseOptions()
 	opt.Engine = cfg

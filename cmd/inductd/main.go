@@ -8,15 +8,14 @@
 // Usage:
 //
 //	inductd [-addr :8472] [-workers 0] [-tenantworkers 0] [-queue 64]
-//	        [-cachebytes 268435456] [-maxpoints 1024] [-maxsegments 4096]
+//	        [-maxpoints 1024] [-maxsegments 4096]
 //
 // Endpoints:
 //
 //	POST /v1/sweep   submit a job; the response is an NDJSON stream of
 //	                 sweep points, terminated by a {"done":true,...} line
 //	GET  /healthz    liveness probe
-//	GET  /statz      queue depth, job counters, per-stage wall time,
-//	                 kernel-cache counters (hits/misses/bytes/evictions)
+//	GET  /statz      queue depth, job counters, per-stage wall time
 //
 // A job document (see internal/serve) reuses the layoutio layout
 // schema:
@@ -38,7 +37,7 @@
 // starts.
 //
 // Flags are validated fail-fast with a one-line error before the
-// listener opens; -cachebytes rejects negative values (0 = unbounded).
+// listener opens.
 package main
 
 import (
@@ -59,22 +58,20 @@ func main() {
 		workers = flag.Int("workers", 0, "total worker slots, the pool tenant budgets carve (0 = all CPUs)")
 		tenantw = flag.Int("tenantworkers", 0, "per-tenant concurrent-job budget (0 = workers/4, min 1)")
 		queue   = flag.Int("queue", 64, "bounded job-queue depth; jobs beyond it are rejected with 429")
-		cacheb  = flag.Int64("cachebytes", 256<<20, "kernel-cache byte cap, CLOCK-evicted over it (0 = unbounded)")
 		maxpts  = flag.Int("maxpoints", 1024, "per-job sweep point limit")
 		maxsegs = flag.Int("maxsegments", 4096, "per-job layout segment limit")
 	)
 	flag.Parse()
 
-	// The cache cap rides through engine.Config validation so the
+	// The worker cap rides through engine.Config validation so the
 	// daemon and the CLIs reject bad values with the same message.
-	if err := (engine.Config{Workers: *workers, CacheBytes: *cacheb}).Validate(); err != nil {
+	if err := (engine.Config{Workers: *workers}).Validate(); err != nil {
 		fatal(err)
 	}
 	srv, err := serve.New(serve.Options{
 		Workers:       *workers,
 		TenantWorkers: *tenantw,
 		QueueDepth:    *queue,
-		CacheBytes:    *cacheb,
 		MaxPoints:     *maxpts,
 		MaxSegments:   *maxsegs,
 	})

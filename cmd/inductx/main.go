@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	inductx [-l matrix|summary] [-c] [-window 0] [-kernelcache on|off]
+//	inductx [-l matrix|summary] [-c] [-window 0]
 //	        [-solver auto|dense|iterative|nested] [-acatol 1e-8]
 //	        [-workers 0] [-v] layout.json
 //	inductx -sample          # print a sample layout document
@@ -46,25 +46,16 @@ func main() {
 		window  = flag.Float64("window", 0, "mutual inductance window in metres (0 = unlimited)")
 		sample  = flag.Bool("sample", false, "print a sample layout JSON and exit")
 		spice   = flag.String("spice", "", "also write the stamped PEEC netlist as a SPICE deck to this file")
-		kcache  = flag.String("kernelcache", "on", "geometry-keyed kernel cache: on | off (results are bit-identical either way)")
-		kbytes  = flag.Int64("cachebytes", 0, "kernel-cache byte cap, CLOCK-evicted over it (0 = unbounded)")
 		solver  = flag.String("solver", "auto", "inductance representation: dense | iterative (flat ACA) | nested (H² bases) | auto (by segment count)")
 		acatol  = flag.Float64("acatol", 1e-8, "far-field relative tolerance for the compressed representations")
 		workers = flag.Int("workers", 0, "worker goroutines for extraction and operator build (0 = all CPUs)")
-		verbose = flag.Bool("v", false, "print extraction diagnostics (kernel cache hit/miss counters, operator compression, rank histograms)")
+		verbose = flag.Bool("v", false, "print extraction diagnostics (operator compression, rank histograms)")
 	)
 	flag.Parse()
 
 	// Every enum flag is validated before any file is opened or work is
 	// done: a typo fails in milliseconds with a one-line error.
-	cfg := engine.Config{ACATol: *acatol, Workers: *workers, CacheBytes: *kbytes}
-	switch *kcache {
-	case "on":
-	case "off":
-		cfg.Cache = engine.CacheOff
-	default:
-		fatal(fmt.Errorf("-kernelcache must be on or off, got %q", *kcache))
-	}
+	cfg := engine.Config{ACATol: *acatol, Workers: *workers}
 	switch *solver {
 	case "dense", "iterative", "nested", "auto":
 	default:
@@ -134,10 +125,10 @@ func main() {
 	switch {
 	case nested:
 		op = extract.CompressInductanceH2(lay, par.Segs, opt.GMD,
-			extract.H2Options{Tol: sess.Config().ACATol, Workers: *workers}, sess.Cache())
+			extract.H2Options{Tol: sess.Config().ACATol, Workers: *workers})
 	case compressed:
 		op = extract.CompressInductance(lay, par.Segs, opt.GMD,
-			extract.ACAOptions{Tol: sess.Config().ACATol, Workers: *workers}, sess.Cache())
+			extract.ACAOptions{Tol: sess.Config().ACATol, Workers: *workers})
 	}
 	// lAt reads partial inductances through whichever representation
 	// was built; the compressed accessor reconstructs far entries from
@@ -161,11 +152,8 @@ func main() {
 	}
 	fmt.Printf("extracted %d segments: %d R, %d self L, %d mutuals, %d ground caps, %d coupling caps\n",
 		len(par.Segs), st.NumR, st.NumL, st.NumMutual, st.NumCGround, st.NumCCouple)
-	if *verbose {
-		fmt.Println(sess.CacheStats().String())
-		if op != nil {
-			fmt.Println(op.Stats().String())
-		}
+	if *verbose && op != nil {
+		fmt.Println(op.Stats().String())
 	}
 
 	fmt.Println("\nper-segment R and self L:")

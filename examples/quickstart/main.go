@@ -16,7 +16,7 @@ import (
 
 func main() {
 	// One Session carries the run's configuration (workers, solver
-	// choice, cache policy) through every stage. The zero Config is the
+	// choice) through every stage. The zero Config is the
 	// library default; results are bit-identical at any worker count.
 	sess := engine.New(engine.Config{})
 
@@ -65,9 +65,7 @@ func main() {
 		}
 		n.AddC("cwire", "c", "0", cTot)
 		n.AddC("cload", "c", "0", 150e-15)
-		res, err := sim.Tran(n, sim.TranOptions{
-			TStop: 3e-9, TStep: 1e-12, Workers: sess.Config().Workers,
-		})
+		res, err := sim.Tran(n, sim.TranOptions{TStop: 3e-9, TStep: 1e-12})
 		if err != nil {
 			panic(err)
 		}

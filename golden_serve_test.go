@@ -3,7 +3,6 @@ package repro
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"os/exec"
@@ -28,7 +27,7 @@ func TestGoldenInductd(t *testing.T) {
 
 	cmd := exec.Command(filepath.Join(dir, "inductd"),
 		"-addr", "127.0.0.1:0", "-workers", "1", "-tenantworkers", "1",
-		"-queue", "4", "-cachebytes", fmt.Sprint(1<<20), "-maxpoints", "128")
+		"-queue", "4", "-maxpoints", "128")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

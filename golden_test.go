@@ -157,10 +157,9 @@ func TestGoldenInductx(t *testing.T) {
 	checkGolden(t, "inductx", runTool(t, bin, sampleLayout(t, bin)))
 }
 
-// TestGoldenInductxVerbose pins inductx's -v lines at two workers: the
-// kernel-cache counters of the dense path, whose parallel assembly has
-// workers racing on one key, and the compressed operator's lines under
-// -solver iterative.
+// TestGoldenInductxVerbose pins inductx -v at two workers: the dense
+// path adds no lines, and -solver iterative adds the compressed
+// operator's.
 func TestGoldenInductxVerbose(t *testing.T) {
 	bin := filepath.Join(buildTools(t), "inductx")
 	layout := sampleLayout(t, bin)
@@ -185,20 +184,6 @@ func TestGoldenInductxSpice(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "inductx_spice", deck)
-}
-
-// TestGoldenKernelCacheOff reruns the inductx and clocksim golden
-// cases with the kernel cache off. The cache is exact, so each output
-// must match its cache-on golden byte for byte. (rlsweep has no cache:
-// its filament kernels are computed directly.)
-func TestGoldenKernelCacheOff(t *testing.T) {
-	if *update {
-		t.Skip("the cache-on runs are the ones that write the goldens")
-	}
-	dir := buildTools(t)
-	inductx := filepath.Join(dir, "inductx")
-	checkGolden(t, "inductx", runTool(t, inductx, "-kernelcache", "off", sampleLayout(t, inductx)))
-	checkGolden(t, "clocksim", runTool(t, filepath.Join(dir, "clocksim"), "-kernelcache", "off"))
 }
 
 func TestGoldenClocksim(t *testing.T) {

@@ -53,9 +53,8 @@ type CaseOptions struct {
 	Package        pkgmodel.Connection
 	Seed           int64
 
-	// Engine is the run-scoped solver configuration (workers, cache
-	// policy, solve mode, sparse threshold). The zero value inherits
-	// every process default.
+	// Engine is the run-scoped solver configuration (workers, solve
+	// mode). The zero value inherits every process default.
 	Engine engine.Config
 }
 
@@ -90,8 +89,8 @@ type ClockCase struct {
 	Opt   CaseOptions
 	Grid  *grid.Model
 	Clock *grid.ClockNet
-	// Sess owns the case's kernel cache and mints the per-layer option
-	// structs every flow threads through the stack.
+	// Sess mints the per-layer option structs every flow threads
+	// through the stack.
 	Sess *engine.Session
 	// Par holds the full PEEC extraction of every segment (grid +
 	// clock) with the dense partial inductance matrix.

@@ -232,10 +232,7 @@ func (c *ClockCase) RunPEECCtx(ctx context.Context, opt FlowOptions) (*FlowResul
 			if err := c.attachEnvironment(n, true, true, true); err != nil {
 				return "", err
 			}
-			tr, err := sim.Tran(n, sim.TranOptions{
-				TStop: opt.TStop, TStep: opt.TStep,
-				Workers: c.session().Config().Workers,
-			})
+			tr, err := sim.Tran(n, sim.TranOptions{TStop: opt.TStop, TStep: opt.TStep})
 			if err != nil {
 				return "", fmt.Errorf("core: %s transient: %w", res.Name, err)
 			}

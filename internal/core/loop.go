@@ -130,10 +130,7 @@ func (c *ClockCase) RunLoopCtx(ctx context.Context, opt LoopOptions) (*FlowResul
 	}
 
 	if err := pipe.Run(ctx, "sim", func(context.Context) (string, error) {
-		tr, err := sim.Tran(n, sim.TranOptions{
-			TStop: opt.TStop, TStep: opt.TStep,
-			Workers: c.session().Config().Workers,
-		})
+		tr, err := sim.Tran(n, sim.TranOptions{TStop: opt.TStop, TStep: opt.TStep})
 		if err != nil {
 			return "", fmt.Errorf("core: loop transient: %w", err)
 		}

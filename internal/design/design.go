@@ -291,13 +291,11 @@ func Interdigitate(spec InterdigitSpec, fingers bool, f float64) (InterdigitResu
 		return res, err
 	}
 	res.LoopR, res.LoopL = fasthenry.RL(z, f)
-	// Capacitance of the signal net: ground + coupling contributions,
-	// the coupling kernel memoized across the net pairs.
-	kc := new(extract.KernelCache)
+	// Capacitance of the signal net: ground + coupling contributions.
 	for _, si := range lay.SegmentsOnNet("sig") {
 		res.CTotal += extract.GroundCap(lay, si)
 		for _, sj := range lay.SegmentsOnNet("ret") {
-			res.CTotal += extract.CouplingCap(lay, si, sj, kc)
+			res.CTotal += extract.CouplingCap(lay, si, sj)
 		}
 	}
 	return res, nil

@@ -1,16 +1,15 @@
 // Package engine is the run-scoped configuration layer of the
 // extraction/simulation stack. A Config is an immutable description of
-// one run's tuning (worker fan-out, solve mode, ACA tolerance,
-// kernel-cache policy, sweep mode, plane mesh density);
-// a Session owns the run's kernel cache and translates the Config into
-// the option structs of the lower layers (extract, fasthenry); sim
+// one run's tuning (worker fan-out, solve mode, ACA tolerance, sweep
+// mode, plane mesh density); a Session translates the Config into the
+// option structs of the lower layers (extract, fasthenry); sim
 // transients take Config().Workers directly.
 // Two Sessions with conflicting configs can run concurrently in one
-// process without touching each other: each owns its kernel cache, and
-// no layer keeps process-global tuning state.
+// process without touching each other: no layer keeps process-global
+// tuning state.
 //
 // Every zero Config field means the built-in default (GOMAXPROCS
-// workers, auto solve mode, a private kernel cache, auto sweep mode).
+// workers, auto solve mode, auto sweep mode).
 package engine
 
 import (
@@ -23,17 +22,13 @@ import (
 	"inductance101/internal/sweep"
 )
 
-// CachePolicy selects the kernel cache a session's extraction kernels
-// memoize into.
+// CachePolicy is unused: every extraction kernel is computed directly,
+// so there is no kernel cache to choose. Nothing reads it; it stays
+// only until the benchmark harness, its last user, stops naming it.
 type CachePolicy int
 
-const (
-	// CachePrivate gives the session its own cache: full memoization
-	// within the session, no sharing or interference across sessions.
-	CachePrivate CachePolicy = iota
-	// CacheOff computes every kernel directly.
-	CacheOff
-)
+// CachePrivate is unused, like CachePolicy, and goes with it.
+const CachePrivate CachePolicy = 0
 
 // Config is one run's immutable tuning. Zero values select the
 // built-in defaults (each field documents its own convention).
@@ -50,15 +45,9 @@ type Config struct {
 	// ACA factors or nested interpolation bases (0 = the
 	// extract/fasthenry default, 1e-8).
 	ACATol float64
-	// Cache is the kernel-cache policy.
+	// Cache is unused (see CachePolicy): nothing reads it, and it goes
+	// once the benchmark harness stops setting it.
 	Cache CachePolicy
-	// CacheBytes bounds the run's kernel-cache resident footprint in
-	// bytes; over the cap, entries are evicted with a sharded CLOCK
-	// policy (bit-identical results either way — eviction only trades
-	// recomputation for memory). 0 = unbounded; negative values are
-	// rejected. The cap applies to the session's own cache; CacheOff
-	// ignores it.
-	CacheBytes int64
 	// SweepMode selects how loop-extraction frequency sweeps are
 	// solved: exact per-point solves, the adaptive rational-
 	// interpolation engine, or automatic selection by point count (the
@@ -87,14 +76,6 @@ func (c Config) Validate() error {
 	if c.ACATol < 0 {
 		return fmt.Errorf("engine: negative ACA tolerance %g", c.ACATol)
 	}
-	if c.CacheBytes < 0 {
-		return fmt.Errorf("engine: negative kernel-cache byte cap %d", c.CacheBytes)
-	}
-	switch c.Cache {
-	case CachePrivate, CacheOff:
-	default:
-		return fmt.Errorf("engine: unknown cache policy %d", int(c.Cache))
-	}
 	switch c.SolveMode {
 	case fasthenry.ModeAuto, fasthenry.ModeDense, fasthenry.ModeIterative, fasthenry.ModeNested:
 	default:
@@ -122,14 +103,12 @@ func ParseSweepMode(s string) (sweep.Mode, error) {
 	return sweep.ParseMode(s)
 }
 
-// Session binds a Config to run-owned state: the kernel cache the
-// config's policy names. Sessions are cheap; build one per logical run
-// and thread it (or the option structs it mints) through the call
-// chain. All methods are safe for concurrent use — the config is
-// immutable and the cache is internally synchronized.
+// Session binds a validated Config to one run. Sessions are cheap;
+// build one per logical run and thread it (or the option structs it
+// mints) through the call chain. All methods are safe for concurrent
+// use — the config is immutable.
 type Session struct {
-	cfg   Config
-	cache *extract.KernelCache
+	cfg Config
 }
 
 // New builds a Session. Invalid configs are rejected by NewChecked;
@@ -149,52 +128,35 @@ func NewChecked(cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg}
-	if cfg.Cache == CachePrivate {
-		s.cache = extract.NewBoundedCache(cfg.CacheBytes)
-	}
-	return s, nil
-}
-
-// NewCheckedWithCache is NewChecked with the session's kernel cache
-// supplied by the caller instead of minted from the config's cache
-// policy. It exists for daemons that multiplex many sessions over one
-// explicitly bounded cache (see internal/serve): each request gets its
-// own config, but they all memoize into — and are capped by — the one
-// cache the process owns. cfg.Cache and cfg.CacheBytes are validated
-// but otherwise ignored.
-func NewCheckedWithCache(cfg Config, cache *extract.KernelCache) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Session{cfg: cfg, cache: cache}, nil
+	return &Session{cfg: cfg}, nil
 }
 
 // Config returns the session's immutable config.
 func (s *Session) Config() Config { return s.cfg }
 
-// Cache returns the session's kernel cache (nil under CacheOff); pass
-// it to extract entry points.
-func (s *Session) Cache() *extract.KernelCache { return s.cache }
+// CacheStats is unused, like CachePolicy: with no kernel cache there
+// are no counters, so it always returns the zero CacheStats.
+func (s *Session) CacheStats() CacheStats { return CacheStats{} }
 
-// CacheStats reports the session cache's hit/miss counters.
-func (s *Session) CacheStats() extract.CacheStats { return s.cache.Stats() }
+// CacheStats is the empty counter set Session.CacheStats returns; it
+// goes with Session.CacheStats.
+type CacheStats struct{}
+
+// HitRate is always 0: no kernel lookup is ever made.
+func (CacheStats) HitRate() float64 { return 0 }
 
 // ExtractOptions mints a full-layout extraction option set: the
 // extract defaults (dense mutual matrix, 3 um coupling window) under
-// this session's workers and cache.
+// this session's workers.
 func (s *Session) ExtractOptions() extract.Options {
 	opt := extract.DefaultOptions()
 	opt.Workers = s.cfg.Workers
-	opt.Cache = s.cache
 	return opt
 }
 
 // SolverOptions mints the base fasthenry option set (solve mode, ACA
 // tolerance, workers, sweep, plane density); callers fill the
-// discretization fields (NW/NT/MaxPerSide) per extraction. The
-// filament kernels are evaluated directly, so the session's cache
-// does not travel with it.
+// discretization fields (NW/NT/MaxPerSide) per extraction.
 func (s *Session) SolverOptions() fasthenry.Options {
 	return fasthenry.Options{
 		Mode:      s.cfg.SolveMode,

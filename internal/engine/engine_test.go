@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
 	"inductance101/internal/sweep"
 )
@@ -22,16 +21,16 @@ func TestZeroConfigInheritsDefaults(t *testing.T) {
 	if eo.CouplingWindow != 3e-6 {
 		t.Errorf("ExtractOptions lost the default coupling window: %+v", eo)
 	}
+	if r := s.CacheStats().HitRate(); r != 0 {
+		t.Errorf("CacheStats().HitRate() = %g with no kernel cache, want 0", r)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
 		{ACATol: -1},
-		{Cache: CachePolicy(99)},
 		{SolveMode: fasthenry.SolveMode(42)},
-		{CacheBytes: -1},
-		{Cache: CachePrivate, CacheBytes: -4096},
 		{SweepMode: sweep.Mode(9)},
 		{SweepTol: -1e-6},
 		{SweepTol: math.NaN()},
@@ -49,7 +48,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	good := []Config{
 		{SolveMode: fasthenry.ModeNested},
-		{Cache: CachePrivate, CacheBytes: 1 << 20}, // zero CacheBytes = unbounded, positive = cap
 		{SweepMode: sweep.ModeAdaptive, SweepTol: 1e-8},
 		{SweepMode: sweep.ModeExact},
 	}
@@ -82,35 +80,6 @@ func TestSweepConfigPlumbing(t *testing.T) {
 	}
 }
 
-// TestSessionCacheBytes pins the CacheBytes plumbing: a private-cache
-// session carries the cap on its own cache, and NewCheckedWithCache
-// binds the caller's shared cache to every session built over it.
-func TestSessionCacheBytes(t *testing.T) {
-	s := New(Config{Cache: CachePrivate, CacheBytes: 1 << 20})
-	if st := s.CacheStats(); st.CapBytes != 1<<20 {
-		t.Errorf("private session cache cap = %d, want %d", st.CapBytes, 1<<20)
-	}
-	if st := New(Config{Cache: CachePrivate}).CacheStats(); st.CapBytes != 0 {
-		t.Errorf("uncapped private session reports cap %d", st.CapBytes)
-	}
-
-	shared := extract.NewBoundedCache(2 << 20)
-	a, err := NewCheckedWithCache(Config{Workers: 1}, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCheckedWithCache(Config{Workers: 2, Cache: CacheOff}, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cache() != shared || b.Cache() != shared {
-		t.Errorf("NewCheckedWithCache sessions do not share the supplied cache")
-	}
-	if _, err := NewCheckedWithCache(Config{CacheBytes: -1}, shared); err == nil {
-		t.Errorf("NewCheckedWithCache accepted an invalid config")
-	}
-}
-
 func TestNewPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -118,48 +87,6 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	New(Config{ACATol: -1})
-}
-
-func TestCachePolicies(t *testing.T) {
-	priv := New(Config{Cache: CachePrivate})
-	if st := priv.CacheStats(); !st.Enabled {
-		t.Error("private cache reports disabled")
-	}
-	off := New(Config{Cache: CacheOff})
-	if st := off.CacheStats(); st.Enabled {
-		t.Error("CacheOff session reports an enabled cache")
-	}
-	// A private cache's counters are the session's own.
-	priv.Cache().SelfInductanceBar(100e-6, 1e-6, 1e-6)
-	priv.Cache().SelfInductanceBar(100e-6, 1e-6, 1e-6)
-	st := priv.CacheStats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("private cache counters = %+v, want 1 hit / 1 miss", st)
-	}
-	other := New(Config{Cache: CachePrivate})
-	if st := other.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("second private session inherited counters: %+v", st)
-	}
-}
-
-// TestSessionsOwnTheirCaches pins the isolation contract: building a
-// second session with a small byte cap must not trim the cache of a
-// session built earlier with the default policy and a large cap.
-func TestSessionsOwnTheirCaches(t *testing.T) {
-	const n = 2000
-	a := New(Config{CacheBytes: 1 << 30})
-	for i := 0; i < n; i++ {
-		a.Cache().SelfInductanceBar(float64(i+1)*1e-6, 1e-6, 1e-6)
-	}
-	if st := a.CacheStats(); st.Entries != n {
-		t.Fatalf("session A holds %d entries after %d distinct kernels", st.Entries, n)
-	}
-	New(Config{CacheBytes: 16 << 10})
-	st := a.CacheStats()
-	if st.Entries != n || st.Evictions != 0 || st.CapBytes != 1<<30 {
-		t.Errorf("building session B changed session A's cache: %d entries, %d evictions, cap %d",
-			st.Entries, st.Evictions, st.CapBytes)
-	}
 }
 
 func TestPipelineRunsAndRecords(t *testing.T) {

@@ -25,8 +25,7 @@ import (
 // (geom.Index.ClusterTreeParallel):
 //
 //   - near blocks (clusters that touch or overlap) are stored dense,
-//     assembled through the geometry-keyed kernel cache, exact to the
-//     last bit;
+//     exact to the last bit;
 //   - far blocks (clusters whose cross-plane separation — or gap along
 //     the shared routing axis — exceeds η times their extents) are
 //     compressed with adaptive cross approximation (ACA) into rank-k
@@ -45,12 +44,11 @@ import (
 // Construction is two-phase so it parallelizes over the cluster tree:
 // a serial geometric partition lists the diagonal, near and admissible
 // blocks (no kernel evaluations), then workers claim blocks from the
-// lists and fill them concurrently through the shared lock-striped
-// kernel cache. Far blocks whose ACA hits the break-even rank cap are
-// re-partitioned into their children between waves. Every block's
-// content depends only on its own index lists, and blocks are stored in
-// partition order, so the operator is bit-identical at any worker
-// count.
+// lists and fill them concurrently. Far blocks whose ACA hits the
+// break-even rank cap are re-partitioned into their children between
+// waves. Every block's content depends only on its own index lists, and
+// blocks are stored in partition order, so the operator is
+// bit-identical at any worker count.
 
 // LOperator is the read interface shared by the compressed
 // partial-inductance operators (the flat-ACA CompressedL and the
@@ -459,10 +457,10 @@ func (c *compressor) admissible(a, b *ElemTree) bool {
 // CompressL builds the flat hierarchically compressed operator over
 // elems from the given per-direction cluster trees. entry(i, j) must
 // return the symmetric interaction L[i][j] and be safe to call with
-// i == j; it is evaluated with i <= j only, so kernel-cache keys stay
-// canonical, and it must be safe for concurrent calls (the build fans
-// out over ACAOptions.Workers). Trees must partition [0, len(elems))
-// and each tree must hold elements of a single direction.
+// i == j; it is evaluated with i <= j only, and it must be safe for
+// concurrent calls (the build fans out over ACAOptions.Workers). Trees
+// must partition [0, len(elems)) and each tree must hold elements of a
+// single direction.
 func CompressL(elems []HElement, trees []*ElemTree, entry func(i, j int) float64, opt ACAOptions) *CompressedL {
 	c := &compressor{
 		elems:   elems,
@@ -843,18 +841,17 @@ func sortedLevels(byLevel map[int]*LevelStats) []LevelStats {
 
 // CompressInductance builds the compressed partial-inductance operator
 // over the given layout segments (one element per segment), with the
-// same self/mutual kernels — through the geometry-keyed cache (nil =
-// compute directly) — as InductanceMatrix with an unlimited window.
-// Position k of the operator corresponds to segs[k].
-func CompressInductance(l *geom.Layout, segs []int, gmd GMDOptions, opt ACAOptions, cache *KernelCache) *CompressedL {
-	elems, trees, entry := segmentOperatorInputs(l, segs, gmd, cache, opt.Workers)
+// same self/mutual kernels as InductanceMatrix with an unlimited
+// window. Position k of the operator corresponds to segs[k].
+func CompressInductance(l *geom.Layout, segs []int, gmd GMDOptions, opt ACAOptions) *CompressedL {
+	elems, trees, entry := segmentOperatorInputs(l, segs, gmd, opt.Workers)
 	return CompressL(elems, trees, entry, opt)
 }
 
 // segmentOperatorInputs prepares the shared inputs of the segment-level
 // compressed operators: one HElement per segment, per-direction cluster
-// trees, and the cached self/mutual kernel closure.
-func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, kc *KernelCache, workers int) ([]HElement, []*ElemTree, func(i, j int) float64) {
+// trees, and the self/mutual kernel closure.
+func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, workers int) ([]HElement, []*ElemTree, func(i, j int) float64) {
 	elems := make([]HElement, len(segs))
 	for k, si := range segs {
 		s := &l.Segments[si]
@@ -875,7 +872,7 @@ func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, kc *Kerne
 		a := &l.Segments[si]
 		ta := l.Layers[a.Layer].Thickness
 		if i == j {
-			return kc.SelfInductanceBar(a.Length, a.Width, ta)
+			return SelfInductanceBar(a.Length, a.Width, ta)
 		}
 		b := &l.Segments[sj]
 		pg, okPar := l.Parallel(si, sj)
@@ -883,7 +880,7 @@ func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, kc *Kerne
 			return 0
 		}
 		tb := l.Layers[b.Layer].Thickness
-		return kc.MutualBars(pg, a.Width, ta, b.Width, tb, gmd)
+		return MutualBars(pg, a.Width, ta, b.Width, tb, gmd)
 	}
 	idx := geom.NewIndex(l, 0)
 	roots := idx.ClusterTreeParallel(segs, 16, workers)

@@ -36,8 +36,8 @@ func gridLayout(nx, ny int, length, width, pitch float64) (*geom.Layout, []int) 
 // partial-inductance matrix on random vectors.
 func matvecAgainstDense(t *testing.T, l *geom.Layout, segs []int, tol float64, rng *rand.Rand, label string) *CompressedL {
 	t.Helper()
-	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8}, new(KernelCache))
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8})
+	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	n := len(segs)
 	if op.Dim() != n {
 		t.Fatalf("%s: dim %d, want %d", label, op.Dim(), n)
@@ -114,7 +114,7 @@ func TestCompressedSymmetryExact(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-6}, new(KernelCache))
+	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-6})
 	n := op.Dim()
 	ei := make([]float64, n)
 	col := make([]float64, n)
@@ -144,8 +144,8 @@ func TestCompressedDiagAndEachUpper(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8}, new(KernelCache))
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8})
+	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	n := len(segs)
 	for i := 0; i < n; i++ {
 		if got, want := op.Diag(i), dense.At(i, i); got != want {
@@ -187,7 +187,7 @@ func TestCompressionActuallyCompresses(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8}, new(KernelCache))
+	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8})
 	st := op.Stats()
 	if st.FarBlocks == 0 {
 		t.Fatal("no low-rank blocks on a 160-wire bus")
@@ -215,8 +215,8 @@ func TestACAMaxRankFallback(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-12, MaxRank: 1}, new(KernelCache))
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-12, MaxRank: 1})
+	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()

@@ -25,9 +25,6 @@ type Options struct {
 	// Workers parallelizes the inductance-matrix assembly across CPUs
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Cache is the kernel cache the run memoizes into; nil computes
-	// every kernel directly.
-	Cache *KernelCache
 	// SkipInductance leaves Parasitics.L nil. Used by callers that
 	// represent the partial-inductance coupling some other way (e.g.
 	// the hierarchically compressed operator from CompressInductance)
@@ -36,12 +33,11 @@ type Options struct {
 }
 
 // DefaultOptions extracts the full dense mutual matrix and couples lines
-// within 5x of typical spacing, memoizing into a fresh cache.
+// within 5x of typical spacing.
 func DefaultOptions() Options {
 	return Options{
 		MutualWindow:   math.Inf(1),
 		CouplingWindow: 3e-6,
-		Cache:          new(KernelCache),
 	}
 }
 
@@ -99,7 +95,7 @@ func ExtractSegments(l *geom.Layout, segs []int, opt Options) *Parasitics {
 		p.CGround[s.NodeB] += cg / 2
 	}
 	if !opt.SkipInductance {
-		p.L = InductanceMatrixParallel(l, segs, opt.MutualWindow, opt.GMD, opt.Workers, opt.Cache)
+		p.L = InductanceMatrixParallel(l, segs, opt.MutualWindow, opt.GMD, opt.Workers)
 	}
 
 	// Coupling capacitance between adjacent same-layer parallel lines.
@@ -127,7 +123,7 @@ func ExtractSegments(l *geom.Layout, segs []int, opt Options) *Parasitics {
 			if l.EdgeSpacing(a, b) > opt.CouplingWindow {
 				continue
 			}
-			cv := CouplingCap(l, a, b, opt.Cache)
+			cv := CouplingCap(l, a, b)
 			if cv <= 0 {
 				continue
 			}

@@ -36,10 +36,8 @@ func FilamentElements(fils []mesh.Filament) []HElement {
 // FilamentEntry returns the partial-inductance entry function over
 // lowered filaments. It evaluates the closed-form kernels directly:
 // SelfInductanceBar on the diagonal and MutualFilaments (4 asinh + 4
-// hypot) off it. With parallel workers a geometry-keyed cache hit
-// costs more than that kernel, so the filament path keeps no memo.
-// The arguments are canonicalized to i <= j, so entry(i, j) and
-// entry(j, i) are bit-equal.
+// hypot) off it. The arguments are canonicalized to i <= j, so
+// entry(i, j) and entry(j, i) are bit-equal.
 //
 // Orthogonal pairs return exactly zero (the Neumann integral vanishes
 // by symmetry); collinear pairs (perpendicular distance zero, e.g.

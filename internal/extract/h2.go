@@ -39,10 +39,9 @@ import (
 // Construction parallelizes over the cluster tree: the partition is
 // serial geometry, then bases are built level by level (deepest
 // first) with nodes of a level fanned out across workers, and
-// coupling/near/diagonal blocks are filled concurrently through the
-// shared kernel cache. Every block and basis depends only on its own
-// deterministic index lists, so the operator is bit-identical at any
-// worker count.
+// coupling/near/diagonal blocks are filled concurrently. Every block
+// and basis depends only on its own deterministic index lists, so the
+// operator is bit-identical at any worker count.
 //
 // Degraded paths are exact, not approximate: a basis that cannot reach
 // the tolerance within H2Options.MaxRank marks its node (and, since
@@ -839,10 +838,9 @@ func (b *h2builder) finishStats() {
 
 // CompressInductanceH2 builds the nested-basis partial-inductance
 // operator over the given layout segments, mirroring
-// CompressInductance: one element per segment, kernels through the
-// geometry-keyed cache (nil = compute directly), position k of the operator
-// corresponding to segs[k].
-func CompressInductanceH2(l *geom.Layout, segs []int, gmd GMDOptions, opt H2Options, cache *KernelCache) *H2L {
-	elems, trees, entry := segmentOperatorInputs(l, segs, gmd, cache, opt.Workers)
+// CompressInductance: one element per segment, position k of the
+// operator corresponding to segs[k].
+func CompressInductanceH2(l *geom.Layout, segs []int, gmd GMDOptions, opt H2Options) *H2L {
+	elems, trees, entry := segmentOperatorInputs(l, segs, gmd, opt.Workers)
 	return CompressLH2(elems, trees, entry, opt)
 }

@@ -13,8 +13,8 @@ import (
 // partial-inductance matrix on random vectors.
 func h2AgainstDense(t *testing.T, l *geom.Layout, segs []int, opt H2Options, tol float64, rng *rand.Rand, label string) *H2L {
 	t.Helper()
-	op := CompressInductanceH2(l, segs, GMDOptions{}, opt, new(KernelCache))
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+	op := CompressInductanceH2(l, segs, GMDOptions{}, opt)
+	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	n := len(segs)
 	if op.Dim() != n {
 		t.Fatalf("%s: dim %d, want %d", label, op.Dim(), n)
@@ -92,7 +92,7 @@ func TestH2SymmetryToRounding(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{}, new(KernelCache))
+	op := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{})
 	n := op.Dim()
 	ei := make([]float64, n)
 	col := make([]float64, n)
@@ -120,8 +120,8 @@ func TestH2DiagAndEachUpper(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{}, new(KernelCache))
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+	op := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{})
+	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	n := len(segs)
 	for i := 0; i < n; i++ {
 		if got, want := op.Diag(i), dense.At(i, i); got != want {
@@ -166,8 +166,8 @@ func TestH2MaxRankFallback(t *testing.T) {
 		segs[i] = i
 	}
 	op := CompressInductanceH2(l, segs, GMDOptions{},
-		H2Options{Tol: 1e-12, MaxRank: 1}, new(KernelCache))
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+		H2Options{Tol: 1e-12, MaxRank: 1})
+	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -202,7 +202,7 @@ func TestH2Stats(t *testing.T) {
 	for i := range segs {
 		segs[i] = i
 	}
-	op := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{}, new(KernelCache))
+	op := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{})
 	st := op.Stats()
 	if !st.Nested {
 		t.Fatal("Nested flag not set")
@@ -245,8 +245,8 @@ func TestH2Stats(t *testing.T) {
 func TestH2ParallelBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	l, segs := gridLayout(12, 12, 400e-6, 1e-6, 6e-6)
-	op1 := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Workers: 1}, new(KernelCache))
-	op8 := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Workers: 8}, new(KernelCache))
+	op1 := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Workers: 1})
+	op8 := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Workers: 8})
 	if s1, s8 := op1.Stats(), op8.Stats(); s1.StoredFloats != s8.StoredFloats ||
 		s1.FarBlocks != s8.FarBlocks || s1.NearBlocks != s8.NearBlocks ||
 		s1.KernelEvals != s8.KernelEvals {
@@ -273,8 +273,8 @@ func TestH2ParallelBuildDeterministic(t *testing.T) {
 func TestFlatParallelBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	l, segs := gridLayout(12, 12, 400e-6, 1e-6, 6e-6)
-	op1 := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Workers: 1}, new(KernelCache))
-	op8 := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Workers: 8}, new(KernelCache))
+	op1 := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Workers: 1})
+	op8 := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Workers: 8})
 	if s1, s8 := op1.Stats(), op8.Stats(); s1.StoredFloats != s8.StoredFloats ||
 		s1.FarBlocks != s8.FarBlocks || s1.NearBlocks != s8.NearBlocks ||
 		s1.KernelEvals != s8.KernelEvals {
@@ -296,20 +296,19 @@ func TestFlatParallelBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestH2ConcurrentBuildsSharedCache is the race-set target for the
+// TestH2ConcurrentBuildsDeterministic is the race-set target for the
 // parallel operator build: several goroutines each build a nested
-// operator with internal worker fan-out, all hammering the same
-// geometry-keyed kernel cache.
-func TestH2ConcurrentBuildsSharedCache(t *testing.T) {
+// operator over one layout with internal worker fan-out, and every
+// build must apply bit-identically.
+func TestH2ConcurrentBuildsDeterministic(t *testing.T) {
 	l, segs := gridLayout(10, 10, 350e-6, 1e-6, 5e-6)
-	ref := new(KernelCache)
 	ops := make([]*H2L, 3)
 	var wg sync.WaitGroup
 	for g := range ops {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ops[g] = CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Workers: 3}, ref)
+			ops[g] = CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Workers: 3})
 		}(g)
 	}
 	wg.Wait()

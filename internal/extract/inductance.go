@@ -172,18 +172,17 @@ func MutualBars(pg geom.ParallelGeometry, wa, ta, wb, tb float64, opt GMDOptions
 // full dense PEEC matrix). The result is symmetric with positive
 // diagonal.
 //
-// Kernel evaluations go through the geometry-keyed cache c (see
-// cache.go; nil computes directly): each unique relative pair geometry
-// is computed once, and every value is bit-identical to the uncached
-// path. With a finite window the candidate pairs come from a
-// uniform-grid spatial index instead of the all-pairs scan, making
-// windowed assembly O(n·k) in the neighbour count k.
-func InductanceMatrix(l *geom.Layout, segs []int, window float64, opt GMDOptions, c *KernelCache) *matrix.Dense {
+// Every kernel is evaluated directly: a lookup in a geometry-keyed memo
+// table cost more than the closed forms it would replace. With a finite
+// window the candidate pairs come from a uniform-grid spatial index
+// instead of the all-pairs scan, making windowed assembly O(n·k) in the
+// neighbour count k.
+func InductanceMatrix(l *geom.Layout, segs []int, window float64, opt GMDOptions) *matrix.Dense {
 	n := len(segs)
 	m := matrix.NewDense(n, n)
 	pairs := pairCandidates(l, segs, window)
 	for i := 0; i < n; i++ {
-		fillInductanceRow(l, segs, window, opt, m, i, pairs, c)
+		fillInductanceRow(l, segs, window, opt, m, i, pairs)
 	}
 	return m
 }
@@ -218,13 +217,12 @@ func pairCandidates(l *geom.Layout, segs []int, window float64) [][]int {
 }
 
 // fillInductanceRow computes the diagonal entry and the mutuals of row
-// i, visiting either the indexed candidate list or every j > i. c is the
-// resolved kernel cache (nil = compute directly).
-func fillInductanceRow(l *geom.Layout, segs []int, window float64, opt GMDOptions, m *matrix.Dense, i int, pairs [][]int, c *KernelCache) {
+// i, visiting either the indexed candidate list or every j > i.
+func fillInductanceRow(l *geom.Layout, segs []int, window float64, opt GMDOptions, m *matrix.Dense, i int, pairs [][]int) {
 	n := len(segs)
 	si := &l.Segments[segs[i]]
 	t := l.Layers[si.Layer].Thickness
-	m.Set(i, i, c.SelfInductanceBar(si.Length, si.Width, t))
+	m.Set(i, i, SelfInductanceBar(si.Length, si.Width, t))
 	visit := func(j int) {
 		sj := &l.Segments[segs[j]]
 		pg, ok := l.Parallel(segs[i], segs[j])
@@ -232,7 +230,7 @@ func fillInductanceRow(l *geom.Layout, segs []int, window float64, opt GMDOption
 			return
 		}
 		tj := l.Layers[sj.Layer].Thickness
-		v := c.MutualBars(pg, si.Width, t, sj.Width, tj, opt)
+		v := MutualBars(pg, si.Width, t, sj.Width, tj, opt)
 		m.Set(i, j, v)
 		m.Set(j, i, v)
 	}

@@ -178,7 +178,7 @@ func makeBusLayout(nWires int, length, width, pitch float64) *geom.Layout {
 func TestInductanceMatrixProperties(t *testing.T) {
 	l := makeBusLayout(6, 500e-6, 1e-6, 2e-6)
 	segs := []int{0, 1, 2, 3, 4, 5}
-	m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+	m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 	if !m.IsSymmetric(1e-12) {
 		t.Fatalf("L not symmetric")
 	}
@@ -195,7 +195,7 @@ func TestInductanceMatrixProperties(t *testing.T) {
 		}
 	}
 	// Windowed matrix: far mutuals dropped.
-	mw := InductanceMatrix(l, segs, 3e-6, GMDOptions{}, new(KernelCache))
+	mw := InductanceMatrix(l, segs, 3e-6, GMDOptions{})
 	if mw.At(0, 5) != 0 {
 		t.Errorf("window did not drop far mutual")
 	}
@@ -215,7 +215,7 @@ func TestInductanceMatrixPDProperty(t *testing.T) {
 		for i := range segs {
 			segs[i] = i
 		}
-		m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{}, new(KernelCache))
+		m := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
 		return matrix.IsPositiveDefinite(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -248,8 +248,101 @@ func TestOrthogonalMutualZero(t *testing.T) {
 	})
 	l.AddSegment(geom.Segment{Layer: 0, Dir: geom.DirX, Length: 100e-6, Width: 1e-6, Net: "a", NodeA: "a0", NodeB: "a1"})
 	l.AddSegment(geom.Segment{Layer: 0, Dir: geom.DirY, X0: 50e-6, Y0: -50e-6, Length: 100e-6, Width: 1e-6, Net: "b", NodeA: "b0", NodeB: "b1"})
-	m := InductanceMatrix(l, []int{0, 1}, math.Inf(1), GMDOptions{}, new(KernelCache))
+	m := InductanceMatrix(l, []int{0, 1}, math.Inf(1), GMDOptions{})
 	if m.At(0, 1) != 0 {
 		t.Errorf("orthogonal mutual = %g, want 0", m.At(0, 1))
 	}
+}
+
+// randomLayout builds an irregular two-layer layout with both routing
+// directions, random sizes and random offsets — the adversarial case
+// for the spatial index (no grid regularity).
+func randomLayout(rng *rand.Rand, nSegs int) (*geom.Layout, []int) {
+	l := geom.NewLayout([]geom.Layer{
+		{Name: "M5", Z: 4e-6, Thickness: 0.9e-6, SheetRho: 0.025, HBelow: 1.0e-6},
+		{Name: "M6", Z: 6e-6, Thickness: 1.2e-6, SheetRho: 0.018, HBelow: 1.1e-6},
+	})
+	segs := make([]int, nSegs)
+	for i := range segs {
+		dir := geom.DirX
+		if rng.Intn(2) == 1 {
+			dir = geom.DirY
+		}
+		segs[i] = l.AddSegment(geom.Segment{
+			Layer:  rng.Intn(2),
+			Dir:    dir,
+			X0:     rng.Float64() * 200e-6,
+			Y0:     rng.Float64() * 200e-6,
+			Length: 10e-6 + rng.Float64()*150e-6,
+			Width:  0.4e-6 + rng.Float64()*3e-6,
+			Net:    "n",
+			NodeA:  "a",
+			NodeB:  "b",
+		})
+	}
+	return l, segs
+}
+
+func requireBitIdentical(t *testing.T, want, got *matrix.Dense, label string) {
+	t.Helper()
+	n := want.Rows()
+	if got.Rows() != n {
+		t.Fatalf("%s: size %d != %d", label, got.Rows(), n)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a, b := want.At(i, j), got.At(i, j)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: (%d,%d) %v != %v (bits %x vs %x)",
+					label, i, j, a, b, math.Float64bits(a), math.Float64bits(b))
+			}
+		}
+	}
+}
+
+// TestWindowedIndexMatchesBruteForce pins the spatial-index candidate
+// path against a brute-force all-pairs windowed reference: the index
+// may only prune pairs the window test would reject anyway.
+func TestWindowedIndexMatchesBruteForce(t *testing.T) {
+	bruteForce := func(l *geom.Layout, segs []int, window float64, opt GMDOptions) *matrix.Dense {
+		n := len(segs)
+		m := matrix.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			si := &l.Segments[segs[i]]
+			th := l.Layers[si.Layer].Thickness
+			m.Set(i, i, SelfInductanceBar(si.Length, si.Width, th))
+			for j := i + 1; j < n; j++ {
+				sj := &l.Segments[segs[j]]
+				pg, ok := l.Parallel(segs[i], segs[j])
+				if !ok || pg.D > window {
+					continue
+				}
+				tj := l.Layers[sj.Layer].Thickness
+				v := MutualBars(pg, si.Width, th, sj.Width, tj, opt)
+				m.Set(i, j, v)
+				m.Set(j, i, v)
+			}
+		}
+		return m
+	}
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 5; trial++ {
+		l, segs := randomLayout(rng, 30)
+		window := []float64{1e-6, 10e-6, 50e-6, 400e-6}[trial%4]
+		ref := bruteForce(l, segs, window, GMDOptions{})
+		got := InductanceMatrix(l, segs, window, GMDOptions{})
+		requireBitIdentical(t, ref, got, "indexed windowed")
+	}
+	// Collinear far-apart segments: perpendicular distance is zero even
+	// though the bounding boxes are a millimetre apart — the stretched
+	// query box must still find the pair.
+	l := geom.NewLayout([]geom.Layer{{Name: "M6", Thickness: 1e-6, SheetRho: 0.02, HBelow: 1e-6}})
+	a := l.AddSegment(geom.Segment{Dir: geom.DirX, X0: 0, Y0: 3e-6, Length: 100e-6, Width: 1e-6, Net: "n", NodeA: "a", NodeB: "b"})
+	b := l.AddSegment(geom.Segment{Dir: geom.DirX, X0: 1e-3, Y0: 0, Length: 100e-6, Width: 1e-6, Net: "n", NodeA: "c", NodeB: "d"})
+	segs := []int{a, b}
+	ref := bruteForce(l, segs, 5e-6, GMDOptions{})
+	if ref.At(0, 1) == 0 {
+		t.Fatal("test geometry broken: collinear pair should couple")
+	}
+	requireBitIdentical(t, ref, InductanceMatrix(l, segs, 5e-6, GMDOptions{}), "collinear pair")
 }

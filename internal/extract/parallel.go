@@ -24,13 +24,7 @@ import (
 // expensive rows. Strides are claimed with a lock-free atomic counter —
 // the mutex-guarded handout this replaces serialized all workers through
 // one critical section per row.
-//
-// All workers share the geometry-keyed kernel cache c (nil = compute
-// directly); its lock striping (64 shards, read-locked lookups) keeps
-// contention negligible, and because the memoized values are the
-// kernels' exact outputs the result stays bit-identical at every worker
-// count.
-func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GMDOptions, workers int, c *KernelCache) *matrix.Dense {
+func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GMDOptions, workers int) *matrix.Dense {
 	n := len(segs)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -39,7 +33,7 @@ func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GM
 		workers = n
 	}
 	if workers <= 1 {
-		return InductanceMatrix(l, segs, window, opt, c)
+		return InductanceMatrix(l, segs, window, opt)
 	}
 	m := matrix.NewDense(n, n)
 	pairs := pairCandidates(l, segs, window)
@@ -61,7 +55,7 @@ func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GM
 					return
 				}
 				for i := u; i < n; i += numUnits {
-					fillInductanceRow(l, segs, window, opt, m, i, pairs, c)
+					fillInductanceRow(l, segs, window, opt, m, i, pairs)
 				}
 			}
 		}()

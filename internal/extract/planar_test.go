@@ -38,7 +38,7 @@ func TestBlocksContiguousInTreeOrder(t *testing.T) {
 	l, segs := gridLayout(160, 160, 500e-6, 1e-6, 2e-6)
 	n := len(segs)
 
-	flat := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8}, new(KernelCache))
+	flat := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-8})
 	checkOrder(t, flat.order, n)
 	if len(flat.far) == 0 || len(flat.near) == 0 {
 		t.Fatalf("flat operator has %d near and %d far blocks; the test needs both", len(flat.near), len(flat.far))
@@ -55,7 +55,7 @@ func TestBlocksContiguousInTreeOrder(t *testing.T) {
 		checkRange(t, flat.order, b.cols, b.c0, "flat far cols")
 	}
 
-	h2 := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Tol: 1e-8}, new(KernelCache))
+	h2 := CompressInductanceH2(l, segs, GMDOptions{}, H2Options{Tol: 1e-8})
 	checkOrder(t, h2.order, n)
 	if len(h2.coups) == 0 {
 		t.Fatal("nested operator has no couplings")

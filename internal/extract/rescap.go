@@ -63,9 +63,8 @@ func GroundCap(l *geom.Layout, segIdx int) float64 {
 
 // CouplingCap returns the coupling capacitance (F) between two parallel
 // same-layer segments over their overlap length, zero when they do not
-// run side by side. The per-length kernel is memoized through c (nil =
-// compute directly).
-func CouplingCap(l *geom.Layout, i, j int, c *KernelCache) float64 {
+// run side by side.
+func CouplingCap(l *geom.Layout, i, j int) float64 {
 	a := &l.Segments[i]
 	b := &l.Segments[j]
 	if a.Dir != b.Dir || a.Layer != b.Layer {
@@ -81,7 +80,5 @@ func CouplingCap(l *geom.Layout, i, j int, c *KernelCache) float64 {
 	}
 	ly := l.Layers[a.Layer]
 	w := math.Min(a.Width, b.Width)
-	// The per-length kernel is memoized by its exact arguments (see
-	// cache.go): on a regular bus every adjacent pair shares one entry.
-	return c.couplingCapPerLength(w, ly.Thickness, ly.HBelow, sp) * ov
+	return CouplingCapPerLength(w, ly.Thickness, ly.HBelow, sp) * ov
 }

@@ -43,8 +43,8 @@ func TestGroundCapMagnitude(t *testing.T) {
 }
 
 func TestCouplingCapBehaviour(t *testing.T) {
-	cNear := CouplingCap(twoWireLayout(0.5e-6), 0, 1, nil)
-	cFar := CouplingCap(twoWireLayout(4e-6), 0, 1, nil)
+	cNear := CouplingCap(twoWireLayout(0.5e-6), 0, 1)
+	cFar := CouplingCap(twoWireLayout(4e-6), 0, 1)
 	if cNear <= 0 || cFar <= 0 {
 		t.Fatalf("coupling caps must be positive: %g %g", cNear, cFar)
 	}
@@ -55,7 +55,7 @@ func TestCouplingCapBehaviour(t *testing.T) {
 	l := twoWireLayout(1e-6)
 	l.AddSegment(geom.Segment{Layer: 0, Dir: geom.DirY, X0: 50e-6, Y0: -100e-6,
 		Length: 50e-6, Width: 1e-6, Net: "c", NodeA: "c0", NodeB: "c1"})
-	if CouplingCap(l, 0, 2, nil) != 0 {
+	if CouplingCap(l, 0, 2) != 0 {
 		t.Errorf("orthogonal coupling should be 0")
 	}
 }
@@ -97,7 +97,7 @@ func TestExtractFullLayout(t *testing.T) {
 		t.Fatalf("expected 2 coupling cap halves, got %d", len(p.CCoupling))
 	}
 	tot := p.CCoupling[0].C + p.CCoupling[1].C
-	if relErr(tot, CouplingCap(l, 0, 1, nil)) > 1e-12 {
+	if relErr(tot, CouplingCap(l, 0, 1)) > 1e-12 {
 		t.Errorf("coupling cap not conserved: %g", tot)
 	}
 	st := p.Stats()

@@ -392,7 +392,7 @@ func (s *Solver) buildSchurPlan(op extract.LOperator) (*schurPlan, error) {
 			b.addBranch(val, e, complex(1/s.fils[d.Idx[a]].R, 0))
 		}
 	}
-	sym, err := matrix.FactorSparseCLUWorkers(p.tmpl.WithValues(val), 1)
+	sym, err := matrix.FactorSparseCLU(p.tmpl.WithValues(val))
 	if err != nil {
 		return nil, fmt.Errorf("fasthenry: port network disconnected: %w", err)
 	}
@@ -461,7 +461,7 @@ func (p *schurPlan) factor(bj *blockPrecond) (*matrix.SparseCLU, error) {
 	a := p.tmpl.WithValues(val)
 	lu := p.sym.NewNumeric()
 	if err := lu.Refactor(a); err != nil {
-		return matrix.FactorSparseCLUWorkers(a, 1)
+		return matrix.FactorSparseCLU(a)
 	}
 	return lu, nil
 }

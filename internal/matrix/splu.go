@@ -6,24 +6,21 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
-	"sync"
 )
 
 // Sparse direct LU for the MNA hot paths. The first factorization runs
 // left-looking Gilbert-Peierls: a depth-first reach computes each factor
 // column's pattern, a sparse triangular solve its values, and threshold
 // partial pivoting (diagonal-preferring, as in KLU) picks the pivot row.
-// Everything pattern-shaped — the column ordering, the row permutation,
-// the L/U structures, and a level schedule of column dependencies — is
-// frozen into an immutable symbolic object that numeric
-// refactorizations reuse: when only the matrix values change (a new
-// transient step size, a new AC frequency), Refactor re-runs the O(flops)
-// numeric sweep with no graph traversal, no sorting and no allocation,
-// optionally in parallel across independent columns
-// (FactorSparseLUWorkers). The triangular solves follow the factor's
-// structure: each column's trailing run of consecutive pivot rows (the
-// dense block that mutual inductors leave at the end of the ordering)
-// is applied as one contiguous update instead of an indexed scatter.
+// Everything pattern-shaped — the column ordering, the row permutation
+// and the L/U structures — is frozen into an immutable symbolic object
+// that numeric refactorizations reuse: when only the matrix values
+// change (a new Newton iterate, a new AC frequency), Refactor re-runs
+// the O(flops) numeric sweep with no graph traversal and no sorting.
+// The triangular solves follow the factor's structure: each column's
+// trailing run of consecutive pivot rows (the dense block that mutual
+// inductors leave at the end of the ordering) is applied as one
+// contiguous update instead of an indexed scatter.
 
 // ErrPivotDrift is returned by Refactor when a pivot that was acceptable
 // at analysis time has become negligible relative to its column — the
@@ -50,10 +47,9 @@ func absT[T Scalar](v T) float64 {
 	return 0
 }
 
-// spSymbolic is the reusable symbolic factorization: permutations,
-// factor patterns and the column-dependency level schedule. Immutable
-// after construction; safe to share across goroutines and across the
-// real/complex numeric objects.
+// spSymbolic is the reusable symbolic factorization: permutations and
+// factor patterns. Immutable after construction; safe to share across
+// goroutines and across the real/complex numeric objects.
 type spSymbolic struct {
 	n       int
 	q       []int // factor column k holds A column q[k]
@@ -65,11 +61,6 @@ type spSymbolic struct {
 	// rows starts in li (ui, diagonal excluded); runs shorter than
 	// minDenseRun are not recorded, so the run is empty.
 	lRun, uRun []int
-	// Level schedule: column k depends on the columns named by rows of
-	// U(:,k); levelCol[levelPtr[l]:levelPtr[l+1]] lists the columns of
-	// level l, every one computable once levels < l are done.
-	levelPtr []int
-	levelCol []int
 	// colPtr, rowIdx are the analyzed matrix's pattern (shared with it,
 	// not copied), which Refactor checks every matrix against.
 	colPtr, rowIdx []int
@@ -78,10 +69,9 @@ type spSymbolic struct {
 // SparseLUOf is a sparse LU factorization P*A*Q = L*U with values of
 // type T over a shared symbolic pattern.
 type SparseLUOf[T Scalar] struct {
-	sym     *spSymbolic
-	lx      []T
-	ux      []T
-	workers int // worker count for Refactor; 0 = process default
+	sym *spSymbolic
+	lx  []T
+	ux  []T
 }
 
 // SparseLU is the real-valued sparse factorization (transient companion
@@ -95,32 +85,8 @@ type SparseCLU = SparseLUOf[complex128]
 // sparse matrix a.
 func FactorSparseLU(a *CSC) (*SparseLU, error) { return FactorSparseOrdered(a, nil) }
 
-// FactorSparseLUWorkers is FactorSparseLU with an explicit worker count
-// remembered for Refactor on the returned factorization (and on numeric
-// copies made via NewNumeric). workers <= 0 resolves to the process
-// default (Workers) at each Refactor.
-func FactorSparseLUWorkers(a *CSC, workers int) (*SparseLU, error) {
-	f, err := FactorSparseOrdered(a, nil)
-	if err != nil {
-		return nil, err
-	}
-	f.workers = workers
-	return f, nil
-}
-
 // FactorSparseCLU orders and factors the square complex sparse matrix a.
 func FactorSparseCLU(a *CCSC) (*SparseCLU, error) { return FactorSparseOrdered(a, nil) }
-
-// FactorSparseCLUWorkers is FactorSparseCLU with an explicit worker
-// count remembered for Refactor, as in FactorSparseLUWorkers.
-func FactorSparseCLUWorkers(a *CCSC, workers int) (*SparseCLU, error) {
-	f, err := FactorSparseOrdered(a, nil)
-	if err != nil {
-		return nil, err
-	}
-	f.workers = workers
-	return f, nil
-}
 
 // FactorSparseOrdered factors a with the given column elimination order
 // (nil computes a minimum-degree order). The returned factorization
@@ -297,7 +263,6 @@ func FactorSparseOrdered[T Scalar](a *CSCOf[T], q []int) (*SparseLUOf[T], error)
 	sortColumns(up, ui, ux, n)
 	sym.lRun = runStarts(lp, li, n, 0)
 	sym.uRun = runStarts(up, ui, n, 1)
-	sym.buildLevels()
 	return &SparseLUOf[T]{sym: sym, lx: lx, ux: ux}, nil
 }
 
@@ -378,44 +343,11 @@ func subScaled[T Scalar](y, x []T, a T) {
 	}
 }
 
-// buildLevels computes the column-dependency level schedule from the U
-// pattern: column k waits on the columns named by rows of U(:,k).
-func (s *spSymbolic) buildLevels() {
-	n := s.n
-	level := make([]int, n)
-	maxLevel := 0
-	for k := 0; k < n; k++ {
-		lv := 0
-		for p := s.up[k]; p < s.up[k+1]-1; p++ {
-			if l := level[s.ui[p]] + 1; l > lv {
-				lv = l
-			}
-		}
-		level[k] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	s.levelPtr = make([]int, maxLevel+2)
-	for _, lv := range level {
-		s.levelPtr[lv+1]++
-	}
-	for l := 0; l < maxLevel+1; l++ {
-		s.levelPtr[l+1] += s.levelPtr[l]
-	}
-	s.levelCol = make([]int, n)
-	fill := append([]int(nil), s.levelPtr...)
-	for k := 0; k < n; k++ {
-		s.levelCol[fill[level[k]]] = k
-		fill[level[k]]++
-	}
-}
-
 // NewNumeric returns an empty numeric factorization sharing this one's
 // symbolic pattern; fill it with Refactor. This is how per-frequency AC
 // workers and per-step-size transient factors avoid re-analysis.
 func (f *SparseLUOf[T]) NewNumeric() *SparseLUOf[T] {
-	return &SparseLUOf[T]{sym: f.sym, lx: make([]T, len(f.lx)), ux: make([]T, len(f.ux)), workers: f.workers}
+	return &SparseLUOf[T]{sym: f.sym, lx: make([]T, len(f.lx)), ux: make([]T, len(f.ux))}
 }
 
 // N returns the factored system dimension.
@@ -427,10 +359,10 @@ func (f *SparseLUOf[T]) FactorNNZ() int { return len(f.lx) + len(f.ux) }
 
 // Refactor recomputes the numeric factorization of a, which must have
 // exactly the sparsity pattern the factorization was analyzed on (any
-// other pattern is an error), using the frozen pivot order. No
-// allocation or graph work happens; columns on the same dependency
-// level run in parallel, using the worker count the factorization was
-// created with (the *Workers constructors) or the process default. Returns ErrSingular on a zero pivot and ErrPivotDrift
+// other pattern is an error), using the frozen pivot order. No graph
+// work happens: one serial sweep over the columns in ascending order,
+// which is topological for the triangular factors. Returns ErrSingular
+// on a zero pivot and ErrPivotDrift
 // when a pivot lost too much magnitude relative to its column — in both
 // cases the caller should fall back to a fresh FactorSparseLU.
 func (f *SparseLUOf[T]) Refactor(a *CSCOf[T]) error {
@@ -441,57 +373,8 @@ func (f *SparseLUOf[T]) Refactor(a *CSCOf[T]) error {
 	if !s.samePattern(a.colPtr, a.rowIdx) {
 		return fmt.Errorf("matrix: Refactor pattern differs from the analyzed one (%d nonzeros, analyzed %d)", a.NNZ(), len(s.rowIdx))
 	}
-	workers := f.workers
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers <= 1 || s.n < 64 {
-		w := make([]T, s.n)
-		return f.refactorCols(a, w, s.levelCol) // levelCol covers every column; serial order is valid
-	}
-	pool := sync.Pool{New: func() any { return make([]T, s.n) }}
-	var mu sync.Mutex
-	var firstErr error
-	for l := 0; l+1 < len(s.levelPtr); l++ {
-		cols := s.levelCol[s.levelPtr[l]:s.levelPtr[l+1]]
-		ParallelRangeWorkers(workers, len(cols), 16, func(lo, hi int) {
-			w := pool.Get().([]T)
-			if err := f.refactorCols(a, w, cols[lo:hi]); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-			pool.Put(w)
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	return nil
-}
-
-// samePattern reports whether (colPtr, rowIdx) is the analyzed
-// pattern. Slices that are the analyzed ones, as WithValues passes them
-// on, skip the O(nnz) compare.
-func (s *spSymbolic) samePattern(colPtr, rowIdx []int) bool {
-	if len(colPtr) != len(s.colPtr) || len(rowIdx) != len(s.rowIdx) {
-		return false
-	}
-	if &colPtr[0] == &s.colPtr[0] && (len(rowIdx) == 0 || &rowIdx[0] == &s.rowIdx[0]) {
-		return true
-	}
-	return slices.Equal(colPtr, s.colPtr) && slices.Equal(rowIdx, s.rowIdx)
-}
-
-// refactorCols replays the numeric sweep for the given factor columns.
-// w is a dense workspace that must be all-zero on entry; it is restored
-// to all-zero before returning (even on error), so pooled workspaces
-// stay clean.
-func (f *SparseLUOf[T]) refactorCols(a *CSCOf[T], w []T, cols []int) error {
-	s := f.sym
-	for _, k := range cols {
+	w := make([]T, s.n) // dense workspace, all-zero between columns
+	for k := 0; k < s.n; k++ {
 		col := s.q[k]
 		for p := a.colPtr[col]; p < a.colPtr[col+1]; p++ {
 			w[s.pinv[a.rowIdx[p]]] = a.val[p]
@@ -522,15 +405,14 @@ func (f *SparseLUOf[T]) refactorCols(a *CSCOf[T], w []T, cols []int) error {
 				colMax = m
 			}
 		}
-		var err error
 		if piv == 0 {
-			err = ErrSingular
-		} else if pm < driftTol*colMax {
-			err = ErrPivotDrift
-		} else {
-			for pp := s.lp[k]; pp < s.lp[k+1]; pp++ {
-				f.lx[pp] = w[s.li[pp]] / piv
-			}
+			return ErrSingular
+		}
+		if pm < driftTol*colMax {
+			return ErrPivotDrift
+		}
+		for pp := s.lp[k]; pp < s.lp[k+1]; pp++ {
+			f.lx[pp] = w[s.li[pp]] / piv
 		}
 		// Clear the workspace along the column's pattern (the pattern is
 		// closed under the updates above, so this restores all-zero).
@@ -541,11 +423,21 @@ func (f *SparseLUOf[T]) refactorCols(a *CSCOf[T], w []T, cols []int) error {
 		for pp := s.lp[k]; pp < s.lp[k+1]; pp++ {
 			w[s.li[pp]] = 0
 		}
-		if err != nil {
-			return err
-		}
 	}
 	return nil
+}
+
+// samePattern reports whether (colPtr, rowIdx) is the analyzed
+// pattern. Slices that are the analyzed ones, as WithValues passes them
+// on, skip the O(nnz) compare.
+func (s *spSymbolic) samePattern(colPtr, rowIdx []int) bool {
+	if len(colPtr) != len(s.colPtr) || len(rowIdx) != len(s.rowIdx) {
+		return false
+	}
+	if &colPtr[0] == &s.colPtr[0] && (len(rowIdx) == 0 || &rowIdx[0] == &s.rowIdx[0]) {
+		return true
+	}
+	return slices.Equal(colPtr, s.colPtr) && slices.Equal(rowIdx, s.rowIdx)
 }
 
 // Solve solves A*x = b for one right-hand side. b is not modified.

@@ -229,39 +229,6 @@ func TestSparseLURefactorRejectsOtherPattern(t *testing.T) {
 	}
 }
 
-func TestSparseLURefactorParallelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 300
-	trip := randSparse(rng, n, 2*n)
-	a := trip.ToCSC()
-	f1, err := FactorSparseLUWorkers(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f4, err := FactorSparseLUWorkers(a, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1 := f1.NewNumeric()
-	if err := g1.Refactor(a); err != nil {
-		t.Fatal(err)
-	}
-	g4 := f4.NewNumeric()
-	if err := g4.Refactor(a); err != nil {
-		t.Fatal(err)
-	}
-	for p := range g1.lx {
-		if g1.lx[p] != g4.lx[p] {
-			t.Fatalf("parallel refactor lx[%d] differs from serial", p)
-		}
-	}
-	for p := range g1.ux {
-		if g1.ux[p] != g4.ux[p] {
-			t.Fatalf("parallel refactor ux[%d] differs from serial", p)
-		}
-	}
-}
-
 func TestSparseLUSingular(t *testing.T) {
 	trip := NewTriplet(3, 3)
 	trip.Add(0, 0, 1)

@@ -36,7 +36,6 @@ func FuzzJobRequest(f *testing.F) {
 	srv, err := New(Options{
 		Workers:      1,
 		QueueDepth:   4,
-		CacheBytes:   1 << 20,
 		MaxPoints:    4,
 		MaxSegments:  8,
 		MaxBodyBytes: 1 << 16,

@@ -11,10 +11,7 @@
 // jobs per chip, so the server schedules jobs through a bounded
 // priority queue with per-tenant worker budgets carved out of the
 // process's worker total: backpressure (429) instead of unbounded
-// buffering, and no tenant can starve the rest. Sweep jobs evaluate
-// their filament kernels directly (a cache hit costs more than the
-// closed-form kernel), so the byte-bounded kernel cache the server
-// still owns and reports in /statz sees no job traffic.
+// buffering, and no tenant can starve the rest.
 package serve
 
 import (
@@ -31,7 +28,6 @@ import (
 	"time"
 
 	"inductance101/internal/engine"
-	"inductance101/internal/extract"
 	"inductance101/internal/fasthenry"
 )
 
@@ -47,8 +43,10 @@ type Options struct {
 	// QueueDepth bounds the waiting queue; admission beyond it fails
 	// with 429. 0 = 64.
 	QueueDepth int
-	// CacheBytes caps the shared kernel cache's resident footprint
-	// (CLOCK eviction over the cap). 0 = unbounded.
+	// CacheBytes is unused: the server keeps no kernel cache, since
+	// every kernel is computed directly. Nothing reads it; it stays
+	// only until the benchmark harness, its last user, stops setting
+	// it.
 	CacheBytes int64
 	// MaxPoints caps sweep points per job. 0 = 1024.
 	MaxPoints int
@@ -91,20 +89,17 @@ func (o Options) validate() error {
 		return fmt.Errorf("serve: negative tenant worker budget %d", o.TenantWorkers)
 	case o.QueueDepth < 0:
 		return fmt.Errorf("serve: negative queue depth %d", o.QueueDepth)
-	case o.CacheBytes < 0:
-		return fmt.Errorf("serve: negative kernel-cache byte cap %d", o.CacheBytes)
 	case o.MaxPoints < 0 || o.MaxSegments < 0 || o.MaxBodyBytes < 0:
 		return fmt.Errorf("serve: negative job limit")
 	}
 	return nil
 }
 
-// Server is the extraction-as-a-service daemon state: the shared
-// bounded kernel cache, the slot scheduler, and the counters /statz
-// reports. Create one with New and mount Handler on an http.Server.
+// Server is the extraction-as-a-service daemon state: the slot
+// scheduler and the counters /statz reports. Create one with New and
+// mount Handler on an http.Server.
 type Server struct {
 	opt   Options
-	cache *extract.KernelCache // shared across tenants, byte-bounded
 	sched *scheduler
 	mux   *http.ServeMux
 
@@ -134,7 +129,6 @@ func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
 		opt:    opt,
-		cache:  extract.NewBoundedCache(opt.CacheBytes),
 		sched:  newScheduler(opt.Workers, opt.TenantWorkers, opt.QueueDepth),
 		stages: make(map[string]*stageAgg),
 	}
@@ -147,9 +141,6 @@ func New(opt Options) (*Server, error) {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// CacheStats snapshots the shared kernel cache.
-func (s *Server) CacheStats() extract.CacheStats { return s.cache.Stats() }
 
 func (s *Server) limits() Limits {
 	return Limits{MaxPoints: s.opt.MaxPoints, MaxSegments: s.opt.MaxSegments}
@@ -226,7 +217,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess, err := engine.NewCheckedWithCache(jb.cfg, s.cache)
+	sess, err := engine.NewChecked(jb.cfg)
 	if err != nil {
 		s.rejected400.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -384,17 +375,7 @@ type statzJSON struct {
 	Rejected400    uint64      `json:"rejected_400"`
 	Rejected429    uint64      `json:"rejected_429"`
 	PointsStreamed uint64      `json:"points_streamed"`
-	Cache          cacheJSON   `json:"cache"`
 	Stages         []stageJSON `json:"stages"`
-}
-
-type cacheJSON struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	CapBytes  int64  `json:"cap_bytes"`
-	Evictions uint64 `json:"evictions"`
 }
 
 type stageJSON struct {
@@ -406,7 +387,6 @@ type stageJSON struct {
 // Statz snapshots the server counters (the same document /statz
 // serves).
 func (s *Server) Statz() statzJSON {
-	cs := s.cache.Stats()
 	doc := statzJSON{
 		QueueDepth:     s.sched.queueDepth(),
 		Running:        s.sched.runningTotal(),
@@ -420,10 +400,6 @@ func (s *Server) Statz() statzJSON {
 		Rejected400:    s.rejected400.Load(),
 		Rejected429:    s.rejected429.Load(),
 		PointsStreamed: s.points.Load(),
-		Cache: cacheJSON{
-			Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries,
-			Bytes: cs.Bytes, CapBytes: cs.CapBytes, Evictions: cs.Evictions,
-		},
 	}
 	s.stageMu.Lock()
 	for name, agg := range s.stages {

@@ -20,8 +20,8 @@ import (
 
 // testLayout is the Fig. 3(a) signal-over-returns structure as the wire
 // schema: one signal between two ground returns, shorted at the far
-// end. pitch varies the geometry so different tenants can populate
-// disjoint kernel-cache entries.
+// end. pitch varies the geometry so different tenants can send
+// different structures.
 func testLayout(pitch float64) *layoutio.File {
 	return &layoutio.File{
 		Layers: []layoutio.LayerJSON{
@@ -146,7 +146,7 @@ func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 // TestSweepEndToEnd posts one job and checks the streamed points are
 // bit-identical to a direct fasthenry solve under the same config.
 func TestSweepEndToEnd(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 2, CacheBytes: 8 << 20})
+	srv, ts := newTestServer(t, Options{Workers: 2})
 	code, got := postJob(t, ts.URL, testJob(t))
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -163,7 +163,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := engine.New(engine.Config{Workers: 1, SolveMode: fasthenry.ModeDense, Cache: engine.CachePrivate})
+	sess := engine.New(engine.Config{Workers: 1, SolveMode: fasthenry.ModeDense})
 	sv, err := fasthenry.NewSolver(lay, []int{0, 1, 2}, fasthenry.Port{Plus: "s0", Minus: "g0"},
 		testShorts(), 2e10, sess.SolverOptions())
 	if err != nil {
@@ -194,7 +194,7 @@ func TestSweepEndToEnd(t *testing.T) {
 // than the lone signal segment could produce), the per-job planenw
 // override must be honoured, and the streamed points must be physical.
 func TestPlaneSweepEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, CacheBytes: 8 << 20})
+	_, ts := newTestServer(t, Options{Workers: 2})
 	code, got := postJob(t, ts.URL, testJob(t, withPlane, func(j *jobJSON) {
 		j.Config.PlaneNW = 6
 	}))
@@ -276,8 +276,8 @@ func TestRejectsStructured400(t *testing.T) {
 		// that still names one is refused, not silently ignored.
 		{"removed-precond", bytes.Replace(testJob(t), []byte(`"config":{`), []byte(`"config":{"precond":"sai",`), 1),
 			`unknown field "precond"`},
-		// Every job memoizes into the server's one bounded cache; the
-		// per-job cache choice is gone and naming it is refused.
+		// There is no kernel cache to choose: a config that still
+		// names one is refused, not silently ignored.
 		{"removed-kernelcache", bytes.Replace(testJob(t), []byte(`"config":{`), []byte(`"config":{"kernelcache":"off",`), 1),
 			`unknown field "kernelcache"`},
 		{"no-layout", testJob(t, func(j *jobJSON) { j.Layout = nil }), "missing layout"},

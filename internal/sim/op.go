@@ -79,7 +79,6 @@ type newtonSystem struct {
 	base    []float64   // the linear part's values
 	vals    []float64
 	lu      *matrix.SparseLU
-	workers int
 	rhs     []float64
 	next    []float64 // the iteration's solution
 	scratch []float64
@@ -87,7 +86,7 @@ type newtonSystem struct {
 
 // newNewtonSystem builds the fixed pattern of lin (the linear part)
 // plus the device slots of n.
-func newNewtonSystem(n *circuit.Netlist, lin *matrix.Triplet, workers int) *newtonSystem {
+func newNewtonSystem(n *circuit.Netlist, lin *matrix.Triplet) *newtonSystem {
 	size := lin.Rows()
 	linCSC := lin.ToCSC()
 	pt := matrix.NewTriplet(size, size)
@@ -99,7 +98,6 @@ func newNewtonSystem(n *circuit.Netlist, lin *matrix.Triplet, workers int) *newt
 		n:       n,
 		base:    make([]float64, pat.NNZ()),
 		vals:    make([]float64, pat.NNZ()),
-		workers: workers,
 		rhs:     make([]float64, size),
 		next:    make([]float64, size),
 		scratch: make([]float64, size),
@@ -124,7 +122,7 @@ func (s *newtonSystem) solve(dst, x, rhs []float64) error {
 	copy(s.rhs, rhs)
 	stampDevices(s.n, x, func(i, j int, v float64) { s.vals[s.slot(i, j)] += v }, s.rhs)
 	if s.lu == nil || s.lu.Refactor(s.a) != nil {
-		lu, err := matrix.FactorSparseLUWorkers(s.a, s.workers)
+		lu, err := matrix.FactorSparseLU(s.a)
 		if err != nil {
 			return err
 		}
@@ -165,8 +163,8 @@ func (s *newtonSystem) newton(x, rhs []float64, maxStep float64) (int, error) {
 // (capacitors open, inductors short, sources at t = 0). Newton limits
 // every update to 1 V, which keeps the quadratic device model honest
 // far from the solution; gmin keeps floating nodes bounded.
-func opNewton(sm *circuit.SparseMNA, opt TranOptions) ([]float64, error) {
-	s := newNewtonSystem(sm.N, sparseGmin(sm), opt.Workers)
+func opNewton(sm *circuit.SparseMNA) ([]float64, error) {
+	s := newNewtonSystem(sm.N, sparseGmin(sm))
 	b := make([]float64, sm.Size())
 	sm.RHS(0, b)
 	x := make([]float64, sm.Size())

@@ -33,8 +33,8 @@ func (m *denseMNA) gGmin() *matrix.Dense {
 }
 
 // denseSolve factors a by the dense LU and solves for b.
-func denseSolve(a *matrix.Dense, b []float64, workers int) ([]float64, error) {
-	f, err := matrix.FactorLUWorkers(a, workers)
+func denseSolve(a *matrix.Dense, b []float64) ([]float64, error) {
+	f, err := matrix.FactorLU(a)
 	if err != nil {
 		return nil, err
 	}
@@ -50,14 +50,14 @@ func denseOP(m *denseMNA, opt TranOptions) ([]float64, error) {
 	b0 := make([]float64, m.sm.Size())
 	m.sm.RHS(0, b0)
 	if len(n.MOSFETs) == 0 {
-		return denseSolve(base, b0, opt.Workers)
+		return denseSolve(base, b0)
 	}
 	x := make([]float64, len(b0))
 	for it := 0; it < maxNewton; it++ {
 		a := base.Clone()
 		rhs := matrix.CloneVec(b0)
 		stampDevices(n, x, a.Add, rhs)
-		xNew, err := denseSolve(a, rhs, opt.Workers)
+		xNew, err := denseSolve(a, rhs)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func denseNewton(n *circuit.Netlist, aLin *matrix.Dense, rhsBase, x0 []float64, 
 		a := aLin.Clone()
 		rhs := matrix.CloneVec(rhsBase)
 		stampDevices(n, x, a.Add, rhs)
-		xNew, err := denseSolve(a, rhs, opt.Workers)
+		xNew, err := denseSolve(a, rhs)
 		if err != nil {
 			return nil, it, err
 		}
@@ -134,7 +134,7 @@ func denseTran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	bNow := make([]float64, size)
 	var lu *matrix.LU
 	if len(n.MOSFETs) == 0 {
-		if lu, err = matrix.FactorLUWorkers(aLin, opt.Workers); err != nil {
+		if lu, err = matrix.FactorLU(aLin); err != nil {
 			return nil, err
 		}
 	}

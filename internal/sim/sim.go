@@ -47,9 +47,6 @@ type TranOptions struct {
 	Method Method
 	// SaveEvery keeps every k-th point (default 1 = all).
 	SaveEvery int
-	// Workers caps the sparse LU's parallel refactorization (0 =
-	// process default, 1 = serial). Results do not depend on it.
-	Workers int
 }
 
 func (o *TranOptions) setDefaults() error {

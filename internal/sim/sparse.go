@@ -19,8 +19,8 @@ func sparseGmin(sm *circuit.SparseMNA) *matrix.Triplet {
 
 // opSparse computes the DC operating point of a linear netlist with the
 // sparse LU (capacitors open, inductors short, sources at t0).
-func opSparse(sm *circuit.SparseMNA, t0 float64, workers int) ([]float64, error) {
-	f, err := matrix.FactorSparseLUWorkers(sparseGmin(sm).ToCSC(), workers)
+func opSparse(sm *circuit.SparseMNA, t0 float64) ([]float64, error) {
+	f, err := matrix.FactorSparseLU(sparseGmin(sm).ToCSC())
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular DC system: %w", err)
 	}
@@ -71,7 +71,7 @@ func (w *deltaWork) step(dst []float64, f *matrix.SparseLU, d *matrix.CSR, x, bP
 // built.
 func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	sm := circuit.BuildSparse(n)
-	x0, err := opSparse(sm, 0, opt.Workers)
+	x0, err := opSparse(sm, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	alpha := opt.alpha()
 
 	aLin := sparseGmin(sm).AddScaled(alpha, sm.C)
-	f, err := matrix.FactorSparseLUWorkers(aLin.ToCSC(), opt.Workers)
+	f, err := matrix.FactorSparseLU(aLin.ToCSC())
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular transient system: %w", err)
 	}

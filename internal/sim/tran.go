@@ -32,7 +32,7 @@ func Tran(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 // sparse LU, f being the device currents.
 func tranNewton(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	sm := circuit.BuildSparse(n)
-	x0, err := opNewton(sm, opt)
+	x0, err := opNewton(sm)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +40,7 @@ func tranNewton(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	h := opt.TStep
 	alpha := opt.alpha()
 	trap := opt.Method == Trapezoidal
-	s := newNewtonSystem(n, sparseGmin(sm).AddScaled(alpha, sm.C), opt.Workers)
+	s := newNewtonSystem(n, sparseGmin(sm).AddScaled(alpha, sm.C))
 	histT := matrix.NewTriplet(size, size).AddScaled(alpha, sm.C)
 	if trap {
 		histT.AddScaled(-1, sm.G)

@@ -33,7 +33,7 @@ func TestPropertyBlockDiagonalPassive(t *testing.T) {
 		nSig := 2 + rng.Intn(4)
 		pitch := (2 + 4*rng.Float64()) * 1e-6
 		lay, segs := busOverGrid(nSig, pitch)
-		lp := extract.InductanceMatrix(lay, segs, math.Inf(1), extract.GMDOptions{}, new(extract.KernelCache))
+		lp := extract.InductanceMatrix(lay, segs, math.Inf(1), extract.GMDOptions{})
 		if !matrix.IsPositiveDefinite(lp) {
 			t.Fatalf("trial %d: reference L not PD", trial)
 		}
@@ -59,7 +59,7 @@ func TestPropertyShellPassive(t *testing.T) {
 		nSig := 2 + rng.Intn(3)
 		pitch := (2 + 3*rng.Float64()) * 1e-6
 		lay, segs := busOverGrid(nSig, pitch)
-		lp := extract.InductanceMatrix(lay, segs, math.Inf(1), extract.GMDOptions{}, new(extract.KernelCache))
+		lp := extract.InductanceMatrix(lay, segs, math.Inf(1), extract.GMDOptions{})
 		if !matrix.IsPositiveDefinite(lp) {
 			t.Fatalf("trial %d: reference L not PD", trial)
 		}

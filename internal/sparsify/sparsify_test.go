@@ -50,7 +50,7 @@ func nn(p string, i, k int) string {
 func fullL(t *testing.T) (*geom.Layout, []int, *matrix.Dense) {
 	t.Helper()
 	l, segs := busOverGrid(4, 3e-6)
-	lp := extract.InductanceMatrix(l, segs, math.Inf(1), extract.GMDOptions{}, new(extract.KernelCache))
+	lp := extract.InductanceMatrix(l, segs, math.Inf(1), extract.GMDOptions{})
 	if !matrix.IsPositiveDefinite(lp) {
 		t.Fatal("reference L not PD")
 	}

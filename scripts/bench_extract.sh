@@ -1,7 +1,6 @@
 #!/bin/sh
 # Regenerate BENCH_extract.json: extraction timing for the
-# geometry-keyed kernel cache (64-line minimum-pitch bus, numeric GMD)
-# and the spatial-index windowed pair search (2400-segment power grid).
+# spatial-index windowed pair search (2400-segment power grid).
 # Run from anywhere in the repo.
 set -e
 cd "$(dirname "$0")/.."

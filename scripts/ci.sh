@@ -32,10 +32,11 @@ fi
 
 # The fasthenry package includes the iterative-sweep race coverage: a
 # shared ACA-compressed operator driven by parallel frequency workers;
-# engine runs two concurrent sessions with conflicting configs and
-# checks their filament sweeps never touch either session's kernel
-# cache; extract builds segment-level nested-basis operators from
-# concurrent goroutines sharing one bar-kernel cache; geom races
+# engine runs two concurrent sessions with conflicting configs next to
+# concurrent sparse transients; extract runs concurrent parallel
+# partial-inductance assemblies and builds segment-level nested-basis
+# operators from concurrent goroutines, each checked bit for bit
+# against a serial build; geom races
 # parallel cluster-tree builds over one index; serve drives the
 # multi-tenant job server with conflicting tenant configs and
 # mid-stream disconnects;
@@ -44,11 +45,10 @@ fi
 # assembly feeding worker-parallel MG solves; sweep stresses the
 # adaptive refine loop under parallel batch solvers; mesh pins the
 # lowering's determinism contract under parallel cluster-tree builds
-# over plane filament grids; core runs the Table 1 flows, whose linear
-# transients factor on the worker-parallel sparse LU at every size and
-# whose loop flow extracts its two ladder frequencies concurrently, and
-# the Fig. 1 current analysis, whose MOSFET Newton refactors on the
-# worker-parallel sparse LU every iteration.
+# over plane filament grids; core runs the Table 1 flows, whose loop
+# flow extracts its two ladder frequencies concurrently, and the Fig. 1
+# current analysis, whose MOSFET Newton refactors the serial sparse LU
+# every iteration.
 echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh, core)"
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh ./internal/core
 
@@ -96,7 +96,7 @@ fi
 
 # No mutable package-level tuning state: run configuration belongs in
 # engine.Config / the per-layer option structs, not process-wide Set*
-# switches, and run state such as a kernel cache belongs to a session,
+# switches, and run state belongs to a session or a layer's own value,
 # not to an uninitialized package-level var every run shares. No
 # exemptions.
 echo "== no package-level Set* tuning switches or uninitialized vars"
