@@ -49,7 +49,7 @@ func main() {
 		solver  = flag.String("solver", "auto", "inductance representation: dense | iterative (flat ACA) | nested (H² bases) | auto (by segment count)")
 		acatol  = flag.Float64("acatol", 1e-8, "far-field relative tolerance for the compressed representations")
 		workers = flag.Int("workers", 0, "worker goroutines for extraction and operator build (0 = all CPUs)")
-		verbose = flag.Bool("v", false, "print extraction diagnostics (operator compression, rank histograms)")
+		verbose = flag.Bool("v", false, "report the compressed operators (flat ACA/H²: compression, ranks, kernel evaluations); adds nothing on the dense path, whose mutual count the extracted line already prints")
 	)
 	flag.Parse()
 

@@ -14,9 +14,8 @@ func kMembers(n *Netlist) map[int]bool {
 
 // stampLinear walks the linear elements once, stamping conductances via
 // addG and capacitances/inductances via addC. Any sink that sums the
-// stamps in call order accumulates the same values, so BuildSparse's
-// triplets and their ToDense views agree bit for bit with a dense
-// assembly. Ground rows/columns are filtered here.
+// stamps in call order accumulates the same values, so the G and C
+// BuildSparse freezes agree bit for bit with a dense assembly. Ground rows/columns are filtered here.
 func stampLinear(n *Netlist, addGRaw, addCRaw func(i, j int, v float64), kMember map[int]bool) {
 	addG := func(i, j int, v float64) {
 		if i == groundIndex || j == groundIndex {

@@ -70,7 +70,7 @@ func TestPropertyBuildSparseMatchesDense(t *testing.T) {
 		if sparse.Size() != size {
 			t.Fatalf("trial %d: size %d, want %d", trial, sparse.Size(), size)
 		}
-		dg, dc := sparse.G.ToDense(), sparse.C.ToDense()
+		dg, dc := denseGC(sparse)
 		for i := 0; i < size; i++ {
 			for j := 0; j < size; j++ {
 				if g.At(i, j) != dg.At(i, j) {

@@ -89,12 +89,16 @@ func BuildSparseDC(n *Netlist, t0, gmin, stiff float64) (*matrix.Triplet, []floa
 //	C dx/dt + G x = b(t) + (nonlinear device currents),
 //
 // with x = [node voltages; branch currents] (branch currents exist for
-// inductors and voltage sources), G and C held as triplet builders.
+// inductors and voltage sources). G and C are frozen once, by
+// BuildSparse, onto one CSC pattern: the union of their stamps (zero
+// sums included) and the node diagonals, where gmin goes. Every analysis
+// matrix is derived from that pattern position by position (Derive).
+// The value is immutable and safe to share between goroutines.
 type SparseMNA struct {
-	N    *Netlist
-	G    *matrix.Triplet
-	C    *matrix.Triplet
-	size int
+	N              *Netlist
+	colPtr, rowIdx []int
+	g, c           []float64 // G's and C's sums over the pattern, 0 where absent
+	size           int
 }
 
 // BuildSparse assembles the sparse MNA matrices for the netlist's
@@ -102,14 +106,42 @@ type SparseMNA struct {
 // linearizes them per Newton iteration.
 func BuildSparse(n *Netlist) *SparseMNA {
 	size := n.Size()
-	m := &SparseMNA{
-		N:    n,
-		G:    matrix.NewTriplet(size, size),
-		C:    matrix.NewTriplet(size, size),
-		size: size,
+	g, c := matrix.NewTriplet(size, size), matrix.NewTriplet(size, size)
+	stampLinear(n, g.Add, c.Add, kMembers(n))
+	colPtr, rowIdx, vals := matrix.FreezeUnion(n.NumNodes(), g, c)
+	return &SparseMNA{N: n, colPtr: colPtr, rowIdx: rowIdx, g: vals[0], c: vals[1], size: size}
+}
+
+// Derive returns the Size() x Size() CSC matrix whose entry at each
+// position (i, j) of m's pattern is f(i, j, g, c), g and c being G's and
+// C's entries there (0 where one has none). Entries equal to zero are
+// dropped, as Triplet.ToCSC drops them, unless keepZeros is set. f runs
+// once per position, column by column, so a companion matrix such as
+// G + gmin + αC is one expression, (g + gmin) + α·c, summed in that
+// order.
+func Derive[T matrix.Scalar](m *SparseMNA, keepZeros bool, f func(i, j int, g, c float64) T) *matrix.CSCOf[T] {
+	colPtr := make([]int, m.size+1)
+	rowIdx := make([]int, 0, len(m.rowIdx))
+	val := make([]T, 0, len(m.rowIdx))
+	for j := 0; j < m.size; j++ {
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			i := m.rowIdx[p]
+			if v := f(i, j, m.g[p], m.c[p]); v != 0 || keepZeros {
+				rowIdx, val = append(rowIdx, i), append(val, v)
+			}
+		}
+		colPtr[j+1] = len(val)
 	}
-	stampLinear(n, m.G.Add, m.C.Add, kMembers(n))
-	return m
+	return matrix.CSCFromParts(m.size, m.size, colPtr, rowIdx, val)
+}
+
+// WithGmin returns g plus gmin when (i, j) is a node voltage's diagonal
+// and g elsewhere: the entry of G + gmin·I(nodes) at (i, j).
+func (m *SparseMNA) WithGmin(i, j int, g, gmin float64) float64 {
+	if i == j && i < m.N.NumNodes() {
+		return g + gmin
+	}
+	return g
 }
 
 // Size returns the MNA system dimension.

@@ -82,3 +82,10 @@ func TestBuildSparseDCRejectsMOSFETs(t *testing.T) {
 		t.Errorf("MOSFET netlist accepted")
 	}
 }
+
+// denseGC returns m's G and C as dense matrices.
+func denseGC(m *SparseMNA) (g, c *matrix.Dense) {
+	g = matrix.CSCToDense(Derive(m, false, func(_, _ int, g, _ float64) float64 { return g }))
+	c = matrix.CSCToDense(Derive(m, false, func(_, _ int, _, c float64) float64 { return c }))
+	return g, c
+}

@@ -12,10 +12,12 @@ import (
 
 // TestTable1TransientOrderingPinned pins the minimum-degree ordering of
 // the PEEC(RC) and PEEC(RLC) transient matrices G + gmin + (2/h)C of the
-// scaled `clocksim -nx 6 -ny 6 -levels 3` case (seed 1). The hashes were
-// recorded from the map-based ordering; a faster ordering must reproduce
-// them, or every sparse transient of the Table 1 flows would round
-// differently.
+// scaled `clocksim -nx 6 -ny 6 -levels 3` case (seed 1), derived from
+// the frozen MNA pattern by the same (g + gmin) + αc expression the
+// sparse transient factors. The hashes were recorded from the map-based
+// ordering and map-based assembly; a faster ordering or assembly must
+// reproduce them, or every sparse transient of the Table 1 flows would
+// round differently.
 func TestTable1TransientOrderingPinned(t *testing.T) {
 	opt := DefaultCaseOptions()
 	opt.Grid.NX, opt.Grid.NY = 6, 6
@@ -42,12 +44,9 @@ func TestTable1TransientOrderingPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := circuit.BuildSparse(n)
-		a := matrix.NewTriplet(sm.Size(), sm.Size()).AddScaled(1, sm.G)
-		for i := 0; i < n.NumNodes(); i++ {
-			a.Add(i, i, 1e-12)
-		}
-		a.AddScaled(2/DefaultFlowOptions(StrategyFull).TStep, sm.C)
-		colPtr, rowIdx := a.ToCSC().Pattern()
+		alpha := 2 / DefaultFlowOptions(StrategyFull).TStep
+		a := circuit.Derive(sm, false, func(i, j int, g, c float64) float64 { return sm.WithGmin(i, j, g, 1e-12) + alpha*c })
+		colPtr, rowIdx := a.Pattern()
 		q := matrix.MinDegreeOrdering(sm.Size(), colPtr, rowIdx)
 		h := fnv.New64a()
 		var buf [8]byte

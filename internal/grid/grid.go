@@ -273,10 +273,9 @@ func IRDropDC(m *Model, n *circuit.Netlist, vdd float64) (float64, error) {
 	mna := circuit.BuildSparse(n)
 	b := make([]float64, mna.Size())
 	mna.RHS(0, b)
-	g := mna.G.ToDense()
-	for i := 0; i < n.NumNodes(); i++ {
-		g.Add(i, i, 1e-12)
-	}
+	g := matrix.CSCToDense(circuit.Derive(mna, false, func(i, j int, g, _ float64) float64 {
+		return mna.WithGmin(i, j, g, 1e-12)
+	}))
 	x, err := matrix.SolveDense(g, b)
 	if err != nil {
 		return 0, err

@@ -9,7 +9,7 @@ import (
 
 // Synthetic production-scale power grids. BuildPowerGrid's netlist path
 // tops out around 10^4 unknowns: node names are strings, stamps go
-// through a triplet map, and the PEEC extraction walks every segment
+// through a triplet log, and the PEEC extraction walks every segment
 // pair. Real grids are 10^6-10^8 nodes, so Synthesize takes the other
 // route: it generates a multi-layer mesh in index space and stamps the
 // SPD nodal conductance system *directly* into CSR form — two passes,

@@ -1,10 +1,5 @@
 package matrix
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Scalar is the element type of the sparse direct solvers: the real
 // kernels run on float64 (transient companion systems, DC grids), the
 // complex ones on complex128 (AC analysis). One generic implementation
@@ -106,65 +101,10 @@ func (m *CSCOf[T]) MulVecTo(y []T, x []T) {
 	}
 }
 
-// ToCSC freezes the builder into compressed sparse column form, entries
-// sorted by (column, row), exact zeros dropped (mirroring ToCSR).
-func (t *Triplet) ToCSC() *CSC {
-	type ent struct {
-		i, j int
-		v    float64
-	}
-	es := make([]ent, 0, len(t.entries))
-	for k, v := range t.entries {
-		if v != 0 {
-			es = append(es, ent{k[0], k[1], v})
-		}
-	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].j != es[b].j {
-			return es[a].j < es[b].j
-		}
-		return es[a].i < es[b].i
-	})
-	m := &CSC{
-		rows:   t.rows,
-		cols:   t.cols,
-		colPtr: make([]int, t.cols+1),
-		rowIdx: make([]int, len(es)),
-		val:    make([]float64, len(es)),
-	}
-	for n, e := range es {
-		m.colPtr[e.j+1]++
-		m.rowIdx[n] = e.i
-		m.val[n] = e.v
-	}
-	for j := 0; j < t.cols; j++ {
-		m.colPtr[j+1] += m.colPtr[j]
-	}
-	return m
-}
-
-// Each visits every stored entry of the builder in unspecified order.
-func (t *Triplet) Each(fn func(i, j int, v float64)) {
-	for k, v := range t.entries {
-		fn(k[0], k[1], v)
-	}
-}
-
-// AddScaled accumulates s times every entry of o into t. Dimensions
-// must match. This is how the simulator composes alpha*C + G companion
-// systems without densifying.
-func (t *Triplet) AddScaled(s float64, o *Triplet) *Triplet {
-	if t.rows != o.rows || t.cols != o.cols {
-		panic(fmt.Sprintf("matrix: AddScaled dimension mismatch %dx%d vs %dx%d",
-			t.rows, t.cols, o.rows, o.cols))
-	}
-	if s == 0 {
-		return t
-	}
-	for k, v := range o.entries {
-		t.entries[k] += s * v
-	}
-	return t
+// CSCToCSR returns m in compressed sparse row form, columns ascending
+// within each row: the counting transpose of m's columns.
+func CSCToCSR(m *CSC) *CSR {
+	return csrTranspose(&CSR{rows: m.cols, cols: m.rows, rowPtr: m.colPtr, colIdx: m.rowIdx, val: m.val})
 }
 
 // CSCToDense materializes a real CSC matrix densely (tests, small

@@ -1,7 +1,10 @@
 package matrix
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +38,251 @@ func TestTripletToCSR(t *testing.T) {
 	d := m.ToDense()
 	if d.At(0, 0) != 3 || d.At(2, 1) != -4 {
 		t.Errorf("CSR contents wrong:\n%v", d)
+	}
+}
+
+// mapTriplet is the map-backed builder the append log replaced, kept as
+// the reference the log's freeze must reproduce bit for bit.
+type mapTriplet struct {
+	rows, cols int
+	entries    map[[2]int]float64
+}
+
+func newMapTriplet(r, c int) *mapTriplet {
+	return &mapTriplet{rows: r, cols: c, entries: make(map[[2]int]float64)}
+}
+
+func (t *mapTriplet) Add(i, j int, v float64) {
+	if v == 0 {
+		return
+	}
+	t.entries[[2]int{i, j}] += v
+}
+
+func (t *mapTriplet) AddScaled(s float64, o *mapTriplet) *mapTriplet {
+	if s == 0 {
+		return t
+	}
+	for k, v := range o.entries {
+		t.entries[k] += s * v
+	}
+	return t
+}
+
+// frozen is the reference ToCSR (ToCSC when byCol): nonzero sums sorted
+// by (major, minor) and counted into pointers.
+func (t *mapTriplet) frozen(byCol bool) (ptr, idx []int, val []float64) {
+	type ent struct {
+		major, minor int
+		v            float64
+	}
+	var es []ent
+	for k, v := range t.entries {
+		if v == 0 {
+			continue
+		}
+		if byCol {
+			es = append(es, ent{k[1], k[0], v})
+		} else {
+			es = append(es, ent{k[0], k[1], v})
+		}
+	}
+	sort.Slice(es, func(a, b int) bool {
+		if es[a].major != es[b].major {
+			return es[a].major < es[b].major
+		}
+		return es[a].minor < es[b].minor
+	})
+	nMajor := t.rows
+	if byCol {
+		nMajor = t.cols
+	}
+	ptr = make([]int, nMajor+1)
+	for _, e := range es {
+		ptr[e.major+1]++
+		idx = append(idx, e.minor)
+		val = append(val, e.v)
+	}
+	for m := 0; m < nMajor; m++ {
+		ptr[m+1] += ptr[m]
+	}
+	return ptr, idx, val
+}
+
+// sameFrozen reports whether two compressed forms match, values bit for
+// bit.
+func sameFrozen(ptrA, idxA []int, valA []float64, ptrB, idxB []int, valB []float64) bool {
+	if len(ptrA) != len(ptrB) || len(idxA) != len(idxB) || len(valA) != len(valB) {
+		return false
+	}
+	for k := range ptrA {
+		if ptrA[k] != ptrB[k] {
+			return false
+		}
+	}
+	for k := range idxA {
+		if idxA[k] != idxB[k] || math.Float64bits(valA[k]) != math.Float64bits(valB[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomStamps feeds one random stamp stream to both builders: few
+// positions, so duplicates abound; values whose partial sums cancel
+// exactly or round differently in another order; and zero adds.
+func randomStamps(rng *rand.Rand, tr *Triplet, ref *mapTriplet) {
+	vals := []float64{1, -1, 0.5, -0.5, 3, 0.1, -0.3, 1e-3, 1e16, -1e16, 0}
+	for k := rng.Intn(40); k > 0; k-- {
+		i, j, v := rng.Intn(tr.rows), rng.Intn(tr.cols), vals[rng.Intn(len(vals))]
+		tr.Add(i, j, v)
+		ref.Add(i, j, v)
+	}
+}
+
+// TestTripletMatchesMapReferenceProperty checks the append log against
+// the map reference on random stamp streams: ToCSR, ToCSC, ToDense,
+// Each (as a set) and NNZ, bit for bit. It then freezes random G and C
+// streams onto one union pattern and checks that the per-position
+// expressions the simulator factors, (g + gmin) + αc, (g + gmin) + g
+// and αc + (−g), with α of either sign, match the map's AddScaled
+// chains frozen to CSC.
+func TestTripletMatchesMapReferenceProperty(t *testing.T) {
+	type pos struct {
+		i, j int
+		bits uint64
+	}
+	eachSet := func(each func(func(i, j int, v float64))) []pos {
+		var out []pos
+		each(func(i, j int, v float64) { out = append(out, pos{i, j, math.Float64bits(v)}) })
+		sort.Slice(out, func(a, b int) bool {
+			if out[a].i != out[b].i {
+				return out[a].i < out[b].i
+			}
+			return out[a].j < out[b].j
+		})
+		return out
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r, c := 1+rng.Intn(7), 1+rng.Intn(7)
+		tr, ref := NewTriplet(r, c), newMapTriplet(r, c)
+		randomStamps(rng, tr, ref)
+
+		csr := tr.ToCSR()
+		if p, i, v := ref.frozen(false); !sameFrozen(csr.rowPtr, csr.colIdx, csr.val, p, i, v) {
+			t.Fatalf("seed %d: ToCSR differs from the map reference", seed)
+		}
+		csc := tr.ToCSC()
+		if p, i, v := ref.frozen(true); !sameFrozen(csc.colPtr, csc.rowIdx, csc.val, p, i, v) {
+			t.Fatalf("seed %d: ToCSC differs from the map reference", seed)
+		}
+		if tr.NNZ() != len(ref.entries) {
+			t.Fatalf("seed %d: NNZ %d, map %d", seed, tr.NNZ(), len(ref.entries))
+		}
+		got := eachSet(tr.Each)
+		want := eachSet(func(fn func(i, j int, v float64)) {
+			for k, v := range ref.entries {
+				fn(k[0], k[1], v)
+			}
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: Each visits %v, map %v", seed, got, want)
+		}
+		d := tr.ToDense()
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				if math.Float64bits(d.At(i, j)) != math.Float64bits(ref.entries[[2]int{i, j}]) {
+					t.Fatalf("seed %d: ToDense(%d,%d) = %g, map %g", seed, i, j, d.At(i, j), ref.entries[[2]int{i, j}])
+				}
+			}
+		}
+
+		// The MNA pencil: G and C frozen once onto their union pattern.
+		n := 1 + rng.Intn(7)
+		nodes := rng.Intn(n + 1)
+		g, gRef := NewTriplet(n, n), newMapTriplet(n, n)
+		cm, cRef := NewTriplet(n, n), newMapTriplet(n, n)
+		randomStamps(rng, g, gRef)
+		randomStamps(rng, cm, cRef)
+		gmin := []float64{1e-12, 0.5, 1}[rng.Intn(3)]
+		alpha := []float64{2e3, 1, -1, -0.5, 3}[rng.Intn(5)]
+		colPtr, rowIdx, vals := FreezeUnion(nodes, g, cm)
+		derive := func(f func(i, j int, g, c float64) float64) *CSC {
+			ptr := make([]int, n+1)
+			var idx []int
+			var val []float64
+			for j := 0; j < n; j++ {
+				for p := colPtr[j]; p < colPtr[j+1]; p++ {
+					if v := f(rowIdx[p], j, vals[0][p], vals[1][p]); v != 0 {
+						idx, val = append(idx, rowIdx[p]), append(val, v)
+					}
+				}
+				ptr[j+1] = len(val)
+			}
+			return &CSC{rows: n, cols: n, colPtr: ptr, rowIdx: idx, val: val}
+		}
+		withGmin := func(i, j int, g float64) float64 {
+			if i == j && i < nodes {
+				return g + gmin
+			}
+			return g
+		}
+		refGmin := func() *mapTriplet {
+			m := newMapTriplet(n, n).AddScaled(1, gRef)
+			for i := 0; i < nodes; i++ {
+				m.Add(i, i, gmin)
+			}
+			return m
+		}
+		for _, tc := range []struct {
+			name string
+			ref  *mapTriplet
+			f    func(i, j int, g, c float64) float64
+		}{
+			{"(g + gmin) + αc", refGmin().AddScaled(alpha, cRef),
+				func(i, j int, g, c float64) float64 { return withGmin(i, j, g) + alpha*c }},
+			{"(g + gmin) + g", refGmin().AddScaled(1, gRef),
+				func(i, j int, g, _ float64) float64 { return withGmin(i, j, g) + g }},
+			{"αc + (−g)", newMapTriplet(n, n).AddScaled(alpha, cRef).AddScaled(-1, gRef),
+				func(_, _ int, g, c float64) float64 { return alpha*c - g }},
+		} {
+			a := derive(tc.f)
+			if p, i, v := tc.ref.frozen(true); !sameFrozen(a.colPtr, a.rowIdx, a.val, p, i, v) {
+				t.Fatalf("seed %d (α = %g, gmin = %g, %d nodes): %s differs from the map chain", seed, alpha, gmin, nodes, tc.name)
+			}
+		}
+		// The union holds every G and C position, zero sums included,
+		// and the node diagonals, with each log's sums over it.
+		union := 0
+		for j := 0; j < n; j++ {
+			for p := colPtr[j]; p < colPtr[j+1]; p++ {
+				i, k := rowIdx[p], [2]int{rowIdx[p], j}
+				_, inG := gRef.entries[k]
+				_, inC := cRef.entries[k]
+				if !inG && !inC && !(i == j && i < nodes) {
+					t.Fatalf("seed %d: union holds (%d,%d), stamped by neither log", seed, i, j)
+				}
+				if math.Float64bits(vals[0][p]) != math.Float64bits(gRef.entries[k]) ||
+					math.Float64bits(vals[1][p]) != math.Float64bits(cRef.entries[k]) {
+					t.Fatalf("seed %d: union values at (%d,%d) differ from the map sums", seed, i, j)
+				}
+				union++
+			}
+		}
+		keys := map[[2]int]bool{}
+		for k := range gRef.entries {
+			keys[k] = true
+		}
+		for k := range cRef.entries {
+			keys[k] = true
+		}
+		for i := 0; i < nodes; i++ {
+			keys[[2]int{i, i}] = true
+		}
+		if union != len(keys) {
+			t.Fatalf("seed %d: union has %d positions, want %d", seed, union, len(keys))
+		}
 	}
 }
 

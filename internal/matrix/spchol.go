@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sparse Cholesky for the SPD systems of the power-grid flows (the
@@ -37,34 +36,19 @@ func FactorSparseCholesky(a *CSC) (*SparseChol, error) {
 		pinv[v] = k
 	}
 
-	// Upper triangle of P*A*P^T in CSC form, columns sorted.
-	type ent struct {
-		i, j int
-		v    float64
-	}
-	ents := make([]ent, 0, a.NNZ()/2+n)
+	// Upper triangle of P*A*P^T in CSC form, columns sorted. a stores
+	// each position once, so nothing sums, and stored zeros stay.
+	var rows, cols []int
+	var vals []float64
 	a.Each(func(i, j int, v float64) {
-		ni, nj := pinv[i], pinv[j]
-		if ni <= nj {
-			ents = append(ents, ent{ni, nj, v})
+		if ni, nj := pinv[i], pinv[j]; ni <= nj {
+			rows, cols, vals = append(rows, ni), append(cols, nj), append(vals, v)
 		}
 	})
-	sort.Slice(ents, func(x, y int) bool {
-		if ents[x].j != ents[y].j {
-			return ents[x].j < ents[y].j
-		}
-		return ents[x].i < ents[y].i
-	})
-	cp := make([]int, n+1)
-	ci := make([]int, len(ents))
-	cx := make([]float64, len(ents))
-	for p, e := range ents {
-		cp[e.j+1]++
-		ci[p] = e.i
-		cx[p] = e.v
-	}
-	for j := 0; j < n; j++ {
-		cp[j+1] += cp[j]
+	cp, ci, slot := freeze(n, n, cols, rows)
+	cx := make([]float64, len(ci))
+	for k, v := range vals {
+		cx[slot[k]] = v
 	}
 
 	// Elimination tree of the permuted pattern.

@@ -440,17 +440,3 @@ func TestCSCRoundTrip(t *testing.T) {
 		t.Fatalf("CSC MulVecTo differs from dense by %g", d)
 	}
 }
-
-func TestTripletAddScaled(t *testing.T) {
-	a := NewTriplet(3, 3)
-	a.Add(0, 0, 1)
-	a.Add(1, 2, 2)
-	b := NewTriplet(3, 3)
-	b.Add(0, 0, 10)
-	b.Add(2, 1, 5)
-	a.AddScaled(2, b)
-	d := a.ToDense()
-	if d.At(0, 0) != 21 || d.At(1, 2) != 2 || d.At(2, 1) != 10 {
-		t.Fatalf("AddScaled wrong: %v", d)
-	}
-}

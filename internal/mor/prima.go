@@ -99,26 +99,19 @@ func Reduce(m *circuit.SparseMNA, activePorts []Port, observeNodes []int, opt Op
 	}
 
 	// Symmetrized pencil: flip branch rows, gmin on the node diagonal.
-	gt := matrix.NewTriplet(n, n)
-	ct := matrix.NewTriplet(n, n)
-	flip := func(dst *matrix.Triplet) func(i, j int, v float64) {
-		return func(i, j int, v float64) {
-			if i >= nodes {
-				v = -v
-			}
-			dst.Add(i, j, v)
+	flip := func(i int, v float64) float64 {
+		if i >= nodes {
+			return -v
 		}
+		return v
 	}
-	m.G.Each(flip(gt))
-	m.C.Each(flip(ct))
-	for i := 0; i < nodes; i++ {
-		gt.Add(i, i, opt.Gmin)
-	}
-	lu, err := matrix.FactorSparseLU(gt.ToCSC())
+	gc := circuit.Derive(m, false, func(i, j int, g, _ float64) float64 { return m.WithGmin(i, j, flip(i, g), opt.Gmin) })
+	lu, err := matrix.FactorSparseLU(gc)
 	if err != nil {
 		return nil, fmt.Errorf("mor: G singular even with gmin: %w", err)
 	}
-	g, c := gt.ToCSR(), ct.ToCSR()
+	g := matrix.CSCToCSR(gc)
+	c := matrix.CSCToCSR(circuit.Derive(m, false, func(i, _ int, _, c float64) float64 { return flip(i, c) }))
 
 	// B: one column per active port.
 	b := matrix.NewDense(n, len(activePorts))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"inductance101/internal/circuit"
 	"inductance101/internal/matrix"
@@ -19,81 +18,20 @@ type ACStimulus struct {
 	ISourceAmps map[int]complex128 // ISource index -> amplitude
 }
 
-// acPattern is the union sparsity structure of an MNA pencil
-// G + jωC. The build walks the netlist stamps (O(nnz log nnz)) into a
-// CSC skeleton with per-position G and C values.
-type acPattern struct {
-	size int
-	nn   int // number of nodes (gmin targets)
-	// cpat is the union pattern of G, C and the node diagonals; gv and
-	// cv hold G and C per position, with gmin folded into gv's node
-	// diagonals.
-	cpat   *matrix.CCSC
-	gv, cv []float64
-}
-
-func acPatternFromNetlist(n *circuit.Netlist) *acPattern {
+// acMatrix derives the pencil G + gmin·I(nodes) + jωC of a linear
+// netlist over its MNA pattern, zero-sum positions kept.
+func acMatrix(n *circuit.Netlist, omega float64) *matrix.CCSC {
 	sm := circuit.BuildSparse(n)
-	size := sm.Size()
-	nn := n.NumNodes()
-	type gc struct{ g, c float64 }
-	uni := make(map[[2]int]gc, sm.G.NNZ()+sm.C.NNZ())
-	sm.G.Each(func(i, j int, v float64) {
-		e := uni[[2]int{i, j}]
-		e.g = v
-		uni[[2]int{i, j}] = e
+	return circuit.Derive(sm, true, func(i, j int, g, c float64) complex128 {
+		return complex(sm.WithGmin(i, j, g, gmin), omega*c)
 	})
-	sm.C.Each(func(i, j int, v float64) {
-		e := uni[[2]int{i, j}]
-		e.c = v
-		uni[[2]int{i, j}] = e
-	})
-	// The gmin diagonals must exist structurally.
-	for i := 0; i < nn; i++ {
-		if _, ok := uni[[2]int{i, i}]; !ok {
-			uni[[2]int{i, i}] = gc{}
-		}
-	}
-	keys := make([][2]int, 0, len(uni))
-	for k := range uni {
-		keys = append(keys, k)
-	}
-	// Column-major, rows ascending within a column.
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][1] != keys[b][1] {
-			return keys[a][1] < keys[b][1]
-		}
-		return keys[a][0] < keys[b][0]
-	})
-	p := &acPattern{size: size, nn: nn}
-	colPtr := make([]int, size+1)
-	rowIdx := make([]int, len(keys))
-	p.gv = make([]float64, len(keys))
-	p.cv = make([]float64, len(keys))
-	for pos, k := range keys {
-		i, j := k[0], k[1]
-		e := uni[k]
-		colPtr[j+1]++
-		rowIdx[pos] = i
-		g := e.g
-		if i == j && i < nn {
-			g += gmin
-		}
-		p.gv[pos] = g
-		p.cv[pos] = e.c
-	}
-	for j := 0; j < size; j++ {
-		colPtr[j+1] += colPtr[j]
-	}
-	p.cpat = matrix.CSCFromParts(size, size, colPtr, rowIdx, make([]complex128, len(keys)))
-	return p
 }
 
-// rhs builds the complex stimulus vector.
-func (p *acPattern) rhs(n *circuit.Netlist, stim ACStimulus) []complex128 {
-	b := make([]complex128, p.size)
+// acRHS builds the complex stimulus vector.
+func acRHS(n *circuit.Netlist, stim ACStimulus) []complex128 {
+	b := make([]complex128, n.Size())
 	for vi, amp := range stim.VSourceAmps {
-		b[p.nn+n.VSources[vi].Branch] += amp
+		b[n.NumNodes()+n.VSources[vi].Branch] += amp
 	}
 	for ii, amp := range stim.ISourceAmps {
 		s := n.ISources[ii]
@@ -107,32 +45,18 @@ func (p *acPattern) rhs(n *circuit.Netlist, stim ACStimulus) []complex128 {
 	return b
 }
 
-// assemble fills a value slice with G + jωC over the CSC skeleton.
-func (p *acPattern) assemble(omega float64) *matrix.CCSC {
-	vals := make([]complex128, len(p.gv))
-	for k := range vals {
-		vals[k] = complex(p.gv[k], omega*p.cv[k])
-	}
-	return p.cpat.WithValues(vals)
-}
-
-// solve assembles (G + jωC), factors it once on the sparse LU and
-// solves for the given stimulus.
-func (p *acPattern) solve(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
-	f, err := matrix.FactorSparseCLU(p.assemble(omega))
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(p.rhs(n, stim))
-}
-
 // AC solves the complex MNA system (G + jωC) X = B of the netlist at
-// angular frequency omega and returns the full complex state vector.
+// angular frequency omega and returns the full complex state vector,
+// factoring the pencil once on the sparse LU.
 func AC(n *circuit.Netlist, omega float64, stim ACStimulus) ([]complex128, error) {
 	if len(n.MOSFETs) != 0 {
 		return nil, fmt.Errorf("sim: AC analysis of nonlinear netlists is not supported (linearize first)")
 	}
-	return acPatternFromNetlist(n).solve(n, omega, stim)
+	f, err := matrix.FactorSparseCLU(acMatrix(n, omega))
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(acRHS(n, stim))
 }
 
 // InputImpedance computes Z_in(f) = V/I seen by voltage source vi: the

@@ -48,3 +48,22 @@ func TestACWithKGroupMatchesLForm(t *testing.T) {
 		}
 	}
 }
+
+// TestACKeepsZeroSumPositions: the AC pencil keeps every position G or
+// C stamps, even those whose stamps cancel exactly (here the two
+// branch-row couplings of a mutual and its negative twin), while the
+// transient's companion matrix drops them. The factor's pattern, and so
+// its rounding, depends on which positions are stored.
+func TestACKeepsZeroSumPositions(t *testing.T) {
+	n := circuit.New()
+	n.AddV("v", "a", "0", circuit.DC(1))
+	la := n.AddL("la", "a", "b", 2e-9)
+	lb := n.AddL("lb", "b", "0", 3e-9)
+	n.AddM("m", la, lb, 1e-9)
+	n.AddM("mneg", la, lb, -1e-9)
+	n.AddR("rb", "b", "0", 1)
+	ac, a := acMatrix(n, 1), companion(circuit.BuildSparse(n), 1)
+	if ac.NNZ() != a.NNZ()+2 {
+		t.Errorf("AC pencil stores %d positions, companion %d: want the 2 cancelled couplings kept in AC only", ac.NNZ(), a.NNZ())
+	}
+}

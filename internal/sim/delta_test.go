@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"inductance101/internal/circuit"
@@ -69,6 +70,59 @@ func TestDeltaFormTranMatchesDense(t *testing.T) {
 					t.Fatalf("method %d: state[%d][%d] sparse %g dense %g (diff %g)",
 						m, k, i, sp.States[k][i], de.States[k][i], d)
 				}
+			}
+		}
+	}
+}
+
+// TestSharedMNAConcurrentDerivations derives the DC, companion and AC
+// matrices of one frozen SparseMNA from several goroutines at once and
+// solves the operating point on each; every result must match a serial
+// run bit for bit. Run under -race it checks that the frozen pattern is
+// only read.
+func TestSharedMNAConcurrentDerivations(t *testing.T) {
+	n := circuit.New()
+	n.AddV("v", "in", "0", circuit.DC(1))
+	n.AddR("r1", "in", "a", 10)
+	la := n.AddL("la", "a", "oa", 2e-9)
+	lb := n.AddL("lb", "a", "ob", 3e-9)
+	n.AddM("m", la, lb, 1e-9)
+	n.AddC("ca", "oa", "0", 0.2e-12)
+	n.AddR("ra", "oa", "0", 500)
+	n.AddR("rb", "ob", "0", 500)
+	sm := circuit.BuildSparse(n)
+	derive := func() []float64 {
+		var out []float64
+		gGmin(sm).Each(func(_, _ int, v float64) { out = append(out, v) })
+		companion(sm, 2e12).Each(func(_, _ int, v float64) { out = append(out, v) })
+		circuit.Derive(sm, true, func(i, j int, g, c float64) complex128 {
+			return complex(sm.WithGmin(i, j, g, gmin), 1e9*c)
+		}).Each(func(_, _ int, v complex128) { out = append(out, real(v), imag(v)) })
+		x, err := opSparse(sm, 0)
+		if err != nil {
+			t.Error(err)
+		}
+		return append(out, x...)
+	}
+	want := derive()
+	const workers = 4
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = derive()
+		}(w)
+	}
+	wg.Wait()
+	for w, g := range got {
+		if len(g) != len(want) {
+			t.Fatalf("worker %d: %d values, want %d", w, len(g), len(want))
+		}
+		for k := range g {
+			if math.Float64bits(g[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("worker %d: value %d is %g, serial %g", w, k, g[k], want[k])
 			}
 		}
 	}

@@ -86,12 +86,11 @@ type newtonSystem struct {
 
 // newNewtonSystem builds the fixed pattern of lin (the linear part)
 // plus the device slots of n.
-func newNewtonSystem(n *circuit.Netlist, lin *matrix.Triplet) *newtonSystem {
+func newNewtonSystem(n *circuit.Netlist, lin *matrix.CSC) *newtonSystem {
 	size := lin.Rows()
-	linCSC := lin.ToCSC()
 	pt := matrix.NewTriplet(size, size)
 	mark := func(i, j int, _ float64) { pt.Add(i, j, 1) }
-	linCSC.Each(mark)
+	lin.Each(mark)
 	stampDevices(n, make([]float64, size), mark, make([]float64, size))
 	pat := pt.ToCSC()
 	s := &newtonSystem{
@@ -103,7 +102,7 @@ func newNewtonSystem(n *circuit.Netlist, lin *matrix.Triplet) *newtonSystem {
 		scratch: make([]float64, size),
 	}
 	s.a = pat.WithValues(s.vals)
-	linCSC.Each(func(i, j int, v float64) { s.base[s.slot(i, j)] = v })
+	lin.Each(func(i, j int, v float64) { s.base[s.slot(i, j)] = v })
 	return s
 }
 
@@ -164,7 +163,7 @@ func (s *newtonSystem) newton(x, rhs []float64, maxStep float64) (int, error) {
 // every update to 1 V, which keeps the quadratic device model honest
 // far from the solution; gmin keeps floating nodes bounded.
 func opNewton(sm *circuit.SparseMNA) ([]float64, error) {
-	s := newNewtonSystem(sm.N, sparseGmin(sm))
+	s := newNewtonSystem(sm.N, gGmin(sm))
 	b := make([]float64, sm.Size())
 	sm.RHS(0, b)
 	x := make([]float64, sm.Size())

@@ -7,9 +7,9 @@ import (
 	"inductance101/internal/matrix"
 )
 
-// The dense oracles the sparse engine is checked against. They assemble
-// the MNA through BuildSparse and ToDense, which accumulates every stamp
-// in the same order as the sparse assembly, so both sides start from
+// The dense oracles the sparse engine is checked against. They read G
+// and C off the MNA BuildSparse freezes, which sums every stamp in the
+// same order as the sparse assembly, so both sides start from
 // bit-identical G and C; only the LU differs.
 
 // denseMNA is the dense view of a netlist's MNA.
@@ -20,7 +20,11 @@ type denseMNA struct {
 
 func buildDense(n *circuit.Netlist) *denseMNA {
 	sm := circuit.BuildSparse(n)
-	return &denseMNA{sm: sm, g: sm.G.ToDense(), c: sm.C.ToDense()}
+	return &denseMNA{
+		sm: sm,
+		g:  matrix.CSCToDense(circuit.Derive(sm, false, func(_, _ int, g, _ float64) float64 { return g })),
+		c:  matrix.CSCToDense(circuit.Derive(sm, false, func(_, _ int, _, c float64) float64 { return c })),
+	}
 }
 
 // gGmin returns G + gmin on the node diagonals, as a copy.

@@ -184,11 +184,12 @@ func sameStates(t *testing.T, name string, got, want *TranResult) {
 	}
 }
 
-// TestACPatternBuildScalesWithNNZ pins the cost of the AC pattern
-// extraction to the number of structural nonzeros: quadrupling an RC
-// chain's size must not cost anywhere near the 16x a quadratic scan
-// would. (The historical implementation scanned the dense G and C,
-// O(size^2) per sweep.)
+// TestACPatternBuildScalesWithNNZ pins the cost of the AC pencil's
+// assembly (BuildSparse's freeze onto the union pattern, then the
+// per-position derivation) to the number of structural nonzeros:
+// quadrupling an RC chain's size must not cost anywhere near the 16x a
+// quadratic scan would. (The historical implementation scanned the
+// dense G and C, O(size^2) per sweep.)
 func TestACPatternBuildScalesWithNNZ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -207,11 +208,11 @@ func TestACPatternBuildScalesWithNNZ(t *testing.T) {
 		best := time.Duration(math.MaxInt64)
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			p := acPatternFromNetlist(n)
+			a := acMatrix(n, 1)
 			if el := time.Since(start); el < best {
 				best = el
 			}
-			if p.size == 0 {
+			if a.NNZ() == 0 {
 				t.Fatal("empty pattern")
 			}
 		}
@@ -220,8 +221,8 @@ func TestACPatternBuildScalesWithNNZ(t *testing.T) {
 	measure(500) // warm up allocator and caches
 	small := measure(2000)
 	big := measure(8000)
-	// Linear scaling gives ~4x, map/sort overhead pushes it a little
-	// higher; a quadratic scan gives 16x. Fail midway.
+	// Linear scaling gives ~4x, allocation and cache effects push it a
+	// little higher; a quadratic scan gives 16x. Fail midway.
 	if big > 12*small {
 		t.Fatalf("pattern build scaled %v -> %v (>12x for 4x the nonzeros; quadratic?)", small, big)
 	}

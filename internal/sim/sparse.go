@@ -7,20 +7,21 @@ import (
 	"inductance101/internal/matrix"
 )
 
-// sparseGmin returns G + gmin*I(nodes) as a fresh triplet.
-func sparseGmin(sm *circuit.SparseMNA) *matrix.Triplet {
-	size := sm.Size()
-	g := matrix.NewTriplet(size, size).AddScaled(1, sm.G)
-	for i := 0; i < sm.N.NumNodes(); i++ {
-		g.Add(i, i, gmin)
-	}
-	return g
+// gGmin derives the DC matrix G + gmin·I(nodes).
+func gGmin(sm *circuit.SparseMNA) *matrix.CSC {
+	return circuit.Derive(sm, false, func(i, j int, g, _ float64) float64 { return sm.WithGmin(i, j, g, gmin) })
+}
+
+// companion derives the companion matrix A = G + gmin·I(nodes) + αC,
+// summed (g + gmin) + αc at each position.
+func companion(sm *circuit.SparseMNA, alpha float64) *matrix.CSC {
+	return circuit.Derive(sm, false, func(i, j int, g, c float64) float64 { return sm.WithGmin(i, j, g, gmin) + alpha*c })
 }
 
 // opSparse computes the DC operating point of a linear netlist with the
 // sparse LU (capacitors open, inductors short, sources at t0).
 func opSparse(sm *circuit.SparseMNA, t0 float64) ([]float64, error) {
-	f, err := matrix.FactorSparseLU(sparseGmin(sm).ToCSC())
+	f, err := matrix.FactorSparseLU(gGmin(sm))
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular DC system: %w", err)
 	}
@@ -66,9 +67,9 @@ func (w *deltaWork) step(dst []float64, f *matrix.SparseLU, d *matrix.CSR, x, bP
 }
 
 // tranSparse is the fixed-step transient of a linear netlist: the
-// companion system assembled as triplets, factored by the sparse LU once
-// and stepped in delta form (deltaWork) — nothing O(size^2) is ever
-// built.
+// companion system derived from the frozen MNA pattern, factored by the
+// sparse LU once and stepped in delta form (deltaWork) — nothing
+// O(size^2) is ever built.
 func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	sm := circuit.BuildSparse(n)
 	x0, err := opSparse(sm, 0)
@@ -79,16 +80,18 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	h := opt.TStep
 	alpha := opt.alpha()
 
-	aLin := sparseGmin(sm).AddScaled(alpha, sm.C)
-	f, err := matrix.FactorSparseLU(aLin.ToCSC())
+	f, err := matrix.FactorSparseLU(companion(sm, alpha))
 	if err != nil {
 		return nil, fmt.Errorf("sim: singular transient system: %w", err)
 	}
-	dT := sparseGmin(sm)
-	if opt.Method == Trapezoidal {
-		dT.AddScaled(1, sm.G)
-	}
-	d := dT.ToCSR()
+	trap := opt.Method == Trapezoidal
+	d := matrix.CSCToCSR(circuit.Derive(sm, false, func(i, j int, g, _ float64) float64 {
+		v := sm.WithGmin(i, j, g, gmin)
+		if trap {
+			v += g // D = 2G + gmin for the trapezoidal rule
+		}
+		return v
+	}))
 
 	steps := int(opt.TStop/h + 0.5)
 	res := &TranResult{Netlist: n}
@@ -97,7 +100,7 @@ func tranSparse(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	res.States = append(res.States, matrix.CloneVec(x))
 
 	var bPrev []float64
-	if opt.Method == Trapezoidal {
+	if trap {
 		bPrev = make([]float64, size)
 		sm.RHS(0, bPrev)
 	}

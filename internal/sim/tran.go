@@ -40,12 +40,14 @@ func tranNewton(n *circuit.Netlist, opt TranOptions) (*TranResult, error) {
 	h := opt.TStep
 	alpha := opt.alpha()
 	trap := opt.Method == Trapezoidal
-	s := newNewtonSystem(n, sparseGmin(sm).AddScaled(alpha, sm.C))
-	histT := matrix.NewTriplet(size, size).AddScaled(alpha, sm.C)
-	if trap {
-		histT.AddScaled(-1, sm.G)
-	}
-	hist := histT.ToCSR()
+	s := newNewtonSystem(n, companion(sm, alpha))
+	hist := matrix.CSCToCSR(circuit.Derive(sm, false, func(_, _ int, g, c float64) float64 {
+		v := alpha * c
+		if trap {
+			v -= g // H = αC − G
+		}
+		return v
+	}))
 
 	steps := int(opt.TStop/h + 0.5)
 	res := &TranResult{Netlist: n}

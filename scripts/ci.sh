@@ -126,6 +126,21 @@ if [ -n "$deprecated" ]; then
 	exit 1
 fi
 
+# One sparse assembly path: every sparse matrix is stamped into a
+# matrix.Triplet append log and frozen by its one counting-sort freeze
+# (MNA pencils once, onto one union pattern, by circuit.BuildSparse). A
+# map keyed by (i, j) is a second builder: a hash insert per stamp and
+# iteration in random order, the cost and the duplication the log
+# removed. None may come back.
+echo "== no map[[2]int]float64 sparse builders in non-test code"
+maps=$(grep -rn 'map\[\[2\]int\]float64' internal cmd --include='*.go' \
+	| grep -v '_test\.go' || true)
+if [ -n "$maps" ]; then
+	echo "map-backed sparse builder(s) found (stamp into a matrix.Triplet):" >&2
+	echo "$maps" >&2
+	exit 1
+fi
+
 # Sweep-mode selection flows through engine.Config (SweepMode/SweepTol,
 # parsed via engine.ParseSweepMode): no CLI constructs adaptive sweeps
 # by importing internal/sweep directly.
