@@ -109,20 +109,17 @@ func maxRelErrPts(got, ref []fasthenry.Point) float64 {
 // benchAdaptiveRow is one adaptive-vs-exact sweep measurement on a
 // dense frequency grid.
 type benchAdaptiveRow struct {
-	Wires             int     `json:"wires"`
-	Filaments         int     `json:"filaments"`
-	Workers           int     `json:"workers"`
-	SweepPoints       int     `json:"sweep_points"`
-	SweepTol          float64 `json:"sweep_tol"`
-	ExactSweepSec     float64 `json:"exact_sweep_sec"`
-	AdaptiveSweepSec  float64 `json:"adaptive_sweep_sec"`
-	SpeedupX          float64 `json:"speedup_x"`
-	Anchors           int     `json:"anchors"`
-	MaxRelErr         float64 `json:"max_rel_err_vs_exact"`
-	ExactTotalIters   int     `json:"exact_total_iters"`
-	RecycledIters     int     `json:"recycled_anchor_iters"`
-	MeanItersRecycled float64 `json:"mean_anchor_iters_recycled"`
-	MeanItersWarmOnly float64 `json:"mean_anchor_iters_warm_only"`
+	Wires            int     `json:"wires"`
+	Filaments        int     `json:"filaments"`
+	Workers          int     `json:"workers"`
+	SweepPoints      int     `json:"sweep_points"`
+	SweepTol         float64 `json:"sweep_tol"`
+	ExactSweepSec    float64 `json:"exact_sweep_sec"`
+	AdaptiveSweepSec float64 `json:"adaptive_sweep_sec"`
+	SpeedupX         float64 `json:"speedup_x"`
+	Anchors          int     `json:"anchors"`
+	MaxRelErr        float64 `json:"max_rel_err_vs_exact"`
+	ExactTotalIters  int     `json:"exact_total_iters"`
 }
 
 // TestBenchFasthenrySnapshot times the FastHenry-style loop extractor
@@ -271,55 +268,44 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 	// Adaptive-sweep benchmark: the 2048-filament case swept at 200
 	// points/decade over 3 decades. Exact iterative mode solves all 601
 	// points with warm-started GMRES; adaptive mode solves a few dozen
-	// rational-fit anchors with recycled GMRES and interpolates the
-	// rest. A third run disables Krylov recycling (warm starts only,
-	// RecycleDim=-1) to isolate the recycling win on the anchor solves.
+	// rational-fit anchors the same way and interpolates the rest.
 	adaptiveRows := func() []benchAdaptiveRow {
 		const wires = 256
 		w := workerCols[len(workerCols)-1]
 		lay, segs, port, shorts := benchLoopBus(wires)
 		freqs := fasthenry.LogSpace(1e8, 1e11, 601) // 200 pts/decade over 3 decades
 		const tol = 1e-7                            // fit tolerance well under the 1e-6 deviation budget
-		mkSweep := func(sm sweep.Mode, recycle int) *fasthenry.Solver {
+		runSweep := func(sm sweep.Mode) ([]fasthenry.Point, float64) {
 			o := opts
 			o.Mode = fasthenry.ModeIterative
 			o.Workers = w
 			o.SweepMode = sm
 			o.SweepTol = tol
-			o.RecycleDim = recycle
 			s, err := fasthenry.NewSolver(lay, segs, port, shorts, 1e11, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s
-		}
-		runSweep := func(sm sweep.Mode, recycle int) ([]fasthenry.Point, float64) {
-			s := mkSweep(sm, recycle)
 			s.OperatorStats() // exclude the lazy operator build from sweep time
 			t0 := time.Now()
 			pts, err := s.SweepParallel(freqs, w)
 			if err != nil {
-				t.Fatalf("adaptive bench sweep (%v, recycle %d): %v", sm, recycle, err)
+				t.Fatalf("adaptive bench sweep (%v): %v", sm, err)
 			}
 			return pts, time.Since(t0).Seconds()
 		}
-		anchorStats := func(pts []fasthenry.Point) (anchors, iters int) {
-			for _, p := range pts {
-				if !p.Interp {
-					anchors++
-					iters += p.Iters
-				}
-			}
-			return
+
+		exactPts, exactSec := runSweep(sweep.ModeExact)
+		adPts, adSec := runSweep(sweep.ModeAdaptive)
+
+		exactIters, anchors := 0, 0
+		for _, p := range exactPts {
+			exactIters += p.Iters
 		}
-
-		exactPts, exactSec := runSweep(sweep.ModeExact, 0)
-		adPts, adSec := runSweep(sweep.ModeAdaptive, 0)
-		warmPts, _ := runSweep(sweep.ModeAdaptive, -1)
-
-		_, exactIters := anchorStats(exactPts)
-		anchors, recIters := anchorStats(adPts)
-		warmAnchors, warmIters := anchorStats(warmPts)
+		for _, p := range adPts {
+			if !p.Interp {
+				anchors++
+			}
+		}
 		row := benchAdaptiveRow{
 			Wires: wires, Filaments: wires * opts.NW * opts.NT, Workers: w,
 			SweepPoints: len(freqs), SweepTol: tol,
@@ -327,23 +313,17 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 			SpeedupX:        exactSec / adSec,
 			Anchors:         anchors,
 			MaxRelErr:       maxRelErrPts(adPts, exactPts),
-			ExactTotalIters: exactIters, RecycledIters: recIters,
-			MeanItersRecycled: float64(recIters) / float64(anchors),
-			MeanItersWarmOnly: float64(warmIters) / float64(warmAnchors),
+			ExactTotalIters: exactIters,
 		}
-		t.Logf("adaptive %d fils %d pts w=%d: exact %.2fs, adaptive %.2fs (%.1fx), %d anchors, err %.2g, mean iters %.1f recycled vs %.1f warm-only",
+		t.Logf("adaptive %d fils %d pts w=%d: exact %.2fs, adaptive %.2fs (%.1fx), %d anchors, err %.2g",
 			row.Filaments, row.SweepPoints, w, exactSec, adSec, row.SpeedupX,
-			anchors, row.MaxRelErr, row.MeanItersRecycled, row.MeanItersWarmOnly)
+			anchors, row.MaxRelErr)
 
 		if row.SpeedupX < 5 {
 			t.Errorf("adaptive sweep only %.2fx faster than exact iterative (acceptance floor 5x)", row.SpeedupX)
 		}
 		if row.MaxRelErr > 1e-6 {
 			t.Errorf("adaptive sweep deviates from exact by %.3g (tolerance 1e-6)", row.MaxRelErr)
-		}
-		if row.MeanItersRecycled >= row.MeanItersWarmOnly {
-			t.Errorf("recycled GMRES mean anchor iters %.2f not below warm-start-only %.2f",
-				row.MeanItersRecycled, row.MeanItersWarmOnly)
 		}
 		return []benchAdaptiveRow{row}
 	}()
@@ -424,7 +404,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 		Plane    []benchRow         `json:"microstrip_plane"`
 		Adaptive []benchAdaptiveRow `json:"adaptive_sweep"`
 	}{
-		Note:     "FastHenry loop-extraction sweep: dense complex LU vs flat-ACA GMRES vs nested-basis (H2) GMRES, per worker column (columns coincide when cpus=1); compressed modes are checked against the dense oracle where feasible; microstrip_plane runs the same three paths over a conductor plane lowered through the shared filament mesh (internal/mesh) at rising grid density; adaptive_sweep compares the rational-interpolation sweep (recycled-GMRES anchors) against exact per-point iterative solves on a dense grid; regenerate with scripts/bench_fasthenry.sh",
+		Note:     "FastHenry loop-extraction sweep: dense complex LU vs flat-ACA GMRES vs nested-basis (H2) GMRES, per worker column (columns coincide when cpus=1); compressed modes are checked against the dense oracle where feasible; microstrip_plane runs the same three paths over a conductor plane lowered through the shared filament mesh (internal/mesh) at rising grid density; adaptive_sweep compares the rational-interpolation sweep (warm-started GMRES anchors) against exact per-point iterative solves on a dense grid; regenerate with scripts/bench_fasthenry.sh",
 		CPUs:     cpus,
 		Rows:     rows,
 		Plane:    planeRows,

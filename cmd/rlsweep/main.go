@@ -18,16 +18,19 @@
 // 8191, nested beyond); GMRES is preconditioned by block-Jacobi over
 // the cluster diagonal. -sweep picks the sweep strategy: exact solves
 // every requested frequency, adaptive solves only rational-fit anchor
-// points (with Krylov recycling across anchors) and interpolates the
-// rest within -sweeptol, and auto switches to adaptive at 64+ points;
-// in adaptive mode the CSV carries a fourth interp column marking
-// interpolated rows. -plane replaces the builtin structure's coplanar
+// points and interpolates the rest within -sweeptol, and auto switches
+// to adaptive at 64+ points; in adaptive mode the CSV carries a fourth
+// interp column marking interpolated rows. -plane replaces the builtin structure's coplanar
 // returns with a solid ground plane on the layer below (the paper's
 // Fig. 6 microstrip); -planenw sets the plane mesh density in grid
 // cells per axis (0 = the mesh default), applies equally to planes
 // read from a -layout file, and is rejected when there is no plane.
-// -workers caps the operator-build and sweep fan-out (0 = all CPUs;
-// results are bit-identical at any setting).
+// -workers caps the operator-build and sweep fan-out (0 = all CPUs).
+// Operator builds and dense sweeps are bit-identical at any setting;
+// iterative sweeps warm-start GMRES along each worker's chunk of
+// frequencies, so their points agree across settings to the GMRES
+// tolerance (interpolated points of an adaptive sweep, whose anchors
+// may differ, to -sweeptol), not bit for bit.
 // -v prints diagnostics to stderr: the resolved solve mode, operator
 // compression stats with per-level rank histograms and near/far
 // kernel-evaluation counts on the compressed paths, and per-point GMRES

@@ -76,11 +76,6 @@ type Options struct {
 	// SweepTol is the adaptive engine's relative interpolation
 	// tolerance (0 = sweep.DefaultTol).
 	SweepTol float64
-	// RecycleDim caps the Krylov recycling space the adaptive anchor
-	// solves carry between frequencies on the iterative paths.
-	// 0 = matrix.DefaultRecycleDim; negative disables recycling
-	// (warm starts only).
-	RecycleDim int
 }
 
 // meshOptions maps the solver options onto the lowering stage's.
@@ -119,9 +114,8 @@ type Solver struct {
 	acaTol  float64
 	workers int
 
-	sweepMode  sweep.Mode
-	sweepTol   float64
-	recycleDim int
+	sweepMode sweep.Mode
+	sweepTol  float64
 
 	opOnce sync.Once
 	op     extract.LOperator // compressed partial inductance (lazy)
@@ -153,7 +147,6 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		planes: m.PlaneFilaments > 0,
 		mode:   opt.Mode, acaTol: opt.ACATol, workers: opt.Workers,
 		sweepMode: opt.SweepMode, sweepTol: opt.SweepTol,
-		recycleDim: opt.RecycleDim,
 	}
 	s.inc = make([][2]int, len(s.fils))
 	for fi, f := range s.fils {
@@ -249,7 +242,7 @@ func (s *Solver) nodeRow(n int) int {
 // hierarchically compressed partial-inductance operator.
 func (s *Solver) Impedance(f float64) (complex128, error) {
 	if s.iterativeMode() {
-		z, _, err := s.impedanceIterative(f, nil, nil)
+		z, _, err := s.impedanceIterative(f, nil)
 		return z, err
 	}
 	return s.impedanceDense(f)

@@ -54,7 +54,7 @@ func TestNestedMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dense at %g: %v", f, err)
 				}
-				zn, it, err := nested.impedanceIterative(f, nil, nil)
+				zn, it, err := nested.impedanceIterative(f, nil)
 				if err != nil {
 					t.Fatalf("nested at %g: %v", f, err)
 				}

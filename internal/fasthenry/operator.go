@@ -606,11 +606,9 @@ func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
 // right-preconditioned restarted GMRES on the augmented system through
 // the compressed operator. warm, when non-nil, carries a sweep
 // worker's previous [i; v/ρ] solution: a non-nil *warm seeds the solve
-// and is replaced by this point's solution. rs, when non-nil, is a
-// Krylov recycling space carried across an adaptive sweep's anchor
-// solves, invalidated here for this frequency's operator. It returns
-// the impedance and the GMRES iteration count.
-func (s *Solver) impedanceIterative(f float64, warm *[]complex128, rs *matrix.RecycleSpace) (complex128, int, error) {
+// and is replaced by this point's solution. It returns the impedance
+// and the GMRES iteration count.
+func (s *Solver) impedanceIterative(f float64, warm *[]complex128) (complex128, int, error) {
 	pr := s.nodeRow(s.plus)
 	if pr < 0 {
 		return 0, 0, fmt.Errorf("fasthenry: port plus equals reference")
@@ -626,8 +624,7 @@ func (s *Solver) impedanceIterative(f float64, warm *[]complex128, rs *matrix.Re
 	if warm != nil && *warm != nil {
 		opt.X0 = *warm
 	}
-	rs.Invalidate()
-	x, res, err := matrix.GMRES(aop, b, opt, rs)
+	x, res, err := matrix.GMRES(aop, b, opt)
 	if err != nil {
 		return 0, res.Iters, fmt.Errorf("fasthenry: GMRES at %g Hz: %w", f, err)
 	}

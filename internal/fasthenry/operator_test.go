@@ -101,7 +101,7 @@ func TestIterativeMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dense at %g: %v", f, err)
 				}
-				zi, it, err := iter.impedanceIterative(f, nil, nil)
+				zi, it, err := iter.impedanceIterative(f, nil)
 				if err != nil {
 					t.Fatalf("iterative at %g: %v", f, err)
 				}
@@ -159,7 +159,7 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 		if i%3 == 0 {
 			continue
 		}
-		_, cold, err := iter.impedanceIterative(freqs[i], nil, nil)
+		_, cold, err := iter.impedanceIterative(freqs[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +170,13 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 	// Re-seeded with its own solution a point needs no iterations at
 	// all, and the solve updates the vector in place.
 	var warm []complex128
-	if _, _, err := iter.impedanceIterative(freqs[1], &warm, nil); err != nil {
+	if _, _, err := iter.impedanceIterative(freqs[1], &warm); err != nil {
 		t.Fatal(err)
 	}
 	if len(warm) != iter.NumFilaments()+iter.nNodes-1 {
 		t.Fatalf("warm vector has %d entries, want nf+nn = %d", len(warm), iter.NumFilaments()+iter.nNodes-1)
 	}
-	z, again, err := iter.impedanceIterative(freqs[1], &warm, nil)
+	z, again, err := iter.impedanceIterative(freqs[1], &warm)
 	if err != nil {
 		t.Fatal(err)
 	}

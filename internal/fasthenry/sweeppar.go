@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"inductance101/internal/matrix"
 	"inductance101/internal/sweep"
 	"inductance101/internal/units"
 )
@@ -26,14 +25,20 @@ import (
 // the previous point's branch currents and node voltages, which trims
 // iteration counts because R(f), L(f) vary smoothly. All workers share
 // the one immutable compressed operator and Schur plan; per-point state
-// (preconditioner, Krylov basis) is worker-local.
+// (preconditioner, Krylov basis) is worker-local. The dense path's
+// results are bit-identical at any worker count. The iterative path's
+// are not: the worker count moves the chunk boundaries, so a point may
+// start GMRES from a different warm vector, and the results agree only
+// to the GMRES tolerance.
 //
 // Under Options.SweepMode adaptive (or auto at sweep.AutoThreshold
 // requested points) only a few adaptively chosen anchor frequencies are
-// solved — chunked and warm-started exactly as above, with a Krylov
-// recycling space per worker so later anchors reuse the slow modes of
-// earlier ones — and the remaining points are filled by a
-// cross-validated rational interpolant (Point.Interp marks them).
+// solved — chunked and warm-started exactly as above — and the
+// remaining points are filled by a cross-validated rational
+// interpolant (Point.Interp marks them). Anchor bits that differ may
+// steer the iterative path's refine loop to other anchors, so its
+// interpolated points agree across worker counts only to the sweep
+// tolerance.
 func (s *Solver) SweepParallel(freqs []float64, workers int) ([]Point, error) {
 	return s.SweepParallelCtx(context.Background(), freqs, workers)
 }
@@ -50,15 +55,14 @@ func (s *Solver) SweepParallelCtx(ctx context.Context, freqs []float64, workers 
 		workers = len(fs)
 	}
 	if s.sweepMode.Adapt(len(fs)) {
-		return s.sweepAdaptive(ctx, fs, workers)
+		pts, _, err := s.sweepAdaptive(ctx, fs, workers)
+		return pts, err
 	}
 	out := make([]Point, len(fs))
 	errs := make([]error, len(fs))
 	if s.iterativeMode() {
 		s.compressedOp()
-		sweepIterativeRun(ctx, fs, workers, out, errs, func(f float64, warm *[]complex128) (complex128, int, error) {
-			return s.impedanceIterative(f, warm, nil)
-		})
+		sweepIterativeRun(ctx, fs, workers, out, errs, s.impedanceIterative)
 	} else {
 		s.sweepDense(ctx, fs, workers, out, errs)
 	}
@@ -172,40 +176,29 @@ func sweepIterativeRun(ctx context.Context, fs []float64, workers int, out []Poi
 	wg.Wait()
 }
 
-// sweepAdaptive runs the anchor-and-fit engine: anchors are solved in
-// ascending contiguous chunks across workers with warm starts, and on
-// the iterative paths each worker carries a Krylov recycling space so
-// later anchors deflate the slow modes of earlier ones. Interpolated
-// points carry Interp=true and no iteration count.
-func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) ([]Point, error) {
+// sweepAdaptive runs the anchor-and-fit engine: on the iterative paths
+// anchors are solved in ascending contiguous chunks across workers with
+// warm starts, on the dense path handed out point by point (handOut).
+// Interpolated points carry Interp=true and no iteration count. It
+// also returns the anchor indices in solve order.
+func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) ([]Point, []int, error) {
 	iters := make([]int, len(fs))
 	errs := make([]error, len(fs))
 	var batch func(idxs []int) ([]complex128, error)
 
 	if s.iterativeMode() {
 		s.compressedOp()
-		// Per-worker sweep state, persistent across anchor batches: the
+		// Per-worker warm vectors, persistent across anchor batches: the
 		// refine loop mostly adds one anchor at a time, and those solves
-		// keep worker 0's warm vector and recycled basis.
-		type anchorState struct {
-			warm []complex128
-			rs   *matrix.RecycleSpace
-		}
-		states := make([]*anchorState, workers)
-		for w := range states {
-			st := &anchorState{}
-			if s.recycleDim >= 0 {
-				st.rs = &matrix.RecycleSpace{MaxDim: s.recycleDim}
-			}
-			states[w] = st
-		}
+		// keep worker 0's warm vector.
+		warms := make([][]complex128, workers)
 		batch = func(idxs []int) ([]complex128, error) {
 			vals := make([]complex128, len(idxs))
 			var wg sync.WaitGroup
 			var failed atomic.Bool
 			for w, r := range chunkRanges(len(idxs), workers) {
 				wg.Add(1)
-				go func(st *anchorState, lo, hi int) {
+				go func(warm *[]complex128, lo, hi int) {
 					defer wg.Done()
 					for k := lo; k < hi; k++ {
 						i := idxs[k]
@@ -214,17 +207,17 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 							failed.Store(true)
 							return
 						}
-						z, it, err := s.impedanceIterative(fs[i], &st.warm, st.rs)
+						z, it, err := s.impedanceIterative(fs[i], warm)
 						if err != nil {
 							errs[i] = err
 							failed.Store(true)
-							st.warm = nil
+							*warm = nil
 							return
 						}
 						vals[k] = z
 						iters[i] = it
 					}
-				}(states[w], r[0], r[1])
+				}(&warms[w], r[0], r[1])
 			}
 			wg.Wait()
 			if failed.Load() {
@@ -258,7 +251,7 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 
 	res, err := sweep.Adaptive(fs, sweep.Options{Tol: s.sweepTol}, batch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([]Point, len(fs))
 	for i := range fs {
@@ -269,5 +262,5 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 			out[i].Iters = iters[i]
 		}
 	}
-	return out, nil
+	return out, res.AnchorIdx, nil
 }

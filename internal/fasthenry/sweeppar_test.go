@@ -40,6 +40,52 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestIterativeSweepWorkerCountAgreement: an iterative sweep
+// warm-starts GMRES along each worker's chunk, so the worker count
+// moves its bits, unlike the dense sweep above. Exact iterative sweeps
+// at 1, 2 and 3 workers must still agree within 1e-9 relative, and so
+// must adaptive sweeps at every point all of them solved. The adaptive
+// sweep's refine loop may pick other anchors from bits that differ, so
+// its interpolated points agree only to the sweep tolerance.
+func TestIterativeSweepWorkerCountAgreement(t *testing.T) {
+	const solveTol = 1e-9
+	l, segs, port, shorts := busLayout(32, 1e-3, 1e-6, 2e-6)
+	for _, tc := range []struct {
+		mode  sweep.Mode
+		freqs []float64
+	}{
+		{sweep.ModeExact, LogSpace(1e8, 2e10, 6)},
+		{sweep.ModeAdaptive, LogSpace(1e8, 2e10, 201)},
+	} {
+		var ref []Point
+		for _, w := range []int{1, 2, 3} {
+			s, err := NewSolver(l, segs, port, shorts, 20e9,
+				Options{NW: 4, NT: 2, Mode: ModeIterative, Workers: w, SweepMode: tc.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := s.SweepParallel(tc.freqs, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = pts
+				continue
+			}
+			for i := range pts {
+				tol := solveTol
+				if pts[i].Interp || ref[i].Interp {
+					tol = sweep.DefaultTol
+				}
+				if d := cmplx.Abs(pts[i].Z-ref[i].Z) / cmplx.Abs(ref[i].Z); d > tol {
+					t.Errorf("%v sweep, point %d (interp %v/%v): workers=%d deviates %.3g from workers=1 (bound %g)",
+						tc.mode, i, pts[i].Interp, ref[i].Interp, w, d, tol)
+				}
+			}
+		}
+	}
+}
+
 // TestChunkRanges pins the iterative sweep's scheduling contract:
 // contiguous ascending chunks that cover every index exactly once, and
 // worker counts clamped to the point count (and to at least one).

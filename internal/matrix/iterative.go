@@ -7,12 +7,11 @@ import (
 )
 
 // Matrix-free iterative solvers: one restarted GMRES(m) for general
-// complex systems (with optional Krylov recycling, see recycle.go) and
-// one preconditioned CG for the SPD real case. Both operate on
-// pluggable operator interfaces so callers can plug in compressed or
-// implicitly defined matrices (the FastHenry-style extraction solves
-// R + jωL systems through a hierarchically compressed partial-inductance
-// operator without ever forming the dense matrix).
+// complex systems and one preconditioned CG for the SPD real case. Both
+// operate on pluggable operator interfaces so callers can plug in
+// compressed or implicitly defined matrices (the FastHenry-style
+// extraction solves R + jωL systems through a hierarchically compressed
+// partial-inductance operator without ever forming the dense matrix).
 
 // LinearOperator is a matrix-free real linear operator y = A x.
 type LinearOperator interface {
@@ -73,22 +72,18 @@ func (o CDenseOp) ApplyTo(dst, x []complex128) {
 
 // IterResult reports how an iterative solve went.
 type IterResult struct {
-	// Iters is the number of operator applications (Krylov steps).
+	// Iters counts Krylov steps (GMRES Arnoldi steps, CG iterations),
+	// one operator application each. It is not the total: GMRES also
+	// applies the operator once per cycle for the true residual, the
+	// final check included (Iters + Restarts + 1 applies for a nonzero
+	// b), and a warm-started CG once for its starting residual.
 	Iters int
-	// Restarts counts completed GMRES restart cycles beyond the first.
+	// Restarts counts completed GMRES cycles.
 	Restarts int
 	// Residual is the final relative residual ||b - A x|| / ||b||.
 	Residual float64
 	// Converged reports whether Residual reached the tolerance.
 	Converged bool
-	// RecycledDim is the deflation-space dimension a recycling GMRES
-	// solve ran with (zero for plain solves or an empty recycle space).
-	RecycledDim int
-	// RecycleApplies counts the extra operator applications spent
-	// re-projecting the recycled basis through this solve's operator;
-	// the net iteration saving of recycling is the drop in Iters minus
-	// this overhead.
-	RecycleApplies int
 }
 
 // GMRESOptions tunes the restarted GMRES solve.
@@ -99,7 +94,7 @@ type GMRESOptions struct {
 	// Tol is the relative residual target ||b - A x|| / ||b||
 	// (default 1e-10).
 	Tol float64
-	// MaxIters caps the total operator applications (default
+	// MaxIters caps the Krylov steps, IterResult.Iters (default
 	// max(100, 10n)).
 	MaxIters int
 	// X0 is the initial guess (nil = zero). Frequency sweeps warm-start
@@ -130,22 +125,14 @@ func cdotc(a, b []complex128) complex128 {
 }
 
 // GMRES solves A x = b with restarted GMRES(m): modified Gram-Schmidt
-// Arnoldi, Givens rotations, and GCRO-DR-style subspace recycling when
-// rs is non-nil. Each restart recomputes the true residual, so the
-// reported IterResult.Residual is never an estimate drifted by
-// rounding. Returns the best iterate found together with the iteration
-// statistics; check IterResult.Converged — a non-converged solve is not
-// an error (the caller may fall back to a direct solve).
-//
-// A nil rs is plain restarted GMRES. A live space is deflated out of
-// every Krylov cycle and refreshed from the cycle's harmonic-Ritz
-// estimates before returning. For a sequence of related solves (a
-// frequency sweep's anchors), pass one RecycleSpace per sequence and
-// call rs.Invalidate() whenever the operator changes; the solver
-// re-projects the basis through the new operator (the
-// IterResult.RecycleApplies operator applications) and each subsequent
-// solve starts with the slow modes already deflated.
-func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpace) ([]complex128, IterResult, error) {
+// Arnoldi and Givens rotations. Each restart recomputes the true
+// residual, so the reported IterResult.Residual is never an estimate
+// drifted by rounding. Returns the best iterate found together with
+// the iteration statistics; check IterResult.Converged — a
+// non-converged solve is not an error (the caller may fall back to a
+// direct solve). A sequence of related solves (a frequency sweep's
+// points) warm-starts each solve through opt.X0.
+func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions) ([]complex128, IterResult, error) {
 	n := op.Dim()
 	if len(b) != n {
 		return nil, IterResult{}, fmt.Errorf("matrix: GMRES rhs length %d, want %d", len(b), n)
@@ -188,10 +175,7 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 
 	z := make([]complex128, n)
 	// applyP computes dst = A M^{-1} x, the operator the Krylov cycles
-	// iterate on. The recycled basis U lives in solution space (the
-	// preconditioner is folded in at harvest time), so its projection
-	// C = A U goes through the raw operator — C depends on A only, and
-	// stays valid across preconditioner rebuilds at a fixed frequency.
+	// iterate on.
 	applyP := func(dst, src []complex128) {
 		av := src
 		if opt.Precond != nil {
@@ -200,40 +184,18 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 		}
 		op.ApplyTo(dst, av)
 	}
-	// Deflate with the projected pairs only; a freshly harvested tail
-	// (len(u) > len(c)) waits for the next Invalidate-triggered
-	// projection, so same-operator follow-up solves pay zero applies.
-	// hraw is the pristine (pre-Givens) Hessenberg the harvest reads,
-	// (m+1) x m like the Arnoldi relation; plain solves skip it.
-	kd := 0
-	var hraw *CDense
-	if rs != nil {
-		if !rs.cValid || rs.n != n {
-			res.RecycleApplies = rs.project(op.ApplyTo, n)
-		}
-		kd = len(rs.c)
-		res.RecycledDim = kd
-		hraw = NewCDense(m+1, m)
-	}
 
 	// Workspace: Krylov basis, Hessenberg columns (upper-triangular
-	// after rotations), C couplings, Givens sines/cosines, rotated rhs.
+	// after rotations), Givens sines/cosines, rotated rhs.
 	v := make([][]complex128, m+1)
 	hc := make([][]complex128, m)
-	bmat := make([][]complex128, m) // B = C^H Â V coupling columns
 	cs := make([]complex128, m)
 	sn := make([]complex128, m)
 	g := make([]complex128, m+1)
 	w := make([]complex128, n)
-	d := make([]complex128, kd)
 
-	var lastJ int
-	var lastHj1 float64
-	harvested := false
 	for {
-		// True residual r0 = b - A x, split into the C component (zeroed
-		// exactly through U) and the deflated remainder the Krylov cycle
-		// works on.
+		// True residual r0 = b - A x.
 		op.ApplyTo(w, x)
 		if v[0] == nil {
 			v[0] = make([]complex128, n)
@@ -241,35 +203,14 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 		for i := range w {
 			v[0][i] = b[i] - w[i]
 		}
-		trueRes := cnorm(v[0]) / bnorm
-		res.Residual = trueRes
-		if trueRes <= tol {
+		beta := cnorm(v[0])
+		res.Residual = beta / bnorm
+		if res.Residual <= tol {
 			res.Converged = true
 			break
 		}
 		if res.Iters >= maxIt {
 			break
-		}
-		for i := 0; i < kd; i++ {
-			d[i] = cdotc(rs.c[i], v[0])
-			for t := range v[0] {
-				v[0][t] -= d[i] * rs.c[i][t]
-			}
-		}
-		beta := cnorm(v[0])
-		if beta/bnorm <= tol {
-			// The residual lives entirely in the recycled space: close it
-			// with the U correction alone and re-verify the true residual.
-			for i := 0; i < kd; i++ {
-				if d[i] == 0 {
-					continue
-				}
-				for t := range x {
-					x[t] += d[i] * rs.u[i][t]
-				}
-			}
-			res.Restarts++
-			continue
 		}
 		inv := complex(1/beta, 0)
 		for i := range v[0] {
@@ -281,22 +222,11 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 		g[0] = complex(beta, 0)
 
 		j := 0
-		hj1 := 0.0
 		for ; j < m && res.Iters < maxIt; j++ {
 			res.Iters++
 			applyP(w, v[j])
-			// Deflate: record the C coupling, then orthogonalize against
-			// the Krylov basis (modified Gram-Schmidt).
-			if len(bmat[j]) < kd {
-				bmat[j] = make([]complex128, kd)
-			}
-			for i := 0; i < kd; i++ {
-				bij := cdotc(rs.c[i], w)
-				bmat[j][i] = bij
-				for t := range w {
-					w[t] -= bij * rs.c[i][t]
-				}
-			}
+			// Orthogonalize against the Krylov basis (modified
+			// Gram-Schmidt).
 			if hc[j] == nil {
 				hc[j] = make([]complex128, m+1)
 			}
@@ -304,18 +234,12 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 			for i := 0; i <= j; i++ {
 				hcoef := cdotc(v[i], w)
 				col[i] = hcoef
-				if hraw != nil {
-					hraw.Set(i, j, hcoef)
-				}
 				for t := range w {
 					w[t] -= hcoef * v[i][t]
 				}
 			}
-			hj1 = cnorm(w)
+			hj1 := cnorm(w)
 			col[j+1] = complex(hj1, 0)
-			if hraw != nil {
-				hraw.Set(j+1, j, complex(hj1, 0))
-			}
 			// Apply the accumulated rotations to the new column.
 			for i := 0; i < j; i++ {
 				t := cmplx.Conj(cs[i])*col[i] + cmplx.Conj(sn[i])*col[i+1]
@@ -365,8 +289,7 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 			}
 			yv[i] = s / hc[i][i]
 		}
-		// x += M^{-1}(V yv) + U (d - B yv): the Krylov update plus the
-		// recycled-space correction that zeroes the C residual component.
+		// x += M^{-1}(V yv).
 		for t := range w {
 			w[t] = 0
 		}
@@ -386,34 +309,7 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions, rs *RecycleSpac
 				x[t] += w[t]
 			}
 		}
-		for i := 0; i < kd; i++ {
-			yu := d[i]
-			for c := 0; c < j; c++ {
-				yu -= bmat[c][i] * yv[c]
-			}
-			if yu == 0 {
-				continue
-			}
-			for t := range x {
-				x[t] += yu * rs.u[i][t]
-			}
-		}
-		lastJ, lastHj1 = j, hj1
 		res.Restarts++
-		// Harvest from every full-length cycle, not just the final one:
-		// after a restart the last cycle is often 2-3 iterations, far too
-		// short to resolve the slow modes worth carrying. harvest replaces
-		// the pending tail, so the most recent full cycle wins.
-		if rs != nil && j >= recycleHarvest {
-			rs.harvest(v, hraw, j, hj1, opt.Precond)
-			harvested = true
-			// A harvest that overflows MaxDim drops the oldest projected
-			// columns; the next cycle deflates only what is left.
-			kd = len(rs.c)
-		}
-	}
-	if rs != nil && !harvested && lastJ >= 2 {
-		rs.harvest(v, hraw, lastJ, lastHj1, opt.Precond)
 	}
 	return x, res, nil
 }

@@ -52,7 +52,7 @@ func TestGMRESMatchesDirectSolve(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 40} {
 		m := randomDiagDominantC(n, rng)
 		b := randVecC(n, rng)
-		x, res, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-12}, nil)
+		x, res, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -80,7 +80,7 @@ func TestGMRESRestartedConverges(t *testing.T) {
 	m := randomDiagDominantC(n, rng)
 	b := randVecC(n, rng)
 	// Restart far below n forces multiple cycles.
-	x, res, err := GMRES(CDenseOp{m}, b, GMRESOptions{Restart: 5, Tol: 1e-11}, nil)
+	x, res, err := GMRES(CDenseOp{m}, b, GMRESOptions{Restart: 5, Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGMRESPreconditioned(t *testing.T) {
 	n := 50
 	m := randomDiagDominantC(n, rng)
 	b := randVecC(n, rng)
-	_, plain, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-10}, nil)
+	_, plain, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGMRESPreconditioned(t *testing.T) {
 				dst[i] = src[i] / diag[i]
 			}
 		},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestGMRESWarmStart(t *testing.T) {
 	n := 40
 	m := randomDiagDominantC(n, rng)
 	b := randVecC(n, rng)
-	x, cold, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-10}, nil)
+	x, cold, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact answer: converges immediately.
-	_, warm, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-8, X0: x}, nil)
+	_, warm, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-8, X0: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestGMRESWarmStart(t *testing.T) {
 	for i := range x2 {
 		x2[i] += complex(1e-4*rng.NormFloat64(), 1e-4*rng.NormFloat64())
 	}
-	_, warm2, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-10, X0: x2}, nil)
+	_, warm2, err := GMRES(CDenseOp{m}, b, GMRESOptions{Tol: 1e-10, X0: x2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestGMRESWarmStart(t *testing.T) {
 func TestGMRESZeroRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randomDiagDominantC(6, rng)
-	x, res, err := GMRES(CDenseOp{m}, make([]complex128, 6), GMRESOptions{}, nil)
+	x, res, err := GMRES(CDenseOp{m}, make([]complex128, 6), GMRESOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +180,10 @@ func TestGMRESZeroRHS(t *testing.T) {
 func TestGMRESBadInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := randomDiagDominantC(4, rng)
-	if _, _, err := GMRES(CDenseOp{m}, make([]complex128, 3), GMRESOptions{}, nil); err == nil {
+	if _, _, err := GMRES(CDenseOp{m}, make([]complex128, 3), GMRESOptions{}); err == nil {
 		t.Error("rhs length mismatch not rejected")
 	}
-	if _, _, err := GMRES(CDenseOp{m}, make([]complex128, 4), GMRESOptions{X0: make([]complex128, 2)}, nil); err == nil {
+	if _, _, err := GMRES(CDenseOp{m}, make([]complex128, 4), GMRESOptions{X0: make([]complex128, 2)}); err == nil {
 		t.Error("x0 length mismatch not rejected")
 	}
 }
@@ -193,7 +193,7 @@ func TestGMRESReportsStall(t *testing.T) {
 	n := 30
 	m := randomDiagDominantC(n, rng)
 	b := randVecC(n, rng)
-	_, res, err := GMRES(CDenseOp{m}, b, GMRESOptions{Restart: 2, Tol: 1e-14, MaxIters: 3}, nil)
+	_, res, err := GMRES(CDenseOp{m}, b, GMRESOptions{Restart: 2, Tol: 1e-14, MaxIters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestGMRESNilSpaceBitIdentityPins(t *testing.T) {
 		{"restart2", matrix.GMRESOptions{Tol: 1e-10, Restart: 2}, 148, 0xfa3816e2ebc18663},
 	}
 	for _, tc := range cases {
-		x, res, err := matrix.GMRES(matrix.CDenseOp{M: a}, b, tc.opt, nil)
+		x, res, err := matrix.GMRES(matrix.CDenseOp{M: a}, b, tc.opt)
 		if err != nil || !res.Converged {
 			t.Fatalf("%s: %+v, %v", tc.name, res, err)
 		}

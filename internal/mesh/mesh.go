@@ -16,7 +16,7 @@
 //
 // The lowering is a pure serial function of its inputs: filament
 // order, node ids and every geometric value are deterministic, so the
-// solvers built on top stay bit-identical at any worker count.
+// operators built on top stay bit-identical at any worker count.
 package mesh
 
 import (

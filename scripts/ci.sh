@@ -59,6 +59,10 @@ go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fa
 # every step bit for bit) must hold at any worker count: GOMAXPROCS 1
 # and 2 set the default worker count of the parallel kernels, sweeps,
 # loop-frequency fan-out and grid time steps they cover.
+# TestAdaptiveIterativeSweepPin is the exception that sets its worker
+# count: an iterative sweep warm-starts along each worker's chunk, so
+# it pins 1 and 2 sweep workers separately, and must give those bits
+# at either GOMAXPROCS.
 echo "== bit-identity pins at 1 and 2 CPUs"
 go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/sim ./internal/core
 
