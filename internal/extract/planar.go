@@ -210,9 +210,21 @@ func (f *nearField) run(w *workspace, np int, far farField) {
 }
 
 // rowSums accumulates y[i] += Σ_j v[i][j]·x[j] for the len(y) x len(x)
-// row-major block v. Four rows run together; each row's sum starts at
-// +0 and adds its terms in increasing j.
+// row-major block v. Each row's sum starts at +0 and adds its terms in
+// increasing j, in rowSumsAVX2 or in the scalar kernel: the bits are
+// the same either way.
 func rowSums(v, x, y []float64) {
+	if planarAVX2 && len(x) > 0 && len(y) > 0 {
+		v = v[:len(y)*len(x)]
+		rowSumsAVX2(&v[0], &x[0], &y[0], len(y), len(x))
+		return
+	}
+	rowSumsScalar(v, x, y)
+}
+
+// rowSumsScalar is rowSums in Go, four rows at a time: the non-AVX2
+// path and the AVX2 kernel's oracle.
+func rowSumsScalar(v, x, y []float64) {
 	n := len(x)
 	i := 0
 	for ; i+4 <= len(y); i += 4 {
@@ -244,8 +256,19 @@ func rowSums(v, x, y []float64) {
 
 // colAxpys accumulates y[j] += v[i][j]·x[i] for the len(x) x len(y)
 // row-major block v: one axpy per row, applied to each entry of y in
-// increasing row order. Four rows run together.
+// increasing row order.
 func colAxpys(v, x, y []float64) {
+	if planarAVX2 && len(x) > 0 && len(y) > 0 {
+		v = v[:len(x)*len(y)]
+		colAxpysAVX2(&v[0], &x[0], &y[0], len(x), len(y))
+		return
+	}
+	colAxpysScalar(v, x, y)
+}
+
+// colAxpysScalar is colAxpys in Go, four rows at a time: the non-AVX2
+// path and the AVX2 kernel's oracle.
+func colAxpysScalar(v, x, y []float64) {
 	n := len(y)
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -274,8 +297,22 @@ func colAxpys(v, x, y []float64) {
 // symPair applies an off-diagonal block both ways in one pass over v
 // (len(xr) x len(xc), row-major): yr += v·xc as rowSums does, and
 // yc += vᵀ·xr as colAxpys does. The row and column ranges are
-// disjoint.
+// disjoint. With AVX2 the rows in whole groups of four run through
+// symPairAVX2 and the rest, which come last in every yc entry's row
+// order, through the scalar kernel.
 func symPair(v, xr, xc, yr, yc []float64) {
+	n, m4 := len(xc), len(xr)&^3
+	if planarAVX2 && m4 > 0 && n > 0 {
+		v, yr, yc = v[:len(xr)*n], yr[:len(xr)], yc[:n]
+		symPairAVX2(&v[0], &xr[0], &xc[0], &yr[0], &yc[0], m4, n)
+		v, xr, yr = v[m4*n:], xr[m4:], yr[m4:]
+	}
+	symPairScalar(v, xr, xc, yr, yc)
+}
+
+// symPairScalar is symPair in Go, four rows at a time: the non-AVX2
+// path and the AVX2 kernel's oracle.
+func symPairScalar(v, xr, xc, yr, yc []float64) {
 	n := len(xc)
 	yc = yc[:n]
 	i := 0

@@ -223,6 +223,11 @@ type precondBlock struct {
 	// preconditioner costs GMRES iterations; a NaN-ed sweep costs the
 	// run.
 	dinv []complex128
+	// w holds W_c = D_c⁻¹A_cᵀ, column k (the block's k-th reduced node)
+	// at w[k*n : (k+1)*n], when schurPlan.factor kept it: for a factored
+	// block touching fewer reduced nodes than it has filaments. nil
+	// otherwise.
+	w []complex128
 }
 
 // buildBlockPrecond factors diag(R) + jω L_cc for every diagonal leaf
@@ -266,25 +271,33 @@ func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64) *blockPr
 
 // apply computes dst = M^{-1} src blockwise.
 func (p *blockPrecond) apply(dst, src []complex128) {
-	for _, b := range p.blocks {
-		if b.lu == nil {
-			for a, i := range b.idx {
-				dst[i] = b.dinv[a] * src[i]
-			}
-			continue
-		}
-		rhs, x := p.rhs[:len(b.idx)], p.x[:len(b.idx)]
+	for bi := range p.blocks {
+		b := &p.blocks[bi]
+		rhs := p.rhs[:len(b.idx)]
 		for a, i := range b.idx {
 			rhs[a] = src[i]
 		}
-		if err := b.lu.SolveTo(x, rhs); err != nil {
-			// The factorization succeeded, so the solve cannot fail; fall
-			// back to the identity on this block out of caution.
-			copy(x, rhs)
-		}
+		p.solve(b, dst, rhs)
+	}
+}
+
+// solve scatters D_b⁻¹ rhs into dst at the block's filaments; rhs is
+// in block order.
+func (p *blockPrecond) solve(b *precondBlock, dst, rhs []complex128) {
+	if b.lu == nil {
 		for a, i := range b.idx {
-			dst[i] = x[a]
+			dst[i] = b.dinv[a] * rhs[a]
 		}
+		return
+	}
+	x := p.x[:len(b.idx)]
+	if err := b.lu.SolveTo(x, rhs); err != nil {
+		// The factorization succeeded, so the solve cannot fail; fall
+		// back to the identity on this block out of caution.
+		copy(x, rhs)
+	}
+	for a, i := range b.idx {
+		dst[i] = x[a]
 	}
 }
 
@@ -293,11 +306,8 @@ func (p *blockPrecond) apply(dst, src []complex128) {
 // so Ŝ is a sum of dense couplings among the reduced nodes each cluster
 // touches. The sparse pattern of that sum, every block's value slots
 // in it, and a symbolic sparse LU depend only on the cluster→node
-// incidence; one plan per solver serves every frequency. On the
-// PlaneNW=16 plane (257 nodes) a point refactors over the plan in 5 ms;
-// assembling through a sort and factoring afresh took 17 ms, which put
-// the `plane` benchmark's op at 81 instead of 66 ms and its peak RSS at
-// 34–36 instead of 27 MB (2-core Xeon).
+// incidence; one plan per solver serves every frequency, so a point
+// only assembles values and refactors (DESIGN.md §10).
 type schurPlan struct {
 	n      int               // reduced node count
 	tmpl   *matrix.CCSC      // pattern of Ŝ (values unused)
@@ -420,8 +430,10 @@ func (b *schurBlock) addBranch(val []complex128, e [2]int, y complex128) {
 // factor assembles Ŝ = A D⁻¹ Aᵀ from this frequency's block-Jacobi
 // factors and LU-factors it over the cached symbolic analysis, with
 // fresh pivoting when the frozen pivots drift. A factored block adds
-// A_c D_c⁻¹ A_cᵀ (one block solve per touched node); a fallback block
-// adds its diagonal inverse as independent branch admittances.
+// A_c W_c, where W_c = D_c⁻¹ A_cᵀ takes one block solve per touched
+// node; a block touching fewer nodes than it has filaments keeps W_c in
+// bj for augPrecond. A fallback block adds its diagonal inverse as
+// independent branch admittances.
 func (p *schurPlan) factor(bj *blockPrecond) (*matrix.SparseCLU, error) {
 	val := make([]complex128, p.tmpl.NNZ())
 	for bi := range p.blocks {
@@ -432,9 +444,15 @@ func (p *schurPlan) factor(bj *blockPrecond) (*matrix.SparseCLU, error) {
 			}
 			continue
 		}
-		m := len(b.nodes)
-		rhs, x := bj.rhs[:len(b.ends)], bj.x[:len(b.ends)]
+		m, n := len(b.nodes), len(b.ends)
+		if m < n {
+			pb.w = make([]complex128, m*n)
+		}
+		rhs, x := bj.rhs[:n], bj.x[:n]
 		for k := 0; k < m; k++ {
+			if pb.w != nil {
+				x = pb.w[k*n : (k+1)*n]
+			}
 			for a, e := range b.ends {
 				var v complex128
 				if e[0] == k {
@@ -528,17 +546,25 @@ func (s *Solver) kclScale() float64 {
 //	[D  −ρAᵀ]   [I      0] [D  −ρAᵀ]
 //	[ρA   0 ] = [ρAD⁻¹  I] [0  ρ²Ŝ ],
 //
-// so r_v' = r_v − ρA D⁻¹ r_i, y_v = Ŝ⁻¹ r_v' / ρ² and
+// so t = D⁻¹ r_i, r_v' = r_v − ρA t, y_v = Ŝ⁻¹ r_v' / ρ² and
 // y_i = D⁻¹ (r_i + ρAᵀ y_v). The preconditioned operator then departs
 // from the identity only through the off-block coupling Zb − D, for a
 // residual in the branch rows (a warm start's) as much as in the node
 // rows (the port drive's). The upper factor alone would treat node
 // residuals exactly but turn a branch residual into an O(1) node one: a
 // warm-started point would take an extra iteration, and the plane at
-// 20 GHz 52 iterations instead of 22. t, rv and sc are its scratch, so
-// an apply allocates nothing.
+// 20 GHz 52 iterations instead of 22.
+//
+// An apply makes one block solve per cluster. y_i is block by block
+// t_c + ρ W_c y_v where schurPlan.factor kept W_c = D_c⁻¹ A_cᵀ (a bus
+// block: 32 filaments between at most 2 reduced nodes, so 2n
+// multiply-adds replace an n² triangular solve), and a second solve
+// D_c⁻¹ (r_i + ρAᵀ y_v) elsewhere (a plane block touches at least as
+// many nodes as it has filaments, and W_c would cost more than the
+// solve). t, rv and sc are its scratch, so an apply allocates nothing.
 type augPrecond struct {
-	d      func(dst, src []complex128) // D⁻¹ over the branch block
+	bj     *blockPrecond
+	plan   *schurPlan
 	schur  *matrix.SparseCLU
 	inc    [][2]int
 	rho    complex128
@@ -548,7 +574,7 @@ type augPrecond struct {
 
 func (p *augPrecond) apply(dst, src []complex128) {
 	nf := len(p.inc)
-	p.d(p.t, src[:nf])
+	p.bj.apply(p.t, src[:nf])
 	copy(p.rv, src[nf:])
 	for f, r := range p.inc {
 		if r[0] >= 0 {
@@ -566,16 +592,32 @@ func (p *augPrecond) apply(dst, src []complex128) {
 	for k := range yv {
 		yv[k] *= inv
 	}
-	copy(p.t, src[:nf])
-	for f, r := range p.inc {
-		if r[0] >= 0 {
-			p.t[f] += p.rho * yv[r[0]]
+	for bi := range p.bj.blocks {
+		b := &p.bj.blocks[bi]
+		if b.w != nil {
+			n, nodes := len(b.idx), p.plan.blocks[bi].nodes
+			for a, i := range b.idx {
+				var wy complex128
+				for k, r := range nodes {
+					wy += b.w[k*n+a] * yv[r]
+				}
+				dst[i] = p.t[i] + p.rho*wy
+			}
+			continue
 		}
-		if r[1] >= 0 {
-			p.t[f] -= p.rho * yv[r[1]]
+		rhs := p.bj.rhs[:len(b.idx)]
+		for a, f := range b.idx {
+			v, r := src[f], p.inc[f]
+			if r[0] >= 0 {
+				v += p.rho * yv[r[0]]
+			}
+			if r[1] >= 0 {
+				v -= p.rho * yv[r[1]]
+			}
+			rhs[a] = v
 		}
+		p.bj.solve(b, dst, rhs)
 	}
-	p.d(dst[:nf], p.t)
 }
 
 // portSystem assembles the augmented operator at angular frequency
@@ -587,19 +629,27 @@ func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	bj := s.buildBlockPrecond(op, omega)
-	sc, err := plan.factor(bj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fasthenry: port network disconnected: %w", err)
-	}
-	nf, nn := len(s.fils), s.nNodes-1
 	rho := complex(s.kclScale(), 0)
-	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}, inc: s.inc, rho: rho}
-	pre := &augPrecond{
-		d: bj.apply, schur: sc, inc: s.inc, rho: rho,
-		t: make([]complex128, nf), rv: make([]complex128, nn), sc: make([]complex128, nn),
+	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, len(s.fils))}, inc: s.inc, rho: rho}
+	pre, err := s.newAugPrecond(plan, s.buildBlockPrecond(op, omega), rho)
+	if err != nil {
+		return nil, nil, err
 	}
 	return aop, pre, nil
+}
+
+// newAugPrecond factors Ŝ on plan from the block-Jacobi factors bj and
+// wraps both in the constraint preconditioner.
+func (s *Solver) newAugPrecond(plan *schurPlan, bj *blockPrecond, rho complex128) (*augPrecond, error) {
+	sc, err := plan.factor(bj)
+	if err != nil {
+		return nil, fmt.Errorf("fasthenry: port network disconnected: %w", err)
+	}
+	nf, nn := len(s.fils), s.nNodes-1
+	return &augPrecond{
+		bj: bj, plan: plan, schur: sc, inc: s.inc, rho: rho,
+		t: make([]complex128, nf), rv: make([]complex128, nn), sc: make([]complex128, nn),
+	}, nil
 }
 
 // impedanceIterative solves the port impedance at frequency f with one

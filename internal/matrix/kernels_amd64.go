@@ -37,6 +37,10 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (requires OSXSAVE).
 func xgetbv0() (eax, edx uint32)
 
+// HasAVX2 reports whether this machine runs the AVX2 kernels, for the
+// packages that carry AVX2 kernels of their own.
+func HasAVX2() bool { return hasAVX2 }
+
 // hasAVX2 reports whether the CPU and OS support AVX2 (YMM state
 // enabled). Checked once at startup; the scalar tiled path is used
 // otherwise, with identical results.

@@ -71,11 +71,12 @@ go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./in
 echo "== fuzz the inductd job decoder (10 s)"
 go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s ./internal/serve
 
-# The AVX2 kernels have scalar-only stubs in kernels_noasm.go; a
-# cross-vet and cross-build for arm64 keeps the two in step. Offline,
-# 10-20 s on a 2-vCPU Xeon.
+# The AVX2 kernels have scalar-only stubs in internal/matrix's
+# kernels_noasm.go and internal/extract's planar_noasm.go; a cross-vet
+# and cross-build for arm64 keeps the two in step. Offline, 10-20 s on
+# a 2-vCPU Xeon.
 echo "== arm64 cross-vet and cross-build"
-GOARCH=arm64 go vet ./internal/matrix
+GOARCH=arm64 go vet ./internal/matrix ./internal/extract
 GOARCH=arm64 go build ./...
 
 # bench/ is its own Go module, so the root `go vet ./...` and
