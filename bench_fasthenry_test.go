@@ -178,7 +178,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 			st := s.OperatorStats() // forces the lazy operator build
 			buildSec := time.Since(t0).Seconds()
 			t1 := time.Now()
-			pts, err := s.SweepParallel(freqs, w)
+			pts, err := s.Sweep(freqs)
 			if err != nil {
 				t.Fatalf("%v sweep at %d wires: %v", mode, sz.wires, err)
 			}
@@ -287,7 +287,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 			}
 			s.OperatorStats() // exclude the lazy operator build from sweep time
 			t0 := time.Now()
-			pts, err := s.SweepParallel(freqs, w)
+			pts, err := s.Sweep(freqs)
 			if err != nil {
 				t.Fatalf("adaptive bench sweep (%v): %v", sm, err)
 			}
@@ -362,7 +362,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 				s.OperatorStats()
 				buildSec := time.Since(t0).Seconds()
 				t1 := time.Now()
-				pts, err := s.SweepParallel(freqs, w)
+				pts, err := s.Sweep(freqs)
 				if err != nil {
 					t.Fatalf("plane %v sweep at nw=%d: %v", mode, sz.planeNW, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"inductance101/internal/geom"
@@ -551,7 +550,7 @@ func (c *compressor) fillBlocks() {
 			ok   bool
 		}
 		results := make([]farResult, len(cands))
-		parallelItems(c.workers, len(cands), func(i int) {
+		matrix.ParallelItems(c.workers, len(cands), func(i int) {
 			u, v, k, ok := c.aca(cands[i].a.Elems, cands[i].b.Elems)
 			results[i] = farResult{u: u, v: v, k: k, ok: ok}
 		})
@@ -573,48 +572,13 @@ func (c *compressor) fillBlocks() {
 	}
 	// All dense blocks are known now; fill them concurrently.
 	c.op.diag = make([]denseBlock, len(c.diagSpecs))
-	parallelItems(c.workers, len(c.diagSpecs), func(i int) {
+	matrix.ParallelItems(c.workers, len(c.diagSpecs), func(i int) {
 		c.op.diag[i] = c.buildDiag(c.diagSpecs[i].Elems)
 	})
 	c.op.near = make([]denseBlock, len(c.nearSpecs))
-	parallelItems(c.workers, len(c.nearSpecs), func(i int) {
+	matrix.ParallelItems(c.workers, len(c.nearSpecs), func(i int) {
 		c.op.near[i] = c.buildNear(c.nearSpecs[i][0].Elems, c.nearSpecs[i][1].Elems)
 	})
-}
-
-// parallelItems runs fn(0..n-1) across workers goroutines with an
-// atomic work counter (item costs vary wildly — top-level far blocks
-// dominate — so fine-grained stealing balances best). workers <= 0
-// means the process default; 1 runs inline.
-func parallelItems(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = matrix.Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // entryNear evaluates the symmetric kernel into a dense block with

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"inductance101/internal/geom"
+	"inductance101/internal/matrix"
 )
 
 // Nested-basis (H²) compressed partial-inductance operator.
@@ -42,12 +43,6 @@ import (
 // coupling/near/diagonal blocks are filled concurrently. Every block
 // and basis depends only on its own deterministic index lists, so the
 // operator is bit-identical at any worker count.
-//
-// Degraded paths are exact, not approximate: a basis that cannot reach
-// the tolerance within H2Options.MaxRank marks its node (and, since
-// parents interpolate children's skeletons, its ancestors) failed, and
-// every coupling touching a failed node is re-routed down the tree
-// until it lands on valid bases or on dense leaf-leaf near blocks.
 
 // H2Options controls the nested-basis compression.
 type H2Options struct {
@@ -56,12 +51,6 @@ type H2Options struct {
 	// row norm falls below Tol times the largest initial row norm.
 	// Default 1e-8.
 	Tol float64
-	// MaxRank caps each cluster basis rank; a basis that cannot reach
-	// Tol within the cap fails its node and re-routes the node's
-	// couplings to exact dense blocks. 0 = uncapped (a basis of
-	// min(rows, samples) columns is always exact, so uncapped never
-	// fails).
-	MaxRank int
 	// Workers caps the goroutines used during construction. 0 = process
 	// default (matrix.Workers), 1 = fully serial. The operator is
 	// bit-identical at every worker count.
@@ -91,7 +80,6 @@ type h2node struct {
 	// descendant draws from these lists up the ancestor chain.
 	partners [][]int
 	need     bool // a basis is required here (endpoint or under one)
-	failed   bool // basis exceeded MaxRank (or a child's did)
 	skel     []int
 	// u is the basis, row-major m x k: for a leaf m = len(t.Elems) and
 	// rows follow t.Elems; for a non-leaf m = k_left + k_right and rows
@@ -103,8 +91,6 @@ type h2node struct {
 	// basis); e0 is the tree-order start of t.Elems.
 	off, e0 int
 }
-
-func (nd *h2node) hasBasis() bool { return nd.need && !nd.failed }
 
 // h2coupling is one admissible interaction: the k_a x k_b block
 // A(skel_a, skel_b), row-major.
@@ -448,7 +434,7 @@ func (b *h2builder) buildBases() {
 	}
 	for lvl := maxLevel; lvl >= 0; lvl-- {
 		level := byLevel[lvl]
-		parallelItems(b.workers, len(level), func(i int) {
+		matrix.ParallelItems(b.workers, len(level), func(i int) {
 			b.buildBasis(level[i])
 		})
 	}
@@ -493,16 +479,12 @@ func (b *h2builder) fieldSample(nd *h2node) []int {
 
 // buildBasis computes one node's interpolative basis (or transfer
 // matrix). Children of a needed non-leaf are guaranteed built already
-// (levels run deepest-first); a failed child fails the node.
+// (levels run deepest-first).
 func (b *h2builder) buildBasis(nd *h2node) {
 	var rows []int
 	if nd.left == nil {
 		rows = nd.t.Elems
 	} else {
-		if nd.left.failed || nd.right.failed {
-			nd.failed = true
-			return
-		}
 		rows = make([]int, 0, len(nd.left.skel)+len(nd.right.skel))
 		rows = append(rows, nd.left.skel...)
 		rows = append(rows, nd.right.skel...)
@@ -524,11 +506,7 @@ func (b *h2builder) buildBasis(nd *h2node) {
 		}
 	}
 	atomic.AddInt64(&b.farEv, int64(m*s))
-	pivots, u, ok := rowID(mat, m, s, b.opt.tol(), b.opt.MaxRank)
-	if !ok {
-		nd.failed = true
-		return
-	}
+	pivots, u := rowID(mat, m, s, b.opt.tol())
 	nd.k = len(pivots)
 	nd.u = u
 	nd.skel = make([]int, nd.k)
@@ -541,10 +519,8 @@ func (b *h2builder) buildBasis(nd *h2node) {
 // mat (row-major): it selects pivot rows p_1..p_k and returns U (m x k)
 // with U[p_l] = e_l and mat ≈ U * mat[pivots], pivoting greedily on the
 // largest residual row norm until it drops below tol times the largest
-// initial row norm. maxRank > 0 caps k; hitting the cap above tolerance
-// returns ok = false. An uncapped ID always succeeds (k ≤ min(m, s)
-// zeroes the residual).
-func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u []float64, ok bool) {
+// initial row norm; k ≤ min(m, s) always reaches it.
+func rowID(mat []float64, m, s int, tol float64) (pivots []int, u []float64) {
 	res := append([]float64(nil), mat...)
 	norm2 := make([]float64, m)
 	maxNorm0 := 0.0
@@ -559,7 +535,7 @@ func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u [
 		}
 	}
 	if maxNorm0 == 0 {
-		return nil, nil, true
+		return nil, nil
 	}
 	thresh2 := tol * tol * maxNorm0
 	limit := m
@@ -582,9 +558,6 @@ func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u [
 		}
 		if k == limit {
 			break // residual is rounding noise beyond min(m, s) terms
-		}
-		if maxRank > 0 && k == maxRank {
-			return nil, nil, false
 		}
 		// Orthonormalize the pivot row's residual and project the rest.
 		prow := res[p*s : (p+1)*s]
@@ -645,43 +618,17 @@ func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u [
 			urow[l] = x / coef[pivots[l]*limit+l]
 		}
 	}
-	return pivots, u, true
+	return pivots, u
 }
 
-// resolveCouplings turns the admissible candidates into coupling
-// blocks, re-routing pairs whose endpoint bases failed down the tree —
-// onto descendant bases where those converged, or onto exact dense
-// leaf-leaf blocks at the bottom. The routing is serial geometry; the
-// surviving blocks are then filled in parallel.
+// resolveCouplings turns every admissible candidate into a coupling
+// block between its endpoints' bases and fills the blocks in parallel.
 func (b *h2builder) resolveCouplings() {
-	var route func(na, nb *h2node)
-	bad := func(nd *h2node) bool { return !nd.hasBasis() }
-	route = func(na, nb *h2node) {
-		switch {
-		case !bad(na) && !bad(nb):
-			b.coups = append(b.coups, h2coupling{a: na, b: nb})
-		case bad(na) && na.left != nil:
-			route(na.left, nb)
-			route(na.right, nb)
-		case bad(nb) && nb.left != nil:
-			route(na, nb.left)
-			route(na, nb.right)
-		case na.left == nil && nb.left == nil:
-			b.nearSpecs = append(b.nearSpecs, [2]*ElemTree{na.t, nb.t})
-		case na.left != nil:
-			// The bad side is an unsplittable leaf; descend the good
-			// side to dense leaf-leaf blocks.
-			route(na.left, nb)
-			route(na.right, nb)
-		default:
-			route(na, nb.left)
-			route(na, nb.right)
-		}
+	b.coups = make([]h2coupling, len(b.cands))
+	for i, pair := range b.cands {
+		b.coups[i] = h2coupling{a: pair[0], b: pair[1]}
 	}
-	for _, pair := range b.cands {
-		route(pair[0], pair[1])
-	}
-	parallelItems(b.workers, len(b.coups), func(i int) {
+	matrix.ParallelItems(b.workers, len(b.coups), func(i int) {
 		cp := &b.coups[i]
 		ka, kb := cp.a.k, cp.b.k
 		s := make([]float64, ka*kb)
@@ -718,7 +665,7 @@ func (b *h2builder) fillDense() {
 		return b.entry(j, i)
 	}
 	b.op.diag = make([]denseBlock, len(b.diagSpecs))
-	parallelItems(b.workers, len(b.diagSpecs), func(bi int) {
+	matrix.ParallelItems(b.workers, len(b.diagSpecs), func(bi int) {
 		idx := b.diagSpecs[bi].Elems
 		n := len(idx)
 		v := make([]float64, n*n)
@@ -734,7 +681,7 @@ func (b *h2builder) fillDense() {
 		b.op.diag[bi] = denseBlock{rows: idx, cols: idx, v: v}
 	})
 	b.op.near = make([]denseBlock, len(b.nearSpecs))
-	parallelItems(b.workers, len(b.nearSpecs), func(bi int) {
+	matrix.ParallelItems(b.workers, len(b.nearSpecs), func(bi int) {
 		rows, cols := b.nearSpecs[bi][0].Elems, b.nearSpecs[bi][1].Elems
 		m, n := len(rows), len(cols)
 		v := make([]float64, m*n)
@@ -753,7 +700,7 @@ func (b *h2builder) fillDense() {
 func (b *h2builder) assignOffsets() {
 	off := 0
 	for _, nd := range b.nodes {
-		if nd.hasBasis() {
+		if nd.need {
 			nd.off = off
 			off += nd.k
 		}
@@ -785,7 +732,7 @@ func (b *h2builder) finishStats() {
 		return ls
 	}
 	for _, nd := range b.op.nodes {
-		if !nd.hasBasis() || nd.k == 0 {
+		if !nd.need || nd.k == 0 {
 			continue
 		}
 		st.StoredFloats += len(nd.u)

@@ -153,43 +153,6 @@ func TestH2DiagAndEachUpper(t *testing.T) {
 	}
 }
 
-// TestH2MaxRankFallback: with the basis rank capped at 1 the
-// interpolative decompositions fail, and every affected coupling must
-// re-route to exact dense blocks — accuracy survives, approximation is
-// never silently degraded.
-func TestH2MaxRankFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	n := 40
-	l := makeBusLayout(n, 400e-6, 1e-6, 3e-6)
-	segs := make([]int, n)
-	for i := range segs {
-		segs[i] = i
-	}
-	op := CompressInductanceH2(l, segs, GMDOptions{},
-		H2Options{Tol: 1e-12, MaxRank: 1})
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := make([]float64, n)
-	op.ApplyTo(got, x)
-	var errN, refN float64
-	for i := 0; i < n; i++ {
-		var want float64
-		for j := 0; j < n; j++ {
-			want += dense.At(i, j) * x[j]
-		}
-		d := got[i] - want
-		errN += d * d
-		refN += want * want
-	}
-	if math.Sqrt(errN) > 1e-6*math.Sqrt(refN) {
-		t.Errorf("MaxRank fallback lost accuracy: %.3g of %.3g",
-			math.Sqrt(errN), math.Sqrt(refN))
-	}
-}
-
 // TestH2Stats: the nested operator must actually compress a large bus,
 // the eval split must add up, and the per-level histogram must report
 // both bases and couplings. The bus is deliberately big: below ~1000
@@ -331,8 +294,8 @@ func TestH2ConcurrentBuildsDeterministic(t *testing.T) {
 }
 
 // TestRowID exercises the interpolative decomposition directly: exact
-// reconstruction of a synthetic low-rank matrix, unit rows at the
-// skeleton, and failure (not silent truncation) under a rank cap.
+// reconstruction of a synthetic low-rank matrix and unit rows at the
+// skeleton.
 func TestRowID(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	m, s, r := 24, 17, 3
@@ -354,10 +317,7 @@ func TestRowID(t *testing.T) {
 			mat[i*s+j] = v
 		}
 	}
-	pivots, u, ok := rowID(mat, m, s, 1e-12, 0)
-	if !ok {
-		t.Fatal("uncapped rowID failed")
-	}
+	pivots, u := rowID(mat, m, s, 1e-12)
 	k := len(pivots)
 	if k < r {
 		t.Fatalf("rank %d below true rank %d", k, r)
@@ -388,8 +348,5 @@ func TestRowID(t *testing.T) {
 				t.Fatalf("skeleton row %d not a unit row", p)
 			}
 		}
-	}
-	if _, _, ok := rowID(mat, m, s, 1e-12, 1); ok {
-		t.Fatal("rank-1 cap on a rank-3 matrix did not fail")
 	}
 }

@@ -1,10 +1,6 @@
 package extract
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"inductance101/internal/geom"
 	"inductance101/internal/matrix"
 )
@@ -21,45 +17,25 @@ import (
 // evaluations (the loop only fills j > i), so contiguous chunks would
 // make the first worker's chunk several times more expensive than the
 // last one's; interleaving gives every stride the same mix of cheap and
-// expensive rows. Strides are claimed with a lock-free atomic counter —
-// the mutex-guarded handout this replaces serialized all workers through
-// one critical section per row.
+// expensive rows. Strides are the items of matrix.ParallelItems, claimed
+// one at a time from its atomic counter.
 func InductanceMatrixParallel(l *geom.Layout, segs []int, window float64, opt GMDOptions, workers int) *matrix.Dense {
 	n := len(segs)
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = matrix.Workers()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers <= 1 || n <= 1 {
 		return InductanceMatrix(l, segs, window, opt)
 	}
 	m := matrix.NewDense(n, n)
 	pairs := pairCandidates(l, segs, window)
 	// A few strides per worker keeps the tail balanced even if one
 	// stride stalls (e.g. a worker descheduled by the OS).
-	numUnits := 4 * workers
-	if numUnits > n {
-		numUnits = n
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(atomic.AddInt64(&next, 1)) - 1
-				if u >= numUnits {
-					return
-				}
-				for i := u; i < n; i += numUnits {
-					fillInductanceRow(l, segs, window, opt, m, i, pairs)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	numUnits := min(4*workers, n)
+	matrix.ParallelItems(workers, numUnits, func(u int) {
+		for i := u; i < n; i += numUnits {
+			fillInductanceRow(l, segs, window, opt, m, i, pairs)
+		}
+	})
 	return m
 }

@@ -393,18 +393,6 @@ type Point struct {
 	Interp bool
 }
 
-// Sweep extracts the port impedance at each frequency. Points are
-// independent complex solves, so the sweep fans out across workers
-// (Options.Workers, or GOMAXPROCS when unset); results are
-// identical to a serial loop, in ascending frequency order.
-func (s *Solver) Sweep(freqs []float64) ([]Point, error) {
-	w := s.workers
-	if w <= 0 {
-		w = matrix.Workers()
-	}
-	return s.SweepParallel(freqs, w)
-}
-
 // LogSpace returns n logarithmically spaced frequencies in [f0, f1].
 // Degenerate requests are well defined: n <= 1 or a collapsed band
 // (f0 == f1) yield the single-point slice [f0] rather than repeated

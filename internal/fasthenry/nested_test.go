@@ -77,18 +77,18 @@ func TestNestedSweepMatchesDense(t *testing.T) {
 	l, segs, port, shorts := busLayout(6, 600e-6, 2e-6, 6e-6)
 	mk := func(mode SolveMode) *Solver {
 		s, err := NewSolver(l, segs, port, shorts, 20e9,
-			Options{NW: 3, NT: 2, Mode: mode})
+			Options{NW: 3, NT: 2, Mode: mode, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	freqs := LogSpace(1e8, 2e10, 9)
-	densePts, err := mk(ModeDense).SweepParallel(freqs, 3)
+	densePts, err := mk(ModeDense).Sweep(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nestedPts, err := mk(ModeNested).SweepParallel(freqs, 3)
+	nestedPts, err := mk(ModeNested).Sweep(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,9 +157,10 @@ func (s *Solver) compressedOp() extract.LOperator {
 		elems := extract.FilamentElements(s.fils)
 		// Cluster the filaments directly (plane grids have no segment to
 		// cluster by; segment filaments land in the same leaves their
-		// spatial position dictates). Leaf size targets ~48 filaments so
-		// the block-Jacobi diagonal blocks stay cheap to factor while
-		// capturing whole-conductor self coupling.
+		// spatial position dictates). A leaf holds at most 48 filaments
+		// (median bisection leaves the buses at 32), so the block-Jacobi
+		// diagonal blocks stay cheap to factor while capturing
+		// whole-conductor self coupling.
 		roots := mesh.ClusterFilaments(s.fils, 48, s.workers)
 		trees := extract.ElemTreesFromClusters(roots, func(i int) []int { return []int{i} })
 		tol := s.acaTol

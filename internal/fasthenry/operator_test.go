@@ -127,19 +127,19 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 	mk := func(mode SolveMode) *Solver {
 		// NW=4, NT=3: two leaf clusters, so the preconditioner is not
 		// the exact inverse and the solves take real iterations.
-		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 4, NT: 3, Mode: mode})
+		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 4, NT: 3, Mode: mode, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	freqs := LogSpace(1e8, 2e10, 9)
-	densePts, err := mk(ModeDense).SweepParallel(freqs, 3)
+	densePts, err := mk(ModeDense).Sweep(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	iter := mk(ModeIterative)
-	iterPts, err := iter.SweepParallel(freqs, 3)
+	iterPts, err := iter.Sweep(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +195,19 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 // a plane, whose Schur complement is a real sparse matrix.
 func TestIterativeSweepSharedOperatorParallel(t *testing.T) {
 	l, segs, port, shorts := busLayout(5, 500e-6, 2e-6, 6e-6)
-	bus, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2, Mode: ModeIterative})
+	bus, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2, Mode: ModeIterative, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	l, segs, port, shorts = microstripOverPlane(t)
 	plane, err := NewSolver(l, segs, port, shorts, 1e10, Options{
-		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative,
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative, Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*Solver{bus, plane} {
-		pts, err := s.SweepParallel(LogSpace(1e8, 1e10, 8), 4)
+		pts, err := s.Sweep(LogSpace(1e8, 1e10, 8))
 		if err != nil {
 			t.Fatal(err)
 		}

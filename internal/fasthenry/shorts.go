@@ -45,8 +45,9 @@ func (m nodeMerge) node(n int) int {
 // path factors the branch matrix once per frequency for all shorts;
 // the iterative paths share one compressed operator and solve one port
 // GMRES per short. The frequencies are independent solves, handed out
-// over Options.Workers goroutines (0 = matrix.Workers, 1 = serial); the
-// result does not depend on the worker count.
+// by matrix.ParallelItems over Options.Workers goroutines
+// (0 = matrix.Workers, 1 = serial); the result does not depend on the
+// worker count.
 func (s *Solver) ImpedanceEachShort(freqs []float64, shorts [][2]string) ([][]complex128, error) {
 	sibs := make([]*Solver, len(shorts))
 	rows := make([][]int, len(shorts))
@@ -56,15 +57,10 @@ func (s *Solver) ImpedanceEachShort(freqs []float64, shorts [][2]string) ([][]co
 			return nil, fmt.Errorf("fasthenry: short %d (%s=%s): %w", k, sh[0], sh[1], err)
 		}
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = matrix.Workers()
-	}
 	z := make([][]complex128, len(freqs))
 	errs := make([]error, len(freqs))
-	handOut(len(freqs), workers, func(i int) bool {
+	matrix.ParallelItems(s.workers, len(freqs), func(i int) {
 		z[i], errs[i] = s.impedanceEachShortAt(freqs[i], sibs, rows)
-		return true
 	})
 	if err := firstSweepError(freqs, errs); err != nil {
 		return nil, err

@@ -56,3 +56,49 @@ func TestAdaptiveIterativeSweepPin(t *testing.T) {
 		}
 	}
 }
+
+// TestExactIterativeSweepPin pins the exact flat-ACA sweep on the same
+// 1,024-filament bus at 9 log points from 100 MHz to 20 GHz: a hash of
+// every point's Z bits and each point's GMRES iteration count. The
+// sweep splits the ascending points into min(workers, points)
+// contiguous chunks, and each chunk warm-starts GMRES from its previous
+// point, so each worker count has its own pin. The values hold on
+// amd64 only (see TestAdaptiveIterativeSweepPin).
+func TestExactIterativeSweepPin(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned on amd64, where Go never fuses multiply-adds")
+	}
+	type pin struct {
+		iters []int
+		hash  uint64
+	}
+	want := map[int]pin{
+		1: {[]int{9, 9, 12, 15, 20, 25, 29, 32, 34}, 0x4f4afdf98f7e5884},
+		2: {[]int{9, 9, 12, 15, 20, 26, 29, 32, 34}, 0x84d52de01142f79a},
+		3: {[]int{9, 9, 12, 17, 20, 25, 31, 32, 34}, 0x714f79df150610f5},
+	}
+	l, segs, port, shorts := busLayout(128, 1e-3, 1e-6, 2e-6)
+	freqs := LogSpace(1e8, 2e10, 9)
+	for _, w := range []int{1, 2, 3} {
+		s, err := NewSolver(l, segs, port, shorts, 20e9,
+			Options{NW: 4, NT: 2, Mode: ModeIterative, Workers: w, SweepMode: sweep.ModeExact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := s.Sweep(freqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got pin
+		zs := make([]complex128, len(pts))
+		for i, p := range pts {
+			got.iters = append(got.iters, p.Iters)
+			zs[i] = p.Z
+		}
+		got.hash = hashComplex(zs)
+		if wp := want[w]; !slices.Equal(got.iters, wp.iters) || got.hash != wp.hash {
+			t.Errorf("workers=%d: iterations %v, hash %#x; want iterations %v, hash %#x",
+				w, got.iters, got.hash, wp.iters, wp.hash)
+		}
+	}
+}

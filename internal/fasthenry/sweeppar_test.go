@@ -2,6 +2,7 @@ package fasthenry
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/cmplx"
 	"math/rand"
@@ -13,19 +14,24 @@ import (
 	"inductance101/internal/sweep"
 )
 
+// TestSweepParallelMatchesSerial: a dense sweep hands out single
+// frequencies, so its points are bit-identical at every worker count.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	l, segs, port, shorts := signalOverReturn(1500e-6, 4e-6, 10e-6)
-	s, err := NewSolver(l, segs, port, shorts, 1e10, Options{MaxPerSide: 2})
-	if err != nil {
-		t.Fatal(err)
+	mk := func(workers int) *Solver {
+		s, err := NewSolver(l, segs, port, shorts, 1e10, Options{MaxPerSide: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	freqs := LogSpace(1e8, 1e10, 6)
-	serial, err := s.Sweep(freqs)
+	serial, err := mk(1).Sweep(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		par, err := s.SweepParallel(freqs, workers)
+	for _, workers := range []int{0, 3, 16} {
+		par, err := mk(workers).Sweep(freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +70,7 @@ func TestIterativeSweepWorkerCountAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pts, err := s.SweepParallel(tc.freqs, w)
+			pts, err := s.Sweep(tc.freqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,108 +92,109 @@ func TestIterativeSweepWorkerCountAgreement(t *testing.T) {
 	}
 }
 
-// TestChunkRanges pins the iterative sweep's scheduling contract:
-// contiguous ascending chunks that cover every index exactly once, and
-// worker counts clamped to the point count (and to at least one).
-func TestChunkRanges(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{10, 3}, {10, 10}, {10, 100}, {1, 8}, {7, 1}, {5, 0}, {3, -2}, {16, 4},
-	} {
-		rs := chunkRanges(tc.n, tc.workers)
-		if tc.workers > tc.n && len(rs) != tc.n {
-			t.Fatalf("n=%d workers=%d: %d chunks, want clamp to %d", tc.n, tc.workers, len(rs), tc.n)
-		}
-		next := 0
-		for _, r := range rs {
-			if r[0] != next || r[1] <= r[0] {
-				t.Fatalf("n=%d workers=%d: chunk %v not contiguous ascending from %d", tc.n, tc.workers, r, next)
-			}
-			next = r[1]
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d workers=%d: chunks cover %d of %d", tc.n, tc.workers, next, tc.n)
-		}
-	}
+// probeRun is a sweep executor over fs whose iterative solve is probe.
+func probeRun(ctx context.Context, fs []float64, workers int,
+	probe func(f float64, warm *[]complex128) (complex128, int, error)) *sweepRun {
+	return &sweepRun{ctx: ctx, fs: fs, workers: workers, iter: probe,
+		warms: make([][]complex128, workers), iters: make([]int, len(fs)), errs: make([]error, len(fs))}
 }
 
-// TestSweepIterativeRunWarmStart drives the chunked executor with a
-// probe solver: within one chunk every point must see the same warm
-// vector, in ascending frequency order, and a mid-chunk failure must be
-// recorded at its own index, drop the warm vector, and leave the rest
-// of the chunk solving cold.
-func TestSweepIterativeRunWarmStart(t *testing.T) {
+// TestSweepExecWarmStart drives the sweep executor's iterative chunks
+// with a probe solver: within one chunk every point must see the same
+// warm vector, in ascending frequency order; a failure must be recorded
+// at its own index, drop the warm vector and stop only its own chunk;
+// and the returned error must name the lowest failing frequency. A
+// later solve call (an adaptive sweep's next anchor batch) must resume
+// from the chunk's warm vector.
+func TestSweepExecWarmStart(t *testing.T) {
 	fs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	out := make([]Point, len(fs))
-	errs := make([]error, len(fs))
-
 	var mu sync.Mutex
 	orders := map[*[]complex128][]float64{} // warm identity -> visit order
-	sweepIterativeRun(context.Background(), fs, 2, out, errs,
+	failAt := map[float64]bool{3: true, 7: true}
+	r := probeRun(context.Background(), fs, 2,
 		func(f float64, warm *[]complex128) (complex128, int, error) {
 			mu.Lock()
 			orders[warm] = append(orders[warm], f)
 			mu.Unlock()
-			if f == 3 {
-				*warm = []complex128{complex(-1, 0)} // half-updated state
-				return 0, 0, fmt.Errorf("solver blew up")
-			}
-			if f == 4 && *warm != nil {
-				return 0, 0, fmt.Errorf("point after the failure started warm from %v", *warm)
-			}
 			if *warm != nil && real((*warm)[0]) >= f {
 				return 0, 0, fmt.Errorf("warm state from the future at f=%g", f)
+			}
+			if failAt[f] {
+				*warm = []complex128{complex(-1, 0)} // half-updated state
+				return 0, 0, fmt.Errorf("solver blew up")
 			}
 			*warm = []complex128{complex(f, 0)}
 			return complex(f, f), 7, nil
 		})
-
-	if len(orders) != 2 {
-		t.Fatalf("expected 2 worker states, saw %d", len(orders))
+	if _, err := r.solve([]int{0, 1, 2, 3, 4, 5, 6, 7}); err == nil || !strings.Contains(err.Error(), "3Hz") {
+		t.Fatalf("sweep error %v does not name the lowest failing frequency", err)
 	}
-	for _, seq := range orders {
+	if len(orders) != 2 {
+		t.Fatalf("expected 2 chunk states, saw %d", len(orders))
+	}
+	for warm, seq := range orders {
 		for i := 1; i < len(seq); i++ {
 			if seq[i] != seq[i-1]+1 {
-				t.Fatalf("worker visited %v: not contiguous ascending", seq)
+				t.Fatalf("chunk visited %v: not contiguous ascending", seq)
 			}
+		}
+		if *warm != nil {
+			t.Fatalf("chunk that visited %v kept its warm vector after failing", seq)
 		}
 	}
-	for i, err := range errs {
-		if fs[i] == 3 && err == nil {
-			t.Fatal("mid-chunk failure not recorded")
-		}
-		if fs[i] != 3 {
-			if err != nil {
-				t.Fatalf("point %d failed: %v", i, err)
+	for i, f := range fs {
+		switch {
+		case failAt[f] && r.errs[i] == nil:
+			t.Fatalf("failure at %g Hz not recorded", f)
+		case f == 4 || f == 8:
+			if r.errs[i] != nil || r.iters[i] != 0 {
+				t.Fatalf("point %g Hz after its chunk failed was solved", f)
 			}
-			if out[i].Iters != 7 || out[i].Z != complex(fs[i], fs[i]) {
-				t.Fatalf("point %d not solved: %+v", i, out[i])
-			}
+		case !failAt[f] && (r.errs[i] != nil || r.iters[i] != 7):
+			t.Fatalf("point %g Hz not solved: iters %d, err %v", f, r.iters[i], r.errs[i])
 		}
 	}
-	if err := firstSweepError(fs, errs); err == nil || !strings.Contains(err.Error(), "3Hz") {
-		t.Fatalf("sweep error %v does not name the failing frequency", err)
+
+	// Without failures each chunk ends warm, and the next call's one
+	// chunk starts from chunk 0's last solution.
+	var seen []complex128
+	r = probeRun(context.Background(), fs, 2,
+		func(f float64, warm *[]complex128) (complex128, int, error) {
+			if f == 8 {
+				seen = *warm
+			}
+			*warm = []complex128{complex(f, 0)}
+			return complex(f, f), 1, nil
+		})
+	vals, err := r.solve([]int{0, 1, 2, 3})
+	if err != nil || len(vals) != 4 || vals[3] != complex(4, 4) {
+		t.Fatalf("solve = %v, %v", vals, err)
+	}
+	if _, err := r.solve([]int{7}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0] != complex(2, 0) {
+		t.Fatalf("second batch started from %v, want chunk 0's last solution (2 Hz)", seen)
 	}
 }
 
-// TestSweepIterativeRunCancel: a cancelled context stops the chunks and
-// surfaces as a per-point error.
-func TestSweepIterativeRunCancel(t *testing.T) {
-	fs := []float64{1, 2, 3, 4}
-	out := make([]Point, len(fs))
-	errs := make([]error, len(fs))
+// TestSweepExecCancel: a cancelled context stops the chunks and
+// surfaces as the sweep error.
+func TestSweepExecCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	sweepIterativeRun(ctx, fs, 1, out, errs,
+	r := probeRun(ctx, []float64{1, 2, 3, 4}, 1,
 		func(f float64, warm *[]complex128) (complex128, int, error) {
 			calls++
 			cancel()
 			return complex(f, 0), 1, nil
 		})
+	_, err := r.solve([]int{0, 1, 2, 3})
 	if calls != 1 {
 		t.Fatalf("executor kept solving after cancel: %d calls", calls)
 	}
-	if errs[1] == nil || errs[1] != ctx.Err() {
-		t.Fatalf("cancellation not recorded: %v", errs[1])
+	if r.errs[1] != ctx.Err() || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation not recorded: point error %v, sweep error %v", r.errs[1], err)
 	}
 }
 
@@ -245,17 +252,17 @@ func TestSweepAdaptiveMatchesExact(t *testing.T) {
 		}
 		mk := func(sm sweep.Mode) *Solver {
 			s, err := NewSolver(l, segs, port, shorts, 1e10,
-				Options{MaxPerSide: 2, Mode: mode, SweepMode: sm, SweepTol: tol})
+				Options{MaxPerSide: 2, Mode: mode, SweepMode: sm, SweepTol: tol, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		}
-		exact, err := mk(sweep.ModeExact).SweepParallel(freqs, 4)
+		exact, err := mk(sweep.ModeExact).Sweep(freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := mk(sweep.ModeAdaptive).SweepParallel(freqs, 4)
+		adaptive, err := mk(sweep.ModeAdaptive).Sweep(freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,11 +290,11 @@ func TestSweepAdaptiveMatchesExact(t *testing.T) {
 // adapts above it.
 func TestSweepAutoThreshold(t *testing.T) {
 	l, segs, port, shorts := signalOverReturn(1000e-6, 4e-6, 10e-6)
-	s, err := NewSolver(l, segs, port, shorts, 1e10, Options{MaxPerSide: 1})
+	s, err := NewSolver(l, segs, port, shorts, 1e10, Options{MaxPerSide: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := s.SweepParallel(LogSpace(1e8, 1e10, 10), 2)
+	short, err := s.Sweep(LogSpace(1e8, 1e10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +303,7 @@ func TestSweepAutoThreshold(t *testing.T) {
 			t.Fatal("short auto sweep interpolated")
 		}
 	}
-	long, err := s.SweepParallel(LogSpace(1e8, 1e10, sweep.AutoThreshold+36), 2)
+	long, err := s.Sweep(LogSpace(1e8, 1e10, sweep.AutoThreshold+36))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package matrix
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Algebraic coarsening machinery for the multigrid solver (mg.go):
@@ -96,38 +95,6 @@ func (m *CSR) AddDiagScaled(s float64, d []float64) (*CSR, error) {
 	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, val: val}, nil
 }
 
-// rangeChunks splits [0, n) into the same contiguous chunks
-// ParallelRangeWorkers would use, returned explicitly so callers can
-// collect per-chunk results in order.
-func rangeChunks(workers, n, minChunk int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	w := workers
-	if w <= 0 {
-		w = Workers()
-	}
-	if minChunk > 0 && w > n/minChunk {
-		w = n / minChunk
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return [][2]int{{0, n}}
-	}
-	chunk := (n + w - 1) / w
-	var out [][2]int
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
 // csrMul computes the sparse product a*b with rows of the result
 // computed in parallel chunks. Within each row, contributions
 // accumulate in a's column order then b's column order — an order that
@@ -138,51 +105,46 @@ func csrMul(a, b *CSR, workers int) *CSR {
 		panic(fmt.Sprintf("matrix: csrMul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	n, nc := a.rows, b.cols
-	chunks := rangeChunks(workers, n, 256)
+	chunks := RangeChunks(workers, n, 256)
 	type chunkOut struct {
 		cols   []int
 		vals   []float64
 		rowLen []int
 	}
 	outs := make([]chunkOut, len(chunks))
-	var wg sync.WaitGroup
-	for ci, ch := range chunks {
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			marker := make([]int, nc)
-			for i := range marker {
-				marker[i] = -1
-			}
-			acc := make([]float64, nc)
-			var touched []int
-			o := &outs[ci]
-			o.rowLen = make([]int, hi-lo)
-			for i := lo; i < hi; i++ {
-				touched = touched[:0]
-				for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-					k, av := a.colIdx[p], a.val[p]
-					for q := b.rowPtr[k]; q < b.rowPtr[k+1]; q++ {
-						j := b.colIdx[q]
-						if marker[j] != i {
-							marker[j] = i
-							acc[j] = av * b.val[q]
-							touched = append(touched, j)
-						} else {
-							acc[j] += av * b.val[q]
-						}
+	ParallelItems(len(chunks), len(chunks), func(ci int) {
+		lo, hi := chunks[ci][0], chunks[ci][1]
+		marker := make([]int, nc)
+		for i := range marker {
+			marker[i] = -1
+		}
+		acc := make([]float64, nc)
+		var touched []int
+		o := &outs[ci]
+		o.rowLen = make([]int, hi-lo)
+		for i := lo; i < hi; i++ {
+			touched = touched[:0]
+			for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+				k, av := a.colIdx[p], a.val[p]
+				for q := b.rowPtr[k]; q < b.rowPtr[k+1]; q++ {
+					j := b.colIdx[q]
+					if marker[j] != i {
+						marker[j] = i
+						acc[j] = av * b.val[q]
+						touched = append(touched, j)
+					} else {
+						acc[j] += av * b.val[q]
 					}
 				}
-				sort.Ints(touched)
-				o.rowLen[i-lo] = len(touched)
-				for _, j := range touched {
-					o.cols = append(o.cols, j)
-					o.vals = append(o.vals, acc[j])
-				}
 			}
-		}(ci, ch[0], ch[1])
-	}
-	wg.Wait()
+			sort.Ints(touched)
+			o.rowLen[i-lo] = len(touched)
+			for _, j := range touched {
+				o.cols = append(o.cols, j)
+				o.vals = append(o.vals, acc[j])
+			}
+		}
+	})
 
 	nnz := 0
 	for i := range outs {

@@ -298,7 +298,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// rational fit requests, so rows cannot stream point by
 			// point; the whole sweep (cancellable between anchor solves
 			// via ctx) runs first, then streams.
-			pts, err := solver.SweepParallelCtx(ctx, jb.freqs, jb.cfg.Workers)
+			pts, err := solver.SweepCtx(ctx, jb.freqs)
 			if err != nil {
 				return "", err
 			}

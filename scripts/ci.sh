@@ -59,10 +59,11 @@ go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fa
 # every step bit for bit) must hold at any worker count: GOMAXPROCS 1
 # and 2 set the default worker count of the parallel kernels, sweeps,
 # loop-frequency fan-out and grid time steps they cover.
-# TestAdaptiveIterativeSweepPin is the exception that sets its worker
-# count: an iterative sweep warm-starts along each worker's chunk, so
-# it pins 1 and 2 sweep workers separately, and must give those bits
-# at either GOMAXPROCS.
+# TestAdaptiveIterativeSweepPin and TestExactIterativeSweepPin are the
+# exceptions that set their worker count: an iterative sweep
+# warm-starts along each worker's chunk, so they pin each sweep worker
+# count (1 and 2 adaptive; 1, 2 and 3 exact) separately, and must give
+# those bits at either GOMAXPROCS.
 echo "== bit-identity pins at 1 and 2 CPUs"
 go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/sim ./internal/core
 
@@ -143,6 +144,24 @@ maps=$(grep -rn 'map\[\[2\]int\]float64' internal cmd --include='*.go' \
 if [ -n "$maps" ]; then
 	echo "map-backed sparse builder(s) found (stamp into a matrix.Triplet):" >&2
 	echo "$maps" >&2
+	exit 1
+fi
+
+# One fan-out layer: every parallel loop runs through
+# matrix.ParallelRangeWorkers (contiguous chunks) or matrix.ParallelItems
+# (per-item handout) in internal/matrix/workers.go, so each scheduling
+# rule is written once. A sync.WaitGroup elsewhere is a second copy of
+# one of them. The one exemption is geom's recursive cluster bisection,
+# which spawns its two halves against a goroutine budget, not over a
+# loop.
+echo "== no sync.WaitGroup outside matrix/workers.go and geom/cluster.go in non-test code"
+groups=$(grep -rn 'sync\.WaitGroup' internal cmd --include='*.go' \
+	| grep -v '_test\.go' \
+	| grep -v '^internal/matrix/workers\.go:' \
+	| grep -v '^internal/geom/cluster\.go:' || true)
+if [ -n "$groups" ]; then
+	echo "hand-rolled fan-out(s) found (use matrix.ParallelRangeWorkers or matrix.ParallelItems):" >&2
+	echo "$groups" >&2
 	exit 1
 fi
 
