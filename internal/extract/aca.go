@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"inductance101/internal/geom"
 	"inductance101/internal/matrix"
@@ -21,7 +20,7 @@ import (
 // their relative placement, so the interaction block between two
 // distant clusters is numerically low-rank. This file implements the
 // flat hierarchical-matrix recipe over a geometric cluster tree
-// (geom.Index.ClusterTreeParallel):
+// (geom.ClusterItems, or mesh.ClusterFilaments over filaments):
 //
 //   - near blocks (clusters that touch or overlap) are stored dense,
 //     exact to the last bit;
@@ -40,14 +39,16 @@ import (
 // so both storage and build flatten at ~10⁴ elements; h2.go upgrades
 // the same partition to nested bases for the 10⁵ regime.
 //
-// Construction is two-phase so it parallelizes over the cluster tree:
-// a serial geometric partition lists the diagonal, near and admissible
-// blocks (no kernel evaluations), then workers claim blocks from the
-// lists and fill them concurrently. Far blocks whose ACA hits the
-// break-even rank cap are re-partitioned into their children between
-// waves. Every block's content depends only on its own index lists, and
-// blocks are stored in partition order, so the operator is
-// bit-identical at any worker count.
+// Construction shares everything before the far field with h2.go
+// (partition.go): the serial partition walk lists the diagonal, near
+// and admissible blocks without evaluating a kernel entry, and the
+// dense blocks are filled once the far field is settled. What is flat
+// ACA's own is the far field: workers factor the admissible pairs
+// concurrently, and a pair whose ACA hits the break-even rank goes back
+// through the partition's split between waves. Every block's content
+// depends only on its own index lists, and blocks are stored in
+// partition order, so the operator is bit-identical at any worker
+// count.
 
 // LOperator is the read interface shared by the compressed
 // partial-inductance operators (the flat-ACA CompressedL and the
@@ -84,45 +85,6 @@ type HElement struct {
 	Rad      float64 // cross-section bounding radius (m)
 }
 
-// ElemTree is a cluster tree over element indices — the element-level
-// mirror of geom.ClusterNode, with segments expanded into the elements
-// they contain (a bar maps to itself, a FastHenry segment to its
-// filaments).
-type ElemTree struct {
-	Elems       []int
-	Left, Right *ElemTree
-	// Level is the depth below the root (roots are level 0).
-	Level int
-}
-
-// ElemTreesFromClusters converts segment cluster trees into element
-// trees: each segment node's element list is the concatenation of
-// elemsOf(seg) over its segments, preserving tree shape, order and
-// levels.
-func ElemTreesFromClusters(roots []*geom.ClusterNode, elemsOf func(seg int) []int) []*ElemTree {
-	out := make([]*ElemTree, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, elemTreeFrom(r, elemsOf, 0))
-	}
-	return out
-}
-
-func elemTreeFrom(n *geom.ClusterNode, elemsOf func(seg int) []int, level int) *ElemTree {
-	t := &ElemTree{Level: level}
-	if n.IsLeaf() {
-		for _, si := range n.Segs {
-			t.Elems = append(t.Elems, elemsOf(si)...)
-		}
-		return t
-	}
-	t.Left = elemTreeFrom(n.Left, elemsOf, level+1)
-	t.Right = elemTreeFrom(n.Right, elemsOf, level+1)
-	t.Elems = make([]int, 0, len(t.Left.Elems)+len(t.Right.Elems))
-	t.Elems = append(t.Elems, t.Left.Elems...)
-	t.Elems = append(t.Elems, t.Right.Elems...)
-	return t
-}
-
 // ACAOptions controls the flat hierarchical compression.
 type ACAOptions struct {
 	// Tol is the relative Frobenius-norm tolerance of each low-rank
@@ -131,11 +93,6 @@ type ACAOptions struct {
 	// 1e-8. Smaller is tighter and more expensive; the operator's
 	// overall matvec error is of the same order as Tol.
 	Tol float64
-	// MaxRank caps each block's ACA rank; blocks that fail to converge
-	// within the cap fall back to exact dense storage. Default: the
-	// break-even rank m·n/(2(m+n)) beyond which the factors would cost
-	// more than the dense block.
-	MaxRank int
 	// Workers caps the goroutines filling blocks during construction.
 	// 0 = process default (matrix.Workers), 1 = fully serial. The
 	// operator is bit-identical at every worker count.
@@ -348,298 +305,73 @@ func eachUpperDense(diag, near []denseBlock, fn func(i, j int, v float64)) {
 	}
 }
 
-// nodeBounds is the cached geometry of one cluster-tree node.
-type nodeBounds struct {
-	axisLo, axisHi   float64
-	crossLo, crossHi float64 // inflated by element radii
-	zLo, zHi         float64 // inflated by element radii
-}
-
-func (b nodeBounds) crossExtent() float64 {
-	return math.Hypot(b.crossHi-b.crossLo, b.zHi-b.zLo)
-}
-
-func gap(aLo, aHi, bLo, bHi float64) float64 {
-	if aHi < bLo {
-		return bLo - aHi
-	}
-	if bHi < aLo {
-		return aLo - bHi
-	}
-	return 0
-}
-
-// elemBounds computes the bounding box of the given elements, inflated
-// by their cross-section radii.
-func elemBounds(elems []HElement, idx []int) nodeBounds {
-	var b nodeBounds
-	for i, ei := range idx {
-		e := &elems[ei]
-		if i == 0 {
-			b = nodeBounds{
-				axisLo: e.A0, axisHi: e.A1,
-				crossLo: e.Cross - e.Rad, crossHi: e.Cross + e.Rad,
-				zLo: e.Z - e.Rad, zHi: e.Z + e.Rad,
-			}
-			continue
-		}
-		b.axisLo = math.Min(b.axisLo, e.A0)
-		b.axisHi = math.Max(b.axisHi, e.A1)
-		b.crossLo = math.Min(b.crossLo, e.Cross-e.Rad)
-		b.crossHi = math.Max(b.crossHi, e.Cross+e.Rad)
-		b.zLo = math.Min(b.zLo, e.Z-e.Rad)
-		b.zHi = math.Max(b.zHi, e.Z+e.Rad)
-	}
-	return b
-}
-
-// eta is the admissibility parameter of both compressed operators.
-const eta = 1.0
-
-// boundsAdmissible reports whether two bounded clusters are smooth
-// enough to compress: separated in the cross plane by more than eta
-// times their combined cross extents, or — for collinear clusters —
-// separated along the routing axis by more than eta times their
-// combined axis extents. Either separation bounds the kernel away from
-// its near-field singularity across the whole block.
-func boundsAdmissible(ba, bb nodeBounds) bool {
-	crossDist := math.Hypot(
-		gap(ba.crossLo, ba.crossHi, bb.crossLo, bb.crossHi),
-		gap(ba.zLo, ba.zHi, bb.zLo, bb.zHi),
-	)
-	if crossDist > 0 && crossDist >= eta*(ba.crossExtent()+bb.crossExtent()) {
-		return true
-	}
-	axisGap := gap(ba.axisLo, ba.axisHi, bb.axisLo, bb.axisHi)
-	if axisGap > 0 && axisGap >= eta*((ba.axisHi-ba.axisLo)+(bb.axisHi-bb.axisLo)) {
-		return true
-	}
-	return false
-}
-
-type compressor struct {
-	elems   []HElement
-	entry   func(i, j int) float64
-	opt     ACAOptions
-	bounds  map[*ElemTree]nodeBounds
-	op      *CompressedL
-	near    int64 // kernel entries into diagonal/near blocks (atomic)
-	farEv   int64 // kernel entries sampled by ACA (atomic)
-	workers int
-
-	// Partition output, in deterministic order.
-	diagSpecs []*ElemTree
-	nearSpecs [][2]*ElemTree
-	farCands  []farCand
-}
-
-type farCand struct {
-	a, b  *ElemTree
-	level int
-}
-
-func (c *compressor) boundsOf(t *ElemTree) nodeBounds {
-	if b, ok := c.bounds[t]; ok {
-		return b
-	}
-	b := elemBounds(c.elems, t.Elems)
-	c.bounds[t] = b
-	return b
-}
-
-// admissible reports whether the (a, b) interaction block is smooth
-// enough to compress.
-func (c *compressor) admissible(a, b *ElemTree) bool {
-	return boundsAdmissible(c.boundsOf(a), c.boundsOf(b))
-}
-
 // CompressL builds the flat hierarchically compressed operator over
-// elems from the given per-direction cluster trees. entry(i, j) must
-// return the symmetric interaction L[i][j] and be safe to call with
-// i == j; it is evaluated with i <= j only, and it must be safe for
-// concurrent calls (the build fans out over ACAOptions.Workers). Trees
-// must partition [0, len(elems)) and each tree must hold elements of a
-// single direction.
-func CompressL(elems []HElement, trees []*ElemTree, entry func(i, j int) float64, opt ACAOptions) *CompressedL {
-	c := &compressor{
-		elems:   elems,
-		entry:   entry,
-		opt:     opt,
-		bounds:  make(map[*ElemTree]nodeBounds),
-		op:      &CompressedL{nearField: nearField{n: len(elems)}},
-		workers: opt.Workers,
+// elems from the given per-direction cluster trees over element
+// positions. entry(i, j) must return the symmetric interaction L[i][j]
+// and be safe to call with i == j; it is evaluated with i <= j only,
+// and it must be safe for concurrent calls (the build fans out over
+// ACAOptions.Workers). Trees must partition [0, len(elems)) and each
+// tree must hold elements of a single direction. Far pairs are
+// factored in parallel waves: a pair whose ACA fails is split, and its
+// replacement blocks are factored in the next wave (or stored dense at
+// the leaves).
+func CompressL(elems []HElement, trees []*geom.ClusterNode, entry func(i, j int) float64, opt ACAOptions) *CompressedL {
+	entry = symmetric(entry)
+	p := newPartition(elems, trees)
+	op := &CompressedL{nearField: nearField{n: len(elems)}}
+	type acaResult struct {
+		u, v      []float64
+		k, evals  int
+		converged bool
 	}
-	for _, t := range trees {
-		c.visitSelf(t)
-	}
-	// Cross-direction tree pairs couple nothing (zero blocks) and are
-	// skipped entirely; within-direction roots are each a single tree.
-	c.fillBlocks()
-	pos := c.op.indexTreeOrder(trees, c.op.maxK)
-	for bi := range c.op.far {
-		b := &c.op.far[bi]
-		b.r0, b.c0 = treeSpan(pos, b.rows), treeSpan(pos, b.cols)
-	}
-	c.finishStats()
-	return c.op
-}
-
-// visitSelf partitions a tree against itself: leaves become dense
-// diagonal blocks, sibling interactions are partitioned into near and
-// admissible far candidates. Pure geometry — no kernel evaluations.
-func (c *compressor) visitSelf(t *ElemTree) {
-	if t.Left == nil {
-		c.diagSpecs = append(c.diagSpecs, t)
-		return
-	}
-	c.visitSelf(t.Left)
-	c.visitSelf(t.Right)
-	c.visitPair(t.Left, t.Right)
-}
-
-func (c *compressor) visitPair(a, b *ElemTree) {
-	if len(a.Elems) == 0 || len(b.Elems) == 0 {
-		return
-	}
-	if c.admissible(a, b) {
-		lvl := a.Level
-		if b.Level > lvl {
-			lvl = b.Level
-		}
-		c.farCands = append(c.farCands, farCand{a: a, b: b, level: lvl})
-		return
-	}
-	c.subdividePair(a, b)
-}
-
-// subdividePair recurses an inadmissible (or ACA-failed) pair one step
-// down, mirroring the classic H-matrix partition.
-func (c *compressor) subdividePair(a, b *ElemTree) {
-	aLeaf, bLeaf := a.Left == nil, b.Left == nil
-	switch {
-	case aLeaf && bLeaf:
-		c.nearSpecs = append(c.nearSpecs, [2]*ElemTree{a, b})
-	case aLeaf:
-		c.visitPair(a, b.Left)
-		c.visitPair(a, b.Right)
-	case bLeaf:
-		c.visitPair(a.Left, b)
-		c.visitPair(a.Right, b)
-	case len(a.Elems) >= len(b.Elems):
-		c.visitPair(a.Left, b)
-		c.visitPair(a.Right, b)
-	default:
-		c.visitPair(a, b.Left)
-		c.visitPair(a, b.Right)
-	}
-}
-
-// fillBlocks evaluates the partitioned blocks in parallel waves: all
-// diagonal/near blocks plus the current far candidates are filled
-// concurrently; far candidates whose ACA fails are re-partitioned and
-// their replacement blocks filled in the next wave. Block content
-// depends only on its own index lists and blocks land in partition
-// order, so the result is identical at every worker count.
-func (c *compressor) fillBlocks() {
-	for wave := 0; len(c.farCands) > 0 || wave == 0; wave++ {
-		cands := c.farCands
-		c.farCands = nil
-		type farResult struct {
-			u, v []float64
-			k    int
-			ok   bool
-		}
-		results := make([]farResult, len(cands))
-		matrix.ParallelItems(c.workers, len(cands), func(i int) {
-			u, v, k, ok := c.aca(cands[i].a.Elems, cands[i].b.Elems)
-			results[i] = farResult{u: u, v: v, k: k, ok: ok}
+	farEvals := 0
+	for len(p.far) > 0 {
+		cands := p.far
+		p.far = nil
+		results := make([]acaResult, len(cands))
+		matrix.ParallelItems(opt.Workers, len(cands), func(i int) {
+			r := &results[i]
+			r.u, r.v, r.k, r.evals, r.converged = aca(entry, cands[i][0].Segs, cands[i][1].Segs, opt.tol())
 		})
 		for i, r := range results {
-			if r.ok {
-				c.op.far = append(c.op.far, lowRankBlock{
-					rows: cands[i].a.Elems, cols: cands[i].b.Elems,
-					u: r.u, v: r.v, k: r.k, level: cands[i].level,
-				})
-				if r.k > c.op.maxK {
-					c.op.maxK = r.k
-				}
+			farEvals += r.evals
+			a, b := cands[i][0], cands[i][1]
+			if !r.converged {
+				p.split(a, b)
 				continue
 			}
-			// The block refused to converge within the break-even rank:
-			// subdivide (or store dense at the leaves) next wave.
-			c.subdividePair(cands[i].a, cands[i].b)
+			op.far = append(op.far, lowRankBlock{
+				rows: a.Segs, cols: b.Segs,
+				u: r.u, v: r.v, k: r.k, level: max(a.Level, b.Level),
+			})
+			op.maxK = max(op.maxK, r.k)
 		}
 	}
-	// All dense blocks are known now; fill them concurrently.
-	c.op.diag = make([]denseBlock, len(c.diagSpecs))
-	matrix.ParallelItems(c.workers, len(c.diagSpecs), func(i int) {
-		c.op.diag[i] = c.buildDiag(c.diagSpecs[i].Elems)
-	})
-	c.op.near = make([]denseBlock, len(c.nearSpecs))
-	matrix.ParallelItems(c.workers, len(c.nearSpecs), func(i int) {
-		c.op.near[i] = c.buildNear(c.nearSpecs[i][0].Elems, c.nearSpecs[i][1].Elems)
-	})
-}
-
-// entryNear evaluates the symmetric kernel into a dense block with
-// canonical argument order.
-func (c *compressor) entryNear(i, j int) float64 {
-	atomic.AddInt64(&c.near, 1)
-	if i <= j {
-		return c.entry(i, j)
+	op.fillDense(p, entry, opt.Workers)
+	pos := op.indexTreeOrder(trees, op.maxK)
+	op.stats = op.nearStats(farEvals)
+	for bi := range op.far {
+		b := &op.far[bi]
+		b.r0, b.c0 = treeSpan(pos, b.rows), treeSpan(pos, b.cols)
+		op.stats.addFar(b.level, b.k, len(b.u)+len(b.v))
 	}
-	return c.entry(j, i)
-}
-
-// entryFar evaluates the symmetric kernel as an ACA sample.
-func (c *compressor) entryFar(i, j int) float64 {
-	atomic.AddInt64(&c.farEv, 1)
-	if i <= j {
-		return c.entry(i, j)
-	}
-	return c.entry(j, i)
-}
-
-func (c *compressor) buildDiag(idx []int) denseBlock {
-	n := len(idx)
-	v := make([]float64, n*n)
-	for a := 0; a < n; a++ {
-		v[a*n+a] = c.entryNear(idx[a], idx[a])
-		for b := a + 1; b < n; b++ {
-			e := c.entryNear(idx[a], idx[b])
-			v[a*n+b] = e
-			v[b*n+a] = e
-		}
-	}
-	return denseBlock{rows: idx, cols: idx, v: v}
-}
-
-func (c *compressor) buildNear(rows, cols []int) denseBlock {
-	m, n := len(rows), len(cols)
-	v := make([]float64, m*n)
-	for a, i := range rows {
-		for b, j := range cols {
-			v[a*n+b] = c.entryNear(i, j)
-		}
-	}
-	return denseBlock{rows: rows, cols: cols, v: v}
+	op.stats.finish()
+	return op
 }
 
 // aca runs partially pivoted adaptive cross approximation on the block
 // entry(rows[a], cols[b]), sampling whole residual rows and columns
 // until the newest rank-one term's norm drops below tol times the
-// accumulated approximation norm.
-func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
+// accumulated approximation norm. It gives up (ok false) at the
+// break-even rank m·n/(2(m+n)), beyond which the factors would cost
+// more than the dense block. evals counts the entries it sampled.
+func aca(entry func(i, j int) float64, rows, cols []int, tol float64) (u, v []float64, rank, evals int, ok bool) {
 	m, n := len(rows), len(cols)
-	maxRank := c.opt.MaxRank
-	if maxRank <= 0 {
-		maxRank = m * n / (2 * (m + n))
-	}
+	maxRank := m * n / (2 * (m + n))
 	if maxRank < 1 {
 		// Blocks too small to ever profit from factors.
-		return nil, nil, 0, false
+		return nil, nil, 0, 0, false
 	}
-	tol := c.opt.tol()
 	usedRow := make([]bool, m)
 	usedCol := make([]bool, n)
 	fro2 := 0.0
@@ -648,8 +380,9 @@ func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
 	for rank < maxRank {
 		// Residual row i.
 		r := make([]float64, n)
+		evals += n
 		for j := 0; j < n; j++ {
-			e := c.entryFar(rows[i], cols[j])
+			e := entry(rows[i], cols[j])
 			for k := 0; k < rank; k++ {
 				e -= u[k*m+i] * v[k*n+j]
 			}
@@ -671,7 +404,7 @@ func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
 			// Row already fully represented: move to the next one, or
 			// stop if the whole block is captured.
 			if rowsLeft == 0 {
-				return u, v, rank, true
+				return u, v, rank, evals, true
 			}
 			for a := 0; a < m; a++ {
 				if !usedRow[a] {
@@ -687,8 +420,9 @@ func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
 		}
 		// Residual column jp.
 		cv := make([]float64, m)
+		evals += m
 		for a := 0; a < m; a++ {
-			e := c.entryFar(rows[a], cols[jp])
+			e := entry(rows[a], cols[jp])
 			for k := 0; k < rank; k++ {
 				e -= u[k*m+a] * v[k*n+jp]
 			}
@@ -718,11 +452,8 @@ func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
 		u = append(u, cv...)
 		v = append(v, r...)
 		rank++
-		if math.Sqrt(nu2*nv2) <= tol*math.Sqrt(math.Max(fro2, 0)) {
-			return u, v, rank, true
-		}
-		if rowsLeft == 0 {
-			return u, v, rank, true
+		if math.Sqrt(nu2*nv2) <= tol*math.Sqrt(math.Max(fro2, 0)) || rowsLeft == 0 {
+			return u, v, rank, evals, true
 		}
 		// Next pivot row: largest entry of the new column among unused
 		// rows.
@@ -737,70 +468,7 @@ func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
 		}
 		i = ip
 	}
-	return nil, nil, 0, false
-}
-
-func (c *compressor) finishStats() {
-	st := &c.op.stats
-	st.N = c.op.n
-	st.DiagBlocks = len(c.op.diag)
-	st.NearBlocks = len(c.op.near)
-	st.FarBlocks = len(c.op.far)
-	for _, b := range c.op.diag {
-		st.StoredFloats += len(b.v)
-	}
-	for _, b := range c.op.near {
-		st.StoredFloats += len(b.v)
-	}
-	ranks := 0
-	byLevel := make(map[int]*LevelStats)
-	for _, b := range c.op.far {
-		st.StoredFloats += len(b.u) + len(b.v)
-		ranks += b.k
-		if b.k > st.MaxRank {
-			st.MaxRank = b.k
-		}
-		ls := byLevel[b.level]
-		if ls == nil {
-			ls = &LevelStats{Level: b.level, MinRank: b.k}
-			byLevel[b.level] = ls
-		}
-		ls.FarBlocks++
-		if b.k < ls.MinRank {
-			ls.MinRank = b.k
-		}
-		if b.k > ls.MaxRank {
-			ls.MaxRank = b.k
-		}
-		ls.AvgRank += float64(b.k)
-	}
-	if len(c.op.far) > 0 {
-		st.AvgRank = float64(ranks) / float64(len(c.op.far))
-	}
-	st.Levels = sortedLevels(byLevel)
-	st.DenseFloats = c.op.n * c.op.n
-	st.NearKernelEvals = int(c.near)
-	st.FarKernelEvals = int(c.farEv)
-	st.KernelEvals = st.NearKernelEvals + st.FarKernelEvals
-	st.DenseKernelEntries = c.op.n * (c.op.n + 1) / 2
-}
-
-// sortedLevels orders the per-level stats by depth and finalizes the
-// rank averages (accumulated as sums).
-func sortedLevels(byLevel map[int]*LevelStats) []LevelStats {
-	out := make([]LevelStats, 0, len(byLevel))
-	for _, ls := range byLevel {
-		if ls.FarBlocks > 0 {
-			ls.AvgRank /= float64(ls.FarBlocks)
-		}
-		out = append(out, *ls)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Level < out[j-1].Level; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return nil, nil, 0, evals, false
 }
 
 // CompressInductance builds the compressed partial-inductance operator
@@ -814,8 +482,10 @@ func CompressInductance(l *geom.Layout, segs []int, gmd GMDOptions, opt ACAOptio
 
 // segmentOperatorInputs prepares the shared inputs of the segment-level
 // compressed operators: one HElement per segment, per-direction cluster
-// trees, and the self/mutual kernel closure.
-func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, workers int) ([]HElement, []*ElemTree, func(i, j int) float64) {
+// trees over the element positions, and the self/mutual kernel closure.
+// The trees bisect on each segment's axis centre, cross coordinate and
+// height, ties broken by position.
+func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, workers int) ([]HElement, []*geom.ClusterNode, func(i, j int) float64) {
 	elems := make([]HElement, len(segs))
 	for k, si := range segs {
 		s := &l.Segments[si]
@@ -826,10 +496,6 @@ func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, workers i
 			Cross: s.CrossCoord(), Z: l.Z(si),
 			Rad: math.Hypot(s.Width, t) / 2,
 		}
-	}
-	pos := make(map[int]int, len(segs))
-	for k, si := range segs {
-		pos[si] = k
 	}
 	entry := func(i, j int) float64 {
 		si, sj := segs[i], segs[j]
@@ -846,8 +512,17 @@ func segmentOperatorInputs(l *geom.Layout, segs []int, gmd GMDOptions, workers i
 		tb := l.Layers[b.Layer].Thickness
 		return MutualBars(pg, a.Width, ta, b.Width, tb, gmd)
 	}
-	idx := geom.NewIndex(l, 0)
-	roots := idx.ClusterTreeParallel(segs, 16, workers)
-	trees := ElemTreesFromClusters(roots, func(si int) []int { return []int{pos[si]} })
-	return elems, trees, entry
+	dir := func(k int) geom.Direction { return geom.Direction(elems[k].Dir) }
+	coord := func(dim, k int) float64 {
+		e := &elems[k]
+		switch dim {
+		case 0:
+			return (e.A0 + e.A1) / 2
+		case 1:
+			return e.Cross
+		default:
+			return e.Z
+		}
+	}
+	return elems, geom.ClusterItems(len(segs), dir, coord, 16, workers), entry
 }

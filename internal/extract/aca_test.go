@@ -204,19 +204,45 @@ func TestCompressionActuallyCompresses(t *testing.T) {
 	}
 }
 
-// TestACAMaxRankFallback: with MaxRank 1 far blocks mostly cannot reach
-// tolerance, so the compressor must fall back to dense blocks rather
+// TestACADenseFallback: on a kernel with no low-rank structure every
+// far candidate's ACA runs into the break-even rank, and the compressor
+// must store those blocks dense through the partition's split rather
 // than return inaccurate factors.
-func TestACAMaxRankFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	n := 40
-	l := makeBusLayout(n, 400e-6, 1e-6, 3e-6)
-	segs := make([]int, n)
-	for i := range segs {
-		segs[i] = i
+func TestACADenseFallback(t *testing.T) {
+	const n = 96
+	elems := make([]HElement, n)
+	for i := range elems {
+		elems[i] = HElement{A0: 0, A1: 1e-4, Cross: float64(i) * 4e-6, Z: 1e-6, Rad: 5e-7}
 	}
-	op := CompressInductance(l, segs, GMDOptions{}, ACAOptions{Tol: 1e-12, MaxRank: 1})
-	dense := InductanceMatrix(l, segs, math.Inf(1), GMDOptions{})
+	// A seeded hash of the unordered pair, uniform in [-1, 1): symmetric
+	// by construction and incompressible on every block.
+	entry := func(i, j int) float64 {
+		h := uint64(min(i, j))<<32 | uint64(max(i, j)) + 47 // seed
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
+		return float64(h>>11)/(1<<52) - 1
+	}
+	trees := geom.ClusterItems(n, func(int) geom.Direction { return geom.DirX },
+		func(dim, i int) float64 {
+			switch dim {
+			case 0:
+				return (elems[i].A0 + elems[i].A1) / 2
+			case 1:
+				return elems[i].Cross
+			default:
+				return elems[i].Z
+			}
+		}, 8, 1)
+	op := CompressL(elems, trees, entry, ACAOptions{})
+	st := op.Stats()
+	if st.FarKernelEvals == 0 {
+		t.Fatal("no far candidate was tried: the layout needs admissible pairs")
+	}
+	if st.FarBlocks != 0 {
+		t.Fatalf("%d low-rank blocks on an incompressible kernel", st.FarBlocks)
+	}
+	rng := rand.New(rand.NewSource(47))
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -227,16 +253,13 @@ func TestACAMaxRankFallback(t *testing.T) {
 	for i := 0; i < n; i++ {
 		var want float64
 		for j := 0; j < n; j++ {
-			want += dense.At(i, j) * x[j]
+			want += entry(i, j) * x[j]
 		}
 		d := got[i] - want
 		errN += d * d
 		refN += want * want
 	}
-	// Rank-1-capped blocks that fail tolerance fall back to dense, so
-	// the result must still be accurate.
-	if math.Sqrt(errN) > 1e-6*math.Sqrt(refN) {
-		t.Errorf("MaxRank fallback lost accuracy: %.3g of %.3g",
-			math.Sqrt(errN), math.Sqrt(refN))
+	if math.Sqrt(errN) > 1e-13*math.Sqrt(refN) {
+		t.Errorf("dense fallback apply off by %.3g of %.3g", math.Sqrt(errN), math.Sqrt(refN))
 	}
 }

@@ -71,7 +71,7 @@ const farSample = 128
 
 // h2node wraps one cluster-tree node with its nested basis.
 type h2node struct {
-	t           *ElemTree
+	t           *geom.ClusterNode
 	parent      *h2node
 	left, right *h2node
 	// partners lists the element sets this node couples to directly
@@ -81,14 +81,14 @@ type h2node struct {
 	partners [][]int
 	need     bool // a basis is required here (endpoint or under one)
 	skel     []int
-	// u is the basis, row-major m x k: for a leaf m = len(t.Elems) and
-	// rows follow t.Elems; for a non-leaf m = k_left + k_right and rows
+	// u is the basis, row-major m x k: for a leaf m = len(t.Segs) and
+	// rows follow t.Segs; for a non-leaf m = k_left + k_right and rows
 	// follow the children's skeletons (left first) — the transfer
 	// matrix. Skeleton rows are exact unit rows.
 	u []float64
 	k int
 	// off is the node's offset into the matvec workspace (-1 without a
-	// basis); e0 is the tree-order start of t.Elems.
+	// basis); e0 is the tree-order start of t.Segs.
 	off, e0 int
 }
 
@@ -142,7 +142,7 @@ func (h *H2L) applyFar(w *workspace, np int) {
 			xh := w.cx[p]
 			out := xh[nd.off : nd.off+k]
 			if nd.left == nil {
-				colAxpys(nd.u, w.x[p][nd.e0:nd.e0+len(nd.t.Elems)], out)
+				colAxpys(nd.u, w.x[p][nd.e0:nd.e0+len(nd.t.Segs)], out)
 				continue
 			}
 			l, r := nd.left, nd.right
@@ -173,7 +173,7 @@ func (h *H2L) applyFar(w *workspace, np int) {
 			yh := w.cy[p]
 			in := yh[nd.off : nd.off+k]
 			if nd.left == nil {
-				rowSums(nd.u, in, w.y[p][nd.e0:nd.e0+len(nd.t.Elems)])
+				rowSums(nd.u, in, w.y[p][nd.e0:nd.e0+len(nd.t.Segs)])
 				continue
 			}
 			l, r := nd.left, nd.right
@@ -202,7 +202,7 @@ func (h *H2L) EachUpper(fn func(i, j int, v float64)) {
 		va := h.vfull(cp.a, memo) // ma x ka over a's subtree elements
 		vb := h.vfull(cp.b, memo)
 		ka, kb := cp.a.k, cp.b.k
-		aEl, bEl := cp.a.t.Elems, cp.b.t.Elems
+		aEl, bEl := cp.a.t.Segs, cp.b.t.Segs
 		// w = va * s, then block = w * vbᵀ.
 		w := make([]float64, len(aEl)*kb)
 		for ia := range aEl {
@@ -233,7 +233,7 @@ func (h *H2L) EachUpper(fn func(i, j int, v float64)) {
 }
 
 // vfull materializes a node's element-level basis (subtree elements x
-// k, rows in t.Elems order) by pushing transfer matrices down through
+// k, rows in t.Segs order) by pushing transfer matrices down through
 // the children, memoized per EachUpper call.
 func (h *H2L) vfull(nd *h2node, memo map[*h2node][]float64) []float64 {
 	if v, ok := memo[nd]; ok {
@@ -246,7 +246,7 @@ func (h *H2L) vfull(nd *h2node, memo map[*h2node][]float64) []float64 {
 		vl := h.vfull(nd.left, memo)
 		vr := h.vfull(nd.right, memo)
 		k, k1 := nd.k, nd.left.k
-		ml, mr := len(nd.left.t.Elems), len(nd.right.t.Elems)
+		ml, mr := len(nd.left.t.Segs), len(nd.right.t.Segs)
 		v = make([]float64, (ml+mr)*k)
 		for i := 0; i < ml; i++ {
 			out := v[i*k : (i+1)*k]
@@ -282,119 +282,62 @@ func (h *H2L) vfull(nd *h2node, memo map[*h2node][]float64) []float64 {
 
 // h2builder carries the construction state.
 type h2builder struct {
-	elems   []HElement
-	entry   func(i, j int) float64
-	opt     H2Options
-	bounds  map[*ElemTree]nodeBounds
+	entry   func(i, j int) float64 // symmetric
+	tol     float64
 	workers int
 
-	byTree    map[*ElemTree]*h2node
-	nodes     []*h2node // post-order across all trees
-	diagSpecs []*ElemTree
-	nearSpecs [][2]*ElemTree
-	cands     [][2]*h2node // admissible pairs, partition order
-	coups     []h2coupling
-
-	near  int64 // kernel entries into dense blocks (atomic)
-	farEv int64 // kernel entries into bases/couplings (atomic)
-
-	op *H2L
+	byTree map[*geom.ClusterNode]*h2node
+	nodes  []*h2node    // post-order across all trees
+	cands  [][2]*h2node // admissible pairs, partition order
+	farEv  int64        // kernel entries into bases/couplings (atomic, per block)
+	op     *H2L
 }
 
 // CompressLH2 builds the nested-basis operator over elems from the
-// given per-direction cluster trees. The entry contract matches
-// CompressL: symmetric, called with i <= j only, safe for concurrent
-// calls.
-func CompressLH2(elems []HElement, trees []*ElemTree, entry func(i, j int) float64, opt H2Options) *H2L {
+// given per-direction cluster trees. The entry and tree contracts match
+// CompressL. The partition is CompressL's; each admissible pair it
+// leaves becomes a coupling between the pair's node bases instead of
+// per-pair ACA factors.
+func CompressLH2(elems []HElement, trees []*geom.ClusterNode, entry func(i, j int) float64, opt H2Options) *H2L {
 	b := &h2builder{
-		elems:   elems,
-		entry:   entry,
-		opt:     opt,
-		bounds:  make(map[*ElemTree]nodeBounds),
+		entry:   symmetric(entry),
+		tol:     opt.tol(),
 		workers: opt.Workers,
-		byTree:  make(map[*ElemTree]*h2node),
+		byTree:  make(map[*geom.ClusterNode]*h2node),
 		op:      &H2L{nearField: nearField{n: len(elems)}},
 	}
 	for _, t := range trees {
 		b.wrap(t, nil)
 	}
-	for _, t := range trees {
-		b.visitSelf(t)
+	p := newPartition(elems, trees)
+	for _, pair := range p.far {
+		na, nb := b.byTree[pair[0]], b.byTree[pair[1]]
+		na.partners = append(na.partners, pair[1].Segs)
+		nb.partners = append(nb.partners, pair[0].Segs)
+		b.cands = append(b.cands, [2]*h2node{na, nb})
 	}
 	b.buildBases()
 	b.resolveCouplings()
-	b.fillDense()
+	b.op.fillDense(p, b.entry, b.workers)
 	b.assignOffsets()
 	pos := b.op.indexTreeOrder(trees, b.op.wsize)
 	for _, nd := range b.nodes {
-		nd.e0 = treeSpan(pos, nd.t.Elems)
+		nd.e0 = treeSpan(pos, nd.t.Segs)
 	}
 	b.finishStats()
 	return b.op
 }
 
-// wrap mirrors the element tree into h2nodes, post-order.
-func (b *h2builder) wrap(t *ElemTree, parent *h2node) *h2node {
+// wrap mirrors the cluster tree into h2nodes, post-order.
+func (b *h2builder) wrap(t *geom.ClusterNode, parent *h2node) *h2node {
 	nd := &h2node{t: t, parent: parent, off: -1}
-	if t.Left != nil {
+	if !t.IsLeaf() {
 		nd.left = b.wrap(t.Left, nd)
 		nd.right = b.wrap(t.Right, nd)
 	}
 	b.byTree[t] = nd
 	b.nodes = append(b.nodes, nd)
 	return nd
-}
-
-func (b *h2builder) boundsOf(t *ElemTree) nodeBounds {
-	if bb, ok := b.bounds[t]; ok {
-		return bb
-	}
-	bb := elemBounds(b.elems, t.Elems)
-	b.bounds[t] = bb
-	return bb
-}
-
-// visitSelf/visitPair partition a tree exactly like the flat
-// compressor, but admissible pairs become basis-coupling candidates
-// anchored at the pair's nodes instead of per-pair ACA factors.
-func (b *h2builder) visitSelf(t *ElemTree) {
-	if t.Left == nil {
-		b.diagSpecs = append(b.diagSpecs, t)
-		return
-	}
-	b.visitSelf(t.Left)
-	b.visitSelf(t.Right)
-	b.visitPair(t.Left, t.Right)
-}
-
-func (b *h2builder) visitPair(ta, tb *ElemTree) {
-	if len(ta.Elems) == 0 || len(tb.Elems) == 0 {
-		return
-	}
-	if boundsAdmissible(b.boundsOf(ta), b.boundsOf(tb)) {
-		na, nb := b.byTree[ta], b.byTree[tb]
-		na.partners = append(na.partners, tb.Elems)
-		nb.partners = append(nb.partners, ta.Elems)
-		b.cands = append(b.cands, [2]*h2node{na, nb})
-		return
-	}
-	aLeaf, bLeaf := ta.Left == nil, tb.Left == nil
-	switch {
-	case aLeaf && bLeaf:
-		b.nearSpecs = append(b.nearSpecs, [2]*ElemTree{ta, tb})
-	case aLeaf:
-		b.visitPair(ta, tb.Left)
-		b.visitPair(ta, tb.Right)
-	case bLeaf:
-		b.visitPair(ta.Left, tb)
-		b.visitPair(ta.Right, tb)
-	case len(ta.Elems) >= len(tb.Elems):
-		b.visitPair(ta.Left, tb)
-		b.visitPair(ta.Right, tb)
-	default:
-		b.visitPair(ta, tb.Left)
-		b.visitPair(ta, tb.Right)
-	}
 }
 
 // buildBases marks every coupling endpoint and its subtree as needing a
@@ -483,7 +426,7 @@ func (b *h2builder) fieldSample(nd *h2node) []int {
 func (b *h2builder) buildBasis(nd *h2node) {
 	var rows []int
 	if nd.left == nil {
-		rows = nd.t.Elems
+		rows = nd.t.Segs
 	} else {
 		rows = make([]int, 0, len(nd.left.skel)+len(nd.right.skel))
 		rows = append(rows, nd.left.skel...)
@@ -498,15 +441,11 @@ func (b *h2builder) buildBasis(nd *h2node) {
 	mat := make([]float64, m*s)
 	for a, ri := range rows {
 		for c, cj := range cols {
-			if ri <= cj {
-				mat[a*s+c] = b.entry(ri, cj)
-			} else {
-				mat[a*s+c] = b.entry(cj, ri)
-			}
+			mat[a*s+c] = b.entry(ri, cj)
 		}
 	}
 	atomic.AddInt64(&b.farEv, int64(m*s))
-	pivots, u := rowID(mat, m, s, b.opt.tol())
+	pivots, u := rowID(mat, m, s, b.tol)
 	nd.k = len(pivots)
 	nd.u = u
 	nd.skel = make([]int, nd.k)
@@ -624,21 +563,17 @@ func rowID(mat []float64, m, s int, tol float64) (pivots []int, u []float64) {
 // resolveCouplings turns every admissible candidate into a coupling
 // block between its endpoints' bases and fills the blocks in parallel.
 func (b *h2builder) resolveCouplings() {
-	b.coups = make([]h2coupling, len(b.cands))
+	coups := make([]h2coupling, len(b.cands))
 	for i, pair := range b.cands {
-		b.coups[i] = h2coupling{a: pair[0], b: pair[1]}
+		coups[i] = h2coupling{a: pair[0], b: pair[1]}
 	}
-	matrix.ParallelItems(b.workers, len(b.coups), func(i int) {
-		cp := &b.coups[i]
+	matrix.ParallelItems(b.workers, len(coups), func(i int) {
+		cp := &coups[i]
 		ka, kb := cp.a.k, cp.b.k
 		s := make([]float64, ka*kb)
 		for p, ri := range cp.a.skel {
 			for q, cj := range cp.b.skel {
-				if ri <= cj {
-					s[p*kb+q] = b.entry(ri, cj)
-				} else {
-					s[p*kb+q] = b.entry(cj, ri)
-				}
+				s[p*kb+q] = b.entry(ri, cj)
 			}
 		}
 		atomic.AddInt64(&b.farEv, int64(ka*kb))
@@ -646,53 +581,13 @@ func (b *h2builder) resolveCouplings() {
 	})
 	// Drop rank-zero couplings (an endpoint whose far field vanished);
 	// they contribute nothing to the matvec.
-	kept := b.coups[:0]
-	for _, cp := range b.coups {
+	kept := coups[:0]
+	for _, cp := range coups {
 		if cp.a.k > 0 && cp.b.k > 0 {
 			kept = append(kept, cp)
 		}
 	}
-	b.coups = kept
-	b.op.coups = b.coups
-}
-
-// fillDense evaluates the diagonal and near blocks in parallel.
-func (b *h2builder) fillDense() {
-	entry := func(i, j int) float64 {
-		if i <= j {
-			return b.entry(i, j)
-		}
-		return b.entry(j, i)
-	}
-	b.op.diag = make([]denseBlock, len(b.diagSpecs))
-	matrix.ParallelItems(b.workers, len(b.diagSpecs), func(bi int) {
-		idx := b.diagSpecs[bi].Elems
-		n := len(idx)
-		v := make([]float64, n*n)
-		for a := 0; a < n; a++ {
-			v[a*n+a] = entry(idx[a], idx[a])
-			for c := a + 1; c < n; c++ {
-				e := entry(idx[a], idx[c])
-				v[a*n+c] = e
-				v[c*n+a] = e
-			}
-		}
-		atomic.AddInt64(&b.near, int64(n*(n+1)/2))
-		b.op.diag[bi] = denseBlock{rows: idx, cols: idx, v: v}
-	})
-	b.op.near = make([]denseBlock, len(b.nearSpecs))
-	matrix.ParallelItems(b.workers, len(b.nearSpecs), func(bi int) {
-		rows, cols := b.nearSpecs[bi][0].Elems, b.nearSpecs[bi][1].Elems
-		m, n := len(rows), len(cols)
-		v := make([]float64, m*n)
-		for a, i := range rows {
-			for c, j := range cols {
-				v[a*n+c] = entry(i, j)
-			}
-		}
-		atomic.AddInt64(&b.near, int64(m*n))
-		b.op.near[bi] = denseBlock{rows: rows, cols: cols, v: v}
-	})
+	b.op.coups = kept
 }
 
 // assignOffsets lays the per-node skeleton coefficients out in one flat
@@ -709,78 +604,25 @@ func (b *h2builder) assignOffsets() {
 	b.op.nodes = b.nodes
 }
 
+// finishStats adds the bases and couplings to the shared dense-part
+// summary.
 func (b *h2builder) finishStats() {
-	st := &b.op.stats
-	st.N = b.op.n
+	st := b.op.nearStats(int(b.farEv))
 	st.Nested = true
-	st.DiagBlocks = len(b.op.diag)
-	st.NearBlocks = len(b.op.near)
-	st.FarBlocks = len(b.op.coups)
-	for _, db := range b.op.diag {
-		st.StoredFloats += len(db.v)
-	}
-	for _, db := range b.op.near {
-		st.StoredFloats += len(db.v)
-	}
-	byLevel := make(map[int]*LevelStats)
-	levelOf := func(lvl int) *LevelStats {
-		ls := byLevel[lvl]
-		if ls == nil {
-			ls = &LevelStats{Level: lvl, MinRank: 1 << 30}
-			byLevel[lvl] = ls
-		}
-		return ls
-	}
 	for _, nd := range b.op.nodes {
 		if !nd.need || nd.k == 0 {
 			continue
 		}
 		st.StoredFloats += len(nd.u)
-		ls := levelOf(nd.t.Level)
+		ls := st.level(nd.t.Level)
 		ls.Bases++
-		if nd.k > ls.BasisMaxRank {
-			ls.BasisMaxRank = nd.k
-		}
+		ls.BasisMaxRank = max(ls.BasisMaxRank, nd.k)
 	}
-	ranks := 0
 	for _, cp := range b.op.coups {
-		st.StoredFloats += len(cp.s)
-		r := cp.a.k
-		if cp.b.k < r {
-			r = cp.b.k
-		}
-		ranks += r
-		if r > st.MaxRank {
-			st.MaxRank = r
-		}
-		lvl := cp.a.t.Level
-		if cp.b.t.Level > lvl {
-			lvl = cp.b.t.Level
-		}
-		ls := levelOf(lvl)
-		ls.FarBlocks++
-		if r < ls.MinRank {
-			ls.MinRank = r
-		}
-		if r > ls.MaxRank {
-			ls.MaxRank = r
-		}
-		ls.AvgRank += float64(r)
+		st.addFar(max(cp.a.t.Level, cp.b.t.Level), min(cp.a.k, cp.b.k), len(cp.s))
 	}
-	for _, ls := range byLevel {
-		if ls.FarBlocks == 0 {
-			ls.MinRank = 0
-		}
-	}
-	if len(b.op.coups) > 0 {
-		st.AvgRank = float64(ranks) / float64(len(b.op.coups))
-	}
-	st.Levels = sortedLevels(byLevel)
-	st.DenseFloats = b.op.n * b.op.n
-	st.NearKernelEvals = int(b.near)
-	st.FarKernelEvals = int(b.farEv)
-	st.KernelEvals = st.NearKernelEvals + st.FarKernelEvals
-	st.DenseKernelEntries = b.op.n * (b.op.n + 1) / 2
+	st.finish()
+	b.op.stats = st
 }
 
 // CompressInductanceH2 builds the nested-basis partial-inductance

@@ -1,10 +1,14 @@
 package extract
 
-import "sync"
+import (
+	"sync"
+
+	"inductance101/internal/geom"
+)
 
 // Tree-ordered planar matvec shared by both compressed operators.
 //
-// Every ElemTree node's Elems is the concatenation of its children's,
+// Every geom.ClusterNode's Segs is the concatenation of its children's,
 // so listing the roots' elements end to end gives a permutation — the
 // tree order — in which every block the partition produces (diagonal
 // leaf, near pair, ACA far pair, nested-basis leaf) covers one
@@ -85,10 +89,10 @@ func (f *nearField) Diag(i int) float64 {
 // scratch pool (farSize coefficient floats per plane). It returns the
 // element-to-position map for the caller's far-field blocks. Trees
 // must partition [0, n).
-func (f *nearField) indexTreeOrder(trees []*ElemTree, farSize int) (pos []int) {
+func (f *nearField) indexTreeOrder(trees []*geom.ClusterNode, farSize int) (pos []int) {
 	f.order = make([]int, 0, f.n)
 	for _, t := range trees {
-		f.order = append(f.order, t.Elems...)
+		f.order = append(f.order, t.Segs...)
 	}
 	pos = make([]int, f.n)
 	for i := range pos {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"inductance101/internal/geom"
 )
 
 // checkRange reports whether idx is exactly order[start : start+len(idx)].
@@ -68,7 +70,7 @@ func TestBlocksContiguousInTreeOrder(t *testing.T) {
 		checkRange(t, h2.order, b.cols, b.c0, "nested near cols")
 	}
 	for _, nd := range h2.nodes {
-		checkRange(t, h2.order, nd.t.Elems, nd.e0, "nested basis node")
+		checkRange(t, h2.order, nd.t.Segs, nd.e0, "nested basis node")
 	}
 }
 
@@ -81,11 +83,11 @@ func TestNonNestedTreePanics(t *testing.T) {
 		elems[i] = HElement{A0: 0, A1: 1e-4, Cross: float64(i) * 2e-6, Z: 1e-6, Rad: 5e-7}
 	}
 	entry := func(i, j int) float64 { return 1 / (1 + math.Abs(float64(i-j))) }
-	tree := func() []*ElemTree {
-		return []*ElemTree{{
-			Elems: []int{0, 1, 2, 3},
-			Left:  &ElemTree{Elems: []int{0, 2}, Level: 1},
-			Right: &ElemTree{Elems: []int{1, 3}, Level: 1},
+	tree := func() []*geom.ClusterNode {
+		return []*geom.ClusterNode{{
+			Segs:  []int{0, 1, 2, 3},
+			Left:  &geom.ClusterNode{Segs: []int{0, 2}, Level: 1},
+			Right: &geom.ClusterNode{Segs: []int{1, 3}, Level: 1},
 		}}
 	}
 	for name, build := range map[string]func(){

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -161,6 +162,61 @@ func TestCompressedApplyAllocs(t *testing.T) {
 				if a := testing.AllocsPerRun(10, apply); a != 0 {
 					t.Errorf("%s allocates %v times per call", name, a)
 				}
+			}
+		})
+	}
+}
+
+// TestCompressedStatsPinned pins every CompressStats field of both
+// compressed operators over the apply pins' cases: the block counts,
+// the stored floats, the near and far kernel evaluations and the whole
+// per-level rank table. The operator build is a deterministic function
+// of the filaments and the kernel, so the summary holds on every
+// platform and at every worker count.
+func TestCompressedStatsPinned(t *testing.T) {
+	type lv = extract.LevelStats
+	want := map[string]extract.CompressStats{
+		"bus1k/iterative": {N: 1024, DiagBlocks: 32, NearBlocks: 90, FarBlocks: 63,
+			MaxRank: 8, AvgRank: 7.079365079365079, StoredFloats: 188480, DenseFloats: 1048576,
+			KernelEvals: 187456, NearKernelEvals: 109056, FarKernelEvals: 78400, DenseKernelEntries: 524800,
+			Levels: []lv{
+				{Level: 2, FarBlocks: 1, MinRank: 7, MaxRank: 7, AvgRank: 7},
+				{Level: 3, FarBlocks: 9, MinRank: 7, MaxRank: 8, AvgRank: 7.555555555555555},
+				{Level: 4, FarBlocks: 25, MinRank: 7, MaxRank: 7, AvgRank: 7},
+				{Level: 5, FarBlocks: 28, MinRank: 7, MaxRank: 7, AvgRank: 7},
+			}},
+		"plane16/iterative": {N: 520, DiagBlocks: 16, NearBlocks: 49, FarBlocks: 5,
+			MaxRank: 11, AvgRank: 7.6, StoredFloats: 72505, DenseFloats: 270400,
+			KernelEvals: 65805, NearKernelEvals: 61310, FarKernelEvals: 4495, DenseKernelEntries: 135460,
+			Levels: []lv{
+				{Level: 3, FarBlocks: 5, MinRank: 6, MaxRank: 11, AvgRank: 7.6},
+			}},
+		"bus1k/nested": {N: 1024, DiagBlocks: 32, NearBlocks: 61, FarBlocks: 92,
+			MaxRank: 20, AvgRank: 12.369565217391305, StoredFloats: 143323, DenseFloats: 1048576,
+			KernelEvals: 332467, NearKernelEvals: 79360, FarKernelEvals: 253107, DenseKernelEntries: 524800,
+			Levels: []lv{
+				{Level: 2, FarBlocks: 1, MinRank: 5, MaxRank: 5, AvgRank: 5, Bases: 3, BasisMaxRank: 22},
+				{Level: 3, FarBlocks: 9, MinRank: 8, MaxRank: 18, AvgRank: 13.444444444444445, Bases: 8, BasisMaxRank: 18},
+				{Level: 4, FarBlocks: 25, MinRank: 5, MaxRank: 20, AvgRank: 12, Bases: 16, BasisMaxRank: 27},
+				{Level: 5, FarBlocks: 57, MinRank: 6, MaxRank: 20, AvgRank: 12.491228070175438, Bases: 32, BasisMaxRank: 24},
+			},
+			Nested: true},
+		"plane16/nested": {N: 520, DiagBlocks: 16, NearBlocks: 46, FarBlocks: 8,
+			MaxRank: 25, AvgRank: 19.25, StoredFloats: 79300, DenseFloats: 270400,
+			KernelEvals: 85151, NearKernelEvals: 57960, FarKernelEvals: 27191, DenseKernelEntries: 135460,
+			Levels: []lv{
+				{Level: 2, Bases: 2, BasisMaxRank: 34},
+				{Level: 3, FarBlocks: 8, MinRank: 11, MaxRank: 25, AvgRank: 19.25, Bases: 10, BasisMaxRank: 34},
+			},
+			Nested: true},
+	}
+	// plain drops CompressStats.String, so %#v prints every field.
+	type plain extract.CompressStats
+	for _, c := range applyPinCases() {
+		t.Run(c.name, func(t *testing.T) {
+			st := pinOperator(t, c).Stats()
+			if w := want[c.name]; !reflect.DeepEqual(st, w) {
+				t.Errorf("stats\n%#v\nwant\n%#v", plain(st), plain(w))
 			}
 		})
 	}

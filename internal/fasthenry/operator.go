@@ -65,13 +65,15 @@ const (
 const AutoIterativeThreshold = 512
 
 // AutoNestedThreshold is the filament count at which ModeAuto switches
-// from the flat-ACA operator to the nested-basis one. Between the two
-// thresholds the flat build is cheaper (the nested scheme's per-node
-// far-field sampling is a fixed cost); beyond it the pairwise factors
-// grow superlinearly and shared bases win. Layouts with planes stay on
-// flat ACA: on a PlaneNW=64 microstrip (8,200 filaments) the nested
-// operator's port solve stalls (residual 2e-6 after 1,200 iterations at
-// 20 GHz), while flat ACA converges in 46.
+// from the flat-ACA operator to the nested-basis one. The flat path is
+// faster at 2,048 filaments and the nested one by 16k. At the threshold
+// itself the two are level: on the 8,192-filament bus, five run pairs
+// of the bus_8k benchmark on a 2-vCPU Xeon gave op_p50_ms medians of
+// 904 ms (flat) and 873 ms (nested), inside the nested runs' own
+// 853–917 ms quartiles, so the measurement does not resolve a winner. Layouts with planes stay on flat ACA: on a PlaneNW=64
+// microstrip (8,200 filaments) the nested operator's port solve at
+// 20 GHz stalls at residual 1.27e-6 after 400 iterations, while flat
+// ACA converges in 46.
 const AutoNestedThreshold = 8192
 
 // String returns the CLI spelling of the mode.
@@ -161,8 +163,7 @@ func (s *Solver) compressedOp() extract.LOperator {
 		// (median bisection leaves the buses at 32), so the block-Jacobi
 		// diagonal blocks stay cheap to factor while capturing
 		// whole-conductor self coupling.
-		roots := mesh.ClusterFilaments(s.fils, 48, s.workers)
-		trees := extract.ElemTreesFromClusters(roots, func(i int) []int { return []int{i} })
+		trees := mesh.ClusterFilaments(s.fils, 48, s.workers)
 		tol := s.acaTol
 		if tol <= 0 {
 			tol = 1e-8

@@ -29,6 +29,27 @@ func clusterTestLayout(rng *rand.Rand, nSegs int) (*Layout, []int) {
 	return l, segs
 }
 
+// clusterLayout clusters every segment of l through ClusterItems, with
+// the bisection coordinates of a segment: its centre along the routing
+// axis, its cross coordinate and its layer height. The test layouts
+// number their segments from 0, so element indices are segment indices.
+func clusterLayout(l *Layout, leafSize, workers int) []*ClusterNode {
+	dir := func(i int) Direction { return l.Segments[i].Dir }
+	coord := func(dim, i int) float64 {
+		s := &l.Segments[i]
+		switch dim {
+		case 0:
+			lo, hi := s.AxisSpan()
+			return (lo + hi) / 2
+		case 1:
+			return s.CrossCoord()
+		default:
+			return l.Z(i)
+		}
+	}
+	return ClusterItems(len(l.Segments), dir, coord, leafSize, workers)
+}
+
 // collectLeaves gathers leaf segment lists depth-first.
 func collectLeaves(n *ClusterNode, out *[][]int) {
 	if n.IsLeaf() {
@@ -42,9 +63,8 @@ func collectLeaves(n *ClusterNode, out *[][]int) {
 func TestClusterTreePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	l, segs := clusterTestLayout(rng, 97)
-	idx := NewIndex(l, 0)
 	leafSize := 8
-	roots := idx.ClusterTreeParallel(segs, leafSize, 1)
+	roots := clusterLayout(l, leafSize, 1)
 	if len(roots) == 0 {
 		t.Fatal("no roots")
 	}
@@ -66,15 +86,22 @@ func TestClusterTreePartition(t *testing.T) {
 			all = append(all, leaf...)
 		}
 		// Internal consistency: a node's Segs is the concatenation of
-		// its children's.
+		// its children's, entry by entry.
 		var walk func(n *ClusterNode)
 		walk = func(n *ClusterNode) {
 			if n.IsLeaf() {
 				return
 			}
-			if len(n.Left.Segs)+len(n.Right.Segs) != len(n.Segs) {
+			cat := append(append([]int(nil), n.Left.Segs...), n.Right.Segs...)
+			if len(cat) != len(n.Segs) {
 				t.Fatalf("node split %d+%d != %d",
 					len(n.Left.Segs), len(n.Right.Segs), len(n.Segs))
+			}
+			for i := range cat {
+				if cat[i] != n.Segs[i] {
+					t.Fatalf("level %d node: Segs[%d] = %d, children's concatenation holds %d",
+						n.Level, i, n.Segs[i], cat[i])
+				}
 			}
 			walk(n.Left)
 			walk(n.Right)
@@ -97,10 +124,9 @@ func TestClusterTreePartition(t *testing.T) {
 
 func TestClusterTreeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	l, segs := clusterTestLayout(rng, 50)
-	idx := NewIndex(l, 0)
-	a := idx.ClusterTreeParallel(segs, 6, 1)
-	b := idx.ClusterTreeParallel(segs, 6, 1)
+	l, _ := clusterTestLayout(rng, 50)
+	a := clusterLayout(l, 6, 1)
+	b := clusterLayout(l, 6, 1)
 	var eq func(x, y *ClusterNode) bool
 	eq = func(x, y *ClusterNode) bool {
 		if len(x.Segs) != len(y.Segs) {
@@ -150,9 +176,8 @@ func treesEqual(x, y *ClusterNode) bool {
 // correct levels.
 func TestClusterTreeParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	l, segs := clusterTestLayout(rng, 300)
-	idx := NewIndex(l, 0)
-	serial := idx.ClusterTreeParallel(segs, 5, 1)
+	l, _ := clusterTestLayout(rng, 300)
+	serial := clusterLayout(l, 5, 1)
 	var checkLevels func(n *ClusterNode, lvl int)
 	checkLevels = func(n *ClusterNode, lvl int) {
 		if n.Level != lvl {
@@ -167,7 +192,7 @@ func TestClusterTreeParallelDeterministic(t *testing.T) {
 		checkLevels(r, 0)
 	}
 	for _, workers := range []int{2, 4, 16, 0} {
-		par := idx.ClusterTreeParallel(segs, 5, workers)
+		par := clusterLayout(l, 5, workers)
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d roots, serial %d", workers, len(par), len(serial))
 		}
@@ -180,20 +205,21 @@ func TestClusterTreeParallelDeterministic(t *testing.T) {
 }
 
 // TestClusterTreeConcurrentBuilds is the geom race-set target: several
-// goroutines build parallel trees over the same index at once (exactly
-// what concurrent engine sessions do through the operator builds).
+// goroutines build parallel trees over the same layout at once (exactly
+// what concurrent engine sessions do through the operator builds), and
+// inside each build the bisection sorts disjoint ranges of one buffer
+// from different goroutines.
 func TestClusterTreeConcurrentBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	l, segs := clusterTestLayout(rng, 200)
-	idx := NewIndex(l, 0)
-	want := idx.ClusterTreeParallel(segs, 7, 1)
+	l, _ := clusterTestLayout(rng, 200)
+	want := clusterLayout(l, 7, 1)
 	results := make([][]*ClusterNode, 4)
 	var wg sync.WaitGroup
 	for g := range results {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = idx.ClusterTreeParallel(segs, 7, 4)
+			results[g] = clusterLayout(l, 7, 4)
 		}(g)
 	}
 	wg.Wait()
@@ -209,14 +235,13 @@ func TestClusterTreeConcurrentBuilds(t *testing.T) {
 	}
 }
 
-// TestClusterNodeExtents pins the per-dimension spread measurement the
-// admissibility condition relies on.
+// TestClusterTreeSmallInputs: a default leaf size leaves a tiny input
+// as leaf roots, and an empty input yields no roots.
 func TestClusterTreeSmallInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
-	l, segs := clusterTestLayout(rng, 3)
-	idx := NewIndex(l, 0)
+	l, _ := clusterTestLayout(rng, 3)
 	// leafSize < 1 defaults; a tiny input yields leaf roots.
-	roots := idx.ClusterTreeParallel(segs, 0, 1)
+	roots := clusterLayout(l, 0, 1)
 	total := 0
 	for _, r := range roots {
 		if !r.IsLeaf() {
@@ -227,7 +252,7 @@ func TestClusterTreeSmallInputs(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("roots hold %d segments, want 3", total)
 	}
-	if got := idx.ClusterTreeParallel(nil, 4, 1); len(got) != 0 {
+	if got := clusterLayout(NewLayout(nil), 4, 1); len(got) != 0 {
 		t.Fatalf("empty input produced %d roots", len(got))
 	}
 }

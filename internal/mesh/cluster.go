@@ -2,15 +2,11 @@ package mesh
 
 import "inductance101/internal/geom"
 
-// ClusterFilaments builds spatial cluster trees directly over a lowered
-// filament set, one root per routing direction present, through the
-// same median-bisection core (geom.ClusterItems) the segment-level
-// index uses. Before the mesh layer existed the compressed operators
-// clustered segments and expanded each into its filaments; plane grids
-// have no segment to cluster by, so the trees now index filaments
-// themselves — bisection coordinates are the filament's centre along
-// its routing axis, its cross coordinate, and its height, and the
-// result is deterministic at every worker count.
+// ClusterFilaments builds spatial cluster trees over a lowered filament
+// set, one root per routing direction present, through geom.ClusterItems:
+// the bisection coordinates are a filament's centre along its routing
+// axis, its cross coordinate and its height. Element i of the trees is
+// fils[i], and the result is deterministic at every worker count.
 func ClusterFilaments(fils []Filament, leafSize, workers int) []*geom.ClusterNode {
 	dir := func(i int) geom.Direction { return fils[i].Dir }
 	coord := func(dim, i int) float64 {

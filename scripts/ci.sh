@@ -37,7 +37,8 @@ fi
 # partial-inductance assemblies and builds segment-level nested-basis
 # operators from concurrent goroutines, each checked bit for bit
 # against a serial build; geom races
-# parallel cluster-tree builds over one index; serve drives the
+# concurrent cluster-tree builds, each bisecting in place with
+# goroutines that sort disjoint ranges of one buffer; serve drives the
 # multi-tenant job server with conflicting tenant configs and
 # mid-stream disconnects;
 # matrix runs concurrent multigrid V-cycles with conflicting worker
@@ -56,7 +57,9 @@ go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fa
 # charges, the sparse Newton against its dense oracle, the multigrid
 # grid transient with its DC start, and TestTranGridMGRepeatedStepsPin,
 # which checks that the transient's repeated-step skip matches solving
-# every step bit for bit) must hold at any worker count: GOMAXPROCS 1
+# every step bit for bit, and TestCompressedStatsPinned, every
+# CompressStats field of both compressed operators' builds) must hold
+# at any worker count: GOMAXPROCS 1
 # and 2 set the default worker count of the parallel kernels, sweeps,
 # loop-frequency fan-out and grid time steps they cover.
 # TestAdaptiveIterativeSweepPin and TestExactIterativeSweepPin are the
@@ -152,8 +155,8 @@ fi
 # (per-item handout) in internal/matrix/workers.go, so each scheduling
 # rule is written once. A sync.WaitGroup elsewhere is a second copy of
 # one of them. The one exemption is geom's recursive cluster bisection,
-# which spawns its two halves against a goroutine budget, not over a
-# loop.
+# which spawns its two halves (disjoint ranges of one buffer, each
+# sorted in place) against a goroutine budget, not over a loop.
 echo "== no sync.WaitGroup outside matrix/workers.go and geom/cluster.go in non-test code"
 groups=$(grep -rn 'sync\.WaitGroup' internal cmd --include='*.go' \
 	| grep -v '_test\.go' \
