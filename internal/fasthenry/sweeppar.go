@@ -23,16 +23,16 @@ import (
 // currents and node voltages, which trims iteration counts because
 // R(f), L(f) vary smoothly. The worker count moves the chunk
 // boundaries, so a point may start GMRES from a different warm vector:
-// iterative results agree across worker counts only to the GMRES
+// exact iterative results agree across worker counts only to the GMRES
 // tolerance.
 //
 // Under Options.SweepMode adaptive (or auto at sweep.AutoThreshold
 // requested points) only a few adaptively chosen anchor frequencies are
-// solved — scheduled exactly as above — and the remaining points are
-// filled by a cross-validated rational interpolant (Point.Interp marks
-// them). Anchor bits that differ may steer the iterative path's refine
-// loop to other anchors, so its interpolated points agree across worker
-// counts only to the sweep tolerance.
+// solved and the remaining points are filled by a cross-validated
+// rational interpolant (Point.Interp marks them). Each anchor is an
+// independent item warm-started from the nearest anchor an earlier
+// batch solved, so adaptive sweeps are bit-identical at any worker
+// count on every solve path.
 func (s *Solver) Sweep(freqs []float64) ([]Point, error) {
 	return s.SweepCtx(context.Background(), freqs)
 }
@@ -63,13 +63,14 @@ func (s *Solver) SweepCtx(ctx context.Context, freqs []float64) ([]Point, error)
 }
 
 // sweepAdaptive runs the anchor-and-fit engine over the one sweep
-// executor, whose per-chunk warm vectors persist across anchor batches:
-// the refine loop mostly adds one anchor at a time, and those solves
-// keep chunk 0's warm vector. Interpolated points carry Interp=true and
-// no iteration count. It also returns the anchor indices in solve
-// order.
+// executor in its seeded mode: every anchor batch is a set of
+// independent items, each warm-started from the nearest anchor solved
+// by an earlier batch, so the anchors and their bits do not depend on
+// the worker count. Interpolated points carry Interp=true and no
+// iteration count. It also returns the anchor indices in solve order.
 func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) ([]Point, []int, error) {
 	run := s.newSweepRun(ctx, fs, workers)
+	run.seeds = make([][]complex128, len(fs))
 	res, err := sweep.Adaptive(fs, sweep.Options{Tol: s.sweepTol}, run.solve)
 	if err != nil {
 		return nil, nil, err
@@ -90,11 +91,16 @@ type sweepRun struct {
 	workers int
 	dense   func(f float64) (complex128, error)
 	iter    func(f float64, warm *[]complex128) (complex128, int, error)
-	// warms holds each iterative chunk's warm vector (nil until its
-	// first solve), carried from one solve call to the next.
+	// warms holds each exact iterative chunk's warm vector (nil until
+	// its first solve), carried from one solve call to the next.
 	warms [][]complex128
-	iters []int // GMRES iterations of each solved point
-	errs  []error
+	// seeds, non-nil in an adaptive sweep, holds the [i; v/ρ] solution
+	// of every iterative point an earlier solve call solved, by index
+	// into fs (nil: none), nseeds of them.
+	seeds  [][]complex128
+	nseeds int
+	iters  []int // GMRES iterations of each solved point
+	errs   []error
 }
 
 func (s *Solver) newSweepRun(ctx context.Context, fs []float64, workers int) *sweepRun {
@@ -110,24 +116,31 @@ func (s *Solver) newSweepRun(ctx context.Context, fs []float64, workers int) *sw
 }
 
 // solve solves the ascending indices idxs and returns their impedances
-// in the same order, or the error at the lowest failing frequency.
-// Dense points are handed out one at a time (matrix.ParallelItems):
-// every point costs the same LU, so fine-grained claiming balances
-// best, and a failure does not stop the others. Iterative points go in
-// min(workers, len(idxs)) contiguous ascending chunks
-// (matrix.RangeChunks); chunk c solves in order from warms[c] and stops
-// at its first failure, dropping its warm vector. Each output is
-// written by exactly one goroutine.
+// in the same order, or the error at the lowest failing frequency. It
+// schedules by one of three rules, each writing every output from
+// exactly one goroutine:
+//   - dense points are handed out one at a time (matrix.ParallelItems):
+//     every point costs the same LU, so fine-grained claiming balances
+//     best, and a failure does not stop the others;
+//   - adaptive (seeded) iterative points are handed out the same way,
+//     see solveSeeded;
+//   - exact iterative points go in min(workers, len(idxs)) contiguous
+//     ascending chunks (matrix.RangeChunks); chunk c solves in order
+//     from warms[c] and stops at its first failure, dropping its warm
+//     vector.
 func (r *sweepRun) solve(idxs []int) ([]complex128, error) {
 	vals := make([]complex128, len(idxs))
-	if r.iter == nil {
+	switch {
+	case r.iter == nil:
 		matrix.ParallelItems(r.workers, len(idxs), func(k int) {
 			i := idxs[k]
 			if r.errs[i] = r.ctx.Err(); r.errs[i] == nil {
 				vals[k], r.errs[i] = r.dense(r.fs[i])
 			}
 		})
-	} else {
+	case r.seeds != nil:
+		r.solveSeeded(idxs, vals)
+	default:
 		chunks := matrix.RangeChunks(r.workers, len(idxs), 1)
 		matrix.ParallelItems(len(chunks), len(chunks), func(c int) {
 			warm := &r.warms[c]
@@ -149,6 +162,64 @@ func (r *sweepRun) solve(idxs []int) ([]complex128, error) {
 		return nil, err
 	}
 	return vals, nil
+}
+
+// solveSeeded solves the iterative points idxs into vals as
+// independent items, highest frequency (the most GMRES iterations)
+// first. Each starts GMRES from the stored solution of the nearest
+// point an earlier call solved — nearest in log f, the lower frequency
+// on a tie — or cold in the first call. Solutions are stored only once
+// every item is done, so the points of one call never seed each other
+// and the bits do not depend on the worker count or the handout order.
+// A failed point stores nothing. A call that would store more than
+// sweep.AnchorCap solutions stores none: only an adaptive sweep's
+// fallback call can, and no call follows it.
+func (r *sweepRun) solveSeeded(idxs []int, vals []complex128) {
+	xs := make([][]complex128, len(idxs))
+	for k, i := range idxs {
+		xs[k] = r.nearestSeed(i)
+	}
+	n := len(idxs)
+	matrix.ParallelItems(r.workers, n, func(j int) {
+		k := n - 1 - j
+		i := idxs[k]
+		err := r.ctx.Err()
+		if err == nil {
+			vals[k], r.iters[i], err = r.iter(r.fs[i], &xs[k])
+		}
+		if err != nil {
+			r.errs[i] = err
+			xs[k] = nil
+		}
+	})
+	if r.nseeds+n > sweep.AnchorCap {
+		return
+	}
+	for k, i := range idxs {
+		if xs[k] != nil {
+			r.seeds[i] = xs[k]
+			r.nseeds++
+		}
+	}
+}
+
+// nearestSeed returns the stored solution nearest fs[i] in log f, the
+// lower frequency on a tie (nil: none stored).
+func (r *sweepRun) nearestSeed(i int) []complex128 {
+	lo, hi := i-1, i+1
+	for lo >= 0 && r.seeds[lo] == nil {
+		lo--
+	}
+	for hi < len(r.fs) && r.seeds[hi] == nil {
+		hi++
+	}
+	if lo >= 0 && (hi == len(r.fs) || r.fs[i]/r.fs[lo] <= r.fs[hi]/r.fs[i]) {
+		return r.seeds[lo]
+	}
+	if hi < len(r.fs) {
+		return r.seeds[hi]
+	}
+	return nil
 }
 
 // points assembles the sweep's result from the impedance at every

@@ -46,22 +46,21 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestIterativeSweepWorkerCountAgreement: an iterative sweep
+// TestIterativeSweepWorkerCountAgreement: an exact iterative sweep
 // warm-starts GMRES along each worker's chunk, so the worker count
-// moves its bits, unlike the dense sweep above. Exact iterative sweeps
-// at 1, 2 and 3 workers must still agree within 1e-9 relative, and so
-// must adaptive sweeps at every point all of them solved. The adaptive
-// sweep's refine loop may pick other anchors from bits that differ, so
-// its interpolated points agree only to the sweep tolerance.
+// moves its bits, unlike the dense sweep above; at 1, 2 and 3 workers
+// it must still agree within 1e-9 relative. An adaptive sweep
+// warm-starts each anchor from an anchor of an earlier batch, so its
+// points must be bit-identical at every worker count.
 func TestIterativeSweepWorkerCountAgreement(t *testing.T) {
-	const solveTol = 1e-9
 	l, segs, port, shorts := busLayout(32, 1e-3, 1e-6, 2e-6)
 	for _, tc := range []struct {
 		mode  sweep.Mode
 		freqs []float64
+		tol   float64
 	}{
-		{sweep.ModeExact, LogSpace(1e8, 2e10, 6)},
-		{sweep.ModeAdaptive, LogSpace(1e8, 2e10, 201)},
+		{sweep.ModeExact, LogSpace(1e8, 2e10, 6), 1e-9},
+		{sweep.ModeAdaptive, LogSpace(1e8, 2e10, 201), 0},
 	} {
 		var ref []Point
 		for _, w := range []int{1, 2, 3} {
@@ -79,13 +78,11 @@ func TestIterativeSweepWorkerCountAgreement(t *testing.T) {
 				continue
 			}
 			for i := range pts {
-				tol := solveTol
-				if pts[i].Interp || ref[i].Interp {
-					tol = sweep.DefaultTol
-				}
-				if d := cmplx.Abs(pts[i].Z-ref[i].Z) / cmplx.Abs(ref[i].Z); d > tol {
-					t.Errorf("%v sweep, point %d (interp %v/%v): workers=%d deviates %.3g from workers=1 (bound %g)",
-						tc.mode, i, pts[i].Interp, ref[i].Interp, w, d, tol)
+				if tc.tol == 0 && pts[i] != ref[i] {
+					t.Errorf("%v sweep, point %d: workers=%d gives %+v, workers=1 %+v", tc.mode, i, w, pts[i], ref[i])
+				} else if d := cmplx.Abs(pts[i].Z-ref[i].Z) / cmplx.Abs(ref[i].Z); d > tc.tol {
+					t.Errorf("%v sweep, point %d: workers=%d deviates %.3g from workers=1 (bound %g)",
+						tc.mode, i, w, d, tc.tol)
 				}
 			}
 		}
@@ -103,9 +100,7 @@ func probeRun(ctx context.Context, fs []float64, workers int,
 // with a probe solver: within one chunk every point must see the same
 // warm vector, in ascending frequency order; a failure must be recorded
 // at its own index, drop the warm vector and stop only its own chunk;
-// and the returned error must name the lowest failing frequency. A
-// later solve call (an adaptive sweep's next anchor batch) must resume
-// from the chunk's warm vector.
+// and the returned error must name the lowest failing frequency.
 func TestSweepExecWarmStart(t *testing.T) {
 	fs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	var mu sync.Mutex
@@ -154,27 +149,69 @@ func TestSweepExecWarmStart(t *testing.T) {
 			t.Fatalf("point %g Hz not solved: iters %d, err %v", f, r.iters[i], r.errs[i])
 		}
 	}
+}
 
-	// Without failures each chunk ends warm, and the next call's one
-	// chunk starts from chunk 0's last solution.
-	var seen []complex128
-	r = probeRun(context.Background(), fs, 2,
-		func(f float64, warm *[]complex128) (complex128, int, error) {
-			if f == 8 {
-				seen = *warm
+// TestSweepExecSeeded drives the adaptive sweep's seeded executor with
+// a probe solver: the first call must solve cold; each later point must
+// start from the solution of the nearest point an earlier call solved
+// (in log f, the lower on a tie), never from a point of its own call; a
+// failed point must store no vector; and the error must name the
+// lowest failing frequency. The seeds must not depend on the worker
+// count.
+func TestSweepExecSeeded(t *testing.T) {
+	fs := []float64{1, 2, 3, 4, 8, 16, 32, 64, 128}
+	for _, workers := range []int{1, 2, 3} {
+		var mu sync.Mutex
+		seen := map[float64][]complex128{} // frequency -> warm vector it started from
+		r := probeRun(context.Background(), fs, workers,
+			func(f float64, warm *[]complex128) (complex128, int, error) {
+				mu.Lock()
+				seen[f] = *warm
+				mu.Unlock()
+				if f == 16 || f == 32 {
+					*warm = []complex128{-1} // half-updated state
+					return 0, 0, fmt.Errorf("solver blew up")
+				}
+				*warm = []complex128{complex(f, 0)}
+				return complex(f, f), 1, nil
+			})
+		r.seeds = make([][]complex128, len(fs))
+		// call solves idxs and checks that each frequency in from started
+		// from the solution at from[f] (0: cold).
+		call := func(idxs []int, from map[float64]float64, wantErr string) {
+			t.Helper()
+			clear(seen)
+			vals, err := r.solve(idxs)
+			switch {
+			case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
+				t.Fatalf("workers=%d: error %v does not name %s", workers, err, wantErr)
+			case wantErr == "" && (err != nil || len(vals) != len(idxs)):
+				t.Fatalf("workers=%d: solve(%v) = %v, %v", workers, idxs, vals, err)
 			}
-			*warm = []complex128{complex(f, 0)}
-			return complex(f, f), 1, nil
-		})
-	vals, err := r.solve([]int{0, 1, 2, 3})
-	if err != nil || len(vals) != 4 || vals[3] != complex(4, 4) {
-		t.Fatalf("solve = %v, %v", vals, err)
-	}
-	if _, err := r.solve([]int{7}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != complex(2, 0) {
-		t.Fatalf("second batch started from %v, want chunk 0's last solution (2 Hz)", seen)
+			for f, src := range from {
+				got, ok := seen[f]
+				switch {
+				case !ok:
+					t.Fatalf("workers=%d: %g Hz was not solved", workers, f)
+				case src == 0 && got != nil:
+					t.Fatalf("workers=%d: %g Hz started from %v, want cold", workers, f, got)
+				case src != 0 && (len(got) != 1 || got[0] != complex(src, 0)):
+					t.Fatalf("workers=%d: %g Hz started from %v, want the %g Hz solution", workers, f, got, src)
+				}
+			}
+		}
+		call([]int{0, 4, 8}, map[float64]float64{1: 0, 8: 0, 128: 0}, "")
+		// 3 Hz lies nearer 4 Hz and 2 Hz than 8 Hz, but those solve in
+		// the same call; 32 Hz ties between 8 Hz and 128 Hz.
+		call([]int{1, 2, 3, 5, 6}, map[float64]float64{2: 1, 3: 8, 4: 8, 16: 8, 32: 8}, "16Hz")
+		// 32 Hz failed, so 64 Hz starts from 128 Hz, not from the tie at
+		// 32 Hz; the executor keeps the errors it recorded.
+		call([]int{7}, map[float64]float64{64: 128}, "16Hz")
+		for i, f := range fs {
+			if stored := r.seeds[i] != nil; stored != (f != 16 && f != 32) {
+				t.Fatalf("workers=%d: %g Hz stored a vector: %v", workers, f, stored)
+			}
+		}
 	}
 }
 

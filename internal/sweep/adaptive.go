@@ -16,7 +16,7 @@ type Options struct {
 	MinAnchors int
 	// MaxAnchors caps the anchor solves before the engine gives up and
 	// falls back to exact per-point solves (0 = len(fs)/4 clamped to
-	// [2*MinAnchors, 64]).
+	// [2*MinAnchors, AnchorCap]).
 	MaxAnchors int
 }
 
@@ -30,7 +30,8 @@ type Result struct {
 	// fallback the remaining points are solved too, but were never
 	// anchors).
 	Anchors int
-	// AnchorIdx lists the anchor indices in solve order — diagnostics
+	// AnchorIdx lists the anchor indices in solve order, one solve
+	// call after another, each call's indices ascending — diagnostics
 	// for verbose CLIs and benches.
 	AnchorIdx []int
 	// Fallback reports that the response refused to fit (or the sweep
@@ -45,15 +46,27 @@ type Result struct {
 // the cross-validation residual is an estimate, not a bound.
 const cvSafety = 0.5
 
+// refineBatch is how many anchors one refine step asks for at most
+// (see refinePicks). Two keep two sweep workers busy; the batch is a
+// constant, not the worker count, so the anchors a sweep picks do not
+// depend on how many workers solve them.
+const refineBatch = 2
+
+// AnchorCap is the most anchors a sweep at the default MaxAnchors
+// solves before it falls back to exact solves.
+const AnchorCap = 64
+
 // Adaptive sweeps the ascending frequencies fs by solving a few anchor
 // points exactly — through solve, which receives indices into fs and
 // returns the exact complex response at each — and fitting a barycentric
 // rational interpolant over them. The refine loop evaluates two fits
-// (one trained on all anchors, one on half) everywhere, solves a new
-// anchor where they disagree most, and accepts once the worst
-// cross-validated relative residual is safely below opt.Tol. Sweeps too
-// short to amortize the fit, and responses that still disagree at
-// MaxAnchors anchors, are solved exactly point by point (Fallback).
+// (one trained on all anchors, one on half) everywhere, solves up to
+// refineBatch new anchors in one call where they disagree most (see
+// refinePicks), and accepts once the worst cross-validated relative
+// residual is safely below opt.Tol. Sweeps too short to amortize the
+// fit, and responses that still disagree at MaxAnchors anchors, are
+// solved exactly point by point (Fallback); a batch never takes the
+// anchor count past MaxAnchors.
 func Adaptive(fs []float64, opt Options, solve func(idxs []int) ([]complex128, error)) (Result, error) {
 	n := len(fs)
 	res := Result{Values: make([]complex128, n), Solved: make([]bool, n)}
@@ -98,8 +111,8 @@ func Adaptive(fs []float64, opt Options, solve func(idxs []int) ([]complex128, e
 		if maxA < 2*minA {
 			maxA = 2 * minA
 		}
-		if maxA > 64 {
-			maxA = 64
+		if maxA > AnchorCap {
+			maxA = AnchorCap
 		}
 	}
 
@@ -160,63 +173,10 @@ func Adaptive(fs []float64, opt Options, solve func(idxs []int) ([]complex128, e
 
 	var ft *fit
 	for {
-		solved := make([]int, 0, len(vals))
-		for i := range vals {
-			solved = append(solved, i)
-		}
-		sort.Ints(solved)
-		zs := make([]complex128, len(solved))
-		vv := make([]complex128, len(solved))
-		fscale := 0.0
-		for k, i := range solved {
-			zs[k], vv[k] = zOf(i), vals[i]
-			if a := cmplx.Abs(vv[k]); a > fscale {
-				fscale = a
-			}
-		}
-		floor := fscale * 1e-12
-		innerTol := tol * cvSafety * 0.2
-
-		ft, _ = aaaFit(zs, vv, innerTol, 40)
-		// Cross-validation fit: trained on alternate anchors only, so
-		// its agreement with the full fit on the held-out anchors and
-		// the unsolved points measures real generalization.
-		tz := make([]complex128, 0, (len(solved)+1)/2)
-		tv := make([]complex128, 0, (len(solved)+1)/2)
-		for k := range solved {
-			if k%2 == 0 || k == len(solved)-1 {
-				tz = append(tz, zs[k])
-				tv = append(tv, vv[k])
-			}
-		}
-		ft2, _ := aaaFit(tz, tv, innerTol, 40)
-
-		maxCV, next, nextErr := 0.0, -1, 0.0
-		for k, i := range solved {
-			if k%2 == 0 || k == len(solved)-1 {
-				continue
-			}
-			e := relErr(ft2.eval(zs[k]), vals[i], floor)
-			if e > maxCV {
-				maxCV = e
-			}
-		}
-		for _, i := range uniq {
-			if _, ok := vals[i]; ok {
-				continue
-			}
-			z := zOf(i)
-			v1 := ft.eval(z)
-			e := relErr(v1, ft2.eval(z), floor)
-			if e > maxCV {
-				maxCV = e
-			}
-			if e > nextErr {
-				next, nextErr = i, e
-			}
-		}
-		res.MaxCV = maxCV
-		if maxCV <= tol*cvSafety || next < 0 {
+		var errs []float64
+		ft, res.MaxCV, errs = assess(uniq, vals, zOf, tol)
+		batch := refinePicks(uniq, vals, errs, tol*cvSafety, min(refineBatch, maxA-len(vals)))
+		if res.MaxCV <= tol*cvSafety || len(batch) == 0 {
 			break
 		}
 		if len(vals) >= maxA {
@@ -240,10 +200,10 @@ func Adaptive(fs []float64, opt Options, solve func(idxs []int) ([]complex128, e
 			res.MaxCV = 0
 			return res, nil
 		}
-		if err := doSolve([]int{next}); err != nil {
+		if err := doSolve(batch); err != nil {
 			return res, err
 		}
-		order = append(order, next)
+		order = append(order, batch...)
 	}
 
 	res.Anchors = len(vals)
@@ -259,6 +219,123 @@ func Adaptive(fs []float64, opt Options, solve func(idxs []int) ([]complex128, e
 	}
 	expand(res.Values, res.Solved, rep)
 	return res, nil
+}
+
+// assess fits the full interpolant over every solved anchor and the
+// cross-validation interpolant over alternate anchors only, so the two
+// fits' agreement on the held-out anchors and on the unsolved points
+// measures real generalization. It returns the full fit, the worst
+// cross-validated relative residual, and the two fits' relative
+// disagreement at each point of uniq (0 at solved points).
+func assess(uniq []int, vals map[int]complex128, zOf func(int) complex128, tol float64) (*fit, float64, []float64) {
+	solved := make([]int, 0, len(vals))
+	for i := range vals {
+		solved = append(solved, i)
+	}
+	sort.Ints(solved)
+	zs := make([]complex128, len(solved))
+	vv := make([]complex128, len(solved))
+	fscale := 0.0
+	for k, i := range solved {
+		zs[k], vv[k] = zOf(i), vals[i]
+		if a := cmplx.Abs(vv[k]); a > fscale {
+			fscale = a
+		}
+	}
+	floor := fscale * 1e-12
+	innerTol := tol * cvSafety * 0.2
+
+	ft, _ := aaaFit(zs, vv, innerTol, 40)
+	tz := make([]complex128, 0, (len(solved)+1)/2)
+	tv := make([]complex128, 0, (len(solved)+1)/2)
+	for k := range solved {
+		if k%2 == 0 || k == len(solved)-1 {
+			tz = append(tz, zs[k])
+			tv = append(tv, vv[k])
+		}
+	}
+	ft2, _ := aaaFit(tz, tv, innerTol, 40)
+
+	maxCV := 0.0
+	for k, i := range solved {
+		if k%2 == 0 || k == len(solved)-1 {
+			continue
+		}
+		if e := relErr(ft2.eval(zs[k]), vals[i], floor); e > maxCV {
+			maxCV = e
+		}
+	}
+	errs := make([]float64, len(uniq))
+	for k, i := range uniq {
+		if _, ok := vals[i]; ok {
+			continue
+		}
+		z := zOf(i)
+		errs[k] = relErr(ft.eval(z), ft2.eval(z), floor)
+		if errs[k] > maxCV {
+			maxCV = errs[k]
+		}
+	}
+	return ft, maxCV, errs
+}
+
+// refinePicks returns the next batch of anchors in ascending order, or
+// nil when no unsolved point of uniq disagrees at all. errs is assess's
+// disagreement at each point of uniq; the unsolved points fall into the
+// gaps between consecutive solved anchors. The first pick is the
+// global worst point. Each further pick, while the batch is shorter
+// than limit, is the worst point of the worst gap that disagrees by
+// more than thresh and lies at least two gaps away from every gap
+// already picked. An anchor in a neighbouring gap mostly fixes the
+// misfit its neighbour's anchor is about to fix: allowing one took a
+// 1,024-filament bus sweep from 25 to 32 anchors.
+func refinePicks(uniq []int, vals map[int]complex128, errs []float64, thresh float64, limit int) []int {
+	// worst[g] is the position in uniq of gap g's worst point (-1:
+	// empty); gap g opens at the (g+1)-th solved anchor.
+	var worst []int
+	for k, i := range uniq {
+		if _, ok := vals[i]; ok {
+			worst = append(worst, -1)
+			continue
+		}
+		if g := len(worst) - 1; worst[g] < 0 || errs[k] > errs[worst[g]] {
+			worst[g] = k
+		}
+	}
+	pick := func(floor float64, picked []int) int {
+		best := -1
+		for g, k := range worst {
+			if k < 0 || errs[k] <= floor || (best >= 0 && errs[k] <= errs[worst[best]]) {
+				continue
+			}
+			near := false
+			for _, p := range picked {
+				near = near || (g-p < 2 && p-g < 2)
+			}
+			if !near {
+				best = g
+			}
+		}
+		return best
+	}
+	first := pick(0, nil)
+	if first < 0 {
+		return nil
+	}
+	picked := []int{first}
+	for len(picked) < limit {
+		g := pick(thresh, picked)
+		if g < 0 {
+			break
+		}
+		picked = append(picked, g)
+	}
+	batch := make([]int, len(picked))
+	for j, g := range picked {
+		batch[j] = uniq[worst[g]]
+	}
+	sort.Ints(batch)
+	return batch
 }
 
 func relErr(got, want complex128, floor float64) float64 {

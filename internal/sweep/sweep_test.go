@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -202,7 +203,7 @@ func TestAdaptiveDuplicatesAndErrors(t *testing.T) {
 }
 
 // TestAdaptiveParallelSolver races the batch callback across
-// goroutines the way fasthenry's chunked workers will.
+// goroutines the way fasthenry's sweep workers do.
 func TestAdaptiveParallelSolver(t *testing.T) {
 	grid := logGrid(1e3, 1e9, 512)
 	solve := func(idxs []int) ([]complex128, error) {
@@ -319,5 +320,146 @@ func sortAscending(fs []float64) {
 		for j := i; j > 0 && fs[j] < fs[j-1]; j-- {
 			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
+	}
+}
+
+// TestAdaptiveRefineBatches records every solve call of the refine loop
+// with the stub solver and checks the batch rule against the fits'
+// disagreement recomputed from the anchors solved before the call:
+// each refine call asks for at most refineBatch points, one of them the
+// global worst; a second lies at least two gaps between solved anchors
+// away from the first, is the worst point of the worst such gap, and
+// that gap disagrees by more than tol*cvSafety. The anchor count never
+// passes MaxAnchors, a fallback solves every remaining point in one
+// call, and AnchorIdx is the anchor calls concatenated.
+func TestAdaptiveRefineBatches(t *testing.T) {
+	skin := func(f float64) complex128 { // non-rational: never fits at 1e-10
+		s := complex(0, 2*math.Pi*f)
+		return complex(0.1*(1+math.Sqrt(f/1e6)), 0) + s*1e-6 + 1/(s*1e-11)
+	}
+	for _, tc := range []struct {
+		name     string
+		f        func(float64) complex128
+		grid     []float64
+		opt      Options
+		fallback bool
+	}{
+		{"rl", rlResponse, logGrid(1e3, 1e9, 400), Options{Tol: 1e-12, MaxAnchors: 64}, false},
+		{"skin-loose", skin, logGrid(1e6, 1e9, 500), Options{Tol: 1e-4, MaxAnchors: 64}, false},
+		{"skin", skin, logGrid(1e6, 1e9, 500), Options{Tol: 1e-10, MinAnchors: 4, MaxAnchors: 9}, true},
+		{"skin-long", skin, logGrid(1e6, 1e9, 500), Options{Tol: 1e-8, MaxAnchors: 40}, true},
+	} {
+		n := len(tc.grid)
+		uniq := make([]int, n)
+		for i := range uniq {
+			uniq[i] = i
+		}
+		zOf := func(i int) complex128 { return complex(tc.grid[i]/tc.grid[n-1], 0) }
+		vals := map[int]complex128{}
+		var calls [][]int
+		pairs := 0
+		solve := func(idxs []int) ([]complex128, error) {
+			calls = append(calls, append([]int(nil), idxs...))
+			if len(calls) > 1 && len(vals) < tc.opt.MaxAnchors { // a refine call, not the fallback
+				checkBatch(t, tc.name, uniq, vals, zOf, tc.opt, idxs)
+				if len(idxs) == 2 {
+					pairs++
+				}
+			}
+			out := make([]complex128, len(idxs))
+			for k, i := range idxs {
+				out[k] = tc.f(tc.grid[i])
+				vals[i] = out[k]
+			}
+			return out, nil
+		}
+		res, err := Adaptive(tc.grid, tc.opt, solve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fallback != tc.fallback {
+			t.Fatalf("%s: fallback %v, want %v (%d anchors, calls %v)", tc.name, res.Fallback, tc.fallback, res.Anchors, calls)
+		}
+		anchorCalls := calls
+		if res.Fallback {
+			last := calls[len(calls)-1]
+			if len(last) != n-res.Anchors || len(vals) != n {
+				t.Fatalf("%s: fallback call solved %d points, %d of %d solved in all", tc.name, len(last), len(vals), n)
+			}
+			anchorCalls = calls[:len(calls)-1]
+		}
+		var concat []int
+		for _, c := range anchorCalls {
+			concat = append(concat, c...)
+		}
+		if !slices.Equal(concat, res.AnchorIdx) || res.Anchors != len(concat) {
+			t.Fatalf("%s: AnchorIdx %v (%d anchors) is not the anchor calls %v", tc.name, res.AnchorIdx, res.Anchors, anchorCalls)
+		}
+		if res.Anchors > tc.opt.MaxAnchors {
+			t.Fatalf("%s: %d anchors past MaxAnchors %d", tc.name, res.Anchors, tc.opt.MaxAnchors)
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no refine call asked for two anchors", tc.name)
+		}
+	}
+}
+
+// checkBatch checks one refine call's batch against the fits over the
+// anchors in vals (see TestAdaptiveRefineBatches).
+func checkBatch(t *testing.T, name string, uniq []int, vals map[int]complex128, zOf func(int) complex128, opt Options, batch []int) {
+	t.Helper()
+	_, _, errs := assess(uniq, vals, zOf, opt.Tol)
+	gapOf := func(i int) int { // gap g opens at the (g+1)-th solved anchor
+		g := -1
+		for j := range vals {
+			if j < i {
+				g++
+			}
+		}
+		return g
+	}
+	argmax, gapWorst := -1, map[int]int{}
+	for k, i := range uniq {
+		if _, ok := vals[i]; ok {
+			continue
+		}
+		if argmax < 0 || errs[k] > errs[argmax] {
+			argmax = k
+		}
+		if w, ok := gapWorst[gapOf(i)]; !ok || errs[k] > errs[w] {
+			gapWorst[gapOf(i)] = k
+		}
+	}
+	if len(batch) == 0 || len(batch) > refineBatch || !slices.IsSorted(batch) || !slices.Contains(batch, uniq[argmax]) {
+		t.Fatalf("%s: batch %v: want at most %d ascending points including the global worst %d",
+			name, batch, refineBatch, uniq[argmax])
+	}
+	g0 := gapOf(uniq[argmax])
+	thresh := opt.Tol * cvSafety
+	second := -1 // the worst gap two or more gaps from g0 over thresh
+	for g, k := range gapWorst {
+		if (g-g0 >= 2 || g0-g >= 2) && errs[k] > thresh && (second < 0 || errs[k] > errs[gapWorst[second]] ||
+			errs[k] == errs[gapWorst[second]] && g < second) {
+			second = g
+		}
+	}
+	room := len(vals)+2 <= opt.MaxAnchors
+	switch {
+	case len(batch) == 2:
+		other := batch[0]
+		if other == uniq[argmax] {
+			other = batch[1]
+		}
+		if g := gapOf(other); g-g0 < 2 && g0-g < 2 {
+			t.Fatalf("%s: batch %v: gaps %d and %d are not two gaps apart", name, batch, g0, g)
+		}
+		if second < 0 || other != uniq[gapWorst[second]] {
+			t.Fatalf("%s: batch %v: second point is not the worst point of the worst far gap over %g", name, batch, thresh)
+		}
+		if !room {
+			t.Fatalf("%s: batch %v takes %d anchors past MaxAnchors %d", name, batch, len(vals)+len(batch), opt.MaxAnchors)
+		}
+	case room && second >= 0:
+		t.Fatalf("%s: batch %v leaves out the worst far gap's point %d", name, batch, uniq[gapWorst[second]])
 	}
 }

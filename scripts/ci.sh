@@ -62,10 +62,10 @@ go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fa
 # at any worker count: GOMAXPROCS 1
 # and 2 set the default worker count of the parallel kernels, sweeps,
 # loop-frequency fan-out and grid time steps they cover.
-# TestAdaptiveIterativeSweepPin and TestExactIterativeSweepPin are the
-# exceptions that set their worker count: an iterative sweep
-# warm-starts along each worker's chunk, so they pin each sweep worker
-# count (1 and 2 adaptive; 1, 2 and 3 exact) separately, and must give
+# TestAdaptiveIterativeSweepPin holds one pin at sweep worker counts
+# 1, 2 and 3. TestExactIterativeSweepPin is the one exception: an
+# exact iterative sweep warm-starts along each worker's chunk, so it
+# pins each sweep worker count (1, 2 and 3) separately, and must give
 # those bits at either GOMAXPROCS.
 echo "== bit-identity pins at 1 and 2 CPUs"
 go test -count=1 -cpu 1,2 -run 'Pin' ./internal/matrix ./internal/fasthenry ./internal/sim ./internal/core
