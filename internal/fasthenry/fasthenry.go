@@ -242,7 +242,7 @@ func (s *Solver) nodeRow(n int) int {
 // hierarchically compressed partial-inductance operator.
 func (s *Solver) Impedance(f float64) (complex128, error) {
 	if s.iterativeMode() {
-		z, _, err := s.impedanceIterative(f, nil)
+		z, _, err := s.impedanceIterative(f, nil, nil)
 		return z, err
 	}
 	return s.impedanceDense(f)
@@ -290,7 +290,7 @@ func (s *Solver) admittance(f float64) (*matrix.CDense, error) {
 				zb.Set(i, j, complex(re, omega*lp.At(fi, fj)))
 			}
 		}
-		lu, err := matrix.FactorComplexLU(zb)
+		lu, err := matrix.FactorComplexLUInPlace(zb)
 		if err != nil {
 			return nil, fmt.Errorf("fasthenry: branch impedance singular: %w", err)
 		}

@@ -54,7 +54,7 @@ func TestNestedMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dense at %g: %v", f, err)
 				}
-				zn, it, err := nested.impedanceIterative(f, nil)
+				zn, it, err := nested.impedanceIterative(f, nil, nil)
 				if err != nil {
 					t.Fatalf("nested at %g: %v", f, err)
 				}
@@ -155,7 +155,7 @@ func TestSingularPrecondBlockFallback(t *testing.T) {
 	// singular.
 	op := &singularOp{n: 2, v: []float64{1, 1, 1, 1}}
 	s := &Solver{fils: make([]mesh.Filament, 2)}
-	pre := s.buildBlockPrecond(op, 2*math.Pi*1e9)
+	pre := s.buildBlockPrecond(op, 2*math.Pi*1e9, nil)
 	if len(pre.blocks) != 1 {
 		t.Fatalf("expected 1 block, got %d", len(pre.blocks))
 	}
@@ -181,7 +181,7 @@ func TestSingularPrecondBlockFallback(t *testing.T) {
 	// A fully zero block degrades to the identity and must still be
 	// finite.
 	opz := &singularOp{n: 2, v: []float64{0, 0, 0, 0}}
-	prez := s.buildBlockPrecond(opz, 0)
+	prez := s.buildBlockPrecond(opz, 0, nil)
 	prez.apply(dst, src)
 	for i, v := range dst {
 		if cmplx.IsNaN(v) || cmplx.IsInf(v) {

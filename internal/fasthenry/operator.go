@@ -232,17 +232,52 @@ type precondBlock struct {
 	w []complex128
 }
 
+// portWork is one sweep worker's scratch for impedanceIterative,
+// reused from point to point: the block-Jacobi blocks, refilled and
+// factored in place at each frequency, and GMRES's Krylov workspace. A
+// point then allocates little beyond its solution vector, so points
+// solving at once on several workers do not churn the heap. It serves
+// one solve at a time, and the bits do not depend on it; nil means
+// fresh storage for every solve.
+type portWork struct {
+	blocks []*matrix.CDense
+	gmres  matrix.GMRESWork
+}
+
+// block returns an n×n matrix for diagonal block bi to refill.
+func (w *portWork) block(bi, n int) *matrix.CDense {
+	if w == nil {
+		return matrix.NewCDense(n, n)
+	}
+	if bi == len(w.blocks) {
+		w.blocks = append(w.blocks, nil)
+	}
+	if b := w.blocks[bi]; b == nil || b.Rows() != n {
+		w.blocks[bi] = matrix.NewCDense(n, n)
+	}
+	return w.blocks[bi]
+}
+
+// krylov returns the GMRES workspace to solve in.
+func (w *portWork) krylov() *matrix.GMRESWork {
+	if w == nil {
+		return new(matrix.GMRESWork)
+	}
+	return &w.gmres
+}
+
 // buildBlockPrecond factors diag(R) + jω L_cc for every diagonal leaf
-// cluster c of the compressed operator. Blocks that fail to factor
-// fall back to their diagonal inverse instead of failing the solve.
-func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64) *blockPrecond {
+// cluster c of the compressed operator, in ws's blocks (nil: fresh
+// ones). Blocks that fail to factor fall back to their diagonal inverse
+// instead of failing the solve.
+func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64, ws *portWork) *blockPrecond {
 	diags := op.DiagBlocks()
 	p := &blockPrecond{blocks: make([]precondBlock, 0, len(diags))}
 	maxN := 0
-	for _, d := range diags {
+	for bi, d := range diags {
 		n := len(d.Idx)
 		maxN = max(maxN, n)
-		zb := matrix.NewCDense(n, n)
+		zb := ws.block(bi, n)
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				re := 0.0
@@ -252,11 +287,13 @@ func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64) *blockPr
 				zb.Set(a, b, complex(re, omega*d.V[a*n+b]))
 			}
 		}
-		lu, err := matrix.FactorComplexLU(zb)
+		lu, err := matrix.FactorComplexLUInPlace(zb)
 		if err != nil {
+			// The failed elimination overwrote zb, so the diagonal is
+			// recomputed.
 			dinv := make([]complex128, n)
 			for a := 0; a < n; a++ {
-				if v := zb.At(a, a); v != 0 {
+				if v := complex(s.fils[d.Idx[a]].R, omega*d.V[a*n+a]); v != 0 {
 					dinv[a] = 1 / v
 				} else {
 					dinv[a] = 1
@@ -625,7 +662,7 @@ func (p *augPrecond) apply(dst, src []complex128) {
 // portSystem assembles the augmented operator at angular frequency
 // omega and its preconditioner: this point's block-Jacobi factors and
 // Ŝ factored on the solver's cached Schur plan.
-func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
+func (s *Solver) portSystem(omega float64, ws *portWork) (*augOp, *augPrecond, error) {
 	op := s.compressedOp()
 	plan, err := s.schur()
 	if err != nil {
@@ -633,7 +670,7 @@ func (s *Solver) portSystem(omega float64) (*augOp, *augPrecond, error) {
 	}
 	rho := complex(s.kclScale(), 0)
 	aop := &augOp{zb: zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, len(s.fils))}, inc: s.inc, rho: rho}
-	pre, err := s.newAugPrecond(plan, s.buildBlockPrecond(op, omega), rho)
+	pre, err := s.newAugPrecond(plan, s.buildBlockPrecond(op, omega, ws), rho)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -658,14 +695,15 @@ func (s *Solver) newAugPrecond(plan *schurPlan, bj *blockPrecond, rho complex128
 // right-preconditioned restarted GMRES on the augmented system through
 // the compressed operator. warm, when non-nil, carries a sweep
 // worker's previous [i; v/ρ] solution: a non-nil *warm seeds the solve
-// and is replaced by this point's solution. It returns the impedance
-// and the GMRES iteration count.
-func (s *Solver) impedanceIterative(f float64, warm *[]complex128) (complex128, int, error) {
+// and is replaced by this point's solution. ws, when non-nil, is the
+// sweep worker's reused scratch. It returns the impedance and the GMRES
+// iteration count.
+func (s *Solver) impedanceIterative(f float64, warm *[]complex128, ws *portWork) (complex128, int, error) {
 	pr := s.nodeRow(s.plus)
 	if pr < 0 {
 		return 0, 0, fmt.Errorf("fasthenry: port plus equals reference")
 	}
-	aop, pre, err := s.portSystem(2 * math.Pi * f)
+	aop, pre, err := s.portSystem(2*math.Pi*f, ws)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -676,7 +714,7 @@ func (s *Solver) impedanceIterative(f float64, warm *[]complex128) (complex128, 
 	if warm != nil && *warm != nil {
 		opt.X0 = *warm
 	}
-	x, res, err := matrix.GMRES(aop, b, opt)
+	x, res, err := ws.krylov().Solve(aop, b, opt)
 	if err != nil {
 		return 0, res.Iters, fmt.Errorf("fasthenry: GMRES at %g Hz: %w", f, err)
 	}

@@ -101,7 +101,7 @@ func TestIterativeMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dense at %g: %v", f, err)
 				}
-				zi, it, err := iter.impedanceIterative(f, nil)
+				zi, it, err := iter.impedanceIterative(f, nil, nil)
 				if err != nil {
 					t.Fatalf("iterative at %g: %v", f, err)
 				}
@@ -159,7 +159,7 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 		if i%3 == 0 {
 			continue
 		}
-		_, cold, err := iter.impedanceIterative(freqs[i], nil)
+		_, cold, err := iter.impedanceIterative(freqs[i], nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +170,13 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 	// Re-seeded with its own solution a point needs no iterations at
 	// all, and the solve updates the vector in place.
 	var warm []complex128
-	if _, _, err := iter.impedanceIterative(freqs[1], &warm); err != nil {
+	if _, _, err := iter.impedanceIterative(freqs[1], &warm, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(warm) != iter.NumFilaments()+iter.nNodes-1 {
 		t.Fatalf("warm vector has %d entries, want nf+nn = %d", len(warm), iter.NumFilaments()+iter.nNodes-1)
 	}
-	z, again, err := iter.impedanceIterative(freqs[1], &warm)
+	z, again, err := iter.impedanceIterative(freqs[1], &warm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPrecondApplyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	omega := 2 * math.Pi * 1e9
-	bj := s.buildBlockPrecond(s.compressedOp(), omega)
+	bj := s.buildBlockPrecond(s.compressedOp(), omega, nil)
 	nf := s.NumFilaments()
 	src, dst := make([]complex128, nf), make([]complex128, nf)
 	for i := range src {
@@ -243,7 +243,7 @@ func TestPrecondApplyAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { bj.apply(dst, src) }); a != 0 {
 		t.Errorf("block-Jacobi apply allocates %v times", a)
 	}
-	aop, pre, err := s.portSystem(omega)
+	aop, pre, err := s.portSystem(omega, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

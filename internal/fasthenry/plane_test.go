@@ -214,7 +214,7 @@ func TestPortDrivenIterationPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, it, err := s.impedanceIterative(2e10, nil)
+	_, it, err := s.impedanceIterative(2e10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestAugPrecondMatchesTwoSolves(t *testing.T) {
 		for _, f := range []float64{1e8, 2e10} {
 			t.Run(fmt.Sprintf("%s/%gHz", c.name, f), func(t *testing.T) {
 				omega := 2 * math.Pi * f
-				bj := s.buildBlockPrecond(op, omega)
+				bj := s.buildBlockPrecond(op, omega, nil)
 				if c.fallback {
 					b, d := &bj.blocks[0], op.DiagBlocks()[0]
 					n := len(d.Idx)
@@ -187,7 +187,7 @@ func TestBus8kPortSolveIterations(t *testing.T) {
 	if s.NumFilaments() != 8192 || s.SolveModeInUse() != ModeNested {
 		t.Fatalf("%d filaments on %v, want 8192 on nested", s.NumFilaments(), s.SolveModeInUse())
 	}
-	_, it, err := s.impedanceIterative(2e10, nil)
+	_, it, err := s.impedanceIterative(2e10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

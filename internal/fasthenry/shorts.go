@@ -75,7 +75,7 @@ func (s *Solver) impedanceEachShortAt(f float64, sibs []*Solver, rows [][]int) (
 	if s.iterativeMode() {
 		for k, sib := range sibs {
 			var err error
-			if z[k], _, err = sib.impedanceIterative(f, nil); err != nil {
+			if z[k], _, err = sib.impedanceIterative(f, nil, nil); err != nil {
 				return nil, fmt.Errorf("%w (short %d)", err, k)
 			}
 		}

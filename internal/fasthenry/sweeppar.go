@@ -82,15 +82,20 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 // frequencies fs: each solve call solves a set of indices into fs over
 // up to workers goroutines. On the dense path dense solves each point;
 // on the iterative paths iter does, warm-started from and updating
-// *warm (dense and iter are fields so tests can drive the scheduling
-// with failures and order probes the real physics cannot produce on
-// demand).
+// *warm, in scratch ws taken from the run's pool (dense and iter are
+// fields so tests can drive the scheduling with failures and order
+// probes the real physics cannot produce on demand).
 type sweepRun struct {
 	ctx     context.Context
 	fs      []float64
 	workers int
 	dense   func(f float64) (complex128, error)
-	iter    func(f float64, warm *[]complex128) (complex128, int, error)
+	iter    func(f float64, warm *[]complex128, ws *portWork) (complex128, int, error)
+	// work holds one iterative scratch per worker for the whole sweep:
+	// a goroutine takes one for its solves and puts it back, so the
+	// Krylov basis and block factors are allocated once per worker, not
+	// once per point.
+	work chan *portWork
 	// warms holds each exact iterative chunk's warm vector (nil until
 	// its first solve), carried from one solve call to the next.
 	warms [][]complex128
@@ -104,13 +109,22 @@ type sweepRun struct {
 }
 
 func (s *Solver) newSweepRun(ctx context.Context, fs []float64, workers int) *sweepRun {
-	r := &sweepRun{ctx: ctx, fs: fs, workers: workers,
-		warms: make([][]complex128, workers), iters: make([]int, len(fs)), errs: make([]error, len(fs))}
+	r := newSweepExec(ctx, fs, workers)
 	if s.iterativeMode() {
 		s.compressedOp()
 		r.iter = s.impedanceIterative
 	} else {
 		r.dense = s.impedanceDense
+	}
+	return r
+}
+
+// newSweepExec returns an executor over fs with no solver bound.
+func newSweepExec(ctx context.Context, fs []float64, workers int) *sweepRun {
+	r := &sweepRun{ctx: ctx, fs: fs, workers: workers, work: make(chan *portWork, workers),
+		warms: make([][]complex128, workers), iters: make([]int, len(fs)), errs: make([]error, len(fs))}
+	for range workers {
+		r.work <- new(portWork)
 	}
 	return r
 }
@@ -143,12 +157,13 @@ func (r *sweepRun) solve(idxs []int) ([]complex128, error) {
 	default:
 		chunks := matrix.RangeChunks(r.workers, len(idxs), 1)
 		matrix.ParallelItems(len(chunks), len(chunks), func(c int) {
-			warm := &r.warms[c]
+			warm, ws := &r.warms[c], <-r.work
+			defer func() { r.work <- ws }()
 			for k := chunks[c][0]; k < chunks[c][1]; k++ {
 				i := idxs[k]
 				err := r.ctx.Err()
 				if err == nil {
-					vals[k], r.iters[i], err = r.iter(r.fs[i], warm)
+					vals[k], r.iters[i], err = r.iter(r.fs[i], warm, ws)
 				}
 				if err != nil {
 					r.errs[i] = err
@@ -185,7 +200,9 @@ func (r *sweepRun) solveSeeded(idxs []int, vals []complex128) {
 		i := idxs[k]
 		err := r.ctx.Err()
 		if err == nil {
-			vals[k], r.iters[i], err = r.iter(r.fs[i], &xs[k])
+			ws := <-r.work
+			vals[k], r.iters[i], err = r.iter(r.fs[i], &xs[k], ws)
+			r.work <- ws
 		}
 		if err != nil {
 			r.errs[i] = err

@@ -92,8 +92,9 @@ func TestIterativeSweepWorkerCountAgreement(t *testing.T) {
 // probeRun is a sweep executor over fs whose iterative solve is probe.
 func probeRun(ctx context.Context, fs []float64, workers int,
 	probe func(f float64, warm *[]complex128) (complex128, int, error)) *sweepRun {
-	return &sweepRun{ctx: ctx, fs: fs, workers: workers, iter: probe,
-		warms: make([][]complex128, workers), iters: make([]int, len(fs)), errs: make([]error, len(fs))}
+	r := newSweepExec(ctx, fs, workers)
+	r.iter = func(f float64, warm *[]complex128, _ *portWork) (complex128, int, error) { return probe(f, warm) }
+	return r
 }
 
 // TestSweepExecWarmStart drives the sweep executor's iterative chunks

@@ -18,6 +18,15 @@ type CLU struct {
 // order: elimination would otherwise carry it into a solution that
 // looks finite, or is all NaN, with no error.
 func FactorComplexLU(a *CDense) (*CLU, error) {
+	return FactorComplexLUInPlace(a.Clone())
+}
+
+// FactorComplexLUInPlace is FactorComplexLU overwriting a with the
+// factors, for a caller that refills a before each factorization (a
+// sweep worker's preconditioner blocks). a is unchanged when the error
+// is about its shape or a non-finite entry, and holds a partial
+// elimination after ErrSingular.
+func FactorComplexLUInPlace(a *CDense) (*CLU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: complex LU of non-square %dx%d", a.rows, a.cols)
 	}
@@ -27,7 +36,7 @@ func FactorComplexLU(a *CDense) (*CLU, error) {
 			return nil, fmt.Errorf("matrix: complex LU: non-finite entry (%d,%d) = %v", idx/n, idx%n, v)
 		}
 	}
-	lu := a.Clone()
+	lu := a
 	d := lu.data
 	piv := make([]int, n)
 	for i := range piv {

@@ -217,6 +217,28 @@ func TestComplexLUReuse(t *testing.T) {
 	if _, err := FactorComplexLU(sing); err == nil {
 		t.Errorf("singular accepted")
 	}
+	// The in-place factor runs the same elimination on a's own storage.
+	inPlace, err := FactorComplexLUInPlace(a.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inPlace.SolveTo(x3, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x1 {
+		if x3[i] != x1[i] {
+			t.Fatalf("in-place factor x[%d] = %v, FactorComplexLU %v", i, x3[i], x1[i])
+		}
+	}
+	if _, err := FactorComplexLUInPlace(sing); err == nil {
+		t.Errorf("singular accepted in place")
+	}
+	nan := NewCDense(2, 2)
+	nan.Set(0, 0, 1)
+	nan.Set(1, 1, complex(math.NaN(), 0))
+	if _, err := FactorComplexLUInPlace(nan); err == nil || nan.At(0, 0) != 1 {
+		t.Errorf("non-finite entry: err %v, a(0,0) = %v, want an error and a untouched", err, nan.At(0, 0))
+	}
 }
 
 // TestComplexLURejectsNonFinite: a NaN or infinite entry, in either

@@ -107,6 +107,36 @@ type GMRESOptions struct {
 	Precond func(dst, src []complex128)
 }
 
+// GMRESWork is GMRES's reusable workspace: the Krylov basis and
+// Hessenberg columns (allocated as the iteration first reaches them),
+// the Givens rotations, the rotated rhs and the operator scratch. A
+// sequence of solves of one dimension (a sweep worker's points) that
+// runs through one GMRESWork's Solve allocates it once instead of per
+// solve; the bits do not depend on it. It serves one solve at a time,
+// and its zero value is ready to use.
+type GMRESWork struct {
+	v, hc         [][]complex128
+	cs, sn, g, yv []complex128
+	w, z          []complex128
+}
+
+// reset sizes the workspace for dimension n and restart m, keeping the
+// basis and columns an earlier solve of the same shape allocated. w and
+// z are zeroed, as a fresh solve's are.
+func (ws *GMRESWork) reset(n, m int) {
+	if len(ws.w) != n || len(ws.cs) != m {
+		*ws = GMRESWork{
+			v: make([][]complex128, m+1), hc: make([][]complex128, m),
+			cs: make([]complex128, m), sn: make([]complex128, m),
+			g: make([]complex128, m+1), yv: make([]complex128, m),
+			w: make([]complex128, n), z: make([]complex128, n),
+		}
+		return
+	}
+	clear(ws.w)
+	clear(ws.z)
+}
+
 func cnorm(v []complex128) float64 {
 	s := 0.0
 	for _, z := range v {
@@ -133,6 +163,11 @@ func cdotc(a, b []complex128) complex128 {
 // direct solve). A sequence of related solves (a frequency sweep's
 // points) warm-starts each solve through opt.X0.
 func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions) ([]complex128, IterResult, error) {
+	return new(GMRESWork).Solve(op, b, opt)
+}
+
+// Solve is GMRES in the workspace ws.
+func (ws *GMRESWork) Solve(op CLinearOperator, b []complex128, opt GMRESOptions) ([]complex128, IterResult, error) {
 	n := op.Dim()
 	if len(b) != n {
 		return nil, IterResult{}, fmt.Errorf("matrix: GMRES rhs length %d, want %d", len(b), n)
@@ -173,7 +208,10 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions) ([]complex128, 
 		return x, res, nil
 	}
 
-	z := make([]complex128, n)
+	ws.reset(n, m)
+	// Workspace: Krylov basis, Hessenberg columns (upper-triangular
+	// after rotations), Givens sines/cosines, rotated rhs.
+	v, hc, cs, sn, g, w, z := ws.v, ws.hc, ws.cs, ws.sn, ws.g, ws.w, ws.z
 	// applyP computes dst = A M^{-1} x, the operator the Krylov cycles
 	// iterate on.
 	applyP := func(dst, src []complex128) {
@@ -184,15 +222,6 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions) ([]complex128, 
 		}
 		op.ApplyTo(dst, av)
 	}
-
-	// Workspace: Krylov basis, Hessenberg columns (upper-triangular
-	// after rotations), Givens sines/cosines, rotated rhs.
-	v := make([][]complex128, m+1)
-	hc := make([][]complex128, m)
-	cs := make([]complex128, m)
-	sn := make([]complex128, m)
-	g := make([]complex128, m+1)
-	w := make([]complex128, n)
 
 	for {
 		// True residual r0 = b - A x.
@@ -278,7 +307,7 @@ func GMRES(op CLinearOperator, b []complex128, opt GMRESOptions) ([]complex128, 
 			}
 		}
 		// Back-substitute R yv = g.
-		yv := make([]complex128, j)
+		yv := ws.yv[:j]
 		for i := j - 1; i >= 0; i-- {
 			s := g[i]
 			for k := i + 1; k < j; k++ {

@@ -160,6 +160,39 @@ func TestGMRESWarmStart(t *testing.T) {
 	}
 }
 
+// TestGMRESWorkReuse checks that a workspace carried across solves of
+// different systems, restarts and dimensions gives the bits of a fresh
+// solve every time.
+func TestGMRESWorkReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var ws GMRESWork
+	for trial, n := range []int{30, 30, 12, 30} {
+		m := randomDiagDominantC(n, rng)
+		b := randVecC(n, rng)
+		opt := GMRESOptions{Restart: 4 + trial, Tol: 1e-12, Precond: func(dst, src []complex128) {
+			for i := range dst {
+				dst[i] = src[i] / m.At(i, i)
+			}
+		}}
+		want, wres, err := GMRES(CDenseOp{m}, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gres, err := ws.Solve(CDenseOp{m}, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gres != wres {
+			t.Errorf("trial %d: reused workspace %+v, fresh %+v", trial, gres, wres)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: x[%d] = %v with a reused workspace, %v fresh", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestGMRESZeroRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randomDiagDominantC(6, rng)
